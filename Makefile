@@ -16,7 +16,8 @@ bench:
 # Reentrancy/shared-memory/concurrency suites + the K=4 scaling gates
 # (threads >= 1.8x, processes >= 2.5x; gates skip below 4 cores; BLAS
 # pinned so the workers scale, not the libraries) + the hot-path glue
-# gates (fused suffix >= 1.3x, per-batch glue <= 40 us)
+# gates (fused suffix >= 1.3x, per-batch glue <= 40 us, 0.25 ms batch
+# flush overshoot <= 300 us)
 parallel:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 $(PYTHON) -m pytest -q -p no:randomly \
 		tests/nn/test_forward_context.py tests/nn/test_shm_params.py \

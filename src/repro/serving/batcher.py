@@ -14,6 +14,17 @@ harnesses:
   seconds have passed since its first request, so a trickle of traffic is
   never stalled waiting for a batch that will not fill.
 
+**Flush precision.**  Event-loop timers cannot express that second knob
+below a millisecond: the stdlib selector takes whole milliseconds and
+rounds up, so a 0.25 ms flush handed to it fires after ~1.15 ms.  The
+collector therefore gives the selector only waits of 1 ms or more; a
+remaining wait shorter than that is *yield-polled* — ``await
+asyncio.sleep(0)`` until a request arrives or the flush time passes.  Each
+yield is a full loop iteration (``select(0)``, ready callbacks), so socket
+reads, submissions and cancellations are served as usual.  The price is
+loop-thread CPU, bounded by under 1 ms of polling per *partial* batch; a
+batch that fills never waits and pays nothing.
+
 Backpressure comes from the bounded submission queue (``max_queue_size``):
 with the default ``reject_on_full=False`` an overloaded server makes
 ``submit`` *await* until capacity frees up (cooperative backpressure, load
@@ -70,6 +81,11 @@ __all__ = [
     "DeadlineExceeded",
     "payloads_conform",
 ]
+
+#: The stdlib selectors take their timeout in whole milliseconds, rounded
+#: *up* (``epoll_wait``/``poll``): an event-loop timer shorter than this
+#: still fires about a millisecond late (see *Flush precision* above).
+_SELECTOR_TIMER_RESOLUTION = 1e-3
 
 
 def payloads_conform(
@@ -238,7 +254,11 @@ class DynamicBatcher:
         Dispatch a batch as soon as it holds this many requests.
     max_batch_latency:
         Dispatch a partial batch this many seconds after its first request
-        arrived.
+        arrived.  Honoured below the event loop's 1 ms timer granularity:
+        a remaining wait under 1 ms is yield-polled on the loop thread
+        (at most that much CPU per partial batch) instead of being rounded
+        up to a whole millisecond by the selector — see *Flush precision*
+        in the module docstring.
     max_queue_size:
         Bound of the submission queue — the backpressure knob.
     reject_on_full:
@@ -397,6 +417,9 @@ class DynamicBatcher:
 
         Raises
         ------
+        ValueError
+            If ``deadline`` is negative or NaN (``inf`` is legal and means
+            "no deadline").
         RuntimeError
             If the batcher is not running.
         ServerOverloaded
@@ -406,7 +429,9 @@ class DynamicBatcher:
             past ``min(deadline, admission_timeout)`` before it could be
             batched (shed-on-missed-deadline policy).
         """
-        if deadline is not None and deadline < 0:
+        # `not >=` rather than `<`: NaN compares false to everything, would
+        # pass `< 0` and then sit in the EDF heap ordering against nothing
+        if deadline is not None and not deadline >= 0:
             raise ValueError("deadline must be non-negative seconds from now")
         queue = self._queue
         if queue is None or not self.running:
@@ -529,8 +554,15 @@ class DynamicBatcher:
                         break
                     if pending_get is None:
                         pending_get = asyncio.ensure_future(queue.get())
-                    done, _ = await asyncio.wait({pending_get}, timeout=remaining)
-                    if pending_get not in done:
+                    if remaining >= _SELECTOR_TIMER_RESOLUTION:
+                        await asyncio.wait({pending_get}, timeout=remaining)
+                    else:
+                        # no timeout for the selector to round up: each
+                        # yield is one loop iteration with select(0), which
+                        # still serves sockets, submitters and cancellation
+                        while not pending_get.done() and loop.time() < flush_at:
+                            await asyncio.sleep(0)
+                    if not pending_get.done():
                         break  # deadline fired; the get stays in flight
                     item = pending_get.result()
                     pending_get = None

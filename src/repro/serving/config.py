@@ -54,6 +54,10 @@ class BatcherConfig:
     max_batch_latency:
         Dispatch a *partial* batch this many seconds after its oldest
         request arrived, so a trickle of traffic is never stalled.
+        Sub-millisecond values are honoured: selector timers are whole
+        milliseconds, so the batcher yield-polls a remaining wait under
+        1 ms on the loop thread (bounded by that much CPU per partial
+        batch; full batches never wait) rather than rounding it up.
     max_queue_size:
         Bound of the submission queue — the backpressure knob.
     reject_on_full:

@@ -83,7 +83,7 @@ class ServingStats:
     throughput_rps:
         Completed requests per second of wall time between the first
         submission and the latest completion (0.0 before any completion).
-    latency_p50_s / latency_p95_s / latency_max_s:
+    latency_p50_s / latency_p95_s / latency_p99_s / latency_max_s:
         Percentiles of end-to-end request latency (submit to response,
         queueing included), over a bounded window of the most recent
         requests.
@@ -128,6 +128,7 @@ class ServingStats:
     throughput_rps: float
     latency_p50_s: float
     latency_p95_s: float
+    latency_p99_s: float
     latency_max_s: float
     exit_counts: list[int] | None = None
     workers: int = 1
@@ -580,6 +581,10 @@ class ServingEngine:
             wall = self._last_done_at - self._first_submit_at
         else:
             wall = 0.0
+        if lat.size:
+            p50, p95, p99, worst = map(float, np.percentile(lat, (50, 95, 99, 100)))
+        else:
+            p50 = p95 = p99 = worst = 0.0
         return ServingStats(
             requests_completed=b.completed,
             requests_rejected=b.rejected,
@@ -588,9 +593,10 @@ class ServingEngine:
             mean_batch_size=b.mean_batch_size,
             queue_peak=b.queue_peak,
             throughput_rps=b.completed / wall if wall > 0 else 0.0,
-            latency_p50_s=float(np.percentile(lat, 50)) if lat.size else 0.0,
-            latency_p95_s=float(np.percentile(lat, 95)) if lat.size else 0.0,
-            latency_max_s=float(lat.max()) if lat.size else 0.0,
+            latency_p50_s=p50,
+            latency_p95_s=p95,
+            latency_p99_s=p99,
+            latency_max_s=worst,
             exit_counts=list(self._exit_counts) if self._exit_counts else None,
             workers=self.workers,
             worker_backend=self.worker_backend,

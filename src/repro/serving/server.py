@@ -33,7 +33,8 @@ Endpoints
 
 Error mapping is typed, not stringly: ``ServerOverloaded`` → **503**,
 ``DeadlineExceeded`` → **504**, malformed JSON / wrong shape / bad field
-types → **400**, a body over ``max_body_bytes`` → **413**, unknown path →
+types / a non-finite ``x`` element / a NaN ``deadline_ms`` → **400**, a
+body over ``max_body_bytes`` → **413**, unknown path →
 **404**, wrong method → **405**, anything unexpected → **500**.  Every
 error body is ``{"error": <slug>, "detail": <message>}``.
 
@@ -370,7 +371,9 @@ class ServingServer:
         if deadline_ms is not None and (
             isinstance(deadline_ms, bool)
             or not isinstance(deadline_ms, (int, float))
-            or deadline_ms < 0
+            # `not >=` rather than `<` also refuses NaN (json.loads accepts
+            # the token); Infinity stays legal and means "no deadline"
+            or not deadline_ms >= 0
         ):
             raise _HttpError(
                 400, "bad_request", "deadline_ms must be a non-negative number"
@@ -381,6 +384,10 @@ class ServingServer:
             raise _HttpError(
                 400, "bad_request", f"x is not a numeric array: {exc}"
             ) from None
+        if not np.isfinite(x).all():
+            # json.loads accepts NaN/Infinity and json.dumps would echo NaN
+            # tokens back in `probs`: a 200 whose body is not valid JSON
+            raise _HttpError(400, "bad_request", "x must contain only finite numbers")
         deadline = None if deadline_ms is None else float(deadline_ms) / 1000.0
         try:
             result = await self.engine.submit(x, deadline=deadline)

@@ -10,6 +10,10 @@ and while a batch is in flight.
 from __future__ import annotations
 
 import asyncio
+import math
+import random
+import statistics
+import time
 
 import pytest
 
@@ -266,6 +270,118 @@ def test_invalid_configuration_rejected():
     ):
         with pytest.raises(ValueError):
             DynamicBatcher(_echo_dispatch, **kwargs)
+
+
+def test_nan_deadline_rejected_before_it_reaches_the_edf_heap():
+    async def main():
+        async with DynamicBatcher(_echo_dispatch, max_batch_latency=0.001) as batcher:
+            with pytest.raises(ValueError, match="deadline"):
+                await batcher.submit(1, deadline=math.nan)
+            assert batcher.stats.submitted == 0
+            # inf stays legal: it is "no deadline"
+            assert await batcher.submit(2, deadline=math.inf) == 20
+
+    asyncio.run(main())
+
+
+# --------------------------------------------------------------------------- #
+# sub-millisecond flush (the collector's yield-polled wait)
+# --------------------------------------------------------------------------- #
+def test_sub_millisecond_flush_is_honoured():
+    """A lone request waits for its 0.3 ms flush, not for the selector's 1 ms.
+
+    Event-loop timers are whole milliseconds rounded up, so a collector that
+    hands the flush to the selector answers a lone request after >= 1 ms.
+    The median keeps a noisy host from flaking the upper bound.
+    """
+    flush = 0.0003
+
+    async def main():
+        elapsed = []
+        async with DynamicBatcher(
+            _echo_dispatch, max_batch_size=8, max_batch_latency=flush
+        ) as batcher:
+            for i in range(50):
+                start = time.perf_counter()
+                assert await batcher.submit(i) == i * 10
+                elapsed.append(time.perf_counter() - start)
+        assert batcher.stats.batches == 50  # every request flushed alone
+        return elapsed
+
+    elapsed = asyncio.run(main())
+    assert min(elapsed) >= flush, "a partial batch was flushed before its time"
+    assert statistics.median(elapsed) < 1.0e-3, (
+        f"median lone-request time {statistics.median(elapsed) * 1e3:.3f} ms: "
+        "the sub-millisecond flush is being rounded up to the timer granularity"
+    )
+
+
+def test_request_conservation_under_sub_millisecond_flush():
+    """64 staggered submitters, a random third cancelled while they wait.
+
+    Arrivals and cancellations are spread over loop iterations (not timers),
+    so they land while the collector is yield-polling a partial batch.  Every
+    request must be accounted for exactly once and a draining stop must
+    return with nothing left behind.
+    """
+    rng = random.Random(14)
+    n = 64
+    dispatched: list[int] = []
+    returned: set[int] = set()
+
+    async def yields(count):
+        for _ in range(count):
+            await asyncio.sleep(0)
+
+    async def dispatch(payloads):
+        dispatched.extend(payloads)
+        await yields(4)  # in flight for a few iterations: cancellable there too
+        returned.update(payloads)
+        return [p * 10 for p in payloads]
+
+    async def main():
+        batcher = DynamicBatcher(
+            dispatch, max_batch_size=8, max_batch_latency=0.0003, max_queue_size=16
+        )
+        await batcher.start()
+        arrive_after = [rng.randrange(200) for _ in range(n)]
+
+        async def submitter(i):
+            await yields(arrive_after[i])
+            return await batcher.submit(i)
+
+        tasks = [asyncio.ensure_future(submitter(i)) for i in range(n)]
+
+        async def canceller(i):
+            await yields(arrive_after[i] + rng.randrange(1, 6))
+            # a result already handed back is a completion, not a wait
+            if i not in returned:
+                tasks[i].cancel()
+
+        doomed = rng.sample(range(n), n // 3)
+        await asyncio.gather(*(canceller(i) for i in doomed))
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), timeout=10.0
+        )
+        await asyncio.wait_for(batcher.stop(drain=True), timeout=10.0)
+        return batcher, outcomes, doomed
+
+    batcher, outcomes, doomed = asyncio.run(main())
+    stats = batcher.stats
+    answered = [i for i, o in enumerate(outcomes) if o == i * 10]
+    cancelled = [
+        i for i, o in enumerate(outcomes) if isinstance(o, asyncio.CancelledError)
+    ]
+    assert sorted(answered + cancelled) == list(range(n)), outcomes
+    assert set(cancelled) <= set(doomed) and cancelled
+    assert len(dispatched) == len(set(dispatched)), "a request was dispatched twice"
+    assert stats.completed == len(answered)
+    assert stats.submitted == stats.completed + stats.cancelled
+    assert stats.rejected == stats.shed == 0
+    assert not batcher.running and batcher.queue_depth == 0
+    assert not batcher._inflight
+    # the staggered arrivals really went through the partial-batch wait
+    assert stats.batches > n // 8
 
 
 # --------------------------------------------------------------------------- #

@@ -132,6 +132,10 @@ def test_stats_and_health_endpoints():
 # typed error mapping
 # --------------------------------------------------------------------- #
 def test_bad_payloads_map_to_400():
+    nan_x, inf_x = X[0].copy(), X[0].copy()
+    nan_x[0, 3, 3] = np.nan
+    inf_x[0, 5, 1] = -np.inf
+
     async def main():
         async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
             for payload, raw in [
@@ -140,12 +144,26 @@ def test_bad_payloads_map_to_400():
                 ({"x": "strings"}, None),  # non-numeric
                 ({"x": X[0].tolist(), "deadline_ms": -5}, None),  # bad deadline
                 ({"x": [[1.0, 2.0]]}, None),  # wrong shape for the model
+                # json.dumps emits (and json.loads accepts) the bare NaN /
+                # Infinity tokens; answering them would put NaN in `probs`
+                ({"x": nan_x.tolist()}, None),
+                ({"x": inf_x.tolist()}, None),
+                ({"x": X[0].tolist(), "deadline_ms": float("nan")}, None),
             ]:
                 status, body = await _request(
                     srv, "POST", "/v1/predict", payload, raw=raw
                 )
                 assert status == 400, (payload, raw, body)
                 assert body["error"] == "bad_request"
+            assert srv.engine.batcher_stats.submitted == 0  # all refused before submit
+            # an infinite budget is legal: it means "no deadline"
+            status, body = await _request(
+                srv,
+                "POST",
+                "/v1/predict",
+                {"x": X[0].tolist(), "deadline_ms": float("inf")},
+            )
+            assert status == 200, body
             status, body = await _request(srv, "GET", "/v1/missing")
             assert status == 404
             status, body = await _request(srv, "GET", "/v1/predict")

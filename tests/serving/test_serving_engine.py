@@ -209,7 +209,14 @@ def test_stats_surface():
     assert stats.num_batches >= 1
     assert 1.0 <= stats.mean_batch_size <= 6.0
     assert stats.throughput_rps > 0
-    assert 0 < stats.latency_p50_s <= stats.latency_p95_s <= stats.latency_max_s
+    assert (
+        0
+        < stats.latency_p50_s
+        <= stats.latency_p95_s
+        <= stats.latency_p99_s
+        <= stats.latency_max_s
+    )
+    assert stats.to_dict()["latency_p99_s"] == stats.latency_p99_s
     assert stats.exit_counts is None
 
 
