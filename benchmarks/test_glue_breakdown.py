@@ -8,11 +8,9 @@ transport, allocating MC assembly), the PR 6 zero-copy replacements
 (:class:`~repro.serving.batcher.BatchStager` pinned staging,
 :class:`~repro.serving.workers.ring.BatchRing` shm slots), and the
 ISSUE 9 hot-path stages: **direct-to-ring** staging (payload rows land
-straight in the shm slot, no stager hop), **response-side staging**
-(:class:`~repro.serving.workers.base.ResponseStager` pre-pinned MC
-assembly), the **fused stochastic suffix** (mask folded into the GEMM
-operand), and the **content-keyed cache hit path** (repeated bytes skip
-the backbone forward).  All of it lands in ``BENCH_serving.json`` so the
+straight in the shm slot, no stager hop), the **fused stochastic suffix**
+(mask folded into the GEMM operand), and the **content-keyed cache hit
+path** (repeated bytes skip the backbone forward).  All of it lands in ``BENCH_serving.json`` so the
 report documents what the rework buys stage by stage.
 
 Unlike its earlier no-gate incarnation, the *glue budget* is now gated:
@@ -46,11 +44,7 @@ from repro.nn.architectures import lenet5_spec
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Dense, MCDropout
 from repro.serving.batcher import BatchStager, DynamicBatcher
-from repro.serving.workers.base import (
-    ResponseStager,
-    assemble_results,
-    compute_batch_array,
-)
+from repro.serving.workers.base import assemble_results, compute_batch_array
 from repro.serving.workers.ring import BatchRing
 
 from . import reporting
@@ -140,14 +134,8 @@ def test_glue_breakdown_records_per_stage_times():
     hits, misses = engine.cache_stats()
     assert hits > 0, "cache-hit stage never hit; the timing would be a lie"
 
-    # -- disassemble: allocating MC assembly vs pre-pinned ResponseStager - #
-    response_stager = ResponseStager(
-        max_batch_size=BATCH, num_samples=NUM_SAMPLES, num_classes=10
-    )
+    # -- disassemble: per-request results from the batch's raw arrays ----- #
     t_disassemble = _best_seconds_per_call(lambda: assemble_results(out), loops=50)
-    t_response_staged = _best_seconds_per_call(
-        lambda: assemble_results(out, response_stager), loops=50
-    )
 
     # -- fused stochastic suffix at the served width ---------------------- #
     rng = np.random.default_rng(1)
@@ -185,8 +173,7 @@ def test_glue_breakdown_records_per_stage_times():
         f"{t_ring_two_hop * 1e6:.1f} us vs direct {t_ring_direct * 1e6:.1f} us; "
         f"compute cold {t_compute_cold * 1e3:.2f} ms vs cache hit "
         f"{t_compute_hit * 1e3:.2f} ms; "
-        f"disassemble {t_disassemble * 1e6:.1f} us vs staged "
-        f"{t_response_staged * 1e6:.1f} us; "
+        f"disassemble {t_disassemble * 1e6:.1f} us; "
         f"suffix unfused {t_suffix_unfused * 1e6:.1f} us vs fused "
         f"{t_suffix_fused * 1e6:.1f} us; "
         f"glue legacy {glue_legacy * 1e6:.1f} us vs ring {glue_ring * 1e6:.1f} us "
@@ -204,7 +191,6 @@ def test_glue_breakdown_records_per_stage_times():
         compute_cold_ms=t_compute_cold * 1e3,
         compute_cache_hit_ms=t_compute_hit * 1e3,
         disassemble_us=t_disassemble * 1e6,
-        disassemble_staged_us=t_response_staged * 1e6,
         suffix_unfused_us=t_suffix_unfused * 1e6,
         suffix_fused_us=t_suffix_fused * 1e6,
         glue_legacy_us=glue_legacy * 1e6,

@@ -323,7 +323,7 @@ class MultiExitBayesNet:
             self._engine = InferenceEngine(self)
         return self._engine
 
-    def serving_engine(self, config=None, **kwargs):
+    def serving_engine(self, config=None):
         """Build a :class:`repro.serving.ServingEngine` over this model.
 
         The serving engine wraps :attr:`engine` (sharing its activation
@@ -333,13 +333,12 @@ class MultiExitBayesNet:
             async with model.serving_engine(config) as server:
                 result = await server.submit(example)
 
-        ``config`` is a :class:`repro.serving.ServingConfig`; the
-        historical flat kwargs (``num_samples``, ``max_batch_size``, …)
-        still work through ``ServingEngine``'s deprecation shim.
+        ``config`` is a :class:`repro.serving.ServingConfig`; ``None``
+        serves with all defaults.
         """
         from ..serving import ServingEngine
 
-        return ServingEngine(self, config, **kwargs)
+        return ServingEngine(self, config)
 
     def exit_probabilities(
         self, x: np.ndarray, stochastic: bool | None = None

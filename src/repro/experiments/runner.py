@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import math
 import os
 import time
 import traceback
@@ -48,7 +47,11 @@ from ..core.bayesnn import MultiExitBayesNet, MultiExitConfig
 from ..nn.architectures import get_architecture
 from ..serving.config import BatcherConfig, ServingConfig
 from ..serving.engine import ServingEngine
-from ..serving.loadgen import burst_schedule, poisson_schedule
+from ..serving.loadgen import (
+    burst_schedule,
+    nearest_rank_percentile,
+    poisson_schedule,
+)
 from .store import CellRow, ResultsStore
 from .thresholds import runner_fingerprint
 
@@ -85,14 +88,6 @@ def build_serving_config(params: Mapping[str, Any]) -> ServingConfig:
         worker_backend=params["worker_backend"],
         worker_transport=params["worker_transport"],
     )
-
-
-def _percentile(sorted_values: list[float], pct: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not sorted_values:
-        return float("nan")
-    rank = max(0, math.ceil(pct / 100.0 * len(sorted_values)) - 1)
-    return sorted_values[rank]
 
 
 @dataclass
@@ -265,9 +260,9 @@ async def _run_cell_async(params: Mapping[str, Any], seed: int) -> dict[str, Any
         "failed": failed,
         "duration_s": wall,
         "throughput_rps": ok / wall if wall > 0 else 0.0,
-        "latency_p50_s": _percentile(lat, 50),
-        "latency_p95_s": _percentile(lat, 95),
-        "latency_p99_s": _percentile(lat, 99),
+        "latency_p50_s": nearest_rank_percentile(lat, 50),
+        "latency_p95_s": nearest_rank_percentile(lat, 95),
+        "latency_p99_s": nearest_rank_percentile(lat, 99),
         "num_batches": stats.num_batches,
         "mean_batch_size": stats.mean_batch_size,
         "requests_shed": stats.requests_shed,

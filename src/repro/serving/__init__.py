@@ -21,7 +21,7 @@ two with classic dynamic batching:
   per-batch context), so the event loop never blocks on NumPy and
   multi-core hosts compute batches genuinely in parallel.
 * :mod:`repro.serving.workers` — the two batch-execution backends behind
-  ``ServingEngine(worker_backend=...)``: K reentrant engine replicas on a
+  ``ServingConfig(worker_backend=...)``: K reentrant engine replicas on a
   thread pool, or K worker *processes* over a shared-memory parameter
   arena (:class:`~repro.nn.shm.SharedParameterArena`) with crash retry.
 * :mod:`repro.serving.fleet` — the self-healing, elastic fleet layer:
@@ -29,12 +29,12 @@ two with classic dynamic batching:
   current arena generation, :class:`Autoscaler` sizes K between
   ``min_workers``/``max_workers`` from live signals, and a test-only
   :class:`FaultPlan` injects deterministic worker kills for the chaos
-  suite.  Enable with ``ServingEngine(fleet=FleetConfig(...))``; hot-swap
+  suite.  Enable with ``ServingConfig(fleet=FleetConfig(...))``; hot-swap
   models with ``ServingEngine.swap_model``.
 * :class:`ServingConfig` / :class:`BatcherConfig` — the serializable
-  configuration surface: one frozen, validated object instead of 15 flat
-  kwargs; ``ServingEngine(model, config=ServingConfig(...))`` is the
-  primary constructor and the dicts round-trip as JSON across the wire.
+  configuration surface: one frozen, validated object;
+  ``ServingEngine(model, config=ServingConfig(...))`` is the constructor
+  and the dicts round-trip as JSON across the wire.
 * :class:`ServingServer` — the network front end: a stdlib asyncio
   HTTP/1.1 server exposing ``POST /v1/predict``, ``GET /v1/stats`` and
   ``GET /v1/health``, with typed error mapping (``ServerOverloaded`` →

@@ -79,30 +79,12 @@ __all__ = [
     "BatcherStats",
     "ServerOverloaded",
     "DeadlineExceeded",
-    "payloads_conform",
 ]
 
 #: The stdlib selectors take their timeout in whole milliseconds, rounded
 #: *up* (``epoll_wait``/``poll``): an event-loop timer shorter than this
 #: still fires about a millisecond late (see *Flush precision* above).
 _SELECTOR_TIMER_RESOLUTION = 1e-3
-
-
-def payloads_conform(
-    payloads: Sequence[Any], example_shape: tuple[int, ...]
-) -> bool:
-    """Whether every payload is a float64 array of exactly ``example_shape``.
-
-    The conformance test shared by every staged transport — the pinned
-    :class:`BatchStager` buffers, the process backend's ring slots and its
-    pipe-side staging fallback.  Anything non-conforming takes the
-    allocating ``np.stack`` path instead; the answer is identical either
-    way.
-    """
-    return all(
-        isinstance(p, np.ndarray) and p.shape == example_shape and p.dtype == np.float64
-        for p in payloads
-    )
 
 
 class ServerOverloaded(RuntimeError):
@@ -200,7 +182,11 @@ class BatchStager:
         n = len(payloads)
         if not 0 < n <= self._buffer.shape[0]:
             return None
-        if not payloads_conform(payloads, self.example_shape):
+        shape = self.example_shape
+        if not all(
+            isinstance(p, np.ndarray) and p.shape == shape and p.dtype == np.float64
+            for p in payloads
+        ):
             return None
         batch = self._buffer[:n]
         for i, payload in enumerate(payloads):

@@ -22,9 +22,9 @@ Both are frozen dataclasses validated eagerly at construction — a config
 object that exists is a config object that can serve — and round-trip
 through plain dicts (:meth:`ServingConfig.to_dict` /
 :meth:`ServingConfig.from_dict`) so the wire boundary can carry them as
-JSON.  ``ServingEngine(model, config=ServingConfig(...))`` is the
-primary constructor; the historical flat kwargs keep working through a
-deprecation shim built on :meth:`ServingConfig.from_kwargs`.
+JSON.  ``ServingEngine(model, config=ServingConfig(...))`` is the only
+constructor; :meth:`ServingConfig.from_kwargs` builds the nested config
+from a flat keyword spelling.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class ServingConfig:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_kwargs(cls, **kwargs: Any) -> "ServingConfig":
-        """Build a config from the historical flat ``ServingEngine`` kwargs.
+        """Build a config from one flat keyword namespace.
 
         Splits the flat namespace into the nested form: batcher knobs
         (``max_batch_size``, ``max_batch_latency``, ``max_queue_size``,

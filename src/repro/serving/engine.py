@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -63,6 +62,7 @@ from .batcher import BatcherStats, DynamicBatcher
 from .config import ServingConfig
 from .fleet import FleetSignals, WorkerSupervisor
 from .workers import ProcessWorkerPool, ThreadWorkerPool
+from .workers.base import engine_num_classes
 
 __all__ = ["ServingEngine", "ServingStats"]
 
@@ -198,14 +198,10 @@ class ServingEngine:
         worker checkout still guarantees no replica runs two batches at
         once.  Deliberately *not* part of the config: an executor is a
         live resource, not serializable policy.
-    **legacy_kwargs:
-        The historical flat keyword surface (``num_samples=...,
-        max_batch_size=..., workers=..., fleet=...,`` …) keeps working
-        through a deprecation shim: the kwargs are folded into a
-        :class:`ServingConfig` via
-        :meth:`~repro.serving.config.ServingConfig.from_kwargs` and a
-        :class:`DeprecationWarning` is emitted.  Mixing ``config=`` with
-        flat kwargs is an error.
+
+    Flat keyword arguments (``num_samples=..., max_batch_size=...``) are
+    not accepted; :meth:`~repro.serving.config.ServingConfig.from_kwargs`
+    builds the nested config from them.
 
     Examples
     --------
@@ -222,39 +218,14 @@ class ServingEngine:
         config: ServingConfig | None = None,
         *,
         executor: Executor | None = None,
-        **legacy_kwargs,
     ) -> None:
-        if legacy_kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=ServingConfig(...) or the legacy flat "
-                    f"kwargs, not both (got {sorted(legacy_kwargs)})"
-                )
-            warnings.warn(
-                "ServingEngine's flat keyword arguments are deprecated; build "
-                "a repro.serving.ServingConfig and pass "
-                "ServingEngine(model, config=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServingConfig.from_kwargs(**legacy_kwargs)
-        elif config is None:
+        if config is None:
             config = ServingConfig()
         elif not isinstance(config, ServingConfig):
             raise TypeError(
                 f"config must be a ServingConfig, got {type(config).__name__}"
             )
-        if isinstance(model, MultiExitBayesNet):
-            self.engine: InferenceEngine | NetworkEngine = model.engine
-        elif isinstance(model, Network):
-            self.engine = NetworkEngine(model, cache_size=4)
-        elif isinstance(model, (InferenceEngine, NetworkEngine)):
-            self.engine = model
-        else:
-            raise TypeError(
-                "model must be a MultiExitBayesNet, InferenceEngine, "
-                f"NetworkEngine or Network, got {type(model).__name__}"
-            )
+        self.engine = self._as_engine(model)
         # the one validation the config cannot do alone: early exit needs
         # a model that actually has exits
         if config.early_exit_threshold is not None and not isinstance(
@@ -281,9 +252,9 @@ class ServingEngine:
             workers=self.workers,
             num_samples=config.num_samples,
             early_exit_threshold=config.early_exit_threshold,
-            # batch geometry enables pre-pinned staging buffers (thread
-            # backend) and ring-slot sizing (process backend)
-            max_batch_size=int(batcher_config.max_batch_size),
+            # the batch geometry is always known (built model, validated
+            # submissions): it sizes the pinned staging buffers / ring slots
+            max_batch_size=batcher_config.max_batch_size,
             input_shape=self.input_shape,
         )
         if config.worker_backend == "process":
@@ -320,17 +291,30 @@ class ServingEngine:
         self._last_done_at: float | None = None
 
     @staticmethod
-    def _engine_input_shape(
-        engine: InferenceEngine | NetworkEngine,
-    ) -> tuple[int, ...] | None:
+    def _as_engine(
+        model: MultiExitBayesNet | InferenceEngine | NetworkEngine | Network,
+    ) -> InferenceEngine | NetworkEngine:
+        """The engine serving ``model`` — always over a *built* network."""
+        if isinstance(model, MultiExitBayesNet):
+            return model.engine
+        if isinstance(model, Network):
+            return NetworkEngine(model, cache_size=4)
+        if isinstance(model, (InferenceEngine, NetworkEngine)):
+            return model
+        raise TypeError(
+            "model must be a MultiExitBayesNet, InferenceEngine, "
+            f"NetworkEngine or Network, got {type(model).__name__}"
+        )
+
+    @staticmethod
+    def _engine_input_shape(engine: InferenceEngine | NetworkEngine) -> tuple[int, ...]:
         if isinstance(engine, InferenceEngine):
             return tuple(engine.model.input_shape)
-        shape = engine.network.input_shape
-        return tuple(shape) if shape is not None else None
+        return tuple(engine.network.input_shape)
 
     @property
-    def input_shape(self) -> tuple[int, ...] | None:
-        """Per-example input shape requests must match (``None`` if unknown)."""
+    def input_shape(self) -> tuple[int, ...]:
+        """Per-example input shape every request must match."""
         return self._engine_input_shape(self.engine)
 
     # ------------------------------------------------------------------ #
@@ -428,27 +412,23 @@ class ServingEngine:
         request fails and no reader ever sees a torn update; responses
         switch from old-model to new-model bits at a batch boundary.
         """
-        if isinstance(model, MultiExitBayesNet):
-            engine: InferenceEngine | NetworkEngine = model.engine
-        elif isinstance(model, Network):
-            engine = NetworkEngine(model, cache_size=4)
-        elif isinstance(model, (InferenceEngine, NetworkEngine)):
-            engine = model
-        else:
-            raise TypeError(
-                "model must be a MultiExitBayesNet, InferenceEngine, "
-                f"NetworkEngine or Network, got {type(model).__name__}"
-            )
+        engine = self._as_engine(model)
         if self.early_exit_threshold is not None and not isinstance(
             engine, InferenceEngine
         ):
             raise ValueError("early-exit serving requires a multi-exit model")
-        old_shape = self.input_shape
         new_shape = self._engine_input_shape(engine)
-        if old_shape is not None and new_shape is not None and old_shape != new_shape:
+        if new_shape != self.input_shape:
             raise ValueError(
-                f"swapped model must keep the input shape {old_shape}, "
+                f"swapped model must keep the input shape {self.input_shape}, "
                 f"got {new_shape}"
+            )
+        old_classes = engine_num_classes(self.engine)
+        new_classes = engine_num_classes(engine)
+        if new_classes != old_classes:
+            raise ValueError(
+                f"swapped model must keep the number of classes {old_classes}, "
+                f"got {new_classes}"
             )
         generation = await self._pool.swap_engine(engine)
         self.engine = engine
@@ -502,12 +482,12 @@ class ServingEngine:
             crashes are retried transparently and only counted in stats.
         """
         x = np.asarray(x, dtype=np.float64)
-        expected = self.input_shape
-        if expected is not None and x.shape != expected:
-            # fail fast: a mis-shaped payload must never reach np.stack,
-            # where it would fail the whole microbatch it rides in
+        if x.shape != self.input_shape:
+            # fail fast: a mis-shaped payload must never reach batch
+            # assembly, where it would fail the whole microbatch it rides in
             raise ValueError(
-                f"expected a single example of shape {expected}, got {x.shape}"
+                f"expected a single example of shape {self.input_shape}, "
+                f"got {x.shape}"
             )
         t0 = time.perf_counter()
         if self._first_submit_at is None:
@@ -560,7 +540,7 @@ class ServingEngine:
         # the sequence number is assigned here, on the event loop, in batch-
         # assembly order — it seeds the batch's spawned RNG context, which is
         # what makes responses independent of worker count, backend and
-        # scheduling (see repro.serving.workers.base.compute_batch)
+        # scheduling (see repro.serving.workers.base.compute_batch_array)
         seq = self._batch_seq
         self._batch_seq += 1
         return await self._pool.run(seq, payloads)

@@ -155,7 +155,7 @@ class FaultPlan:
 class FleetConfig:
     """Knobs for the supervisor/autoscaler pair of one serving engine.
 
-    Passing a ``FleetConfig`` to ``ServingEngine(fleet=...)`` turns on
+    Passing a ``FleetConfig`` as ``ServingConfig(fleet=...)`` turns on
     supervision (unless ``supervise=False``) and — when ``min_workers``
     and ``max_workers`` describe a real range — autoscaling.
 

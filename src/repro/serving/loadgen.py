@@ -100,7 +100,7 @@ def burst_schedule(
     return offsets[:total]
 
 
-def _percentile(sorted_values: Sequence[float], pct: float) -> float:
+def nearest_rank_percentile(sorted_values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile over an already-sorted sample."""
     if not sorted_values:
         return float("nan")
@@ -457,9 +457,9 @@ class LoadGenerator:
             dropped=dropped,
             errors=errors,
             latency_mean_s=sum(lat) / len(lat) if lat else float("nan"),
-            latency_p50_s=_percentile(lat, 50),
-            latency_p95_s=_percentile(lat, 95),
-            latency_p99_s=_percentile(lat, 99),
+            latency_p50_s=nearest_rank_percentile(lat, 50),
+            latency_p95_s=nearest_rank_percentile(lat, 95),
+            latency_p99_s=nearest_rank_percentile(lat, 99),
             keep_alive=self.keep_alive,
             connections_opened=self.connections_opened,
             schedule=list(self.schedule),

@@ -420,7 +420,6 @@ class ServingServer:
             status, state = 200, "degraded"
         else:
             status, state = 200, "ok"
-        input_shape = engine.input_shape
         return status, {
             "status": state,
             "alive_workers": alive,
@@ -428,7 +427,7 @@ class ServingServer:
             "target_workers": target,
             "worker_backend": engine.worker_backend,
             # enough model facts for a client to shape its requests
-            "input_shape": list(input_shape) if input_shape is not None else None,
+            "input_shape": list(engine.input_shape),
             "num_classes": engine_num_classes(engine.engine),
         }
 
@@ -486,7 +485,7 @@ async def _serve_forever(args) -> None:
         )
     engine = ServingEngine(_demo_model(), config)
     async with ServingServer(engine, host=args.host, port=args.port) as server:
-        shape = "x".join(map(str, engine.input_shape or ()))
+        shape = "x".join(map(str, engine.input_shape))
         print(
             f"serving on http://{server.host}:{server.port}  "
             f"(input {shape}, {config.worker_backend} backend, "

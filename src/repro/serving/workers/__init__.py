@@ -10,14 +10,17 @@ implementations execute the batches a
   shared-memory parameter arena (true multi-core scaling even when the
   Python glue dominates; survives individual worker crashes).
 
-Both run the same compute path (:func:`~repro.serving.workers.base
-.compute_batch_array` under a per-batch spawned context), so responses are
+Both run the same two functions — :func:`~repro.serving.workers.base
+.compute_batch_array` under a per-batch spawned context, then
+:func:`~repro.serving.workers.base.assemble_results` — so responses are
 bit-identical across backends and worker counts for identical batch
-formation.  Select with ``ServingEngine(worker_backend="thread"|"process")``.
+formation.  Select with ``ServingConfig(worker_backend="thread"|"process")``.
 
-The process backend ships batches over per-worker shared-memory ring
-buffers by default (:class:`~repro.serving.workers.ring.BatchRing`,
-``worker_transport="ring"``) with the pipe demoted to a doorbell; see
+The process backend ships each batch through the worker's one-slot
+shared-memory ring (:class:`~repro.serving.workers.ring.BatchRing`,
+``worker_transport="ring"``, the default) with the pipe as a doorbell;
+``worker_transport="pipe"`` — and any batch the ring refuses — sends the
+stacked batch down the pipe as one pickled frame instead.  See
 :mod:`repro.serving.workers.ring` for the slot ownership rules.
 """
 
@@ -25,7 +28,6 @@ from .base import (
     WorkerCrashed,
     WorkerPool,
     assemble_results,
-    compute_batch,
     compute_batch_array,
 )
 from .procpool import ProcessWorkerPool
@@ -40,6 +42,5 @@ __all__ = [
     "ThreadWorkerPool",
     "ProcessWorkerPool",
     "assemble_results",
-    "compute_batch",
     "compute_batch_array",
 ]

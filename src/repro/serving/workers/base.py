@@ -2,13 +2,15 @@
 
 The serving tier separates *what a batch computes* from *where it runs*:
 
-* :func:`compute_batch` — stacks a batch's payloads and runs the folded MC
-  hot path (or the active-set early-exit path) on one engine under a fresh
+* :func:`compute_batch_array` — the one compute entry point: runs an
+  assembled ``(N, *input_shape)`` batch through the folded MC hot path (or
+  the active-set early-exit path) on one engine under a fresh
   :class:`~repro.nn.context.ForwardContext` spawned from the batch sequence
   number.  It returns plain arrays (:class:`BatchOutput`), so the result
-  can cross a process boundary as a cheap pickle.
-* :func:`assemble_results` — turns those arrays into the per-request
-  :class:`~repro.uncertainty.metrics.UncertaintyResult` objects.
+  can cross a process boundary.
+* :func:`assemble_results` — the one disassembly: turns those arrays into
+  the per-request :class:`~repro.uncertainty.metrics.UncertaintyResult`
+  objects.
 
 Both backends run the *same two functions* — the thread pool calls them
 back-to-back on a worker thread, the process pool calls the first in a
@@ -18,14 +20,17 @@ by the spawn-key rule) whenever batch formation is identical.
 
 :class:`WorkerPool` is the small lifecycle contract
 :class:`~repro.serving.engine.ServingEngine` drives: ``start`` /
-``run(seq, payloads)`` / ``stop``, plus a crash counter.  Pools own their
-engine replicas; the serving engine owns batch formation and sequencing.
+``run(seq, payloads)`` / ``stop``, plus the fleet surface and counters.
+Pools own their engine replicas and know the batch geometry (largest
+batch, per-example shape) up front — the serving engine only accepts
+built models and ``submit()`` rejects every payload of another shape, so
+nothing downstream has to ask whether a batch conforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +38,6 @@ from ...inference.engine import InferenceEngine, NetworkEngine
 from ...nn.context import ForwardContext
 from ...nn.layers.base import Parameter
 from ...uncertainty.metrics import (
-    _EPS,
     UncertaintyResult,
     mc_uncertainty_results,
     predictive_entropy,
@@ -41,11 +45,9 @@ from ...uncertainty.metrics import (
 
 __all__ = [
     "BatchOutput",
-    "ResponseStager",
     "WorkerCrashed",
     "WorkerPool",
     "assemble_results",
-    "compute_batch",
     "compute_batch_array",
     "engine_num_classes",
     "engine_parameters",
@@ -85,34 +87,11 @@ def engine_parameters(engine: Engine) -> Iterator[Parameter]:
     return engine.network.parameters()
 
 
-def engine_num_classes(engine: Engine) -> int | None:
-    """Classes per prediction, or ``None`` when not derivable (unbuilt net)."""
+def engine_num_classes(engine: Engine) -> int:
+    """Classes per prediction (engines only wrap built models)."""
     if isinstance(engine, InferenceEngine):
         return int(engine.model.num_classes)
-    try:
-        return int(engine.network.output_shape[-1])
-    except (RuntimeError, TypeError, IndexError):
-        return None
-
-
-def compute_batch(
-    engine: Engine,
-    seq: int,
-    payloads: Sequence[np.ndarray],
-    num_samples: int | None,
-    early_exit_threshold: float | None,
-) -> BatchOutput:
-    """Stack a batch's payloads and run them (see :func:`compute_batch_array`).
-
-    Stacking happens here, off the event loop.  Transports that already
-    assembled the batch into one array (pre-pinned staging buffers, ring
-    slots) call :func:`compute_batch_array` directly — the stack below and
-    a staged buffer have identical values *and identical memory layout*,
-    which is what keeps the two entry points bit-identical.
-    """
-    return compute_batch_array(
-        engine, seq, np.stack(payloads), num_samples, early_exit_threshold
-    )
+    return int(engine.network.output_shape[-1])
 
 
 def compute_batch_array(
@@ -142,116 +121,14 @@ def compute_batch_array(
     return BatchOutput(sample_probs=pred.sample_probs)
 
 
-class ResponseStager:
-    """Pre-pinned scratch for MC response assembly, one per replica.
-
-    :func:`~repro.uncertainty.metrics.mc_uncertainty_results` allocates a
-    stack of full-width temporaries per batch — clip/log/product arrays at
-    both ``(N, C)`` and ``(S, N, C)`` plus the reduction vectors — mirroring
-    the request-side allocations the :class:`~repro.serving.batcher
-    .BatchStager` already eliminated.  A response stager owns those
-    temporaries once, sized for the pool's batch geometry, and re-runs the
-    identical arithmetic in-place on its buffers.
-
-    **What is deliberately *not* pinned:** ``mean_probs``.  Each
-    :class:`UncertaintyResult` carries a row *view* of it, owned by the
-    caller for the response's whole lifetime, so the mean must be a fresh
-    array per batch — pinning it would let the next batch overwrite
-    responses already delivered.
-
-    Bit-exactness: every in-place step runs the same ufunc on the same
-    values as the allocating path (``clip``/``log``/``multiply``/``sum``/
-    ``mean`` with ``out=`` change memory placement, never bits), the mean
-    is reused instead of recomputed (NumPy's pairwise mean is
-    deterministic, so the recompute is bit-identical anyway), and sliced
-    scratch views only change outer strides, which reductions over the
-    last axis never see.  :meth:`assemble` returns ``None`` for anything
-    that does not fit its geometry — the caller falls back to the
-    allocating path, so staging is an optimisation, never a constraint.
-    """
-
-    def __init__(self, max_batch_size: int, num_samples: int, num_classes: int) -> None:
-        if max_batch_size <= 0 or num_samples <= 0 or num_classes <= 0:
-            raise ValueError("response-stager geometry must be positive")
-        self.max_batch_size = int(max_batch_size)
-        self.num_samples = int(num_samples)
-        self.num_classes = int(num_classes)
-        shape3 = (self.num_samples, self.max_batch_size, self.num_classes)
-        shape2 = shape3[1:]
-        self._clip3 = np.empty(shape3)
-        self._log3 = np.empty(shape3)
-        self._clip2 = np.empty(shape2)
-        self._log2 = np.empty(shape2)
-        self._sample_ent = np.empty(shape3[:2])
-        self._entropy = np.empty(self.max_batch_size)
-        self._expected = np.empty(self.max_batch_size)
-
-    def assemble(self, sample_probs: np.ndarray) -> list[UncertaintyResult] | None:
-        """Per-example results from ``(S, N, C)`` MC samples; ``None`` = no fit."""
-        if (
-            sample_probs.ndim != 3
-            or sample_probs.dtype != np.float64
-            or sample_probs.shape[0] != self.num_samples
-            or sample_probs.shape[1] > self.max_batch_size
-            or sample_probs.shape[2] != self.num_classes
-        ):
-            return None
-        n = sample_probs.shape[1]
-        # fresh per batch: result rows are views of it (see class docstring)
-        mean_probs = sample_probs.mean(axis=0)
-
-        # predictive entropy of the mean, computed once and reused for the
-        # mutual information (the legacy path recomputes it bit-identically)
-        c2, l2 = self._clip2[:n], self._log2[:n]
-        np.clip(mean_probs, _EPS, 1.0, out=c2)
-        np.log(c2, out=l2)
-        np.multiply(c2, l2, out=c2)
-        entropy = np.sum(c2, axis=-1, out=self._entropy[:n])
-        np.negative(entropy, out=entropy)
-
-        # expected per-sample entropy, then MI = H[mean] - E[H].  The
-        # legacy path negates per-sample entropies before the mean; here
-        # the mean is taken first and negated on the contiguous (n,)
-        # result — bit-identical, since IEEE negation is exact and
-        # commutes with every partial sum and the final division.
-        c3, l3 = self._clip3[:, :n], self._log3[:, :n]
-        np.clip(sample_probs, _EPS, 1.0, out=c3)
-        np.log(c3, out=l3)
-        np.multiply(c3, l3, out=c3)
-        sample_ent = np.sum(c3, axis=-1, out=self._sample_ent[:, :n])
-        expected = np.mean(sample_ent, axis=0, out=self._expected[:n])
-        np.negative(expected, out=expected)
-        mi = entropy - expected
-
-        labels = mean_probs.argmax(axis=1)
-        confidence = mean_probs.max(axis=1)
-        return [
-            UncertaintyResult(
-                probs=mean_probs[i],
-                label=int(labels[i]),
-                confidence=float(confidence[i]),
-                entropy=float(entropy[i]),
-                mutual_information=float(mi[i]),
-                num_samples=self.num_samples,
-            )
-            for i in range(n)
-        ]
-
-
-def assemble_results(
-    out: BatchOutput, response_stager: ResponseStager | None = None
-) -> list[UncertaintyResult]:
+def assemble_results(out: BatchOutput) -> list[UncertaintyResult]:
     """Split a batch's raw arrays into one ``UncertaintyResult`` per request.
 
-    ``response_stager`` (thread backend) assembles MC results on pre-pinned
-    scratch instead of fresh per-batch temporaries; batches outside its
-    geometry fall back to the allocating path, bit-identically.
+    MC results derive fresh arrays from ``sample_probs``; early-exit results
+    keep row views of ``probs``, so a caller handing in views of reusable
+    storage (a ring slot) copies those first.
     """
     if out.sample_probs is not None:
-        if response_stager is not None:
-            results = response_stager.assemble(out.sample_probs)
-            if results is not None:
-                return results
         return mc_uncertainty_results(out.sample_probs)
     entropy = predictive_entropy(out.probs)
     return [
@@ -317,18 +194,17 @@ class WorkerPool:
         num_samples: int | None,
         early_exit_threshold: float | None,
         *,
-        max_batch_size: int | None = None,
-        input_shape: tuple[int, ...] | None = None,
+        max_batch_size: int,
+        input_shape: tuple[int, ...],
     ) -> None:
         self.engine = engine
         self.workers = int(workers)
         self.num_samples = num_samples
         self.early_exit_threshold = early_exit_threshold
-        #: staging geometry (largest batch, per-example shape) — lets the
-        #: pool pre-pin assembly buffers / size ring slots; ``None`` keeps
-        #: the historical stack-per-batch behaviour
-        self.max_batch_size = max_batch_size
-        self.input_shape = tuple(input_shape) if input_shape is not None else None
+        #: batch geometry (largest batch, per-example shape): sizes the
+        #: pinned assembly buffers (threads) and the ring slots (processes)
+        self.max_batch_size = int(max_batch_size)
+        self.input_shape = tuple(input_shape)
         #: desired fleet size; ``scale_to`` moves it, ``ensure_healthy``
         #: restores it after crashes
         self.target_workers = self.workers

@@ -1,7 +1,7 @@
 """Process-backed worker pool: true multi-core serving over shared weights.
 
-Thread replicas (PR 4) only scale while NumPy holds the GIL-released GEMMs
-long enough to hide the Python glue around them; on small models the glue
+Thread replicas only scale while NumPy holds the GIL-released GEMMs long
+enough to hide the Python glue around them; on small models the glue
 dominates and K threads flatline near 1x.  This backend runs each replica
 in its **own process**:
 
@@ -11,23 +11,27 @@ in its **own process**:
   as ``(segment, offset, shape)`` descriptors — kilobytes, not weights —
   and reconstructs a zero-copy replica over the very same storage
   (unpickling an engine *is* ``replicate()`` across the process boundary).
-* Per batch, arrays cross the boundary through a per-worker shared-memory
-  :class:`~repro.serving.workers.ring.BatchRing` (the default
-  ``transport="ring"``): the parent stages request rows straight into a
-  ring slot, the pipe carries only a ``("ring", seq, token, slot)``
+* **Two request frames.**  With ``transport="ring"`` (the default) each
+  worker owns a one-slot shared-memory
+  :class:`~repro.serving.workers.ring.BatchRing`, sized from the pool's
+  batch geometry: the parent writes the request rows straight into the
+  slot, the pipe carries only a ``("ring", seq, token, slot, fault)``
   doorbell, and the worker reads the batch as a zero-copy view and writes
-  the result arrays into the slot's response region.  Anything that does
-  not fit — an oversized payload, exhausted slots, an over-long response —
-  transparently falls back to the pickle pipe.  Even there the batch is
-  pre-assembled when it conforms: a per-handle
-  :class:`~repro.serving.batcher.BatchStager` packs the rows into one
-  pinned buffer and ships a single ``("batch", seq, token, array)`` frame
-  (one pickled array instead of N, and no ``np.stack`` in the worker);
-  only non-conforming payloads take the legacy
-  ``("predict", seq, token, payloads)`` row-list frame.  Both pipe frames
-  answer ``("ok", out, cache_delta)``, and those three frames are also
-  the whole protocol under ``transport="pipe"``.  Either way the channel
-  carries inputs and probabilities only, never model state.
+  the result arrays into the slot's response region (``("ok_ring", slot,
+  mode, cache_delta)``).  The one other frame is
+  ``("batch", seq, token, array, fault)`` — the batch ``np.stack``-ed in
+  the parent and pickled down the pipe, answered ``("ok", out,
+  cache_delta)``.  It is the whole protocol under ``transport="pipe"`` and
+  the fallback whenever the ring refuses a batch (``stage_request`` /
+  ``write_response`` returning no-fit).  Same array layout either way, so
+  both frames feed :func:`~repro.serving.workers.base.compute_batch_array`
+  bit-identical operands.  The channel carries inputs and probabilities
+  only, never model state.
+* **One exchange per worker at a time.**  Checkout hands a worker to one
+  batch, and the handle lock keeps the request/response exchange atomic
+  even when a cancelled batch's thread is still draining its reply — which
+  is why one slot per worker is enough: the slot belongs to the exchange
+  for as long as the lock is held.
 * **Staleness:** weight mutations in the parent (optimizer steps,
   ``assign``, quantization) write straight into the shared segment, so
   workers always *read* current bytes; the ``weights_token`` riding on
@@ -58,6 +62,10 @@ in its **own process**:
   retiring the old cohort, then releasing the old arena.  No request
   fails, and no worker ever reads a half-updated parameter: a
   generation's segment is immutable-in-shape for its whole lifetime.
+* **Counters** (ring/pipe batches, activation-cache hits/misses) are kept
+  per worker handle and banked into the pool when a handle leaves the
+  roster, so pool totals never go backwards across retires, reaps,
+  respawns and swaps.
 
 Workers are spawned (not forked): forking a process that already runs an
 asyncio loop plus BLAS threads is unsound, and spawn keeps the backend
@@ -85,13 +93,11 @@ import numpy as np
 
 from ...nn.shm import ArenaManifest, SharedParameterArena
 from ...uncertainty.metrics import UncertaintyResult
-from ..batcher import BatchStager, payloads_conform
 from .base import (
     BatchOutput,
     WorkerCrashed,
     WorkerPool,
     assemble_results,
-    compute_batch,
     compute_batch_array,
     engine_num_classes,
     engine_parameters,
@@ -102,6 +108,14 @@ __all__ = ["ProcessWorkerPool"]
 
 #: how often a parent thread waiting on a worker re-checks its liveness
 _POLL_INTERVAL_S = 0.2
+#: spawn, never fork: the parent runs an asyncio loop plus BLAS threads
+_MP_CONTEXT = "spawn"
+#: how long ``start`` waits for the initial cohort's ready handshakes
+_START_TIMEOUT_S = 120.0
+#: each worker's ring has one slot — exchanges are serialised per worker
+_SLOT = 0
+#: per-handle counters the pool banks when a handle leaves the roster
+_COUNTERS = ("ring_batches", "pipe_batches", "cache_hits", "cache_misses")
 
 #: response modes on the ring acknowledgement
 _MODE_MC = 0  # one array: sample_probs (S, N, classes)
@@ -151,14 +165,15 @@ def _worker_main(
             if kind == "stop":
                 break
             _, seq, token, payload, fault = msg
-            if fault == "mid_compute":
-                # poisoned doorbell (FaultPlan, test-only): die holding the
-                # request exactly as a real mid-compute crash would —
-                # after mapping the slot, before producing any response
-                if kind == "ring":
-                    ring.read_request(payload)
-                os._exit(70)
             try:
+                # "ring": payload names the slot holding the staged batch;
+                # "batch": payload is the batch itself, stacked by the parent
+                batch = ring.read_request(payload) if kind == "ring" else payload
+                if fault == "mid_compute":
+                    # poisoned request (FaultPlan, test-only): die holding it
+                    # exactly as a real mid-compute crash would — after
+                    # mapping the slot, before producing any response
+                    os._exit(70)
                 if token != seen_token:
                     # weights changed in the parent: sync version counters
                     # from the arena and drop activation caches keyed on
@@ -166,46 +181,19 @@ def _worker_main(
                     arena.refresh()
                     engine.invalidate_cache()
                     seen_token = token
-                if kind == "ring":
-                    out = compute_batch_array(
-                        engine,
-                        seq,
-                        ring.read_request(payload),
-                        config.num_samples,
-                        config.early_exit_threshold,
-                    )
-                elif kind == "batch":
-                    # pipe fallback, pre-assembled: the parent staged the
-                    # rows into one pinned array before pickling — layout
-                    # identical to np.stack, so bit-identical results
-                    out = compute_batch_array(
-                        engine,
-                        seq,
-                        payload,
-                        config.num_samples,
-                        config.early_exit_threshold,
-                    )
-                else:
-                    out = compute_batch(
-                        engine,
-                        seq,
-                        payload,
-                        config.num_samples,
-                        config.early_exit_threshold,
-                    )
+                out = compute_batch_array(
+                    engine, seq, batch, config.num_samples, config.early_exit_threshold
+                )
             except Exception as exc:  # compute failed; the worker lives on
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
             else:
                 hits, misses = engine.cache_stats()
                 delta = (hits - seen_hits, misses - seen_misses)
                 seen_hits, seen_misses = hits, misses
-                if kind == "ring":
-                    mode, arrays = _batch_output_arrays(out)
-                    if ring.write_response(payload, arrays):
-                        conn.send(("ok_ring", payload, mode, delta))
-                    else:  # response outgrew the slot: pickle it instead
-                        conn.send(("ok", out, delta))
-                else:
+                mode, arrays = _batch_output_arrays(out)
+                if kind == "ring" and ring.write_response(payload, arrays):
+                    conn.send(("ok_ring", payload, mode, delta))
+                else:  # pipe frame, or the response outgrew the slot
                     conn.send(("ok", out, delta))
                 if fault == "post_response":
                     # die *after* answering, before the parent recycles the
@@ -230,18 +218,12 @@ class _WorkerHandle:
         conn,
         ring: BatchRing | None,
         generation: int = 0,
-        stager: BatchStager | None = None,
     ) -> None:
         self.index = index
         self.process = process
         self.conn = conn
+        #: this worker's one-slot ring; ``None`` under ``transport="pipe"``
         self.ring = ring
-        #: pipe-side staging fallback: when no ring slot is free the batch
-        #: is assembled into this pinned buffer and shipped as one pickled
-        #: array ("batch" frame) instead of a per-row list.  The pickle in
-        #: conn.send copies the bytes before returning, so the buffer is
-        #: free for reuse the moment the frame is on the wire.
-        self.stager = stager
         self.alive = True
         #: which arena generation this worker attached at spawn; retired
         #: (never mutated) by a generation swap
@@ -256,67 +238,48 @@ class _WorkerHandle:
         #: crash accounting guard: the executing batch and the liveness
         #: scan may both observe one death; it must count once
         self.crash_counted = False
-        #: transport breakdown for this worker's batches, summed by the pool
+        #: transport breakdown for this worker's batches, and the
+        #: activation-cache traffic in the worker process accumulated from
+        #: the per-reply deltas (the pool's ``_COUNTERS``)
         self.ring_batches = 0
         self.pipe_batches = 0
-        #: activation-cache traffic in the worker process, accumulated from
-        #: the per-reply deltas riding each acknowledgement
         self.cache_hits = 0
         self.cache_misses = 0
-        self._free_slots = list(range(ring.slots)) if ring is not None else []
         # execute() is called from pool-executor threads; the lock keeps a
-        # send/recv exchange atomic per worker even if a cancelled batch's
-        # thread is still draining its response
+        # send/recv exchange — and with it the ring slot — owned by one
+        # batch at a time even if a cancelled batch's thread is still
+        # draining its response
         self._lock = threading.Lock()
 
-    def _stage(self, payloads: list) -> tuple[int | None, np.ndarray | None]:
-        """Claim a slot and stage the batch into it; (None, None) = pipe."""
-        if self.ring is None or self.ring.closed or not self._free_slots:
-            return None, None
-        if not isinstance(payloads[0], np.ndarray):
-            return None, None
-        shape = payloads[0].shape
-        if not payloads_conform(payloads, shape):
-            return None, None
-        slot = self._free_slots.pop()
-        dest = self.ring.stage_request(slot, (len(payloads),) + tuple(shape))
-        if dest is None:  # oversized payload: recycle the slot, use the pipe
-            self._free_slots.append(slot)
-            return None, None
+    def _stage(self, payloads: list) -> bool:
+        """Write the batch into the ring slot; ``False`` = ship it by pipe."""
+        if self.ring is None:
+            return False
+        dest = self.ring.stage_request(_SLOT, (len(payloads), *payloads[0].shape))
+        if dest is None:  # does not fit the slot, or the ring is released
+            return False
         for i, payload in enumerate(payloads):
             dest[i] = payload
-        return slot, dest
+        return True
 
     def execute(
         self, seq: int, token: int, payloads: list, fault: str | None = None
     ) -> list[UncertaintyResult]:
         """Blocking request/response exchange; runs on an executor thread."""
         with self._lock:
-            slot = None
             try:
-                slot, _ = self._stage(payloads)
+                staged = self._stage(payloads)
                 if fault == "pre_doorbell":
                     # FaultPlan (test-only): deterministic crash *between*
-                    # staging and the doorbell — the batch dies holding a
+                    # staging and the doorbell — the batch dies holding the
                     # ring slot and must be re-staged on a sibling
                     self.process.kill()
                     self.process.join(5.0)
-                if slot is not None:
-                    self.conn.send(("ring", seq, token, slot, fault))
+                if staged:
+                    self.conn.send(("ring", seq, token, _SLOT, fault))
                     self.ring_batches += 1
                 else:
-                    # pipe fallback: still stage when the batch conforms —
-                    # one pinned pre-assembled array pickles as a single
-                    # frame and spares the worker its np.stack
-                    batch = (
-                        self.stager.stage(payloads)
-                        if self.stager is not None
-                        else None
-                    )
-                    if batch is not None:
-                        self.conn.send(("batch", seq, token, batch, fault))
-                    else:
-                        self.conn.send(("predict", seq, token, payloads, fault))
+                    self.conn.send(("batch", seq, token, np.stack(payloads), fault))
                     self.pipe_batches += 1
                 while not self.conn.poll(_POLL_INTERVAL_S):
                     if not self.process.is_alive():
@@ -325,36 +288,32 @@ class _WorkerHandle:
                             f"(exitcode {self.process.exitcode})"
                         )
                 reply = self.conn.recv()
-                if reply[0] == "ok_ring":
-                    # assemble while the slot is still owned: MC assembly
-                    # derives fresh arrays from the view immediately;
-                    # early-exit results retain per-row views, so those
-                    # arrays are copied out before the slot is recycled
-                    _, rslot, mode, delta = reply
-                    self.cache_hits += delta[0]
-                    self.cache_misses += delta[1]
-                    arrays = self.ring.read_response(rslot)
+                if reply[0] == "error":
+                    raise RuntimeError(
+                        f"serving worker {self.index} failed: {reply[1]}"
+                    )
+                if reply[0] == "ok":
+                    _, out, delta = reply
+                else:  # "ok_ring": the result arrays are views of the slot
+                    _, slot, mode, delta = reply
+                    arrays = self.ring.read_response(slot)
                     if mode == _MODE_MC:
                         out = BatchOutput(sample_probs=arrays[0])
                     else:
+                        # early-exit results keep per-row views of probs,
+                        # so copy out of the slot before it is reused
                         out = BatchOutput(
                             probs=arrays[0].copy(), exit_indices=arrays[1].copy()
                         )
-                    return assemble_results(out)
+                self.cache_hits += delta[0]
+                self.cache_misses += delta[1]
+                # assembled under the lock: the slot is still this batch's
+                return assemble_results(out)
             except (OSError, EOFError) as exc:
                 # OSError covers BrokenPipeError/ConnectionResetError and
                 # also "handle is closed": teardown may close the pipe while
                 # a cancelled batch's executor thread still drains it here
                 raise _WorkerDied(f"worker {self.index}: {exc!r}") from None
-            finally:
-                if slot is not None:
-                    self._free_slots.append(slot)
-        if reply[0] == "error":
-            raise RuntimeError(f"serving worker {self.index} failed: {reply[1]}")
-        _, value, delta = reply
-        self.cache_hits += delta[0]
-        self.cache_misses += delta[1]
-        return assemble_results(value)
 
     def _release_ring(self) -> None:
         if self.ring is not None:
@@ -411,15 +370,10 @@ class ProcessWorkerPool(WorkerPool):
         workers,
         num_samples,
         early_exit_threshold,
-        mp_context: str = "spawn",
-        start_timeout: float = 120.0,
         *,
+        max_batch_size: int,
+        input_shape: tuple[int, ...],
         transport: str = "ring",
-        ring_slots: int = 2,
-        ring_request_bytes: int | None = None,
-        ring_response_bytes: int | None = None,
-        max_batch_size: int | None = None,
-        input_shape: tuple[int, ...] | None = None,
         fault_plan=None,
         respawn_wait: float = 60.0,
     ) -> None:
@@ -433,14 +387,7 @@ class ProcessWorkerPool(WorkerPool):
         )
         if transport not in ("ring", "pipe"):
             raise ValueError(f"transport must be 'ring' or 'pipe', got {transport!r}")
-        if ring_slots <= 0:
-            raise ValueError("ring_slots must be positive")
         self.transport = transport
-        self._ring_slots = int(ring_slots)
-        self._ring_request_bytes = ring_request_bytes
-        self._ring_response_bytes = ring_response_bytes
-        self._mp_context = mp_context
-        self._start_timeout = start_timeout
         #: test-only deterministic kill schedule (see repro.serving.fleet)
         self._fault_plan = fault_plan
         #: supervised mode: how long a batch waits on an all-dead fleet
@@ -448,6 +395,9 @@ class ProcessWorkerPool(WorkerPool):
         self._respawn_wait = float(respawn_wait)
         self._arena: SharedParameterArena | None = None
         self._handles: list[_WorkerHandle] = []
+        #: counters of handles no longer on the roster (retired, reaped,
+        #: stopped); live handles are summed on read
+        self._banked = dict.fromkeys(_COUNTERS, 0)
         self._checkout: asyncio.Queue | None = None
         self._executor = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -463,46 +413,44 @@ class ProcessWorkerPool(WorkerPool):
         self._fleet_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
-    # transport stats
+    # transport + cache counters
     # ------------------------------------------------------------------ #
+    def _total(self, counter: str) -> int:
+        return self._banked[counter] + sum(getattr(h, counter) for h in self._handles)
+
+    def _forget(self, handles) -> None:
+        """Drop ``handles`` from the roster, banking their counters."""
+        for handle in handles:
+            if handle in self._handles:
+                self._handles.remove(handle)
+                for counter in _COUNTERS:
+                    self._banked[counter] += getattr(handle, counter)
+
     @property
     def ring_batches(self) -> int:  # type: ignore[override]
-        return sum(h.ring_batches for h in self._handles)
+        return self._total("ring_batches")
 
     @property
     def pipe_batches(self) -> int:  # type: ignore[override]
-        return sum(h.pipe_batches for h in self._handles)
+        return self._total("pipe_batches")
 
     @property
     def cache_hits(self) -> int:  # type: ignore[override]
-        return sum(h.cache_hits for h in self._handles)
+        return self._total("cache_hits")
 
     @property
     def cache_misses(self) -> int:  # type: ignore[override]
-        return sum(h.cache_misses for h in self._handles)
+        return self._total("cache_misses")
 
     # ------------------------------------------------------------------ #
     # ring sizing
     # ------------------------------------------------------------------ #
-    def _ring_geometry(self) -> tuple[int, int] | None:
-        """Per-slot (request_bytes, response_bytes), or ``None`` = no ring.
+    def _ring_geometry(self) -> tuple[int, int]:
+        """Per-slot (request_bytes, response_bytes) for the served geometry.
 
-        Sizing is best-effort: an underestimate only costs a fallback to
-        the pipe (stage/write refuse, the batch ships pickled), never a
-        wrong answer.
+        A batch or response that does not fit anyway (the ring refuses it)
+        only costs that batch a trip down the pipe, never a wrong answer.
         """
-        if self.transport != "ring":
-            return None
-        if (
-            self._ring_request_bytes is not None
-            and self._ring_response_bytes is not None
-        ):
-            return self._ring_request_bytes, self._ring_response_bytes
-        if self.max_batch_size is None or self.input_shape is None:
-            return None
-        classes = engine_num_classes(self.engine)
-        if classes is None:
-            return None
         example = int(np.prod(self.input_shape, dtype=np.int64))
         request_bytes = 8 * self.max_batch_size * example
         if self.num_samples is not None:
@@ -512,11 +460,9 @@ class ProcessWorkerPool(WorkerPool):
             samples = model.config.default_mc_samples if model is not None else 1
         # MC: (S, N, classes) float64; early-exit: (N, classes) + (N,) int64.
         # Sized for the larger of the two so one geometry serves both modes.
+        classes = engine_num_classes(self.engine)
         response_bytes = 8 * self.max_batch_size * (max(samples, 1) * classes + 1)
-        return (
-            self._ring_request_bytes or request_bytes,
-            self._ring_response_bytes or response_bytes,
-        )
+        return request_bytes, response_bytes
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -535,11 +481,10 @@ class ProcessWorkerPool(WorkerPool):
 
     def _spawn_worker(self, config: _WorkerConfig) -> _WorkerHandle:
         """Spawn one worker process (no ready-wait); blocking, off-loop."""
-        ctx = multiprocessing.get_context(self._mp_context)
-        geometry = self._ring_geometry()
+        ctx = multiprocessing.get_context(_MP_CONTEXT)
         ring = (
-            BatchRing.create(self._ring_slots, *geometry)
-            if geometry is not None
+            BatchRing.create(1, *self._ring_geometry())
+            if self.transport == "ring"
             else None
         )
         index = self._next_index
@@ -557,13 +502,8 @@ class ProcessWorkerPool(WorkerPool):
         )
         process.start()
         child_conn.close()
-        stager = (
-            BatchStager(self.max_batch_size, self.input_shape)
-            if self.max_batch_size is not None and self.input_shape is not None
-            else None
-        )
         return _WorkerHandle(
-            index, process, parent_conn, ring, generation=self.generation, stager=stager
+            index, process, parent_conn, ring, generation=self.generation
         )
 
     @staticmethod
@@ -596,7 +536,7 @@ class ProcessWorkerPool(WorkerPool):
             config = self._current_config()
             for _ in range(self.workers):
                 handles.append(self._spawn_worker(config))
-            deadline = time.monotonic() + self._start_timeout
+            deadline = time.monotonic() + _START_TIMEOUT_S
             for handle in handles:
                 self._await_ready(handle, deadline)
         except BaseException:
@@ -651,7 +591,7 @@ class ProcessWorkerPool(WorkerPool):
     def _stop_sync(self) -> None:
         for handle in self._handles:
             handle.shutdown()
-        self._handles = []
+        self._forget(list(self._handles))
         if self._arena is not None:
             # detaches the parent's parameters back into private arrays and
             # unlinks the segment — the model stays fully usable afterwards
@@ -701,8 +641,7 @@ class ProcessWorkerPool(WorkerPool):
 
     def _retire_handle(self, handle: _WorkerHandle) -> None:
         """Drop a drained worker from the roster and shut it down off-loop."""
-        if handle in self._handles:
-            self._handles.remove(handle)
+        self._forget([handle])
         if self._executor is None:  # stopping anyway; _stop_sync got it
             return
         loop = asyncio.get_running_loop()
@@ -761,7 +700,7 @@ class ProcessWorkerPool(WorkerPool):
                 # reap blocks (join + ring unlink); keep it off the loop
                 await loop.run_in_executor(self._executor, handle.reap)
             # prune corpses (both silent deaths and batch-path reaps)
-            self._handles = [h for h in self._handles if h.alive]
+            self._forget([h for h in self._handles if not h.alive])
             respawned = 0
             while (
                 sum(1 for h in self._handles if h.alive and not h.retiring)

@@ -1,38 +1,37 @@
 """Fixed-slot shared-memory ring: zero-copy batch transport per worker.
 
-The pipe protocol of :mod:`repro.serving.workers.procpool` pickles every
-request batch and every response array across the process boundary — two
-full serialisations plus two copies per direction, all on the glue-bound
-hot path PR 5 measured.  A :class:`BatchRing` removes the pickling and the
-parent-side intermediate copy entirely:
+Pickling a request batch and its response arrays across the process
+boundary costs two serialisations plus two copies per direction, all on
+the glue-bound hot path.  A :class:`BatchRing` removes the pickling and
+the parent-side intermediate copy entirely:
 
 * Each worker owns one shared-memory segment holding ``slots`` fixed-size
-  slots.  A slot has a **request region** and a **response region**, each a
-  small int64 header (array count, dtype codes, shapes) followed by a
+  slots (the process pool creates one-slot rings — see *Ownership*).  A
+  slot has a **request region** and a **response region**, each a small
+  int64 header (array count, dtype codes, shapes) followed by a
   64-byte-aligned payload area.
-* The parent *stages* a microbatch by writing request rows straight into a
-  slot's payload (:meth:`stage_request` hands out the destination view, so
-  batch assembly is the only copy that happens on the parent side — the
-  historical ``np.stack`` intermediate is gone).
+* The parent *stages* a microbatch by writing request rows straight into
+  the slot's payload (:meth:`stage_request` hands out the destination
+  view, so batch assembly is the only copy on the parent side).
 * The pipe remains as a **doorbell** carrying only ``(seq, token, slot)``
   — kilobyte-free.  The worker maps the same slot
   (:meth:`read_request` returns an ndarray view, no copy), computes, and
   writes the result arrays into the response region
   (:meth:`write_response`); the parent reads them back as views
-  (:meth:`read_response`) and assembles per-request results before the
-  slot is recycled.
+  (:meth:`read_response`) and assembles per-request results.
 
-**Ownership and reuse rules.**  A slot is owned by the parent from
-checkout until the response has been fully assembled; the worker may touch
-it only between receiving the doorbell and sending the acknowledgement.
-Each ``(request, response)`` exchange is strictly serialised per worker by
-the handle lock in ``procpool``, so a slot is never concurrently staged
-and read.  Responses read as views must be consumed (or copied) *before*
-the slot returns to the free list.
+**Ownership.**  Each ``(request, response)`` exchange is strictly
+serialised per worker by the handle lock in ``procpool``: the slot belongs
+to one batch from :meth:`stage_request` until its response has been fully
+assembled, and the worker may touch it only between receiving the doorbell
+and sending the acknowledgement.  One batch per worker at a time is why
+one slot per worker is enough.  Responses read as views must be consumed
+(or copied) *before* the exchange ends.
 
-Anything that does not fit — an oversized payload, a response larger than
-the sized region, an exotic dtype — falls back to the legacy pickle-pipe
-path; the ring is an optimisation, never a constraint on what can be
+:meth:`stage_request` and :meth:`write_response` **refuse** what does not
+fit — a batch or response larger than the sized region, an exotic dtype,
+a released ring — and the caller ships that batch down the pickle pipe
+instead; the ring is an optimisation, never a constraint on what can be
 served.
 
 Segments attach through the same per-process cache as the parameter arena
@@ -149,17 +148,6 @@ class BatchRing:
             manifest.response_bytes,
             owner=False,
         )
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`release` ran — a closed ring must not be staged into.
-
-        The supervisor unlinks a dead worker's ring and builds a fresh one
-        for the respawn; any stale reference racing that hand-off sees
-        ``closed`` and falls back to the pipe instead of writing into a
-        segment whose backing file is already gone.
-        """
-        return self._released
 
     @property
     def manifest(self) -> RingManifest:
@@ -284,8 +272,8 @@ class BatchRing:
     def read_response(self, slot: int) -> list[np.ndarray]:
         """The response arrays a worker left in ``slot``, as views.
 
-        Views alias the slot: consume or copy them before the slot is
-        recycled (MC assembly derives fresh arrays immediately; early-exit
+        Views alias the slot: consume or copy them before the slot's next
+        exchange (MC assembly derives fresh arrays immediately; early-exit
         assembly must copy, see ``procpool``).
         """
         return self._read_region(slot, response=True)

@@ -1,22 +1,19 @@
 """Thread-backed worker pool: K engine replicas on a thread-pool executor.
 
-This is the historical (PR 4) multi-worker mode, repackaged behind the
-:class:`~repro.serving.workers.base.WorkerPool` contract: replica 0 is the
-caller's engine (so its activation cache stays shared with batch callers),
-replicas 1..K-1 come from ``engine.replicate()`` — same ``Parameter``
-arrays zero-copy, private context and cache each.  NumPy's GEMMs release
-the GIL, so batches genuinely overlap on multi-core hosts; the Python glue
-between the GEMMs does not, which is what the process backend
-(:mod:`repro.serving.workers.procpool`) exists to lift.
+Replica 0 is the caller's engine (so its activation cache stays shared
+with batch callers), replicas 1..K-1 come from ``engine.replicate()`` —
+same ``Parameter`` arrays zero-copy, private context and cache each.
+NumPy's GEMMs release the GIL, so batches genuinely overlap on multi-core
+hosts; the Python glue between the GEMMs does not, which is what the
+process backend (:mod:`repro.serving.workers.procpool`) exists to lift.
 
-When the serving engine knows the batch geometry, each replica carries a
-:class:`~repro.serving.batcher.BatchStager` — a pre-pinned assembly buffer
-that replaces the per-batch ``np.stack`` allocation — and, for MC sampling,
-a :class:`~repro.serving.workers.base.ResponseStager` that assembles the
-uncertainty results on pre-pinned scratch instead of fresh per-batch
-temporaries.  Staged and stacked batches have identical layout, and staged
-assembly runs the identical arithmetic, so responses stay bit-identical
-either way.
+A batch takes one path: the replica's
+:class:`~repro.serving.batcher.BatchStager` packs the request rows into
+its pinned ``(max_batch_size, *input_shape)`` buffer (same layout as
+``np.stack``, no per-batch allocation), then
+:func:`~repro.serving.workers.base.compute_batch_array` and
+:func:`~repro.serving.workers.base.assemble_results` run back to back on
+the worker thread.
 
 The fleet surface is implemented in-process: threads cannot die, so
 :meth:`~WorkerPool.ensure_healthy` stays the base no-op, but the pool
@@ -31,34 +28,23 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
+
 from ...uncertainty.metrics import UncertaintyResult
 from ..batcher import BatchStager
-from .base import (
-    ResponseStager,
-    WorkerPool,
-    assemble_results,
-    compute_batch,
-    compute_batch_array,
-    engine_num_classes,
-)
+from .base import WorkerPool, assemble_results, compute_batch_array
 
 __all__ = ["ThreadWorkerPool"]
 
 
 class _Replica:
-    """One engine replica + its staging buffers + its drain-to-retire flag."""
+    """One engine replica + its staging buffer + its drain-to-retire flag."""
 
-    __slots__ = ("engine", "stager", "response_stager", "retiring")
+    __slots__ = ("engine", "stager", "retiring")
 
-    def __init__(
-        self,
-        engine,
-        stager: BatchStager | None,
-        response_stager: ResponseStager | None = None,
-    ) -> None:
+    def __init__(self, engine, stager: BatchStager) -> None:
         self.engine = engine
         self.stager = stager
-        self.response_stager = response_stager
         self.retiring = False
 
 
@@ -72,8 +58,8 @@ class ThreadWorkerPool(WorkerPool):
         num_samples,
         early_exit_threshold,
         *,
-        max_batch_size=None,
-        input_shape=None,
+        max_batch_size,
+        input_shape,
     ) -> None:
         super().__init__(
             engine,
@@ -99,32 +85,7 @@ class ThreadWorkerPool(WorkerPool):
         self._retired_cache_misses = 0
 
     def _make_replica(self, engine) -> _Replica:
-        return _Replica(engine, self._make_stager(), self._make_response_stager())
-
-    def _make_stager(self) -> BatchStager | None:
-        if self.max_batch_size is not None and self.input_shape is not None:
-            return BatchStager(self.max_batch_size, self.input_shape)
-        return None
-
-    def _make_response_stager(self) -> ResponseStager | None:
-        """Pinned MC-assembly scratch, or ``None`` when geometry is unknown.
-
-        Mirrors the sample-count resolution of the process backend's ring
-        sizing: an explicit ``num_samples`` wins, else the model's default
-        (``NetworkEngine`` has no default and samples once).  Early-exit
-        pools return per-row results with no MC assembly to stage.
-        """
-        if self.early_exit_threshold is not None or self.max_batch_size is None:
-            return None
-        classes = engine_num_classes(self.engine)
-        if classes is None:
-            return None
-        if self.num_samples is not None:
-            samples = self.num_samples
-        else:
-            model = getattr(self.engine, "model", None)
-            samples = model.config.default_mc_samples if model is not None else 1
-        return ResponseStager(self.max_batch_size, max(int(samples), 1), classes)
+        return _Replica(engine, BatchStager(self.max_batch_size, self.input_shape))
 
     @property
     def cache_hits(self) -> int:  # type: ignore[override]
@@ -263,22 +224,10 @@ class ThreadWorkerPool(WorkerPool):
     def _serve(
         self, replica: _Replica, seq: int, payloads: list
     ) -> list[UncertaintyResult]:
-        stager = replica.stager
-        batch = stager.stage(payloads) if stager is not None else None
-        if batch is None:
-            out = compute_batch(
-                replica.engine,
-                seq,
-                payloads,
-                self.num_samples,
-                self.early_exit_threshold,
-            )
-        else:
-            out = compute_batch_array(
-                replica.engine,
-                seq,
-                batch,
-                self.num_samples,
-                self.early_exit_threshold,
-            )
-        return assemble_results(out, replica.response_stager)
+        batch = replica.stager.stage(payloads)
+        if batch is None:  # BatchStager's no-fit answer: same layout, allocated
+            batch = np.stack(payloads)
+        out = compute_batch_array(
+            replica.engine, seq, batch, self.num_samples, self.early_exit_threshold
+        )
+        return assemble_results(out)

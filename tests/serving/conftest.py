@@ -1,0 +1,62 @@
+"""Leak gate for the serving suite: every test must clean up after itself.
+
+A serving test that leaves a shared-memory segment in ``/dev/shm`` (a
+parameter arena generation, a worker's ring) or a live
+``multiprocessing`` child (a worker process that outlived ``stop()``)
+fails, whichever exit path it took — crash retries, respawns, generation
+swaps and cancelled batches included.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import time
+from pathlib import Path
+
+import pytest
+
+_SHM_DIR = "/dev/shm"
+
+
+def _shm_segments() -> set[str]:
+    """Names of the POSIX shared-memory segments Python created (``psm_*``)."""
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux fallback
+        return set()
+    return {name for name in os.listdir(_SHM_DIR) if name.startswith("psm_")}
+
+
+def _foreign(name: str) -> bool:
+    """Whether only *other* processes map the segment (not this test's leak).
+
+    Another program on the box (a benchmark, a second pytest) creates
+    segments of its own while a test runs; those are mapped by their owner
+    and not by us.  A segment this process leaked is still mapped here, and
+    one nobody maps any more is an orphan — both count as leaks.
+    """
+    needle = f"{_SHM_DIR}/{name}"
+
+    def mapped_by(pid: str) -> bool:
+        try:
+            return needle in Path(f"/proc/{pid}/maps").read_text()
+        except OSError:
+            return False
+
+    if mapped_by("self"):
+        return False
+    return any(mapped_by(pid) for pid in os.listdir("/proc") if pid.isdigit())
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_segments_or_workers():
+    before = _shm_segments()
+    yield
+    # a worker told to stop is joined by the pool; give a terminated one
+    # the moment it needs to be reaped before calling it a leak
+    deadline = time.monotonic() + 2.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    children = multiprocessing.active_children()
+    leaked = {name for name in _shm_segments() - before if not _foreign(name)}
+    assert not children, f"worker processes left running: {children}"
+    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"

@@ -1,11 +1,9 @@
-"""ServingConfig / BatcherConfig: validation, wire round-trip, legacy shim."""
+"""ServingConfig / BatcherConfig: validation, wire round-trip, engine surface."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 
-import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
@@ -133,7 +131,7 @@ def test_from_dict_rejects_unknown_fields():
 
 
 # --------------------------------------------------------------------- #
-# the engine's config surface + legacy shim
+# the engine's config surface
 # --------------------------------------------------------------------- #
 def test_engine_accepts_config_object():
     config = ServingConfig(num_samples=4, batcher=BatcherConfig(max_batch_size=2))
@@ -145,30 +143,16 @@ def test_engine_accepts_config_object():
         ServingEngine(_model(), {"num_samples": 4})
 
 
-def test_legacy_flat_kwargs_warn_and_match_config_form():
-    with pytest.warns(DeprecationWarning, match="flat keyword arguments"):
-        engine = ServingEngine(_model(), num_samples=4, max_batch_size=2)
+def test_engine_rejects_flat_kwargs():
+    # the flat keyword surface is gone from the engine; from_kwargs is the
+    # one way to spell a config flat
+    with pytest.raises(TypeError, match="num_samples"):
+        ServingEngine(_model(), num_samples=4, max_batch_size=2)
+    with pytest.raises(TypeError, match="num_samples"):
+        _model().serving_engine(num_samples=4)
+    engine = ServingEngine(
+        _model(), ServingConfig.from_kwargs(num_samples=4, max_batch_size=2)
+    )
     assert engine.config == ServingConfig(
         num_samples=4, batcher=BatcherConfig(max_batch_size=2)
     )
-
-    with pytest.raises(TypeError, match="not both"):
-        ServingEngine(_model(), ServingConfig(), num_samples=4)
-
-
-def test_legacy_and_config_forms_serve_identical_bits():
-    # the shim must be a pure repackaging: same batches, same RNG spawn
-    # keys, same bits
-    X = np.random.default_rng(3).normal(size=(4, 1, 12, 12))
-
-    async def serve(engine):
-        async with engine:
-            return [await engine.submit(x) for x in X]
-
-    config = ServingConfig(num_samples=4, batcher=BatcherConfig(max_batch_size=2))
-    via_config = asyncio.run(serve(ServingEngine(_model(), config)))
-    with pytest.warns(DeprecationWarning):
-        legacy = ServingEngine(_model(), num_samples=4, max_batch_size=2)
-    via_kwargs = asyncio.run(serve(legacy))
-    for a, b in zip(via_config, via_kwargs):
-        assert a.probs.tobytes() == b.probs.tobytes()

@@ -421,20 +421,78 @@ def test_swap_model_to_live_model_keeps_parameters_shared():
 
 @pytest.mark.timeout(120)
 def test_swap_model_rejects_input_shape_change():
+    """Queued requests were validated against shape and classes: both stay."""
     model = _model()
+
+    def other(input_shape=(1, 12, 12), num_classes=5):
+        return MultiExitBayesNet(
+            lenet5_spec(
+                input_shape=input_shape, num_classes=num_classes, width_multiplier=0.5
+            ),
+            MultiExitConfig(num_exits=2, mcd_layers_per_exit=1, seed=0),
+        )
 
     async def main():
         async with ServingEngine(model, cfg(num_samples=4, workers=1)) as server:
-            wrong = MultiExitBayesNet(
-                lenet5_spec(
-                    input_shape=(1, 16, 16), num_classes=5, width_multiplier=0.5
-                ),
-                MultiExitConfig(num_exits=2, mcd_layers_per_exit=1, seed=0),
-            )
             with pytest.raises(ValueError, match="input shape"):
-                await server.swap_model(wrong)
+                await server.swap_model(other(input_shape=(1, 16, 16)))
+            with pytest.raises(ValueError, match="number of classes"):
+                await server.swap_model(other(num_classes=7))
             # the server is untouched and keeps serving
+            assert server.stats().arena_generation == 0
             return await server.submit(X[0])
 
     result = asyncio.run(main())
     assert result.probs.shape == (5,)
+
+
+# --------------------------------------------------------------------------- #
+# pool counters survive replica turnover
+# --------------------------------------------------------------------------- #
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
+    """Retired replicas take no counts with them (swap_model, scale_to).
+
+    ``ServingStats`` promises totals over every replica the pool has ever
+    owned; a swap retires the whole cohort and a scale-down retires part
+    of it, so either would make a sum over the *current* roster go
+    backwards.
+    """
+    counters = ("transport_ring_batches", "cache_misses", "cache_hits")
+
+    async def main():
+        async with ServingEngine(
+            _model(), cfg(num_samples=4, workers=2, worker_backend=backend)
+        ) as server:
+            snapshots = []
+
+            async def serve_and_snapshot():
+                for x in X:
+                    await server.submit(x)
+                snapshots.append(server.stats())
+
+            await serve_and_snapshot()
+            await server.swap_model(_model(seed=1))
+            snapshots.append(server.stats())  # right after the swap
+            await serve_and_snapshot()
+            await server._pool.scale_to(3)
+            await serve_and_snapshot()
+            await server._pool.scale_to(1)
+            await _wait_until(lambda: server.stats().current_workers == 1)
+            snapshots.append(server.stats())  # right after the drain
+            await serve_and_snapshot()
+            return snapshots
+
+    snapshots = asyncio.run(main())
+    for before, after in zip(snapshots, snapshots[1:]):
+        for name in counters:
+            assert getattr(after, name) >= getattr(before, name), name
+    first, last = snapshots[0], snapshots[-1]
+    # one request per batch, one cache lookup per batch — on whichever
+    # replica (old cohort, new cohort, grown, survivor) served it
+    assert first.cache_hits + first.cache_misses == len(X)
+    assert last.cache_hits + last.cache_misses == 4 * len(X)
+    if backend == "process":
+        assert first.transport_ring_batches == len(X)
+        assert last.transport_ring_batches == 4 * len(X)

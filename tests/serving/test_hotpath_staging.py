@@ -1,19 +1,16 @@
-"""ISSUE-9 hot-path staging: response-side staging, content-keyed cache
-stats, and the staged pipe fallback when ring slots are exhausted.
+"""Hot-path observability: content-keyed cache stats end to end, and the
+one pipe frame a refused ring batch ships in.
 
-Three properties are pinned here:
+Two properties are pinned here:
 
-* :class:`~repro.serving.workers.base.ResponseStager` assembles MC results
-  on pre-pinned scratch **bit-identically** to the allocating
-  :func:`~repro.uncertainty.metrics.mc_uncertainty_results` path, and
-  falls back (returns ``None``) outside its geometry.
 * The content-keyed activation cache is observable end-to-end: repeated
   request bytes hit (``ServingStats.cache_hits``), a zero-downtime
   ``swap_model`` invalidates (the first post-swap batch misses), and the
   process backend reports the same counters across its pipe.
-* Exhausted ring slots fall back to the *staged* pipe — one pre-assembled
-  ``("batch", ...)`` frame, never the legacy per-row list when the batch
-  conforms — with responses bit-identical to the all-ring run.
+* The worker protocol has exactly two request frames: a batch the ring
+  takes rings the ``("ring", ...)`` doorbell, a batch the ring refuses
+  ships as one pre-assembled ``("batch", ...)`` frame — with responses
+  bit-identical to the all-ring run.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import ServingConfig, ServingEngine
-from repro.serving.workers.base import ResponseStager, assemble_results, BatchOutput
-from repro.uncertainty.metrics import mc_uncertainty_results
+from repro.serving.workers.procpool import ProcessWorkerPool
 
 NUM_SAMPLES = 6
 
@@ -43,88 +39,6 @@ def _model(seed=0):
         lenet5_spec(input_shape=(1, 12, 12), num_classes=5, width_multiplier=0.5),
         MultiExitConfig(num_exits=2, mcd_layers_per_exit=1, seed=seed),
     )
-
-
-# --------------------------------------------------------------------------- #
-# ResponseStager: bit-exactness and geometry fallback
-# --------------------------------------------------------------------------- #
-def _random_sample_probs(rng, s, n, c):
-    raw = rng.random((s, n, c))
-    return raw / raw.sum(axis=-1, keepdims=True)
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_response_stager_bit_identical_to_allocating_path(n):
-    rng = np.random.default_rng(0)
-    sample_probs = _random_sample_probs(rng, NUM_SAMPLES, n, 5)
-    stager = ResponseStager(max_batch_size=8, num_samples=NUM_SAMPLES, num_classes=5)
-    staged = stager.assemble(sample_probs)
-    legacy = mc_uncertainty_results(sample_probs)
-    assert staged is not None and len(staged) == len(legacy) == n
-    for a, b in zip(staged, legacy):
-        np.testing.assert_array_equal(a.probs, b.probs)
-        assert a.label == b.label
-        assert a.confidence == b.confidence
-        assert a.entropy == b.entropy
-        assert a.mutual_information == b.mutual_information
-        assert a.num_samples == b.num_samples
-
-
-def test_response_stager_results_survive_the_next_batch():
-    """Delivered results must not alias scratch the next batch overwrites."""
-    rng = np.random.default_rng(1)
-    stager = ResponseStager(max_batch_size=4, num_samples=3, num_classes=5)
-    first_probs = _random_sample_probs(rng, 3, 4, 5)
-    first = stager.assemble(first_probs)
-    kept = [r.probs.copy() for r in first]
-    stager.assemble(_random_sample_probs(rng, 3, 4, 5))  # overwrite scratch
-    for res, snapshot in zip(first, kept):
-        np.testing.assert_array_equal(res.probs, snapshot)
-
-
-def test_response_stager_rejects_foreign_geometry():
-    rng = np.random.default_rng(2)
-    stager = ResponseStager(max_batch_size=4, num_samples=3, num_classes=5)
-    assert stager.assemble(_random_sample_probs(rng, 4, 2, 5)) is None  # S
-    assert stager.assemble(_random_sample_probs(rng, 3, 5, 5)) is None  # N
-    assert stager.assemble(_random_sample_probs(rng, 3, 2, 6)) is None  # C
-    assert (
-        stager.assemble(_random_sample_probs(rng, 3, 2, 5).astype(np.float32)) is None
-    )
-    # and assemble_results degrades to the allocating path, same answer
-    probs = _random_sample_probs(rng, 4, 2, 5)
-    out = BatchOutput(sample_probs=probs)
-    staged = assemble_results(out, stager)
-    legacy = mc_uncertainty_results(probs)
-    for a, b in zip(staged, legacy):
-        np.testing.assert_array_equal(a.probs, b.probs)
-        assert a.entropy == b.entropy
-
-
-@pytest.mark.timeout(120)
-def test_thread_backend_with_and_without_response_stager_bit_identical():
-    """The served responses do not change when response staging engages."""
-
-    def serve(strip_stager: bool):
-        server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend="thread")
-        )
-        if strip_stager:
-            for replica in server._pool._replicas:
-                replica.response_stager = None
-
-        async def main():
-            async with server:
-                return [await server.submit(x) for x in X]
-
-        return asyncio.run(main())
-
-    staged = serve(strip_stager=False)
-    legacy = serve(strip_stager=True)
-    for a, b in zip(staged, legacy):
-        np.testing.assert_array_equal(a.probs, b.probs)
-        assert a.entropy == b.entropy
-        assert a.mutual_information == b.mutual_information
 
 
 # --------------------------------------------------------------------------- #
@@ -196,11 +110,11 @@ def test_cache_counters_cross_the_process_boundary():
 
 
 # --------------------------------------------------------------------------- #
-# staged pipe fallback on slot exhaustion
+# the two request frames: ring doorbell, or one stacked batch by pipe
 # --------------------------------------------------------------------------- #
 @pytest.mark.timeout(120)
-def test_exhausted_slots_ship_staged_batch_frames_bit_identically():
-    def serve(exhaust: bool):
+def test_refused_ring_ships_one_batch_frame_bit_identically(monkeypatch):
+    def serve():
         server = ServingEngine(
             _model(), cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend="process")
         )
@@ -209,12 +123,9 @@ def test_exhausted_slots_ship_staged_batch_frames_bit_identically():
         async def main():
             async with server:
                 for handle in server._pool._handles:
-                    assert handle.stager is not None
-                    if exhaust:
-                        handle._free_slots.clear()  # all slots in flight, forever
 
                     def spy(msg, _orig=handle.conn.send):
-                        if msg[0] in ("ring", "batch", "predict"):
+                        if msg[0] != "stop":
                             kinds.append(msg[0])
                         return _orig(msg)
 
@@ -224,17 +135,18 @@ def test_exhausted_slots_ship_staged_batch_frames_bit_identically():
 
         return asyncio.run(main()) + (kinds,)
 
-    ring_results, ring_stats, ring_kinds = serve(exhaust=False)
-    pipe_results, pipe_stats, pipe_kinds = serve(exhaust=True)
+    ring_results, ring_stats, ring_kinds = serve()
+    # a ring whose request region cannot hold even one example refuses
+    # every batch: stage_request returns None and the pool must not care
+    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: (64, 1 << 20))
+    pipe_results, pipe_stats, pipe_kinds = serve()
 
     assert ring_stats.transport_ring_batches == len(X)
-    assert set(ring_kinds) <= {"ring"}
-    # every exhausted batch fell back to ONE pre-assembled "batch" frame —
-    # never the legacy per-row "predict" list, since the payloads conform
+    assert ring_kinds == ["ring"] * len(X)
+    # every refused batch fell back to ONE pre-assembled "batch" frame
     assert pipe_stats.transport_pipe_batches == len(X)
     assert pipe_stats.transport_ring_batches == 0
-    assert "batch" in pipe_kinds
-    assert "predict" not in pipe_kinds
+    assert pipe_kinds == ["batch"] * len(X)
     # and the fallback is invisible in the responses, bit for bit
     for rr, rp in zip(ring_results, pipe_results):
         np.testing.assert_array_equal(rr.probs, rp.probs)

@@ -2,16 +2,19 @@
 
 The shm ring is an *optimisation* of the worker channel, never a semantic
 change: every test here pins one of the ways it must degrade gracefully —
-oversized payloads and exhausted slots fall back to the pickle pipe,
+a batch the ring refuses ships as one pickled frame down the pipe,
 over-long responses come back pickled, a worker crash mid-slot retries on
 a sibling and unlinks the dead worker's segment, and ``stop()`` releases
-every ring segment.  Bit-identity between ``worker_transport="ring"`` and
-``"pipe"`` is the umbrella guarantee the fallbacks make unconditional.
+every ring segment.  Exchanges are strictly serial per worker (one slot
+each), so a cancelled batch can never push a later one off the ring.
+Bit-identity between ``worker_transport="ring"`` and ``"pipe"`` is the
+umbrella guarantee the fallback makes unconditional.
 """
 
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import ServingConfig, ServingEngine
+from repro.serving.workers.procpool import ProcessWorkerPool
 from repro.serving.workers.ring import BatchRing
 
 
@@ -40,16 +44,13 @@ def _model(seed=0):
     )
 
 
-def _serve_sequentially(backend: str, workers: int = 2, shrink=None, **kwargs):
-    """Serve X one request at a time; ``shrink`` tweaks ring geometry."""
+def _serve_sequentially(backend: str, workers: int = 2, **kwargs):
+    """Serve X one request at a time."""
     model = _model()
     server = ServingEngine(
         model,
         cfg(num_samples=NUM_SAMPLES, workers=workers, worker_backend=backend, **kwargs),
     )
-    if shrink is not None:
-        server._pool._ring_request_bytes = shrink[0]
-        server._pool._ring_response_bytes = shrink[1]
 
     async def main():
         async with server:
@@ -143,10 +144,11 @@ def test_thread_backend_reports_inproc_transport():
 
 
 @pytest.mark.timeout(120)
-def test_oversized_payload_falls_back_to_pipe():
+def test_oversized_payload_falls_back_to_pipe(monkeypatch):
     """A ring too small for the batch must degrade, not fail or distort."""
     reference, _ = _serve_sequentially("process", worker_transport="pipe")
-    results, stats = _serve_sequentially("process", shrink=(64, 1 << 20))
+    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: (64, 1 << 20))
+    results, stats = _serve_sequentially("process")
     for rr, rp in zip(results, reference):
         np.testing.assert_array_equal(rr.probs, rp.probs)
     assert stats.transport == "ring"
@@ -155,10 +157,11 @@ def test_oversized_payload_falls_back_to_pipe():
 
 
 @pytest.mark.timeout(120)
-def test_response_overflow_returns_pickled_result():
+def test_response_overflow_returns_pickled_result(monkeypatch):
     """Doorbell rings, response does not fit: the worker pickles it instead."""
     reference, _ = _serve_sequentially("process", worker_transport="pipe")
-    results, stats = _serve_sequentially("process", shrink=(1 << 20, 64))
+    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: (1 << 20, 64))
+    results, stats = _serve_sequentially("process")
     for rr, rp in zip(results, reference):
         np.testing.assert_array_equal(rr.probs, rp.probs)
     # the request leg used the ring (counted at send); the response leg fell
@@ -167,26 +170,54 @@ def test_response_overflow_returns_pickled_result():
 
 
 @pytest.mark.timeout(120)
-def test_slot_exhaustion_under_pipelined_dispatch_falls_back():
-    """No free slot ⇒ the batch ships over the pipe; service is unaffected."""
-    model = _model()
-    server = ServingEngine(
-        model, cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend="process")
-    )
+def test_cancelled_batch_keeps_the_exchange_strictly_serial():
+    """One slot per worker suffices: a cancelled batch cannot strand it.
 
-    async def main():
-        async with server:
-            await server.submit(X[0])  # warm the channel
-            for handle in server._pool._handles:
-                handle._free_slots.clear()  # all slots in flight, forever
-            results = await server.submit_many(X)
-            return results, server.stats()
+    Cancelling the task awaiting an in-flight batch returns the worker to
+    checkout while an executor thread is still inside the exchange; the
+    handle lock makes the next batch (on another executor thread) wait for
+    that exchange to finish instead of staging over it.  Every later
+    response must match a thread K=1 server bit for bit, and nothing may
+    touch the pipe.
+    """
+    cancelled_seq = 2
 
-    results, stats = asyncio.run(main())
-    assert len(results) == len(X)
-    assert stats.transport_pipe_batches >= len(X) // server._batcher.max_batch_size
-    for res in results:
-        assert res.probs.shape == (5,)
+    async def process_main():
+        executor = ThreadPoolExecutor(max_workers=4)
+        server = ServingEngine(
+            _model(),
+            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
+            executor=executor,
+        )
+        try:
+            async with server:
+                pool = server._pool
+                (handle,) = pool._handles
+                results = {}
+                for seq, x in enumerate(X):
+                    batch = asyncio.ensure_future(pool.run(seq, [x]))
+                    if seq != cancelled_seq:
+                        (results[seq],) = await batch
+                        continue
+                    while not handle._lock.locked():  # exchange under way
+                        await asyncio.sleep(0)
+                    batch.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await batch
+                return results, server.stats()
+        finally:
+            executor.shutdown(wait=True)
+
+    got, stats = asyncio.run(process_main())
+    want, _ = _serve_sequentially("thread", workers=1)
+    assert sorted(got) == [s for s in range(len(X)) if s != cancelled_seq]
+    for seq, res in got.items():
+        np.testing.assert_array_equal(res.probs, want[seq].probs)
+        assert res.entropy == want[seq].entropy
+        assert res.mutual_information == want[seq].mutual_information
+    assert stats.transport_pipe_batches == 0
+    assert stats.transport_ring_batches == len(X)
+    assert stats.worker_crashes == 0
 
 
 # --------------------------------------------------------------------------- #
