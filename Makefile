@@ -17,7 +17,8 @@ bench:
 # (threads >= 1.8x, processes >= 2.5x; gates skip below 4 cores; BLAS
 # pinned so the workers scale, not the libraries) + the hot-path glue
 # gates (fused suffix >= 1.3x, per-batch glue <= 40 us, 0.25 ms batch
-# flush overshoot <= 300 us)
+# flush overshoot <= 300 us) + the conv gates (flat fold >= 2x, planned
+# prefix faster than layer-by-layer and allocating only its GEMM results)
 parallel:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 $(PYTHON) -m pytest -q -p no:randomly \
 		tests/nn/test_forward_context.py tests/nn/test_shm_params.py \
@@ -25,7 +26,8 @@ parallel:
 		tests/serving/test_fleet.py \
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \
-		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py
+		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py \
+		benchmarks/test_conv_fold.py
 
 # Fault-injection chaos suite: deterministic kill schedules under live
 # traffic, gated on bit-identical responses and a clean /dev/shm.  Opt-in

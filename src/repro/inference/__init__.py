@@ -17,6 +17,11 @@ Public surface
 :mod:`repro.inference.folding`
     ``fold_batch`` / ``unfold_samples`` / ``folded_forward_range`` primitives
     with a documented bit-exactness contract.
+:mod:`repro.inference.plan`
+    The static plan every engine runs its deterministic prefix through:
+    one column arena per engine replica and calling thread, BatchNorm/ReLU/
+    residual add in place on the GEMM outputs, bit-identical to
+    ``Layer.forward``.
 :mod:`repro.inference.legacy`
     The pre-folding per-sample loops, kept as the regression/benchmark
     reference.

@@ -41,6 +41,7 @@ from ..nn.layers import MCDropout
 from ..nn.layers.activations import softmax
 from ..nn.model import Network
 from .folding import fold_batch, folded_forward_range, unfold_samples
+from .plan import PrefixPlan
 from .streaming import aiter_microbatches, iter_microbatches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,15 +134,16 @@ class _ActivationCache:
 def _engine_getstate(engine) -> dict:
     """Shared pickling rule of both engines: per-process state stays home.
 
-    The private :class:`ForwardContext` and the content-keyed activation cache
-    are process-local by design; what crosses the boundary is the model
-    (pickle-light when its parameters are shared-memory backed — see
+    The private :class:`ForwardContext`, the content-keyed activation cache
+    and the prefix plan (with its column arena) are process-local by design;
+    what crosses the boundary is the model (pickle-light when its
+    parameters are shared-memory backed — see
     :class:`repro.nn.shm.SharedParameterArena`) plus the engine's
     configuration.  Unpickling therefore *is* ``replicate()`` across a
-    process boundary: same parameter storage, fresh context and cache.
+    process boundary: same parameter storage, fresh context, cache and plan.
     """
     state = engine.__dict__.copy()
-    del state["ctx"]
+    del state["ctx"], state["_plan"]
     state["_cache"] = engine._cache.maxsize
     return state
 
@@ -182,7 +184,9 @@ class NetworkEngine:
     engines over the *same* network — see :meth:`replicate` — can run
     concurrently on shared ``Parameter`` storage.  One engine instance is
     still a single logical caller: don't share it between threads; pass an
-    explicit per-call ``ctx`` or use a replica per worker instead.
+    explicit per-call ``ctx`` or use a replica per worker instead.  (The
+    prefix plan's column arena is per calling thread, so the per-call-``ctx``
+    route shares no scratch either.)
     """
 
     def __init__(
@@ -199,6 +203,9 @@ class NetworkEngine:
         self._cache = _ActivationCache(cache_size)
         #: the engine's private forward context (streams + layer caches)
         self.ctx = ForwardContext()
+        #: the engine's private plan for the deterministic prefix (its
+        #: scratch arena is per calling thread, see :mod:`.plan`)
+        self._plan = PrefixPlan(network)
         if seed is not None:
             self.reseed(seed)
 
@@ -231,6 +238,7 @@ class NetworkEngine:
 
     def __setstate__(self, state: dict) -> None:
         _engine_setstate(self, state)
+        self._plan = PrefixPlan(self.network)
 
     def invalidate_cache(self) -> None:
         self._cache.clear()
@@ -256,7 +264,7 @@ class NetworkEngine:
         token = (self.network.weights_version, split)
         cached = self._cache.get(x, token)
         if cached is None:
-            cached = self.network.forward_range(x, 0, split, training=False, ctx=ctx)
+            cached = self._plan.forward_range(x, 0, split, ctx)
             self._cache.put(x, token, cached)
         return cached
 
@@ -395,6 +403,8 @@ class InferenceEngine:
         self._cache = _ActivationCache(cache_size)
         #: the engine's private forward context (streams + layer caches)
         self.ctx = ForwardContext()
+        #: the engine's private plan for the deterministic backbone
+        self._plan = PrefixPlan(model.backbone)
 
     # ------------------------------------------------------------------ #
     def replicate(self) -> "InferenceEngine":
@@ -412,6 +422,7 @@ class InferenceEngine:
 
     def __setstate__(self, state: dict) -> None:
         _engine_setstate(self, state)
+        self._plan = PrefixPlan(self.model.backbone)
 
     def invalidate_cache(self) -> None:
         """Drop cached backbone activations (call after mutating weights)."""
@@ -431,12 +442,17 @@ class InferenceEngine:
     def backbone_activations(
         self, x: np.ndarray, ctx: ForwardContext | None = None
     ) -> list[np.ndarray]:
-        """Backbone activation at each exit point, computed once and cached."""
+        """Backbone activation at each exit point, computed once and cached.
+
+        A miss runs the planned prefix (:mod:`repro.inference.plan`), which
+        returns the bits and strides of the layer-by-layer
+        ``model.backbone_activations(x)``.
+        """
         token = self._weights_token()
         acts = self._cache.get(x, token)
         if acts is None:
-            acts = self.model.backbone_activations(
-                x, training=False, ctx=self.ctx if ctx is None else ctx
+            acts = self._plan.activations(
+                x, self.model._segment_bounds(), self.ctx if ctx is None else ctx
             )
             self._cache.put(x, token, acts)
         return acts
@@ -623,9 +639,7 @@ class InferenceEngine:
                 act = cached_acts[i]
                 out = act if active.shape[0] == n else act[active]
             else:
-                out = model.backbone.forward_range(
-                    out, start, stop, training=False, ctx=ctx
-                )
+                out = self._plan.forward_range(out, start, stop, ctx)
             if stochastic:
                 logits = head.forward(out, training=False, ctx=ctx)
             else:

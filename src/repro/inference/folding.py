@@ -28,10 +28,15 @@ refactor is observationally invisible.  Three facts make that possible:
   :class:`Dense` as a ``(S, N, F) @ (F, U)`` matmul, :class:`Conv2D` via
   :meth:`~repro.nn.layers.conv.Conv2D.forward_folded` (the folded im2col
   column matrix reshaped to ``(S, N·oh·ow, C·kh·kw)`` — im2col is a pure
-  gather, so the fold is exactly the per-slice column matrices stacked),
+  gather, so the fold is exactly the per-slice column matrices stacked,
+  in the memory order :func:`~repro.nn.tensor.im2col` guarantees),
   and :class:`ResidualBlock` by folding each constituent convolution the
-  same way.  Any remaining parameterised layer (custom layers) falls back
-  to a per-slice loop.
+  same way and applying batch norm, ReLU and the residual add in place on
+  the convolution outputs
+  (:meth:`~repro.nn.layers.ResidualBlock.forward_inference`, which the
+  deterministic prefix plan of :mod:`repro.inference.plan` shares).  Any
+  remaining parameterised layer (custom layers) falls back to a per-slice
+  loop.
 * An :class:`MCDropout` directly feeding a :class:`Dense` runs as a **fused
   stochastic-suffix kernel**: the scaled keep-mask is drawn once (same RNG
   consumption as the standalone layer) and folded into the GEMM operand one
@@ -192,7 +197,7 @@ def folded_forward_range(
         elif isinstance(layer, Conv2D):
             out = layer.forward_folded(out, num_samples)
         elif isinstance(layer, ResidualBlock):
-            out = layer.forward_folded(out, num_samples, ctx=ctx)
+            out = layer.forward_folded(out, num_samples)
         else:
             out = _sliced_forward(layer, out, num_samples, ctx)
         i += 1

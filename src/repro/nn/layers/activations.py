@@ -7,7 +7,7 @@ import numpy as np
 from ..context import ForwardContext
 from .base import Layer
 
-__all__ = ["ReLU", "Softmax", "softmax", "log_softmax"]
+__all__ = ["ReLU", "Softmax", "relu_", "softmax", "log_softmax"]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -21,6 +21,15 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically-stable log-softmax."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def relu_(x: np.ndarray) -> np.ndarray:
+    """:class:`ReLU`'s forward, in place on ``x``; saves nothing.
+
+    ``x · (x > 0)`` like the layer, not ``maximum(x, 0)``: a negative input
+    yields ``-0.0`` under the former and ``+0.0`` under the latter.
+    """
+    return np.multiply(x, x > 0, out=x)
 
 
 class ReLU(Layer):

@@ -83,6 +83,33 @@ class BatchNorm(Layer):
         self._ctx(ctx).save(self, (x_hat, inv_std, axes, x.ndim))
         return out
 
+    def normalize_(self, x: np.ndarray) -> np.ndarray:
+        """Inference-mode :meth:`forward`, in place on ``x``; saves nothing.
+
+        For callers that own ``x`` (a GEMM output nobody else has seen) and
+        will never run a backward pass.  Besides ``(N, C, H, W)`` and
+        ``(N, F)`` inputs this serves the channels-last ``(N·H·W, C)``
+        matrix a convolution's GEMM produces.  The result is bit-identical
+        to ``forward(x, training=False)``: the same four roundings in the
+        same order — ``(x − mean) · inv_std``, then ``gamma · x̂ + beta``.
+        Folding them into one scale and one shift would save two passes
+        and change the last bit.
+        """
+        mean, var, gamma, beta = (
+            self._reshape_stats(stat, x.ndim)
+            for stat in (
+                self.running_mean,
+                self.running_var,
+                self.gamma.value,
+                self.beta.value,
+            )
+        )
+        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        np.subtract(x, mean, out=x)
+        np.multiply(x, inv_std, out=x)
+        np.multiply(gamma, x, out=x)
+        return np.add(x, beta, out=x)
+
     def backward(
         self, grad_output: np.ndarray, ctx: ForwardContext | None = None
     ) -> np.ndarray:

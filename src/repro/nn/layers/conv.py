@@ -6,7 +6,7 @@ import numpy as np
 
 from ..context import ForwardContext
 from ..initializers import Initializer, Zeros, get_initializer
-from ..tensor import col2im, conv_output_size, im2col, im2col_patches
+from ..tensor import ColumnArena, col2im, conv_output_size, im2col, im2col_patches
 from .base import Layer
 
 __all__ = ["Conv2D"]
@@ -82,21 +82,33 @@ class Conv2D(Layer):
             )
 
     # ------------------------------------------------------------------ #
+    def lower(
+        self, x: np.ndarray, arena: ColumnArena | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The convolution as one GEMM: ``(output, column matrix)``.
+
+        The output is the NCHW view of the freshly allocated NHWC GEMM
+        result, bias added.  With an ``arena`` the column matrix is a view
+        of reusable scratch (see :class:`~repro.nn.tensor.ColumnArena`) —
+        for callers that will not keep it for a backward pass.
+        """
+        out_c, out_h, out_w = self.output_shape
+        cols = im2col(
+            x, self.kernel_size, self.kernel_size, self.stride, self.padding, arena
+        )
+        out = cols @ self.weight.value.reshape(self.filters, -1).T
+        if self.use_bias:
+            out += self.bias.value
+        out = out.reshape(x.shape[0], out_h, out_w, out_c).transpose(0, 3, 1, 2)
+        return out, cols
+
     def forward(
         self,
         x: np.ndarray,
         training: bool = False,
         ctx: ForwardContext | None = None,
     ) -> np.ndarray:
-        n = x.shape[0]
-        out_c, out_h, out_w = self.output_shape
-        cols = im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
-        w_mat = self.weight.value.reshape(self.filters, -1).T
-        out = cols @ w_mat
-        if self.use_bias:
-            out += self.bias.value
-        out = out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
-
+        out, cols = self.lower(x)
         self._ctx(ctx).save(self, (x.shape, cols))
         return out
 
@@ -114,14 +126,16 @@ class Conv2D(Layer):
         packing path, so kernel selection cannot change a bit.  The bias
         add and the NHWC→NCHW untangling are row-wise and fold-stable.
 
-        The one wrinkle is ``N == 1``: there ``im2col``'s trailing reshape
-        merges without copying and hands BLAS an F-ordered *view*, which
-        takes the transposed-A GEMM path — feeding it the C-ordered fold
-        would change the result's bits.  Single-example slices therefore
-        run the 6-D patch gather once over the whole fold and carve a
-        per-sample column matrix out of it as a view with exactly the
-        legacy strides ``(itemsize, oh·ow·itemsize)``, so each GEMM sees
-        the legacy operand layout while the gather stays amortised.
+        The one wrinkle is ``N == 1``: there :func:`~repro.nn.tensor.im2col`
+        hands BLAS the column-major *view* of the patch tensor, which takes
+        the transposed-A GEMM path — feeding it the C-ordered fold would
+        change the result's bits.  Single-example slices therefore gather
+        the patch-major tensor (:func:`~repro.nn.tensor.im2col_patches`, the
+        same single-pass gather) once over the whole fold; viewed as
+        ``(S, oh·ow, C·kh·kw)`` its per-sample slices have exactly the
+        legacy strides ``(itemsize, oh·ow·itemsize)``, so the stacked matmul
+        again dispatches one GEMM per sample on the legacy operand layout
+        while the gather stays amortised.
 
         No backward cache is saved: the folded path exists for the
         inference hot path only (see :mod:`repro.inference.folding`).
@@ -139,20 +153,15 @@ class Conv2D(Layer):
             patches = im2col_patches(
                 x, self.kernel_size, self.kernel_size, self.stride, self.padding
             )
-            out = np.concatenate(
-                [
-                    patches[s].transpose(3, 4, 0, 1, 2).reshape(out_h * out_w, -1)
-                    @ w_mat
-                    for s in range(num_samples)
-                ],
-                axis=0,
+            stacked = patches.transpose(0, 4, 5, 1, 2, 3).reshape(
+                num_samples, out_h * out_w, -1
             )
         else:
             cols = im2col(
                 x, self.kernel_size, self.kernel_size, self.stride, self.padding
             )
             stacked = cols.reshape(num_samples, n * out_h * out_w, -1)
-            out = np.matmul(stacked, w_mat).reshape(sn * out_h * out_w, -1)
+        out = np.matmul(stacked, w_mat).reshape(sn * out_h * out_w, -1)
         if self.use_bias:
             out += self.bias.value
         return out.reshape(sn, out_h, out_w, out_c).transpose(0, 3, 1, 2)

@@ -8,12 +8,12 @@ hardware lowering straightforward.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..context import ForwardContext
-from .activations import ReLU
+from .activations import ReLU, relu_
 from .base import Layer, Parameter
 from .batchnorm import BatchNorm
 from .conv import Conv2D
@@ -158,39 +158,53 @@ class ResidualBlock(Layer):
 
         return self.relu2.forward(out + shortcut, training, ctx=ctx)
 
-    def forward_folded(
-        self,
-        x: np.ndarray,
-        num_samples: int,
-        ctx: ForwardContext | None = None,
+    def forward_inference(
+        self, x: np.ndarray, conv: Callable[[Conv2D, np.ndarray], np.ndarray]
     ) -> np.ndarray:
+        """Inference-mode forward with the convolutions evaluated by ``conv``.
+
+        ``conv(layer, x)`` must return the bias-added output of one of this
+        block's convolutions as a *freshly allocated* array (what
+        ``layer.forward`` returns, by whatever route): batch norm, ReLU and
+        the residual add are then applied in place on those outputs, so
+        the block allocates nothing of its own and saves nothing for a
+        backward pass.  Bit-identical to :meth:`forward` given bit-identical
+        convolutions — every element sees the same operations in the same
+        order — and the result has the same memory order: the add runs in
+        place only when the shortcut shares the main branch's strides;
+        otherwise (an identity shortcut from, say, a C-contiguous tiled
+        input) NumPy picks the layout, as it does for ``out + shortcut``.
+        """
+        out = conv(self.conv1, x)
+        if self.bn1 is not None:
+            self.bn1.normalize_(out)
+        out = conv(self.conv2, relu_(out))
+        if self.bn2 is not None:
+            self.bn2.normalize_(out)
+
+        if self.shortcut_conv is not None:
+            shortcut = conv(self.shortcut_conv, x)
+            if self.shortcut_bn is not None:
+                self.shortcut_bn.normalize_(shortcut)
+        else:
+            shortcut = x
+
+        same_order = shortcut.strides == out.strides
+        return relu_(np.add(out, shortcut, out=out if same_order else None))
+
+    def forward_folded(self, x: np.ndarray, num_samples: int) -> np.ndarray:
         """Inference-only forward on a sample-folded ``(S·N, C, H, W)`` batch.
 
         Bit-identical to running :meth:`forward` once per sample slice: the
         convolutions take :meth:`Conv2D.forward_folded` (stacked per-sample
         GEMMs with the legacy shapes), inference-mode batch norm and ReLU
         are row-wise and therefore fold-stable, and the residual sum is an
-        element-wise add.  The block contains no stochastic layers, so no
-        RNG stream is consumed; ``ctx`` only receives the row-wise layers'
-        (unused) forward caches.
+        element-wise add (see :meth:`forward_inference`).  The block
+        contains no stochastic layers, so no RNG stream is consumed.
         """
-        ctx = self._ctx(ctx)
-        out = self.conv1.forward_folded(x, num_samples)
-        if self.bn1 is not None:
-            out = self.bn1.forward(out, training=False, ctx=ctx)
-        out = self.relu1.forward(out, training=False, ctx=ctx)
-        out = self.conv2.forward_folded(out, num_samples)
-        if self.bn2 is not None:
-            out = self.bn2.forward(out, training=False, ctx=ctx)
-
-        if self.shortcut_conv is not None:
-            shortcut = self.shortcut_conv.forward_folded(x, num_samples)
-            if self.shortcut_bn is not None:
-                shortcut = self.shortcut_bn.forward(shortcut, training=False, ctx=ctx)
-        else:
-            shortcut = x
-
-        return self.relu2.forward(out + shortcut, training=False, ctx=ctx)
+        return self.forward_inference(
+            x, lambda conv, inp: conv.forward_folded(inp, num_samples)
+        )
 
     def backward(
         self, grad_output: np.ndarray, ctx: ForwardContext | None = None

@@ -46,6 +46,11 @@ def tiny_dataset() -> SyntheticImageDataset:
     )
 
 
+def arena_bytes(arena) -> int:
+    """Bytes a ``ColumnArena`` holds: column buffer plus bordered images."""
+    return arena._columns.nbytes + sum(i.nbytes for i in arena._bordered.values())
+
+
 def small_lenet_spec(width_multiplier: float = 1.0):
     """LeNet-5 spec on 12x12 inputs with 5 classes (fast to train)."""
     return lenet5_spec(

@@ -116,18 +116,18 @@ def test_early_exit_reuses_cached_backbone_activations():
 
     engine.backbone_activations(X)  # memoise this batch
     calls = 0
-    original = model.backbone.forward_range
+    original = engine._plan.forward_range
 
     def counting_forward_range(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    model.backbone.forward_range = counting_forward_range
+    engine._plan.forward_range = counting_forward_range
     try:
         warm = engine.early_exit_predict(X, 0.5)
     finally:
-        model.backbone.forward_range = original
+        engine._plan.forward_range = original
 
     assert calls == 0, "early_exit_predict recomputed memoised backbone segments"
     np.testing.assert_allclose(warm.probs, cold.probs, atol=1e-9)

@@ -142,13 +142,13 @@ class TestNetworkEngine:
         x = rng.normal(size=(3, 2, 4, 4))
         engine.sample(x, 2)
         calls = {"n": 0}
-        original = net.forward_range
+        original = engine._plan.forward_range
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        net.forward_range = counting
+        engine._plan.forward_range = counting
         engine.sample(x, 2)  # prefix served from cache; no prefix re-run
         assert calls["n"] == 0
         engine.invalidate_cache()
@@ -264,15 +264,16 @@ class TestActiveSetEarlyExit:
         model = _multi_exit(mcd_layers=0, rate=0.0)
         x = rng.normal(size=(16, 1, 12, 12))
         seen_batches = []
-        original = model.backbone.forward_range
+        plan = model.engine._plan
+        original = plan.forward_range
 
-        def recording(inp, start, stop, **kwargs):
+        def recording(inp, start, stop, ctx):
             seen_batches.append(inp.shape[0])
-            return original(inp, start, stop, **kwargs)
+            return original(inp, start, stop, ctx)
 
-        model.backbone.forward_range = recording
+        plan.forward_range = recording
         result = model.early_exit_predict(x, threshold=0.25, use_ensemble=False)
-        model.backbone.forward_range = original
+        plan.forward_range = original
         assert seen_batches[0] == 16
         retired_at_first = int((result.exit_indices == 0).sum())
         if retired_at_first and len(seen_batches) > 1:

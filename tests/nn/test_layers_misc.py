@@ -15,7 +15,7 @@ from repro.nn.layers import (
     ResidualBlock,
     Softmax,
 )
-from repro.nn.layers.activations import log_softmax, softmax
+from repro.nn.layers.activations import log_softmax, relu_, softmax
 
 from .gradcheck import check_input_gradient, check_parameter_gradients
 
@@ -75,6 +75,17 @@ class TestActivations:
         layer = build(ReLU(), (6,))
         check_input_gradient(layer, rng.normal(size=(3, 6)) + 0.1)
 
+    def test_in_place_relu_is_the_layer_bit_for_bit(self, rng):
+        layer = build(ReLU(), (6,))
+        x = rng.normal(size=(5, 6))
+        x[0, :4] = [0.0, -0.0, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):  # -inf * False is nan, on purpose
+            want = layer.forward(x)
+            got = relu_(x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[got == 0]).any()  # negatives became -0.0
+
     def test_softmax_rows_sum_to_one(self, rng):
         probs = softmax(rng.normal(size=(5, 7)) * 10)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5))
@@ -128,6 +139,27 @@ class TestBatchNorm:
     def test_invalid_momentum(self):
         with pytest.raises(ValueError):
             BatchNorm(momentum=1.5)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 3, 3), (7, 5)])
+    def test_in_place_inference_is_forward_bit_for_bit(self, rng, shape):
+        layer = build(BatchNorm(), shape[1:])
+        layer.running_mean = rng.normal(size=5)
+        layer.running_var = rng.uniform(0.3, 3.0, size=5)
+        layer.gamma.assign(rng.normal(1.0, 0.4, size=5))
+        layer.beta.assign(rng.normal(size=5))
+        x = rng.normal(size=shape)
+        want = layer.forward(x, training=False)
+        got = layer.normalize_(x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
+        if len(shape) == 4:
+            # the channels-last (N·H·W, C) matrix of a convolution's GEMM
+            x = rng.normal(size=shape)
+            want = layer.forward(x, training=False)
+            matrix = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, 5)
+            layer.normalize_(matrix)
+            got = matrix.reshape(4, 3, 3, 5).transpose(0, 3, 1, 2)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDropout:
@@ -269,6 +301,29 @@ class TestFlattenAndResidual:
     def test_residual_projection_gradient(self, rng):
         block = build(ResidualBlock(4, stride=2, use_batchnorm=False), (2, 4, 4))
         check_input_gradient(block, rng.normal(size=(2, 2, 4, 4)), atol=1e-5)
+
+    @pytest.mark.parametrize("stride,filters", [(1, 3), (2, 6)])
+    def test_residual_inference_forward_is_forward_bit_for_bit(
+        self, rng, stride, filters
+    ):
+        """Identity and projection shortcuts, from either memory order."""
+        block = build(ResidualBlock(filters, stride=stride), (3, 6, 6))
+        for bn in (block.bn1, block.bn2, block.shortcut_bn):
+            if bn is not None:
+                bn.running_mean = rng.normal(size=filters)
+                bn.running_var = rng.uniform(0.3, 3.0, size=filters)
+        contiguous = rng.normal(size=(4, 3, 6, 6))
+        channels_last = np.ascontiguousarray(
+            contiguous.transpose(0, 2, 3, 1)
+        ).transpose(0, 3, 1, 2)
+        for x in (contiguous, channels_last):
+            kept = x.copy()
+            want = block.forward(x, training=False)
+            got = block.forward_inference(x, lambda conv, inp: conv.forward(inp))
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+            assert not np.shares_memory(got, x)
+            np.testing.assert_array_equal(x, kept)
 
     def test_residual_describe_contains_sublayers(self):
         block = build(ResidualBlock(4), (4, 6, 6))

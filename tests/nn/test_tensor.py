@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import col2im, conv_output_size, im2col, one_hot, pad_input
+from repro.nn.tensor import (
+    ColumnArena,
+    col2im,
+    conv_output_size,
+    im2col,
+    im2col_patches,
+    one_hot,
+    pad_input,
+)
+
+from ..conftest import arena_bytes
 
 
 class TestConvOutputSize:
@@ -111,6 +121,190 @@ class TestCol2Im:
         # centre pixel is covered by all four 2x2 windows
         assert img[0, 0, 1, 1] == 4.0
         assert img[0, 0, 0, 0] == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# the single-pass gather against two oracles
+# --------------------------------------------------------------------------- #
+def _naive_im2col(x, kh, kw, stride, padding):
+    """The definition, one element at a time."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    cols = np.zeros((n * oh * ow, c * kh * kw), dtype=x.dtype)
+    for b in range(n):
+        for oy in range(oh):
+            for ox in range(ow):
+                row = (b * oh + oy) * ow + ox
+                for ch in range(c):
+                    for ky in range(kh):
+                        for kx in range(kw):
+                            y = oy * stride + ky - padding
+                            xx = ox * stride + kx - padding
+                            if 0 <= y < h and 0 <= xx < w:
+                                cols[row, (ch * kh + ky) * kw + kx] = x[b, ch, y, xx]
+    return cols
+
+
+def _historical_im2col(x, kh, kw, stride, padding):
+    """The pad / patch-copies / transpose-reshape gather this repo grew up on.
+
+    Kept as the oracle for the *memory order* of the result: which cases
+    come back as a no-copy view, and with which strides, was a side effect
+    of its trailing ``reshape`` that BLAS dispatch and strided reductions
+    came to depend on.
+    """
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    img = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            cols[:, :, ky, kx] = img[
+                :, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride
+            ]
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
+
+
+def _layout(a):
+    """What consumers can observe of an array's memory order."""
+    strides = [s for s, extent in zip(a.strides, a.shape) if extent > 1]
+    return strides, a.flags.c_contiguous, a.flags.f_contiguous
+
+
+@st.composite
+def _gather_cases(draw):
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * padding), 7))
+    w = draw(st.integers(max(1, kw - 2 * padding), 7))
+    return dict(
+        n=draw(st.integers(1, 3)),
+        c=draw(st.integers(1, 3)),
+        h=h,
+        w=w,
+        kh=kh,
+        kw=kw,
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+        dtype=draw(st.sampled_from([np.float64, np.float32, np.int64])),
+        channels_last=draw(st.booleans()),
+        use_arena=draw(st.booleans()),
+    )
+
+
+class TestSinglePassGather:
+    @given(case=_gather_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_definition_and_the_historical_layout(self, case):
+        n, c, h, w = case["n"], case["c"], case["h"], case["w"]
+        args = (case["kh"], case["kw"], case["stride"], case["padding"])
+        x = np.random.default_rng(0).normal(size=(n, c, h, w)) * 8
+        x = x.astype(case["dtype"])
+        if case["channels_last"]:  # the NCHW view of NHWC memory convs emit
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        arena = ColumnArena() if case["use_arena"] else None
+
+        cols = im2col(x, *args, arena=arena)
+        want = _historical_im2col(x, *args)
+        assert cols.dtype == x.dtype and cols.shape == want.shape
+        np.testing.assert_array_equal(cols, _naive_im2col(x, *args))
+        assert _layout(cols) == _layout(want)
+        if n == 1:  # column-major, incl. 1x1 outputs and one-channel pooling
+            assert cols.flags.f_contiguous
+            if min(cols.shape) > 1:
+                assert cols.strides == (x.itemsize, cols.shape[0] * x.itemsize)
+        else:
+            assert cols.flags.c_contiguous
+        # pooling splits the column axis per channel; that must stay a view
+        per_channel = cols.reshape(cols.shape[0], c, case["kh"] * case["kw"])
+        assert np.shares_memory(per_channel, cols)
+        assert _layout(per_channel) == _layout(want.reshape(per_channel.shape))
+
+        patches = im2col_patches(x, *args, arena=arena)
+        assert patches.flags.c_contiguous and patches.shape[:4] == (n, c, *args[:2])
+        np.testing.assert_array_equal(
+            patches.transpose(0, 4, 5, 1, 2, 3).reshape(want.shape), want
+        )
+
+    @given(case=_gather_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_col2im_is_still_the_adjoint(self, case):
+        n, c, h, w = case["n"], case["c"], case["h"], case["w"]
+        if case["kh"] != case["kw"]:
+            return  # col2im is exercised on the square windows layers use
+        args = (case["kh"], case["kw"], case["stride"], case["padding"])
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(n, c, h, w))
+        cols = im2col(x, *args)
+        y = rng.normal(size=cols.shape)
+        back = col2im(y, x.shape, *args)
+        np.testing.assert_allclose(np.sum(cols * y), np.sum(x * back), rtol=1e-9)
+
+    @given(
+        padded=st.tuples(st.integers(5, 8), st.integers(5, 8)),
+        c=st.integers(1, 3),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        gathers=st.lists(
+            st.tuples(
+                st.integers(1, 3),  # n
+                st.integers(0, 2),  # padding
+                st.integers(1, 3),  # kernel
+                st.integers(1, 2),  # stride
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_arena_serves_any_sequence_of_gathers(self, padded, c, dtype, gathers):
+        """Nothing a gather leaves in the arena may leak into the next one.
+
+        Every gather of a sequence pads to the same ``(H', W', C)`` and
+        dtype — the worst case for the arena's persistent bordered images —
+        while batch size, padding, kernel and stride vary.
+        """
+        arena = ColumnArena()
+        for i, (n, padding, kernel, stride) in enumerate(gathers):
+            shape = (n, c, padded[0] - 2 * padding, padded[1] - 2 * padding)
+            x = (np.random.default_rng(i).normal(size=shape) * 8 + 1).astype(dtype)
+            args = (kernel, kernel, stride, padding)
+            np.testing.assert_array_equal(
+                im2col(x, *args, arena=arena), _naive_im2col(x, *args)
+            )
+
+    def test_equal_padded_geometry_with_different_padding_shares_no_border(self):
+        """6x6 at p=1 and 4x4 at p=2 both pad to 8x8: two bordered images."""
+        arena = ColumnArena()
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(2, 3, 4, 4))
+        im2col(a, 3, 3, 1, 1, arena=arena)
+        got = im2col(b, 5, 5, 1, 2, arena=arena)
+        np.testing.assert_array_equal(got, im2col(b, 5, 5, 1, 2))
+        np.testing.assert_array_equal(
+            im2col(a, 3, 3, 1, 1, arena=arena), im2col(a, 3, 3, 1, 1)
+        )
+
+    def test_arena_is_reused_and_bounded(self, rng):
+        arena = ColumnArena()
+        small = rng.normal(size=(2, 3, 6, 6))
+        large = rng.normal(size=(5, 3, 6, 6))
+        first = im2col(small, 3, 3, 1, 1, arena=arena)
+        assert np.shares_memory(first, arena._columns)
+        size_small = arena_bytes(arena)
+        im2col(large, 3, 3, 1, 1, arena=arena)
+        size_large = arena_bytes(arena)
+        assert size_large > size_small
+        for x in (small, large, small.astype(np.float32), large):
+            cols = im2col(x, 3, 3, 1, 1, arena=arena)
+            np.testing.assert_array_equal(cols, _naive_im2col(x, 3, 3, 1, 1))
+        # the float32 batch of 2 got its own bordered image; nothing else grew
+        assert arena_bytes(arena) == size_large + 2 * 8 * 8 * 3 * 4
+
+    def test_negative_padding_raises(self, rng):
+        with pytest.raises(ValueError):
+            im2col(rng.normal(size=(1, 1, 4, 4)), 3, 3, 1, -1)
 
 
 class TestOneHot:

@@ -14,6 +14,7 @@ umbrella guarantee the fallback makes unconditional.
 from __future__ import annotations
 
 import asyncio
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 
@@ -170,7 +171,7 @@ def test_response_overflow_returns_pickled_result(monkeypatch):
 
 
 @pytest.mark.timeout(120)
-def test_cancelled_batch_keeps_the_exchange_strictly_serial():
+def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
     """One slot per worker suffices: a cancelled batch cannot strand it.
 
     Cancelling the task awaiting an in-flight batch returns the worker to
@@ -179,8 +180,18 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial():
     that exchange to finish instead of staging over it.  Every later
     response must match a thread K=1 server bit for bit, and nothing may
     touch the pipe.
+
+    The in-flight window is *held* open, not observed: the cancelled
+    batch's ``_stage`` (first step of the exchange, under the handle lock)
+    blocks on an event the test sets only after the cancellation has
+    landed and the next batch has been launched behind it.
     """
     cancelled_seq = 2
+    hold_s = 30.0  # far above any exchange; a wait this long is a failure
+    armed = threading.Event()  # the next exchange is the one to hold
+    staging = threading.Event()  # ... and it is inside the exchange now
+    release = threading.Event()
+    staged_rows: list[np.ndarray] = []
 
     async def process_main():
         executor = ThreadPoolExecutor(max_workers=4)
@@ -189,28 +200,61 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial():
             cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
             executor=executor,
         )
+        loop = asyncio.get_running_loop()
         try:
             async with server:
                 pool = server._pool
                 (handle,) = pool._handles
+                stage = handle._stage
+
+                def held_stage(payloads):
+                    if armed.is_set():
+                        armed.clear()
+                        staging.set()
+                        assert release.wait(hold_s), "the test never released"
+                    staged_rows.append(payloads[0])
+                    return stage(payloads)
+
+                monkeypatch.setattr(handle, "_stage", held_stage)
                 results = {}
-                for seq, x in enumerate(X):
-                    batch = asyncio.ensure_future(pool.run(seq, [x]))
-                    if seq != cancelled_seq:
-                        (results[seq],) = await batch
-                        continue
-                    while not handle._lock.locked():  # exchange under way
-                        await asyncio.sleep(0)
-                    batch.cancel()
-                    with pytest.raises(asyncio.CancelledError):
-                        await batch
+                for seq in range(cancelled_seq):
+                    (results[seq],) = await pool.run(seq, [X[seq]])
+
+                armed.set()
+                batch = asyncio.ensure_future(
+                    pool.run(cancelled_seq, [X[cancelled_seq]])
+                )
+                entered = await loop.run_in_executor(None, staging.wait, hold_s)
+                assert entered, "the cancelled batch never reached the exchange"
+                assert handle._lock.locked()
+                batch.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await batch
+
+                # the worker is back in checkout while its exchange is
+                # still held: the next batch must queue behind the lock
+                following = asyncio.ensure_future(
+                    pool.run(cancelled_seq + 1, [X[cancelled_seq + 1]])
+                )
+                await asyncio.sleep(0.05)
+                assert not following.done(), "a batch overtook the held exchange"
+                assert len(staged_rows) == cancelled_seq, "staged over a held slot"
+                release.set()
+                (results[cancelled_seq + 1],) = await asyncio.wait_for(
+                    following, hold_s
+                )
+                for seq in range(cancelled_seq + 2, len(X)):
+                    (results[seq],) = await pool.run(seq, [X[seq]])
                 return results, server.stats()
         finally:
+            release.set()
             executor.shutdown(wait=True)
 
     got, stats = asyncio.run(process_main())
     want, _ = _serve_sequentially("thread", workers=1)
     assert sorted(got) == [s for s in range(len(X)) if s != cancelled_seq]
+    # the held exchange finished first, then every later batch, in order
+    assert [row.tobytes() for row in staged_rows] == [x.tobytes() for x in X]
     for seq, res in got.items():
         np.testing.assert_array_equal(res.probs, want[seq].probs)
         assert res.entropy == want[seq].entropy
