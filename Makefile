@@ -23,7 +23,7 @@ parallel:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 $(PYTHON) -m pytest -q -p no:randomly \
 		tests/nn/test_forward_context.py tests/nn/test_shm_params.py \
 		tests/serving/test_parallel_serving.py tests/serving/test_procpool.py \
-		tests/serving/test_fleet.py \
+		tests/serving/test_fleet.py tests/serving/test_roster.py \
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \
 		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py \

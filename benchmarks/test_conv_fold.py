@@ -3,7 +3,7 @@
 Conv2D flat-fold: the per-slice fallback it replaces
 ----------------------------------------------------
 
-Before this optimisation, ``folded_forward_range(exact=True)`` evaluated
+Before this optimisation, ``folded_forward_range`` evaluated
 every :class:`Conv2D` and :class:`ResidualBlock` one sample-slice at a
 time (``_sliced_forward``): S separate im2col gathers and S separate
 Python round-trips per conv layer, because GEMM results are not bit-stable
@@ -115,14 +115,14 @@ def test_conv_flat_fold_at_least_2x_per_slice_fallback():
     ctx = ForwardContext(spawn_key=0)
 
     folded = folded_forward_range(
-        network, x, NUM_SAMPLES, 0, len(network.layers), exact=True, ctx=ctx
+        network, x, NUM_SAMPLES, 0, len(network.layers), ctx=ctx
     )
     sliced = _legacy_forward_range(network, x, NUM_SAMPLES, ctx)
     np.testing.assert_array_equal(folded, sliced)
 
     t_fold, t_slice = _best_seconds_each(
         lambda: folded_forward_range(
-            network, x, NUM_SAMPLES, 0, len(network.layers), exact=True, ctx=ctx
+            network, x, NUM_SAMPLES, 0, len(network.layers), ctx=ctx
         ),
         lambda: _legacy_forward_range(network, x, NUM_SAMPLES, ctx),
     )

@@ -168,10 +168,6 @@ class NetworkEngine:
         A built :class:`~repro.nn.model.Network`.
     seed:
         When given, reseeds every MCD layer (as ``MCSampler`` does).
-    exact:
-        Keep the folded pass bit-identical to the legacy per-sample loop
-        (default).  ``False`` runs every layer on the flat fold instead,
-        which is fastest but only ULP-level equivalent.
     cache_size:
         Number of recent inputs whose prefix activation is memoised
         (0 disables caching; see :class:`_ActivationCache` for invalidation
@@ -193,13 +189,11 @@ class NetworkEngine:
         self,
         network: Network,
         seed: int | None = None,
-        exact: bool = True,
         cache_size: int = 0,
     ) -> None:
         if not network.built:
             raise ValueError("network must be built before sampling")
         self.network = network
-        self.exact = bool(exact)
         self._cache = _ActivationCache(cache_size)
         #: the engine's private forward context (streams + layer caches)
         self.ctx = ForwardContext()
@@ -229,9 +223,7 @@ class NetworkEngine:
         and activation cache, so it can run concurrently with this engine —
         this is the building block of the multi-worker serving pool.
         """
-        return NetworkEngine(
-            self.network, exact=self.exact, cache_size=self._cache.maxsize
-        )
+        return NetworkEngine(self.network, cache_size=self._cache.maxsize)
 
     def __getstate__(self) -> dict:
         return _engine_getstate(self)
@@ -300,7 +292,6 @@ class NetworkEngine:
                 num_samples,
                 split,
                 n_layers,
-                exact=self.exact,
                 ctx=ctx,
             )
             sample_probs = unfold_samples(softmax(logits, axis=-1), num_samples)
@@ -395,11 +386,9 @@ class InferenceEngine:
     def __init__(
         self,
         model: "MultiExitBayesNet",
-        exact: bool = True,
         cache_size: int = 4,
     ) -> None:
         self.model = model
-        self.exact = bool(exact)
         self._cache = _ActivationCache(cache_size)
         #: the engine's private forward context (streams + layer caches)
         self.ctx = ForwardContext()
@@ -413,9 +402,7 @@ class InferenceEngine:
         The replica has its own :class:`~repro.nn.context.ForwardContext`
         and activation cache, so it can run concurrently with this engine.
         """
-        return InferenceEngine(
-            self.model, exact=self.exact, cache_size=self._cache.maxsize
-        )
+        return InferenceEngine(self.model, cache_size=self._cache.maxsize)
 
     def __getstate__(self) -> dict:
         return _engine_getstate(self)
@@ -481,7 +468,6 @@ class InferenceEngine:
             num_passes,
             split,
             len(head.layers),
-            exact=self.exact,
             ctx=ctx,
         )
         return unfold_samples(softmax(logits, axis=-1), num_passes)

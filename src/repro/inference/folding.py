@@ -44,10 +44,6 @@ refactor is observationally invisible.  Three facts make that possible:
   materialised.  Every element still sees the identical multiply and the
   identical per-sample GEMM shape, so the fusion stays inside the bit-
   exactness contract (see :meth:`~repro.nn.layers.dense.Dense.forward_folded`).
-
-Passing ``exact=False`` trades the guarantee for speed: every layer then runs
-directly on the flat ``(S·N, …)`` fold (results still agree to within a few
-ULPs).
 """
 
 from __future__ import annotations
@@ -144,15 +140,13 @@ def folded_forward_range(
     num_samples: int,
     start: int,
     stop: int,
-    exact: bool = True,
     ctx: ForwardContext | None = None,
 ) -> np.ndarray:
     """Run layers ``[start, stop)`` of ``network`` on a sample-folded batch.
 
     ``x`` must already be folded to ``(S·N, …)`` (see :func:`fold_batch`).
-    With ``exact=True`` (default) the result is bit-identical to evaluating
-    the range once per sample on the ``(N, …)`` batch; with ``exact=False``
-    every layer runs on the flat fold (fastest, agreement to a few ULPs).
+    The result is bit-identical to evaluating the range once per sample on
+    the ``(N, …)`` batch.
     ``ctx`` supplies the MCD mask streams (and receives the layer caches);
     concurrent callers over the same network must each pass their own.
     """
@@ -179,8 +173,7 @@ def folded_forward_range(
         # arithmetic step match the unfused pair bit for bit (see
         # Dense.forward_folded), so the fusion is observationally invisible.
         if (
-            exact
-            and isinstance(layer, MCDropout)
+            isinstance(layer, MCDropout)
             and layer.rate > 0.0
             and i + 1 < stop
             and isinstance(layers[i + 1], Dense)
@@ -190,7 +183,7 @@ def folded_forward_range(
             out = layers[i + 1].forward_folded(out, num_samples, scaled_mask=scaled)
             i += 2
             continue
-        if not exact or isinstance(layer, ROWWISE_LAYERS):
+        if isinstance(layer, ROWWISE_LAYERS):
             out = layer.forward(out, training=False, ctx=ctx)
         elif isinstance(layer, Dense):
             out = layer.forward_folded(out, num_samples)

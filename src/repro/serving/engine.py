@@ -256,12 +256,12 @@ class ServingEngine:
             # submissions): it sizes the pinned staging buffers / ring slots
             max_batch_size=batcher_config.max_batch_size,
             input_shape=self.input_shape,
+            fault_plan=config.fault_plan,
         )
+        if fleet is not None:
+            pool_kwargs["respawn_wait"] = fleet.respawn_wait
         if config.worker_backend == "process":
             pool_kwargs["transport"] = config.worker_transport
-            pool_kwargs["fault_plan"] = config.fault_plan
-            if fleet is not None:
-                pool_kwargs["respawn_wait"] = fleet.respawn_wait
         self._pool = _POOL_BACKENDS[config.worker_backend](self.engine, **pool_kwargs)
         self.supervisor: WorkerSupervisor | None = None
         # autoscaler signal deltas (shed/completed since last evaluation)

@@ -8,7 +8,7 @@ that gap with two small control-loop components that a
 :class:`~repro.serving.engine.ServingEngine` runs alongside its batcher:
 
 * :class:`WorkerSupervisor` — a liveness loop over the worker pool.  It
-  periodically calls :meth:`~repro.serving.workers.base.WorkerPool
+  periodically calls :meth:`~repro.serving.workers.roster.WorkerPool
   .ensure_healthy`, which reaps workers that died since the last check
   (including *silent* deaths: a worker killed while idle never fails a
   pipe exchange, so only a liveness scan finds it), unlinks their ring
@@ -24,7 +24,7 @@ that gap with two small control-loop components that a
   deltas, and recent per-request latency.  Decisions are made by the
   pure function :meth:`Autoscaler.decide` over a :class:`FleetSignals`
   snapshot (unit-testable without clocks or sleeps); the loop applies
-  them via :meth:`~repro.serving.workers.base.WorkerPool.scale_to`,
+  them via :meth:`~repro.serving.workers.roster.WorkerPool.scale_to`,
   which drains a retiring replica's in-flight batch before releasing it.
 
 Both loops are deliberately *policy over mechanism*: the pool owns the
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .workers.base import WorkerPool
+    from .workers.roster import WorkerPool
 
 __all__ = [
     "FAULT_POINTS",
@@ -104,7 +104,9 @@ class FaultInjection:
 class FaultPlan:
     """Deterministic, consume-once schedule of worker kills (test-only).
 
-    Accepted by ``ProcessWorkerPool``/``ServingEngine`` (default off).
+    Accepted by ``WorkerPool``/``ServingEngine`` (default off), which hand
+    each injection to ``Replica.execute``; ``ServingConfig`` rejects a plan
+    on the thread backend, which has no process to kill.
     Each injection fires for exactly one delivery attempt: a batch whose
     first attempt was killed retries on a sibling, and that retry only
     dies too if the plan lists a *second* injection for the same seq —

@@ -1,14 +1,17 @@
-"""Worker backends for the serving tier.
+"""Worker tier of the serving engine: one roster, two kinds of replica.
 
-Two interchangeable :class:`~repro.serving.workers.base.WorkerPool`
-implementations execute the batches a
-:class:`~repro.serving.engine.ServingEngine` assembles:
+:class:`~repro.serving.workers.roster.WorkerPool` owns every fleet rule —
+checkout, crash-retry, scaling, generation swaps, counters — over
+interchangeable :class:`~repro.serving.workers.roster.Replica` objects.
+The two backends add only how a replica is made and how a batch reaches
+it:
 
-* :class:`ThreadWorkerPool` — K reentrant engine replicas on a thread-pool
-  executor (in-process; scales while the GIL-released GEMMs dominate).
-* :class:`ProcessWorkerPool` — K spawned worker processes over one
-  shared-memory parameter arena (true multi-core scaling even when the
-  Python glue dominates; survives individual worker crashes).
+* :class:`ThreadWorkerPool` — engine replicas on the serving engine's
+  thread pool (in-process; scales while the GIL-released GEMMs dominate).
+* :class:`ProcessWorkerPool` — spawned worker processes over one
+  shared-memory parameter arena per model generation (true multi-core
+  scaling even when the Python glue dominates; a worker can crash without
+  failing a request).
 
 Both run the same two functions — :func:`~repro.serving.workers.base
 .compute_batch_array` under a per-batch spawned context, then
@@ -24,14 +27,10 @@ stacked batch down the pipe as one pickled frame instead.  See
 :mod:`repro.serving.workers.ring` for the slot ownership rules.
 """
 
-from .base import (
-    WorkerCrashed,
-    WorkerPool,
-    assemble_results,
-    compute_batch_array,
-)
+from .base import WorkerCrashed, assemble_results, compute_batch_array
 from .procpool import ProcessWorkerPool
 from .ring import BatchRing, RingManifest
+from .roster import WorkerPool
 from .threads import ThreadWorkerPool
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Worker-pool abstraction shared by the thread and process backends.
+"""What a batch computes, shared by the thread and process backends.
 
 The serving tier separates *what a batch computes* from *where it runs*:
 
@@ -12,19 +12,13 @@ The serving tier separates *what a batch computes* from *where it runs*:
   the per-request :class:`~repro.uncertainty.metrics.UncertaintyResult`
   objects.
 
-Both backends run the *same two functions* — the thread pool calls them
-back-to-back on a worker thread, the process pool calls the first in a
+Both backends run the *same two functions* — a thread replica calls them
+back-to-back on a worker thread, a process replica calls the first in its
 worker process and the second on the receiving thread.  Responses are
 therefore **bit-identical across backends** (and across worker counts,
-by the spawn-key rule) whenever batch formation is identical.
-
-:class:`WorkerPool` is the small lifecycle contract
-:class:`~repro.serving.engine.ServingEngine` drives: ``start`` /
-``run(seq, payloads)`` / ``stop``, plus the fleet surface and counters.
-Pools own their engine replicas and know the batch geometry (largest
-batch, per-example shape) up front — the serving engine only accepts
-built models and ``submit()`` rejects every payload of another shape, so
-nothing downstream has to ask whether a batch conforms.
+by the spawn-key rule) whenever batch formation is identical.  Where a
+batch runs — which replica, what happens when it dies, how the fleet
+grows, shrinks and swaps models — is :mod:`repro.serving.workers.roster`.
 """
 
 from __future__ import annotations
@@ -45,8 +39,8 @@ from ...uncertainty.metrics import (
 
 __all__ = [
     "BatchOutput",
+    "Engine",
     "WorkerCrashed",
-    "WorkerPool",
     "assemble_results",
     "compute_batch_array",
     "engine_num_classes",
@@ -57,12 +51,12 @@ Engine = InferenceEngine | NetworkEngine
 
 
 class WorkerCrashed(RuntimeError):
-    """No live worker is left to serve a batch (process backend only).
+    """No live worker is left to serve a batch.
 
     Individual worker deaths are absorbed: the dead worker's in-flight
     batch is retried on a live sibling and the death is surfaced in
     ``ServingStats.worker_crashes``.  This error reaches callers only when
-    *every* worker of the pool has died.
+    *every* worker of the pool has died (thread replicas cannot).
     """
 
 
@@ -141,121 +135,3 @@ def assemble_results(out: BatchOutput) -> list[UncertaintyResult]:
         )
         for i in range(out.probs.shape[0])
     ]
-
-
-class WorkerPool:
-    """Lifecycle contract between :class:`ServingEngine` and its workers.
-
-    Subclasses own a fleet of engine replicas and guarantee that
-    :meth:`run` never executes two batches on the same replica at once.
-    ``start``/``stop`` bracket the serving engine's lifecycle; ``stop``
-    must be idempotent and leave the wrapped engine fully usable.
-
-    Beyond the original start/run/stop triple, pools expose the *fleet*
-    surface that :mod:`repro.serving.fleet` drives:
-
-    * :meth:`ensure_healthy` — detect replicas that died since the last
-      check, reclaim their resources and respawn replacements up to the
-      current target size (a no-op for backends whose replicas cannot
-      die, e.g. threads).
-    * :meth:`scale_to` — grow or shrink the fleet between batches.
-      Shrinking must *drain before retiring*: a replica with a batch in
-      flight finishes it and is only then released.
-    * :meth:`swap_engine` — replace the served engine with a new one
-      (weights **and shapes** may differ) via a rolling generation swap:
-      no request ever fails, no reader ever sees a torn update, and
-      :attr:`generation` increments exactly once per swap.
-
-    The counters below feed ``ServingStats``; they are plain ints mutated
-    only on the event loop (or under the GIL from executor threads).
-    """
-
-    #: dead workers observed so far (process backend; threads cannot die)
-    worker_crashes: int = 0
-    #: dead workers replaced by the supervisor (process backend)
-    workers_respawned: int = 0
-    #: completed grow/shrink transitions (either backend)
-    scale_events: int = 0
-    #: current model/arena generation; bumped once per ``swap_engine``
-    generation: int = 0
-    #: batches delivered over a shared-memory ring / over the pickle pipe
-    #: (process backend; the thread backend never crosses a boundary)
-    ring_batches: int = 0
-    pipe_batches: int = 0
-    #: content-keyed activation-cache hits/misses summed over every replica
-    #: the pool has ever owned (retired and crashed replicas included)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def __init__(
-        self,
-        engine: Engine,
-        workers: int,
-        num_samples: int | None,
-        early_exit_threshold: float | None,
-        *,
-        max_batch_size: int,
-        input_shape: tuple[int, ...],
-    ) -> None:
-        self.engine = engine
-        self.workers = int(workers)
-        self.num_samples = num_samples
-        self.early_exit_threshold = early_exit_threshold
-        #: batch geometry (largest batch, per-example shape): sizes the
-        #: pinned assembly buffers (threads) and the ring slots (processes)
-        self.max_batch_size = int(max_batch_size)
-        self.input_shape = tuple(input_shape)
-        #: desired fleet size; ``scale_to`` moves it, ``ensure_healthy``
-        #: restores it after crashes
-        self.target_workers = self.workers
-        #: set by a :class:`~repro.serving.fleet.WorkerSupervisor` when it
-        #: takes ownership of crash recovery: with a supervisor attached, a
-        #: transiently dead fleet *waits* for respawns instead of failing
-        #: submissions with :class:`WorkerCrashed`
-        self.supervised = False
-
-    @property
-    def current_workers(self) -> int:
-        """Replicas currently able to take a batch (excludes retiring/dead)."""
-        return self.workers
-
-    @property
-    def alive_workers(self) -> int:
-        """Replicas whose worker is verifiably alive *right now*.
-
-        Unlike :attr:`current_workers` (the roster view, updated when the
-        supervisor reaps a corpse), this probes the underlying workers —
-        the process backend checks ``process.is_alive()`` — so a silent
-        death is visible immediately.  It feeds the network front end's
-        ``/v1/health`` endpoint, which must flip before the supervisor's
-        next scan, not after.  Thread replicas cannot die independently,
-        so the default mirrors the roster.
-        """
-        return self.current_workers
-
-    async def start(self, executor) -> None:
-        raise NotImplementedError
-
-    async def stop(self) -> None:
-        raise NotImplementedError
-
-    async def run(self, seq: int, payloads: list) -> list[UncertaintyResult]:
-        """Serve one assembled batch; safe to call ``workers``-way concurrently."""
-        raise NotImplementedError
-
-    async def ensure_healthy(self) -> int:
-        """Reap dead replicas and respawn up to ``target_workers``.
-
-        Returns how many replicas were respawned.  The default is a no-op:
-        backends whose replicas cannot die independently (threads) are
-        always healthy.
-        """
-        return 0
-
-    async def scale_to(self, target: int) -> None:
-        """Grow or shrink the fleet to ``target`` replicas (drain on shrink)."""
-        raise NotImplementedError
-
-    async def swap_engine(self, engine: Engine) -> int:
-        """Roll the fleet onto ``engine`` (new weights/shapes); new generation."""
-        raise NotImplementedError

@@ -74,13 +74,6 @@ class TestFolding:
         with pytest.raises(RuntimeError):
             folded_forward_range(Network([Dense(2)]), x, 2, 0, 1)
 
-    def test_exact_and_fast_paths_agree_to_ulp(self, rng):
-        x = rng.normal(size=(4, 2, 4, 4))
-        exact_net, fast_net = _bayes_net(seed=9), _bayes_net(seed=9)
-        exact = NetworkEngine(exact_net, exact=True).sample(x, 5)
-        fast = NetworkEngine(fast_net, exact=False).sample(x, 5)
-        np.testing.assert_allclose(exact.sample_probs, fast.sample_probs, atol=1e-12)
-
 
 # --------------------------------------------------------------------------- #
 # microbatching

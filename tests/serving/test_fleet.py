@@ -355,9 +355,9 @@ def test_swap_releases_old_arena_segment():
             model, cfg(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
-            old_segment = server._pool._arena.manifest.segment_name
+            old_segment = server._pool._shared.manifest.segment_name
             await server.swap_model(_model(seed=1))
-            new_segment = server._pool._arena.manifest.segment_name
+            new_segment = server._pool._shared.manifest.segment_name
             await server.submit(X[1])
             return old_segment, new_segment
 
@@ -457,7 +457,9 @@ def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
     ``ServingStats`` promises totals over every replica the pool has ever
     owned; a swap retires the whole cohort and a scale-down retires part
     of it, so either would make a sum over the *current* roster go
-    backwards.
+    backwards.  The same holds while the engine is stopped: ``scale_to``
+    and ``swap_model`` then only record the size and model of the next
+    start, and what the stopped replicas counted stays counted.
     """
     counters = ("transport_ring_batches", "cache_misses", "cache_hits")
 
@@ -482,6 +484,18 @@ def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
             await _wait_until(lambda: server.stats().current_workers == 1)
             snapshots.append(server.stats())  # right after the drain
             await serve_and_snapshot()
+            # the stopped-engine phase: two replicas with traffic each, then
+            # a shrink and a swap that find nothing serving
+            await server._pool.scale_to(2)
+            await serve_and_snapshot()
+            await server.stop()
+            snapshots.append(server.stats())
+            await server._pool.scale_to(1)
+            snapshots.append(server.stats())
+            await server.swap_model(_model(seed=2))
+            snapshots.append(server.stats())
+            await server.start()
+            await serve_and_snapshot()
             return snapshots
 
     snapshots = asyncio.run(main())
@@ -490,9 +504,16 @@ def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
             assert getattr(after, name) >= getattr(before, name), name
     first, last = snapshots[0], snapshots[-1]
     # one request per batch, one cache lookup per batch — on whichever
-    # replica (old cohort, new cohort, grown, survivor) served it
+    # replica (old cohort, new cohort, grown, survivor, restarted) served it
     assert first.cache_hits + first.cache_misses == len(X)
-    assert last.cache_hits + last.cache_misses == 4 * len(X)
+    assert last.cache_hits + last.cache_misses == 6 * len(X)
     if backend == "process":
         assert first.transport_ring_batches == len(X)
-        assert last.transport_ring_batches == 4 * len(X)
+        assert last.transport_ring_batches == 6 * len(X)
+    # a stopped pool only records: the new size and model apply at start,
+    # and scale_events counts transitions a serving pool applied
+    stopped, resized, swapped = snapshots[-4:-1]
+    assert resized.scale_events == stopped.scale_events == 3
+    assert (stopped.current_workers, resized.current_workers) == (2, 1)
+    assert swapped.arena_generation == stopped.arena_generation + 1
+    assert last.current_workers == 1

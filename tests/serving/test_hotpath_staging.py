@@ -122,7 +122,7 @@ def test_refused_ring_ships_one_batch_frame_bit_identically(monkeypatch):
 
         async def main():
             async with server:
-                for handle in server._pool._handles:
+                for handle in server._pool._replicas:
 
                     def spy(msg, _orig=handle.conn.send):
                         if msg[0] != "stop":

@@ -263,7 +263,7 @@ def test_stop_releases_segment_and_model_stays_usable():
             model, cfg(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
-            return server._pool._arena.manifest.segment_name
+            return server._pool._shared.manifest.segment_name
 
     segment_name = asyncio.run(main())
     with pytest.raises(FileNotFoundError):

@@ -5,8 +5,9 @@ change: every test here pins one of the ways it must degrade gracefully —
 a batch the ring refuses ships as one pickled frame down the pipe,
 over-long responses come back pickled, a worker crash mid-slot retries on
 a sibling and unlinks the dead worker's segment, and ``stop()`` releases
-every ring segment.  Exchanges are strictly serial per worker (one slot
-each), so a cancelled batch can never push a later one off the ring.
+every ring segment.  Exchanges are strictly serial per replica (one slot
+per worker, one staging buffer per thread replica), so a cancelled batch
+can never be staged over or push a later one off the ring.
 Bit-identity between ``worker_transport="ring"`` and ``"pipe"`` is the
 umbrella guarantee the fallback makes unconditional.
 """
@@ -171,18 +172,21 @@ def test_response_overflow_returns_pickled_result(monkeypatch):
 
 
 @pytest.mark.timeout(120)
-def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
-    """One slot per worker suffices: a cancelled batch cannot strand it.
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend):
+    """A replica is never handed a second batch while a thread is inside it.
 
-    Cancelling the task awaiting an in-flight batch returns the worker to
+    Cancelling the task awaiting an in-flight batch returns the replica to
     checkout while an executor thread is still inside the exchange; the
-    handle lock makes the next batch (on another executor thread) wait for
-    that exchange to finish instead of staging over it.  Every later
-    response must match a thread K=1 server bit for bit, and nothing may
-    touch the pipe.
+    replica's lock makes the next batch (on another executor thread) wait
+    for that exchange to finish instead of staging over it — over the one
+    ring slot of a process worker, or over the pinned staging buffer (and
+    the engine) of a thread replica.  Every later response must match an
+    undisturbed thread K=1 server bit for bit, and nothing may touch the
+    pipe.
 
     The in-flight window is *held* open, not observed: the cancelled
-    batch's ``_stage`` (first step of the exchange, under the handle lock)
+    batch's staging step (first step of the exchange, under the lock)
     blocks on an event the test sets only after the cancellation has
     landed and the next batch has been launched behind it.
     """
@@ -193,19 +197,26 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
     release = threading.Event()
     staged_rows: list[np.ndarray] = []
 
-    async def process_main():
+    async def main():
         executor = ThreadPoolExecutor(max_workers=4)
         server = ServingEngine(
             _model(),
-            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
+            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend=backend),
             executor=executor,
         )
         loop = asyncio.get_running_loop()
         try:
             async with server:
                 pool = server._pool
-                (handle,) = pool._handles
-                stage = handle._stage
+                (replica,) = pool._replicas
+                # where a batch's rows land first: the worker's ring slot,
+                # or the thread replica's pinned staging buffer
+                owner, name = (
+                    (replica, "_stage")
+                    if backend == "process"
+                    else (replica.stager, "stage")
+                )
+                stage = getattr(owner, name)
 
                 def held_stage(payloads):
                     if armed.is_set():
@@ -215,7 +226,7 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
                     staged_rows.append(payloads[0])
                     return stage(payloads)
 
-                monkeypatch.setattr(handle, "_stage", held_stage)
+                monkeypatch.setattr(owner, name, held_stage)
                 results = {}
                 for seq in range(cancelled_seq):
                     (results[seq],) = await pool.run(seq, [X[seq]])
@@ -226,19 +237,19 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
                 )
                 entered = await loop.run_in_executor(None, staging.wait, hold_s)
                 assert entered, "the cancelled batch never reached the exchange"
-                assert handle._lock.locked()
+                assert replica._lock.locked()
                 batch.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await batch
 
-                # the worker is back in checkout while its exchange is
+                # the replica is back in checkout while its exchange is
                 # still held: the next batch must queue behind the lock
                 following = asyncio.ensure_future(
                     pool.run(cancelled_seq + 1, [X[cancelled_seq + 1]])
                 )
                 await asyncio.sleep(0.05)
                 assert not following.done(), "a batch overtook the held exchange"
-                assert len(staged_rows) == cancelled_seq, "staged over a held slot"
+                assert len(staged_rows) == cancelled_seq, "staged over a held batch"
                 release.set()
                 (results[cancelled_seq + 1],) = await asyncio.wait_for(
                     following, hold_s
@@ -250,7 +261,7 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
             release.set()
             executor.shutdown(wait=True)
 
-    got, stats = asyncio.run(process_main())
+    got, stats = asyncio.run(main())
     want, _ = _serve_sequentially("thread", workers=1)
     assert sorted(got) == [s for s in range(len(X)) if s != cancelled_seq]
     # the held exchange finished first, then every later batch, in order
@@ -260,7 +271,7 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch):
         assert res.entropy == want[seq].entropy
         assert res.mutual_information == want[seq].mutual_information
     assert stats.transport_pipe_batches == 0
-    assert stats.transport_ring_batches == len(X)
+    assert stats.transport_ring_batches == (len(X) if backend == "process" else 0)
     assert stats.worker_crashes == 0
 
 
@@ -302,7 +313,7 @@ def test_stop_releases_every_ring_segment():
             model, cfg(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
-            return [h.ring.manifest.segment_name for h in server._pool._handles]
+            return [h.ring.manifest.segment_name for h in server._pool._replicas]
 
     segments = asyncio.run(main())
     assert len(segments) == 2

@@ -258,7 +258,7 @@ def test_health_flips_during_supervised_worker_kill():
             assert (status, health["status"]) == (200, "ok")
 
             # kill the only worker out from under the supervisor
-            engine._pool._handles[0].process.kill()
+            engine._pool._replicas[0].process.kill()
             for _ in range(100):
                 status, health = await _request(srv, "GET", "/v1/health")
                 if status == 503:
