@@ -13,7 +13,8 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
-# Reentrancy/shared-memory/concurrency suites + the K=4 scaling gates
+# Reentrancy/shared-memory/concurrency suites (incl. the worker exchange's
+# cancellation and the batcher's hand-off ordering) + the K=4 scaling gates
 # (threads >= 1.8x, processes >= 2.5x; gates skip below 4 cores; BLAS
 # pinned so the workers scale, not the libraries) + the hot-path glue
 # gates (fused suffix >= 1.3x, per-batch glue <= 40 us, 0.25 ms batch
@@ -24,6 +25,7 @@ parallel:
 		tests/nn/test_forward_context.py tests/nn/test_shm_params.py \
 		tests/serving/test_parallel_serving.py tests/serving/test_procpool.py \
 		tests/serving/test_fleet.py tests/serving/test_roster.py \
+		tests/serving/test_ring.py tests/serving/test_batcher.py \
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \
 		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py \

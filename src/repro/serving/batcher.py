@@ -25,6 +25,14 @@ reads, submissions and cancellations are served as usual.  The price is
 loop-thread CPU, bounded by under 1 ms of polling per *partial* batch; a
 batch that fills never waits and pays nothing.
 
+**Hand-off.**  The step from one batch to the next is work-conserving:
+when a batch completes and requests are already queued, the collector
+takes them there and then (``get_nowait``, no getter task, no yield), so a
+next batch that is already full — or past its flush time — is dispatched
+*before* the finished batch's callers get their loop turns, and their
+bookkeeping overlaps the worker's compute instead of delaying it.  With
+nothing queued the collector waits exactly as described above.
+
 Backpressure comes from the bounded submission queue (``max_queue_size``):
 with the default ``reject_on_full=False`` an overloaded server makes
 ``submit`` *await* until capacity frees up (cooperative backpressure, load
@@ -268,7 +276,9 @@ class DynamicBatcher:
     While the in-flight limit is reached, new requests accumulate in the
     queue and form the next batch — so batch size adapts to load
     (single-request batches when idle, full batches under bursts) without
-    any explicit tuning.
+    any explicit tuning.  Whatever is queued when a batch completes is
+    taken at once, before that batch's callers resume (see *Hand-off* in
+    the module docstring).
     """
 
     def __init__(
@@ -505,21 +515,41 @@ class DynamicBatcher:
             finally:
                 self._heap_backlog = len(heap)
 
+        def take_backlog() -> bool:
+            """Everything already handed over goes to the heap, without yielding.
+
+            That is the queue plus whatever the carried-over getter fetched
+            meanwhile (left there, a backlog that keeps the heap non-empty
+            would starve it).  True if the sentinel was among it.
+            """
+            nonlocal pending_get
+            fetched_sentinel = False
+            if pending_get is not None and pending_get.done():
+                item, pending_get = pending_get.result(), None
+                if item is None:
+                    fetched_sentinel = True
+                else:
+                    heapq.heappush(heap, (item.heap_key, item))
+            return drain_queue_into_heap() or fetched_sentinel
+
         # the batch currently being assembled/launched; visible to `finally`
         # so a cancellation mid-launch cannot strand its requests
         batch: list[_Request] = []
         try:
             draining = False
             while not draining:
+                # work-conserving hand-off: requests that queued up behind
+                # the batch that just finished are taken here and now — a
+                # getter task would yield first, and the finished batch's
+                # callers would all run before the next batch is launched
+                draining = take_backlog()
                 if not heap:
+                    if draining:
+                        break  # sentinel with nothing pending: done
                     if pending_get is None:
                         pending_get = asyncio.ensure_future(queue.get())
-                    first = await pending_get
-                    pending_get = None
-                    if first is None:
-                        break  # sentinel with nothing pending: done
-                    heapq.heappush(heap, (first.heap_key, first))
-                draining = drain_queue_into_heap()
+                    await pending_get
+                    continue  # take_backlog() collects what the getter fetched
 
                 # assemble one batch, earliest deadline first
                 seed = heapq.heappop(heap)[1]

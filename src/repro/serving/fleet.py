@@ -105,7 +105,7 @@ class FaultPlan:
     """Deterministic, consume-once schedule of worker kills (test-only).
 
     Accepted by ``WorkerPool``/``ServingEngine`` (default off), which hand
-    each injection to ``Replica.execute``; ``ServingConfig`` rejects a plan
+    each injection to ``Replica.serve``; ``ServingConfig`` rejects a plan
     on the thread backend, which has no process to kill.
     Each injection fires for exactly one delivery attempt: a batch whose
     first attempt was killed retries on a sibling, and that retry only
@@ -113,8 +113,9 @@ class FaultPlan:
     which is precisely how the retry-on-sibling crash edges are pinned
     in the chaos suite.
 
-    ``take`` is called from pool-executor threads; the lock keeps the
-    consume-once guarantee under concurrent batch dispatch.
+    ``take`` is called on the event loop (``WorkerPool.run``, once per
+    delivery attempt); the lock is for the test threads that read
+    ``pending`` / ``fired`` while batches are being dispatched.
     """
 
     def __init__(

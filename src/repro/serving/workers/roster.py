@@ -9,14 +9,15 @@ check it in or retire it, retry on a sibling if it died, grow, shrink,
 roll a generation, keep the counters monotonic — over the small
 :class:`Replica` contract.  A backend supplies only *how a replica is
 made* (:meth:`WorkerPool._make_replicas`, plus whatever one generation's
-replicas share) and *how a batch reaches it* (:meth:`Replica.execute`).
+replicas share) and *how a batch reaches it* (:meth:`Replica.serve`).
 
 The rules, each stated once here and true of both backends:
 
 * **One batch per replica.**  Checkout hands a replica to one batch, and
-  :meth:`Replica.serve` holds the replica's lock for the whole exchange,
-  so a replica whose batch was cancelled (its executor thread keeps
-  running) makes the next batch wait instead of computing under it.
+  :meth:`Replica.serve` keeps the replica to that batch until its exchange
+  is really over — so a replica whose batch was cancelled mid-exchange
+  (an executor thread still computing, a worker's reply still in flight)
+  makes the next batch wait instead of running under it.
 * **Crashes.**  A replica that dies under a batch (:class:`ReplicaDied`)
   is reaped and the batch is retried on a live sibling; the death is
   counted once in ``worker_crashes`` whether the batch path or the
@@ -45,18 +46,25 @@ The rules, each stated once here and true of both backends:
 For deterministic crash-path testing the pool accepts a
 :class:`~repro.serving.fleet.FaultPlan`: one injection is consumed per
 delivery attempt, keyed on the batch sequence number, and rides into
-:meth:`Replica.execute` as ``fault`` (``None`` in production).
+:meth:`Replica.serve` as ``fault`` (``None`` in production).
+
+Fleet events — crash, respawn, scale, generation swap — leave one
+``logging`` record each on this module's logger; the per-batch path logs
+nothing.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 
 from ...uncertainty.metrics import UncertaintyResult
 from .base import Engine, WorkerCrashed
 
 __all__ = ["Replica", "ReplicaDied", "WorkerPool"]
+
+LOG = logging.getLogger(__name__)
 
 #: how long ``start`` waits for the initial cohort to become ready
 _START_TIMEOUT_S = 120.0
@@ -65,15 +73,17 @@ _COUNTERS = ("ring_batches", "pipe_batches", "cache_hits", "cache_misses")
 
 
 class ReplicaDied(Exception):
-    """Raised by :meth:`Replica.execute`: the worker behind it is gone."""
+    """Raised by :meth:`Replica.serve`: the worker behind it is gone."""
 
 
 class Replica:
     """One interchangeable engine copy, as the roster sees it.
 
-    Subclasses implement :meth:`execute` and override the liveness and
-    teardown methods when there is something behind the replica that can
-    die or must be released.
+    A replica whose batch is a blocking call implements :meth:`execute`
+    (:meth:`serve` runs it on the executor); one that can wait for its
+    worker on the event loop overrides :meth:`serve` itself.  Both override
+    the liveness and teardown methods when there is something behind the
+    replica that can die or must be released.
     """
 
     #: batches delivered over a shared-memory ring / the pickle pipe, and
@@ -91,25 +101,33 @@ class Replica:
         #: the executing batch and the liveness scan may both observe one
         #: death; it must count once
         self.crash_counted = False
-        # a cancelled batch hands the replica back while its executor
-        # thread is still inside execute(); the lock keeps the next batch
-        # (and shutdown) out until that thread is really done
+        # held for as long as an exchange uses the replica.  A cancelled
+        # batch hands the replica back while its exchange is still going;
+        # the lock keeps the next batch (and shutdown) out until it is over
         self._lock = threading.Lock()
 
-    def serve(self, seq: int, token, payloads: list, fault: str | None):
-        """Run one batch with the replica to itself; on an executor thread."""
+    async def serve(
+        self, off_loop, seq: int, token, payloads: list, fault: str | None
+    ) -> list[UncertaintyResult]:
+        """Run one batch with the replica to itself: one result per payload.
+
+        ``off_loop(fn, *args)`` is the pool's way of running blocking work
+        on its executor, ``token`` the pool's weights token for this batch
+        and ``fault`` a test-only kill point.  Raises :class:`ReplicaDied`
+        when the worker behind the replica died under the batch.  Here:
+        :meth:`execute` on an executor thread, under the replica's lock —
+        the thread of a cancelled batch keeps running and keeps the lock.
+        """
+        return await off_loop(self._execute_locked, seq, token, payloads, fault)
+
+    def _execute_locked(self, seq: int, token, payloads: list, fault: str | None):
         with self._lock:
             return self.execute(seq, token, payloads, fault)
 
     def execute(
         self, seq: int, token, payloads: list, fault: str | None
     ) -> list[UncertaintyResult]:
-        """Blocking: deliver the batch, return one result per payload.
-
-        ``token`` is the pool's weights token for this batch and ``fault``
-        a test-only kill point.  Raises :class:`ReplicaDied` when the
-        worker behind the replica died under the batch.
-        """
+        """Blocking form of :meth:`serve`, for replicas that compute in-thread."""
         raise NotImplementedError
 
     def is_alive(self) -> bool:
@@ -219,7 +237,7 @@ class WorkerPool:
         """Release an :meth:`_open_generation` result; blocking, off-loop."""
 
     def _weights_token(self):
-        """Token passed to ``execute`` with each batch; on the event loop."""
+        """Token passed to ``serve`` with each batch; on the event loop."""
         return None
 
     # ------------------------------------------------------------------ #
@@ -283,7 +301,11 @@ class WorkerPool:
     # lifecycle
     # ------------------------------------------------------------------ #
     def _off_loop(self, fn, *args):
-        """Blocking lifecycle work (spawn, reap, shutdown) on the executor."""
+        """Run blocking work on the executor.
+
+        That is all lifecycle work (spawn, reap, shutdown) and whatever part
+        of a batch its replica cannot do on the loop.
+        """
         return asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
 
     async def start(self, executor) -> None:
@@ -346,11 +368,26 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # fleet surface (supervisor / autoscaler / generation swaps)
     # ------------------------------------------------------------------ #
-    def _note_crash(self, replica: Replica) -> None:
-        """Count one death exactly once (batch path vs. health scan)."""
-        if not replica.crash_counted:
+    async def _bury(self, replica: Replica, cause: Exception | None = None) -> None:
+        """Count one death, reap the replica off-loop, log what was found.
+
+        The batch path and the health scan may both see the same death:
+        both reap (idempotent), whoever came first counts and logs it.
+        """
+        first = not replica.crash_counted
+        if first:
             replica.crash_counted = True
             self.worker_crashes += 1
+        # reap blocks (terminate + join + ring unlink); keep it off the loop
+        await self._off_loop(replica.reap)
+        if first:
+            LOG.warning(
+                "%r crashed (%s); %d of %d replicas left",
+                replica,
+                cause if cause is not None else "found dead by the liveness scan",
+                len(self._live()),
+                self.target_workers,
+            )
 
     def _check_in(self, replica: Replica) -> None:
         """Return a replica after a batch: back to checkout, or retire it."""
@@ -413,9 +450,7 @@ class WorkerPool:
                 if r.alive and not r.in_flight and not r.is_alive()
             ]
             for replica in silent:
-                self._note_crash(replica)
-                # reap blocks (join + ring unlink); keep it off the loop
-                await self._off_loop(replica.reap)
+                await self._bury(replica)
             # prune corpses (both silent deaths and batch-path reaps)
             self._forget([r for r in self._replicas if not r.alive])
             missing = self.target_workers - len(self._live())
@@ -423,6 +458,9 @@ class WorkerPool:
                 return 0
             await self._off_loop(self._add_replicas, missing, self._respawn_wait)
             self.workers_respawned += missing
+            LOG.info(
+                "respawned %d replica(s); fleet back at %d", missing, len(self._live())
+            )
             return missing
 
     async def scale_to(self, target: int) -> None:
@@ -445,6 +483,7 @@ class WorkerPool:
                     replica.retiring = True
                 self._drain_idle_retirees()
             self.scale_events += 1
+            LOG.info("scaled the fleet from %d to %d replicas", len(live), target)
 
     async def swap_engine(self, engine: Engine) -> int:
         """Roll the fleet onto ``engine`` (weights **and shapes** may differ).
@@ -484,6 +523,12 @@ class WorkerPool:
                 await asyncio.sleep(0.01)
                 self._drain_idle_retirees()
             await self._off_loop(self._close_generation, old_shared)
+            LOG.info(
+                "generation %d drained and closed; %d replica(s) serve generation %d",
+                self.generation - 1,
+                len(self._live()),
+                self.generation,
+            )
             return self.generation
 
     # ------------------------------------------------------------------ #
@@ -530,14 +575,12 @@ class WorkerPool:
             fault = self._fault_plan.take(seq) if self._fault_plan is not None else None
             replica.in_flight = True
             try:
-                result = await self._off_loop(
-                    replica.serve, seq, token, payloads, fault
+                result = await replica.serve(
+                    self._off_loop, seq, token, payloads, fault
                 )
             except ReplicaDied as exc:
                 replica.in_flight = False
-                self._note_crash(replica)
-                # reap blocks (terminate + join); keep it off the event loop
-                await self._off_loop(replica.reap)
+                await self._bury(replica, exc)
                 if not any(r.alive for r in self._replicas) and not self.supervised:
                     # poison the queue so waiters parked in get() wake up
                     # and observe the total death instead of hanging

@@ -385,6 +385,193 @@ def test_request_conservation_under_sub_millisecond_flush():
 
 
 # --------------------------------------------------------------------------- #
+# the work-conserving hand-off between two batches
+# --------------------------------------------------------------------------- #
+class _GatedDispatch:
+    """Echo dispatch that logs its entries and holds named batches open."""
+
+    def __init__(self, events: list, hold=()) -> None:
+        self.events = events
+        self.gates = {first: asyncio.Event() for first in hold}
+        self.entered = {first: asyncio.Event() for first in hold}
+
+    async def __call__(self, payloads):
+        self.events.append(("dispatch", list(payloads)))
+        gate = self.gates.get(payloads[0])
+        if gate is not None:
+            self.entered[payloads[0]].set()
+            await gate.wait()
+        return payloads
+
+
+async def _caller(batcher, events, payload):
+    result = await batcher.submit(payload)
+    events.append(("resumed", result))
+    return result
+
+
+def test_backlog_is_dispatched_before_the_finished_batch_resumes_its_callers():
+    """A next batch that is already full is launched at the hand-off.
+
+    With requests queued behind the running batch, the collector takes them
+    the moment that batch completes — ``dispatch`` is entered for them
+    before any caller of the finished batch gets its loop turn, so the
+    worker is fed first and the callers' bookkeeping overlaps its compute.
+    """
+
+    async def main():
+        events: list[tuple] = []
+        dispatch = _GatedDispatch(events, hold=["a0"])
+        async with DynamicBatcher(
+            dispatch, max_batch_size=2, max_batch_latency=5.0
+        ) as batcher:
+            first = [
+                asyncio.ensure_future(_caller(batcher, events, p)) for p in ("a0", "a1")
+            ]
+            await asyncio.wait_for(dispatch.entered["a0"].wait(), 5.0)
+            backlog = [
+                asyncio.ensure_future(_caller(batcher, events, p)) for p in ("b0", "b1")
+            ]
+            await asyncio.sleep(0.01)  # both sit in the queue behind batch a
+            assert batcher.queue_depth == 2
+            dispatch.gates["a0"].set()
+            await asyncio.wait_for(asyncio.gather(*first, *backlog), 5.0)
+        return events
+
+    events = asyncio.run(main())
+    assert events[:2] == [("dispatch", ["a0", "a1"]), ("dispatch", ["b0", "b1"])], (
+        "the finished batch's callers ran before the backlog was dispatched"
+    )
+    assert sorted(events[2:]) == [("resumed", p) for p in ("a0", "a1", "b0", "b1")]
+
+
+def test_backlog_past_its_flush_time_is_dispatched_partial_at_the_hand_off():
+    """A lone queued request whose wait is already over does not wait again."""
+
+    async def main():
+        events: list[tuple] = []
+        dispatch = _GatedDispatch(events, hold=["a0"])
+        async with DynamicBatcher(
+            dispatch, max_batch_size=2, max_batch_latency=0.005
+        ) as batcher:
+            first = [
+                asyncio.ensure_future(_caller(batcher, events, p)) for p in ("a0", "a1")
+            ]
+            await asyncio.wait_for(dispatch.entered["a0"].wait(), 5.0)
+            lone = asyncio.ensure_future(_caller(batcher, events, "b0"))
+            await asyncio.sleep(0.02)  # well past b0's flush time
+            dispatch.gates["a0"].set()
+            await asyncio.wait_for(asyncio.gather(*first, lone), 5.0)
+        return events
+
+    events = asyncio.run(main())
+    assert events[:2] == [("dispatch", ["a0", "a1"]), ("dispatch", ["b0"])]
+
+
+def test_lone_request_after_an_idle_hand_off_still_waits_out_the_batch_latency():
+    """With nothing queued at completion the collector waits exactly as before."""
+    flush = 0.03
+
+    async def main():
+        events: list[tuple] = []
+        async with DynamicBatcher(
+            _GatedDispatch(events), max_batch_size=4, max_batch_latency=flush
+        ) as batcher:
+            await asyncio.gather(*(batcher.submit(p) for p in "abcd"))  # a full batch
+            await asyncio.sleep(0.01)  # the collector is parked on an empty queue
+            start = time.perf_counter()
+            assert await asyncio.wait_for(batcher.submit("lone"), 5.0) == "lone"
+            waited = time.perf_counter() - start
+        assert [e[1] for e in events] == [list("abcd"), ["lone"]]
+        return waited
+
+    assert asyncio.run(main()) >= flush, "a partial batch was flushed before its time"
+
+
+def test_closed_loop_of_exactly_one_batch_of_callers_keeps_forming_full_batches():
+    """No backlog ever exists at the hand-off: every caller is in the batch.
+
+    The collector must then *wait* for the resubmissions (they all land in
+    one loop turn) instead of flushing the first one alone.
+    """
+    size, rounds = 8, 25
+
+    async def dispatch(payloads):
+        await asyncio.sleep(0)
+        return payloads
+
+    async def main():
+        async with DynamicBatcher(
+            dispatch, max_batch_size=size, max_batch_latency=5.0
+        ) as batcher:
+
+            async def caller(i):
+                for r in range(rounds):
+                    assert await batcher.submit((i, r)) == (i, r)
+
+            await asyncio.wait_for(
+                asyncio.gather(*(caller(i) for i in range(size))), 10.0
+            )
+        return batcher.stats
+
+    stats = asyncio.run(main())
+    assert stats.batches == rounds and stats.mean_batch_size == size
+
+
+def test_request_fetched_by_the_carried_over_getter_is_not_starved_by_a_backlog():
+    """The getter left in flight by a flush may fetch a request meanwhile.
+
+    That request is older than everything still queued; taking the queue
+    directly at the hand-off must not leave it parked in the getter while
+    batch after batch is formed from the backlog behind it.
+    """
+
+    async def main():
+        events: list[tuple] = []
+        dispatch = _GatedDispatch(events, hold=["first"])
+        async with DynamicBatcher(
+            dispatch, max_batch_size=2, max_batch_latency=0.005
+        ) as batcher:
+            # flushed alone by the timer: its getter stays in flight
+            first = asyncio.ensure_future(batcher.submit("first"))
+            await asyncio.wait_for(dispatch.entered["first"].wait(), 5.0)
+            later = [asyncio.ensure_future(batcher.submit(i)) for i in range(5)]
+            await asyncio.sleep(0.01)  # request 0 went to the getter, 1-4 queued
+            dispatch.gates["first"].set()
+            await asyncio.wait_for(asyncio.gather(first, *later), 5.0)
+        return events
+
+    events = asyncio.run(main())
+    assert [e[1] for e in events] == [["first"], [0, 1], [2, 3], [4]]
+
+
+def test_drain_sentinel_taken_at_the_hand_off_still_ends_the_collector():
+    """stop(drain=True) while a batch runs: sentinel behind a backlog, or alone."""
+
+    async def main(backlog: int):
+        events: list[tuple] = []
+        dispatch = _GatedDispatch(events, hold=["a0"])
+        batcher = DynamicBatcher(dispatch, max_batch_size=2, max_batch_latency=5.0)
+        await batcher.start()
+        first = [asyncio.ensure_future(batcher.submit(p)) for p in ("a0", "a1")]
+        await asyncio.wait_for(dispatch.entered["a0"].wait(), 5.0)
+        queued = [asyncio.ensure_future(batcher.submit(i)) for i in range(backlog)]
+        await asyncio.sleep(0.01)
+        stopping = asyncio.ensure_future(batcher.stop(drain=True))
+        await asyncio.sleep(0.01)  # the sentinel is queued behind the backlog
+        assert not stopping.done()
+        dispatch.gates["a0"].set()
+        await asyncio.wait_for(stopping, 5.0)
+        assert await asyncio.gather(*first, *queued) == ["a0", "a1", *range(backlog)]
+        assert not batcher.running and batcher.queue_depth == 0
+        assert batcher.stats.submitted == batcher.stats.completed == 2 + backlog
+        return [e[1] for e in events]
+
+    assert asyncio.run(main(backlog=3)) == [["a0", "a1"], [0, 1], [2]]
+    assert asyncio.run(main(backlog=0)) == [["a0", "a1"]]
+
+
+# --------------------------------------------------------------------------- #
 # shed-on-missed-deadline (opt-in admission_timeout policy)
 # --------------------------------------------------------------------------- #
 def test_expired_deadline_is_shed_with_typed_error():

@@ -17,6 +17,7 @@ fail the test, not hang the runner.
 from __future__ import annotations
 
 import asyncio
+import logging
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import ServingConfig, ServingEngine, WorkerCrashed
+from repro.serving.workers.procpool import ProcessWorkerPool
 
 
 def cfg(**kwargs):
@@ -379,6 +381,63 @@ def test_worker_crash_during_stop_drain_still_answers_queued_requests():
     assert stats.worker_crashes == 1
     for res in results:
         assert res.probs.shape == (5,)
+
+
+@pytest.mark.timeout(120)
+def test_fleet_events_leave_one_log_record_each(caplog, monkeypatch):
+    """Crash, respawn, scale, generation swap, ring refusal — and no batch.
+
+    ``repro.serving.workers`` logs what the fleet *did*; serving a batch on
+    the happy path is not an event and must not produce a record.
+    """
+    caplog.set_level(logging.INFO, logger="repro.serving.workers")
+
+    def records() -> list[str]:
+        return [
+            f"{r.levelname} {r.getMessage()}"
+            for r in caplog.records
+            if r.name.startswith("repro.serving.workers.")
+        ]
+
+    async def main():
+        async with ServingEngine(
+            _model(), cfg(num_samples=4, workers=1, worker_backend="process")
+        ) as server:
+            pool = server._pool
+            await server.submit_many(X)
+            assert records() == []
+
+            (victim,) = pool._replicas
+            victim.process.kill()
+            victim.process.join(10.0)
+            assert await pool.ensure_healthy() == 1
+            await pool.scale_to(2)
+            await server.swap_model(_model(seed=1))
+            events = records()
+            await server.submit_many(X)
+            assert records() == events, "a batch on the happy path was logged"
+
+            # a worker whose ring is too small for any batch: the first
+            # refusal is an event, the ones after it are only counted
+            monkeypatch.setattr(
+                ProcessWorkerPool, "_ring_geometry", lambda self: (64, 1 << 20)
+            )
+            await pool.scale_to(3)
+            for x in X:  # one request per batch: checkout rotates the fleet
+                await server.submit(x)
+            assert server.stats().transport_pipe_batches >= 2
+            return events, records()[len(events) :]
+
+    events, refusal = asyncio.run(main())
+    crash, respawn, scale, swap = events
+    assert crash.startswith("WARNING worker 0 (pid ") and "exit code -9" in crash
+    assert respawn == "INFO respawned 1 replica(s); fleet back at 1"
+    assert scale == "INFO scaled the fleet from 1 to 2 replicas"
+    assert swap.startswith("INFO generation 0 drained and closed; 2 replica(s)")
+    assert refusal[0] == "INFO scaled the fleet from 2 to 3 replicas"
+    (refused,) = refusal[1:]
+    # indices never repeat: 0 died, 1 respawned, 2 grew, 3-4 swapped in
+    assert refused.startswith("WARNING worker 5: the ring refused a request")
 
 
 @pytest.mark.timeout(120)

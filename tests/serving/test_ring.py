@@ -7,7 +7,8 @@ over-long responses come back pickled, a worker crash mid-slot retries on
 a sibling and unlinks the dead worker's segment, and ``stop()`` releases
 every ring segment.  Exchanges are strictly serial per replica (one slot
 per worker, one staging buffer per thread replica), so a cancelled batch
-can never be staged over or push a later one off the ring.
+can never be staged over, hand its reply to a later one or push a later
+one off the ring.
 Bit-identity between ``worker_transport="ring"`` and ``"pipe"`` is the
 umbrella guarantee the fallback makes unconditional.
 """
@@ -24,8 +25,8 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import ServingConfig, ServingEngine
-from repro.serving.workers.procpool import ProcessWorkerPool
+from repro.serving import FaultPlan, ServingConfig, ServingEngine
+from repro.serving.workers.procpool import ProcessWorkerPool, _WorkerHandle
 from repro.serving.workers.ring import BatchRing
 
 
@@ -171,100 +172,180 @@ def test_response_overflow_returns_pickled_result(monkeypatch):
     assert stats.transport_ring_batches == len(X)
 
 
-@pytest.mark.timeout(120)
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend):
-    """A replica is never handed a second batch while a thread is inside it.
+CANCELLED_SEQ = 2
+HOLD_S = 30.0  # far above any exchange; a wait this long is a failure
 
-    Cancelling the task awaiting an in-flight batch returns the replica to
-    checkout while an executor thread is still inside the exchange; the
-    replica's lock makes the next batch (on another executor thread) wait
-    for that exchange to finish instead of staging over it — over the one
-    ring slot of a process worker, or over the pinned staging buffer (and
-    the engine) of a thread replica.  Every later response must match an
-    undisturbed thread K=1 server bit for bit, and nothing may touch the
-    pipe.
+
+async def _until_doorbell(handles) -> None:
+    """Yield until a handle has a reply in flight (bounded, deterministic).
+
+    A batch stages its rows and rings its doorbell in its task's first
+    step, and the reply can only be read by a *later* loop turn — so the
+    first turn that sees an exchange in flight sits between the two.
+    """
+    for _ in range(10):
+        await asyncio.sleep(0)
+        if any(h.exchange_in_flight for h in handles):
+            return
+    raise AssertionError("the batch never rang its doorbell")
+
+
+async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
+    """Cancel batch 2 while an executor thread is inside the replica.
 
     The in-flight window is *held* open, not observed: the cancelled
-    batch's staging step (first step of the exchange, under the lock)
-    blocks on an event the test sets only after the cancellation has
-    landed and the next batch has been launched behind it.
+    batch's staging step (first step under the replica's lock) blocks on
+    an event the test sets only after the cancellation has landed and the
+    next batch has been launched behind it.
     """
-    cancelled_seq = 2
-    hold_s = 30.0  # far above any exchange; a wait this long is a failure
     armed = threading.Event()  # the next exchange is the one to hold
     staging = threading.Event()  # ... and it is inside the exchange now
     release = threading.Event()
-    staged_rows: list[np.ndarray] = []
+    executor = ThreadPoolExecutor(max_workers=4)
+    server = ServingEngine(
+        _model(),
+        cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
+        executor=executor,
+    )
+    loop = asyncio.get_running_loop()
+    try:
+        async with server:
+            pool = server._pool
+            (replica,) = pool._replicas
+            stage = replica.stager.stage
 
-    async def main():
-        executor = ThreadPoolExecutor(max_workers=4)
-        server = ServingEngine(
-            _model(),
-            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend=backend),
-            executor=executor,
-        )
-        loop = asyncio.get_running_loop()
-        try:
-            async with server:
-                pool = server._pool
-                (replica,) = pool._replicas
-                # where a batch's rows land first: the worker's ring slot,
-                # or the thread replica's pinned staging buffer
-                owner, name = (
-                    (replica, "_stage")
-                    if backend == "process"
-                    else (replica.stager, "stage")
-                )
-                stage = getattr(owner, name)
+            def held_stage(payloads):
+                if armed.is_set():
+                    armed.clear()
+                    staging.set()
+                    assert release.wait(HOLD_S), "the test never released"
+                staged_rows.append(payloads[0])
+                return stage(payloads)
 
-                def held_stage(payloads):
-                    if armed.is_set():
-                        armed.clear()
-                        staging.set()
-                        assert release.wait(hold_s), "the test never released"
-                    staged_rows.append(payloads[0])
-                    return stage(payloads)
+            monkeypatch.setattr(replica.stager, "stage", held_stage)
+            results = {}
+            for seq in range(CANCELLED_SEQ):
+                (results[seq],) = await pool.run(seq, [X[seq]])
 
-                monkeypatch.setattr(owner, name, held_stage)
-                results = {}
-                for seq in range(cancelled_seq):
-                    (results[seq],) = await pool.run(seq, [X[seq]])
+            armed.set()
+            batch = asyncio.ensure_future(pool.run(CANCELLED_SEQ, [X[CANCELLED_SEQ]]))
+            entered = await loop.run_in_executor(None, staging.wait, HOLD_S)
+            assert entered, "the cancelled batch never reached the exchange"
+            assert replica._lock.locked()
+            batch.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await batch
 
-                armed.set()
-                batch = asyncio.ensure_future(
-                    pool.run(cancelled_seq, [X[cancelled_seq]])
-                )
-                entered = await loop.run_in_executor(None, staging.wait, hold_s)
-                assert entered, "the cancelled batch never reached the exchange"
-                assert replica._lock.locked()
-                batch.cancel()
-                with pytest.raises(asyncio.CancelledError):
-                    await batch
-
-                # the replica is back in checkout while its exchange is
-                # still held: the next batch must queue behind the lock
-                following = asyncio.ensure_future(
-                    pool.run(cancelled_seq + 1, [X[cancelled_seq + 1]])
-                )
-                await asyncio.sleep(0.05)
-                assert not following.done(), "a batch overtook the held exchange"
-                assert len(staged_rows) == cancelled_seq, "staged over a held batch"
-                release.set()
-                (results[cancelled_seq + 1],) = await asyncio.wait_for(
-                    following, hold_s
-                )
-                for seq in range(cancelled_seq + 2, len(X)):
-                    (results[seq],) = await pool.run(seq, [X[seq]])
-                return results, server.stats()
-        finally:
+            # the replica is back in checkout while its exchange is
+            # still held: the next batch must queue behind the lock
+            following = asyncio.ensure_future(
+                pool.run(CANCELLED_SEQ + 1, [X[CANCELLED_SEQ + 1]])
+            )
+            await asyncio.sleep(0.05)
+            assert not following.done(), "a batch overtook the held exchange"
+            assert len(staged_rows) == CANCELLED_SEQ, "staged over a held batch"
             release.set()
-            executor.shutdown(wait=True)
+            (results[CANCELLED_SEQ + 1],) = await asyncio.wait_for(following, HOLD_S)
+            for seq in range(CANCELLED_SEQ + 2, len(X)):
+                (results[seq],) = await pool.run(seq, [X[seq]])
+            return results, server.stats()
+    finally:
+        release.set()
+        executor.shutdown(wait=True)
 
-    got, stats = asyncio.run(main())
+
+async def _cancel_between_doorbell_and_reply(monkeypatch, staged_rows: list):
+    """Cancel batch 2 after its doorbell, before the loop has read its reply.
+
+    No thread is involved: the batch's first step stages the rows and rings
+    the doorbell, and its reply can only be read by a *later* loop turn —
+    so the turn in which the handle first reports an exchange in flight is
+    a deterministic place to cancel.  The handle then stays owned until the
+    loop has read that reply and thrown it away; the next batch is handed
+    the same handle at once but may neither stage nor ring before that.
+    """
+    server = ServingEngine(
+        _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+    )
+    async with server:
+        pool = server._pool
+        (handle,) = pool._replicas
+        events: list[tuple] = []
+        stage, finish = handle._stage, handle._finish
+
+        def logged_stage(payloads):
+            staged_rows.append(payloads[0])
+            events.append(("doorbell", len(staged_rows) - 1))
+            return stage(payloads)
+
+        def logged_finish(results, *args, **kwargs):
+            events.append(("reply read", "discarded" if results.done() else "taken"))
+            return finish(results, *args, **kwargs)
+
+        monkeypatch.setattr(handle, "_stage", logged_stage)
+        monkeypatch.setattr(handle, "_finish", logged_finish)
+        results = {}
+        for seq in range(CANCELLED_SEQ):
+            (results[seq],) = await pool.run(seq, [X[seq]])
+        assert not handle.exchange_in_flight
+
+        batch = asyncio.ensure_future(pool.run(CANCELLED_SEQ, [X[CANCELLED_SEQ]]))
+        await _until_doorbell([handle])
+        assert events[-1] == ("doorbell", CANCELLED_SEQ)
+        batch.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await batch
+
+        # the handle is back in checkout with one reply still in flight
+        assert handle.exchange_in_flight and handle._lock.locked()
+        assert not handle.in_flight and pool._checkout.qsize() == 1
+        following = asyncio.ensure_future(
+            pool.run(CANCELLED_SEQ + 1, [X[CANCELLED_SEQ + 1]])
+        )
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        # ... and the next batch holds the handle but has not touched the
+        # slot or the pipe: the reply in flight is not its own
+        assert handle.in_flight and not following.done()
+        assert events[-1] == ("doorbell", CANCELLED_SEQ), "staged over a live slot"
+        (results[CANCELLED_SEQ + 1],) = await asyncio.wait_for(following, HOLD_S)
+        assert events[-3:] == [
+            ("reply read", "discarded"),
+            ("doorbell", CANCELLED_SEQ + 1),
+            ("reply read", "taken"),
+        ]
+        for seq in range(CANCELLED_SEQ + 2, len(X)):
+            (results[seq],) = await pool.run(seq, [X[seq]])
+        assert not handle.exchange_in_flight and not handle._lock.locked()
+        return results, server.stats()
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend):
+    """A replica is never handed a second batch while an exchange is inside it.
+
+    Cancelling the task awaiting an in-flight batch returns the replica to
+    checkout while its exchange is still going: an executor thread inside
+    a thread replica (holding its lock), one reply in flight from a
+    process worker (owning its handle).  The next batch waits for that
+    exchange to end instead of staging over it — over the pinned staging
+    buffer (and the engine) of a thread replica, or over the one ring slot
+    of a process worker, whose stale reply it could otherwise take for its
+    own.  Every later response must match an undisturbed thread K=1 server
+    bit for bit *for its own sequence number*, and nothing may touch the
+    pipe.
+    """
+    staged_rows: list[np.ndarray] = []
+    scenario = (
+        _cancel_between_doorbell_and_reply
+        if backend == "process"
+        else _cancel_inside_a_thread_replica
+    )
+    got, stats = asyncio.run(scenario(monkeypatch, staged_rows))
     want, _ = _serve_sequentially("thread", workers=1)
-    assert sorted(got) == [s for s in range(len(X)) if s != cancelled_seq]
-    # the held exchange finished first, then every later batch, in order
+    assert sorted(got) == [s for s in range(len(X)) if s != CANCELLED_SEQ]
+    # the cancelled exchange finished first, then every later batch, in order
     assert [row.tobytes() for row in staged_rows] == [x.tobytes() for x in X]
     for seq, res in got.items():
         np.testing.assert_array_equal(res.probs, want[seq].probs)
@@ -273,6 +354,125 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend
     assert stats.transport_pipe_batches == 0
     assert stats.transport_ring_batches == (len(X) if backend == "process" else 0)
     assert stats.worker_crashes == 0
+
+
+# --------------------------------------------------------------------------- #
+# the exchange lives on the event loop
+# --------------------------------------------------------------------------- #
+class _CountingExecutor(ThreadPoolExecutor):
+    submissions = 0
+
+    def submit(self, *args, **kwargs):
+        self.submissions += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("transport", ["ring", "pipe", "ring-overflow"])
+def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
+    """Between ``start`` and ``stop`` a ring batch needs no thread at all.
+
+    Pickled frames are the counter-example: the ``"batch"`` request and a
+    result that outgrew the slot may be of any size (the latter may still
+    be being written when its header arrives), so they are sent and
+    received on the executor, never on the loop — one submission per batch.
+    """
+    overflow = transport == "ring-overflow"
+    if overflow:  # every request fits its slot, no response does
+        transport = "ring"
+        monkeypatch.setattr(
+            ProcessWorkerPool, "_ring_geometry", lambda self: (1 << 20, 64)
+        )
+
+    async def main():
+        executor = _CountingExecutor(max_workers=2)
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=1,
+                worker_backend="process",
+                worker_transport=transport,
+            ),
+            executor=executor,
+        )
+        try:
+            async with server:
+                started = executor.submissions
+                assert started > 0  # spawning the worker did use it
+                for x in X:
+                    await server.submit(x)
+                return executor.submissions - started, server.stats()
+        finally:
+            executor.shutdown(wait=True)
+
+    submissions, stats = asyncio.run(main())
+    if transport == "pipe":
+        assert (submissions, stats.transport_pipe_batches) == (len(X), len(X))
+    else:
+        assert stats.transport_ring_batches == len(X)  # the request leg
+        assert submissions == (len(X) if overflow else 0)
+
+
+@pytest.mark.timeout(120)
+def test_no_reader_outlives_its_exchange(monkeypatch):
+    """Crash-retry, cancellation and ``stop()`` all leave the loop clean.
+
+    A reader left behind on a pipe or sentinel fd is this design's classic
+    leak: the number is reused by the next spawn, and the stale
+    registration either fires for the wrong worker or makes the next
+    ``add_reader`` fail.  ``loop.remove_reader`` returning ``False`` for
+    every fd a handle ever watched is the loop's own word that none stayed.
+    """
+    watched: set[int] = set()
+    watch = _WorkerHandle._watch
+
+    def recording_watch(self, loop, *args):
+        watch(self, loop, *args)
+        watched.update(self._watched[1])
+
+    monkeypatch.setattr(_WorkerHandle, "_watch", recording_watch)
+    # batch 1 dies holding its slot and is retried on the sibling; batch 3's
+    # worker answers and dies at once — reply and sentinel fire together
+    plan = FaultPlan([(1, "mid_compute"), (3, "post_response")])
+
+    async def main():
+        loop = asyncio.get_running_loop()
+
+        def stale() -> list[int]:
+            return [fd for fd in sorted(watched) if loop.remove_reader(fd)]
+
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=2,
+                worker_backend="process",
+                fault_plan=plan,
+            ),
+        )
+        async with server:
+            pool = server._pool
+            handles = list(pool._replicas)
+            await pool.run(0, [X[0]])
+            await pool.run(1, [X[1]])
+            assert pool.worker_crashes == 1 and len(watched) == 4
+            assert stale() == []
+
+            batch = asyncio.ensure_future(pool.run(2, [X[2]]))
+            await _until_doorbell(handles)
+            batch.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await batch
+            (survivor,) = [h for h in handles if h.exchange_in_flight]
+            await pool.run(3, [X[3]])  # waits out the reply in flight first
+            assert not survivor.exchange_in_flight and plan.pending == ()
+            assert stale() == []
+        assert stale() == []  # ... and stop() reaped a dead worker
+        return pool
+
+    pool = asyncio.run(main())
+    assert pool.ring_batches == 5 and pool.pipe_batches == 0
 
 
 # --------------------------------------------------------------------------- #
