@@ -14,9 +14,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
 # Reentrancy/shared-memory/concurrency suites (incl. the worker exchange's
-# cancellation and the batcher's hand-off ordering) + the K=4 scaling gates
-# (threads >= 1.8x, processes >= 2.5x; gates skip below 4 cores; BLAS
-# pinned so the workers scale, not the libraries) + the hot-path glue
+# two-deep queue and cancellation, worker/loop CPU placement — K = 1..3
+# pinned workers on a 4-core host — and the batcher's hand-off ordering) +
+# the K=4 scaling gates (threads >= 1.8x, processes >= 2.5x; gates skip
+# below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
+# one-ring-worker busy-share gate (>= 0.80) + the hot-path glue
 # gates (fused suffix >= 1.3x, per-batch glue <= 40 us, 0.25 ms batch
 # flush overshoot <= 300 us) + the conv gates (flat fold >= 2x, planned
 # prefix faster than layer-by-layer and allocating only its GEMM results)
@@ -26,6 +28,7 @@ parallel:
 		tests/serving/test_parallel_serving.py tests/serving/test_procpool.py \
 		tests/serving/test_fleet.py tests/serving/test_roster.py \
 		tests/serving/test_ring.py tests/serving/test_batcher.py \
+		tests/serving/test_placement.py \
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \
 		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py \

@@ -18,6 +18,14 @@ thread-backend K=4 number alongside, so ``BENCH_serving.json`` documents
 BLAS must be pinned (``OMP_NUM_THREADS=1`` etc., as the ``parallel`` CI
 job does) so library-internal threading does not hand the K=1 baseline
 all the cores for free.
+
+A second, hardware-independent gate needs only one CPU to spare: under a
+closed-loop flood one ring worker must spend **>= 80 %** of its time
+inside batches (``ServingStats.worker_busy_share``).  That is what the
+second ring slot and the worker's own CPU are for — the next batch is
+already staged when the worker has answered, and the loop thread its
+reply wakes runs elsewhere; with one slot and no placement the same flood
+left the worker 61-63 % busy.
 """
 
 from __future__ import annotations
@@ -176,6 +184,59 @@ def test_ring_transport_strictly_beats_pipe_transport():
         f"ring transport served the flood in {t_ring * 1e3:.1f} ms vs the "
         f"pipe's {t_pipe * 1e3:.1f} ms ({speedup:.2f}x) — zero-copy slots "
         "should strictly beat pickling every batch through the pipe"
+    )
+
+
+needs_spare_cpu = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="worker placement needs sched_setaffinity and a second allowed CPU",
+)
+
+
+@needs_spare_cpu
+@pytest.mark.timeout(300)
+def test_one_ring_worker_stays_busy_under_a_closed_loop_flood():
+    """Gate: 64 closed-loop callers keep one ring worker >= 80 % busy."""
+    callers, seconds = 64, 3.0
+    x = np.random.default_rng(9).normal(size=(256, 1, 12, 12))
+
+    async def main():
+        async with ServingEngine(
+            _model(),
+            cfg(
+                num_samples=10,
+                workers=1,
+                worker_backend="process",
+                max_batch_size=32,
+                max_queue_size=1024,
+            ),
+        ) as server:
+            stop_at = time.perf_counter() + seconds
+
+            async def caller(i: int) -> None:
+                while time.perf_counter() < stop_at:
+                    await server.submit(x[i % len(x)])
+                    i += callers
+
+            await asyncio.gather(*(caller(i) for i in range(callers)))
+            return server.stats()
+
+    stats = asyncio.run(main())
+    print(
+        f"\none ring worker, {callers} closed-loop callers, {seconds:.0f} s: "
+        f"busy {stats.worker_busy_share:.1%} of its time, "
+        f"{stats.throughput_rps:.0f} req/s, mean batch {stats.mean_batch_size:.1f}"
+    )
+    reporting.record(
+        "procpool_serving",
+        k1_ring_worker_busy_share=stats.worker_busy_share,
+        throughput_k1_ring_flood_rps=stats.throughput_rps,
+    )
+    assert stats.transport_pipe_batches == 0 and stats.worker_crashes == 0
+    assert stats.worker_busy_share >= 0.80, (
+        f"the worker computed only {stats.worker_busy_share:.1%} of the time "
+        "between its replies — the next batch should already be staged when "
+        "it answers, and its reply should not wake the loop onto its own CPU"
     )
 
 

@@ -169,7 +169,8 @@ class BatchStager:
     One stager per worker replica — the view is invalidated by the next
     ``stage`` call on the same stager, so a replica must be done with a
     batch (results assembled into fresh arrays) before its next checkout,
-    which the serving tier's one-batch-per-replica checkout guarantees.
+    which a thread replica's depth of one — one batch per checkout —
+    guarantees.
     """
 
     def __init__(self, max_batch_size: int, example_shape: Sequence[int]) -> None:

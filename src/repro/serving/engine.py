@@ -117,6 +117,12 @@ class ServingStats:
         workers piggyback deltas on each batch acknowledgement).  A hit
         means a batch's bytes were served before under the current
         weights and the deterministic forward prefix was skipped.
+    worker_busy_share:
+        Σ time inside batches / Σ time between replies, over every replica
+        the pool has owned (process workers piggyback both on each batch
+        acknowledgement, thread replicas time themselves).  Under
+        saturating load it says how much of a worker the serving glue
+        leaves idle; under light load it is simply utilisation.
     """
 
     requests_completed: int
@@ -160,6 +166,10 @@ class ServingStats:
     #: batch whose bytes were served before under the current weights
     cache_hits: int = 0
     cache_misses: int = 0
+    #: share of the workers' time between replies spent inside batches
+    #: (staging reads, compute, writing the response) — the rest they waited
+    #: for a request or sat in the reply's send; 0.0 before any batch
+    worker_busy_share: float = 0.0
 
     def to_dict(self) -> dict:
         """JSON-ready plain-dict form — the ``GET /v1/stats`` wire payload."""
@@ -275,7 +285,7 @@ class ServingEngine:
             max_queue_size=batcher_config.max_queue_size,
             reject_on_full=batcher_config.reject_on_full,
             admission_timeout=batcher_config.admission_timeout,
-            max_concurrent_batches=self.workers,
+            max_concurrent_batches=self.workers * self._pool.depth,
         )
         self._executor = executor
         self._owns_executor = executor is None
@@ -393,9 +403,10 @@ class ServingEngine:
         )
 
     def _on_scale(self, target: int) -> None:
-        # keep the dispatch pipeline as wide as the fleet, so grown
-        # workers actually receive concurrent batches
-        self._batcher.max_concurrent_batches = max(1, int(target))
+        # keep the dispatch pipeline as wide as the fleet (every replica
+        # holds ``depth`` batches), so grown workers actually receive
+        # concurrent batches
+        self._batcher.max_concurrent_batches = max(1, int(target)) * self._pool.depth
 
     async def swap_model(
         self, model: MultiExitBayesNet | InferenceEngine | NetworkEngine | Network
@@ -594,6 +605,7 @@ class ServingEngine:
             arena_generation=self._pool.generation,
             cache_hits=self._pool.cache_hits,
             cache_misses=self._pool.cache_misses,
+            worker_busy_share=self._pool.busy_share,
         )
 
     @property

@@ -19,9 +19,10 @@ Both run the same two functions — :func:`~repro.serving.workers.base
 bit-identical across backends and worker counts for identical batch
 formation.  Select with ``ServingConfig(worker_backend="thread"|"process")``.
 
-The process backend ships each batch through the worker's one-slot
+The process backend ships each batch through the worker's two-slot
 shared-memory ring (:class:`~repro.serving.workers.ring.BatchRing`,
-``worker_transport="ring"``, the default) with the pipe as a doorbell;
+``worker_transport="ring"``, the default) with the pipe as a doorbell —
+one batch computing, the next staged behind it;
 ``worker_transport="pipe"`` — and any batch the ring refuses — sends the
 stacked batch down the pipe as one pickled frame instead.  See
 :mod:`repro.serving.workers.ring` for the slot ownership rules.

@@ -6,7 +6,7 @@ the glue-bound hot path.  A :class:`BatchRing` removes the pickling and
 the parent-side intermediate copy entirely:
 
 * Each worker owns one shared-memory segment holding ``slots`` fixed-size
-  slots (the process pool creates one-slot rings — see *Ownership*).  A
+  slots (the process pool creates two-slot rings — see *Ownership*).  A
   slot has a **request region** and a **response region**, each a small
   int64 header (array count, dtype codes, shapes) followed by a
   64-byte-aligned payload area.
@@ -20,13 +20,13 @@ the parent-side intermediate copy entirely:
   (:meth:`write_response`); the parent reads them back as views
   (:meth:`read_response`) and assembles per-request results.
 
-**Ownership.**  Each ``(request, response)`` exchange is strictly
-serialised per worker by the handle lock in ``procpool``: the slot belongs
-to one batch from :meth:`stage_request` until its response has been fully
-assembled, and the worker may touch it only between receiving the doorbell
-and sending the acknowledgement.  One batch per worker at a time is why
-one slot per worker is enough.  Responses read as views must be consumed
-(or copied) *before* the exchange ends.
+**Ownership.**  A slot belongs to one ``(request, response)`` exchange of
+the handle in ``procpool`` from :meth:`stage_request` until its response
+has been fully assembled, and the worker may touch it only between
+receiving its doorbell and sending its acknowledgement.  The worker is
+serial, so two slots are all it can use: one under the batch it computes,
+one holding the batch staged behind it.  Responses read as views must be
+consumed (or copied) *before* the exchange ends.
 
 :meth:`stage_request` and :meth:`write_response` **refuse** what does not
 fit — a batch or response larger than the sized region, an exotic dtype,

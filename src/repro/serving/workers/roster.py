@@ -13,11 +13,17 @@ replicas share) and *how a batch reaches it* (:meth:`Replica.serve`).
 
 The rules, each stated once here and true of both backends:
 
-* **One batch per replica.**  Checkout hands a replica to one batch, and
-  :meth:`Replica.serve` keeps the replica to that batch until its exchange
-  is really over — so a replica whose batch was cancelled mid-exchange
-  (an executor thread still computing, a worker's reply still in flight)
-  makes the next batch wait instead of running under it.
+* **At most ``depth`` batches per replica.**  A replica says how many
+  batches it can hold at once (:attr:`Replica.depth`: one for an engine on
+  a thread, one per ring slot for a process worker) and is offered for
+  checkout that many times; :attr:`Replica.in_flight` counts the batches
+  holding it.  Checkout hands out every replica's first place before any
+  replica's second, so a batch queues behind another on one worker only
+  when every worker is busy.  :meth:`Replica.serve` keeps each of those
+  places until its exchange is really over — so a replica whose batch was
+  cancelled mid-exchange (an executor thread still computing, a worker's
+  reply still in flight) makes the next batch wait instead of running
+  under it.
 * **Crashes.**  A replica that dies under a batch (:class:`ReplicaDied`)
   is reaped and the batch is retried on a live sibling; the death is
   counted once in ``worker_crashes`` whether the batch path or the
@@ -29,8 +35,9 @@ The rules, each stated once here and true of both backends:
   respawn.
 * **Elasticity.**  :meth:`WorkerPool.scale_to` grows by making replicas of
   the current generation and shrinks by *marking* replicas retiring — a
-  retiring replica finishes its in-flight batch, takes no new one, and is
-  shut down on check-in (drain-before-retire).
+  retiring replica finishes its in-flight batches, takes no new one, and
+  is shut down, once, by the check-in that brings ``in_flight`` to zero
+  (drain-before-retire).
 * **Generations.**  :meth:`WorkerPool.swap_engine` opens the successor
   generation, makes a same-size cohort over it, retires the old cohort,
   waits out the drain and only then closes what the old generation shared.
@@ -56,6 +63,7 @@ nothing.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import logging
 import threading
 
@@ -69,7 +77,14 @@ LOG = logging.getLogger(__name__)
 #: how long ``start`` waits for the initial cohort to become ready
 _START_TIMEOUT_S = 120.0
 #: per-replica counters the pool banks when a replica leaves the roster
-_COUNTERS = ("ring_batches", "pipe_batches", "cache_hits", "cache_misses")
+_COUNTERS = (
+    "ring_batches",
+    "pipe_batches",
+    "cache_hits",
+    "cache_misses",
+    "compute_ns",
+    "cycle_ns",
+)
 
 
 class ReplicaDied(Exception):
@@ -86,18 +101,25 @@ class Replica:
     replica that can die or must be released.
     """
 
-    #: batches delivered over a shared-memory ring / the pickle pipe, and
-    #: activation-cache traffic, of this replica alone (``_COUNTERS``)
+    #: batches delivered over a shared-memory ring / the pickle pipe,
+    #: activation-cache traffic, and the worker's time inside batches
+    #: (``compute_ns``) out of its time between replies (``cycle_ns``), of
+    #: this replica alone (``_COUNTERS``)
     ring_batches = pipe_batches = cache_hits = cache_misses = 0
+    compute_ns = cycle_ns = 0
+    #: how many batches the replica can hold at once; the roster offers it
+    #: for checkout this many times
+    depth = 1
 
     def __init__(self) -> None:
         self.alive = True
         #: drain-before-retire flag: a retiring replica finishes its
-        #: in-flight batch but is shut down instead of re-entering checkout
+        #: in-flight batches but is shut down instead of re-entering checkout
         self.retiring = False
-        #: whether a batch currently holds the replica; the liveness scan
-        #: skips in-flight replicas (their own exchange surfaces the death)
-        self.in_flight = False
+        #: how many batches hold the replica right now (at most ``depth``);
+        #: the liveness scan skips in-flight replicas (their own exchange
+        #: surfaces the death) and a retiring one is shut down at zero
+        self.in_flight = 0
         #: the executing batch and the liveness scan may both observe one
         #: death; it must count once
         self.crash_counted = False
@@ -109,7 +131,7 @@ class Replica:
     async def serve(
         self, off_loop, seq: int, token, payloads: list, fault: str | None
     ) -> list[UncertaintyResult]:
-        """Run one batch with the replica to itself: one result per payload.
+        """Run one batch in one of the replica's places: one result per payload.
 
         ``off_loop(fn, *args)`` is the pool's way of running blocking work
         on its executor, ``token`` the pool's weights token for this batch
@@ -158,6 +180,10 @@ class WorkerPool:
     rejects every payload of another shape.
     """
 
+    #: the :attr:`Replica.depth` of the replicas this pool makes; the serving
+    #: engine keeps ``workers × depth`` batches in flight
+    depth = 1
+
     def __init__(
         self,
         engine: Engine,
@@ -203,11 +229,17 @@ class WorkerPool:
         #: counters of replicas no longer on the roster; live ones are
         #: summed on read
         self._banked = dict.fromkeys(_COUNTERS, 0)
-        self._checkout: asyncio.Queue | None = None
+        #: free places as ``(level, ticket, replica)``: a replica's n-th
+        #: place has level n, lowest level first, first in first out within
+        self._checkout: asyncio.PriorityQueue | None = None
+        self._tickets = itertools.count()
         self._executor = None
         self._loop: asyncio.AbstractEventLoop | None = None
         #: in-progress retire shutdowns; stop() waits for these
         self._retire_futures: set = set()
+        #: set whenever a retiring or dying replica has left the fleet for
+        #: good; what ``swap_engine`` sleeps on while the old cohort drains
+        self._departed = asyncio.Event()
         #: serializes fleet mutations (respawn / scale / swap) against each
         #: other — the supervisor's health and scale loops are separate
         #: tasks, and two concurrent spawns would race the roster
@@ -274,6 +306,12 @@ class WorkerPool:
         """Activation-cache misses over every replica the pool has owned."""
         return self._total("cache_misses")
 
+    @property
+    def busy_share(self) -> float:
+        """Share of the replicas' time between replies spent inside batches."""
+        cycle = self._total("cycle_ns")
+        return self._total("compute_ns") / cycle if cycle else 0.0
+
     def _live(self) -> list[Replica]:
         return [r for r in self._replicas if r.alive and not r.retiring]
 
@@ -315,7 +353,7 @@ class WorkerPool:
             return
         self._executor = executor
         self._loop = asyncio.get_running_loop()
-        self._checkout = asyncio.Queue()
+        self._checkout = asyncio.PriorityQueue()
         try:
             self._shared = await self._off_loop(
                 self._open_generation, self.engine, self.generation
@@ -343,7 +381,11 @@ class WorkerPool:
         """Event-loop callback: offer freshly made replicas for checkout."""
         for replica in replicas:
             if self._checkout is not None and replica.alive and not replica.retiring:
-                self._checkout.put_nowait(replica)
+                for level in range(replica.depth):
+                    self._offer(replica, level)
+
+    def _offer(self, replica: Replica, level: int) -> None:
+        self._checkout.put_nowait((level, next(self._tickets), replica))
 
     async def stop(self) -> None:
         if self._checkout is None and not self._replicas:
@@ -357,6 +399,7 @@ class WorkerPool:
         executor, self._executor = self._executor, None
         self._loop = None
         await loop.run_in_executor(executor, self._close)
+        self._departed.set()  # nothing is left for a swap to wait out
 
     def _close(self) -> None:
         for replica in self._replicas:
@@ -380,6 +423,7 @@ class WorkerPool:
             self.worker_crashes += 1
         # reap blocks (terminate + join + ring unlink); keep it off the loop
         await self._off_loop(replica.reap)
+        self._departed.set()
         if first:
             LOG.warning(
                 "%r crashed (%s); %d of %d replicas left",
@@ -389,16 +433,23 @@ class WorkerPool:
                 self.target_workers,
             )
 
-    def _check_in(self, replica: Replica) -> None:
-        """Return a replica after a batch: back to checkout, or retire it."""
-        replica.in_flight = False
+    def _check_in(self, replica: Replica, level: int) -> None:
+        """Return a place after a batch: back to checkout, or retire the replica."""
+        replica.in_flight -= 1
         if replica.retiring:
             self._retire(replica)
         elif self._checkout is not None:
-            self._checkout.put_nowait(replica)
+            self._offer(replica, level)
 
     def _retire(self, replica: Replica) -> None:
-        """Drop a drained replica from the roster; shut it down off-loop."""
+        """Drop a drained replica from the roster; shut it down off-loop.
+
+        Every place of a retiring replica ends up here — handed back by a
+        batch, or found idle in checkout — and all but the one that finds
+        the replica drained, and still on the roster, are simply dropped.
+        """
+        if replica.in_flight or replica not in self._replicas:
+            return
         if self._executor is None:  # stopping: _close() takes the whole roster
             return
         self._forget([replica])
@@ -408,27 +459,29 @@ class WorkerPool:
 
     def _reap_retire_future(self, fut) -> None:
         self._retire_futures.discard(fut)
+        self._departed.set()
         if not fut.cancelled():
             fut.exception()  # consume; shutdown() failures are best-effort
 
     def _drain_idle_retirees(self) -> None:
         """Retire every *idle* retiring replica parked in the checkout queue.
 
-        In-flight retirees are retired by their own check-in.  Dead poison
+        In-flight retirees are retired by their last check-in.  Dead poison
         tokens are preserved only in unsupervised mode, where parked
         waiters rely on them to observe a total-pool death.
         """
         if self._checkout is None:
             return
-        keep: list[Replica] = []
+        keep: list[tuple] = []
         while not self._checkout.empty():
-            replica = self._checkout.get_nowait()
+            place = self._checkout.get_nowait()
+            replica = place[-1]
             if replica.alive and replica.retiring:
-                self._retire(replica)
+                self._retire(replica)  # at most once; a spare place is dropped
             elif replica.alive or not self.supervised:
-                keep.append(replica)
-        for replica in keep:
-            self._checkout.put_nowait(replica)
+                keep.append(place)
+        for place in keep:
+            self._checkout.put_nowait(place)
 
     async def ensure_healthy(self) -> int:
         """Reap silently dead replicas and respawn up to ``target_workers``.
@@ -516,12 +569,13 @@ class WorkerPool:
             )
             for replica in old_cohort:
                 replica.retiring = True
-            # wait out the drain: in-flight old-generation replicas retire
-            # on check-in; alive flips false once shutdown() ran off-loop
+            # wait out the drain: idle old-generation replicas retire here,
+            # in-flight ones on their last check-in; alive flips false once
+            # shutdown() ran off-loop (or the replica died and was reaped)
             self._drain_idle_retirees()
             while any(r.alive for r in old_cohort) or self._retire_futures:
-                await asyncio.sleep(0.01)
-                self._drain_idle_retirees()
+                self._departed.clear()
+                await self._departed.wait()
             await self._off_loop(self._close_generation, old_shared)
             LOG.info(
                 "generation %d drained and closed; %d replica(s) serve generation %d",
@@ -535,7 +589,7 @@ class WorkerPool:
     # serving
     # ------------------------------------------------------------------ #
     async def run(self, seq: int, payloads: list) -> list[UncertaintyResult]:
-        """Serve one assembled batch; safe to call ``workers``-way concurrently."""
+        """Serve one assembled batch; concurrent calls are paced by checkout."""
         assert self._checkout is not None, "pool is not started"
         token = self._weights_token()
         while True:
@@ -545,12 +599,12 @@ class WorkerPool:
             # supervisor a transiently empty fleet is survivable: park on
             # checkout (bounded) until a respawn lands.
             if any(r.alive for r in self._replicas):
-                replica = await self._checkout.get()
+                level, _, replica = await self._checkout.get()
             elif not self.supervised:
                 raise WorkerCrashed(f"all {self.workers} serving workers have died")
             else:
                 try:
-                    replica = await asyncio.wait_for(
+                    level, _, replica = await asyncio.wait_for(
                         self._checkout.get(), self._respawn_wait
                     )
                 except asyncio.TimeoutError:
@@ -561,36 +615,38 @@ class WorkerPool:
                         f"within {self._respawn_wait}s"
                     ) from None
             if not replica.alive:
-                if not self.supervised:
+                if not self.supervised and not any(r.alive for r in self._replicas):
                     # a poison token from a total-pool death: pass the
                     # wake-up on to any other parked waiter, then raise at
-                    # the loop top.  (Supervised, the supervisor owns
-                    # recovery: the stale token is swallowed.)
-                    self._checkout.put_nowait(replica)
+                    # the loop top.  (A corpse's place met while siblings
+                    # live — the batch in its other place saw it die — and
+                    # any stale token under a supervisor, which owns
+                    # recovery, is swallowed.)
+                    self._offer(replica, level)
                 continue
             if replica.retiring:
                 # drain-before-retire: a retiring replica takes no new work
                 self._retire(replica)
                 continue
             fault = self._fault_plan.take(seq) if self._fault_plan is not None else None
-            replica.in_flight = True
+            replica.in_flight += 1
             try:
                 result = await replica.serve(
                     self._off_loop, seq, token, payloads, fault
                 )
             except ReplicaDied as exc:
-                replica.in_flight = False
+                replica.in_flight -= 1
                 await self._bury(replica, exc)
                 if not any(r.alive for r in self._replicas) and not self.supervised:
                     # poison the queue so waiters parked in get() wake up
                     # and observe the total death instead of hanging
-                    self._checkout.put_nowait(replica)
+                    self._offer(replica, level)
                     raise WorkerCrashed(
                         f"all {self.workers} serving workers have died (last: {exc})"
                     ) from exc
                 continue  # retry the batch on a live sibling (or a respawn)
             except BaseException:
-                self._check_in(replica)
+                self._check_in(replica, level)
                 raise
-            self._check_in(replica)
+            self._check_in(replica, level)
             return result

@@ -22,6 +22,8 @@ so everything else — checkout, scaling, swaps, counters — is
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ...uncertainty.metrics import UncertaintyResult
@@ -35,6 +37,9 @@ __all__ = ["ThreadWorkerPool"]
 class _ThreadReplica(Replica):
     """One engine and the staging buffer that travels with it."""
 
+    #: one engine context and one staging buffer: one batch at a time
+    depth = 1
+
     def __init__(self, pool: "ThreadWorkerPool", engine) -> None:
         super().__init__()
         self.pool = pool
@@ -43,6 +48,7 @@ class _ThreadReplica(Replica):
         # the caller's engine may have served before (batch callers, an
         # earlier start): only traffic from here on is this replica's
         self._cache_base = engine.cache_stats()
+        self._replied_ns = time.perf_counter_ns()
 
     @property
     def cache_hits(self) -> int:
@@ -53,6 +59,7 @@ class _ThreadReplica(Replica):
         return self.engine.cache_stats()[1] - self._cache_base[1]
 
     def execute(self, seq, token, payloads, fault) -> list[UncertaintyResult]:
+        started = time.perf_counter_ns()
         batch = self.stager.stage(payloads)
         if batch is None:  # BatchStager's no-fit answer: same layout, allocated
             batch = np.stack(payloads)
@@ -63,7 +70,12 @@ class _ThreadReplica(Replica):
             self.pool.num_samples,
             self.pool.early_exit_threshold,
         )
-        return assemble_results(out)
+        results = assemble_results(out)
+        now = time.perf_counter_ns()
+        self.compute_ns += now - started
+        self.cycle_ns += now - self._replied_ns
+        self._replied_ns = now
+        return results
 
 
 class ThreadWorkerPool(WorkerPool):

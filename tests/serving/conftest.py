@@ -4,7 +4,9 @@ A serving test that leaves a shared-memory segment in ``/dev/shm`` (a
 parameter arena generation, a worker's ring) or a live
 ``multiprocessing`` child (a worker process that outlived ``stop()``)
 fails, whichever exit path it took — crash retries, respawns, generation
-swaps and cancelled batches included.
+swaps and cancelled batches included.  So does one that leaves the test
+thread's CPU mask narrowed (a process pool keeps its loop thread off its
+workers' CPUs and must put the mask back when it stops).
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ def _foreign(name: str) -> bool:
 @pytest.fixture(autouse=True)
 def no_leaked_segments_or_workers():
     before = _shm_segments()
+    get_mask = getattr(os, "sched_getaffinity", None)
+    mask = get_mask(0) if get_mask is not None else None
     yield
+    if get_mask is not None and get_mask(0) != mask:
+        left = get_mask(0)
+        os.sched_setaffinity(0, mask)  # the tests after this one start clean
+        raise AssertionError(f"the test thread's CPU mask was left at {left}")
     # a worker told to stop is joined by the pool; give a terminated one
     # the moment it needs to be reaped before calling it a leak
     deadline = time.monotonic() + 2.0

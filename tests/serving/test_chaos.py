@@ -146,6 +146,46 @@ def test_chaos_kill_schedule_is_invisible_to_callers():
 
 
 # --------------------------------------------------------------------------- #
+# one worker, two batches in flight: every kill takes a neighbour with it
+# --------------------------------------------------------------------------- #
+@pytest.mark.timeout(300)
+def test_chaos_kills_with_two_batches_in_flight_on_one_worker():
+    """Every fault point, hitting the batch *behind* the one computing.
+
+    With a single worker the flood keeps both of its ring slots taken, so
+    each scheduled batch is staged behind the one the worker is computing:
+    a ``pre_doorbell`` kill takes that one down too, ``mid_compute`` dies
+    right after it was answered, ``post_response`` answers both and then
+    dies under whatever was staged next.  No sibling exists — every lost
+    batch waits for the supervisor's respawn — and still each response
+    must carry the bits of its own seq and each death count once.
+    """
+    n = 120
+    kills = [
+        (15, "pre_doorbell"),
+        (40, "mid_compute"),
+        (65, "post_response"),
+        (90, "pre_doorbell"),
+        (110, "mid_compute"),
+    ]
+    results, stats, unfired = _run_chaos_flood(n, kills, workers=1)
+
+    assert unfired == 0, "every scheduled kill must actually fire"
+    assert stats.requests_completed == n
+    assert stats.requests_rejected == 0
+    assert stats.worker_crashes == len(kills)
+    assert stats.workers_respawned == len(kills)
+    assert stats.current_workers == 1
+    assert stats.transport_pipe_batches == 0
+
+    oracle = _thread_oracle(_model, n)
+    for i, (got, want) in enumerate(zip(results, oracle)):
+        np.testing.assert_array_equal(got.probs, want.probs, err_msg=f"seq {i}")
+        assert got.entropy == want.entropy, f"seq {i}"
+        assert got.mutual_information == want.mutual_information, f"seq {i}"
+
+
+# --------------------------------------------------------------------------- #
 # generation swap mid-traffic: zero failures, no torn reads
 # --------------------------------------------------------------------------- #
 @pytest.mark.timeout(300)

@@ -54,7 +54,7 @@ def _model(mcd=1, seed=0, width=0.5):
 
 def _next_victim(server: ServingEngine):
     """The worker handle that will serve the next batch (checkout order)."""
-    return server._pool._checkout._queue[0]
+    return server._pool._checkout._queue[0][-1]  # (level, ticket, replica)
 
 
 async def _wait_until(predicate, timeout=30.0, interval=0.02):

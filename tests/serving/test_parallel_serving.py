@@ -392,10 +392,10 @@ def test_start_is_idempotent_while_serving():
         # would have re-enqueued the replica that was checked out above
         queue = server._pool._checkout
         assert queue.qsize() == 2
-        replicas = [queue.get_nowait() for _ in range(queue.qsize())]
-        assert len({id(r) for r in replicas}) == 2
-        for r in replicas:
-            queue.put_nowait(r)
+        places = [queue.get_nowait() for _ in range(queue.qsize())]
+        assert len({id(replica) for _, _, replica in places}) == 2
+        for place in places:
+            queue.put_nowait(place)
         await server.stop()
         return results, stats
 

@@ -5,10 +5,12 @@ change: every test here pins one of the ways it must degrade gracefully —
 a batch the ring refuses ships as one pickled frame down the pipe,
 over-long responses come back pickled, a worker crash mid-slot retries on
 a sibling and unlinks the dead worker's segment, and ``stop()`` releases
-every ring segment.  Exchanges are strictly serial per replica (one slot
-per worker, one staging buffer per thread replica), so a cancelled batch
-can never be staged over, hand its reply to a later one or push a later
-one off the ring.
+every ring segment.  A replica holds at most ``depth`` exchanges (one
+staging buffer per thread replica; two ring slots per worker, answered in
+doorbell order), and each keeps its place until its reply has been read —
+so a cancelled batch can never be staged over, hand its reply to a later
+one or push a later one off the ring, and a worker that dies fails every
+batch it held exactly once.
 Bit-identity between ``worker_transport="ring"`` and ``"pipe"`` is the
 umbrella guarantee the fallback makes unconditional.
 """
@@ -16,6 +18,9 @@ umbrella guarantee the fallback makes unconditional.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
@@ -64,7 +69,7 @@ def _serve_sequentially(backend: str, workers: int = 2, **kwargs):
 
 
 def _next_victim(server: ServingEngine):
-    return server._pool._checkout._queue[0]
+    return server._pool._checkout._queue[0][-1]  # (level, ticket, replica)
 
 
 # --------------------------------------------------------------------------- #
@@ -176,18 +181,66 @@ CANCELLED_SEQ = 2
 HOLD_S = 30.0  # far above any exchange; a wait this long is a failure
 
 
-async def _until_doorbell(handles) -> None:
-    """Yield until a handle has a reply in flight (bounded, deterministic).
+async def _until_doorbell(handles, replies: int = 1) -> None:
+    """Yield until a handle has ``replies`` in flight (bounded, deterministic).
 
     A batch stages its rows and rings its doorbell in its task's first
-    step, and the reply can only be read by a *later* loop turn — so the
-    first turn that sees an exchange in flight sits between the two.
+    step, and a reply can only be read by a *later* loop turn — so the
+    first turn that sees the exchanges in flight sits between the two.
     """
     for _ in range(10):
         await asyncio.sleep(0)
-        if any(h.exchange_in_flight for h in handles):
+        if any(h.replies_in_flight >= replies for h in handles):
             return
-    raise AssertionError("the batch never rang its doorbell")
+    raise AssertionError("the batches never rang their doorbells")
+
+
+@contextlib.contextmanager
+def _frozen(handle):
+    """Inside the block the worker cannot answer: replies stay in flight."""
+    os.kill(handle.process.pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        os.kill(handle.process.pid, signal.SIGCONT)
+
+
+async def _run_with_doorbells_out(pool, victim, batches, doorbells: int = 2) -> list:
+    """Run ``batches`` at once; ``victim`` cannot answer (or die) before its
+    ``doorbells`` are all in the pipe, so who is staged behind whom is not a
+    race."""
+    with _frozen(victim):
+        tasks = [
+            asyncio.ensure_future(pool.run(seq, [X[i] for i in rows]))
+            for seq, rows in enumerate(batches)
+        ]
+        await _until_doorbell([victim], replies=doorbells)
+    return await asyncio.gather(*tasks)
+
+
+def _assert_idle(handle) -> None:
+    """Every place handed back: both slots, the lock, the readers."""
+    assert handle.replies_in_flight == 0 and handle._owned == 0
+    assert sorted(handle._free_slots) == list(range(handle.depth))
+    assert not handle._lock.locked() and handle._watched is None
+
+
+class _PipeSpy:
+    """Stands in for a handle's ``conn``: what was sent, and in what state."""
+
+    def __init__(self, handle: _WorkerHandle) -> None:
+        self._conn = handle.conn
+        #: (frame kind, seq or None, places owned when it was sent)
+        self.sent: list[tuple] = []
+        self._handle = handle
+
+    def send(self, frame):
+        seq = frame[1] if len(frame) > 1 else None
+        self.sent.append((frame[0], seq, self._handle._owned))
+        self._conn.send(frame)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
 
 
 async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
@@ -255,14 +308,15 @@ async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
 
 
 async def _cancel_between_doorbell_and_reply(monkeypatch, staged_rows: list):
-    """Cancel batch 2 after its doorbell, before the loop has read its reply.
+    """Cancel batch 2 after its doorbell, with batch 3 staged behind it.
 
-    No thread is involved: the batch's first step stages the rows and rings
+    No thread is involved: a batch's first step stages the rows and rings
     the doorbell, and its reply can only be read by a *later* loop turn —
-    so the turn in which the handle first reports an exchange in flight is
-    a deterministic place to cancel.  The handle then stays owned until the
-    loop has read that reply and thrown it away; the next batch is handed
-    the same handle at once but may neither stage nor ring before that.
+    so the turn in which the handle first reports two replies in flight is
+    a deterministic place to cancel.  The cancelled batch's slot then stays
+    owned until the loop has read its reply and thrown it away; batch 4 is
+    handed the handle's free place at once but may neither stage nor ring
+    before that, and the reply it finally takes is its own.
     """
     server = ServingEngine(
         _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
@@ -270,71 +324,89 @@ async def _cancel_between_doorbell_and_reply(monkeypatch, staged_rows: list):
     async with server:
         pool = server._pool
         (handle,) = pool._replicas
+        assert handle.depth == 2
         events: list[tuple] = []
         stage, finish = handle._stage, handle._finish
 
-        def logged_stage(payloads):
+        def logged_stage(slot, payloads):
             staged_rows.append(payloads[0])
-            events.append(("doorbell", len(staged_rows) - 1))
-            return stage(payloads)
+            events.append(("doorbell", len(staged_rows) - 1, slot))
+            assert handle.replies_in_flight < handle.depth
+            return stage(slot, payloads)
 
-        def logged_finish(results, *args, **kwargs):
-            events.append(("reply read", "discarded" if results.done() else "taken"))
-            return finish(results, *args, **kwargs)
+        def logged_finish(*args, **kwargs):
+            head = handle._exchanges[0]
+            fate = "discarded" if head.results.done() else "taken"
+            events.append(("reply read", fate, head.slot))
+            return finish(*args, **kwargs)
 
         monkeypatch.setattr(handle, "_stage", logged_stage)
         monkeypatch.setattr(handle, "_finish", logged_finish)
         results = {}
         for seq in range(CANCELLED_SEQ):
             (results[seq],) = await pool.run(seq, [X[seq]])
-        assert not handle.exchange_in_flight
+        _assert_idle(handle)
 
-        batch = asyncio.ensure_future(pool.run(CANCELLED_SEQ, [X[CANCELLED_SEQ]]))
-        await _until_doorbell([handle])
-        assert events[-1] == ("doorbell", CANCELLED_SEQ)
-        batch.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await batch
+        with _frozen(handle):
+            batch = asyncio.ensure_future(pool.run(CANCELLED_SEQ, [X[CANCELLED_SEQ]]))
+            behind = asyncio.ensure_future(
+                pool.run(CANCELLED_SEQ + 1, [X[CANCELLED_SEQ + 1]])
+            )
+            await _until_doorbell([handle], replies=2)
+            (_, _, cancelled_slot), (_, _, other_slot) = events[-2:]
+            assert {cancelled_slot, other_slot} == {0, 1}
+            batch.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await batch
 
-        # the handle is back in checkout with one reply still in flight
-        assert handle.exchange_in_flight and handle._lock.locked()
-        assert not handle.in_flight and pool._checkout.qsize() == 1
-        following = asyncio.ensure_future(
-            pool.run(CANCELLED_SEQ + 1, [X[CANCELLED_SEQ + 1]])
+            # one place is back in checkout, but both replies are still in
+            # flight and both slots still owned
+            assert handle.replies_in_flight == 2 and handle._lock.locked()
+            assert handle.in_flight == 1 and pool._checkout.qsize() == 1
+            following = asyncio.ensure_future(
+                pool.run(CANCELLED_SEQ + 2, [X[CANCELLED_SEQ + 2]])
+            )
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            # ... so the third batch holds the place but has not touched a
+            # slot or the pipe: neither reply in flight is its own
+            assert handle.in_flight == 2 and not following.done()
+            assert events[-1] == ("doorbell", CANCELLED_SEQ + 1, other_slot)
+        (results[CANCELLED_SEQ + 1],) = await asyncio.wait_for(behind, HOLD_S)
+        (results[CANCELLED_SEQ + 2],) = await asyncio.wait_for(following, HOLD_S)
+        tail = events[-5:]
+        # the discarded reply freed the slot the third batch then staged
+        # into; replies were read in doorbell order, each from its own slot
+        assert tail.index(("reply read", "discarded", cancelled_slot)) < tail.index(
+            ("doorbell", CANCELLED_SEQ + 2, cancelled_slot)
         )
-        await asyncio.sleep(0)
-        await asyncio.sleep(0)
-        # ... and the next batch holds the handle but has not touched the
-        # slot or the pipe: the reply in flight is not its own
-        assert handle.in_flight and not following.done()
-        assert events[-1] == ("doorbell", CANCELLED_SEQ), "staged over a live slot"
-        (results[CANCELLED_SEQ + 1],) = await asyncio.wait_for(following, HOLD_S)
-        assert events[-3:] == [
-            ("reply read", "discarded"),
-            ("doorbell", CANCELLED_SEQ + 1),
-            ("reply read", "taken"),
+        assert [e for e in tail if e[0] == "reply read"] == [
+            ("reply read", "discarded", cancelled_slot),
+            ("reply read", "taken", other_slot),
+            ("reply read", "taken", cancelled_slot),
         ]
-        for seq in range(CANCELLED_SEQ + 2, len(X)):
+        for seq in range(CANCELLED_SEQ + 3, len(X)):
             (results[seq],) = await pool.run(seq, [X[seq]])
-        assert not handle.exchange_in_flight and not handle._lock.locked()
+        _assert_idle(handle)
         return results, server.stats()
 
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend):
-    """A replica is never handed a second batch while an exchange is inside it.
+    """A replica never holds more exchanges than it has places for.
 
-    Cancelling the task awaiting an in-flight batch returns the replica to
+    Cancelling the task awaiting an in-flight batch returns its place to
     checkout while its exchange is still going: an executor thread inside
-    a thread replica (holding its lock), one reply in flight from a
-    process worker (owning its handle).  The next batch waits for that
-    exchange to end instead of staging over it — over the pinned staging
-    buffer (and the engine) of a thread replica, or over the one ring slot
-    of a process worker, whose stale reply it could otherwise take for its
-    own.  Every later response must match an undisturbed thread K=1 server
-    bit for bit *for its own sequence number*, and nothing may touch the
-    pipe.
+    a thread replica (holding its lock), a reply in flight from a process
+    worker (owning one of its two ring slots).  The next batch waits for
+    that exchange to end instead of staging over it — over the pinned
+    staging buffer (and the engine) of a thread replica, or over a ring
+    slot whose stale reply it could otherwise take for its own.  At most
+    ``depth`` replies are ever in flight per handle, read in doorbell
+    order.  Every later response must match an undisturbed thread K=1
+    server bit for bit *for its own sequence number*, and nothing may
+    touch the pipe.
     """
     staged_rows: list[np.ndarray] = []
     scenario = (
@@ -372,12 +444,15 @@ class _CountingExecutor(ThreadPoolExecutor):
 def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
     """Between ``start`` and ``stop`` a ring batch needs no thread at all.
 
-    Pickled frames are the counter-example: the ``"batch"`` request and a
-    result that outgrew the slot may be of any size (the latter may still
-    be being written when its header arrives), so they are sent and
-    received on the executor, never on the loop — one submission per batch.
+    Not with two of them in flight per worker either.  Pickled frames are
+    the counter-example: the ``"batch"`` request and a result that outgrew
+    the slot may be of any size (the latter may still be being written
+    when its header arrives), so they are sent and received on the
+    executor, never on the loop — one submission per batch, also when the
+    next batch's doorbell was rung before the overflow showed.
     """
     overflow = transport == "ring-overflow"
+    pipe = transport == "pipe"
     if overflow:  # every request fits its slot, no response does
         transport = "ring"
         monkeypatch.setattr(
@@ -400,8 +475,19 @@ def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
             async with server:
                 started = executor.submissions
                 assert started > 0  # spawning the worker did use it
-                for x in X:
-                    await server.submit(x)
+                pool = server._pool
+                (handle,) = pool._replicas
+                in_flight = []
+                finish = handle._finish
+
+                def counting_finish(*args, **kwargs):
+                    in_flight.append(handle.replies_in_flight)
+                    return finish(*args, **kwargs)
+
+                monkeypatch.setattr(handle, "_finish", counting_finish)
+                # all at once: the worker's places are what paces them
+                await asyncio.gather(*(pool.run(seq, [x]) for seq, x in enumerate(X)))
+                assert max(in_flight) == handle.depth == (1 if pipe else 2)
                 return executor.submissions - started, server.stats()
         finally:
             executor.shutdown(wait=True)
@@ -423,6 +509,8 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
     registration either fires for the wrong worker or makes the next
     ``add_reader`` fail.  ``loop.remove_reader`` returning ``False`` for
     every fd a handle ever watched is the loop's own word that none stayed.
+    One pair of readers serves both replies in flight, so each scene runs
+    with two batches on one handle.
     """
     watched: set[int] = set()
     watch = _WorkerHandle._watch
@@ -432,9 +520,10 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
         watched.update(self._watched[1])
 
     monkeypatch.setattr(_WorkerHandle, "_watch", recording_watch)
-    # batch 1 dies holding its slot and is retried on the sibling; batch 3's
-    # worker answers and dies at once — reply and sentinel fire together
-    plan = FaultPlan([(1, "mid_compute"), (3, "post_response")])
+    # batch 0 dies holding its slot with batch 2 staged behind it, and both
+    # are retried on the sibling; batch 6's worker answers and dies at once
+    # — reply and sentinel fire together
+    plan = FaultPlan([(0, "mid_compute"), (6, "post_response")])
 
     async def main():
         loop = asyncio.get_running_loop()
@@ -453,26 +542,197 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
         )
         async with server:
             pool = server._pool
-            handles = list(pool._replicas)
-            await pool.run(0, [X[0]])
-            await pool.run(1, [X[1]])
+            victim, survivor = pool._replicas
+            # checkout offers each worker's first place, then the second
+            # ones: batches 0 and 2 share the first worker, 1 has the other
+            await _run_with_doorbells_out(pool, victim, [[0], [1], [2]])
             assert pool.worker_crashes == 1 and len(watched) == 4
+            assert (victim.ring_batches, survivor.ring_batches) == (2, 3)
+            _assert_idle(victim)
             assert stale() == []
 
-            batch = asyncio.ensure_future(pool.run(2, [X[2]]))
-            await _until_doorbell(handles)
-            batch.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await batch
-            (survivor,) = [h for h in handles if h.exchange_in_flight]
-            await pool.run(3, [X[3]])  # waits out the reply in flight first
-            assert not survivor.exchange_in_flight and plan.pending == ()
-            assert stale() == []
+            with _frozen(survivor):
+                batches = [
+                    asyncio.ensure_future(pool.run(seq, [X[seq]])) for seq in (3, 4)
+                ]
+                await _until_doorbell([survivor], replies=2)
+                for batch in batches:
+                    batch.cancel()
+                outcomes = await asyncio.gather(*batches, return_exceptions=True)
+                assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
+                assert survivor.replies_in_flight == 2
+            await pool.run(5, [X[5]])  # waits out a reply in flight first
+            await pool.run(6, [X[6]])
+            _assert_idle(survivor)
+            assert plan.pending == () and stale() == []
         assert stale() == []  # ... and stop() reaped a dead worker
         return pool
 
     pool = asyncio.run(main())
-    assert pool.ring_batches == 5 and pool.pipe_batches == 0
+    assert pool.ring_batches == 9 and pool.pipe_batches == 0
+
+
+# --------------------------------------------------------------------------- #
+# two exchanges per handle: deaths, refusals, the stop frame
+# --------------------------------------------------------------------------- #
+def _run_directly(backend: str, batches: list[list[int]], **kwargs) -> list[list]:
+    """``pool.run(seq, rows)`` for each batch in turn on a fresh K=1 server."""
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend=backend, **kwargs),
+        )
+        async with server:
+            return [
+                await server._pool.run(seq, [X[i] for i in rows])
+                for seq, rows in enumerate(batches)
+            ]
+
+    return asyncio.run(main())
+
+
+def _assert_same_bits(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for res, ref in zip(got, want):
+        np.testing.assert_array_equal(res.probs, ref.probs)
+        assert res.entropy == ref.entropy
+        assert res.mutual_information == ref.mutual_information
+
+
+ROWS = [[0, 1], [2], [3, 4, 5]]  # the rows of X in batches 0, 1 and 2
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize(
+    "seq, point, lost",
+    [
+        (0, "mid_compute", 2),  # the batch computing: both die with the worker
+        (2, "pre_doorbell", 2),  # killed staging behind it: both die
+        (2, "mid_compute", 1),  # the batch behind: the first was answered
+        (0, "post_response", 1),  # answered, then dead under the one behind
+        (2, "post_response", 0),  # both answered: a silent death
+    ],
+)
+def test_a_death_ends_every_exchange_in_flight_exactly_once(seq, point, lost):
+    """A worker that dies holding two batches fails both, each once.
+
+    The death sweep ends the exchanges whose doorbell is out; a batch still
+    between staging and doorbell ends itself.  Either way every lost batch
+    is retried on the sibling and comes back bit-identical to thread K=1
+    *for its own seq*, the death is counted once, and the dead handle's
+    slots, lock and readers are all released.
+    """
+    plan = FaultPlan([(seq, point)])
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=2,
+                worker_backend="process",
+                fault_plan=plan,
+            ),
+        )
+        async with server:
+            pool = server._pool
+            victim, sibling = pool._replicas
+            # first places first: batch 0 computes on the first worker,
+            # batch 1 on its sibling, batch 2 is staged behind batch 0
+            doorbells = 1 if point == "pre_doorbell" else 2
+            got = await _run_with_doorbells_out(pool, victim, ROWS, doorbells)
+            assert plan.pending == ()
+            assert pool.worker_crashes == (1 if lost else 0)
+            assert (victim.ring_batches, sibling.ring_batches) == (doorbells, 1 + lost)
+            _assert_idle(victim)
+            _assert_idle(sibling)
+            victim.process.join(10.0)
+            assert not victim.is_alive()
+            fds = [victim.process.sentinel]
+            if not victim.conn.closed:  # a silent death has not been reaped
+                fds.append(victim.conn.fileno())
+            loop = asyncio.get_running_loop()
+            assert not any(loop.remove_reader(fd) for fd in fds)
+            return got, server.stats()
+
+    got, stats = asyncio.run(main())
+    want = _run_directly("thread", ROWS)
+    for batch, ref in zip(got, want):
+        _assert_same_bits(batch, ref)
+    assert stats.transport_pipe_batches == 0
+
+
+@pytest.mark.timeout(120)
+def test_a_ring_refusal_waits_for_the_pipe_and_is_counted_once(monkeypatch):
+    """A frame of unbounded size takes the pipe alone.
+
+    One row fits the slot, two do not.  The two-row batch arrives while a
+    ring exchange is in flight: its pickled frame goes out only once that
+    reply has been read, and no doorbell is rung behind it until its own
+    reply is back.
+    """
+    one_row = (8 * X[0].size, 1 << 20)
+    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: one_row)
+    batches = [[0], [1, 2], [3], [4]]
+
+    async def main():
+        server = ServingEngine(
+            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+        )
+        async with server:
+            pool = server._pool
+            (handle,) = pool._replicas
+            handle.conn = spy = _PipeSpy(handle)
+            got = await asyncio.gather(
+                *(pool.run(seq, [X[i] for i in b]) for seq, b in enumerate(batches))
+            )
+            _assert_idle(handle)
+            return got, spy.sent, server.stats()
+
+    got, sent, stats = asyncio.run(main())
+    # (kind, seq, places owned at the send): the refused batch went out with
+    # the handle to itself, and the doorbell behind it after it had ended
+    assert sent[:3] == [("ring", 0, 1), ("batch", 1, 1), ("ring", 2, 1)]
+    assert sent[3][:2] == ("ring", 3)
+    assert (stats.transport_ring_batches, stats.transport_pipe_batches) == (3, 1)
+    for batch, ref in zip(got, _run_directly("thread", batches)):
+        _assert_same_bits(batch, ref)
+
+
+@pytest.mark.timeout(120)
+def test_the_stop_frame_waits_out_both_replies_in_flight():
+    """``shutdown()``'s stop frame cannot interleave with a doorbell.
+
+    Two batches are cancelled right after their doorbells and the server is
+    stopped at once: the stop frame is sent only when both replies have
+    been read (and thrown away), and the worker exits on it, not on a kill.
+    """
+
+    async def main():
+        server = ServingEngine(
+            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+        )
+        async with server:
+            pool = server._pool
+            (handle,) = pool._replicas
+            handle.conn = spy = _PipeSpy(handle)
+            with _frozen(handle):
+                batches = [
+                    asyncio.ensure_future(pool.run(seq, [X[seq]])) for seq in (0, 1)
+                ]
+                await _until_doorbell([handle], replies=2)
+                for batch in batches:
+                    batch.cancel()
+                await asyncio.gather(*batches, return_exceptions=True)
+                assert handle.replies_in_flight == 2 and handle._lock.locked()
+        return handle, spy.sent
+
+    handle, sent = asyncio.run(main())
+    # the stop frame owns the (idle) handle through its lock, not a place
+    assert sent == [("ring", 0, 1), ("ring", 1, 2), ("stop", None, 0)]
+    assert handle.process.exitcode == 0 and handle.ring_batches == 2
+    assert (handle.cache_misses, handle.replies_in_flight) == (2, 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,6 +7,8 @@ can be held inside a batch, killed silently, or killed by the real
 :class:`~repro.serving.fleet.FaultPlan` (``mid_compute``: dies holding the
 batch; ``post_response``: answers, then dies idle), and logs its teardown;
 the :class:`FakePool` around it logs what each generation opens and closes.
+``FakePool(workers, depth=2)`` makes replicas that hold two batches at
+once, the way a process worker's two ring slots do.
 
 Every ``run()`` goes through :func:`run`, which checks the roster's
 conservation law: exactly one result per payload, or an exception.
@@ -31,8 +33,15 @@ class FakeReplica(Replica):
     def __init__(self, pool: "FakePool") -> None:
         super().__init__()
         self.pool = pool
+        self.depth = pool.depth
         self.generation = pool.generation
         self.dead = False  # the "worker" behind the replica
+
+    async def serve(self, off_loop, seq, token, payloads, fault):
+        if self.depth == 1:
+            return await super().serve(off_loop, seq, token, payloads, fault)
+        # a deep replica's places run side by side, not under one lock
+        return await off_loop(self.execute, seq, token, payloads, fault)
 
     def execute(self, seq, token, payloads, fault):
         entered, release = self.pool.holds.get(seq, (None, None))
@@ -64,9 +73,10 @@ class FakeReplica(Replica):
 
 
 class FakePool(WorkerPool):
-    def __init__(self, workers: int, **kwargs) -> None:
+    def __init__(self, workers: int, depth: int = 1, **kwargs) -> None:
         geometry = dict(max_batch_size=4, input_shape=(1,))
         super().__init__("engine-0", workers, None, None, **geometry, **kwargs)
+        self.depth = depth
         self.log: list[tuple] = []
         #: seq -> (entered, release): hold that batch inside its replica
         self.holds: dict[int, tuple[threading.Event, threading.Event]] = {}
@@ -233,6 +243,155 @@ def test_silent_death_is_found_only_by_the_scan_and_respawned_to_target():
     asyncio.run(main())
 
 
+def test_the_scan_leaves_a_replica_with_a_batch_in_flight_alone():
+    """``in_flight`` is a count: one of two places taken still means busy."""
+
+    async def main():
+        async with serving(2, depth=2) as pool:
+            victim, sibling = pool._replicas
+            entered, release = pool.hold(0)
+            batch = asyncio.ensure_future(run(pool, 0, size=2))
+            await wait_for_event(entered)
+            victim.dead = True
+            # its own exchange will surface the death; the scan must not
+            # reap a replica from under a batch
+            assert victim.in_flight == 1
+            assert await pool.ensure_healthy() == 0
+            assert victim.alive and pool.worker_crashes == 0
+            release.set()
+            await batch  # died under it, retried on the sibling
+            assert batches(pool) == [("batch", 0, sibling)]
+            assert pool.worker_crashes == 1 and not victim.alive
+            # the corpse's spare place is still in checkout: it is swallowed
+            for seq in range(1, 5):
+                await run(pool, seq)
+            assert {entry[2] for entry in batches(pool)} == {sibling}
+
+    asyncio.run(main())
+
+
+# --------------------------------------------------------------------------- #
+# depth: how many batches one replica holds
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_replica_is_handed_as_many_batches_as_it_is_deep(depth):
+    async def main():
+        async with serving(1, depth=depth) as pool:
+            (only,) = pool._replicas
+            assert pool._checkout.qsize() == depth
+            entered, release = pool.hold(0)
+            first = asyncio.ensure_future(run(pool, 0))
+            await wait_for_event(entered)
+            second = asyncio.ensure_future(run(pool, 1, size=2))
+            if depth == 2:
+                # handed over, served and back before the first returns
+                await second
+                assert only.in_flight == 1 and not first.done()
+            else:
+                await asyncio.sleep(0.02)
+                assert only.in_flight == 1 and not second.done()
+            release.set()
+            await asyncio.gather(first, second)
+            order = [0, 1] if depth == 1 else [1, 0]
+            assert [entry[1] for entry in batches(pool)] == order
+            assert only.in_flight == 0 and pool._checkout.qsize() == depth
+
+    asyncio.run(main())
+
+
+def test_a_second_batch_joins_a_busy_replica_only_when_every_replica_is_busy():
+    """Checkout hands out every first place before any second one."""
+
+    async def main():
+        async with serving(2, depth=2) as pool:
+            one, other = pool._replicas
+            held = [pool.hold(seq) for seq in range(3)]
+            inflight = [asyncio.ensure_future(run(pool, seq)) for seq in range(3)]
+            for entered, _ in held:
+                await wait_for_event(entered)
+            assert (one.in_flight, other.in_flight) == (2, 1)
+            # the first place to come back is the next to go out, whoever
+            # else has a second place free
+            held[1][1].set()
+            await inflight[1]
+            assert pool._checkout._queue[0][-1] is other
+            await run(pool, 3)
+            assert batches(pool) == [("batch", 1, other), ("batch", 3, other)]
+            for _, release in held:
+                release.set()
+            await asyncio.gather(*inflight)
+
+    asyncio.run(main())
+
+
+def test_a_retiring_replica_is_shut_down_once_by_its_last_check_in():
+    async def main():
+        async with serving(2, depth=2) as pool:
+            keeper, retiree = pool._replicas
+            held = [pool.hold(seq) for seq in range(4)]
+            # checkout offers every replica's first place, then the second
+            # ones: batches 0 and 2 are the keeper's, 1 and 3 the retiree's
+            inflight = [asyncio.ensure_future(run(pool, seq)) for seq in range(4)]
+            for entered, _ in held:
+                await wait_for_event(entered)
+            assert (keeper.in_flight, retiree.in_flight) == (2, 2)
+            await pool.scale_to(1)
+            assert retiree.retiring and retiree.alive
+            held[1][1].set()
+            await inflight[1]
+            await asyncio.sleep(0.02)
+            # one batch is still inside it: nothing may shut it down yet
+            assert retiree.in_flight == 1 and retiree.alive
+            assert ("shutdown", retiree) not in pool.log
+            held[3][1].set()
+            await inflight[3]
+            await wait_until(lambda: not retiree.alive)
+            assert pool.log.count(("shutdown", retiree)) == 1
+            assert pool.log.index(("batch", 3, retiree)) < pool.log.index(
+                ("shutdown", retiree)
+            )
+            for seq in (0, 2):
+                held[seq][1].set()
+            await asyncio.gather(inflight[0], inflight[2])
+            assert pool._replicas == [keeper] and pool._checkout.qsize() == 2
+            assert pool.cache_misses == 4
+
+    asyncio.run(main())
+
+
+def test_a_retiring_place_met_in_checkout_is_dropped_without_a_shutdown():
+    """A waiter may be handed a place just before its replica is retired.
+
+    The place is not served and not returned — and while the replica's
+    other batch is in flight it is not shut down either: that batch's
+    check-in does it, once.
+    """
+
+    async def main():
+        async with serving(2, depth=2) as pool:
+            retiree, sibling = pool._replicas
+            held = [pool.hold(seq) for seq in (0, 1)]
+            stragglers = [asyncio.ensure_future(run(pool, seq)) for seq in (0, 1)]
+            for entered, _ in held:
+                await wait_for_event(entered)
+            # marked but not drained: what a parked waiter sees when the
+            # mark lands between its wake-up and its next step
+            retiree.retiring = True
+            assert pool._checkout._queue[0][-1] is retiree  # its second place
+            await run(pool, 2)
+            assert batches(pool) == [("batch", 2, sibling)]
+            assert retiree.alive and ("shutdown", retiree) not in pool.log
+            assert retiree not in [place[-1] for place in pool._checkout._queue]
+            for _, release in held:
+                release.set()
+            await asyncio.gather(*stragglers)
+            await wait_until(lambda: not retiree.alive)
+            assert pool.log.count(("shutdown", retiree)) == 1
+            assert pool._replicas == [sibling]
+
+    asyncio.run(main())
+
+
 # --------------------------------------------------------------------------- #
 # elasticity and generations
 # --------------------------------------------------------------------------- #
@@ -314,13 +473,11 @@ def test_a_stopped_pool_only_records_scale_and_swap():
 # --------------------------------------------------------------------------- #
 # conservation
 # --------------------------------------------------------------------------- #
-def test_every_run_returns_one_result_per_payload_or_raises():
-    """Retries never duplicate or drop a row; a lost fleet raises, always."""
-
+def _conservation_under_three_deaths(depth: int) -> None:
     async def main():
         # batch 6 dies twice: on its first replica and on the one it retries on
         plan = FaultPlan([(2, "mid_compute"), (6, "mid_compute"), (6, "mid_compute")])
-        async with serving(3, fault_plan=plan) as pool:
+        async with serving(3, depth=depth, fault_plan=plan) as pool:
             outcomes = await asyncio.gather(
                 *(run(pool, seq, size=1 + seq % 3) for seq in range(12)),
                 return_exceptions=True,
@@ -336,3 +493,13 @@ def test_every_run_returns_one_result_per_payload_or_raises():
                 await run(pool, 12)
 
     asyncio.run(main())
+
+
+def test_every_run_returns_one_result_per_payload_or_raises():
+    """Retries never duplicate or drop a row; a lost fleet raises, always."""
+    _conservation_under_three_deaths(depth=1)
+
+
+def test_every_run_returns_its_rows_or_raises_with_two_batches_per_replica():
+    """... also when a death takes two batches with it."""
+    _conservation_under_three_deaths(depth=2)
