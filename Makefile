@@ -13,9 +13,11 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
-# Reentrancy/shared-memory/concurrency suites (incl. the worker exchange's
-# two-deep queue and cancellation, worker/loop CPU placement — K = 1..3
-# pinned workers on a 4-core host — and the batcher's hand-off ordering) +
+# Reentrancy/shared-memory/concurrency suites (incl. the ring exchange's
+# two-deep queue and cancellation, the slot-sizing contract — a spawn-free
+# geometry grid, a lying geometry failing one batch — the pipe replica's
+# deaths, worker/loop CPU placement — K = 1..3 pinned workers on a 4-core
+# host — and the batcher's hand-off ordering) +
 # the K=4 scaling gates (threads >= 1.8x, processes >= 2.5x; gates skip
 # below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
 # one-ring-worker busy-share gate (>= 0.80) + the hot-path glue
@@ -42,10 +44,19 @@ chaos:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 $(PYTHON) -m pytest -q -p no:randomly \
 		-m chaos tests/serving/test_chaos.py
 
-# Static checks (ruff config lives in pyproject.toml; same gate as CI)
+# Static checks (ruff config lives in pyproject.toml; same gate as CI).
+# Where ruff is not installed (and cannot be: no network), a stdlib
+# fallback covers the part that catches deletions gone wrong: everything
+# compiles, no import is left unused, every `__all__` name is defined.
 lint:
+ifneq ($(shell command -v ruff 2>/dev/null),)
 	ruff check .
 	ruff format --check .
+else
+	@echo "ruff is not on PATH: stdlib fallback (compileall + tools/lint_fallback.py)"
+	$(PYTHON) -m compileall -q src tests benchmarks
+	$(PYTHON) tools/lint_fallback.py src tests benchmarks
+endif
 
 # Documentation gate: relative links resolve, README/docs examples execute
 docs:

@@ -47,7 +47,6 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.inference.folding import (
     ROWWISE_LAYERS,
-    _dense_folded,
     _sliced_forward,
     fold_batch,
     folded_forward_range,
@@ -81,7 +80,7 @@ def _legacy_forward_range(network, x, num_samples, ctx):
         if isinstance(layer, ROWWISE_LAYERS):
             out = layer.forward(out, training=False, ctx=ctx)
         elif isinstance(layer, Dense):
-            out = _dense_folded(layer, out, num_samples)
+            out = layer.forward_folded(out, num_samples)
         else:
             out = _sliced_forward(layer, out, num_samples, ctx)
     return out

@@ -3,21 +3,20 @@
 A served request's latency is compute plus *glue*: assembling payloads
 into a batch, moving the batch to a worker, and fanning the output back
 out into per-request results.  This microbenchmark times each stage in
-isolation, for the legacy mechanisms (``np.stack`` assembly, pickle pipe
-transport, allocating MC assembly), the PR 6 zero-copy replacements
-(:class:`~repro.serving.batcher.BatchStager` pinned staging,
-:class:`~repro.serving.workers.ring.BatchRing` shm slots), and the
-ISSUE 9 hot-path stages: **direct-to-ring** staging (payload rows land
-straight in the shm slot, no stager hop), the **fused stochastic suffix**
-(mask folded into the GEMM operand), and the **content-keyed cache hit
-path** (repeated bytes skip the backbone forward).  All of it lands in ``BENCH_serving.json`` so the
-report documents what the rework buys stage by stage.
+isolation, for the pipe transport's mechanisms (``np.stack`` assembly, one
+pickled frame down the pipe), the thread replica's
+:class:`~repro.serving.batcher.BatchStager` pinned staging, and the
+hot-path stages: **direct-to-ring** staging (payload rows land straight in
+the :class:`~repro.serving.workers.ring.BatchRing` slot), the **fused
+stochastic suffix** (mask folded into the GEMM operand), and the
+**content-keyed cache hit path** (repeated bytes skip the backbone
+forward).  All of it lands in ``BENCH_serving.json`` so the report
+documents where the time goes stage by stage.
 
 Unlike its earlier no-gate incarnation, the *glue budget* is now gated:
 assembly + transport on the hot path (one term, since direct-to-ring
 staging makes assembly the transport) must fit in :data:`GLUE_BUDGET_US`
-per batch — the ISSUE 9 acceptance bar, ~40 us down from the ~55 us the
-PR 6 stager-hop-plus-slot path measured.  The other stages stay ungated:
+per batch — the ISSUE 9 acceptance bar.  The other stages stay ungated:
 individually they are host-dependent noise; the sum is the promise.
 
 A second gated figure covers the one stage that is a *wait* rather than
@@ -90,15 +89,8 @@ def test_glue_breakdown_records_per_stage_times():
 
     ring = BatchRing.create(slots=1, request_bytes=batch.nbytes, response_bytes=4096)
 
-    def _two_hop_ring():
-        # PR 6 shape: stage into the pinned buffer, then copy to the slot
-        staged = stager.stage(payloads)
-        dest = ring.stage_request(0, staged.shape)
-        dest[...] = staged
-        return ring.read_request(0)
-
     def _direct_to_ring():
-        # ISSUE 9 shape: payload rows land straight in the shm slot
+        # payload rows land straight in the shm slot
         dest = ring.stage_request(0, batch.shape)
         for i, payload in enumerate(payloads):
             dest[i] = payload
@@ -106,7 +98,6 @@ def test_glue_breakdown_records_per_stage_times():
 
     try:
         t_pipe = _best_seconds_per_call(_pipe_roundtrip)
-        t_ring_two_hop = _best_seconds_per_call(_two_hop_ring)
         t_ring_direct = _best_seconds_per_call(_direct_to_ring)
     finally:
         parent_conn.close()
@@ -159,25 +150,24 @@ def test_glue_breakdown_records_per_stage_times():
     t_suffix_unfused = _best_seconds_per_call(_suffix_unfused, loops=20)
     t_suffix_fused = _best_seconds_per_call(_suffix_fused, loops=20)
 
-    # glue = assemble + transport, the definition the PR 6 numbers used
-    # (~104 us legacy -> ~55 us staged ring); disassembly and compute are
-    # recorded alongside but were never part of the glue sum.  With
-    # direct-to-ring staging, assembly *is* the transport: one sum term.
+    # glue = assemble + transport; disassembly and compute are recorded
+    # alongside but were never part of the glue sum.  The pipe transport
+    # stacks, then pickles; with direct-to-ring staging, assembly *is* the
+    # transport: one sum term.
     glue_legacy = t_stack + t_pipe
-    glue_ring = t_stage + t_ring_direct  # PR 6 shape: stager hop + slot
     glue_hotpath = t_ring_direct
     print(
         f"\nglue breakdown (batch={BATCH}x{SHAPE}, S={NUM_SAMPLES}): "
         f"assemble stack {t_stack * 1e6:.1f} us vs stage {t_stage * 1e6:.1f} us; "
-        f"transport pipe {t_pipe * 1e6:.1f} us vs two-hop ring "
-        f"{t_ring_two_hop * 1e6:.1f} us vs direct {t_ring_direct * 1e6:.1f} us; "
+        f"transport pipe {t_pipe * 1e6:.1f} us vs direct ring "
+        f"{t_ring_direct * 1e6:.1f} us; "
         f"compute cold {t_compute_cold * 1e3:.2f} ms vs cache hit "
         f"{t_compute_hit * 1e3:.2f} ms; "
         f"disassemble {t_disassemble * 1e6:.1f} us; "
         f"suffix unfused {t_suffix_unfused * 1e6:.1f} us vs fused "
         f"{t_suffix_fused * 1e6:.1f} us; "
-        f"glue legacy {glue_legacy * 1e6:.1f} us vs ring {glue_ring * 1e6:.1f} us "
-        f"vs hot path {glue_hotpath * 1e6:.1f} us (budget {GLUE_BUDGET_US} us)"
+        f"glue legacy {glue_legacy * 1e6:.1f} us vs hot path "
+        f"{glue_hotpath * 1e6:.1f} us (budget {GLUE_BUDGET_US} us)"
     )
     reporting.record(
         "serving_glue_breakdown",
@@ -186,7 +176,6 @@ def test_glue_breakdown_records_per_stage_times():
         assemble_stack_us=t_stack * 1e6,
         assemble_staged_us=t_stage * 1e6,
         transport_pipe_us=t_pipe * 1e6,
-        transport_ring_two_hop_us=t_ring_two_hop * 1e6,
         transport_ring_direct_us=t_ring_direct * 1e6,
         compute_cold_ms=t_compute_cold * 1e3,
         compute_cache_hit_ms=t_compute_hit * 1e3,
@@ -194,13 +183,12 @@ def test_glue_breakdown_records_per_stage_times():
         suffix_unfused_us=t_suffix_unfused * 1e6,
         suffix_fused_us=t_suffix_fused * 1e6,
         glue_legacy_us=glue_legacy * 1e6,
-        glue_ring_us=glue_ring * 1e6,
         glue_hotpath_us=glue_hotpath * 1e6,
         glue_budget_us=GLUE_BUDGET_US,
-        glue_speedup_ring_vs_legacy=glue_legacy / glue_ring,
         glue_speedup_hotpath_vs_legacy=glue_legacy / glue_hotpath,
     )
-    assert stager.stage(payloads) is not None  # staging actually engaged
+    # staging actually engaged: the view is the pinned buffer's head
+    np.testing.assert_array_equal(stager.stage(payloads), batch)
     # the strict glue gate (ISSUE 9): the hot path fits the per-batch budget
     assert glue_hotpath * 1e6 <= GLUE_BUDGET_US, (
         f"hot-path glue {glue_hotpath * 1e6:.1f} us exceeds the "

@@ -50,8 +50,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from ..serving.config import WORKER_BACKENDS, WORKER_TRANSPORTS, BatcherConfig
 

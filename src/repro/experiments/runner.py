@@ -44,14 +44,11 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..core.bayesnn import MultiExitBayesNet, MultiExitConfig
+from ..metrics import nearest_rank_percentile
 from ..nn.architectures import get_architecture
 from ..serving.config import BatcherConfig, ServingConfig
 from ..serving.engine import ServingEngine
-from ..serving.loadgen import (
-    burst_schedule,
-    nearest_rank_percentile,
-    poisson_schedule,
-)
+from ..serving.loadgen import burst_schedule, fire_open_loop, poisson_schedule
 from .store import CellRow, ResultsStore
 from .thresholds import runner_fingerprint
 
@@ -215,38 +212,14 @@ async def _run_cell_async(params: Mapping[str, Any], seed: int) -> dict[str, Any
             else:
                 offsets = burst_schedule(rate, duration, int(traffic["burst_size"]))
             scheduled = len(offsets)
-            sem = asyncio.Semaphore(int(traffic["max_outstanding"]))
-            tasks: list[asyncio.Task] = []
-            loop = asyncio.get_running_loop()
 
-            async def fire(x: np.ndarray) -> None:
-                nonlocal failed
-                t_sub = loop.time()
-                try:
-                    await engine.submit(x)
-                except Exception:
-                    failed += 1
-                else:
-                    latencies.append(loop.time() - t_sub)
-                finally:
-                    sem.release()
+            async def send(i: int) -> None:
+                await engine.submit(examples[i % len(examples)])
 
-            start = loop.time()
-            for i, offset in enumerate(offsets):
-                delay = start + offset - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                if sem.locked():
-                    # budget exhausted: open-loop semantics drop, never queue
-                    dropped += 1
-                    continue
-                await sem.acquire()
-                tasks.append(
-                    asyncio.ensure_future(fire(examples[i % len(examples)]))
-                )
-            if tasks:
-                await asyncio.gather(*tasks)
-            sent = len(tasks)
+            latencies, sent, dropped, errors = await fire_open_loop(
+                offsets, send, int(traffic["max_outstanding"])
+            )
+            failed = sum(errors.values())
         wall = time.perf_counter() - t0
         stats = engine.stats()
 

@@ -115,11 +115,6 @@ def unfold_samples(y: np.ndarray, num_samples: int) -> np.ndarray:
     return y.reshape((num_samples, y.shape[0] // num_samples) + y.shape[1:])
 
 
-def _dense_folded(layer: Dense, x: np.ndarray, num_samples: int) -> np.ndarray:
-    """Evaluate a Dense layer on the fold as a stacked per-sample GEMM."""
-    return layer.forward_folded(x, num_samples)
-
-
 def _sliced_forward(
     layer: Layer, x: np.ndarray, num_samples: int, ctx: ForwardContext
 ) -> np.ndarray:

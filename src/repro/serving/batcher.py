@@ -181,22 +181,22 @@ class BatchStager:
             (int(max_batch_size),) + self.example_shape, dtype=np.float64
         )
 
-    def stage(self, payloads: Sequence[np.ndarray]) -> np.ndarray | None:
-        """Assemble ``payloads`` into the pinned buffer; ``None`` = no fit.
+    def stage(self, payloads: Sequence[np.ndarray]) -> np.ndarray:
+        """Assemble ``payloads`` into the pinned buffer's head.
 
-        ``None`` (batch too large, or a payload of a different shape or
-        kind) tells the caller to fall back to ``np.stack`` — staging is
-        an optimisation, not a constraint.
+        The buffer was sized for the geometry the caller serves: a batch
+        it cannot hold, or a payload of another shape or kind, raises.
         """
         n = len(payloads)
-        if not 0 < n <= self._buffer.shape[0]:
-            return None
         shape = self.example_shape
-        if not all(
+        if not 0 < n <= self._buffer.shape[0] or not all(
             isinstance(p, np.ndarray) and p.shape == shape and p.dtype == np.float64
             for p in payloads
         ):
-            return None
+            raise ValueError(
+                f"the stager holds 1..{self._buffer.shape[0]} float64 rows of "
+                f"shape {shape}; got {n} payload(s)"
+            )
         batch = self._buffer[:n]
         for i, payload in enumerate(payloads):
             batch[i] = payload

@@ -118,8 +118,9 @@ class ServingConfig:
         ``"thread"`` (in-process replicas) or ``"process"`` (worker
         processes over a shared-memory parameter arena).
     worker_transport:
-        Process backend only: ``"ring"`` (shared-memory ring slots,
-        default) or ``"pipe"`` (legacy pickled channel).
+        Process backend only: ``"ring"`` (shared-memory ring slots sized
+        for the batch geometry, default) or ``"pipe"`` (one pickled frame
+        each way; the tests' reference transport).
     fleet:
         Optional :class:`~repro.serving.fleet.FleetConfig` turning the
         static pool into a supervised / autoscaled fleet.

@@ -56,6 +56,7 @@ import numpy as np
 
 from ..core.bayesnn import MultiExitBayesNet
 from ..inference.engine import InferenceEngine, NetworkEngine
+from ..metrics import nearest_rank_percentile
 from ..nn.model import Network
 from ..uncertainty.metrics import UncertaintyResult
 from .batcher import BatcherStats, DynamicBatcher
@@ -84,9 +85,10 @@ class ServingStats:
         Completed requests per second of wall time between the first
         submission and the latest completion (0.0 before any completion).
     latency_p50_s / latency_p95_s / latency_p99_s / latency_max_s:
-        Percentiles of end-to-end request latency (submit to response,
-        queueing included), over a bounded window of the most recent
-        requests.
+        Nearest-rank percentiles (:mod:`repro.metrics`, the statistic the
+        load generator reports too) of end-to-end request latency (submit
+        to response, queueing included), over a bounded window of the most
+        recent requests.
     exit_counts:
         In early-exit mode, completed requests per exit index; ``None``
         in MC-sampling mode.
@@ -104,8 +106,8 @@ class ServingStats:
         ``"ring"``/``"pipe"`` for the process backend.
     transport_ring_batches / transport_pipe_batches:
         Process backend: batches that crossed the boundary through the
-        shared-memory ring vs the pickle pipe (fallbacks included) —
-        a healthy ring configuration shows pipe counts near zero.
+        shared-memory ring vs the pickle pipe — one of the two is zero,
+        by the configured ``worker_transport``.
     workers_respawned / scale_events / current_workers / arena_generation:
         Fleet telemetry (see :mod:`repro.serving.fleet`): dead workers
         replaced by the supervisor, completed grow/shrink transitions,
@@ -390,16 +392,13 @@ class ServingEngine:
         self._shed_seen = b.shed
         completed_delta = b.completed - self._completed_seen
         self._completed_seen = b.completed
-        if self._latencies:
-            lat95 = float(np.percentile(np.asarray(self._latencies), 95))
-        else:
-            lat95 = 0.0
+        lat = np.sort(np.asarray(self._latencies, dtype=np.float64))
         return FleetSignals(
             queue_depth=self._batcher.queue_depth,
             current_workers=self._pool.current_workers,
             shed_delta=shed_delta,
             completed_delta=completed_delta,
-            latency_p95_s=lat95,
+            latency_p95_s=nearest_rank_percentile(lat, 95) if lat.size else 0.0,
         )
 
     def _on_scale(self, target: int) -> None:
@@ -567,13 +566,14 @@ class ServingEngine:
     def stats(self) -> ServingStats:
         """Aggregate throughput/latency/batching statistics so far."""
         b = self._batcher.stats
-        lat = np.asarray(self._latencies, dtype=np.float64)
+        lat = np.sort(np.asarray(self._latencies, dtype=np.float64))
         if self._first_submit_at is not None and self._last_done_at is not None:
             wall = self._last_done_at - self._first_submit_at
         else:
             wall = 0.0
         if lat.size:
-            p50, p95, p99, worst = map(float, np.percentile(lat, (50, 95, 99, 100)))
+            p50, p95, p99 = (nearest_rank_percentile(lat, p) for p in (50, 95, 99))
+            worst = float(lat[-1])
         else:
             p50 = p95 = p99 = worst = 0.0
         return ServingStats(

@@ -50,9 +50,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Awaitable, Callable, Sequence
 
 import numpy as np
+
+from ..metrics import nearest_rank_percentile
 
 __all__ = ["LoadGenerator", "LoadReport", "load_trace"]
 
@@ -100,12 +102,54 @@ def burst_schedule(
     return offsets[:total]
 
 
-def nearest_rank_percentile(sorted_values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not sorted_values:
-        return float("nan")
-    rank = max(0, math.ceil(pct / 100.0 * len(sorted_values)) - 1)
-    return sorted_values[rank]
+async def fire_open_loop(
+    offsets: Sequence[float],
+    send: Callable[[int], Awaitable[str | None]],
+    max_outstanding: int,
+) -> tuple[list[float], int, int, dict[str, int]]:
+    """The open loop itself: ``send(i)`` fires ``offsets[i]`` seconds from now.
+
+    At most ``max_outstanding`` sends are in flight; an arrival that finds
+    the budget exhausted is dropped and counted, never delayed — delaying
+    would silently turn the harness closed-loop.  ``send`` returns ``None``
+    for a good response or a key naming what came back instead; an
+    exception counts under its type's name.  Returns ``(latencies of the
+    good responses in completion order, sent, dropped, failures by key)``.
+    """
+    loop = asyncio.get_running_loop()
+    sem = asyncio.Semaphore(max_outstanding)
+    latencies: list[float] = []
+    failed: dict[str, int] = {}
+    tasks: list[asyncio.Task] = []
+    dropped = 0
+
+    async def fire(i: int) -> None:
+        t0 = loop.time()
+        try:
+            error = await send(i)
+            elapsed = loop.time() - t0
+        except Exception as exc:
+            error = type(exc).__name__
+        finally:
+            sem.release()
+        if error is None:
+            latencies.append(elapsed)
+        else:
+            failed[error] = failed.get(error, 0) + 1
+
+    start = loop.time()
+    for i, offset in enumerate(offsets):
+        delay = start + offset - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        if sem.locked():
+            dropped += 1
+            continue
+        await sem.acquire()
+        tasks.append(asyncio.ensure_future(fire(i)))
+    if tasks:
+        await asyncio.gather(*tasks)
+    return latencies, len(tasks), dropped, failed
 
 
 @dataclass
@@ -402,48 +446,23 @@ class LoadGenerator:
         if self.deadline_ms is not None:
             for body in bodies:
                 body["deadline_ms"] = self.deadline_ms
+
+        async def send(i: int) -> str | None:
+            status, _ = await asyncio.wait_for(
+                self._request("POST", "/v1/predict", bodies[i]),
+                timeout=self.request_timeout,
+            )
+            return None if status == 200 else str(status)
+
         loop = asyncio.get_running_loop()
-        sem = asyncio.Semaphore(self.max_outstanding)
-        errors: dict[str, int] = {}
-        tasks: list[asyncio.Task] = []
-        ok = dropped = 0
-
-        async def fire(body: dict) -> None:
-            nonlocal ok
-            t0 = loop.time()
-            try:
-                status, _ = await asyncio.wait_for(
-                    self._request("POST", "/v1/predict", body),
-                    timeout=self.request_timeout,
-                )
-            except Exception as exc:
-                key = type(exc).__name__
-                errors[key] = errors.get(key, 0) + 1
-            else:
-                if status == 200:
-                    ok += 1
-                    self.latencies.append(loop.time() - t0)
-                else:
-                    key = str(status)
-                    errors[key] = errors.get(key, 0) + 1
-            finally:
-                sem.release()
-
         start = loop.time()
-        for offset, body in zip(self.schedule, bodies):
-            delay = start + offset - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if sem.locked():
-                # budget exhausted: open-loop drops, never queues
-                dropped += 1
-                continue
-            await sem.acquire()
-            tasks.append(asyncio.ensure_future(fire(body)))
-        if tasks:
-            await asyncio.gather(*tasks)
+        latencies, sent, dropped, errors = await fire_open_loop(
+            self.schedule, send, self.max_outstanding
+        )
         wall = loop.time() - start
         await self._close_idle()
+        self.latencies.extend(latencies)
+        ok = len(latencies)
 
         lat = sorted(self.latencies)
         return LoadReport(
@@ -452,7 +471,7 @@ class LoadGenerator:
             achieved_rate=ok / wall if wall > 0 else 0.0,
             duration_s=wall,
             scheduled=len(self.schedule),
-            sent=len(tasks),
+            sent=sent,
             ok=ok,
             dropped=dropped,
             errors=errors,

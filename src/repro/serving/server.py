@@ -53,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 

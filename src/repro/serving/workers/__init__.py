@@ -22,10 +22,10 @@ formation.  Select with ``ServingConfig(worker_backend="thread"|"process")``.
 The process backend ships each batch through the worker's two-slot
 shared-memory ring (:class:`~repro.serving.workers.ring.BatchRing`,
 ``worker_transport="ring"``, the default) with the pipe as a doorbell —
-one batch computing, the next staged behind it;
-``worker_transport="pipe"`` — and any batch the ring refuses — sends the
-stacked batch down the pipe as one pickled frame instead.  See
-:mod:`repro.serving.workers.ring` for the slot ownership rules.
+one batch computing, the next staged behind it, every slot sized exactly
+for the batch geometry the pool serves; ``worker_transport="pipe"`` sends
+the stacked batch down the pipe as one pickled frame instead.  See
+:mod:`repro.serving.workers.procpool` for the slot ownership rules.
 """
 
 from .base import WorkerCrashed, assemble_results, compute_batch_array

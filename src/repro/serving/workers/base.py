@@ -38,6 +38,7 @@ from ...uncertainty.metrics import (
 )
 
 __all__ = [
+    "RESPONSE_LAYOUTS",
     "BatchOutput",
     "Engine",
     "WorkerCrashed",
@@ -45,6 +46,7 @@ __all__ = [
     "compute_batch_array",
     "engine_num_classes",
     "engine_parameters",
+    "response_specs",
 ]
 
 Engine = InferenceEngine | NetworkEngine
@@ -60,18 +62,51 @@ class WorkerCrashed(RuntimeError):
     """
 
 
+#: The two forms a batch's results take, declared once: per array the
+#: :class:`BatchOutput` field it fills, its dtype and its axes (``S`` MC
+#: samples, ``N`` rows of the batch, ``C`` classes), in the order a transport
+#: carries them.  Ring-slot sizing, the worker's encode and the parent's
+#: decode all read this table.
+RESPONSE_LAYOUTS: dict[str, tuple[tuple[str, type, str], ...]] = {
+    "mc": (("sample_probs", np.float64, "SNC"),),
+    "early_exit": (("probs", np.float64, "NC"), ("exit_indices", np.int64, "N")),
+}
+
+
+def response_specs(
+    layout: str, samples: int, rows: int, classes: int
+) -> list[tuple[tuple[int, ...], type]]:
+    """``(shape, dtype)`` of each array of ``layout`` for a batch of ``rows``."""
+    size = {"S": samples, "N": rows, "C": classes}
+    return [
+        (tuple(size[axis] for axis in axes), dtype)
+        for _, dtype, axes in RESPONSE_LAYOUTS[layout]
+    ]
+
+
 @dataclass
 class BatchOutput:
     """Raw per-batch arrays, cheap to pickle across a process boundary.
 
-    Exactly one of the two forms is populated: ``sample_probs`` of shape
-    ``(S, N, classes)`` in MC-sampling mode, or ``probs`` ``(N, classes)``
-    plus ``exit_indices`` ``(N,)`` in early-exit mode.
+    Exactly one of the two :data:`RESPONSE_LAYOUTS` is populated:
+    ``sample_probs`` in MC-sampling mode, or ``probs`` plus
+    ``exit_indices`` in early-exit mode.
     """
 
     sample_probs: np.ndarray | None = None
     probs: np.ndarray | None = None
     exit_indices: np.ndarray | None = None
+
+    def arrays(self) -> tuple[str, list[np.ndarray]]:
+        """``(layout, its arrays in order)``: what a transport carries."""
+        layout = "mc" if self.sample_probs is not None else "early_exit"
+        return layout, [getattr(self, name) for name, _, _ in RESPONSE_LAYOUTS[layout]]
+
+    @classmethod
+    def from_arrays(cls, layout: str, arrays: list[np.ndarray]) -> "BatchOutput":
+        """Inverse of :meth:`arrays`."""
+        names = (name for name, _, _ in RESPONSE_LAYOUTS[layout])
+        return cls(**dict(zip(names, arrays)))
 
 
 def engine_parameters(engine: Engine) -> Iterator[Parameter]:
@@ -118,20 +153,21 @@ def compute_batch_array(
 def assemble_results(out: BatchOutput) -> list[UncertaintyResult]:
     """Split a batch's raw arrays into one ``UncertaintyResult`` per request.
 
-    MC results derive fresh arrays from ``sample_probs``; early-exit results
-    keep row views of ``probs``, so a caller handing in views of reusable
-    storage (a ring slot) copies those first.
+    The results alias nothing of ``out``: MC results derive fresh arrays
+    from ``sample_probs`` and the early-exit rows are views of a copy — so
+    ``out`` may be views of reusable storage (a ring slot).
     """
     if out.sample_probs is not None:
         return mc_uncertainty_results(out.sample_probs)
-    entropy = predictive_entropy(out.probs)
+    probs = out.probs.copy()
+    entropy = predictive_entropy(probs)
     return [
         UncertaintyResult(
-            probs=out.probs[i],
-            label=int(out.probs[i].argmax()),
-            confidence=float(out.probs[i].max()),
+            probs=probs[i],
+            label=int(probs[i].argmax()),
+            confidence=float(probs[i].max()),
             entropy=float(entropy[i]),
             exit_index=int(out.exit_indices[i]),
         )
-        for i in range(out.probs.shape[0])
+        for i in range(probs.shape[0])
     ]

@@ -14,57 +14,51 @@ lives here is the part that is about processes:
   ``replicate()`` across the process boundary) and serves request frames
   until told to stop.  Startup costs an interpreter + imports per worker,
   amortised over a serving lifetime.
-* **Exchange** (:class:`_WorkerHandle`, the roster's replica).  Two request
-  frames.  With ``transport="ring"`` (the default) each worker owns a
-  two-slot shared-memory :class:`~repro.serving.workers.ring.BatchRing`
-  sized from the pool's batch geometry, and the whole exchange runs on the
-  event loop: the parent writes the request rows straight into a free slot
-  and sends a ``("ring", seq, token, slot, fault)`` doorbell, the worker
-  reads the batch as a zero-copy view, writes the result arrays into the
-  slot's response region and answers ``("ok_ring", slot, mode, delta)``; a
-  loop reader on the pipe wakes the parent, which assembles the results
-  from the slot before it hands the slot on.  No thread, no polling
-  interval: the worker's death is the pipe's EOF (and, belt and braces,
-  its ``process.sentinel``), watched by the same reader.  The other frame is
-  ``("batch", seq, token, array, fault)`` — the batch ``np.stack``-ed in
-  the parent and pickled down the pipe, answered by an ``("ok", delta)``
-  header and then the pickled result: the whole protocol under
-  ``transport="pipe"`` and the fallback whenever the ring refuses a batch
-  (``stage_request`` / ``write_response`` returning no-fit).  Same array
-  layout either way, so both frames feed
-  :func:`~repro.serving.workers.base.compute_batch_array` bit-identical
-  operands; the channel carries inputs and probabilities only, never model
-  state.  ``delta`` is what the worker counted since its previous reply:
-  activation-cache hits and misses, and the nanoseconds it spent inside
-  this batch out of the nanoseconds since that reply (the pool's
-  ``busy_share``), banked per handle so the totals survive the worker.
+* **Two transports, one replica class each** (the pool's ``transport``).
+  Both hand :func:`~repro.serving.workers.base.compute_batch_array` the
+  same ``(N, *input_shape)`` float64 array, so responses are bit-identical;
+  the channel carries inputs and probabilities only, never model state.
+  Every reply carries ``delta``, what the worker counted since its previous
+  reply — activation-cache hits and misses, the nanoseconds inside this
+  batch out of the nanoseconds since that reply (the pool's ``busy_share``)
+  — banked per handle so the totals survive the worker.
+
+  ``"ring"`` (the default, :class:`_RingHandle`): each worker owns a two-slot
+  shared-memory :class:`~repro.serving.workers.ring.BatchRing` and the whole
+  exchange runs on the event loop.  The parent writes the request rows
+  straight into a free slot and sends a ``("ring", seq, token, slot, fault)``
+  doorbell, the worker reads the batch as a zero-copy view, writes the
+  result arrays into the slot's response region and answers ``("ok", delta,
+  (slot, layout))``; a loop reader on the pipe wakes the parent, which
+  assembles the results from the slot before it hands the slot on.  No
+  thread, no polling interval: the worker's death is the pipe's EOF (and,
+  belt and braces, its ``process.sentinel``), watched by the same reader.
+
+  ``"pipe"`` (:class:`_PipeHandle`, the tests' reference transport): a
+  blocking replica like a thread's.  The roster's inherited ``serve`` runs
+  ``execute`` on the executor under the replica's lock, one batch at a time:
+  ``np.stack``, one pickled ``("batch", seq, token, array, fault)`` frame
+  down, one ``("ok", delta, out)`` frame back, EOF is the worker's death.
+* **The batch geometry is a contract.**  The pool knows the largest batch,
+  the example shape, the sample count and the class count, and ``submit()``
+  rejects every other shape and dtype, so the slots are sized once, exactly
+  (:meth:`ProcessWorkerPool._ring_geometry`), and every batch and response
+  fits by construction.  One that does not fit anyway fails that batch
+  alone, loudly — a ``ValueError`` naming the capacity and the need, from
+  the parent's staging or through the worker's error reply — while the
+  worker, its slot and the batches behind it carry on.
 * **Two slots, because one leaves the worker waiting.**  With one slot the
   worker sat idle from its reply until the parent had read it, assembled
   and resolved the results, collected the next batch, staged it and rung —
   about a third of its time under a flood.  With two, batch N + 1 is
-  staged and its doorbell already in the pipe while N computes, so the
-  worker goes from ``send`` straight into the next request (the paper's
-  ping-pong buffers, in software).  Who owns a slot when: an exchange takes
-  a free slot before staging and keeps it until its reply has been read
-  and its results assembled — by the batch, or, once that batch was
-  cancelled, by the loop alone, which throws the reply away — and only
-  then is the slot (or ``shutdown``'s stop frame, once both are back)
-  next.  The worker is serial, so replies come in doorbell order: the
-  handle keeps its exchanges in a queue, every reply names its slot and is
-  checked against the queue's head, one pair of loop readers is registered
-  exactly while ring replies are due, and a death ends every queued
-  exchange once (:class:`~repro.serving.workers.roster.ReplicaDied`; the
-  roster retries each batch on a sibling or a respawn, and reaping the
-  worker unlinks its ring segment with it).  A batch killed between
-  staging and doorbell is not in the queue yet and ends itself.
-* **Frames of unbounded size take the pipe alone.**  The pickled
-  ``"batch"`` request and a result that outgrew its slot may be of any
-  size, so they are sent and received on the executor, never on the loop —
-  which is why a pickled result is announced by a small header.  Such a
-  frame waits until it is the handle's only exchange before it goes out,
-  and no doorbell is rung while a thread is using the pipe; an overflow
-  whose successor was rung before it showed is read with the readers
-  removed, and they return for the successor's reply afterwards.
+  staged and its doorbell already in the pipe while N computes (the
+  paper's ping-pong buffers, in software).  Who owns a slot when is
+  :class:`_RingHandle`'s rule: an exchange keeps its slot until its reply
+  has been read — also after its batch was cancelled — replies come in
+  doorbell order, and a death ends every queued exchange once
+  (:class:`~repro.serving.workers.roster.ReplicaDied`; the roster retries
+  each batch on a sibling or a respawn, and reaping the worker unlinks its
+  ring segment with it).
 * **Placement.**  The reply's write wakes the parent's loop thread, and
   the kernel likes to run a woken thread on the waker's CPU — where it
   preempts the worker for the whole read → assemble → resolve → collect →
@@ -100,15 +94,15 @@ lives here is the part that is about processes:
   new weights.
 
 A :class:`~repro.serving.fleet.FaultPlan` injection reaches the exchange as
-``fault``: the parent kills the victim before the doorbell
+``fault``: the parent kills the victim before the request frame
 (``pre_doorbell``) or poisons the frame so the worker traps and dies at the
 requested lifecycle point (``mid_compute``, ``post_response``).  Every
 point rides the same exchange as a production batch.
 
-A ring → pipe refusal leaves one ``logging`` record per worker on this
-module's logger, ``start`` one naming the placement (``worker 0 → cpu 1,
-loop → {0}``) and a worker that could not pin itself one warning; crashes,
-respawns, scaling and generation swaps are logged by the roster.
+``start`` leaves one ``logging`` record naming the placement (``worker 0 →
+cpu 1, loop → {0}``) on this module's logger and a worker that could not
+pin itself one warning; crashes, respawns, scaling and generation swaps are
+logged by the roster.
 """
 
 from __future__ import annotations
@@ -128,13 +122,15 @@ import numpy as np
 from ...nn.shm import ArenaManifest, SharedParameterArena
 from ...uncertainty.metrics import UncertaintyResult
 from .base import (
+    RESPONSE_LAYOUTS,
     BatchOutput,
     assemble_results,
     compute_batch_array,
     engine_num_classes,
     engine_parameters,
+    response_specs,
 )
-from .ring import BatchRing, RingManifest
+from .ring import BatchRing, RingManifest, payload_bytes
 from .roster import Replica, ReplicaDied, WorkerPool
 
 __all__ = ["ProcessWorkerPool"]
@@ -146,10 +142,6 @@ _MP_CONTEXT = "spawn"
 #: slots per worker ring: one batch computing, one staged behind it
 _SLOTS = 2
 
-#: response modes on the ring acknowledgement
-_MODE_MC = 0  # one array: sample_probs (S, N, classes)
-_MODE_EARLY_EXIT = 1  # two arrays: probs (N, classes), exit_indices (N,)
-
 
 @dataclass
 class _WorkerConfig:
@@ -159,13 +151,6 @@ class _WorkerConfig:
     num_samples: int | None
     early_exit_threshold: float | None
     manifest: ArenaManifest
-
-
-def _batch_output_arrays(out: BatchOutput) -> tuple[int, list[np.ndarray]]:
-    """(ring mode, arrays in slot order) for one batch result."""
-    if out.sample_probs is not None:
-        return _MODE_MC, [out.sample_probs]
-    return _MODE_EARLY_EXIT, [out.probs, out.exit_indices]
 
 
 def _worker_main(
@@ -217,11 +202,16 @@ def _worker_main(
                 out = compute_batch_array(
                     engine, seq, batch, config.num_samples, config.early_exit_threshold
                 )
-            except Exception as exc:  # compute failed; the worker lives on
+                # the reply's body: the result itself, or where it is —
+                # written into the slot the request came in
+                body = out
+                if kind == "ring":
+                    layout, arrays = out.arrays()
+                    ring.write_response(payload, arrays)
+                    body = (payload, layout)
+            except Exception as exc:  # the batch failed; the worker lives on
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
             else:
-                mode, arrays = _batch_output_arrays(out)
-                ringed = kind == "ring" and ring.write_response(payload, arrays)
                 hits, misses = engine.cache_stats()
                 now = time.perf_counter_ns()
                 # cache traffic, then the time inside this batch out of the
@@ -233,14 +223,7 @@ def _worker_main(
                     now - replied,
                 )
                 seen_hits, seen_misses, replied = hits, misses, now
-                if ringed:
-                    conn.send(("ok_ring", payload, mode, delta))
-                else:
-                    # pipe frame, or the response outgrew the slot: a small
-                    # header first, so the parent's loop never reads a frame
-                    # of unbounded size, then the result itself
-                    conn.send(("ok", delta))
-                    conn.send(out)
+                conn.send(("ok", delta, body))
                 if fault == "post_response":
                     # die *after* answering, before the parent recycles the
                     # slot: a silent death only a liveness scan can find
@@ -254,58 +237,25 @@ def _worker_main(
             pass
 
 
-class _Exchange(NamedTuple):
-    """One batch's hold on a handle: a place, and where its results go."""
-
-    #: the ring slot the exchange owns until it ends (``None``: no ring)
-    slot: int | None
-    #: the batch's results; cancelled when nobody is left to take them
-    results: asyncio.Future
-
-
 class _WorkerHandle(Replica):
-    """Parent-side endpoint of one worker process.
+    """Parent-side endpoint of one worker process: the process, the pipe, teardown.
 
-    An exchange owns one of the handle's ``depth`` places — a ring slot, or
-    the whole pipe for a frame of unbounded size — from before its request
-    frame until its reply has been read, whoever reads it: the batch that
-    asked, or, once that batch was cancelled, the loop on its own, which
-    throws the reply away.  ``_exchanges`` holds the exchanges whose
-    request frame is out, in doorbell order, which is the order the serial
-    worker answers in.  Exactly one party ends an exchange: the batch
-    itself up to its doorbell, :meth:`_finish` from then on — and
-    ``_finish`` only ever takes the queue's head.  ``_lock`` is held while
-    any place is owned: it is the side an executor thread can wait on
-    (``shutdown``'s stop frame, closing the channel).
+    How a batch crosses the pipe is the subclass's: :class:`_RingHandle`
+    or :class:`_PipeHandle`.  ``_lock`` is held for as long as an exchange
+    uses the pipe: it is what ``shutdown``'s stop frame and closing the
+    channel wait on.
     """
 
-    def __init__(
-        self, index: int, process, conn, ring: BatchRing | None, cpu: int | None
-    ) -> None:
+    #: this worker's ring (``transport="ring"``), unlinked with the channel
+    ring: BatchRing | None = None
+
+    def __init__(self, index: int, process, conn, cpu: int | None) -> None:
         super().__init__()
         self.index = index
         self.process = process
         self.conn = conn
-        #: this worker's ring, one slot per place; ``None`` under
-        #: ``transport="pipe"``, where the pipe is the handle's one place
-        self.ring = ring
-        self.depth = ring.slots if ring is not None else 1
         #: the CPU the worker pinned itself to; ``None`` when it runs unpinned
         self.cpu = cpu
-        self._free_slots = list(range(self.depth)) if ring is not None else []
-        #: places owned right now — exchanges staging, in flight, or waiting
-        #: for the pipe; ``_lock`` is held while this is non-zero
-        self._owned = 0
-        self._exchanges: deque[_Exchange] = deque()
-        #: frames of unbounded size that have, or wait for, the pipe to
-        #: themselves; no doorbell is rung while there is one
-        self._unbounded = 0
-        #: resolves when a place is handed back; ``None`` when nobody waits
-        self._turn: asyncio.Future | None = None
-        #: (loop, fds) while loop readers wait for the replies in flight
-        self._watched: tuple | None = None
-        #: the first ring -> pipe refusal is logged, the rest only counted
-        self._refusal_logged = False
 
     def __repr__(self) -> str:
         return (
@@ -313,251 +263,24 @@ class _WorkerHandle(Replica):
             f"exit code {self.process.exitcode})"
         )
 
-    @property
-    def replies_in_flight(self) -> int:
-        """Request frames sent whose reply has yet to be read off the pipe."""
-        return len(self._exchanges)
-
-    def _stage(self, slot: int | None, payloads: list) -> bool:
-        """Write the batch into its ring slot; ``False`` = ship it by pipe."""
-        if slot is None:
-            return False
-        dest = self.ring.stage_request(slot, (len(payloads), *payloads[0].shape))
-        if dest is None:  # does not fit the slot, or the ring is released
-            self._note_refusal("request")
-            return False
-        for i, payload in enumerate(payloads):
-            dest[i] = payload
-        return True
-
-    def _note_refusal(self, leg: str) -> None:
-        if not self._refusal_logged:
-            self._refusal_logged = True
-            LOG.warning(
-                "worker %d: the ring refused a %s, it travels by pipe "
-                "(further refusals are only counted)",
-                self.index,
-                leg,
-            )
-
-    async def serve(
-        self, off_loop, seq: int, token: int, payloads: list, fault: str | None
-    ) -> list[UncertaintyResult]:
-        """One request/response exchange, awaited on the event loop.
-
-        The ring path never leaves the loop thread: rows into a free slot,
-        doorbell down the pipe — behind the batch the worker is computing,
-        if there is one — and the loop's readers on the pipe for the
-        replies.  Frames of any size — the pickled ``"batch"`` request, a
-        result that outgrew the slot — are sent and received on the
-        executor, with the pipe to themselves.
-        """
-        loop = asyncio.get_running_loop()
-        while self._unbounded or self._owned >= self.depth:
-            # every place is taken (the reply to a cancelled batch keeps its
-            # slot until it has been read), or a frame of unbounded size has
-            # the pipe: neither a slot nor the pipe is this batch's yet
-            await self._next_turn(loop)
-        exchange = _Exchange(self._take_place(), loop.create_future())
-        staged = True  # until the ring says otherwise: see the except below
-        try:
-            staged = self._stage(exchange.slot, payloads)
-            if not staged:
-                # the frame may be of any size: nothing is staged behind it
-                # and it waits until the replies ahead of it have been read
-                self._unbounded += 1
-                while self._owned > 1:
-                    await self._next_turn(loop)
-            if fault == "pre_doorbell":
-                # FaultPlan (test-only): deterministic crash *between*
-                # staging and the doorbell — the batch dies holding its
-                # ring slot and must be re-staged on a sibling, and so must
-                # the batch the worker was computing ahead of it
-                await off_loop(self._kill)
-            if staged:
-                self.conn.send(("ring", seq, token, exchange.slot, fault))
-            else:
-                frame = ("batch", seq, token, np.stack(payloads), fault)
-                call = off_loop(self._pipe_exchange, frame)
-        except BaseException as exc:
-            # not in the queue yet, so nobody else ends (or ended) this one
-            if not staged:
-                self._unbounded -= 1
-            self._hand_back(exchange.slot)
-            if isinstance(exc, OSError):  # the doorbell met a closed pipe
-                raise ReplicaDied(f"worker {self.index}: {exc!r}") from None
-            raise
-        # the request frame is out: from here the exchange ends itself
-        # (_finish), and cancelling this batch only means nobody is left to
-        # take the results
-        self._exchanges.append(exchange)
-        if staged:
-            self.ring_batches += 1
-            self._watch(loop, off_loop)
-        else:
-            self.pipe_batches += 1
-            self._finish_after(call, loop, off_loop)
-        return await exchange.results
-
-    async def _next_turn(self, loop) -> None:
-        if self._turn is None:
-            self._turn = loop.create_future()
-        # shared by every waiter: one cancelled batch must not cancel it
-        await asyncio.shield(self._turn)
-
-    def _take_place(self) -> int | None:
-        if not self._owned and not self._lock.acquire(blocking=False):
-            # only shutdown() holds the lock of an idle handle
-            raise ReplicaDied(f"worker {self.index} is being shut down")
-        self._owned += 1
-        return self._free_slots.pop() if self.ring is not None else None
-
-    def _hand_back(self, slot: int | None) -> None:
-        if slot is not None:
-            self._free_slots.append(slot)
-        self._owned -= 1
-        if not self._owned:
-            self._lock.release()
-        turn, self._turn = self._turn, None
-        if turn is not None:
-            turn.set_result(None)
-
     def _kill(self) -> None:
         self.process.kill()
         self.process.join(5.0)
 
-    def _pipe_exchange(self, frame: tuple) -> tuple:
-        """Blocking, off-loop: a frame of any size down, its reply back."""
-        self.conn.send(frame)
-        return self._recv_result(self.conn.recv())
+    def _accept(self, reply: tuple):
+        """The body of an ``"ok"`` reply; raises what an ``"error"`` one reports.
 
-    def _recv_result(self, reply: tuple) -> tuple:
-        """Blocking, off-loop: the pickled result an ``"ok"`` header announces."""
-        return reply, (self.conn.recv() if reply[0] == "ok" else None)
-
-    def _finish_after(self, call: asyncio.Future, loop, off_loop) -> None:
-        """End the head exchange when its executor ``call`` returns.
-
-        Nobody awaits the call.  While it runs the pipe is its own: no
-        reader is registered and ``_unbounded`` keeps new doorbells out.
+        The worker's cache traffic and busy time are accumulated from the
+        per-reply deltas, so the totals survive its death.
         """
-
-        def done(call: asyncio.Future) -> None:
-            self._unbounded -= 1
-            error = call.exception()
-            if error is not None:
-                self._fail_all(error)
-                return
-            self._finish(*call.result())
-            if self._exchanges:  # rung before the result outgrew its slot
-                self._watch(loop, off_loop)
-
-        call.add_done_callback(done)
-
-    def _watch(self, loop, off_loop) -> None:
-        """Wake on a reply (pipe readable) or the worker's death (EOF, sentinel).
-
-        One pair of readers serves every ring reply in flight: registered
-        with the first doorbell, removed when the last reply has been read.
-        """
-        if self._watched is None:
-            pipe, sentinel = fds = (self.conn.fileno(), self.process.sentinel)
-            loop.add_reader(pipe, self._on_readable, off_loop, True)
-            loop.add_reader(sentinel, self._on_readable, off_loop, False)
-            self._watched = (loop, fds)
-
-    def _unwatch(self):
-        loop, fds = self._watched
-        self._watched = None
-        for fd in fds:
-            loop.remove_reader(fd)
-        return loop
-
-    def _on_readable(self, off_loop, pipe_ready: bool) -> None:
-        try:
-            if not pipe_ready and not self.conn.poll(0):
-                # woken by the sentinel alone: nothing to read, not even EOF
-                raise EOFError(f"exited with code {self.process.exitcode}")
-            # a ring reply is a header of a few dozen bytes, written whole
-            reply = self.conn.recv()
-        except Exception as exc:  # OSError / EOFError: the worker is gone
-            self._fail_all(exc)
-            return
-        if reply[0] == "ok":
-            # the result outgrew the slot and follows as a pickled frame of
-            # any size, maybe still being written: read it off the loop,
-            # and ring no doorbell while a thread is using the pipe
-            self._note_refusal("response")
-            self._unbounded += 1
-            loop = self._unwatch()
-            self._finish_after(off_loop(self._recv_result, reply), loop, off_loop)
-            return
-        self._finish(reply)
-        if not self._exchanges:
-            self._unwatch()
-
-    def _fail_all(self, error: BaseException) -> None:
-        """The pipe is lost: every exchange in flight ends on the same error."""
-        if self._watched is not None:
-            self._unwatch()
-        while self._exchanges:
-            self._finish(error=error)
-
-    def _finish(self, reply=None, out=None, error=None) -> None:
-        """On the loop: the head exchange's reply has been read.
-
-        Results out, place free.  The results are assembled before the
-        slot is handed on (it is still this exchange's), and the counters
-        kept, even when the batch was cancelled and nobody takes them.
-        """
-        exchange = self._exchanges.popleft()
-        outcome: list | BaseException
-        try:
-            if error is not None:
-                raise error
-            if reply[0] == "error":
-                raise RuntimeError(f"serving worker {self.index} failed: {reply[1]}")
-            if reply[0] == "ok_ring":  # the result arrays are views of the slot
-                _, slot, mode, delta = reply
-                if slot != exchange.slot:  # replies come in doorbell order
-                    raise RuntimeError(
-                        f"serving worker {self.index} answered slot {slot}, "
-                        f"slot {exchange.slot} was due"
-                    )
-                arrays = self.ring.read_response(slot)
-                if mode == _MODE_MC:
-                    out = BatchOutput(sample_probs=arrays[0])
-                else:
-                    # early-exit results keep per-row views of probs,
-                    # so copy out of the slot before it is reused
-                    out = BatchOutput(
-                        probs=arrays[0].copy(), exit_indices=arrays[1].copy()
-                    )
-            else:  # "ok": the result came down the pipe
-                _, delta = reply
-            # the worker's cache traffic and busy time, accumulated from
-            # per-reply deltas so the totals survive its death
-            hits, misses, compute_ns, cycle_ns = delta
-            self.cache_hits += hits
-            self.cache_misses += misses
-            self.compute_ns += compute_ns
-            self.cycle_ns += cycle_ns
-            outcome = assemble_results(out)
-        except (OSError, EOFError) as exc:
-            # OSError covers BrokenPipeError/ConnectionResetError and also
-            # "handle is closed": teardown may close the pipe under a
-            # cancelled batch's exchange
-            outcome = ReplicaDied(f"worker {self.index}: {exc!r}")
-        except Exception as exc:
-            outcome = exc
-        self._hand_back(exchange.slot)
-        results = exchange.results
-        if results.done():  # cancelled: the reply is read and thrown away
-            return
-        if isinstance(outcome, BaseException):
-            results.set_exception(outcome)
-        else:
-            results.set_result(outcome)
+        if reply[0] == "error":
+            raise RuntimeError(f"serving worker {self.index} failed: {reply[1]}")
+        _, (hits, misses, compute_ns, cycle_ns), body = reply
+        self.cache_hits += hits
+        self.cache_misses += misses
+        self.compute_ns += compute_ns
+        self.cycle_ns += cycle_ns
+        return body
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
@@ -591,9 +314,9 @@ class _WorkerHandle(Replica):
         if not self.alive:
             return
         self.alive = False
-        # the stop frame must not interleave with a doorbell, nor the close
-        # with a reply still in flight (a cancelled batch's): wait for every
-        # exchange to end, then keep the handle until it is closed.
+        # the stop frame must not interleave with a request frame, nor the
+        # close with a reply still in flight (a cancelled batch's): wait for
+        # every exchange to end, then keep the handle until it is closed.
         # Bounded wait: a wedged exchange falls through to terminate below.
         owned = self._lock.acquire(timeout=timeout)
         if owned and self.process.is_alive():
@@ -606,6 +329,207 @@ class _WorkerHandle(Replica):
             self.process.terminate()
             self.process.join(timeout)
         self._close_channel(owned, timeout)
+
+
+class _PipeHandle(_WorkerHandle):
+    """``transport="pipe"``: batch and result are pickled down the pipe.
+
+    A blocking replica: the inherited ``serve`` runs :meth:`execute` on the
+    executor under ``_lock``, so the thread of a cancelled batch keeps the
+    pipe until its reply is back.
+    """
+
+    def execute(self, seq, token, payloads, fault) -> list[UncertaintyResult]:
+        try:
+            if fault == "pre_doorbell":
+                self._kill()  # FaultPlan (test-only): dead before the frame
+            self.conn.send(("batch", seq, token, np.stack(payloads), fault))
+            self.pipe_batches += 1
+            reply = self.conn.recv()
+        except (OSError, EOFError) as exc:
+            # OSError covers BrokenPipeError/ConnectionResetError and also
+            # "handle is closed": the worker died, or was shut down first
+            raise ReplicaDied(f"worker {self.index}: {exc!r}") from None
+        return assemble_results(self._accept(reply))
+
+
+class _Exchange(NamedTuple):
+    """One batch's hold on a ring handle: a slot, and where its results go."""
+
+    #: the ring slot the exchange owns until it ends
+    slot: int
+    #: the batch's results; cancelled when nobody is left to take them
+    results: asyncio.Future
+
+
+class _RingHandle(_WorkerHandle):
+    """``transport="ring"``: the exchange runs on the event loop.
+
+    An exchange owns one of the ring's slots from before its rows are staged
+    until its reply has been read, whoever reads it: the batch that asked,
+    or, once that batch was cancelled, the loop on its own, which throws the
+    reply away.  ``_exchanges`` holds the exchanges whose doorbell is out,
+    in doorbell order, which is the order the serial worker answers in.
+    Exactly one party ends an exchange: the batch itself up to its
+    doorbell, :meth:`_finish` from then on — and ``_finish`` only ever takes
+    the queue's head.  ``_lock`` is held while any slot is owned.
+    """
+
+    def __init__(self, index: int, process, conn, cpu, ring: BatchRing) -> None:
+        super().__init__(index, process, conn, cpu)
+        self.ring = ring
+        self.depth = ring.slots
+        self._free_slots = list(range(self.depth))
+        #: slots owned right now — exchanges staging or in flight
+        self._owned = 0
+        self._exchanges: deque[_Exchange] = deque()
+        #: resolves when a slot is handed back; ``None`` when nobody waits
+        self._turn: asyncio.Future | None = None
+        #: (loop, fds) while loop readers wait for the replies in flight
+        self._watched: tuple | None = None
+
+    @property
+    def replies_in_flight(self) -> int:
+        """Doorbells rung whose reply has yet to be read off the pipe."""
+        return len(self._exchanges)
+
+    def _stage(self, slot: int, payloads: list) -> None:
+        """Write the batch's rows straight into its ring slot."""
+        dest = self.ring.stage_request(slot, (len(payloads), *payloads[0].shape))
+        for i, payload in enumerate(payloads):
+            dest[i] = payload
+
+    async def serve(
+        self, off_loop, seq: int, token: int, payloads: list, fault: str | None
+    ) -> list[UncertaintyResult]:
+        """One request/response exchange, never leaving the loop thread.
+
+        Rows into a free slot, doorbell down the pipe — behind the batch the
+        worker is computing, if there is one — and the loop's readers on
+        the pipe for the replies.
+        """
+        loop = asyncio.get_running_loop()
+        while self._owned >= self.depth:
+            # every slot is taken: the reply to a cancelled batch keeps its
+            # slot until it has been read
+            await self._next_turn(loop)
+        exchange = _Exchange(self._take_slot(), loop.create_future())
+        try:
+            self._stage(exchange.slot, payloads)
+            if fault == "pre_doorbell":
+                # FaultPlan (test-only): deterministic crash *between*
+                # staging and the doorbell — the batch dies holding its
+                # ring slot and must be re-staged on a sibling, and so must
+                # the batch the worker was computing ahead of it
+                await off_loop(self._kill)
+            self.conn.send(("ring", seq, token, exchange.slot, fault))
+        except BaseException as exc:
+            # not in the queue yet, so nobody else ends (or ended) this one
+            self._hand_back(exchange.slot)
+            if isinstance(exc, OSError):  # the doorbell met a closed pipe
+                raise ReplicaDied(f"worker {self.index}: {exc!r}") from None
+            raise
+        # the doorbell is out: from here the exchange ends itself (_finish),
+        # and cancelling this batch only means nobody is left to take the
+        # results
+        self._exchanges.append(exchange)
+        self.ring_batches += 1
+        self._watch(loop)
+        return await exchange.results
+
+    async def _next_turn(self, loop) -> None:
+        if self._turn is None:
+            self._turn = loop.create_future()
+        # shared by every waiter: one cancelled batch must not cancel it
+        await asyncio.shield(self._turn)
+
+    def _take_slot(self) -> int:
+        if not self._owned and not self._lock.acquire(blocking=False):
+            # only shutdown() holds the lock of an idle handle
+            raise ReplicaDied(f"worker {self.index} is being shut down")
+        self._owned += 1
+        return self._free_slots.pop()
+
+    def _hand_back(self, slot: int) -> None:
+        self._free_slots.append(slot)
+        self._owned -= 1
+        if not self._owned:
+            self._lock.release()
+        turn, self._turn = self._turn, None
+        if turn is not None:
+            turn.set_result(None)
+
+    def _watch(self, loop) -> None:
+        """Wake on a reply (pipe readable) or the worker's death (EOF, sentinel).
+
+        One pair of readers serves every reply in flight: registered with
+        the first doorbell, removed when the last reply has been read.
+        """
+        if self._watched is None:
+            pipe, sentinel = fds = (self.conn.fileno(), self.process.sentinel)
+            loop.add_reader(pipe, self._on_readable, True)
+            loop.add_reader(sentinel, self._on_readable, False)
+            self._watched = (loop, fds)
+
+    def _unwatch(self) -> None:
+        loop, fds = self._watched
+        self._watched = None
+        for fd in fds:
+            loop.remove_reader(fd)
+
+    def _on_readable(self, pipe_ready: bool) -> None:
+        try:
+            if not pipe_ready and not self.conn.poll(0):
+                # woken by the sentinel alone: nothing to read, not even EOF
+                raise EOFError(f"exited with code {self.process.exitcode}")
+            # a reply is a header of a few dozen bytes, written whole
+            reply = self.conn.recv()
+        except Exception as exc:  # OSError / EOFError: the worker is gone
+            # the pipe is lost: every exchange in flight ends on this error
+            self._unwatch()
+            while self._exchanges:
+                self._finish(error=exc)
+            return
+        self._finish(reply)
+        if not self._exchanges:
+            self._unwatch()
+
+    def _finish(self, reply=None, error=None) -> None:
+        """On the loop: the head exchange's reply has been read.
+
+        Results out, slot free.  The results are assembled before the slot
+        is handed on (it is still this exchange's), and the counters kept,
+        even when the batch was cancelled and nobody takes them.
+        """
+        exchange = self._exchanges.popleft()
+        outcome: list | BaseException
+        try:
+            if error is not None:
+                raise error
+            slot, layout = self._accept(reply)
+            if slot != exchange.slot:  # replies come in doorbell order
+                raise RuntimeError(
+                    f"serving worker {self.index} answered slot {slot}, "
+                    f"slot {exchange.slot} was due"
+                )
+            # the arrays are views of the slot; the results alias nothing
+            arrays = self.ring.read_response(slot)
+            outcome = assemble_results(BatchOutput.from_arrays(layout, arrays))
+        except (OSError, EOFError) as exc:
+            # OSError covers BrokenPipeError/ConnectionResetError and also
+            # "handle is closed": teardown may close the pipe under a
+            # cancelled batch's exchange
+            outcome = ReplicaDied(f"worker {self.index}: {exc!r}")
+        except Exception as exc:
+            outcome = exc
+        self._hand_back(exchange.slot)
+        results = exchange.results
+        if results.done():  # cancelled: the reply is read and thrown away
+            return
+        if isinstance(outcome, BaseException):
+            results.set_exception(outcome)
+        else:
+            results.set_result(outcome)
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -702,44 +626,45 @@ class ProcessWorkerPool(WorkerPool):
     # replicas: spawn + ready handshake
     # ------------------------------------------------------------------ #
     def _ring_geometry(self) -> tuple[int, int]:
-        """Per-slot (request_bytes, response_bytes) for the served geometry.
+        """Per-slot (request_bytes, response_bytes), exact for the served geometry.
 
-        A batch or response that does not fit anyway (the ring refuses it)
-        only costs that batch a trip down the pipe, never a wrong answer.
+        Sized for the larger of the two response layouts at the largest
+        batch, so one geometry serves both modes.
         """
-        example = int(np.prod(self.input_shape, dtype=np.int64))
-        request_bytes = 8 * self.max_batch_size * example
+        rows = self.max_batch_size
         if self.num_samples is not None:
             samples = self.num_samples
         else:
             model = getattr(self.engine, "model", None)
             samples = model.config.default_mc_samples if model is not None else 1
-        # MC: (S, N, classes) float64; early-exit: (N, classes) + (N,) int64.
-        # Sized for the larger of the two so one geometry serves both modes.
         classes = engine_num_classes(self.engine)
-        response_bytes = 8 * self.max_batch_size * (max(samples, 1) * classes + 1)
-        return request_bytes, response_bytes
+        return (
+            payload_bytes([((rows, *self.input_shape), np.float64)]),
+            max(
+                payload_bytes(response_specs(layout, samples, rows, classes))
+                for layout in RESPONSE_LAYOUTS
+            ),
+        )
 
     def _spawn_worker(self, config: _WorkerConfig, cpu: int | None) -> _WorkerHandle:
         """Spawn one worker process over its own ring (no ready-wait)."""
         ctx = multiprocessing.get_context(_MP_CONTEXT)
-        ring = (
-            BatchRing.create(_SLOTS, *self._ring_geometry())
-            if self.transport == "ring"
-            else None
-        )
+        ring = None
+        if self.transport == "ring":
+            ring = BatchRing.create(_SLOTS, *self._ring_geometry())
         index = next(self._indices)
         parent_conn, child_conn = ctx.Pipe()
-        manifest = ring.manifest if ring is not None else None
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, config, manifest, cpu),
+            args=(child_conn, config, ring.manifest if ring else None, cpu),
             daemon=True,
             name=f"repro-serving-worker-{index}",
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(index, process, parent_conn, ring, cpu)
+        if ring is None:
+            return _PipeHandle(index, process, parent_conn, cpu)
+        return _RingHandle(index, process, parent_conn, cpu, ring)
 
     def _make_replicas(self, count: int, timeout: float) -> list[_WorkerHandle]:
         """Spawn ``count`` workers over the current arena, then await them all."""

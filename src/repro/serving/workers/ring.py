@@ -28,11 +28,14 @@ serial, so two slots are all it can use: one under the batch it computes,
 one holding the batch staged behind it.  Responses read as views must be
 consumed (or copied) *before* the exchange ends.
 
-:meth:`stage_request` and :meth:`write_response` **refuse** what does not
-fit — a batch or response larger than the sized region, an exotic dtype,
-a released ring — and the caller ships that batch down the pickle pipe
-instead; the ring is an optimisation, never a constraint on what can be
-served.
+**Sizing.**  The regions are sized once, at creation, from the geometry the
+pool serves: :func:`payload_bytes` is the capacity that holds a list of
+arrays exactly, under the same placement rule the regions use (every array
+starts on a 64-byte boundary).  A batch or response that does not fit
+anyway is a broken contract, not a case to serve: :meth:`stage_request` and
+:meth:`write_response` raise, naming the capacity and the need, and a ring
+whose segment is gone raises :class:`~repro.serving.workers.roster
+.ReplicaDied` — its worker was reaped.
 
 Segments attach through the same per-process cache as the parameter arena
 (:func:`repro.nn.shm.open_attached_segment`), inheriting its
@@ -50,8 +53,9 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ...nn.shm import destroy_segment, open_attached_segment
+from .roster import ReplicaDied
 
-__all__ = ["BatchRing", "RingManifest"]
+__all__ = ["BatchRing", "RingManifest", "payload_bytes"]
 
 #: most arrays one response may carry (MC: 1, early-exit: 2; headroom)
 _MAX_ARRAYS = 4
@@ -69,6 +73,21 @@ _HEADER_BYTES = -(-_HEADER_WORDS * 8 // _ALIGN) * _ALIGN
 
 def _align(nbytes: int) -> int:
     return -(-nbytes // _ALIGN) * _ALIGN
+
+
+def _offsets(arrays) -> tuple[list[int], int]:
+    """Each ``(shape, dtype)``'s start in a payload area, and the last one's end."""
+    offsets: list[int] = []
+    end = 0
+    for shape, dtype in arrays:
+        offsets.append(_align(end))
+        end = offsets[-1] + math.prod(shape) * np.dtype(dtype).itemsize
+    return offsets, end
+
+
+def payload_bytes(arrays) -> int:
+    """The region capacity that holds ``(shape, dtype)`` pairs exactly."""
+    return _offsets(arrays)[1]
 
 
 @dataclass(frozen=True)
@@ -184,40 +203,38 @@ class BatchRing:
             self._headers[(slot, response)] = header
         return header
 
-    def _write_region(
-        self, slot: int, response: bool, arrays
-    ) -> list[np.ndarray] | None:
+    def _write_region(self, slot: int, response: bool, arrays) -> list[np.ndarray]:
         """Describe ``arrays`` in the region header; return destination views.
 
-        ``arrays`` is a sequence of ``(shape, dtype)`` pairs.  Returns
-        ``None`` (header untouched beyond narrays=0) when the payloads do
-        not fit the region or a dtype/rank is unsupported — the caller
-        falls back to the pipe.
+        ``arrays`` is a sequence of ``(shape, dtype)`` pairs.  Raises, with
+        the header untouched, when the region was not sized for them.
         """
+        if self._released:
+            raise ReplicaDied("the ring's segment was released with its worker")
         header = self._header(slot, response)
         payload_off, capacity = self._region(slot, response)
-        if len(arrays) > _MAX_ARRAYS:
-            return None
+        offsets, need = _offsets(arrays)
+        if need > capacity or len(arrays) > _MAX_ARRAYS:
+            raise ValueError(
+                f"the {'response' if response else 'request'} region of a ring slot "
+                f"holds {capacity} bytes in at most {_MAX_ARRAYS} arrays; "
+                f"{need} bytes are needed for {list(arrays)}"
+            )
         views: list[np.ndarray] = []
-        cursor = 0
         words: list[int] = [len(arrays)]
-        for shape, dtype in arrays:
+        for (shape, dtype), offset in zip(arrays, offsets):
             dtype = np.dtype(dtype)
             code = _DTYPE_CODES.get(dtype)
             if code is None or len(shape) > _MAX_DIMS:
-                return None
-            nbytes = math.prod(shape) * dtype.itemsize
-            if cursor + nbytes > capacity:
-                return None
+                raise ValueError(f"a ring slot cannot carry {dtype}{tuple(shape)}")
             views.append(
                 np.ndarray(
                     tuple(shape),
                     dtype=dtype,
                     buffer=self._segment.buf,
-                    offset=payload_off + cursor,
+                    offset=payload_off + offset,
                 )
             )
-            cursor += _align(nbytes)
             words.extend([code, len(shape), *shape, *([0] * (_MAX_DIMS - len(shape)))])
         header[: len(words)] = words
         return views
@@ -232,49 +249,33 @@ class BatchRing:
         # one C-level tolist beats per-word ndarray indexing on this path
         words = self._header(slot, response).tolist()
         payload_off, _ = self._region(slot, response)
-        narrays = words[0]
-        views: list[np.ndarray] = []
-        cursor = 0
-        word = 1
-        for _ in range(narrays):
-            dtype = _DTYPES[words[word]]
-            ndim = words[word + 1]
-            shape = tuple(words[word + 2 : word + 2 + ndim])
-            views.append(
-                np.ndarray(
-                    shape,
-                    dtype=dtype,
-                    buffer=self._segment.buf,
-                    offset=payload_off + cursor,
-                )
+        arrays = []
+        for word in range(1, 1 + words[0] * (2 + _MAX_DIMS), 2 + _MAX_DIMS):
+            shape = words[word + 2 : word + 2 + words[word + 1]]
+            arrays.append((tuple(shape), _DTYPES[words[word]]))
+        return [
+            np.ndarray(
+                shape, dtype=dtype, buffer=self._segment.buf, offset=payload_off + start
             )
-            cursor += _align(math.prod(shape) * dtype.itemsize)
-            word += 2 + _MAX_DIMS
-        return views
+            for (shape, dtype), start in zip(arrays, _offsets(arrays)[0])
+        ]
 
     # ------------------------------------------------------------------ #
     # parent side
     # ------------------------------------------------------------------ #
-    def stage_request(self, slot: int, shape: tuple[int, ...]) -> np.ndarray | None:
-        """Destination view for one float64 request batch, or ``None``.
+    def stage_request(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Destination view for one float64 request batch.
 
         The caller assembles the microbatch by writing rows directly into
         the returned view — there is no intermediate stacked array.
-        ``None`` means the batch does not fit this ring (oversized payload
-        fallback: send it down the pipe instead), or that the ring was
-        already released (a recycled worker slot racing a respawn).
         """
-        if self._released:
-            return None
-        views = self._write_region(slot, response=False, arrays=[(shape, np.float64)])
-        return views[0] if views is not None else None
+        return self._write_region(slot, False, [(shape, np.float64)])[0]
 
     def read_response(self, slot: int) -> list[np.ndarray]:
         """The response arrays a worker left in ``slot``, as views.
 
-        Views alias the slot: consume or copy them before the slot's next
-        exchange (MC assembly derives fresh arrays immediately; early-exit
-        assembly must copy, see ``procpool``).
+        Views alias the slot: consume them before the slot's next exchange
+        (``assemble_results`` does — its results alias nothing of its input).
         """
         return self._read_region(slot, response=True)
 
@@ -285,19 +286,11 @@ class BatchRing:
         """The staged request batch in ``slot``, as a fresh view."""
         return self._read_region(slot, response=False)[0]
 
-    def write_response(self, slot: int, arrays) -> bool:
-        """Copy result arrays into the response region; ``False`` = no fit.
-
-        On ``False`` nothing useful was written and the worker falls back
-        to pickling the result over the pipe.
-        """
-        specs = [(a.shape, a.dtype) for a in arrays]
-        views = self._write_region(slot, response=True, arrays=specs)
-        if views is None:
-            return False
+    def write_response(self, slot: int, arrays) -> None:
+        """Copy result arrays into the response region."""
+        views = self._write_region(slot, True, [(a.shape, a.dtype) for a in arrays])
         for view, array in zip(views, arrays):
             view[...] = array
-        return True
 
     # ------------------------------------------------------------------ #
     # teardown

@@ -8,7 +8,7 @@ activation cache stays shared with batch callers and
 from ``engine.replicate()``: same ``Parameter`` arrays zero-copy, private
 context and cache each.  A batch takes one path on the worker thread: the
 stager packs the request rows into the ``(max_batch_size, *input_shape)``
-buffer (same layout as ``np.stack``, no per-batch allocation), then
+buffer (the layout a fresh stack would have, no per-batch allocation), then
 :func:`~repro.serving.workers.base.compute_batch_array` and
 :func:`~repro.serving.workers.base.assemble_results` run back to back.
 
@@ -23,8 +23,6 @@ so everything else — checkout, scaling, swaps, counters — is
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from ...uncertainty.metrics import UncertaintyResult
 from ..batcher import BatchStager
@@ -60,13 +58,10 @@ class _ThreadReplica(Replica):
 
     def execute(self, seq, token, payloads, fault) -> list[UncertaintyResult]:
         started = time.perf_counter_ns()
-        batch = self.stager.stage(payloads)
-        if batch is None:  # BatchStager's no-fit answer: same layout, allocated
-            batch = np.stack(payloads)
         out = compute_batch_array(
             self.engine,
             seq,
-            batch,
+            self.stager.stage(payloads),
             self.pool.num_samples,
             self.pool.early_exit_threshold,
         )

@@ -1,16 +1,9 @@
-"""Hot-path observability: content-keyed cache stats end to end, and the
-one pipe frame a refused ring batch ships in.
+"""Hot-path observability: content-keyed cache stats end to end.
 
-Two properties are pinned here:
-
-* The content-keyed activation cache is observable end-to-end: repeated
-  request bytes hit (``ServingStats.cache_hits``), a zero-downtime
-  ``swap_model`` invalidates (the first post-swap batch misses), and the
-  process backend reports the same counters across its pipe.
-* The worker protocol has exactly two request frames: a batch the ring
-  takes rings the ``("ring", ...)`` doorbell, a batch the ring refuses
-  ships as one pre-assembled ``("batch", ...)`` frame — with responses
-  bit-identical to the all-ring run.
+The content-keyed activation cache is observable end-to-end: repeated
+request bytes hit (``ServingStats.cache_hits``), a zero-downtime
+``swap_model`` invalidates (the first post-swap batch misses), and the
+process backend reports the same counters across its pipe.
 """
 
 from __future__ import annotations
@@ -23,7 +16,6 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import ServingConfig, ServingEngine
-from repro.serving.workers.procpool import ProcessWorkerPool
 
 NUM_SAMPLES = 6
 
@@ -107,48 +99,3 @@ def test_cache_counters_cross_the_process_boundary():
     # the per-reply deltas reassemble to the same totals in the parent
     assert stats.cache_hits >= 1
     assert stats.cache_misses >= 1
-
-
-# --------------------------------------------------------------------------- #
-# the two request frames: ring doorbell, or one stacked batch by pipe
-# --------------------------------------------------------------------------- #
-@pytest.mark.timeout(120)
-def test_refused_ring_ships_one_batch_frame_bit_identically(monkeypatch):
-    def serve():
-        server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend="process")
-        )
-        kinds: list[str] = []
-
-        async def main():
-            async with server:
-                for handle in server._pool._replicas:
-
-                    def spy(msg, _orig=handle.conn.send):
-                        if msg[0] != "stop":
-                            kinds.append(msg[0])
-                        return _orig(msg)
-
-                    handle.conn.send = spy
-                results = [await server.submit(x) for x in X]
-                return results, server.stats()
-
-        return asyncio.run(main()) + (kinds,)
-
-    ring_results, ring_stats, ring_kinds = serve()
-    # a ring whose request region cannot hold even one example refuses
-    # every batch: stage_request returns None and the pool must not care
-    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: (64, 1 << 20))
-    pipe_results, pipe_stats, pipe_kinds = serve()
-
-    assert ring_stats.transport_ring_batches == len(X)
-    assert ring_kinds == ["ring"] * len(X)
-    # every refused batch fell back to ONE pre-assembled "batch" frame
-    assert pipe_stats.transport_pipe_batches == len(X)
-    assert pipe_stats.transport_ring_batches == 0
-    assert pipe_kinds == ["batch"] * len(X)
-    # and the fallback is invisible in the responses, bit for bit
-    for rr, rp in zip(ring_results, pipe_results):
-        np.testing.assert_array_equal(rr.probs, rp.probs)
-        assert rr.entropy == rp.entropy
-        assert rr.mutual_information == rp.mutual_information

@@ -1,24 +1,24 @@
-"""Ring-buffer transport: slot mechanics, fallbacks, crashes, teardown.
+"""Worker transports: slot mechanics, the sizing contract, crashes, teardown.
 
-The shm ring is an *optimisation* of the worker channel, never a semantic
-change: every test here pins one of the ways it must degrade gracefully —
-a batch the ring refuses ships as one pickled frame down the pipe,
-over-long responses come back pickled, a worker crash mid-slot retries on
-a sibling and unlinks the dead worker's segment, and ``stop()`` releases
-every ring segment.  A replica holds at most ``depth`` exchanges (one
-staging buffer per thread replica; two ring slots per worker, answered in
-doorbell order), and each keeps its place until its reply has been read —
-so a cancelled batch can never be staged over, hand its reply to a later
-one or push a later one off the ring, and a worker that dies fails every
-batch it held exactly once.
-Bit-identity between ``worker_transport="ring"`` and ``"pipe"`` is the
-umbrella guarantee the fallback makes unconditional.
+The shm ring never changes what is served: ``worker_transport="ring"`` and
+``"pipe"`` are bit-identical, a worker crash mid-slot retries on a sibling
+and unlinks the dead worker's segment, and ``stop()`` releases every ring
+segment.  The batch geometry is a contract: the pool sizes every slot
+exactly for what it serves, so each batch and response fits by
+construction — and a geometry that lies fails that one batch loudly
+instead of degrading silently.  A replica holds at most ``depth``
+exchanges (one staging buffer per thread replica, the pipe of a pipe
+replica; two ring slots per ring worker, answered in doorbell order), and
+each keeps its place until its reply has been read — so a cancelled batch
+can never be staged over or hand its reply to a later one, and a worker
+that dies fails every batch it held exactly once.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 import os
 import signal
 import threading
@@ -31,8 +31,9 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import FaultPlan, ServingConfig, ServingEngine
-from repro.serving.workers.procpool import ProcessWorkerPool, _WorkerHandle
+from repro.serving.workers.procpool import ProcessWorkerPool, _RingHandle
 from repro.serving.workers.ring import BatchRing
+from repro.serving.workers.roster import ReplicaDied
 
 
 def cfg(**kwargs):
@@ -80,14 +81,14 @@ def test_ring_roundtrip_through_attached_view():
     try:
         attached = BatchRing.attached(ring.manifest)
         dest = ring.stage_request(1, (4, 2, 3))
-        assert dest is not None and dest.shape == (4, 2, 3)
+        assert dest.shape == (4, 2, 3)
         batch = np.arange(24, dtype=np.float64).reshape(4, 2, 3)
         dest[...] = batch
         np.testing.assert_array_equal(attached.read_request(1), batch)
 
         probs = np.linspace(0.0, 1.0, 12).reshape(3, 4)
         exits = np.array([0, 1, 1], dtype=np.int64)
-        assert attached.write_response(1, [probs, exits])
+        attached.write_response(1, [probs, exits])
         got_probs, got_exits = ring.read_response(1)
         np.testing.assert_array_equal(got_probs, probs)
         np.testing.assert_array_equal(got_exits, exits)
@@ -99,15 +100,64 @@ def test_ring_roundtrip_through_attached_view():
 
 
 def test_ring_refuses_what_does_not_fit():
+    """A misfit raises, naming capacity and need, and leaves the slot usable."""
     ring = BatchRing.create(slots=1, request_bytes=64, response_bytes=64)
     try:
-        assert ring.stage_request(0, (4, 4)) is None  # 128 B > 64 B
-        assert ring.stage_request(0, (2, 4)) is not None  # 64 B fits
-        too_big = np.zeros((3, 4))
-        assert not ring.write_response(0, [too_big])
-        assert ring.write_response(0, [np.zeros(8)])
-        # unsupported dtype falls back rather than corrupting the slot
-        assert not ring.write_response(0, [np.zeros(4, dtype=np.float32)])
+        with pytest.raises(ValueError, match="request region .* 64 bytes.* 128 bytes"):
+            ring.stage_request(0, (4, 4))
+        assert ring.stage_request(0, (2, 4)).shape == (2, 4)  # 64 B fits
+        with pytest.raises(ValueError, match="response region .* 64 bytes.* 96 bytes"):
+            ring.write_response(0, [np.zeros((3, 4))])
+        # two arrays: the second starts on the next 64-byte boundary
+        with pytest.raises(ValueError, match="64 bytes.* 72 bytes"):
+            ring.write_response(0, [np.zeros(1), np.zeros(1)])
+        with pytest.raises(ValueError, match="cannot carry float32"):
+            ring.write_response(0, [np.zeros(4, dtype=np.float32)])
+        ring.write_response(0, [np.arange(8.0)])
+        np.testing.assert_array_equal(ring.read_response(0)[0], np.arange(8.0))
+    finally:
+        ring.release()
+    with pytest.raises(ReplicaDied):  # its worker was reaped
+        ring.stage_request(0, (2, 4))
+
+
+@pytest.mark.parametrize("classes", [2, 5, 10])
+@pytest.mark.parametrize("max_batch", [1, 3, 32])
+@pytest.mark.parametrize("num_samples", [None, 1, 10])
+def test_every_servable_batch_fits_the_slot_the_pool_sized(
+    num_samples, max_batch, classes
+):
+    """Spawn-free: the pool's own geometry holds every batch it can form.
+
+    Both response layouts — MC ``(S, N, C)`` float64, early exit ``(N, C)``
+    float64 plus ``(N,)`` int64, the second array on its own 64-byte
+    boundary — at every ``N`` up to the largest batch.
+    """
+    shape = (1, 12, 12)
+    model = MultiExitBayesNet(
+        lenet5_spec(input_shape=shape, num_classes=classes, width_multiplier=0.5),
+        MultiExitConfig(num_exits=2, mcd_layers_per_exit=1, seed=0),
+    )
+    pool = ProcessWorkerPool(
+        model.engine, 1, num_samples, None, max_batch_size=max_batch, input_shape=shape
+    )
+    samples = num_samples or model.config.default_mc_samples
+    rng = np.random.default_rng(0)
+    ring = BatchRing.create(1, *pool._ring_geometry())
+    try:
+        for rows in range(1, max_batch + 1):
+            assert ring.stage_request(0, (rows, *shape)).shape == (rows, *shape)
+            exits = rng.integers(0, 2, size=rows, dtype=np.int64)
+            for arrays in (
+                [rng.random((samples, rows, classes))],
+                [rng.random((rows, classes)), exits],
+            ):
+                ring.write_response(0, arrays)
+                got = ring.read_response(0)
+                assert len(got) == len(arrays)
+                for want, have in zip(arrays, got):
+                    assert have.dtype == want.dtype
+                    np.testing.assert_array_equal(have, want)
     finally:
         ring.release()
 
@@ -152,29 +202,85 @@ def test_thread_backend_reports_inproc_transport():
 
 
 @pytest.mark.timeout(120)
-def test_oversized_payload_falls_back_to_pipe(monkeypatch):
-    """A ring too small for the batch must degrade, not fail or distort."""
-    reference, _ = _serve_sequentially("process", worker_transport="pipe")
-    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: (64, 1 << 20))
-    results, stats = _serve_sequentially("process")
-    for rr, rp in zip(results, reference):
-        np.testing.assert_array_equal(rr.probs, rp.probs)
-    assert stats.transport == "ring"
-    assert stats.transport_ring_batches == 0
-    assert stats.transport_pipe_batches == len(X)
+def test_early_exit_batches_are_served_from_their_slots(caplog):
+    """``num_samples=1``, early exit, batches of three: every one by ring.
+
+    ``(3, 5)`` float64 is 120 bytes, so the exit indices start at byte 128
+    and end at 152 — a slot sized as ``8 * N * (S * C + 1)`` = 144 bytes
+    could not hold its own full batch.
+    """
+    caplog.set_level(logging.WARNING, logger="repro.serving.workers.procpool")
+    batches = [[0, 1, 2], [3, 4, 5], [6, 7, 0], [1]]
+
+    async def serve(backend):
+        config = cfg(
+            num_samples=1,
+            early_exit_threshold=0.5,
+            max_batch_size=3,
+            workers=1,
+            worker_backend=backend,
+        )
+        async with ServingEngine(_model(), config) as server:
+            got = [
+                await server._pool.run(seq, [X[i] for i in rows])
+                for seq, rows in enumerate(batches)
+            ]
+            return got, server.stats()
+
+    got, stats = asyncio.run(serve("process"))
+    want, _ = asyncio.run(serve("thread"))
+    for batch, ref in zip(got, want):
+        assert len(batch) == len(ref)
+        for res, expected in zip(batch, ref):
+            np.testing.assert_array_equal(res.probs, expected.probs)
+            assert (res.entropy, res.exit_index) == (expected.entropy, expected.exit_index)
+    assert stats.transport_ring_batches == len(batches)
+    assert stats.transport_pipe_batches == 0
+    assert not caplog.records
 
 
 @pytest.mark.timeout(120)
-def test_response_overflow_returns_pickled_result(monkeypatch):
-    """Doorbell rings, response does not fit: the worker pickles it instead."""
-    reference, _ = _serve_sequentially("process", worker_transport="pipe")
-    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: (1 << 20, 64))
-    results, stats = _serve_sequentially("process")
-    for rr, rp in zip(results, reference):
-        np.testing.assert_array_equal(rr.probs, rp.probs)
-    # the request leg used the ring (counted at send); the response leg fell
-    # back inside the worker, invisibly to the caller
-    assert stats.transport_ring_batches == len(X)
+@pytest.mark.parametrize("leg", ["request", "response"])
+def test_a_lying_geometry_fails_that_batch_loudly_and_nothing_else(monkeypatch, leg):
+    """The contract's other side: a slot too small for the batch it is given.
+
+    One row fits, two do not.  The two-row batch raises — on the request
+    leg from the parent's staging, on the response leg through the worker's
+    error reply — with a message naming the capacity and the need; the
+    worker lives, its slot is handed back and the next batch is served from
+    it, bit-identical to an undisturbed server.
+    """
+    one_row = {
+        "request": (8 * X[0].size, 1 << 20),
+        "response": (1 << 20, 8 * NUM_SAMPLES * 5),
+    }[leg]
+    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: one_row)
+    capacity, need = (1152, 2304) if leg == "request" else (240, 480)
+
+    async def main():
+        server = ServingEngine(
+            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+        )
+        async with server:
+            pool = server._pool
+            (handle,) = pool._replicas
+            first = await pool.run(0, [X[0]])
+            with pytest.raises(
+                RuntimeError if leg == "response" else ValueError,
+                match=f"{leg} region .* {capacity} bytes.* {need} bytes",
+            ):
+                await pool.run(1, [X[1], X[2]])
+            _assert_idle(handle)
+            assert handle.is_alive() and handle.in_flight == 0
+            third = await pool.run(2, [X[3]])
+            _assert_idle(handle)
+            return [first, third], server.stats()
+
+    got, stats = asyncio.run(main())
+    want = _run_directly("thread", [[0], [1, 2], [3]])
+    _assert_same_bits(got[0], want[0])
+    _assert_same_bits(got[1], want[2])
+    assert (stats.worker_crashes, stats.transport_pipe_batches) == (0, 0)
 
 
 CANCELLED_SEQ = 2
@@ -226,18 +332,26 @@ def _assert_idle(handle) -> None:
 
 
 class _PipeSpy:
-    """Stands in for a handle's ``conn``: what was sent, and in what state."""
+    """Stands in for a handle's ``conn``: what crossed it, and in what state."""
 
-    def __init__(self, handle: _WorkerHandle) -> None:
+    def __init__(self, handle) -> None:
         self._conn = handle.conn
-        #: (frame kind, seq or None, places owned when it was sent)
+        #: (frame kind, seq or None, ring slots owned when it was sent)
         self.sent: list[tuple] = []
+        #: frame kinds in the order they were sent and received
+        self.traffic: list[str] = []
         self._handle = handle
 
     def send(self, frame):
         seq = frame[1] if len(frame) > 1 else None
-        self.sent.append((frame[0], seq, self._handle._owned))
+        self.sent.append((frame[0], seq, getattr(self._handle, "_owned", None)))
+        self.traffic.append(frame[0])
         self._conn.send(frame)
+
+    def recv(self):
+        frame = self._conn.recv()
+        self.traffic.append(frame[0])
+        return frame
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
@@ -440,24 +554,15 @@ class _CountingExecutor(ThreadPoolExecutor):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("transport", ["ring", "pipe", "ring-overflow"])
+@pytest.mark.parametrize("transport", ["ring", "pipe"])
 def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
     """Between ``start`` and ``stop`` a ring batch needs no thread at all.
 
-    Not with two of them in flight per worker either.  Pickled frames are
-    the counter-example: the ``"batch"`` request and a result that outgrew
-    the slot may be of any size (the latter may still be being written
-    when its header arrives), so they are sent and received on the
-    executor, never on the loop — one submission per batch, also when the
-    next batch's doorbell was rung before the overflow showed.
+    Not with two of them in flight per worker either.  The pipe transport
+    is the counter-example: its pickled frames may be of any size, so the
+    whole exchange is one blocking call on the executor — one submission
+    per batch, one batch at a time.
     """
-    overflow = transport == "ring-overflow"
-    pipe = transport == "pipe"
-    if overflow:  # every request fits its slot, no response does
-        transport = "ring"
-        monkeypatch.setattr(
-            ProcessWorkerPool, "_ring_geometry", lambda self: (1 << 20, 64)
-        )
 
     async def main():
         executor = _CountingExecutor(max_workers=2)
@@ -478,26 +583,27 @@ def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
                 pool = server._pool
                 (handle,) = pool._replicas
                 in_flight = []
-                finish = handle._finish
+                if transport == "ring":
+                    finish = handle._finish
 
-                def counting_finish(*args, **kwargs):
-                    in_flight.append(handle.replies_in_flight)
-                    return finish(*args, **kwargs)
+                    def counting_finish(*args, **kwargs):
+                        in_flight.append(handle.replies_in_flight)
+                        return finish(*args, **kwargs)
 
-                monkeypatch.setattr(handle, "_finish", counting_finish)
+                    monkeypatch.setattr(handle, "_finish", counting_finish)
                 # all at once: the worker's places are what paces them
                 await asyncio.gather(*(pool.run(seq, [x]) for seq, x in enumerate(X)))
-                assert max(in_flight) == handle.depth == (1 if pipe else 2)
+                assert handle.depth == max(in_flight, default=1)
                 return executor.submissions - started, server.stats()
         finally:
             executor.shutdown(wait=True)
 
     submissions, stats = asyncio.run(main())
+    batches = (stats.transport_ring_batches, stats.transport_pipe_batches)
     if transport == "pipe":
-        assert (submissions, stats.transport_pipe_batches) == (len(X), len(X))
+        assert (submissions, batches) == (len(X), (0, len(X)))
     else:
-        assert stats.transport_ring_batches == len(X)  # the request leg
-        assert submissions == (len(X) if overflow else 0)
+        assert (submissions, batches) == (0, (len(X), 0))
 
 
 @pytest.mark.timeout(120)
@@ -513,13 +619,13 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
     with two batches on one handle.
     """
     watched: set[int] = set()
-    watch = _WorkerHandle._watch
+    watch = _RingHandle._watch
 
-    def recording_watch(self, loop, *args):
-        watch(self, loop, *args)
+    def recording_watch(self, loop):
+        watch(self, loop)
         watched.update(self._watched[1])
 
-    monkeypatch.setattr(_WorkerHandle, "_watch", recording_watch)
+    monkeypatch.setattr(_RingHandle, "_watch", recording_watch)
     # batch 0 dies holding its slot with batch 2 staged behind it, and both
     # are retried on the sibling; batch 6's worker answers and dies at once
     # — reply and sentinel fire together
@@ -573,7 +679,7 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# two exchanges per handle: deaths, refusals, the stop frame
+# two exchanges per handle: deaths, the stop frame
 # --------------------------------------------------------------------------- #
 def _run_directly(backend: str, batches: list[list[int]], **kwargs) -> list[list]:
     """``pool.run(seq, rows)`` for each batch in turn on a fresh K=1 server."""
@@ -664,43 +770,6 @@ def test_a_death_ends_every_exchange_in_flight_exactly_once(seq, point, lost):
 
 
 @pytest.mark.timeout(120)
-def test_a_ring_refusal_waits_for_the_pipe_and_is_counted_once(monkeypatch):
-    """A frame of unbounded size takes the pipe alone.
-
-    One row fits the slot, two do not.  The two-row batch arrives while a
-    ring exchange is in flight: its pickled frame goes out only once that
-    reply has been read, and no doorbell is rung behind it until its own
-    reply is back.
-    """
-    one_row = (8 * X[0].size, 1 << 20)
-    monkeypatch.setattr(ProcessWorkerPool, "_ring_geometry", lambda self: one_row)
-    batches = [[0], [1, 2], [3], [4]]
-
-    async def main():
-        server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
-        )
-        async with server:
-            pool = server._pool
-            (handle,) = pool._replicas
-            handle.conn = spy = _PipeSpy(handle)
-            got = await asyncio.gather(
-                *(pool.run(seq, [X[i] for i in b]) for seq, b in enumerate(batches))
-            )
-            _assert_idle(handle)
-            return got, spy.sent, server.stats()
-
-    got, sent, stats = asyncio.run(main())
-    # (kind, seq, places owned at the send): the refused batch went out with
-    # the handle to itself, and the doorbell behind it after it had ended
-    assert sent[:3] == [("ring", 0, 1), ("batch", 1, 1), ("ring", 2, 1)]
-    assert sent[3][:2] == ("ring", 3)
-    assert (stats.transport_ring_batches, stats.transport_pipe_batches) == (3, 1)
-    for batch, ref in zip(got, _run_directly("thread", batches)):
-        _assert_same_bits(batch, ref)
-
-
-@pytest.mark.timeout(120)
 def test_the_stop_frame_waits_out_both_replies_in_flight():
     """``shutdown()``'s stop frame cannot interleave with a doorbell.
 
@@ -733,6 +802,113 @@ def test_the_stop_frame_waits_out_both_replies_in_flight():
     assert sent == [("ring", 0, 1), ("ring", 1, 2), ("stop", None, 0)]
     assert handle.process.exitcode == 0 and handle.ring_batches == 2
     assert (handle.cache_misses, handle.replies_in_flight) == (2, 0)
+
+
+# --------------------------------------------------------------------------- #
+# the pipe replica: one blocking exchange at a time, on the executor
+# --------------------------------------------------------------------------- #
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize(
+    "point, frames_sent",
+    [
+        ("pre_doorbell", 4),  # killed first: the frame met a closed pipe
+        ("mid_compute", 5),  # the frame went out, EOF came back
+        ("post_response", 4),  # answered, then dead: the next frame finds out
+    ],
+)
+def test_a_pipe_replica_death_is_retried_bit_identically(point, frames_sent):
+    """Every ``FaultPlan`` point on ``worker_transport="pipe"``.
+
+    The blocking exchange turns a closed pipe (``send``) and EOF (``recv``)
+    into ``ReplicaDied``; the roster retries the batch on the sibling, counts
+    the death once and reaps the corpse, whose lock and pipe are released.
+    """
+    plan = FaultPlan([(1, point)])
+    batches = [[0, 1], [2], [3, 4, 5], [6]]
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=2,
+                worker_backend="process",
+                worker_transport="pipe",
+                fault_plan=plan,
+            ),
+        )
+        async with server:
+            pool = server._pool
+            _, victim = pool._replicas  # batch 1 goes to the second worker
+            got = []
+            for seq, rows in enumerate(batches):
+                got.append(await pool.run(seq, [X[i] for i in rows]))
+                if seq == 1:  # dead at every point; gone before its next frame
+                    victim.process.join(10.0)
+                    assert plan.pending == () and not victim.is_alive()
+            assert pool.worker_crashes == 1 and not victim.alive
+            assert victim.conn.closed and not victim._lock.locked()
+            return got, server.stats()
+
+    got, stats = asyncio.run(main())
+    for batch, ref in zip(got, _run_directly("thread", batches)):
+        _assert_same_bits(batch, ref)
+    assert stats.transport_ring_batches == 0
+    assert stats.transport_pipe_batches == frames_sent
+
+
+@pytest.mark.timeout(120)
+def test_a_cancelled_pipe_batch_keeps_the_pipe_until_its_reply_is_back():
+    """Cancel mid-exchange, then stop: nothing interleaves on the pipe.
+
+    The executor thread of a cancelled batch stays inside ``execute``,
+    holding ``_lock``, until the worker (held with SIGSTOP) has answered:
+    the next batch's frame and ``shutdown()``'s stop frame both wait for
+    that reply, the counters it carried are kept, and the worker exits on
+    the stop frame, not on a kill.
+    """
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=1,
+                worker_backend="process",
+                worker_transport="pipe",
+            ),
+        )
+        async with server:
+            pool = server._pool
+            (handle,) = pool._replicas
+            assert handle.depth == 1
+            handle.conn = spy = _PipeSpy(handle)
+            with _frozen(handle):
+                batch = asyncio.ensure_future(pool.run(0, [X[0]]))
+                while spy.traffic != ["batch"]:  # the frame is out, no reply
+                    await asyncio.sleep(0.001)
+                batch.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await batch
+                assert handle._lock.locked() and handle.in_flight == 0
+                following = asyncio.ensure_future(pool.run(1, [X[1]]))
+                await asyncio.sleep(0.05)
+                assert not following.done() and spy.traffic == ["batch"]
+            got = await asyncio.wait_for(following, HOLD_S)
+            with _frozen(handle):
+                last = asyncio.ensure_future(pool.run(2, [X[2]]))
+                while len(spy.traffic) < 5:
+                    await asyncio.sleep(0.001)
+                last.cancel()
+                await asyncio.gather(last, return_exceptions=True)
+                assert handle._lock.locked()
+        return handle, spy.traffic, got
+
+    handle, traffic, got = asyncio.run(main())
+    assert traffic == ["batch", "ok", "batch", "ok", "batch", "ok", "stop"]
+    assert handle.process.exitcode == 0 and not handle._lock.locked()
+    assert (handle.pipe_batches, handle.cache_misses) == (3, 3)
+    _assert_same_bits(got, _run_directly("thread", [[0], [1]])[1])
 
 
 # --------------------------------------------------------------------------- #

@@ -394,3 +394,31 @@ def test_loadgen_trace_capture_replay_round_trip(tmp_path):
             assert replay_report.schedule == report.schedule
 
     asyncio.run(main())
+
+
+def test_client_and_server_report_one_percentile_statistic():
+    """The same latency sample reads the same p50/p95/p99 on both sides.
+
+    ``LoadReport`` and ``ServingStats`` both quote
+    ``repro.metrics.nearest_rank_percentile``: an observed latency, never
+    an interpolation between two of them.
+    """
+    schedule = [i * 0.002 for i in range(12)]
+
+    async def main():
+        engine = ServingEngine(_model(), cfg(num_samples=1))
+        async with ServingServer(engine) as srv:
+            gen = LoadGenerator(srv.host, srv.port, process="trace", schedule=schedule)
+            report = await gen.run()
+            # hand the server the client's sample, in completion order
+            engine._latencies.clear()
+            engine._latencies.extend(gen.latencies)
+            return gen.latencies, report, engine.stats()
+
+    sample, report, stats = asyncio.run(main())
+    assert report.ok == len(sample) == len(schedule)
+    assert len(set(sample)) > 1
+    for name in ("latency_p50_s", "latency_p95_s", "latency_p99_s"):
+        assert getattr(stats, name) == getattr(report, name)
+    assert report.latency_p99_s == stats.latency_max_s == max(sample)
+    assert report.latency_p50_s == sorted(sample)[5]  # rank ceil(0.5 * 12)
