@@ -17,7 +17,8 @@ bench:
 # two-deep queue and cancellation, the slot-sizing contract — a spawn-free
 # geometry grid, a lying geometry failing one batch — the pipe replica's
 # deaths, worker/loop CPU placement — K = 1..3 pinned workers on a 4-core
-# host — and the batcher's hand-off ordering) +
+# host — and the batcher's hand-off ordering, its queue bound and the
+# request-conservation state machine) +
 # the K=4 scaling gates (threads >= 1.8x, processes >= 2.5x; gates skip
 # below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
 # one-ring-worker busy-share gate (>= 0.80) + the hot-path glue
@@ -30,6 +31,7 @@ parallel:
 		tests/serving/test_parallel_serving.py tests/serving/test_procpool.py \
 		tests/serving/test_fleet.py tests/serving/test_roster.py \
 		tests/serving/test_ring.py tests/serving/test_batcher.py \
+		tests/serving/test_batcher_properties.py \
 		tests/serving/test_placement.py \
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \

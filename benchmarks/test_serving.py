@@ -159,6 +159,7 @@ def test_backpressure_under_overload():
     assert rejected > 0, "96 requests against an 8-deep queue must shed load"
     assert completed > 0
     assert stats.requests_rejected == rejected
+    assert stats.queue_peak <= 8, "more pending than max_queue_size allows"
 
     async def flood_awaiting():
         server = ServingEngine(

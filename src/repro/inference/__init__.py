@@ -27,8 +27,8 @@ Public surface
     reference.
 :func:`iter_microbatches` / :func:`aiter_microbatches`
     Synchronous and async-aware microbatching primitives; the latter (with
-    its ``max_latency`` partial-batch flush) is the building block of the
-    engines' ``apredict_stream`` hooks and of :mod:`repro.serving`.
+    its ``max_latency`` partial-batch flush) is a standalone ordered-stream
+    helper behind the engines' ``apredict_stream`` hooks.
 """
 
 from .engine import InferenceEngine, NetworkEngine

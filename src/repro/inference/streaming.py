@@ -7,9 +7,11 @@ engines can run each microbatch through the folded hot path and keep peak
 memory bounded by ``batch_size · num_samples`` activations instead of the
 full workload.
 
-:func:`aiter_microbatches` is the async-aware counterpart used by the
-serving layer (:mod:`repro.serving`) and the engines' ``apredict_stream``
-hooks: it additionally accepts *asynchronous* example streams and supports a
+:func:`aiter_microbatches` is the async-aware counterpart behind the
+engines' ``apredict_stream`` hooks — a standalone helper for one ordered
+stream; the serving layer (:mod:`repro.serving`) batches independent
+requests with its own ``DynamicBatcher`` and does not use it.  It
+additionally accepts *asynchronous* example streams and supports a
 ``max_latency`` deadline, flushing a partial microbatch when the stream goes
 quiet instead of stalling the first request of a trickle workload until a
 full batch arrives.

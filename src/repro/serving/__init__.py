@@ -6,11 +6,12 @@ soon" for thousands of concurrent callers.  This subpackage bridges the
 two with classic dynamic batching:
 
 * :class:`DynamicBatcher` — payload-agnostic microbatch assembly: dispatch
-  when full (``max_batch_size``) or when the oldest queued request has
+  when full (``max_batch_size``) or when the oldest pending request has
   waited ``max_batch_latency`` seconds; earliest-deadline-first ordering of
   the backlog for deadlined requests; up to ``max_concurrent_batches``
-  batches in flight with assembly pipelined against compute; bounded-queue
-  backpressure that either *awaits* capacity (default) or fails fast with
+  batches in flight with assembly pipelined against compute; at most
+  ``max_queue_size`` requests accepted and not yet dispatched, beyond which
+  ``submit`` either *awaits* room (default) or fails fast with
   :class:`ServerOverloaded`.
 * :class:`ServingEngine` — the facade: ``await submit(x, deadline=…)``
   returns an :class:`repro.uncertainty.UncertaintyResult` (probabilities,

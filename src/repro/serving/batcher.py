@@ -1,4 +1,4 @@
-"""Dynamic request batching with bounded-queue backpressure.
+"""Dynamic request batching over one bounded pending set.
 
 :class:`DynamicBatcher` is the transport half of the serving layer: it
 collects individually-submitted requests into microbatches so that the
@@ -25,61 +25,73 @@ reads, submissions and cancellations are served as usual.  The price is
 loop-thread CPU, bounded by under 1 ms of polling per *partial* batch; a
 batch that fills never waits and pays nothing.
 
-**Hand-off.**  The step from one batch to the next is work-conserving:
-when a batch completes and requests are already queued, the collector
-takes them there and then (``get_nowait``, no getter task, no yield), so a
-next batch that is already full — or past its flush time — is dispatched
-*before* the finished batch's callers get their loop turns, and their
-bookkeeping overlaps the worker's compute instead of delaying it.  With
-nothing queued the collector waits exactly as described above.
+**One pending set.**  An accepted, not yet dispatched request sits in one
+place, the batcher's EDF heap: ``submit`` pushes it there and the collector
+assembles from there.  So ``max_queue_size`` bounds what it says — requests
+accepted and not yet dispatched, ``queue_depth == len(heap) <=
+max_queue_size`` at every instant, ``stats.queue_peak`` its high-water mark
+(batches in flight are bounded separately, by ``workers x depth``).  With
+the heap full, ``reject_on_full=True`` fails ``submit`` fast with
+:class:`ServerOverloaded` so the caller can retry elsewhere; the default
+parks it in a FIFO waiting line (cooperative backpressure, load is shed to
+the callers' own queues).  Every pop of the heap moves the longest-parked
+request into the freed place in the same synchronous step, so a newcomer
+can neither take that place nor overtake the line.
 
-Backpressure comes from the bounded submission queue (``max_queue_size``):
-with the default ``reject_on_full=False`` an overloaded server makes
-``submit`` *await* until capacity frees up (cooperative backpressure, load
-is shed to the callers' own queues); with ``reject_on_full=True`` it fails
-fast with :class:`ServerOverloaded` so the caller can retry elsewhere.
+**Hand-off.**  The step from one batch to the next is work-conserving by
+construction: a request that arrived behind a running batch is in the heap
+when that batch completes, so a next batch that is already full — or past
+its flush time — is dispatched *before* the finished batch's callers get
+their loop turns, and their bookkeeping overlaps the worker's compute.
+With the heap empty the collector parks on one future that the next
+accepted request (or ``stop``) resolves.
 
-Two scheduling extensions sit on top of the queue:
+**Overload episodes** are all this module logs: one WARNING at the first
+:class:`ServerOverloaded` and one at the first :class:`DeadlineExceeded`
+since the pending set was last empty, one INFO with the episode's totals
+when it next empties.
+
+Three scheduling extensions sit on top of the pending set:
 
 * **Earliest-deadline-first.** ``submit(payload, deadline=...)`` attaches a
-  per-request latency budget; requests waiting for assembly are ordered in
-  a heap keyed by their absolute deadline, so under backlog the tightest
-  budgets are served first (the paper's latency story, applied to serving).
-  Requests without a deadline keep strict arrival order behind every
-  deadlined request — with no deadlines at all, behaviour is plain FIFO,
-  identical to the historical batcher.
+  per-request latency budget; the heap is keyed by absolute deadline, so
+  under backlog the tightest budgets are served first (the paper's latency
+  story, applied to serving).  Requests without a deadline keep strict
+  arrival order behind every deadlined request — with no deadlines at all,
+  behaviour is plain FIFO.
 * **Shed-on-missed-deadline** (opt-in via ``admission_timeout``).  EDF
   alone only *orders* the backlog: a request that already missed its
   deadline still occupies a batch slot computing an answer nobody can use.
   With ``admission_timeout=T``, a request is dropped at batch-assembly
   time — failing fast with :class:`DeadlineExceeded` — once it has waited
   past ``min(deadline, T)``; deadline-less requests shed after ``T``.
-  This closes the SLO loop: under sustained overload the server spends its
-  cycles exclusively on requests that can still meet their budgets, and
-  shed callers learn immediately instead of after a useless wait.
+  Under sustained overload the server then spends its cycles on requests
+  that can still meet their budgets, and shed callers learn at once.
 * **Pipelined dispatch.** With ``max_concurrent_batches=K > 1``, up to
   ``K`` batches run in flight at once and the collector keeps *assembling*
   batch ``N+1`` while batch ``N`` computes — free throughput once the
   engines are reentrant (one engine replica per worker).  The default of
-  1 keeps the historical strictly-serial behaviour: one batch at a time,
-  assembly starting only after the previous batch completed.
+  1 is strictly serial: assembly starts once the previous batch completed.
 
 The batcher is payload-agnostic: it moves opaque payloads to an async
 ``dispatch`` callable that maps a list of payloads to one result per
 payload.  :class:`repro.serving.ServingEngine` supplies the dispatch that
-stacks payloads into a NumPy batch and runs a folded engine replica in a
-worker executor.
+runs a batch through a folded engine replica of its worker pool.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
+import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Sequence
 
 import numpy as np
+
+from .config import BatcherConfig
 
 __all__ = [
     "BatchStager",
@@ -94,9 +106,11 @@ __all__ = [
 #: still fires about a millisecond late (see *Flush precision* above).
 _SELECTOR_TIMER_RESOLUTION = 1e-3
 
+LOG = logging.getLogger(__name__)
+
 
 class ServerOverloaded(RuntimeError):
-    """Raised by ``submit`` when the queue is full and rejection is enabled."""
+    """Raised by ``submit`` when the pending set is full and rejection is on."""
 
 
 class DeadlineExceeded(RuntimeError):
@@ -116,11 +130,11 @@ class BatcherStats:
     Attributes
     ----------
     submitted:
-        Requests accepted into the queue.
+        Requests accepted into the pending set.
     completed:
         Requests whose future received a result.
     rejected:
-        Requests refused with :class:`ServerOverloaded` (never enqueued).
+        Requests refused with :class:`ServerOverloaded` (never accepted).
     cancelled:
         Requests whose future was cancelled before a result was delivered.
     shed:
@@ -131,7 +145,8 @@ class BatcherStats:
     batched_requests:
         Total requests across all dispatched batches.
     queue_peak:
-        High-water mark of the submission queue.
+        High-water mark of requests accepted and not yet dispatched, never
+        above ``max_queue_size`` (batches in flight: ``workers x depth``).
     """
 
     submitted: int = 0
@@ -203,36 +218,22 @@ class BatchStager:
         return batch
 
 
+@dataclass(slots=True, eq=False)
 class _Request:
-    __slots__ = ("payload", "future", "enqueued_at", "deadline_at", "shed_at", "seq")
-
-    def __init__(
-        self,
-        payload: Any,
-        future: asyncio.Future,
-        enqueued_at: float,
-        deadline_at: float,
-        shed_at: float,
-        seq: int,
-    ) -> None:
-        self.payload = payload
-        self.future = future
-        #: event-loop clock time of submission; the max_batch_latency
-        #: deadline counts from here, so time spent queued behind an
-        #: in-flight batch is not waited again during assembly
-        self.enqueued_at = enqueued_at
-        #: absolute event-loop time the caller wants a response by
-        #: (``inf`` when no deadline was given) — the EDF heap key
-        self.deadline_at = deadline_at
-        #: absolute event-loop time after which the shed policy fails the
-        #: request instead of batching it (``inf`` when shedding is off)
-        self.shed_at = shed_at
-        #: submission counter; orders equal-deadline requests by arrival
-        self.seq = seq
-
-    @property
-    def heap_key(self) -> tuple[float, int]:
-        return (self.deadline_at, self.seq)
+    payload: Any
+    future: asyncio.Future
+    #: event-loop time of submission; max_batch_latency counts from here, so
+    #: time spent parked or pending behind a batch in flight is not re-waited
+    enqueued_at: float
+    #: absolute event-loop time the caller wants a response by (``inf``
+    #: when no deadline was given) — the EDF heap key
+    deadline_at: float
+    #: absolute event-loop time after which the shed policy fails the
+    #: request instead of batching it (``inf`` when shedding is off)
+    shed_at: float
+    #: acceptance counter, 0 while parked in the waiting line; ties equal
+    #: deadlines in arrival order (nobody is accepted past the FIFO line)
+    seq: int = 0
 
 
 class DynamicBatcher:
@@ -242,44 +243,24 @@ class DynamicBatcher:
     ----------
     dispatch:
         Async callable mapping a list of payloads to a sequence with exactly
-        one result per payload, in order.  Exceptions it raises are
-        propagated to every request of the failing batch (the batcher itself
-        keeps running).
-    max_batch_size:
-        Dispatch a batch as soon as it holds this many requests.
-    max_batch_latency:
-        Dispatch a partial batch this many seconds after its first request
-        arrived.  Honoured below the event loop's 1 ms timer granularity:
-        a remaining wait under 1 ms is yield-polled on the loop thread
-        (at most that much CPU per partial batch) instead of being rounded
-        up to a whole millisecond by the selector — see *Flush precision*
-        in the module docstring.
-    max_queue_size:
-        Bound of the submission queue — the backpressure knob.
-    reject_on_full:
-        ``False`` (default): ``submit`` awaits for queue capacity.
-        ``True``: ``submit`` raises :class:`ServerOverloaded` immediately.
-    admission_timeout:
-        ``None`` (default): deadlines only *order* the backlog — the
-        historical behaviour.  A positive number of seconds opts into the
-        shed policy: at batch-assembly time a request that has waited past
-        ``min(its deadline, admission_timeout)`` fails with
-        :class:`DeadlineExceeded` instead of occupying a batch slot.
+        one result per payload, in order.  Exceptions it raises go to every
+        request of the failing batch (the batcher itself keeps running).
+    max_batch_size, max_batch_latency, max_queue_size, reject_on_full, \
+admission_timeout:
+        The fields of the :class:`~repro.serving.config.BatcherConfig` this
+        batcher is described by — documented and range-checked there, kept
+        as ``self.config``.
     max_concurrent_batches:
-        How many dispatched batches may be in flight at once.  ``1``
-        (default) is the historical strictly-serial behaviour; ``K > 1``
-        pipelines assembly with compute and requires a ``dispatch`` that is
-        safe to run ``K``-way concurrently (e.g. one engine replica per
-        worker, as :class:`repro.serving.ServingEngine` arranges).
+        How many dispatched batches may be in flight at once (*Pipelined
+        dispatch* in the module docstring).  ``K > 1`` requires a
+        ``dispatch`` that is safe to run ``K``-way concurrently.
 
     Notes
     -----
     While the in-flight limit is reached, new requests accumulate in the
-    queue and form the next batch — so batch size adapts to load
+    pending set and form the next batch — so batch size adapts to load
     (single-request batches when idle, full batches under bursts) without
-    any explicit tuning.  Whatever is queued when a batch completes is
-    taken at once, before that batch's callers resume (see *Hand-off* in
-    the module docstring).
+    any explicit tuning (see *Hand-off* in the module docstring).
     """
 
     def __init__(
@@ -292,32 +273,31 @@ class DynamicBatcher:
         admission_timeout: float | None = None,
         max_concurrent_batches: int = 1,
     ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        if max_batch_latency <= 0:
-            raise ValueError("max_batch_latency must be positive")
-        if max_queue_size <= 0:
-            raise ValueError("max_queue_size must be positive")
+        self.config = BatcherConfig(
+            max_batch_size=max_batch_size,
+            max_batch_latency=max_batch_latency,
+            max_queue_size=max_queue_size,
+            reject_on_full=reject_on_full,
+            admission_timeout=admission_timeout,
+        )
         if max_concurrent_batches <= 0:
             raise ValueError("max_concurrent_batches must be positive")
-        if admission_timeout is not None and admission_timeout <= 0:
-            raise ValueError("admission_timeout must be positive seconds")
         self._dispatch = dispatch
-        self.max_batch_size = int(max_batch_size)
-        self.max_batch_latency = float(max_batch_latency)
-        self.max_queue_size = int(max_queue_size)
-        self.reject_on_full = bool(reject_on_full)
-        self.admission_timeout = (
-            float(admission_timeout) if admission_timeout is not None else None
-        )
         self.max_concurrent_batches = int(max_concurrent_batches)
         self.stats = BatcherStats()
-        self._queue: asyncio.Queue | None = None
+        #: the pending set: ``(deadline_at, seq, request)``, earliest first
+        self._heap: list[tuple[float, int, _Request]] = []
+        #: requests parked for room while the heap is full, in arrival order
+        self._waiting: deque[_Request] = deque()
+        #: what the collector parks on while the heap is empty
+        self._arrival: asyncio.Future | None = None
         self._collector: asyncio.Task | None = None
+        self._stopping = False
         self._inflight: set[asyncio.Task] = set()
         self._seq = 0
-        #: requests sitting in the collector's EDF heap (see queue_depth)
-        self._heap_backlog = 0
+        #: counter values at the first reject / shed of the open overload
+        #: episode, by ``BatcherStats`` field; empty between episodes
+        self._episode: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -328,37 +308,31 @@ class DynamicBatcher:
 
     @property
     def queue_depth(self) -> int:
-        """Requests accepted but not yet dispatched (0 when stopped).
-
-        A live backlog signal for the autoscaler: the submission queue
-        plus the collector's EDF heap (where queued requests are moved
-        eagerly, so ``qsize`` alone would read ~0 under heavy backlog).
-        """
-        queue = self._queue
-        return (queue.qsize() if queue is not None else 0) + self._heap_backlog
+        """Requests accepted and not yet dispatched, ``<= max_queue_size``:
+        the autoscaler's backlog signal (batches in flight are not in it)."""
+        return len(self._heap)
 
     async def start(self) -> None:
         """Start the background collector (idempotent)."""
         if self.running:
             return
-        self._queue = asyncio.Queue(maxsize=self.max_queue_size)
-        # hand the queue over directly: a stop() racing the task's first step
-        # nulls self._queue before the collector ever reads it
-        self._collector = asyncio.ensure_future(self._collect(self._queue))
+        self._stopping = False
+        self._collector = asyncio.ensure_future(self._collect())
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop the collector.
+        """Stop the collector; ``submit`` raises from the first step on.
 
-        With ``drain=True`` (default) every already-queued request is batched
-        and answered first; with ``drain=False`` the collector is cancelled
-        and pending requests fail with :class:`asyncio.CancelledError`.
+        With ``drain=True`` (default) every accepted request, and every
+        submitter still parked for room, is batched and answered first;
+        with ``drain=False`` the collector is cancelled and all of them
+        fail with :class:`asyncio.CancelledError`.
         """
-        if self._queue is None or self._collector is None:
+        collector = self._collector
+        if collector is None or self._stopping:
             return
-        queue, collector = self._queue, self._collector
-        self._queue = None  # reject new submissions immediately
+        self._stopping = True
         if drain:
-            await queue.put(None)  # sentinel: drain, then exit
+            self._wake_collector()
             await collector
         else:
             collector.cancel()
@@ -369,22 +343,8 @@ class DynamicBatcher:
             # fail the batches that were computing when we were cancelled
             for task in list(self._inflight):
                 task.cancel()
-            if self._inflight:
-                await asyncio.gather(*self._inflight, return_exceptions=True)
-            # sweep until stable: each get_nowait may wake a submitter that
-            # was parked in `await queue.put(...)` (backpressure), and its
-            # request lands in the queue one loop step later — a single
-            # drain pass would strand those submitters forever
-            while True:
-                drained = False
-                while not queue.empty():
-                    drained = True
-                    req = queue.get_nowait()
-                    if req is not None and not req.future.done():
-                        req.future.cancel()
-                await asyncio.sleep(0)
-                if not drained and queue.empty():
-                    break
+            await asyncio.gather(*self._inflight, return_exceptions=True)
+            self._abandon()  # a collector cancelled before its first step didn't
         self._collector = None
 
     async def __aenter__(self) -> "DynamicBatcher":
@@ -405,12 +365,11 @@ class DynamicBatcher:
         payload:
             Opaque request payload, handed to ``dispatch`` as part of a batch.
         deadline:
-            Optional latency budget in seconds from now.  Requests waiting
-            for batch assembly are scheduled earliest-deadline-first;
-            ``None`` (default) schedules in arrival order behind every
-            deadlined request.  Without ``admission_timeout`` the deadline
-            only orders work; with it, a request that misses its deadline
-            before dispatch is shed (see below).
+            Optional latency budget in seconds from now.  Pending requests
+            are scheduled earliest-deadline-first; ``None`` (default)
+            schedules in arrival order behind every deadlined request.
+            Without ``admission_timeout`` the deadline only orders work;
+            with it, a request that misses it before dispatch is shed.
 
         Raises
         ------
@@ -420,7 +379,8 @@ class DynamicBatcher:
         RuntimeError
             If the batcher is not running.
         ServerOverloaded
-            If the queue is full and ``reject_on_full`` is set.
+            If ``max_queue_size`` requests are pending and
+            ``reject_on_full`` is set.
         DeadlineExceeded
             If ``admission_timeout`` is configured and the request waited
             past ``min(deadline, admission_timeout)`` before it could be
@@ -430,40 +390,88 @@ class DynamicBatcher:
         # pass `< 0` and then sit in the EDF heap ordering against nothing
         if deadline is not None and not deadline >= 0:
             raise ValueError("deadline must be non-negative seconds from now")
-        queue = self._queue
-        if queue is None or not self.running:
+        if self._stopping or not self.running:
             raise RuntimeError("batcher is not running (call start() first)")
+        config = self.config
         loop = asyncio.get_running_loop()
         now = loop.time()
         deadline_at = math.inf if deadline is None else now + deadline
-        if self.admission_timeout is None:
-            shed_at = math.inf
+        timeout = config.admission_timeout
+        shed_at = math.inf if timeout is None else min(deadline_at, now + timeout)
+        req = _Request(payload, loop.create_future(), now, deadline_at, shed_at)
+        # a live parked request implies a full heap (every pop refills from
+        # the line), so room here means nobody is being overtaken
+        if len(self._heap) < config.max_queue_size:
+            self._accept(req)
+            self._wake_collector()
+        elif config.reject_on_full:
+            self.stats.rejected += 1
+            self._note_overload("rejected")
+            raise ServerOverloaded(
+                f"submission queue full ({config.max_queue_size} pending requests)"
+            )
         else:
-            shed_at = min(deadline_at, now + self.admission_timeout)
-        self._seq += 1
-        req = _Request(
-            payload, loop.create_future(), now, deadline_at, shed_at, self._seq
-        )
-        if self.reject_on_full:
-            try:
-                queue.put_nowait(req)
-            except asyncio.QueueFull:
-                self.stats.rejected += 1
-                raise ServerOverloaded(
-                    f"submission queue full ({self.max_queue_size} pending requests)"
-                ) from None
-        else:
-            try:
-                queue.put_nowait(req)  # fast path: capacity available
-            except asyncio.QueueFull:
-                await queue.put(req)  # cooperative backpressure: await capacity
-        self.stats.submitted += 1
-        self.stats.queue_peak = max(self.stats.queue_peak, queue.qsize())
+            self._waiting.append(req)  # cooperative backpressure: await room
         try:
             return await req.future
         except asyncio.CancelledError:
-            self.stats.cancelled += 1
+            if req.seq:  # a parked submitter gives up its turn, not a place
+                self.stats.cancelled += 1
             raise
+
+    def _accept(self, req: _Request) -> None:
+        """Put ``req`` into the pending set (the caller checked for room)."""
+        self._seq += 1
+        req.seq = self._seq
+        heapq.heappush(self._heap, (req.deadline_at, req.seq, req))
+        stats = self.stats
+        stats.submitted += 1
+        stats.queue_peak = max(stats.queue_peak, len(self._heap))
+
+    def _pop(self) -> _Request:
+        """Take the earliest-deadline request; the longest-parked live
+        submitter gets its place in the same step (no newcomer ever sees it)."""
+        req = heapq.heappop(self._heap)[-1]
+        waiting = self._waiting
+        while waiting:
+            parked = waiting.popleft()
+            if not parked.future.done():  # its caller may have given up
+                self._accept(parked)
+                break
+        return req
+
+    def _wake_collector(self) -> None:
+        if self._arrival is not None and not self._arrival.done():
+            self._arrival.set_result(None)
+
+    def _note_overload(self, counter: str) -> None:
+        """``stats.<counter>`` just went up: the first of an episode is logged."""
+        if counter not in self._episode:
+            stats = self.stats
+            self._episode[counter] = getattr(stats, counter) - 1
+            LOG.warning(
+                "overloaded: first request %s since the pending set was last "
+                "empty (max_queue_size=%d, queue_depth=%d; so far %d submitted, "
+                "%d rejected, %d shed)",
+                counter,
+                self.config.max_queue_size,
+                len(self._heap),
+                stats.submitted,
+                stats.rejected,
+                stats.shed,
+            )
+
+    def _close_episode(self) -> None:
+        """The pending set is empty: sum up the overload episode, if any."""
+        if self._episode:
+            stats, episode = self.stats, self._episode
+            LOG.info(
+                "overload episode over: %d rejected, %d shed (max_queue_size=%d)",
+                stats.rejected - episode.get("rejected", stats.rejected),
+                stats.shed - episode.get("shed", stats.shed),
+                self.config.max_queue_size,
+            )
+            self._episode = {}
 
     # ------------------------------------------------------------------ #
     # batch assembly / dispatch
@@ -471,15 +479,15 @@ class DynamicBatcher:
     def _admit(self, req: _Request, loop) -> bool:
         """Whether a heap-popped request may join the batch being assembled.
 
-        Cancelled requests are skipped silently (historical behaviour);
-        expired ones — under the opt-in shed policy — fail fast with
-        :class:`DeadlineExceeded` and are counted in ``stats.shed``.
+        Cancelled requests are skipped silently; expired ones — under the
+        opt-in shed policy — fail fast with :class:`DeadlineExceeded`.
         """
         if req.future.done():
             return False
         now = loop.time()
         if req.shed_at < now:
             self.stats.shed += 1
+            self._note_overload("shed")
             req.future.set_exception(
                 DeadlineExceeded(
                     f"request shed after waiting {now - req.enqueued_at:.3f}s "
@@ -489,141 +497,66 @@ class DynamicBatcher:
             return False
         return True
 
-    async def _collect(self, queue: asyncio.Queue) -> None:
+    async def _wait_for_arrival(self, loop, flush_at: float | None) -> None:
+        """Park the collector on an empty pending set until a request is
+        accepted, ``stop`` is called or ``flush_at`` passes (the caller looks)."""
+        self._close_episode()
+        remaining = None if flush_at is None else flush_at - loop.time()
+        if remaining is None or remaining >= _SELECTOR_TIMER_RESOLUTION:
+            self._arrival = loop.create_future()
+            await asyncio.wait({self._arrival}, timeout=remaining)
+        else:
+            # no timeout for the selector to round up: each yield is one
+            # loop iteration with select(0), which still serves sockets,
+            # submitters and cancellation
+            while not self._heap and not self._stopping and loop.time() < flush_at:
+                await asyncio.sleep(0)
+
+    async def _collect(self) -> None:
         loop = asyncio.get_running_loop()
-        # Requests move queue -> EDF heap -> batch.  The heap holds requests
-        # that have been taken off the queue but not yet dispatched; with no
-        # deadlines its (inf, seq) keys degrade to pure arrival order.
-        heap: list[tuple[tuple[float, int], _Request]] = []
-        # One queue.get may be left in flight when a deadline fires; it is
-        # carried over to the next round instead of being cancelled.  (A
-        # plain asyncio.wait_for(queue.get(), ...) can lose a dequeued item
-        # when the timeout and the item race on Python <= 3.11; awaiting a
-        # persistent getter task through asyncio.wait cannot.)
-        pending_get: asyncio.Future | None = None
-
-        def drain_queue_into_heap() -> bool:
-            """Move already-queued requests into the heap; True if sentinel seen."""
-            try:
-                while True:
-                    try:
-                        item = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        return False
-                    if item is None:
-                        return True
-                    heapq.heappush(heap, (item.heap_key, item))
-            finally:
-                self._heap_backlog = len(heap)
-
-        def take_backlog() -> bool:
-            """Everything already handed over goes to the heap, without yielding.
-
-            That is the queue plus whatever the carried-over getter fetched
-            meanwhile (left there, a backlog that keeps the heap non-empty
-            would starve it).  True if the sentinel was among it.
-            """
-            nonlocal pending_get
-            fetched_sentinel = False
-            if pending_get is not None and pending_get.done():
-                item, pending_get = pending_get.result(), None
-                if item is None:
-                    fetched_sentinel = True
-                else:
-                    heapq.heappush(heap, (item.heap_key, item))
-            return drain_queue_into_heap() or fetched_sentinel
-
+        heap, config = self._heap, self.config
         # the batch currently being assembled/launched; visible to `finally`
         # so a cancellation mid-launch cannot strand its requests
         batch: list[_Request] = []
         try:
-            draining = False
-            while not draining:
-                # work-conserving hand-off: requests that queued up behind
-                # the batch that just finished are taken here and now — a
-                # getter task would yield first, and the finished batch's
-                # callers would all run before the next batch is launched
-                draining = take_backlog()
+            # a draining stop ends here once everything accepted — parked
+            # submitters included, every pop admits one — has been dispatched
+            while heap or not self._stopping:
                 if not heap:
-                    if draining:
-                        break  # sentinel with nothing pending: done
-                    if pending_get is None:
-                        pending_get = asyncio.ensure_future(queue.get())
-                    await pending_get
-                    continue  # take_backlog() collects what the getter fetched
-
+                    await self._wait_for_arrival(loop, None)
+                    continue
                 # assemble one batch, earliest deadline first
-                seed = heapq.heappop(heap)[1]
+                seed = self._pop()
                 batch = [seed] if self._admit(seed, loop) else []
                 # the latency budget counts from submission, so time already
-                # spent queued behind an in-flight batch is not re-waited
-                flush_at = seed.enqueued_at + self.max_batch_latency
-                while len(batch) < self.max_batch_size:
+                # spent pending behind an in-flight batch is not re-waited
+                flush_at = seed.enqueued_at + config.max_batch_latency
+                while len(batch) < config.max_batch_size:
                     if heap:
-                        req = heapq.heappop(heap)[1]
+                        req = self._pop()
                         if self._admit(req, loop):  # skip cancelled/expired
                             batch.append(req)
-                        continue
-                    if draining:
-                        break  # sentinel seen: no further arrivals, flush now
-                    remaining = flush_at - loop.time()
-                    if remaining <= 0:
-                        break
-                    if pending_get is None:
-                        pending_get = asyncio.ensure_future(queue.get())
-                    if remaining >= _SELECTOR_TIMER_RESOLUTION:
-                        await asyncio.wait({pending_get}, timeout=remaining)
+                    elif self._stopping or loop.time() >= flush_at:
+                        break  # no further arrivals, or none in time
                     else:
-                        # no timeout for the selector to round up: each
-                        # yield is one loop iteration with select(0), which
-                        # still serves sockets, submitters and cancellation
-                        while not pending_get.done() and loop.time() < flush_at:
-                            await asyncio.sleep(0)
-                    if not pending_get.done():
-                        break  # deadline fired; the get stays in flight
-                    item = pending_get.result()
-                    pending_get = None
-                    if item is None:
-                        draining = True  # dispatch this last batch, then exit
-                        continue
-                    heapq.heappush(heap, (item.heap_key, item))
-                    draining = drain_queue_into_heap()
-                if batch:
-                    self._heap_backlog = len(heap)
-                    await self._launch_batch(batch)
-                    batch = []
-
-            # sentinel seen: flush whatever is still parked in the heap
-            while heap:
-                batch = []
-                while heap and len(batch) < self.max_batch_size:
-                    req = heapq.heappop(heap)[1]
-                    if self._admit(req, loop):
-                        batch.append(req)
+                        await self._wait_for_arrival(loop, flush_at)
                 if batch:
                     await self._launch_batch(batch)
                     batch = []
-            if self._inflight:
-                await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            await asyncio.gather(*self._inflight, return_exceptions=True)
         finally:
-            if pending_get is not None:
-                if pending_get.done() and not pending_get.cancelled():
-                    # the get completed just as the collector was cancelled:
-                    # don't strand the request it retrieved
-                    req = pending_get.result()
-                    if req is not None and not req.future.done():
-                        req.future.cancel()
-                else:
-                    pending_get.cancel()
-            # requests already moved off the queue die with the collector,
-            # including an assembled batch whose launch was cancelled
-            for req in batch:
-                if not req.future.done():
-                    req.future.cancel()
-            for _, req in heap:
-                if not req.future.done():
-                    req.future.cancel()
-            self._heap_backlog = 0
+            # what was not dispatched (nothing, after a drain) dies with the
+            # collector, including an assembled batch whose launch was cancelled
+            self._abandon(batch)
+            self._close_episode()
+
+    def _abandon(self, batch: Sequence[_Request] = ()) -> None:
+        """Cancel every request accepted or parked and not dispatched."""
+        for req in (*batch, *(entry[-1] for entry in self._heap), *self._waiting):
+            if not req.future.done():
+                req.future.cancel()
+        self._heap.clear()
+        self._waiting.clear()
 
     async def _launch_batch(self, batch: list[_Request]) -> None:
         """Run a batch — inline when serial, as a bounded task when pipelined."""

@@ -59,11 +59,13 @@ class BatcherConfig:
         1 ms on the loop thread (bounded by that much CPU per partial
         batch; full batches never wait) rather than rounding it up.
     max_queue_size:
-        Bound of the submission queue — the backpressure knob.
+        The backpressure knob: bound on requests accepted and not yet
+        dispatched (batches in flight are bounded separately, by
+        ``workers x depth``).
     reject_on_full:
-        ``False`` (default): submitters await queue capacity.  ``True``:
-        a full queue fails fast with
-        :class:`~repro.serving.batcher.ServerOverloaded`.
+        ``False`` (default): submitters await room, in arrival order.
+        ``True``: with ``max_queue_size`` requests pending, ``submit``
+        fails fast with :class:`~repro.serving.batcher.ServerOverloaded`.
     admission_timeout:
         ``None`` (default): deadlines only order the backlog.  A positive
         number of seconds opts into shed-on-missed-deadline: a request

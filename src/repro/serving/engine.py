@@ -10,8 +10,8 @@ asyncio event loop never blocks on NumPy.
 
 Request lifecycle::
 
-    submit(x) ──► bounded queue ──► DynamicBatcher ──► replica checkout
-                  (backpressure)    (size/latency/EDF)       │
+    submit(x) ──► DynamicBatcher: bounded EDF pending set ──► replica checkout
+                  (backpressure, size/latency triggers)      │
                                                              ▼
     UncertaintyResult ◄── per-example split ◄── folded predict_mc /
     (+ latency stamp)                           early_exit_predict
@@ -80,7 +80,9 @@ class ServingStats:
         Request outcome counters (from the underlying batcher).
     num_batches / mean_batch_size / queue_peak:
         Batch-assembly counters — how well dynamic batching amortised the
-        folded passes, and how deep the backlog got.
+        folded passes, and the high-water mark of requests accepted and not
+        yet dispatched (never above ``max_queue_size``; batches in flight
+        are bounded separately, by ``workers x depth``).
     throughput_rps:
         Completed requests per second of wall time between the first
         submission and the latest completion (0.0 before any completion).
@@ -255,7 +257,6 @@ class ServingEngine:
         self.worker_transport = config.worker_transport
         self.fleet = config.fleet
         fleet = config.fleet
-        batcher_config = config.batcher
         #: largest fleet size this engine may reach (executor sizing)
         self._max_fleet = (
             fleet.resolve_bounds(self.workers)[1] if fleet is not None else self.workers
@@ -266,7 +267,7 @@ class ServingEngine:
             early_exit_threshold=config.early_exit_threshold,
             # the batch geometry is always known (built model, validated
             # submissions): it sizes the pinned staging buffers / ring slots
-            max_batch_size=batcher_config.max_batch_size,
+            max_batch_size=config.batcher.max_batch_size,
             input_shape=self.input_shape,
             fault_plan=config.fault_plan,
         )
@@ -282,11 +283,7 @@ class ServingEngine:
         self._batch_seq = 0
         self._batcher = DynamicBatcher(
             self._dispatch,
-            max_batch_size=batcher_config.max_batch_size,
-            max_batch_latency=batcher_config.max_batch_latency,
-            max_queue_size=batcher_config.max_queue_size,
-            reject_on_full=batcher_config.reject_on_full,
-            admission_timeout=batcher_config.admission_timeout,
+            **config.batcher.to_dict(),
             max_concurrent_batches=self.workers * self._pool.depth,
         )
         self._executor = executor

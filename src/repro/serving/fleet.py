@@ -184,7 +184,9 @@ class FleetConfig:
     scale_interval:
         Seconds between autoscaler evaluations.
     scale_up_backlog:
-        Grow when queued requests per live worker exceed this.
+        Grow when pending requests per live worker exceed this.  The
+        signal is capped by the batcher's ``max_queue_size``: a threshold
+        of ``max_queue_size / workers`` or more never fires.
     scale_up_on_shed:
         Grow (regardless of backlog) when any request was shed or missed
         its deadline since the last evaluation — shed traffic is the
@@ -231,7 +233,8 @@ class FleetSignals:
     unit tests can drive without traffic or clocks.
     """
 
-    #: requests parked in the submission queue right now
+    #: requests accepted and not yet dispatched right now (never above
+    #: ``max_queue_size``; batches in flight are bounded separately)
     queue_depth: int
     #: replicas currently able to take a batch
     current_workers: int

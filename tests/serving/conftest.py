@@ -6,7 +6,11 @@ parameter arena generation, a worker's ring) or a live
 fails, whichever exit path it took — crash retries, respawns, generation
 swaps and cancelled batches included.  So does one that leaves the test
 thread's CPU mask narrowed (a process pool keeps its loop thread off its
-workers' CPUs and must put the mask back when it stops).
+workers' CPUs and must put the mask back when it stops), or a
+``DynamicBatcher`` that was started and never stopped (its collector task
+was still pending on the loop when the test let go of it).
+
+Also registers the ``hypothesis`` profile of the suite's state machines.
 """
 
 from __future__ import annotations
@@ -17,8 +21,23 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+from repro.serving import DynamicBatcher
 
 _SHM_DIR = "/dev/shm"
+
+# Deterministic in tier-1 (same examples on every run, no database) and
+# without a per-example deadline, so a slow stretch of the host cannot fail
+# it; 60 x 40 event-loop steps stay far below the 120 s per-test timeout.
+settings.register_profile(
+    "serving-stateful",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    stateful_step_count=40,
+)
 
 
 def _shm_segments() -> set[str]:
@@ -50,11 +69,22 @@ def _foreign(name: str) -> bool:
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments_or_workers():
+def no_leaked_segments_or_workers(monkeypatch):
     before = _shm_segments()
     get_mask = getattr(os, "sched_getaffinity", None)
     mask = get_mask(0) if get_mask is not None else None
+    started: list[DynamicBatcher] = []
+    start = DynamicBatcher.start
+
+    async def recording_start(batcher):
+        started.append(batcher)
+        await start(batcher)
+
+    monkeypatch.setattr(DynamicBatcher, "start", recording_start)
     yield
+    # stop() — either kind — is what takes the collector off the loop
+    unstopped = [b for b in started if b._collector is not None]
+    assert not unstopped, f"{len(unstopped)} batcher(s) started and never stopped"
     if get_mask is not None and get_mask(0) != mask:
         left = get_mask(0)
         os.sched_setaffinity(0, mask)  # the tests after this one start clean

@@ -2,18 +2,21 @@
 
 These tests drive the batcher with trivial payloads and controllable fake
 dispatch functions (no model involved) so that every edge case is
-deterministic: queue-full rejection and awaiting, max-latency flushes of
-partial batches, single-request batches, and cancellation both while queued
-and while a batch is in flight.
+deterministic: rejection and awaiting at the ``max_queue_size`` bound (which
+holds at every instant), max-latency flushes of partial batches,
+single-request batches, cancellation while parked for room, while pending
+and while a batch is in flight, and the overload episode log.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import math
 import random
 import statistics
 import time
+from collections import deque
 
 import pytest
 
@@ -91,7 +94,7 @@ def test_queue_full_rejection():
             await asyncio.sleep(0.02)  # collector takes "a" into the blocked batch
             q1 = asyncio.ensure_future(batcher.submit("b"))
             q2 = asyncio.ensure_future(batcher.submit("c"))
-            await asyncio.sleep(0.02)  # queue now holds exactly "b" and "c"
+            await asyncio.sleep(0.02)  # exactly "b" and "c" are pending
             with pytest.raises(ServerOverloaded):
                 await batcher.submit("d")
             assert batcher.stats.rejected == 1
@@ -212,7 +215,7 @@ def test_stop_drains_queued_requests():
         )
         await batcher.start()
         pending = [asyncio.ensure_future(batcher.submit(i)) for i in range(6)]
-        await asyncio.sleep(0)  # let every submit reach the queue before stopping
+        await asyncio.sleep(0)  # let every submit be accepted before stopping
         await batcher.stop(drain=True)
         assert await asyncio.gather(*pending) == [i * 10 for i in range(6)]
         with pytest.raises(RuntimeError, match="not running"):
@@ -223,7 +226,7 @@ def test_stop_drains_queued_requests():
 
 def test_stop_without_drain_cancels_blocked_submitters():
     """stop(drain=False) must fail every pending request, including
-    submitters parked in `await queue.put(...)` by backpressure."""
+    submitters parked for room by backpressure."""
     release = None
 
     async def blocked_dispatch(payloads):
@@ -241,7 +244,7 @@ def test_stop_without_drain_cancels_blocked_submitters():
             reject_on_full=False,
         )
         await batcher.start()
-        # 1 in flight + 2 queued + 7 blocked awaiting queue capacity
+        # 1 in flight + 2 pending + 7 parked awaiting room
         pending = [asyncio.ensure_future(batcher.submit(i)) for i in range(10)]
         await asyncio.sleep(0.02)
         await batcher.stop(drain=False)
@@ -249,6 +252,22 @@ def test_stop_without_drain_cancels_blocked_submitters():
         assert all(isinstance(o, asyncio.CancelledError) for o in outcomes), (
             f"every request must fail on non-draining stop, got {outcomes}"
         )
+
+    asyncio.run(asyncio.wait_for(main(), timeout=10.0))
+
+
+def test_stop_without_drain_before_the_collectors_first_step_strands_nobody():
+    """A collector cancelled before it ever ran cannot clean up after itself."""
+
+    async def main():
+        batcher = DynamicBatcher(_echo_dispatch)
+        # on the ready queue ahead of the collector task that start() creates
+        stopper = asyncio.ensure_future(batcher.stop(drain=False))
+        await batcher.start()
+        with pytest.raises(asyncio.CancelledError):
+            await batcher.submit(1)  # accepted before either of them has run
+        await stopper
+        assert not batcher.running and batcher.queue_depth == 0
 
     asyncio.run(asyncio.wait_for(main(), timeout=10.0))
 
@@ -413,8 +432,8 @@ async def _caller(batcher, events, payload):
 def test_backlog_is_dispatched_before_the_finished_batch_resumes_its_callers():
     """A next batch that is already full is launched at the hand-off.
 
-    With requests queued behind the running batch, the collector takes them
-    the moment that batch completes — ``dispatch`` is entered for them
+    Requests that arrived behind the running batch are already in the
+    pending set when it completes — ``dispatch`` is entered for them
     before any caller of the finished batch gets its loop turn, so the
     worker is fed first and the callers' bookkeeping overlaps its compute.
     """
@@ -432,7 +451,7 @@ def test_backlog_is_dispatched_before_the_finished_batch_resumes_its_callers():
             backlog = [
                 asyncio.ensure_future(_caller(batcher, events, p)) for p in ("b0", "b1")
             ]
-            await asyncio.sleep(0.01)  # both sit in the queue behind batch a
+            await asyncio.sleep(0.01)  # both are pending behind batch a
             assert batcher.queue_depth == 2
             dispatch.gates["a0"].set()
             await asyncio.wait_for(asyncio.gather(*first, *backlog), 5.0)
@@ -446,7 +465,7 @@ def test_backlog_is_dispatched_before_the_finished_batch_resumes_its_callers():
 
 
 def test_backlog_past_its_flush_time_is_dispatched_partial_at_the_hand_off():
-    """A lone queued request whose wait is already over does not wait again."""
+    """A lone pending request whose wait is already over does not wait again."""
 
     async def main():
         events: list[tuple] = []
@@ -469,7 +488,7 @@ def test_backlog_past_its_flush_time_is_dispatched_partial_at_the_hand_off():
 
 
 def test_lone_request_after_an_idle_hand_off_still_waits_out_the_batch_latency():
-    """With nothing queued at completion the collector waits exactly as before."""
+    """With nothing pending at completion the collector waits exactly as before."""
     flush = 0.03
 
     async def main():
@@ -478,7 +497,7 @@ def test_lone_request_after_an_idle_hand_off_still_waits_out_the_batch_latency()
             _GatedDispatch(events), max_batch_size=4, max_batch_latency=flush
         ) as batcher:
             await asyncio.gather(*(batcher.submit(p) for p in "abcd"))  # a full batch
-            await asyncio.sleep(0.01)  # the collector is parked on an empty queue
+            await asyncio.sleep(0.01)  # the collector is parked, nothing pending
             start = time.perf_counter()
             assert await asyncio.wait_for(batcher.submit("lone"), 5.0) == "lone"
             waited = time.perf_counter() - start
@@ -519,11 +538,12 @@ def test_closed_loop_of_exactly_one_batch_of_callers_keeps_forming_full_batches(
 
 
 def test_request_fetched_by_the_carried_over_getter_is_not_starved_by_a_backlog():
-    """The getter left in flight by a flush may fetch a request meanwhile.
+    """The oldest request behind a running batch goes out first.
 
-    That request is older than everything still queued; taking the queue
-    directly at the hand-off must not leave it parked in the getter while
-    batch after batch is formed from the backlog behind it.
+    (The id dates from the queue → heap design, where a ``queue.get()`` left
+    in flight by a timer flush could hold the oldest request while batch
+    after batch was formed from the backlog behind it; with one pending
+    set there is no such place, and the order it pinned must still hold.)
     """
 
     async def main():
@@ -532,11 +552,11 @@ def test_request_fetched_by_the_carried_over_getter_is_not_starved_by_a_backlog(
         async with DynamicBatcher(
             dispatch, max_batch_size=2, max_batch_latency=0.005
         ) as batcher:
-            # flushed alone by the timer: its getter stays in flight
+            # flushed alone by the timer
             first = asyncio.ensure_future(batcher.submit("first"))
             await asyncio.wait_for(dispatch.entered["first"].wait(), 5.0)
             later = [asyncio.ensure_future(batcher.submit(i)) for i in range(5)]
-            await asyncio.sleep(0.01)  # request 0 went to the getter, 1-4 queued
+            await asyncio.sleep(0.01)  # requests 0-4 are pending behind it
             dispatch.gates["first"].set()
             await asyncio.wait_for(asyncio.gather(first, *later), 5.0)
         return events
@@ -546,7 +566,11 @@ def test_request_fetched_by_the_carried_over_getter_is_not_starved_by_a_backlog(
 
 
 def test_drain_sentinel_taken_at_the_hand_off_still_ends_the_collector():
-    """stop(drain=True) while a batch runs: sentinel behind a backlog, or alone."""
+    """stop(drain=True) while a batch runs, behind a backlog or alone.
+
+    (No sentinel travels any more — ``stop`` raises a flag and wakes the
+    collector — but the drain it pinned is the same.)
+    """
 
     async def main(backlog: int):
         events: list[tuple] = []
@@ -558,7 +582,7 @@ def test_drain_sentinel_taken_at_the_hand_off_still_ends_the_collector():
         queued = [asyncio.ensure_future(batcher.submit(i)) for i in range(backlog)]
         await asyncio.sleep(0.01)
         stopping = asyncio.ensure_future(batcher.stop(drain=True))
-        await asyncio.sleep(0.01)  # the sentinel is queued behind the backlog
+        await asyncio.sleep(0.01)  # the drain waits behind the backlog
         assert not stopping.done()
         dispatch.gates["a0"].set()
         await asyncio.wait_for(stopping, 5.0)
@@ -569,6 +593,261 @@ def test_drain_sentinel_taken_at_the_hand_off_still_ends_the_collector():
 
     assert asyncio.run(main(backlog=3)) == [["a0", "a1"], [0, 1], [2]]
     assert asyncio.run(main(backlog=0)) == [["a0", "a1"]]
+
+
+# --------------------------------------------------------------------------- #
+# one pending set: the bound, the waiting line, the overload episode log
+# --------------------------------------------------------------------------- #
+class _HeldDispatch:
+    """Echo dispatch that holds every batch until the test releases it."""
+
+    def __init__(self) -> None:
+        self.held: deque[tuple[list, asyncio.Future]] = deque()
+        self.order: list = []
+
+    async def __call__(self, payloads):
+        gate = asyncio.get_running_loop().create_future()
+        self.held.append((list(payloads), gate))
+        self.order.extend(payloads)
+        return await gate
+
+    def release(self) -> None:
+        payloads, gate = self.held.popleft()
+        gate.set_result(payloads)
+
+
+async def _settle():
+    """Let every ready callback chain run out (ten turns cover the longest:
+    arrival -> asyncio.wait -> collector -> dispatch -> futures -> callers)."""
+    for _ in range(10):
+        await asyncio.sleep(0)
+
+
+@pytest.mark.parametrize("reject", [True, False], ids=["reject", "await"])
+def test_the_bound_is_on_everything_accepted_and_not_yet_dispatched(reject):
+    """``queue_depth <= max_queue_size`` at every instant, under both policies.
+
+    One batch is held inside the dispatch, 39 submissions arrive behind it
+    (4 fit), then batches are released one at a time — with a second wave
+    of newcomers after the first release, which is where a batcher that
+    moves its bounded queue into an unbounded heap lets the backlog grow.
+    """
+    bound = 4
+
+    async def main():
+        dispatch = _HeldDispatch()
+        batcher = DynamicBatcher(
+            dispatch,
+            max_batch_size=1,
+            max_batch_latency=5.0,
+            max_queue_size=bound,
+            reject_on_full=reject,
+        )
+        await batcher.start()
+
+        async def submit(i):
+            task = asyncio.ensure_future(batcher.submit(i))
+            await _settle()
+            assert batcher.queue_depth <= bound, f"after submission {i}"
+            return task
+
+        tasks = [await submit(0)]
+        assert len(dispatch.held) == 1 and batcher.queue_depth == 0
+        for i in range(1, 40):
+            tasks.append(await submit(i))
+        assert batcher.queue_depth == bound
+        assert batcher.stats.submitted == 1 + bound
+        refused = [t for t in tasks if t.done()]
+        if reject:
+            assert len(refused) == batcher.stats.rejected == 35
+            assert all(isinstance(t.exception(), ServerOverloaded) for t in refused)
+        else:
+            assert not refused  # 35 submitters are parked for room
+
+        released = 0
+        while dispatch.held:
+            dispatch.release()
+            released += 1
+            await _settle()
+            assert batcher.queue_depth <= bound, f"after released batch {released}"
+            if released == 1:  # a place was freed: newcomers must not pile in
+                for i in range(40, 44):
+                    tasks.append(await submit(i))
+            if not reject:  # one parked submitter admitted per released batch
+                assert batcher.stats.submitted == min(44, 1 + bound + released)
+        await asyncio.wait_for(batcher.stop(drain=True), 5.0)
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+        return batcher, dispatch, outcomes
+
+    batcher, dispatch, outcomes = asyncio.run(main())
+    assert batcher.stats.queue_peak <= bound
+    overloaded = [i for i, o in enumerate(outcomes) if isinstance(o, ServerOverloaded)]
+    answered = [i for i, o in enumerate(outcomes) if o == i]
+    assert sorted(answered + overloaded) == list(range(44)), outcomes
+    if reject:
+        # the place freed by the first release went to exactly one newcomer
+        assert answered == [0, 1, 2, 3, 4, 40]
+        assert batcher.stats.rejected == 35 + 3
+    else:
+        assert not overloaded
+        assert dispatch.order == list(range(44)), "admitted out of arrival order"
+
+
+def test_a_parked_submitter_that_is_cancelled_gives_up_its_turn_not_a_place():
+    async def main():
+        dispatch = _HeldDispatch()
+        batcher = DynamicBatcher(
+            dispatch, max_batch_size=1, max_batch_latency=5.0, max_queue_size=2
+        )
+        await batcher.start()
+        tasks = [asyncio.ensure_future(batcher.submit(i)) for i in range(6)]
+        await _settle()  # 0 in flight, 1-2 pending, 3-5 parked for room
+        assert batcher.stats.submitted == 3
+        tasks[3].cancel()
+        await _settle()
+        assert tasks[3].cancelled()
+        assert batcher.queue_depth == 2 and batcher.stats.submitted == 3
+        dispatch.release()
+        await _settle()  # the freed place goes to 4: the line moved on
+        assert batcher.queue_depth == 2 and batcher.stats.submitted == 4
+        while dispatch.held:
+            dispatch.release()
+            await _settle()
+            assert batcher.queue_depth <= 2
+        await asyncio.wait_for(batcher.stop(drain=True), 5.0)
+        assert [t.result() for t in tasks if not t.cancelled()] == [0, 1, 2, 4, 5]
+        return batcher.stats, dispatch.order
+
+    stats, order = asyncio.run(main())
+    assert order == [0, 1, 2, 4, 5]
+    # it was never accepted, so no counter knows it
+    assert stats.submitted == stats.completed == 5
+    assert stats.cancelled == 0 and stats.queue_peak == 2
+
+
+def test_a_freed_place_cannot_be_overtaken():
+    """A ``submit`` in the same loop turn as a pop queues behind the line."""
+
+    async def main():
+        dispatch = _HeldDispatch()
+        batcher = DynamicBatcher(
+            dispatch, max_batch_size=1, max_batch_latency=5.0, max_queue_size=1
+        )
+        await batcher.start()
+        tasks = [asyncio.ensure_future(batcher.submit(i)) for i in range(3)]
+        await _settle()  # 0 in flight, 1 pending, 2 parked
+        # the collector's wake-up goes onto the ready queue and this submit
+        # right behind it: it runs in the turn in which 1 was popped
+        dispatch.release()
+        tasks.append(asyncio.ensure_future(batcher.submit("newcomer")))
+        await _settle()
+        assert batcher.queue_depth == 1
+        while dispatch.held:
+            dispatch.release()
+            await _settle()
+        await asyncio.wait_for(batcher.stop(drain=True), 5.0)
+        assert await asyncio.gather(*tasks) == [0, 1, 2, "newcomer"]
+        return dispatch.order
+
+    assert asyncio.run(main()) == [0, 1, 2, "newcomer"]
+
+
+def test_drain_answers_submitters_still_parked_for_room():
+    async def main():
+        dispatch = _HeldDispatch()
+        batcher = DynamicBatcher(
+            dispatch, max_batch_size=2, max_batch_latency=5.0, max_queue_size=1
+        )
+        await batcher.start()
+        tasks = [asyncio.ensure_future(batcher.submit(i)) for i in range(6)]
+        await _settle()  # 0-1 in flight, 2 pending, 3-5 parked
+        stopping = asyncio.ensure_future(batcher.stop(drain=True))
+        await _settle()
+        with pytest.raises(RuntimeError, match="not running"):
+            await batcher.submit(99)
+        while not stopping.done():
+            dispatch.release()
+            await _settle()
+        assert await asyncio.gather(*tasks) == list(range(6))
+        assert not batcher.running and batcher.queue_depth == 0
+        return dispatch.order
+
+    assert asyncio.run(main()) == list(range(6))
+
+
+def test_overload_episodes_leave_one_log_record_each(caplog):
+    """First reject, first shed, and the totals once the pending set empties.
+
+    ``repro.serving.batcher`` logs overload *episodes*; a request on the
+    happy path — or the 2nd..nth casualty of an episode — is not an event.
+    """
+    caplog.set_level(logging.INFO, logger="repro.serving.batcher")
+
+    def records() -> list[str]:
+        return [
+            f"{r.levelname} {r.getMessage()}"
+            for r in caplog.records
+            if r.name == "repro.serving.batcher"
+        ]
+
+    async def main():
+        dispatch = _HeldDispatch()
+        async with DynamicBatcher(
+            dispatch,
+            max_batch_size=1,
+            max_batch_latency=0.001,
+            max_queue_size=1,
+            reject_on_full=True,
+            admission_timeout=0.02,
+        ) as batcher:
+
+            async def drain():
+                while dispatch.held:
+                    dispatch.release()
+                    await _settle()
+
+            # happy path: nothing
+            ok = asyncio.ensure_future(batcher.submit("ok"))
+            await _settle()
+            await drain()
+            assert await ok == "ok" and records() == []
+
+            # episode one: two rejects, no shed
+            first = []
+            for payload in "ab":
+                first.append(asyncio.ensure_future(batcher.submit(payload)))
+                await _settle()  # a in flight, then b pending
+            for payload in "cd":
+                with pytest.raises(ServerOverloaded):
+                    await batcher.submit(payload)
+            await drain()
+            assert await asyncio.gather(*first) == ["a", "b"]
+            one = records()
+
+            # episode two: one reject, then the pending request expires
+            held = asyncio.ensure_future(batcher.submit("e"))
+            await _settle()
+            stale = asyncio.ensure_future(batcher.submit("f"))
+            await _settle()
+            with pytest.raises(ServerOverloaded):
+                await batcher.submit("g")
+            await asyncio.sleep(0.05)  # past f's admission timeout
+            await drain()
+            assert await held == "e"
+            with pytest.raises(DeadlineExceeded):
+                await stale
+            await _settle()
+            return one, records()[len(one) :]
+
+    one, two = asyncio.run(main())
+    assert len(one) == 2 and len(two) == 3, (one, two)
+    assert one[0].startswith("WARNING overloaded: first request rejected")
+    assert "(max_queue_size=1, queue_depth=1; so far 3 submitted, 1 rejected" in one[0]
+    assert one[1].startswith("INFO overload episode over: 2 rejected, 0 shed")
+    assert two[0].startswith("WARNING overloaded: first request rejected")
+    assert two[1].startswith("WARNING overloaded: first request shed")
+    assert "3 rejected, 1 shed)" in two[1]
+    assert two[2].startswith("INFO overload episode over: 1 rejected, 1 shed")
 
 
 # --------------------------------------------------------------------------- #

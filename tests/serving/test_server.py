@@ -211,6 +211,39 @@ def test_overload_maps_to_503():
     asyncio.run(main())
 
 
+def test_the_queue_bound_holds_on_the_wire_under_open_loop_bursts():
+    # one request per folded pass (a few hundred req/s of capacity) against
+    # bursts of 32 at several times that: most of every burst finds the two
+    # pending places taken and must be told so — and the server's own
+    # accounting of the episode must agree with the client's
+    config = cfg(
+        num_samples=4, max_batch_size=1, max_queue_size=2, reject_on_full=True
+    )
+
+    async def main():
+        async with ServingServer(ServingEngine(_model(), config)) as srv:
+            gen = LoadGenerator(
+                srv.host,
+                srv.port,
+                process="burst",
+                burst_size=32,
+                rate=2000.0,
+                duration=0.4,
+            )
+            report = await gen.run()
+            status, stats = await _request(srv, "GET", "/v1/stats")
+            assert status == 200
+            return report, stats
+
+    report, stats = asyncio.run(main())
+    assert report.errors.get("503", 0) > 0 and report.ok > 0
+    assert report.scheduled == report.ok + report.failed + report.dropped
+    assert all(key.isdigit() for key in report.errors), report.errors
+    assert stats["queue_peak"] <= 2
+    assert stats["requests_rejected"] == report.errors["503"]
+    assert stats["requests_completed"] == report.ok
+
+
 def test_missed_deadline_maps_to_504():
     # a 1 us budget has always lapsed by the time assembly re-checks the
     # backlog (the enqueue->assembly hop alone costs microseconds), so the
