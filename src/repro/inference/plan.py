@@ -9,9 +9,10 @@ about 60 % of ``conv_mc``'s backbone time was data movement around ≈1.5 ms
 of GEMMs.  A :class:`PrefixPlan` is the software analogue of the fixed
 dataflow: compiled once from a network's layer list, it runs
 
-* ``Conv2D → [BatchNorm] → [ReLU]`` and
+* ``Conv2D → [BatchNorm] → [ReLU]``,
 * :class:`~repro.nn.layers.ResidualBlock` (main branch, projection
-  shortcut, residual add, final ReLU)
+  shortcut, residual add, final ReLU) and
+* :class:`~repro.nn.layers.MaxPool2D`
 
 on NHWC-resident ``(N·oh·ow, C)`` matrices: the GEMM output *is* the
 activation, handed on as its NCHW view.  Every convolution gathers its
@@ -20,11 +21,15 @@ columns (the one :func:`~repro.nn.tensor.im2col`) into **one**
 (:meth:`~repro.nn.layers.BatchNorm.normalize_`), ReLU
 (:func:`~repro.nn.layers.activations.relu_`) and the residual add
 (:meth:`~repro.nn.layers.ResidualBlock.forward_inference`) are applied **in
-place on the GEMM output the step itself allocated**; nothing is saved
-into the :class:`~repro.nn.context.ForwardContext` (there is no backward
-pass to serve).  A layer kind without a step — pooling, flatten, custom
-layers — runs its own ``forward(training=False)``.  ``Layer.forward``
-remains the training path and is the oracle the plan is tested against.
+place on the GEMM output the step itself allocated**.  A max-pool gathers
+nothing: it allocates its output once and folds the ``pool_size²`` window
+positions into it, each a strided view of the input — no column matrix, no
+``argmax``.  Nothing is saved into the
+:class:`~repro.nn.context.ForwardContext` (there is no backward pass to
+serve).  A layer kind without a step — average pooling (see rule 7),
+flatten, dense, custom layers — runs its own ``forward(training=False)``.
+``Layer.forward`` remains the training path and is the oracle the plan is
+tested against.
 
 Bit-exactness rules
 -------------------
@@ -49,10 +54,10 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
    depends on those strides; the stride of an extent-1 axis, which NumPy
    leaves arbitrary, is the one thing not reproduced).  It never aliases
    the arena, the caller's ``x`` or a previously returned (possibly cached)
-   activation, because the only thing a step mutates is the matrix its own
-   GEMM just allocated.  An identity shortcut that arrives in another
-   memory order than the main branch is added out of place, so NumPy picks
-   the result layout as it does layer by layer.
+   activation, because the only thing a step mutates is the array it just
+   allocated itself (a GEMM result, a pool output).  An identity shortcut
+   that arrives in another memory order than the main branch is added out
+   of place, so NumPy picks the result layout as it does layer by layer.
 5. **Weights are read at call time.**  Nothing derived from a parameter or
    a running statistic (weight matrix views, ``inv_std``) outlives a call,
    so no ``weights_version`` bookkeeping is needed: an optimizer step,
@@ -62,6 +67,26 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
    the input's dtype, exactly as layer-by-layer, so ``matmul`` performs the
    same promotion; the arena is raw storage carved per call, so a float32
    batch leaves nothing behind that a later float64 batch could read.
+7. **Max-pooling is a running maximum with the layer's layout and the
+   layer's ties.**  ``np.maximum(out, view, out=out)`` over the window
+   positions in ``(kh, kw)`` order never rounds, so two things are left to
+   reproduce.  *Layout*: ``N > 1`` returns the NCHW view of fresh
+   ``(N, oh, ow, C)`` memory, but ``N == 1`` returns NCHW-contiguous
+   memory — what ``cols.max(axis=2)`` makes of rule 1's column-major
+   columns — and the head's ``Flatten`` / GEMM path follows those strides.
+   *Ties*: ``-0.0`` (rule 2 makes it common) and ``+0.0`` compare equal,
+   and a running maximum keeps the later position.  So does NumPy's
+   ``max`` while it scans a window element by element, but a window that
+   fills a vector register (nine float64 elements under AVX-512) is
+   reduced lane-wise and resolves ties in lane order.
+   :func:`_max_is_a_scan` compares the two on every tie pattern, once per
+   window length and dtype; a window that fails, or is longer than nine
+   elements, runs the layer's own ``forward`` into a throwaway context.
+   A NaN stays a NaN either way, but *which* NaN's sign and payload
+   survives is the kernel's choice and outside the contract.
+   ``AvgPool2D`` has no step: a maximum can be checked on all its ties, a
+   sum's roundings (NumPy adds a contiguous window pairwise from eight
+   elements, a single example's strided window in order) only sampled.
 
 Ownership and bound
 -------------------
@@ -80,13 +105,14 @@ and the largest batch, not of the number of calls.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from ..nn.context import ForwardContext
-from ..nn.layers import BatchNorm, Conv2D, ReLU, ResidualBlock
+from ..nn.layers import BatchNorm, Conv2D, MaxPool2D, ReLU, ResidualBlock
 from ..nn.layers.activations import relu_
 from ..nn.layers.base import Layer
 from ..nn.model import Network
@@ -115,6 +141,47 @@ def _conv_bn_relu(
 
 def _residual(block: ResidualBlock, x: np.ndarray, arena: ColumnArena) -> np.ndarray:
     return block.forward_inference(x, partial(_conv, arena))
+
+
+@cache
+def _max_is_a_scan(window: int, dtype: str) -> bool:
+    """Whether ``max`` over ``window`` contiguous elements is a running maximum.
+
+    Rule 7: checked on every way a window can tie (each element below the
+    maximum, ``-0.0`` or ``+0.0``), once per window length and dtype.
+    """
+    if window > 9:
+        return False
+    ties = itertools.product((-1.0, -0.0, 0.0), repeat=window)
+    cols = np.array(list(ties), dtype=dtype)
+    scan = cols[:, 0].copy()
+    for position in range(1, window):
+        np.maximum(scan, cols[:, position], out=scan)
+    return cols.max(axis=1).tobytes() == scan.tobytes()
+
+
+def _max_pool(pool: MaxPool2D, x: np.ndarray, arena: ColumnArena) -> np.ndarray:
+    """``pool.forward(x)`` as a running maximum over the window positions."""
+    size, stride = pool.pool_size, pool.stride
+    if not _max_is_a_scan(size * size, x.dtype.char):
+        return pool.forward(x, training=False, ctx=ForwardContext())
+    n, c = x.shape[:2]
+    _, out_h, out_w = pool.output_shape
+    # rule 7: the memory order the layer's ``cols.max(axis=2)`` comes out in
+    if n == 1:
+        out = np.empty((1, c, out_h, out_w), dtype=x.dtype)
+    else:
+        out = np.empty((n, out_h, out_w, c), dtype=x.dtype).transpose(0, 3, 1, 2)
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    positions = (
+        x[:, :, i : i + span_h : stride, j : j + span_w : stride]
+        for i in range(size)
+        for j in range(size)
+    )
+    np.copyto(out, next(positions))
+    for position in positions:
+        np.maximum(out, position, out=out)
+    return out
 
 
 class PrefixPlan:
@@ -161,6 +228,8 @@ class PrefixPlan:
                 steps.append(partial(_conv_bn_relu, layer, bn, relu))
             elif isinstance(layer, ResidualBlock):
                 steps.append(partial(_residual, layer))
+            elif type(layer) is MaxPool2D:
+                steps.append(partial(_max_pool, layer))
             else:
                 steps.append(layer)
         return steps

@@ -11,14 +11,18 @@ is broken.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 from repro.inference import eager_early_exit, looped_mc_sample, looped_predict_mc
+from repro.inference import plan as plan_module
 from repro.inference.engine import NetworkEngine
 from repro.inference.plan import PrefixPlan
 from repro.nn.architectures import resnet_spec
@@ -447,7 +451,8 @@ def test_rule6_float32_input_takes_the_same_kernels_and_leaves_no_trace():
 
 
 def test_unplanned_layers_run_their_own_forward():
-    """Pooling, flatten and dense have no step; a lone BatchNorm/ReLU neither."""
+    """Flatten and dense have no step; a lone BatchNorm/ReLU neither (the
+    pool between the two convolutions is planned)."""
     net = Network(
         [
             BatchNorm(),
@@ -479,3 +484,156 @@ def test_planned_steps_save_nothing_into_the_context():
     ctx = ForwardContext()
     _cold(model).backbone_activations(_batch("resnet10", 3), ctx=ctx)
     assert len(ctx._saved) == 0
+
+
+# --------------------------------------------------------------------------- #
+# rule 7: max-pooling as a running maximum
+# --------------------------------------------------------------------------- #
+def _conv_output_layout(x: np.ndarray) -> np.ndarray:
+    """``x`` as a planned convolution hands it on: NCHW view of NHWC memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _pool_net(shape, pool_size: int, stride: int) -> Network:
+    return Network([MaxPool2D(pool_size, stride)]).build(shape, seed=0)
+
+
+def _assert_pool_step_is_the_layer(net: Network, x: np.ndarray) -> np.ndarray:
+    plan, ctx, layer_ctx = PrefixPlan(net), ForwardContext(), ForwardContext()
+    want = net.layers[0].forward(x, training=False, ctx=layer_ctx)
+    got = plan.forward_range(x, 0, 1, ctx)
+    assert_same_arrays([got], [want])
+    assert len(ctx._saved) == 0 and len(layer_ctx._saved) == 1
+    assert not np.shares_memory(got, x) and got.flags.writeable
+    assert arena_bytes(plan.arena) == 0, "the pool step gathers nothing"
+    return got
+
+
+def _zero_ties(shape, pool_size: int, stride: int, out_hw) -> list[np.ndarray]:
+    """Zeros of one sign with the other sign at one window position — every
+    position, both polarities — then random signs among negative values."""
+    rows, cols = (stride * (extent - 1) + 1 for extent in out_hw)
+    crafted = []
+    for i, j in itertools.product(range(pool_size), repeat=2):
+        for odd_one in (0.0, -0.0):
+            x = np.full(shape, -odd_one)
+            x[:, :, i : i + rows : stride, j : j + cols : stride] = odd_one
+            crafted.append(x)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        crafted.append(np.where(rng.random(shape) < 0.3, -rng.random(shape), zeros))
+    return crafted
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("conv_layout", [False, True])
+@pytest.mark.parametrize("pool_size,stride", [(2, 2), (3, 2), (2, 1)])
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+def test_rule7_max_pool_step_has_the_layers_bits_and_layout(
+    n, pool_size, stride, conv_layout, dtype
+):
+    shape = (n, 3, 7, 6)
+    net = _pool_net(shape[1:], pool_size, stride)
+    out_hw = net.layers[0].output_shape[1:]
+    inputs = [np.random.default_rng(n).normal(size=shape)]
+    inputs += _zero_ties(shape, pool_size, stride, out_hw)
+    signs = set()
+    for x in inputs:
+        x = x.astype(dtype)
+        got = _assert_pool_step_is_the_layer(
+            net, _conv_output_layout(x) if conv_layout else x
+        )
+        signs.update(np.signbit(got[got == 0]).tolist())
+        # the layout rule itself: N == 1 is NCHW-contiguous, N > 1 NHWC memory
+        assert got.flags.c_contiguous == (n == 1)
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous == (n > 1)
+    assert signs == {True, False}, "the crafted ties must resolve both ways"
+
+
+def test_rule7_single_example_single_window_output():
+    """N == 1 with a 1x1 output (the demo LeNet's second pool): the column
+    matrix is one row, so the layer reduces it contiguously like N > 1."""
+    net = _pool_net((8, 2, 2), 2, 2)
+    for x in _zero_ties((1, 8, 2, 2), 2, 2, (1, 1)):
+        _assert_pool_step_is_the_layer(net, x)
+        _assert_pool_step_is_the_layer(net, _conv_output_layout(x))
+
+
+def test_rule7_a_reduction_that_is_not_a_scan_keeps_the_layers_forward(monkeypatch):
+    """Where NumPy vectorises ``max`` over a window (nine float64 elements
+    under AVX-512) ties resolve in lane order: the running maximum is then a
+    different function of the input and the step must not be taken."""
+    assert plan_module._max_is_a_scan(1, "d") and plan_module._max_is_a_scan(4, "d")
+    assert not plan_module._max_is_a_scan(16, "d"), "beyond the checked lengths"
+    vectorised = [
+        (size, dtype)
+        for size in (2, 3)
+        for dtype in (np.float64, np.float32)
+        if not plan_module._max_is_a_scan(size * size, np.dtype(dtype).char)
+    ]
+    if not vectorised:
+        pytest.skip("NumPy reduces every checked window length as a scan here")
+    monkeypatch.setattr(plan_module, "_max_is_a_scan", lambda window, dtype: True)
+    for size, dtype in vectorised:
+        shape = (4, 3, 7, 6)
+        net = _pool_net(shape[1:], size, 2)
+        out_hw = net.layers[0].output_shape[1:]
+        differs = False
+        for x in _zero_ties(shape, size, 2, out_hw):
+            x = x.astype(dtype)
+            got = PrefixPlan(net).forward_range(x, 0, 1, ForwardContext())
+            want = net.forward(x, training=False)
+            np.testing.assert_array_equal(got, want)  # equal as numbers ...
+            differs |= got.tobytes() != want.tobytes()  # ... not as bits
+        assert differs
+
+
+def test_rule7_nan_stays_nan():
+    """Both forms propagate NaN; which NaN's sign and payload survives is the
+    kernel's choice (the contiguous reduce returns the canonical one) and is
+    outside the contract."""
+    x = np.random.default_rng(0).normal(size=(3, 2, 6, 6))
+    x[:, :, ::3, ::2] = np.nan
+    net = _pool_net(x.shape[1:], 2, 2)
+    got = PrefixPlan(net).forward_range(x, 0, 1, ForwardContext())
+    np.testing.assert_array_equal(got, net.forward(x, training=False))
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+_PALETTE = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -5e-324])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    c=st.integers(1, 9),
+    pool_size=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    extra_h=st.integers(0, 5),
+    extra_w=st.integers(0, 5),
+    conv_layout=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**16),
+)
+def test_max_pool_step_matches_the_layer_on_any_geometry(
+    n, c, pool_size, stride, extra_h, extra_w, conv_layout, dtype, seed
+):
+    shape = (n, c, pool_size + extra_h, pool_size + extra_w)
+    rng = np.random.default_rng(seed)
+    special = rng.random(shape) < 0.5
+    x = np.where(special, rng.choice(_PALETTE, shape), rng.normal(size=shape))
+    x = x.astype(dtype)
+    net = _pool_net(shape[1:], pool_size, stride)
+    _assert_pool_step_is_the_layer(net, _conv_output_layout(x) if conv_layout else x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_demo_lenet_predict_mc_matches_the_looped_oracle(seed):
+    for n in (1, 32):
+        planned, looped = _model("lenet", seed), _model("lenet", seed)
+        x = _batch("lenet", n, seed=seed)
+        got = planned.engine.predict_mc(x, 5)
+        want = looped_predict_mc(looped, x, 5)
+        assert_same_arrays([got.sample_probs], [want.sample_probs])
