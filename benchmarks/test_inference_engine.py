@@ -12,7 +12,7 @@ the numbers measure the folding + backbone-sharing refactor itself, not the
 engine's repeated-input activation cache.  Two finer-grained guards pin
 down where the win comes from and that nothing regressed against the old
 (already backbone-caching) loops, which are kept verbatim in
-:mod:`repro.inference.legacy`.
+``tests/inference/reference_loops.py``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from repro.core import (
     MultiExitConfig,
     single_exit_bayesnet,
 )
-from repro.inference import looped_predict_mc
 from repro.inference.engine import InferenceEngine
 from repro.nn.architectures import lenet5_spec
 from repro.nn.layers.activations import softmax
+from tests.inference.reference_loops import looped_predict_mc
 
 NUM_SAMPLES = 10
 BATCH = 64

@@ -362,7 +362,7 @@ class MultiExitBayesNet:
         axis and run as a single pass (:class:`repro.inference.InferenceEngine`).
         Samples are interleaved round-robin across exits and truncated to
         exactly ``num_samples``, bit-identically to the historical per-pass
-        loop (:func:`repro.inference.legacy.looped_predict_mc`).
+        loop (``looped_predict_mc`` in ``tests/inference/reference_loops.py``).
         """
         return self.engine.predict_mc(x, num_samples)
 

@@ -133,7 +133,7 @@ class MCSampler:
     samples are folded into the batch axis so the stochastic suffix runs in
     a single pass (:class:`repro.inference.NetworkEngine`).  Results are
     bit-identical to the historical one-pass-per-sample loop, which lives on
-    as :func:`repro.inference.legacy.looped_mc_sample`.
+    as ``looped_mc_sample`` in ``tests/inference/reference_loops.py``.
     """
 
     def __init__(self, network: Network, seed: int | None = None) -> None:

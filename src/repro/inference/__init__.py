@@ -22,19 +22,18 @@ Public surface
     one column arena per engine replica and calling thread, BatchNorm/ReLU/
     residual add in place on the GEMM outputs, bit-identical to
     ``Layer.forward``.
-:mod:`repro.inference.legacy`
-    The pre-folding per-sample loops, kept as the regression/benchmark
-    reference.
-:func:`iter_microbatches` / :func:`aiter_microbatches`
-    Synchronous and async-aware microbatching primitives; the latter (with
-    its ``max_latency`` partial-batch flush) is a standalone ordered-stream
-    helper behind the engines' ``apredict_stream`` hooks.
+:func:`iter_microbatches`
+    The synchronous microbatching primitive behind the engines'
+    ``predict_stream``.  Batching independent async arrivals is the serving
+    tier's job (:class:`repro.serving.DynamicBatcher`), not this package's.
+
+The pre-folding per-sample loops the engines must match bit-for-bit are a
+test oracle and live in ``tests/inference/reference_loops.py``.
 """
 
 from .engine import InferenceEngine, NetworkEngine
 from .folding import fold_batch, folded_forward_range, unfold_samples
-from .legacy import eager_early_exit, looped_mc_sample, looped_predict_mc
-from .streaming import aiter_microbatches, iter_microbatches
+from .streaming import iter_microbatches
 
 __all__ = [
     "InferenceEngine",
@@ -43,8 +42,4 @@ __all__ = [
     "unfold_samples",
     "folded_forward_range",
     "iter_microbatches",
-    "aiter_microbatches",
-    "looped_mc_sample",
-    "looped_predict_mc",
-    "eager_early_exit",
 ]

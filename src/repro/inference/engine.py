@@ -7,30 +7,27 @@ Two engines share the folded hot path of :mod:`repro.inference.folding`:
   prefix is evaluated once, tiled ``S`` times into the batch axis, and the
   stochastic suffix runs in a single folded pass.
 * :class:`InferenceEngine` wraps a
-  :class:`~repro.core.bayesnn.MultiExitBayesNet`: per-segment backbone
-  activations are computed once, cached, and shared across *all* exits and
+  :class:`~repro.core.bayesnn.MultiExitBayesNet`: the backbone runs once per
+  batch and its per-segment activations are shared across *all* exits and
   *all* Monte-Carlo samples; each exit head is split at its first stochastic
   layer so only the stochastic head suffix is folded and re-evaluated.
 
-Both engines reproduce the legacy per-sample loops bit-for-bit (see
-:mod:`repro.inference.legacy`), add microbatched ``predict_stream`` /
-``apredict_stream`` APIs for high-volume (sync and async) workloads, and
-:class:`InferenceEngine` additionally implements confidence-based early
-exiting with *active-set masking*: a whole batch streams through the exits
-and only still-undecided examples are propagated through later backbone
-segments — reusing the engine's memoised per-segment activations when the
-batch is already cached.  The request/response serving layer in
-:mod:`repro.serving` sits directly on top of these engines.
+Both engines reproduce the per-sample loops of the test oracle bit-for-bit,
+add a synchronous microbatched ``predict_stream``, and
+:class:`InferenceEngine` implements confidence-based early exiting with
+*active-set masking*: only still-undecided examples are propagated through
+later backbone segments.  A small content-keyed cache reuses a batch's
+backbone activations only when a later call sees *identical bytes* under the
+same weights.  :mod:`repro.serving` sits directly on top of these engines;
+its ``DynamicBatcher`` is what turns async arrivals into batches.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import math
 from collections import OrderedDict
-from concurrent.futures import Executor
-from typing import TYPE_CHECKING, AsyncIterable, AsyncIterator, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +39,7 @@ from ..nn.layers.activations import softmax
 from ..nn.model import Network
 from .folding import fold_batch, folded_forward_range, unfold_samples
 from .plan import PrefixPlan
-from .streaming import aiter_microbatches, iter_microbatches
+from .streaming import iter_microbatches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bayesnn import MultiExitBayesNet
@@ -92,6 +89,9 @@ class _ActivationCache:
         return (token, x.shape, x.dtype.str, digest)
 
     def get(self, x: np.ndarray, token: object):
+        # a miss key is only good for the put() right after its own get():
+        # early exit gets without a put, and freed arrays' ids get reused
+        self._miss_key = None
         if self.maxsize <= 0:
             return None
         key = self._key(x, token)
@@ -326,43 +326,6 @@ class NetworkEngine:
         for batch in iter_microbatches(inputs, batch_size):
             yield self.predict_proba(batch, num_samples)
 
-    async def apredict_stream(
-        self,
-        inputs: np.ndarray | Iterable[np.ndarray] | AsyncIterable[np.ndarray],
-        batch_size: int = 64,
-        num_samples: int | None = None,
-        max_latency: float | None = None,
-        executor: Executor | None = None,
-    ) -> AsyncIterator[np.ndarray]:
-        """Async counterpart of :meth:`predict_stream`.
-
-        Accepts asynchronous example streams in addition to the synchronous
-        input forms, and runs every folded NumPy pass in ``executor`` (the
-        event loop's default thread pool when ``None``) so the loop stays
-        responsive while a microbatch computes.
-
-        Parameters
-        ----------
-        inputs:
-            Batch array, iterable of examples, or async iterable of examples.
-        batch_size:
-            Maximum examples per folded pass.
-        num_samples:
-            MC samples per prediction (``None`` = one stochastic pass).
-        max_latency:
-            Flush deadline (seconds) for partially-filled microbatches of an
-            async stream; see :func:`repro.inference.aiter_microbatches`.
-        executor:
-            Where the NumPy work runs.  The engine is not thread-safe, so a
-            multi-worker executor must not be shared with other callers of
-            this engine.
-        """
-        loop = asyncio.get_running_loop()
-        async for batch in aiter_microbatches(inputs, batch_size, max_latency):
-            yield await loop.run_in_executor(
-                executor, self.predict_proba, batch, num_samples
-            )
-
 
 class InferenceEngine:
     """Vectorised inference over a multi-exit MCD BayesNN.
@@ -374,7 +337,7 @@ class InferenceEngine:
     runs exactly once per prediction.
 
     All public methods keep the semantics (and, for ``predict_mc``, the bit
-    pattern) of the legacy loops in :mod:`repro.inference.legacy`.
+    pattern) of the pre-folding per-sample loops.
 
     Like :class:`NetworkEngine`, each instance owns a private
     :class:`~repro.nn.context.ForwardContext` and activation cache;
@@ -686,50 +649,3 @@ class InferenceEngine:
                 yield self.early_exit_predict(batch, early_exit_threshold).probs
             else:
                 yield self.predict_proba(batch, num_samples)
-
-    async def apredict_stream(
-        self,
-        inputs: np.ndarray | Iterable[np.ndarray] | AsyncIterable[np.ndarray],
-        batch_size: int = 64,
-        num_samples: int | None = None,
-        early_exit_threshold: float | None = None,
-        max_latency: float | None = None,
-        executor: Executor | None = None,
-    ) -> AsyncIterator[np.ndarray]:
-        """Async counterpart of :meth:`predict_stream`.
-
-        Accepts asynchronous example streams in addition to the synchronous
-        input forms, and runs every folded NumPy pass in ``executor`` (the
-        event loop's default thread pool when ``None``) so the event loop is
-        never blocked by a microbatch.  This is the low-level hook the
-        serving layer (:mod:`repro.serving`) builds on; use
-        :class:`repro.serving.ServingEngine` when you need per-request
-        futures, backpressure and stats rather than an ordered batch stream.
-
-        Parameters
-        ----------
-        inputs:
-            Batch array, iterable of examples, or async iterable of examples.
-        batch_size:
-            Maximum examples per folded pass.
-        num_samples:
-            MC samples per prediction (ignored in early-exit mode).
-        early_exit_threshold:
-            When set, each microbatch runs the active-set early-exit path.
-        max_latency:
-            Flush deadline (seconds) for partially-filled microbatches of an
-            async stream; see :func:`repro.inference.aiter_microbatches`.
-        executor:
-            Where the NumPy work runs.  The engine is not thread-safe, so a
-            multi-worker executor must not be shared with other callers of
-            this engine.
-        """
-        loop = asyncio.get_running_loop()
-
-        def compute(batch: np.ndarray) -> np.ndarray:
-            if early_exit_threshold is not None:
-                return self.early_exit_predict(batch, early_exit_threshold).probs
-            return self.predict_proba(batch, num_samples)
-
-        async for batch in aiter_microbatches(inputs, batch_size, max_latency):
-            yield await loop.run_in_executor(executor, compute, batch)

@@ -12,8 +12,9 @@ per (sample, example) pair.
 Bit-exactness contract
 ----------------------
 The folded pass is required to be **bit-identical** to the legacy
-one-pass-per-sample loop (see :mod:`repro.inference.legacy`) so that the
-refactor is observationally invisible.  Three facts make that possible:
+one-pass-per-sample loop (the test oracle in
+``tests/inference/reference_loops.py``) so that the refactor is
+observationally invisible.  Three facts make that possible:
 
 * ``np.random.Generator.random`` fills arrays from the bit stream in row-major
   order, so one draw of shape ``(S·N, …)`` consumes the per-layer RNG stream

@@ -35,7 +35,9 @@ Error mapping is typed, not stringly: ``ServerOverloaded`` → **503**,
 ``DeadlineExceeded`` → **504**, malformed JSON / wrong shape / bad field
 types / a non-finite ``x`` element / a NaN ``deadline_ms`` → **400**, a
 body over ``max_body_bytes`` → **413**, unknown path →
-**404**, wrong method → **405**, anything unexpected → **500**.  Every
+**404**, wrong method → **405**, a ``Transfer-Encoding`` body → **501**,
+anything unexpected → **500**.  A framing error (501, 413, a bad or
+conflicting ``Content-Length``) also closes the connection.  Every
 error body is ``{"error": <slug>, "detail": <message>}``.
 
 Shutdown is graceful by default: :meth:`ServingServer.stop` closes the
@@ -70,6 +72,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -292,9 +295,15 @@ class ServingServer:
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise _HttpError(400, "bad_request", f"malformed header {name!r}")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HttpError(400, "bad_request", "conflicting Content-Length")
+            headers[name] = value
             if len(headers) > _MAX_HEADERS:
                 raise _HttpError(400, "bad_request", "too many headers")
+        # a chunked body read as "no body" would parse as the next request
+        if "transfer-encoding" in headers:
+            raise _HttpError(501, "not_implemented", "Transfer-Encoding unsupported")
         try:
             content_length = int(headers.get("content-length", "0"))
         except ValueError:

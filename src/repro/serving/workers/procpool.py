@@ -379,7 +379,9 @@ class _RingHandle(_WorkerHandle):
         super().__init__(index, process, conn, cpu)
         self.ring = ring
         self.depth = ring.slots
-        self._free_slots = list(range(self.depth))
+        #: reused in the order they were freed, so the slot a waiting batch
+        #: gets does not depend on how many replies were read before it woke
+        self._free_slots = deque(range(self.depth))
         #: slots owned right now — exchanges staging or in flight
         self._owned = 0
         self._exchanges: deque[_Exchange] = deque()
@@ -448,7 +450,7 @@ class _RingHandle(_WorkerHandle):
             # only shutdown() holds the lock of an idle handle
             raise ReplicaDied(f"worker {self.index} is being shut down")
         self._owned += 1
-        return self._free_slots.pop()
+        return self._free_slots.popleft()
 
     def _hand_back(self, slot: int) -> None:
         self._free_slots.append(slot)

@@ -24,13 +24,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..nn.layers.activations import softmax
-from ..nn.model import Network
+from repro.nn.layers.activations import softmax
+from repro.nn.model import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.bayesnn import MultiExitBayesNet
-    from ..core.mcd import MCPrediction
-    from ..core.multi_exit import EarlyExitResult
+    from repro.core.bayesnn import MultiExitBayesNet
+    from repro.core.mcd import MCPrediction
+    from repro.core.multi_exit import EarlyExitResult
 
 __all__ = ["looped_mc_sample", "looped_predict_mc", "eager_early_exit"]
 
@@ -39,7 +39,7 @@ def looped_mc_sample(
     network: Network, x: np.ndarray, num_samples: int
 ) -> "MCPrediction":
     """Legacy ``MCSampler.sample``: one stochastic suffix pass per sample."""
-    from ..core.mcd import MCPrediction
+    from repro.core.mcd import MCPrediction
 
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -63,7 +63,7 @@ def looped_predict_mc(
     model: "MultiExitBayesNet", x: np.ndarray, num_samples: int | None = None
 ) -> "MCPrediction":
     """Legacy ``MultiExitBayesNet.predict_mc``: re-run every head per pass."""
-    from ..core.mcd import MCPrediction
+    from repro.core.mcd import MCPrediction
 
     if num_samples is None:
         num_samples = model.config.default_mc_samples
@@ -103,8 +103,8 @@ def eager_early_exit(
     (no activation cache, no folding) so the regression tests compare two
     independent implementations.
     """
-    from ..core.mcd import deterministic_forward
-    from ..core.multi_exit import confidence_early_exit
+    from repro.core.mcd import deterministic_forward
+    from repro.core.multi_exit import confidence_early_exit
 
     stochastic = model.config.is_bayesian
     activations = model.backbone_activations(x, training=False)

@@ -10,6 +10,10 @@ The ROADMAP named two holes after PR 1:
 * ``InferenceEngine.early_exit_predict`` recomputed backbone segments even
   when the engine had the batch's activations memoised — closed by the
   cache-reuse fast path.
+
+A later hole: a cache lookup that was never followed by a store left its
+miss key behind, and the next store trusted it for any array with the same
+``id()`` — storing one batch's activations under another batch's bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
+from repro.inference import engine as engine_module
 from repro.nn import SGD
 from repro.nn.architectures import lenet5_spec
 from repro.nn.layers.base import Parameter
@@ -156,3 +161,23 @@ def test_early_exit_cold_path_unchanged():
     res = engine.early_exit_predict(X, 0.7)
     assert res.probs.shape == (X.shape[0], 5)
     assert res.exit_distribution.sum() == pytest.approx(1.0)
+
+
+def test_a_lookup_without_a_store_leaves_no_key_for_the_next_store(monkeypatch):
+    # CPython reuses ids of freed arrays as a matter of course; make every
+    # array share one id so the collision is deterministic
+    monkeypatch.setattr(engine_module, "id", lambda obj: 0, raising=False)
+    model = _model()
+    engine = model.engine
+    a = np.ascontiguousarray(X)
+    other = np.random.default_rng(5).normal(size=(8, 1, 12, 24))
+
+    engine.early_exit_predict(a, 0.5)  # a contiguous miss, and no store
+    model.predict_mc(other[:, :, :, ::2], 2)  # a strided miss: uncacheable
+    hits = engine.cache_stats()[0]
+
+    got = engine.backbone_activations(a.copy())
+    assert engine.cache_stats()[0] == hits, "the strided batch was cached as `a`"
+    want = _model().engine.backbone_activations(a.copy())
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

@@ -8,7 +8,6 @@ from repro.core.mcd import MCPrediction
 from repro.inference import (
     InferenceEngine,
     NetworkEngine,
-    eager_early_exit,
     fold_batch,
     folded_forward_range,
     iter_microbatches,
@@ -18,6 +17,7 @@ from repro.nn.layers import Dense, Flatten, MCDropout, ReLU
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
+from .reference_loops import eager_early_exit
 
 
 def _bayes_net(rate=0.5, seed=0):
@@ -95,6 +95,30 @@ class TestMicrobatches:
         with pytest.raises(ValueError):
             list(iter_microbatches(np.zeros((4, 2)), 0))
 
+    def test_negative_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            list(iter_microbatches(iter([np.zeros(2)]), -1))
+
+    def test_array_batches_are_views(self, rng):
+        x = rng.normal(size=(7, 3))
+        for batch in iter_microbatches(x, 3):
+            assert np.shares_memory(batch, x)
+
+    def test_exact_multiple_and_empty_inputs(self, rng):
+        x = rng.normal(size=(8, 2))
+        assert [b.shape[0] for b in iter_microbatches(x, 4)] == [4, 4]
+        assert [b.shape[0] for b in iter_microbatches(iter(x), 4)] == [4, 4]
+        assert list(iter_microbatches(x[:0], 4)) == []
+        assert list(iter_microbatches(iter([]), 4)) == []
+
+    def test_source_errors_propagate(self):
+        def broken():
+            yield np.zeros(2)
+            raise RuntimeError("sensor died")
+
+        with pytest.raises(RuntimeError, match="sensor died"):
+            list(iter_microbatches(broken(), 8))
+
 
 # --------------------------------------------------------------------------- #
 # NetworkEngine
@@ -128,6 +152,18 @@ class TestNetworkEngine:
         x = rng.normal(size=(10, 2, 4, 4))
         streamed = np.concatenate(list(engine.predict_stream(x, batch_size=3)))
         np.testing.assert_allclose(streamed, engine.predict_proba(x), atol=1e-12)
+
+    def test_predict_stream_example_stream_matches_array(self, rng):
+        x = rng.normal(size=(5, 2, 4, 4))
+        from_array = NetworkEngine(_bayes_net(), seed=0).predict_stream(
+            x, batch_size=2, num_samples=3
+        )
+        from_rows = NetworkEngine(_bayes_net(), seed=0).predict_stream(
+            (row for row in x), batch_size=2, num_samples=3
+        )
+        for a, b in zip(from_array, from_rows, strict=True):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
 
     def test_prefix_cache_reused(self, rng):
         net = _bayes_net()
@@ -237,6 +273,15 @@ class TestInferenceEngine:
         )
         assert streamed.shape == (6, 5)
         np.testing.assert_allclose(streamed.sum(axis=1), 1.0)
+
+    def test_predict_stream_early_exit_matches_early_exit_predict(self, rng):
+        model = _multi_exit(mcd_layers=0, rate=0.0)
+        x = rng.normal(size=(6, 1, 12, 12))
+        batches = list(model.predict_stream(x, batch_size=3, early_exit_threshold=0.5))
+        assert [b.shape for b in batches] == [(3, 5), (3, 5)]
+        for start, batch in zip((0, 3), batches):
+            want = model.engine.early_exit_predict(x[start : start + 3], 0.5).probs
+            np.testing.assert_array_equal(batch, want)
 
 
 class TestActiveSetEarlyExit:

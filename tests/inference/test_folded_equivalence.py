@@ -3,7 +3,7 @@
 These tests guard the acceptance criterion of the sample-folded engine:
 for a fixed seed, ``MCSampler.sample`` and ``MultiExitBayesNet.predict_mc``
 (now folded) produce **bit-identical** ``sample_probs`` to the pre-refactor
-per-sample loops, which live on verbatim in :mod:`repro.inference.legacy`.
+per-sample loops, which live on verbatim in :mod:`.reference_loops`.
 """
 
 import numpy as np
@@ -17,16 +17,12 @@ from repro.core import (
     MultiExitConfig,
     single_exit_bayesnet,
 )
-from repro.inference import (
-    fold_batch,
-    looped_mc_sample,
-    looped_predict_mc,
-    unfold_samples,
-)
+from repro.inference import fold_batch, unfold_samples
 from repro.inference.engine import NetworkEngine
 from repro.nn.layers import Conv2D, MCDropout, ResidualBlock
 
 from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
+from .reference_loops import looped_mc_sample, looped_predict_mc
 
 SPECS = {
     "lenet": (small_lenet_spec, (1, 12, 12)),

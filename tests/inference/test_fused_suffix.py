@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import single_exit_bayesnet
 from repro.inference.engine import NetworkEngine
-from repro.inference.legacy import looped_mc_sample
 from repro.nn.context import ForwardContext
 from repro.nn.layers import (
     Conv2D,
@@ -29,6 +28,7 @@ from repro.nn.layers import (
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
+from .reference_loops import looped_mc_sample
 
 
 def _dense_suffix_layers():

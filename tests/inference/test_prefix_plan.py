@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
-from repro.inference import eager_early_exit, looped_mc_sample, looped_predict_mc
 from repro.inference import plan as plan_module
 from repro.inference.engine import NetworkEngine
 from repro.inference.plan import PrefixPlan
@@ -43,6 +42,7 @@ from repro.quantization import QuantizationConfig, quantize_network
 from repro.serving import ServingConfig, ServingEngine
 
 from ..conftest import arena_bytes, small_lenet_spec, small_vgg_spec
+from .reference_loops import eager_early_exit, looped_mc_sample, looped_predict_mc
 
 
 def _resnet10_spec():

@@ -7,6 +7,8 @@ The contract under test is :class:`repro.serving.ServingServer`:
   (JSON carries repr-faithful float64);
 * engine failures map to typed HTTP statuses (``ServerOverloaded`` → 503,
   ``DeadlineExceeded`` → 504), payload problems to 400/413/404/405;
+* a body framed any way but one agreed ``Content-Length`` (chunked → 501,
+  conflicting lengths → 400) gets exactly one response, then EOF;
 * ``/v1/health`` flips the moment a supervised worker is killed — before
   the supervisor's next scan — and recovers after the respawn;
 * ``stop(drain=True)`` lets in-flight requests finish with a response.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +184,73 @@ def test_oversized_body_maps_to_413():
             )
             assert status == 413
             assert body["error"] == "payload_too_large"
+
+    asyncio.run(main())
+
+
+async def _raw_exchange(server, data: bytes) -> list[bytes]:
+    """Send ``data`` on one keep-alive connection; the status lines seen
+    before the server closed it."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        received = await asyncio.wait_for(reader.read(), timeout=10)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
+    # a response may follow the previous body with no line break between
+    return re.findall(rb"HTTP/1\.1 \d{3} [^\r]*", received)
+
+
+def test_transfer_encoding_gets_one_501_then_eof():
+    # the chunk framing must not be parsed as a second request: here the
+    # "body" holds a complete request line, which used to be executed
+    smuggled = b"GET /v1/health HTTP/1.1\r\n\r\n"
+    request = (
+        b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n" % len(smuggled)
+        + smuggled
+        + b"\r\n0\r\n\r\n"
+    )
+
+    async def main():
+        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+            statuses = await _raw_exchange(srv, request)
+            assert statuses == [b"HTTP/1.1 501 Not Implemented"], statuses
+            status, body = await _request(
+                srv, "POST", "/v1/predict", {"x": X[0].tolist()}
+            )
+            assert status == 200, body
+
+    asyncio.run(main())
+
+
+def test_conflicting_content_lengths_get_one_400_then_eof():
+    tail = b"GET /v1/health HTTP/1.1\r\n\r\n"
+    request = (
+        b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: 0\r\nContent-Length: %d\r\n\r\n" % len(tail) + tail
+    )
+    payload = json.dumps({"x": X[0].tolist()}).encode()
+    repeated = (
+        b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n"
+        % (len(payload), len(payload))
+        + payload
+    )
+
+    async def main():
+        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+            statuses = await _raw_exchange(srv, request)
+            assert statuses == [b"HTTP/1.1 400 Bad Request"], statuses
+            # a repeated header that agrees is one Content-Length
+            statuses = await _raw_exchange(srv, repeated)
+            assert statuses == [b"HTTP/1.1 200 OK"], statuses
 
     asyncio.run(main())
 
