@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench parallel chaos lint docs quickstart serve-demo serve loadgen grid thresholds all
+.PHONY: test bench parallel chaos lint docs quickstart serve-demo serve loadgen grid all
 
 # Tier-1: full test suite (pytest config lives in pyproject.toml)
 test:
@@ -92,12 +92,5 @@ grid:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments init --store $(STORE) --grid $(GRID)
 	PYTHONPATH=src $(PYTHON) -m repro.experiments run --store $(STORE) --reclaim-running
 	PYTHONPATH=src $(PYTHON) -m repro.experiments report --store $(STORE) --markdown --summary
-
-# Recompute benchmarks/bench_thresholds.json from accumulated run
-# history (BENCH_serving.json artifacts and/or grid stores).  Run
-# `make bench` a few times first so the envelope reflects real spread.
-thresholds:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments thresholds \
-		--bench BENCH_serving.json --margin 0.5
 
 all: test bench docs quickstart

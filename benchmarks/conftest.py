@@ -1,9 +1,10 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md
-§4) and asserts the corresponding *shape* claim — who wins, what grows, what
-stays flat — rather than absolute numbers, since the hardware substrate is an
-analytical model and the datasets are synthetic.
+Every benchmark regenerates one table or figure of the paper (see
+docs/architecture.md, "Benchmarks as acceptance gates") and asserts the
+corresponding *shape* claim — who wins, what grows, what stays flat — rather
+than absolute numbers, since the hardware substrate is an analytical model
+and the datasets are synthetic.
 
 Run with::
 
@@ -12,26 +13,14 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import Table1Settings, build_bayes_lenet_accelerator
-from repro.experiments.thresholds import check_metrics, runner_fingerprint
 
 from . import reporting
-
-#: data-derived regression bounds, regenerated by
-#: `python -m repro.experiments thresholds` (see repro.experiments);
-#: override the location with REPRO_BENCH_THRESHOLDS, or point it at a
-#: missing file to disable the gate locally
-THRESHOLDS_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_THRESHOLDS", Path(__file__).parent / "bench_thresholds.json"
-    )
-)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -42,13 +31,6 @@ def pytest_sessionfinish(session, exitstatus):
     artifact.  On GitHub Actions the headline numbers are also appended to
     the job's step summary, making the bench trajectory reviewable without
     downloading artifacts.
-
-    The flushed metrics are then held against the checked-in
-    ``bench_thresholds.json`` — per-runner-fingerprint bounds derived
-    from accumulated artifacts.  A violation on a fingerprint with
-    recorded history fails the session (this is the strict CI benchmark
-    gate); a fingerprint without history — a contributor's laptop, a
-    fork's CI — gets an advisory line and stays green.
     """
     path = reporting.flush()
     if path is None:
@@ -58,35 +40,6 @@ def pytest_sessionfinish(session, exitstatus):
     if step_summary:
         with Path(step_summary).open("a", encoding="utf-8") as handle:
             handle.write(reporting.markdown_summary() + "\n")
-    _enforce_thresholds(session)
-
-
-def _enforce_thresholds(session) -> None:
-    """Hard-gate this run's recorded metrics against derived bounds."""
-    try:
-        thresholds = json.loads(THRESHOLDS_PATH.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return  # no thresholds shipped (or deliberately disabled): no gate
-    fingerprint = runner_fingerprint()
-    violations, enforced = check_metrics(reporting._RESULTS, thresholds)
-    if not enforced:
-        print(
-            f"bench thresholds: no history for runner fingerprint "
-            f"{fingerprint!r}; gates are advisory-only on this machine"
-        )
-        return
-    if not violations:
-        print(f"bench thresholds: all bounds hold for {fingerprint!r}")
-        return
-    print(f"\nbench threshold violations for {fingerprint!r}:")
-    for violation in violations:
-        print(f"  FAIL {violation}")
-    print(
-        "  (bounds derive from recorded runs on this fingerprint; "
-        "regenerate with `python -m repro.experiments thresholds` "
-        "if a legitimate perf change moved them)"
-    )
-    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def benchmark_table1_settings() -> Table1Settings:

@@ -21,9 +21,8 @@ The file maps benchmark names to flat metric dicts, plus an ``_meta``
 section: ``generated_at`` is the *first* flush into this file (preserved
 across merges, so an artifact's age is its true age), ``updated_at`` the
 most recent one, and ``runner_fingerprint`` identifies the hardware
-class the numbers were measured on — the key
-``python -m repro.experiments thresholds`` groups run history by when it
-derives the CI benchmark gates::
+class the numbers were measured on (the same stamp the experiment grid
+puts on its store rows)::
 
     {
       "_meta": {"generated_at": "...", "updated_at": "...",
@@ -47,7 +46,7 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.experiments.thresholds import runner_fingerprint
+from repro.experiments import runner_fingerprint
 
 __all__ = ["record", "flush", "markdown_summary", "RESULTS_FILENAME"]
 

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §6.
+"""Ablation benchmarks for the accelerator's design choices.
 
 * MCD placement depth: how the number of MCD layers per exit affects the
   hardware footprint of the MC engine (deeper Bayesian tails cost more logic

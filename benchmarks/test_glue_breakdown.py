@@ -3,20 +3,21 @@
 A served request's latency is compute plus *glue*: assembling payloads
 into a batch, moving the batch to a worker, and fanning the output back
 out into per-request results.  This microbenchmark times each stage in
-isolation, for the pipe transport's mechanisms (``np.stack`` assembly, one
+isolation, for the pipe replica's mechanisms (``np.stack`` assembly, one
 pickled frame down the pipe), the thread replica's
-:class:`~repro.serving.batcher.BatchStager` pinned staging, and the
-hot-path stages: **direct-to-ring** staging (payload rows land straight in
-the :class:`~repro.serving.workers.ring.BatchRing` slot), the **fused
-stochastic suffix** (mask folded into the GEMM operand), and the
-**content-keyed cache hit path** (repeated bytes skip the backbone
-forward).  All of it lands in ``BENCH_serving.json`` so the report
-documents where the time goes stage by stage.
+:class:`~repro.serving.batcher.BatchStager` pinned staging, and the ring
+replica's **direct-to-ring** staging (payload rows land straight in the
+:class:`~repro.serving.workers.ring.BatchRing` slot); then the compute
+stages a batch pays for: a cold forward, the **content-keyed cache hit
+path** (repeated bytes skip the backbone forward), and the **fused
+stochastic suffix** at the served width (its speed and bit-identity
+against mask-then-GEMM are gated in ``test_fused_suffix.py``).  All of it
+lands in ``BENCH_serving.json`` so the report documents where the time
+goes stage by stage.
 
-Unlike its earlier no-gate incarnation, the *glue budget* is now gated:
-assembly + transport on the hot path (one term, since direct-to-ring
-staging makes assembly the transport) must fit in :data:`GLUE_BUDGET_US`
-per batch — the ISSUE 9 acceptance bar.  The other stages stay ungated:
+The *glue budget* is gated: assembly + transport on the hot path (one
+term, since direct-to-ring staging makes assembly the transport) must fit
+in :data:`GLUE_BUDGET_US` per batch.  The other stages stay ungated:
 individually they are host-dependent noise; the sum is the promise.
 
 A second gated figure covers the one stage that is a *wait* rather than
@@ -52,9 +53,9 @@ BATCH = 32
 SHAPE = (1, 12, 12)
 NUM_SAMPLES = 8
 LOOPS = 200
-#: per-batch glue ceiling (assemble + transport + disassemble), ISSUE 9 bar
+#: per-batch glue ceiling on the hot path (assemble + transport)
 GLUE_BUDGET_US = 40.0
-#: how late a 0.25 ms partial-batch flush may fire (ISSUE 14 bar)
+#: how late a 0.25 ms partial-batch flush may fire
 FLUSH_OVERSHOOT_BUDGET_US = 300.0
 
 
@@ -137,24 +138,16 @@ def test_glue_breakdown_records_per_stage_times():
     mcd.build((features,), rng)
     xs = rng.normal(size=(NUM_SAMPLES * BATCH, features))
 
-    def _suffix_unfused():
-        ctx = ForwardContext()
-        return dense.forward_folded(mcd.forward(xs, ctx=ctx), NUM_SAMPLES)
-
     def _suffix_fused():
         ctx = ForwardContext()
         scaled = mcd.folded_scaled_mask(xs, ctx)
         return dense.forward_folded(xs, NUM_SAMPLES, scaled_mask=scaled)
 
-    np.testing.assert_array_equal(_suffix_unfused(), _suffix_fused())
-    t_suffix_unfused = _best_seconds_per_call(_suffix_unfused, loops=20)
     t_suffix_fused = _best_seconds_per_call(_suffix_fused, loops=20)
 
     # glue = assemble + transport; disassembly and compute are recorded
-    # alongside but were never part of the glue sum.  The pipe transport
-    # stacks, then pickles; with direct-to-ring staging, assembly *is* the
-    # transport: one sum term.
-    glue_legacy = t_stack + t_pipe
+    # alongside but are not part of the glue sum.  With direct-to-ring
+    # staging, assembly *is* the transport: one sum term.
     glue_hotpath = t_ring_direct
     print(
         f"\nglue breakdown (batch={BATCH}x{SHAPE}, S={NUM_SAMPLES}): "
@@ -164,10 +157,8 @@ def test_glue_breakdown_records_per_stage_times():
         f"compute cold {t_compute_cold * 1e3:.2f} ms vs cache hit "
         f"{t_compute_hit * 1e3:.2f} ms; "
         f"disassemble {t_disassemble * 1e6:.1f} us; "
-        f"suffix unfused {t_suffix_unfused * 1e6:.1f} us vs fused "
-        f"{t_suffix_fused * 1e6:.1f} us; "
-        f"glue legacy {glue_legacy * 1e6:.1f} us vs hot path "
-        f"{glue_hotpath * 1e6:.1f} us (budget {GLUE_BUDGET_US} us)"
+        f"suffix fused {t_suffix_fused * 1e6:.1f} us; "
+        f"glue hot path {glue_hotpath * 1e6:.1f} us (budget {GLUE_BUDGET_US} us)"
     )
     reporting.record(
         "serving_glue_breakdown",
@@ -180,16 +171,13 @@ def test_glue_breakdown_records_per_stage_times():
         compute_cold_ms=t_compute_cold * 1e3,
         compute_cache_hit_ms=t_compute_hit * 1e3,
         disassemble_us=t_disassemble * 1e6,
-        suffix_unfused_us=t_suffix_unfused * 1e6,
         suffix_fused_us=t_suffix_fused * 1e6,
-        glue_legacy_us=glue_legacy * 1e6,
         glue_hotpath_us=glue_hotpath * 1e6,
         glue_budget_us=GLUE_BUDGET_US,
-        glue_speedup_hotpath_vs_legacy=glue_legacy / glue_hotpath,
     )
     # staging actually engaged: the view is the pinned buffer's head
     np.testing.assert_array_equal(stager.stage(payloads), batch)
-    # the strict glue gate (ISSUE 9): the hot path fits the per-batch budget
+    # the strict glue gate: the hot path fits the per-batch budget
     assert glue_hotpath * 1e6 <= GLUE_BUDGET_US, (
         f"hot-path glue {glue_hotpath * 1e6:.1f} us exceeds the "
         f"{GLUE_BUDGET_US} us per-batch budget"

@@ -36,7 +36,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
 
     # ------------------------------------------------------------------ #
-    # 1. data: a small synthetic MNIST-like task (see DESIGN.md for why)
+    # 1. data: a small synthetic MNIST-like task (no downloads needed)
     # ------------------------------------------------------------------ #
     dataset = mnist_like(train_size=384, test_size=192, seed=0, image_size=20)
     print(f"dataset: {dataset.name}, {dataset.train_size} train / {dataset.test_size} test")

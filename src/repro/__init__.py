@@ -2,7 +2,8 @@
 
 A from-scratch reproduction of "When Monte-Carlo Dropout Meets Multi-Exit:
 Optimizing Bayesian Neural Networks on FPGA" (DAC 2023).  See ``README.md``
-for a quickstart and ``DESIGN.md`` for the system inventory.
+for a quickstart and ``docs/architecture.md`` ("Package layout") for the
+system inventory.
 
 Subpackages
 -----------

@@ -1,4 +1,4 @@
-"""Experiment runners and table formatting (DESIGN.md §3.7)."""
+"""Experiment runners and table formatting."""
 
 from .experiments import (
     Table1Settings,

@@ -1,11 +1,10 @@
 """Experiment runners: one function per paper table / figure.
 
 Every runner returns plain data structures (lists of dict rows) so that the
-benchmarks under ``benchmarks/``, the examples, and ``EXPERIMENTS.md`` all
-consume the same code path.  Runner arguments default to laptop-scale
-settings (small synthetic datasets, scaled-down channel counts, few epochs);
-the trends they produce — not absolute numbers — are what reproduce the
-paper's results (see DESIGN.md §4).
+benchmarks under ``benchmarks/`` and the examples consume the same code
+path.  Runner arguments default to laptop-scale settings (small synthetic
+datasets, scaled-down channel counts, few epochs); the trends they
+produce — not absolute numbers — are what reproduce the paper's results.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The paper's core contribution (DESIGN.md §3.2).
+"""The paper's core contribution (docs/architecture.md, "Package layout").
 
 Multi-exit MCD BayesNNs, Monte-Carlo sampling with cached backbones, the
 FLOP cost model (Eq. 1–3), the Phase-1 multi-exit optimizer, and the

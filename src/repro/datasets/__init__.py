@@ -1,4 +1,4 @@
-"""Synthetic dataset generators and loaders (DESIGN.md §3.5)."""
+"""Synthetic dataset generators and loaders."""
 
 from .loaders import DataLoader
 from .synthetic import (

@@ -21,28 +21,19 @@ artifact, PyExperimenter-style:
   :class:`~repro.serving.ServingEngine`, the dynamic batcher, the
   thread/process worker pools — under the cell's traffic schedule, and
   writes one metrics row (throughput, p50/p95/p99, shed/crash/cache
-  counters, a bit-identity hash) back to the store.
+  counters, a bit-identity hash) back to the store, stamped with
+  :func:`runner_fingerprint` (``{os}-{machine}-cpu{count}``).
 * :mod:`repro.experiments.report` exports pandas-free markdown / CSV
   percentile tables from the store.
-* :mod:`repro.experiments.thresholds` derives per-runner-fingerprint
-  regression bounds from accumulated ``BENCH_serving.json`` artifacts
-  (and grid stores) and emits the ``bench_thresholds.json`` that
-  ``benchmarks/conftest.py`` enforces as hard CI gates.
 
 ``python -m repro.experiments`` is the CLI over all of it (``init`` /
-``run`` / ``status`` / ``report`` / ``thresholds`` — the ``make grid``
-entry point).
+``run`` / ``status`` / ``report`` — the ``make grid`` entry point).
 """
 
 from .grid import GRIDS, Cell, GridSpec, smoke_grid
 from .report import csv_table, markdown_table, summary_table
-from .runner import ExperimentRunner, RunSummary
+from .runner import ExperimentRunner, RunSummary, runner_fingerprint
 from .store import CellRow, ResultsStore
-from .thresholds import (
-    check_metrics,
-    derive_thresholds,
-    runner_fingerprint,
-)
 
 __all__ = [
     "Cell",
@@ -52,9 +43,7 @@ __all__ = [
     "GridSpec",
     "ResultsStore",
     "RunSummary",
-    "check_metrics",
     "csv_table",
-    "derive_thresholds",
     "markdown_table",
     "runner_fingerprint",
     "smoke_grid",

@@ -16,11 +16,6 @@ Commands
 ``report``
     Export the results: ``--markdown``/``--summary`` print tables,
     ``--csv PATH``/``--markdown-out PATH`` write files.
-``thresholds``
-    Derive ``bench_thresholds.json`` from accumulated
-    ``BENCH_serving.json`` artifacts (``--bench``, glob-friendly)
-    and/or grid stores (``--store``) — see
-    :mod:`repro.experiments.thresholds`.
 
 The ``make grid`` target chains ``init`` + ``run`` + ``report`` over the
 smoke grid.
@@ -37,12 +32,6 @@ from .grid import GRIDS, GridSpec
 from .report import csv_table, markdown_table, summary_table
 from .runner import ExperimentRunner
 from .store import ResultsStore
-from .thresholds import (
-    DEFAULT_MARGIN,
-    derive_thresholds,
-    load_bench_payloads,
-    store_payloads,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,28 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--csv", metavar="PATH", help="write a CSV export")
     p_report.add_argument(
         "--markdown-out", metavar="PATH", help="write the markdown tables to a file"
-    )
-
-    p_thr = sub.add_parser(
-        "thresholds", help="derive bench_thresholds.json from run history"
-    )
-    p_thr.add_argument(
-        "--bench",
-        nargs="*",
-        default=[],
-        metavar="GLOB",
-        help="BENCH_serving.json artifacts (globs allowed)",
-    )
-    p_thr.add_argument(
-        "--store",
-        nargs="*",
-        default=[],
-        metavar="PATH",
-        help="grid stores whose metrics rows join the history",
-    )
-    p_thr.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
-    p_thr.add_argument(
-        "--out", default="benchmarks/bench_thresholds.json", metavar="PATH"
     )
     return parser
 
@@ -201,27 +168,6 @@ def main(argv=None) -> int:
         if args.csv:
             Path(args.csv).write_text(csv_table(store), encoding="utf-8")
             print(f"csv written to {args.csv}", file=sys.stderr)
-        return 0
-
-    if args.command == "thresholds":
-        payloads = load_bench_payloads(args.bench)
-        for store_path in args.store:
-            payloads.extend(store_payloads(ResultsStore(store_path)))
-        if not payloads:
-            print("no run history found (pass --bench and/or --store)", file=sys.stderr)
-            return 1
-        thresholds = derive_thresholds(payloads, margin=args.margin)
-        out = Path(args.out)
-        out.write_text(
-            json.dumps(thresholds, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        fingerprints = sorted(k for k in thresholds if k != "_meta")
-        print(
-            f"{out}: bounds for {len(fingerprints)} fingerprint(s) "
-            f"from {thresholds['_meta']['runs']} run(s): "
-            + ", ".join(fingerprints)
-        )
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

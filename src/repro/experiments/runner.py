@@ -5,7 +5,8 @@ pending cells from a :class:`~repro.experiments.store.ResultsStore`,
 builds the cell's model and :class:`~repro.serving.ServingConfig`, and
 drives a :class:`~repro.serving.ServingEngine` — dynamic batcher, thread
 or process workers, ring or pipe transport — under the cell's traffic
-schedule.  One metrics row per execution goes back to the store:
+schedule.  One metrics row per execution goes back to the store, stamped
+with the :func:`runner_fingerprint` of the machine that measured it:
 
 * ``throughput_rps`` and the nearest-rank ``latency_p50/p95/p99_s``
   tail, measured by the runner's own clock over the load phase;
@@ -36,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import os
+import platform
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -50,9 +52,14 @@ from ..serving.config import BatcherConfig, ServingConfig
 from ..serving.engine import ServingEngine
 from ..serving.loadgen import burst_schedule, fire_open_loop, poisson_schedule
 from .store import CellRow, ResultsStore
-from .thresholds import runner_fingerprint
 
-__all__ = ["ExperimentRunner", "RunSummary", "build_model", "build_serving_config"]
+__all__ = [
+    "ExperimentRunner",
+    "RunSummary",
+    "build_model",
+    "build_serving_config",
+    "runner_fingerprint",
+]
 
 #: examples in the deterministic bit-identity probe (see module docstring)
 PROBE_REQUESTS = 4
@@ -84,6 +91,14 @@ def build_serving_config(params: Mapping[str, Any]) -> ServingConfig:
         workers=int(params["workers"]),
         worker_backend=params["worker_backend"],
         worker_transport=params["worker_transport"],
+    )
+
+
+def runner_fingerprint() -> str:
+    """``{os}-{machine}-cpu{count}`` — what a perf number was measured on."""
+    return (
+        f"{platform.system().lower()}-{platform.machine().lower()}"
+        f"-cpu{os.cpu_count()}"
     )
 
 

@@ -1,4 +1,4 @@
-"""FPGA hardware substrate (DESIGN.md §3.6).
+"""FPGA hardware substrate.
 
 Analytical resource / latency / power models, spatial-temporal MC-engine
 mapping, algorithm–hardware co-exploration, and HLS code generation — the

@@ -1,4 +1,7 @@
-"""Sample-folded inference engine (DESIGN.md §3.2, Figure 4 analogue).
+"""Sample-folded inference engine (the paper's Figure 4 analogue).
+
+docs/architecture.md, "The folded engine and its bit-exactness contract",
+states the rules the folding relies on.
 
 The paper's accelerator caches the deterministic backbone activation once
 and evaluates the ``S`` Monte-Carlo samples spatially, in parallel MC

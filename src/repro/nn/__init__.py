@@ -2,7 +2,9 @@
 
 This subpackage is a self-contained, from-scratch deep-learning stack (layers,
 models, losses, optimizers, trainers, reference architectures) that replaces
-the PyTorch/Keras dependency of the original paper.  See ``DESIGN.md`` §3.1.
+the PyTorch/Keras dependency of the original paper.  See
+``docs/architecture.md``, "The ``ForwardContext`` contract", for how
+layers stay stateless under concurrent forwards.
 """
 
 from . import architectures, layers

@@ -1,4 +1,4 @@
-"""Fixed-point quantization (QKeras stand-in, DESIGN.md §3.4)."""
+"""Fixed-point quantization (QKeras stand-in)."""
 
 from .fixed_point import STANDARD_BITWIDTHS, FixedPointFormat
 from .quantizers import (

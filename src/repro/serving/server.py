@@ -36,8 +36,10 @@ Error mapping is typed, not stringly: ``ServerOverloaded`` → **503**,
 types / a non-finite ``x`` element / a NaN ``deadline_ms`` → **400**, a
 body over ``max_body_bytes`` → **413**, unknown path →
 **404**, wrong method → **405**, a ``Transfer-Encoding`` body → **501**,
-anything unexpected → **500**.  A framing error (501, 413, a bad or
-conflicting ``Content-Length``) also closes the connection.  Every
+anything unexpected → **500**.  A framing error (501, 413, a
+``Content-Length`` that is not plain ASCII digits or conflicts with
+another, a head line over 8 KiB, more than 64 header lines) also closes
+the connection.  Every
 error body is ``{"error": <slug>, "detail": <message>}``.
 
 Shutdown is graceful by default: :meth:`ServingServer.stop` closes the
@@ -90,6 +92,17 @@ class _HttpError(Exception):
         self.status = status
         self.error = error
         self.detail = detail
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line of the request head, at most ``_MAX_HEADER_LINE`` bytes."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # longer than the StreamReader's own 64 KiB limit
+        raise _HttpError(400, "bad_request", f"{what} too long") from None
+    if len(line) > _MAX_HEADER_LINE:
+        raise _HttpError(400, "bad_request", f"{what} too long")
+    return line
 
 
 @dataclass
@@ -274,20 +287,17 @@ class ServingServer:
 
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
         """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, "request line")
         if not request_line:
             return None
-        if len(request_line) > _MAX_HEADER_LINE:
-            raise _HttpError(400, "bad_request", "request line too long")
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _HttpError(400, "bad_request", "malformed request line")
         method, target, version = parts
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if len(line) > _MAX_HEADER_LINE:
-                raise _HttpError(400, "bad_request", "header line too long")
+        # bounds header *lines*: a repeated name is one dict entry, not one
+        for _ in range(_MAX_HEADERS + 1):
+            line = await _read_line(reader, "header line")
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
@@ -299,17 +309,17 @@ class ServingServer:
             if name == "content-length" and headers.get(name, value) != value:
                 raise _HttpError(400, "bad_request", "conflicting Content-Length")
             headers[name] = value
-            if len(headers) > _MAX_HEADERS:
-                raise _HttpError(400, "bad_request", "too many headers")
+        else:
+            raise _HttpError(400, "bad_request", "too many headers")
         # a chunked body read as "no body" would parse as the next request
         if "transfer-encoding" in headers:
             raise _HttpError(501, "not_implemented", "Transfer-Encoding unsupported")
-        try:
-            content_length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "bad_request", "invalid Content-Length") from None
-        if content_length < 0:
+        # 1*DIGIT only: int() would also take "+10" and "1_0", which a
+        # proxy in front of this server frames differently
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
             raise _HttpError(400, "bad_request", "invalid Content-Length")
+        content_length = int(length)
         if content_length > self.max_body_bytes:
             raise _HttpError(
                 413,

@@ -1,4 +1,4 @@
-"""Uncertainty-quantification and calibration metrics (DESIGN.md §3.3)."""
+"""Uncertainty-quantification and calibration metrics."""
 
 from .calibration import (
     ReliabilityBin,

@@ -1,11 +1,10 @@
 """The reporting `_meta` merge contract: first timestamp survives, fingerprint lands.
 
-Regression suite for the PR-10 satellite fix: ``reporting.flush()`` used
-to overwrite ``_meta.generated_at`` on every merge, so a long-lived
-``BENCH_serving.json`` always looked freshly generated and threshold
-derivation had no stable hardware key.  Now ``generated_at`` is the
-*first* flush into the file, ``updated_at`` tracks the latest, and
-``runner_fingerprint`` identifies the hardware class.
+``reporting.flush()`` merges into an existing ``BENCH_serving.json``:
+``_meta.generated_at`` is the *first* flush into the file (so a long-lived
+artifact shows its true age), ``updated_at`` tracks the latest, and
+``runner_fingerprint`` identifies the hardware class the numbers were
+measured on — the same stamp the experiment grid's store rows carry.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import pytest
 
 from benchmarks import reporting
-from repro.experiments.thresholds import fingerprint_from_meta, runner_fingerprint
+from repro.experiments import runner_fingerprint
 
 
 @pytest.fixture()
@@ -51,7 +50,6 @@ def test_generated_at_survives_merges(tmp_path, clean_registry):
 def test_meta_carries_runner_fingerprint(tmp_path, clean_registry):
     payload = _flush(tmp_path, suite={"throughput_rps": 1.0})
     assert payload["_meta"]["runner_fingerprint"] == runner_fingerprint()
-    assert fingerprint_from_meta(payload["_meta"]) == runner_fingerprint()
 
 
 def test_corrupt_meta_starts_fresh(tmp_path, clean_registry):

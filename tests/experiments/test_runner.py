@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.grid import GridSpec
-from repro.experiments.runner import ExperimentRunner, run_cell
+from repro.experiments.runner import ExperimentRunner, run_cell, runner_fingerprint
 from repro.experiments.store import ResultsStore
 
 
@@ -100,6 +100,12 @@ def test_summary_to_dict_is_json_shaped(tmp_path):
     payload = summary.to_dict()
     assert payload["claimed"] == 1 and payload["runner_id"] == "r"
     assert payload["cells"][0][1] == "done"
+
+
+def test_runner_fingerprint_shape():
+    fingerprint = runner_fingerprint()
+    assert fingerprint.count("-") >= 2
+    assert fingerprint.rsplit("cpu", 1)[1].isdigit()
 
 
 # ---------------------------------------------------------------------- #

@@ -8,7 +8,9 @@ The contract under test is :class:`repro.serving.ServingServer`:
 * engine failures map to typed HTTP statuses (``ServerOverloaded`` → 503,
   ``DeadlineExceeded`` → 504), payload problems to 400/413/404/405;
 * a body framed any way but one agreed ``Content-Length`` (chunked → 501,
-  conflicting lengths → 400) gets exactly one response, then EOF;
+  conflicting lengths → 400), and any other bad framing (a non-digit
+  length, an over-long line, too many header lines → 400), gets exactly
+  one response, then EOF;
 * ``/v1/health`` flips the moment a supervised worker is killed — before
   the supervisor's next scan — and recovers after the respawn;
 * ``stop(drain=True)`` lets in-flight requests finish with a response.
@@ -17,7 +19,9 @@ The contract under test is :class:`repro.serving.ServingServer`:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import logging
 import re
 
 import numpy as np
@@ -250,6 +254,60 @@ def test_conflicting_content_lengths_get_one_400_then_eof():
             assert statuses == [b"HTTP/1.1 400 Bad Request"], statuses
             # a repeated header that agrees is one Content-Length
             statuses = await _raw_exchange(srv, repeated)
+            assert statuses == [b"HTTP/1.1 200 OK"], statuses
+
+    asyncio.run(main())
+
+
+def _health_request(head: bytes) -> bytes:
+    """A health check with ``head`` as its header lines and 10 body bytes.
+
+    HTTP/1.0 closes after one response, so a request the server wrongly
+    accepts shows up as a 200 rather than as a hang.
+    """
+    return b"GET /v1/health HTTP/1.0\r\n" + head + b"\r\n" + b"0123456789"
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        # past the StreamReader's 64 KiB line limit: readline() raises
+        b"X-A: " + b"a" * 70_000 + b"\r\n",
+        # int() reads both as 10; RFC 9110 Content-Length is 1*DIGIT
+        b"Content-Length: 1_0\r\n",
+        b"Content-Length: +10\r\n",
+        # the bound is on header lines, not on distinct names
+        b"X-A: b\r\n" * 65,
+    ],
+    ids=["long-line", "underscore-length", "signed-length", "65-lines"],
+)
+def test_bad_framing_gets_one_400_then_eof(head, caplog):
+    async def main():
+        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+            statuses = await _raw_exchange(srv, _health_request(head))
+            assert statuses == [b"HTTP/1.1 400 Bad Request"], statuses
+            status, body = await _request(srv, "GET", "/v1/health")
+            assert status == 200, body
+
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    asyncio.run(main())
+    gc.collect()  # an unretrieved task exception is logged when the task dies
+    assert not [r for r in caplog.records if "never retrieved" in r.getMessage()]
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"X-A: b\r\n" * 64,
+        b"X-A: " + b"a" * (8192 - 7) + b"\r\n",  # 8 KiB including its CRLF
+        b"Content-Length:  10 \r\n",  # whitespace around the digits is allowed
+    ],
+    ids=["64-lines", "8-KiB-line", "padded-length"],
+)
+def test_framing_at_the_bounds_is_served(head):
+    async def main():
+        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+            statuses = await _raw_exchange(srv, _health_request(head))
             assert statuses == [b"HTTP/1.1 200 OK"], statuses
 
     asyncio.run(main())
