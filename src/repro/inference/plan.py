@@ -22,14 +22,16 @@ columns (the one :func:`~repro.nn.tensor.im2col`) into **one**
 (:func:`~repro.nn.layers.activations.relu_`) and the residual add
 (:meth:`~repro.nn.layers.ResidualBlock.forward_inference`) are applied **in
 place on the GEMM output the step itself allocated**.  A max-pool gathers
-nothing: it allocates its output once and folds the ``pool_size²`` window
-positions into it, each a strided view of the input — no column matrix, no
-``argmax``.  Nothing is saved into the
+nothing: it runs the layer's own running maximum
+(:meth:`~repro.nn.layers.MaxPool2D.running_max`) without the index a
+training forward records — one output, the ``pool_size²`` window positions
+folded into it, no compare work.  Nothing is saved into the
 :class:`~repro.nn.context.ForwardContext` (there is no backward pass to
 serve).  A layer kind without a step — average pooling (see rule 7),
 flatten, dense, custom layers — runs its own ``forward(training=False)``.
 ``Layer.forward`` remains the training path and is the oracle the plan is
-tested against.
+tested against (for max-pooling the oracle is the layer's column path,
+since its forward runs the same fold).
 
 Bit-exactness rules
 -------------------
@@ -68,9 +70,10 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
    same promotion; the arena is raw storage carved per call, so a float32
    batch leaves nothing behind that a later float64 batch could read.
 7. **Max-pooling is a running maximum with the layer's layout and the
-   layer's ties.**  ``np.maximum(out, view, out=out)`` over the window
-   positions in ``(kh, kw)`` order never rounds, so two things are left to
-   reproduce.  *Layout*: ``N > 1`` returns the NCHW view of fresh
+   layer's ties.**  :meth:`~repro.nn.layers.MaxPool2D.running_max` folds
+   the window positions in ``(kh, kw)`` order and never rounds, so two
+   things are left to reproduce.  *Layout*: ``N > 1`` returns the NCHW
+   view of fresh
    ``(N, oh, ow, C)`` memory, but ``N == 1`` returns NCHW-contiguous
    memory — what ``cols.max(axis=2)`` makes of rule 1's column-major
    columns — and the head's ``Flatten`` / GEMM path follows those strides.
@@ -79,9 +82,10 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
    ``max`` while it scans a window element by element, but a window that
    fills a vector register (nine float64 elements under AVX-512) is
    reduced lane-wise and resolves ties in lane order.
-   :func:`_max_is_a_scan` compares the two on every tie pattern, once per
-   window length and dtype; a window that fails, or is longer than nine
-   elements, runs the layer's own ``forward`` into a throwaway context.
+   :meth:`~repro.nn.layers.MaxPool2D.scans` compares the two on every tie
+   pattern, once per window length and dtype; a window that fails, or is
+   longer than nine elements, runs the layer's own ``forward`` (its column
+   path) into a throwaway context.
    A NaN stays a NaN either way, but *which* NaN's sign and payload
    survives is the kernel's choice and outside the contract.
    ``AvgPool2D`` has no step: a maximum can be checked on all its ties, a
@@ -105,9 +109,8 @@ and the largest batch, not of the number of calls.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -143,45 +146,11 @@ def _residual(block: ResidualBlock, x: np.ndarray, arena: ColumnArena) -> np.nda
     return block.forward_inference(x, partial(_conv, arena))
 
 
-@cache
-def _max_is_a_scan(window: int, dtype: str) -> bool:
-    """Whether ``max`` over ``window`` contiguous elements is a running maximum.
-
-    Rule 7: checked on every way a window can tie (each element below the
-    maximum, ``-0.0`` or ``+0.0``), once per window length and dtype.
-    """
-    if window > 9:
-        return False
-    ties = itertools.product((-1.0, -0.0, 0.0), repeat=window)
-    cols = np.array(list(ties), dtype=dtype)
-    scan = cols[:, 0].copy()
-    for position in range(1, window):
-        np.maximum(scan, cols[:, position], out=scan)
-    return cols.max(axis=1).tobytes() == scan.tobytes()
-
-
 def _max_pool(pool: MaxPool2D, x: np.ndarray, arena: ColumnArena) -> np.ndarray:
-    """``pool.forward(x)`` as a running maximum over the window positions."""
-    size, stride = pool.pool_size, pool.stride
-    if not _max_is_a_scan(size * size, x.dtype.char):
+    """``pool.forward(x)`` as the layer's running maximum, with no index."""
+    if not pool.scans(x.dtype):
         return pool.forward(x, training=False, ctx=ForwardContext())
-    n, c = x.shape[:2]
-    _, out_h, out_w = pool.output_shape
-    # rule 7: the memory order the layer's ``cols.max(axis=2)`` comes out in
-    if n == 1:
-        out = np.empty((1, c, out_h, out_w), dtype=x.dtype)
-    else:
-        out = np.empty((n, out_h, out_w, c), dtype=x.dtype).transpose(0, 3, 1, 2)
-    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    positions = (
-        x[:, :, i : i + span_h : stride, j : j + span_w : stride]
-        for i in range(size)
-        for j in range(size)
-    )
-    np.copyto(out, next(positions))
-    for position in positions:
-        np.maximum(out, position, out=out)
-    return out
+    return pool.running_max(x)
 
 
 class PrefixPlan:

@@ -200,6 +200,18 @@ class Layer:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params(
+        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
+    ) -> None:
+        """Accumulate :meth:`backward`'s parameter gradients, not its input gradient.
+
+        For a caller that would discard the input gradient (the first layer
+        of a network being trained).  This version runs :meth:`backward`
+        and drops the result; a layer whose input gradient costs real work
+        overrides it with the parameter half of its ``backward``.
+        """
+        self.backward(grad_output, ctx=ctx)
+
     def __call__(
         self,
         x: np.ndarray,

@@ -166,17 +166,26 @@ class Conv2D(Layer):
             out += self.bias.value
         return out.reshape(sn, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
-    def backward(
-        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
+    def _accumulate_param_grads(
+        self, grad_output: np.ndarray, ctx: ForwardContext | None
+    ) -> tuple[tuple[int, ...], np.ndarray]:
+        """The parameter half of :meth:`backward`: ``(input shape, grad matrix)``."""
         x_shape, cols = self._ctx(ctx).saved(self)
-        n = grad_output.shape[0]
         grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.filters)
-
         self.weight.grad += (cols.T @ grad_mat).T.reshape(self.weight.value.shape)
         if self.use_bias:
             self.bias.grad += grad_mat.sum(axis=0)
+        return x_shape, grad_mat
 
+    def backward_params(
+        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
+    ) -> None:
+        self._accumulate_param_grads(grad_output, ctx)
+
+    def backward(
+        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
+    ) -> np.ndarray:
+        x_shape, grad_mat = self._accumulate_param_grads(grad_output, ctx)
         grad_cols = grad_mat @ self.weight.value.reshape(self.filters, -1)
         grad_input = col2im(
             grad_cols,

@@ -102,13 +102,18 @@ class Dense(Layer):
             out = out + self.bias.value
         return out.reshape(num_samples * n, self.units)
 
-    def backward(
+    def backward_params(
         self, grad_output: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
+    ) -> None:
         x = self._ctx(ctx).saved(self)
         self.weight.grad += x.T @ grad_output
         if self.use_bias:
             self.bias.grad += grad_output.sum(axis=0)
+
+    def backward(
+        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
+    ) -> np.ndarray:
+        self.backward_params(grad_output, ctx)
         return grad_output @ self.weight.value.T
 
     def describe(self) -> dict:

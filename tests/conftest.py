@@ -7,12 +7,16 @@ path of the library.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.datasets import SyntheticImageDataset
 from repro.nn.architectures import lenet5_spec, resnet_spec, vgg_spec
+from repro.nn.layers import pooling
 
 
 @pytest.fixture
@@ -49,6 +53,27 @@ def tiny_dataset() -> SyntheticImageDataset:
 def arena_bytes(arena) -> int:
     """Bytes a ``ColumnArena`` holds: column buffer plus bordered images."""
     return arena._columns.nbytes + sum(i.nbytes for i in arena._bordered.values())
+
+
+@contextlib.contextmanager
+def column_path():
+    """``MaxPool2D.forward`` on its column path (``im2col``, ``max``,
+    ``argmax``): the max-pool oracle, since the layer's forward otherwise
+    runs the same running maximum as the prefix plan's pool step."""
+    with mock.patch.object(pooling, "_max_is_a_scan", lambda window, dtype: False):
+        yield
+
+
+def conv_output_layout(x: np.ndarray) -> np.ndarray:
+    """``x`` as a convolution hands it on: the NCHW view of NHWC memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def stepped_strides(a: np.ndarray) -> list[int]:
+    """Strides of the axes that have any: an extent-1 axis is never stepped
+    along, so NumPy leaves its stride arbitrary (it differs between a
+    transposed view and the ufunc result of that same view)."""
+    return [s for s, extent in zip(a.strides, a.shape) if extent > 1]
 
 
 def small_lenet_spec(width_multiplier: float = 1.0):

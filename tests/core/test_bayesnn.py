@@ -5,9 +5,69 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 from repro.core.flops import network_flops
-from repro.nn.layers import MCDropout
+from repro.nn.architectures import BackboneSpec, resnet_spec
+from repro.nn.context import ForwardContext
+from repro.nn.layers import (
+    BatchNorm,
+    Conv2D,
+    Dense,
+    Flatten,
+    MaxPool2D,
+    MCDropout,
+    ReLU,
+)
+from repro.nn.layers.base import Layer
+from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
+
+
+def _batchnorm_first_spec() -> BackboneSpec:
+    """A backbone whose layer 0 has parameters but no ``backward_params`` of
+    its own, so the base version (``backward``, result dropped) runs."""
+    backbone = Network(
+        [
+            BatchNorm(name="bn0"),
+            Conv2D(4, 3, padding=1, name="conv1"),
+            ReLU(name="relu1"),
+            MaxPool2D(2, name="pool1"),
+            Conv2D(6, 3, padding=1, name="conv2"),
+            ReLU(name="relu2"),
+            MaxPool2D(2, name="pool2"),
+        ]
+    )
+    return BackboneSpec(
+        name="bn_first",
+        backbone=backbone,
+        exit_points=[4, 7],
+        input_shape=(2, 8, 8),
+        num_classes=3,
+        final_head_factory=lambda: [Flatten(), Dense(3, name="classifier")],
+    )
+
+
+_BACKWARD_EXITS_ARCHS = {
+    "demo_lenet": (small_lenet_spec, (1, 12, 12), 2),
+    "conv_mc_resnet": (
+        lambda: resnet_spec("resnet10", (3, 16, 16), width_multiplier=0.125),
+        (3, 16, 16),
+        4,
+    ),
+    "batchnorm_first": (_batchnorm_first_spec, (2, 8, 8), 2),
+}
+
+
+def _full_chain_backward(model, grads, ctx) -> np.ndarray:
+    """Every exit's gradient through ``backbone.backward_range`` down to layer
+    0, input gradient included; returns that input gradient."""
+    bounds = model._segment_bounds()
+    grad_back = None
+    for i in reversed(range(model.num_exits)):
+        total = model.exits[i].backward(grads[i], ctx=ctx)
+        if grad_back is not None:
+            total = total + grad_back
+        grad_back = model.backbone.backward_range(total, *bounds[i], ctx=ctx)
+    return grad_back
 
 
 class TestConfigValidation:
@@ -75,12 +135,32 @@ class TestForwardBackward:
         assert len(logits) == 2
         assert all(lg.shape == (3, 5) for lg in logits)
 
-    def test_backward_exits_returns_input_gradient(self, multi_exit_model, rng):
-        x = rng.normal(size=(2, 1, 12, 12))
-        logits = multi_exit_model.forward_exits(x, training=True)
-        grads = [np.ones_like(lg) for lg in logits]
-        grad_in = multi_exit_model.backward_exits(grads)
-        assert grad_in.shape == x.shape
+    @pytest.mark.parametrize("arch", sorted(_BACKWARD_EXITS_ARCHS))
+    def test_backward_exits_gives_the_full_chains_parameter_gradients(self, arch):
+        """Every ``.grad`` bit-identical to a full ``backward_range(…, 0, stop)``
+        chain on a twin model, with no input gradient returned."""
+        spec_fn, shape, exits = _BACKWARD_EXITS_ARCHS[arch]
+        config = MultiExitConfig(num_exits=exits, mcd_layers_per_exit=1, seed=0)
+        model, twin = (MultiExitBayesNet(spec_fn(), config) for _ in range(2))
+        layer0 = model.backbone.layers[0]
+        relies_on_base = type(layer0).backward_params is Layer.backward_params
+        assert relies_on_base == (arch == "batchnorm_first")
+
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(5,) + shape)
+        for step in range(2):  # the second step accumulates onto the first
+            ctx, twin_ctx = ForwardContext(), ForwardContext()
+            logits = model.forward_exits(x, training=True, ctx=ctx)
+            twin_logits = twin.forward_exits(x, training=True, ctx=twin_ctx)
+            grads = [rng.normal(size=lg.shape) for lg in logits]
+            assert model.backward_exits(grads, ctx=ctx) is None
+            grad_in = _full_chain_backward(twin, grads, twin_ctx)
+            assert grad_in.shape == x.shape
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(logits, twin_logits))
+            for p, q in zip(model.parameters(), twin.parameters(), strict=True):
+                assert p.name == q.name
+                assert p.grad.tobytes() == q.grad.tobytes(), (step, p.name)
+        assert np.any(next(layer0.parameters()).grad != 0)
 
     def test_backward_wrong_count_rejected(self, multi_exit_model, rng):
         x = rng.normal(size=(2, 1, 12, 12))

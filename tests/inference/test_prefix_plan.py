@@ -5,7 +5,9 @@
 first half of this file checks that promise across architectures, batch
 sizes and every way weights or engines change; the second half pins each
 numbered rule of the plan's docstring with a test that fails when the rule
-is broken.
+is broken.  ``MaxPool2D.forward`` runs the same running maximum as the
+plan's pool step, so wherever a max-pool is on the oracle side the oracle
+runs under :func:`column_path`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
-from repro.inference import plan as plan_module
 from repro.inference.engine import NetworkEngine
 from repro.inference.plan import PrefixPlan
 from repro.nn.architectures import resnet_spec
@@ -34,6 +35,7 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
     ResidualBlock,
+    pooling,
 )
 from repro.nn.model import Network
 from repro.nn.optimizers import SGD
@@ -41,7 +43,14 @@ from repro.nn.tensor import ColumnArena, im2col
 from repro.quantization import QuantizationConfig, quantize_network
 from repro.serving import ServingConfig, ServingEngine
 
-from ..conftest import arena_bytes, small_lenet_spec, small_vgg_spec
+from ..conftest import (
+    arena_bytes,
+    column_path,
+    conv_output_layout,
+    small_lenet_spec,
+    small_vgg_spec,
+    stepped_strides,
+)
 from .reference_loops import eager_early_exit, looped_mc_sample, looped_predict_mc
 
 
@@ -100,19 +109,12 @@ def _cold(model: MultiExitBayesNet):
     return engine
 
 
-def _strides(a: np.ndarray) -> list[int]:
-    """Strides of the axes that have any: an extent-1 axis is never stepped
-    along, so NumPy leaves its stride arbitrary (it differs between a
-    transposed view and the ufunc result of that same view)."""
-    return [s for s, extent in zip(a.strides, a.shape) if extent > 1]
-
-
 def assert_same_arrays(got, want) -> None:
     """Bytes, dtype, shape *and* strides of every array in two lists."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
-        assert _strides(g) == _strides(w), (g.strides, w.strides)
+        assert stepped_strides(g) == stepped_strides(w), (g.strides, w.strides)
         assert g.flags.c_contiguous == w.flags.c_contiguous
         assert g.flags.f_contiguous == w.flags.f_contiguous
         assert g.tobytes() == w.tobytes()
@@ -126,9 +128,9 @@ def assert_same_arrays(got, want) -> None:
 def test_exit_activations_match_layer_by_layer(arch, n):
     model = _model(arch)
     x = _batch(arch, n)
-    assert_same_arrays(
-        _cold(model).backbone_activations(x), model.backbone_activations(x)
-    )
+    got = _cold(model).backbone_activations(x)
+    with column_path():
+        assert_same_arrays(got, model.backbone_activations(x))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
@@ -137,7 +139,8 @@ def test_predict_mc_matches_the_looped_oracle(arch, n):
     planned, looped = _model(arch), _model(arch)  # twins: MCD streams are stateful
     x = _batch(arch, n)
     got = planned.predict_mc(x, 5)
-    want = looped_predict_mc(looped, x, 5)
+    with column_path():
+        want = looped_predict_mc(looped, x, 5)
     assert_same_arrays(
         [got.sample_probs, got.mean_probs], [want.sample_probs, want.mean_probs]
     )
@@ -489,18 +492,14 @@ def test_planned_steps_save_nothing_into_the_context():
 # --------------------------------------------------------------------------- #
 # rule 7: max-pooling as a running maximum
 # --------------------------------------------------------------------------- #
-def _conv_output_layout(x: np.ndarray) -> np.ndarray:
-    """``x`` as a planned convolution hands it on: NCHW view of NHWC memory."""
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-
-
 def _pool_net(shape, pool_size: int, stride: int) -> Network:
     return Network([MaxPool2D(pool_size, stride)]).build(shape, seed=0)
 
 
 def _assert_pool_step_is_the_layer(net: Network, x: np.ndarray) -> np.ndarray:
     plan, ctx, layer_ctx = PrefixPlan(net), ForwardContext(), ForwardContext()
-    want = net.layers[0].forward(x, training=False, ctx=layer_ctx)
+    with column_path():
+        want = net.layers[0].forward(x, training=False, ctx=layer_ctx)
     got = plan.forward_range(x, 0, 1, ctx)
     assert_same_arrays([got], [want])
     assert len(ctx._saved) == 0 and len(layer_ctx._saved) == 1
@@ -542,7 +541,7 @@ def test_rule7_max_pool_step_has_the_layers_bits_and_layout(
     for x in inputs:
         x = x.astype(dtype)
         got = _assert_pool_step_is_the_layer(
-            net, _conv_output_layout(x) if conv_layout else x
+            net, conv_output_layout(x) if conv_layout else x
         )
         signs.update(np.signbit(got[got == 0]).tolist())
         # the layout rule itself: N == 1 is NCHW-contiguous, N > 1 NHWC memory
@@ -551,30 +550,46 @@ def test_rule7_max_pool_step_has_the_layers_bits_and_layout(
     assert signs == {True, False}, "the crafted ties must resolve both ways"
 
 
+def test_rule7_pool_step_records_no_index(monkeypatch):
+    """The plan runs the layer's fold without the training forward's index:
+    no compare work, nothing saved (the demo LeNet's two pools)."""
+    indices = []
+    fold = MaxPool2D.running_max
+
+    def spy(self, x, index=None):
+        indices.append(index)
+        return fold(self, x, index)
+
+    monkeypatch.setattr(MaxPool2D, "running_max", spy)
+    ctx = ForwardContext()
+    _cold(_model("lenet")).backbone_activations(_batch("lenet", 32), ctx=ctx)
+    assert indices == [None, None] and len(ctx._saved) == 0
+
+
 def test_rule7_single_example_single_window_output():
     """N == 1 with a 1x1 output (the demo LeNet's second pool): the column
     matrix is one row, so the layer reduces it contiguously like N > 1."""
     net = _pool_net((8, 2, 2), 2, 2)
     for x in _zero_ties((1, 8, 2, 2), 2, 2, (1, 1)):
         _assert_pool_step_is_the_layer(net, x)
-        _assert_pool_step_is_the_layer(net, _conv_output_layout(x))
+        _assert_pool_step_is_the_layer(net, conv_output_layout(x))
 
 
 def test_rule7_a_reduction_that_is_not_a_scan_keeps_the_layers_forward(monkeypatch):
     """Where NumPy vectorises ``max`` over a window (nine float64 elements
     under AVX-512) ties resolve in lane order: the running maximum is then a
-    different function of the input and the step must not be taken."""
-    assert plan_module._max_is_a_scan(1, "d") and plan_module._max_is_a_scan(4, "d")
-    assert not plan_module._max_is_a_scan(16, "d"), "beyond the checked lengths"
+    different function of the input, so the layer's probe must send the
+    layer's forward and the plan's step to the column path."""
+    assert pooling._max_is_a_scan(1, "d") and pooling._max_is_a_scan(4, "d")
+    assert not pooling._max_is_a_scan(16, "d"), "beyond the checked lengths"
     vectorised = [
         (size, dtype)
         for size in (2, 3)
         for dtype in (np.float64, np.float32)
-        if not plan_module._max_is_a_scan(size * size, np.dtype(dtype).char)
+        if not MaxPool2D(size).scans(dtype)
     ]
     if not vectorised:
         pytest.skip("NumPy reduces every checked window length as a scan here")
-    monkeypatch.setattr(plan_module, "_max_is_a_scan", lambda window, dtype: True)
     for size, dtype in vectorised:
         shape = (4, 3, 7, 6)
         net = _pool_net(shape[1:], size, 2)
@@ -582,8 +597,16 @@ def test_rule7_a_reduction_that_is_not_a_scan_keeps_the_layers_forward(monkeypat
         differs = False
         for x in _zero_ties(shape, size, 2, out_hw):
             x = x.astype(dtype)
-            got = PrefixPlan(net).forward_range(x, 0, 1, ForwardContext())
             want = net.forward(x, training=False)
+            with column_path():
+                assert_same_arrays([want], [net.forward(x, training=False)])
+            assert_same_arrays(
+                [PrefixPlan(net).forward_range(x, 0, 1, ForwardContext())], [want]
+            )
+            with monkeypatch.context() as forced:
+                forced.setattr(pooling, "_max_is_a_scan", lambda window, dtype: True)
+                got = PrefixPlan(net).forward_range(x, 0, 1, ForwardContext())
+                assert_same_arrays([net.forward(x, training=False)], [got])
             np.testing.assert_array_equal(got, want)  # equal as numbers ...
             differs |= got.tobytes() != want.tobytes()  # ... not as bits
         assert differs
@@ -597,7 +620,8 @@ def test_rule7_nan_stays_nan():
     x[:, :, ::3, ::2] = np.nan
     net = _pool_net(x.shape[1:], 2, 2)
     got = PrefixPlan(net).forward_range(x, 0, 1, ForwardContext())
-    np.testing.assert_array_equal(got, net.forward(x, training=False))
+    with column_path():
+        np.testing.assert_array_equal(got, net.forward(x, training=False))
     assert np.isnan(got).any() and not np.isnan(got).all()
 
 
@@ -625,7 +649,7 @@ def test_max_pool_step_matches_the_layer_on_any_geometry(
     x = np.where(special, rng.choice(_PALETTE, shape), rng.normal(size=shape))
     x = x.astype(dtype)
     net = _pool_net(shape[1:], pool_size, stride)
-    _assert_pool_step_is_the_layer(net, _conv_output_layout(x) if conv_layout else x)
+    _assert_pool_step_is_the_layer(net, conv_output_layout(x) if conv_layout else x)
 
 
 @settings(max_examples=10, deadline=None)
@@ -635,5 +659,6 @@ def test_demo_lenet_predict_mc_matches_the_looped_oracle(seed):
         planned, looped = _model("lenet", seed), _model("lenet", seed)
         x = _batch("lenet", n, seed=seed)
         got = planned.engine.predict_mc(x, 5)
-        want = looped_predict_mc(looped, x, 5)
+        with column_path():
+            want = looped_predict_mc(looped, x, 5)
         assert_same_arrays([got.sample_probs], [want.sample_probs])
