@@ -78,7 +78,7 @@ def test_dynamic_batching_3x_sequential_throughput():
         # steady-state throughput of a long-lived server: start-up (event
         # loop, worker thread) is paid once per deployment, not per request
         async with ServingEngine(
-            engine,
+            model,
             cfg(
                 num_samples=NUM_SAMPLES,
                 max_batch_size=32,
@@ -133,7 +133,7 @@ def test_backpressure_under_overload():
 
     async def flood_rejecting():
         server = ServingEngine(
-            model.engine,
+            model,
             cfg(
                 num_samples=NUM_SAMPLES,
                 max_batch_size=8,
@@ -163,7 +163,7 @@ def test_backpressure_under_overload():
 
     async def flood_awaiting():
         server = ServingEngine(
-            model.engine,
+            model,
             cfg(
                 num_samples=NUM_SAMPLES,
                 max_batch_size=8,

@@ -189,7 +189,7 @@ class MultiExitBayesNet:
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         # the lazily-built engine holds per-process state (forward context,
-        # weak-keyed activation cache) — receivers rebuild their own lazily
+        # content-keyed activation cache) — receivers rebuild their own lazily
         state = self.__dict__.copy()
         state["_engine"] = None
         return state

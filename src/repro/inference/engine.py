@@ -16,10 +16,10 @@ Both engines reproduce the per-sample loops of the test oracle bit-for-bit,
 add a synchronous microbatched ``predict_stream``, and
 :class:`InferenceEngine` implements confidence-based early exiting with
 *active-set masking*: only still-undecided examples are propagated through
-later backbone segments.  A small content-keyed cache reuses a batch's
+later backbone segments.  Its small content-keyed cache reuses a batch's
 backbone activations only when a later call sees *identical bytes* under the
-same weights.  :mod:`repro.serving` sits directly on top of these engines;
-its ``DynamicBatcher`` is what turns async arrivals into batches.
+same weights.  :mod:`repro.serving` serves :class:`InferenceEngine`; its
+``DynamicBatcher`` is what turns async arrivals into batches.
 """
 
 from __future__ import annotations
@@ -131,29 +131,6 @@ class _ActivationCache:
         self._miss_key = None
 
 
-def _engine_getstate(engine) -> dict:
-    """Shared pickling rule of both engines: per-process state stays home.
-
-    The private :class:`ForwardContext`, the content-keyed activation cache
-    and the prefix plan (with its column arena) are process-local by design;
-    what crosses the boundary is the model (pickle-light when its
-    parameters are shared-memory backed — see
-    :class:`repro.nn.shm.SharedParameterArena`) plus the engine's
-    configuration.  Unpickling therefore *is* ``replicate()`` across a
-    process boundary: same parameter storage, fresh context, cache and plan.
-    """
-    state = engine.__dict__.copy()
-    del state["ctx"], state["_plan"]
-    state["_cache"] = engine._cache.maxsize
-    return state
-
-
-def _engine_setstate(engine, state: dict) -> None:
-    engine.__dict__.update(state)
-    engine._cache = _ActivationCache(state["_cache"])
-    engine.ctx = ForwardContext()
-
-
 class NetworkEngine:
     """Folded Monte-Carlo inference over a flat network with MCD layers.
 
@@ -168,33 +145,20 @@ class NetworkEngine:
         A built :class:`~repro.nn.model.Network`.
     seed:
         When given, reseeds every MCD layer (as ``MCSampler`` does).
-    cache_size:
-        Number of recent inputs whose prefix activation is memoised
-        (0 disables caching; see :class:`_ActivationCache` for invalidation
-        caveats).
 
     Notes
     -----
-    Each engine owns a private :class:`~repro.nn.context.ForwardContext`
-    (:attr:`ctx`) holding its dropout streams and layer caches, so several
-    engines over the *same* network — see :meth:`replicate` — can run
-    concurrently on shared ``Parameter`` storage.  One engine instance is
-    still a single logical caller: don't share it between threads; pass an
-    explicit per-call ``ctx`` or use a replica per worker instead.  (The
-    prefix plan's column arena is per calling thread, so the per-call-``ctx``
-    route shares no scratch either.)
+    The engine owns a private :class:`~repro.nn.context.ForwardContext`
+    (:attr:`ctx`) holding its dropout streams and layer caches.  One engine
+    instance is a single logical caller: don't share it between threads
+    without an explicit per-call ``ctx``.  (The prefix plan's column arena
+    is per calling thread, so the per-call-``ctx`` route shares no scratch.)
     """
 
-    def __init__(
-        self,
-        network: Network,
-        seed: int | None = None,
-        cache_size: int = 0,
-    ) -> None:
+    def __init__(self, network: Network, seed: int | None = None) -> None:
         if not network.built:
             raise ValueError("network must be built before sampling")
         self.network = network
-        self._cache = _ActivationCache(cache_size)
         #: the engine's private forward context (streams + layer caches)
         self.ctx = ForwardContext()
         #: the engine's private plan for the deterministic prefix (its
@@ -216,33 +180,6 @@ class NetworkEngine:
             if isinstance(layer, MCDropout):
                 layer.reseed(seed + offset)
 
-    def replicate(self) -> "NetworkEngine":
-        """A new engine over the *same* network (zero-copy parameter sharing).
-
-        The replica has its own :class:`~repro.nn.context.ForwardContext`
-        and activation cache, so it can run concurrently with this engine —
-        this is the building block of the multi-worker serving pool.
-        """
-        return NetworkEngine(self.network, cache_size=self._cache.maxsize)
-
-    def __getstate__(self) -> dict:
-        return _engine_getstate(self)
-
-    def __setstate__(self, state: dict) -> None:
-        _engine_setstate(self, state)
-        self._plan = PrefixPlan(self.network)
-
-    def invalidate_cache(self) -> None:
-        self._cache.clear()
-
-    def cache_stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the content-keyed activation cache so far."""
-        return self._cache.hits, self._cache.misses
-
-    def weights_token(self) -> int:
-        """Current weights-version token the activation cache is keyed on."""
-        return self.network.weights_version
-
     @property
     def split_index(self) -> int:
         return self.network.first_stochastic_index()
@@ -252,14 +189,6 @@ class NetworkEngine:
         return self.split_index < len(self.network.layers)
 
     # ------------------------------------------------------------------ #
-    def _prefix(self, x: np.ndarray, split: int, ctx: ForwardContext) -> np.ndarray:
-        token = (self.network.weights_version, split)
-        cached = self._cache.get(x, token)
-        if cached is None:
-            cached = self._plan.forward_range(x, 0, split, ctx)
-            self._cache.put(x, token, cached)
-        return cached
-
     def sample(
         self,
         x: np.ndarray,
@@ -268,24 +197,22 @@ class NetworkEngine:
     ) -> MCPrediction:
         """Draw ``num_samples`` MC predictive samples in one folded pass.
 
-        ``ctx`` overrides the engine's own context for this call — that is
-        how the serving pool gives every batch a deterministic, scheduling-
-        independent stream; leave it ``None`` for the (bit-identical to
-        pre-context) persistent engine streams.
+        ``ctx`` overrides the engine's own context for this call (see
+        :meth:`InferenceEngine.predict_mc`).
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         ctx = self.ctx if ctx is None else ctx
         split = self.split_index
         n_layers = len(self.network.layers)
-        cached = self._prefix(x, split, ctx)
+        prefix = self._plan.forward_range(x, 0, split, ctx)
 
         if split >= n_layers:
             # deterministic network: one pass, replicate the sample
-            probs = softmax(cached, axis=-1)
+            probs = softmax(prefix, axis=-1)
             sample_probs = np.stack([probs] * num_samples)
         else:
-            folded = fold_batch(cached, num_samples)
+            folded = fold_batch(prefix, num_samples)
             logits = folded_forward_range(
                 self.network,
                 folded,
@@ -339,7 +266,7 @@ class InferenceEngine:
     All public methods keep the semantics (and, for ``predict_mc``, the bit
     pattern) of the pre-folding per-sample loops.
 
-    Like :class:`NetworkEngine`, each instance owns a private
+    Each instance owns a private
     :class:`~repro.nn.context.ForwardContext` and activation cache;
     :meth:`replicate` builds additional engines over the same model
     (parameters shared zero-copy) that can run concurrently — one replica
@@ -368,10 +295,20 @@ class InferenceEngine:
         return InferenceEngine(self.model, cache_size=self._cache.maxsize)
 
     def __getstate__(self) -> dict:
-        return _engine_getstate(self)
+        # the private context, the activation cache and the prefix plan (with
+        # its column arena) are process-local; what crosses the boundary is
+        # the model (pickle-light when its parameters are shared-memory
+        # backed, see repro.nn.shm) plus the cache size — so unpickling *is*
+        # replicate() across a process boundary
+        state = self.__dict__.copy()
+        del state["ctx"], state["_plan"]
+        state["_cache"] = self._cache.maxsize
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        _engine_setstate(self, state)
+        self.__dict__.update(state)
+        self._cache = _ActivationCache(state["_cache"])
+        self.ctx = ForwardContext()
         self._plan = PrefixPlan(self.model.backbone)
 
     def invalidate_cache(self) -> None:
@@ -446,7 +383,10 @@ class InferenceEngine:
         Bit-identical to the legacy per-pass loop: samples are interleaved
         round-robin across exits (``e0p0, e1p0, …, e0p1, …``) and truncated
         to exactly ``num_samples``.  ``ctx`` overrides the engine's own
-        context for this call (see :meth:`NetworkEngine.sample`).
+        context for this call — that is how the serving pool gives every
+        batch a deterministic, scheduling-independent stream; leave it
+        ``None`` for the (bit-identical to pre-context) persistent engine
+        streams.
         """
         model = self.model
         if num_samples is None:

@@ -16,6 +16,7 @@ __all__ = [
     "vgg11_spec",
     "vgg19_spec",
     "VGG_CONFIGS",
+    "get_architecture",
 ]
 
 

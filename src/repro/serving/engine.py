@@ -55,19 +55,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core.bayesnn import MultiExitBayesNet
-from ..inference.engine import InferenceEngine, NetworkEngine
 from ..metrics import nearest_rank_percentile
-from ..nn.model import Network
 from ..uncertainty.metrics import UncertaintyResult
 from .batcher import BatcherStats, DynamicBatcher
 from .config import ServingConfig
 from .fleet import FleetSignals, WorkerSupervisor
 from .workers import ProcessWorkerPool, ThreadWorkerPool
-from .workers.base import engine_num_classes
 
 __all__ = ["ServingEngine", "ServingStats"]
 
 _POOL_BACKENDS = {"thread": ThreadWorkerPool, "process": ProcessWorkerPool}
+
+
+def _served_model(model: MultiExitBayesNet) -> MultiExitBayesNet:
+    if not isinstance(model, MultiExitBayesNet):
+        raise TypeError(
+            f"model must be a MultiExitBayesNet, got {type(model).__name__}"
+        )
+    return model
 
 
 @dataclass
@@ -181,16 +186,15 @@ class ServingStats:
 
 
 class ServingEngine:
-    """Asynchronous single-example serving over folded inference engines.
+    """Asynchronous single-example serving of a multi-exit MCD BayesNN.
 
     Parameters
     ----------
     model:
-        What to serve: a :class:`~repro.core.bayesnn.MultiExitBayesNet`
-        (its lazily-built folded engine is reused, so activation caches are
-        shared with batch callers), an :class:`InferenceEngine` /
-        :class:`NetworkEngine`, or a flat :class:`~repro.nn.model.Network`
-        (wrapped in a :class:`NetworkEngine`).
+        The :class:`~repro.core.bayesnn.MultiExitBayesNet` to serve — every
+        Table I variant is one (SE and MCD with ``num_exits=1``).  Its
+        lazily-built folded engine is reused, so activation caches are
+        shared with batch callers.
     config:
         A :class:`~repro.serving.config.ServingConfig` describing
         everything else: inference mode (``num_samples`` /
@@ -228,7 +232,7 @@ class ServingEngine:
 
     def __init__(
         self,
-        model: MultiExitBayesNet | InferenceEngine | NetworkEngine | Network,
+        model: MultiExitBayesNet,
         config: ServingConfig | None = None,
         *,
         executor: Executor | None = None,
@@ -239,16 +243,7 @@ class ServingEngine:
             raise TypeError(
                 f"config must be a ServingConfig, got {type(config).__name__}"
             )
-        self.engine = self._as_engine(model)
-        # the one validation the config cannot do alone: early exit needs
-        # a model that actually has exits
-        if config.early_exit_threshold is not None and not isinstance(
-            self.engine, InferenceEngine
-        ):
-            raise ValueError(
-                "early-exit serving requires a multi-exit model "
-                "(InferenceEngine); flat networks have a single exit"
-            )
+        self.engine = _served_model(model).engine
         self.config = config
         self.num_samples = config.num_samples
         self.early_exit_threshold = config.early_exit_threshold
@@ -292,39 +287,15 @@ class ServingEngine:
         # request forever; percentiles are over the most recent window
         self._latencies: deque[float] = deque(maxlen=16384)
         self._exit_counts: list[int] | None = None
-        if config.early_exit_threshold is not None and isinstance(
-            self.engine, InferenceEngine
-        ):
-            self._exit_counts = [0] * self.engine.model.num_exits
+        if config.early_exit_threshold is not None:
+            self._exit_counts = [0] * model.num_exits
         self._first_submit_at: float | None = None
         self._last_done_at: float | None = None
-
-    @staticmethod
-    def _as_engine(
-        model: MultiExitBayesNet | InferenceEngine | NetworkEngine | Network,
-    ) -> InferenceEngine | NetworkEngine:
-        """The engine serving ``model`` — always over a *built* network."""
-        if isinstance(model, MultiExitBayesNet):
-            return model.engine
-        if isinstance(model, Network):
-            return NetworkEngine(model, cache_size=4)
-        if isinstance(model, (InferenceEngine, NetworkEngine)):
-            return model
-        raise TypeError(
-            "model must be a MultiExitBayesNet, InferenceEngine, "
-            f"NetworkEngine or Network, got {type(model).__name__}"
-        )
-
-    @staticmethod
-    def _engine_input_shape(engine: InferenceEngine | NetworkEngine) -> tuple[int, ...]:
-        if isinstance(engine, InferenceEngine):
-            return tuple(engine.model.input_shape)
-        return tuple(engine.network.input_shape)
 
     @property
     def input_shape(self) -> tuple[int, ...]:
         """Per-example input shape every request must match."""
-        return self._engine_input_shape(self.engine)
+        return tuple(self.engine.model.input_shape)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -404,9 +375,7 @@ class ServingEngine:
         # concurrent batches
         self._batcher.max_concurrent_batches = max(1, int(target)) * self._pool.depth
 
-    async def swap_model(
-        self, model: MultiExitBayesNet | InferenceEngine | NetworkEngine | Network
-    ) -> int:
+    async def swap_model(self, model: MultiExitBayesNet) -> int:
         """Hot-swap the served model with zero downtime; returns the generation.
 
         Weights **and shapes** may differ from the current model (e.g. a
@@ -419,26 +388,26 @@ class ServingEngine:
         request fails and no reader ever sees a torn update; responses
         switch from old-model to new-model bits at a batch boundary.
         """
-        engine = self._as_engine(model)
-        if self.early_exit_threshold is not None and not isinstance(
-            engine, InferenceEngine
-        ):
-            raise ValueError("early-exit serving requires a multi-exit model")
-        new_shape = self._engine_input_shape(engine)
+        model = _served_model(model)
+        new_shape = tuple(model.input_shape)
         if new_shape != self.input_shape:
             raise ValueError(
                 f"swapped model must keep the input shape {self.input_shape}, "
                 f"got {new_shape}"
             )
-        old_classes = engine_num_classes(self.engine)
-        new_classes = engine_num_classes(engine)
-        if new_classes != old_classes:
+        old_classes = self.engine.model.num_classes
+        if model.num_classes != old_classes:
             raise ValueError(
                 f"swapped model must keep the number of classes {old_classes}, "
-                f"got {new_classes}"
+                f"got {model.num_classes}"
             )
-        generation = await self._pool.swap_engine(engine)
-        self.engine = engine
+        if self._exit_counts is not None:
+            # a deeper successor retires rows at exits the old one lacked,
+            # and its cohort serves before the swap returns
+            grow = model.num_exits - len(self._exit_counts)
+            self._exit_counts.extend([0] * grow)
+        generation = await self._pool.swap_engine(model.engine)
+        self.engine = model.engine
         return generation
 
     async def __aenter__(self) -> "ServingEngine":

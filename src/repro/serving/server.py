@@ -63,7 +63,6 @@ import numpy as np
 from .batcher import DeadlineExceeded, ServerOverloaded
 from .config import ServingConfig
 from .engine import ServingEngine
-from .workers.base import engine_num_classes
 
 __all__ = ["ServingServer"]
 
@@ -446,7 +445,7 @@ class ServingServer:
             "worker_backend": engine.worker_backend,
             # enough model facts for a client to shape its requests
             "input_shape": list(engine.input_shape),
-            "num_classes": engine_num_classes(engine.engine),
+            "num_classes": engine.engine.model.num_classes,
         }
 
 

@@ -24,13 +24,11 @@ grows, shrinks and swaps models — is :mod:`repro.serving.workers.roster`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from ...inference.engine import InferenceEngine, NetworkEngine
+from ...inference.engine import InferenceEngine
 from ...nn.context import ForwardContext
-from ...nn.layers.base import Parameter
 from ...uncertainty.metrics import (
     UncertaintyResult,
     mc_uncertainty_results,
@@ -40,16 +38,11 @@ from ...uncertainty.metrics import (
 __all__ = [
     "RESPONSE_LAYOUTS",
     "BatchOutput",
-    "Engine",
     "WorkerCrashed",
     "assemble_results",
     "compute_batch_array",
-    "engine_num_classes",
-    "engine_parameters",
     "response_specs",
 ]
-
-Engine = InferenceEngine | NetworkEngine
 
 
 class WorkerCrashed(RuntimeError):
@@ -109,22 +102,8 @@ class BatchOutput:
         return cls(**dict(zip(names, arrays)))
 
 
-def engine_parameters(engine: Engine) -> Iterator[Parameter]:
-    """The engine's parameters in the deterministic model order."""
-    if isinstance(engine, InferenceEngine):
-        return engine.model.parameters()
-    return engine.network.parameters()
-
-
-def engine_num_classes(engine: Engine) -> int:
-    """Classes per prediction (engines only wrap built models)."""
-    if isinstance(engine, InferenceEngine):
-        return int(engine.model.num_classes)
-    return int(engine.network.output_shape[-1])
-
-
 def compute_batch_array(
-    engine: Engine,
+    engine: InferenceEngine,
     seq: int,
     batch: np.ndarray,
     num_samples: int | None,
@@ -140,13 +119,9 @@ def compute_batch_array(
     """
     ctx = ForwardContext(spawn_key=seq)
     if early_exit_threshold is not None:
-        assert isinstance(engine, InferenceEngine)
         res = engine.early_exit_predict(batch, early_exit_threshold, ctx=ctx)
         return BatchOutput(probs=res.probs, exit_indices=res.exit_indices)
-    if isinstance(engine, InferenceEngine):
-        pred = engine.predict_mc(batch, num_samples, ctx=ctx)
-    else:
-        pred = engine.sample(batch, num_samples or 1, ctx=ctx)
+    pred = engine.predict_mc(batch, num_samples, ctx=ctx)
     return BatchOutput(sample_probs=pred.sample_probs)
 
 

@@ -119,6 +119,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ...inference.engine import InferenceEngine
 from ...nn.shm import ArenaManifest, SharedParameterArena
 from ...uncertainty.metrics import UncertaintyResult
 from .base import (
@@ -126,8 +127,6 @@ from .base import (
     BatchOutput,
     assemble_results,
     compute_batch_array,
-    engine_num_classes,
-    engine_parameters,
     response_specs,
 )
 from .ring import BatchRing, RingManifest, payload_bytes
@@ -147,7 +146,7 @@ _SLOTS = 2
 class _WorkerConfig:
     """Everything a worker needs, pickled once at spawn."""
 
-    engine: object  # InferenceEngine | NetworkEngine, shm-backed parameters
+    engine: InferenceEngine  # shm-backed parameters
     num_samples: int | None
     early_exit_threshold: float | None
     manifest: ArenaManifest
@@ -159,7 +158,7 @@ def _worker_main(
     """Worker process entry point: serve batches until told to stop."""
     engine = config.engine
     arena = SharedParameterArena.attached(
-        config.manifest, list(engine_parameters(engine))
+        config.manifest, list(engine.model.parameters())
     )
     arena.refresh()
     ring = BatchRing.attached(ring_manifest) if ring_manifest is not None else None
@@ -606,9 +605,11 @@ class ProcessWorkerPool(WorkerPool):
     # ------------------------------------------------------------------ #
     # generations: one shared-memory parameter arena each
     # ------------------------------------------------------------------ #
-    def _open_generation(self, engine, generation: int) -> SharedParameterArena:
+    def _open_generation(
+        self, engine: InferenceEngine, generation: int
+    ) -> SharedParameterArena:
         return SharedParameterArena.create(
-            list(engine_parameters(engine)), generation=generation
+            list(engine.model.parameters()), generation=generation
         )
 
     def _close_generation(self, arena: SharedParameterArena | None) -> None:
@@ -634,12 +635,9 @@ class ProcessWorkerPool(WorkerPool):
         batch, so one geometry serves both modes.
         """
         rows = self.max_batch_size
-        if self.num_samples is not None:
-            samples = self.num_samples
-        else:
-            model = getattr(self.engine, "model", None)
-            samples = model.config.default_mc_samples if model is not None else 1
-        classes = engine_num_classes(self.engine)
+        model = self.engine.model
+        samples = self.num_samples or model.config.default_mc_samples
+        classes = model.num_classes
         return (
             payload_bytes([((rows, *self.input_shape), np.float64)]),
             max(

@@ -67,8 +67,9 @@ import itertools
 import logging
 import threading
 
+from ...inference.engine import InferenceEngine
 from ...uncertainty.metrics import UncertaintyResult
-from .base import Engine, WorkerCrashed
+from .base import WorkerCrashed
 
 __all__ = ["Replica", "ReplicaDied", "WorkerPool"]
 
@@ -186,7 +187,7 @@ class WorkerPool:
 
     def __init__(
         self,
-        engine: Engine,
+        engine: InferenceEngine,
         workers: int,
         num_samples: int | None,
         early_exit_threshold: float | None,
@@ -256,7 +257,7 @@ class WorkerPool:
         """
         raise NotImplementedError
 
-    def _open_generation(self, engine: Engine, generation: int):
+    def _open_generation(self, engine: InferenceEngine, generation: int):
         """Build what one generation's replicas share; blocking, off-loop.
 
         The result becomes ``self._shared`` while ``engine`` is the served
@@ -538,7 +539,7 @@ class WorkerPool:
             self.scale_events += 1
             LOG.info("scaled the fleet from %d to %d replicas", len(live), target)
 
-    async def swap_engine(self, engine: Engine) -> int:
+    async def swap_engine(self, engine: InferenceEngine) -> int:
         """Roll the fleet onto ``engine`` (weights **and shapes** may differ).
 
         Open generation ``n+1`` → make a same-size cohort over it → mark

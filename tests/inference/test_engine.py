@@ -165,25 +165,6 @@ class TestNetworkEngine:
             np.testing.assert_array_equal(a, b)
             np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_prefix_cache_reused(self, rng):
-        net = _bayes_net()
-        engine = NetworkEngine(net, seed=0, cache_size=2)
-        x = rng.normal(size=(3, 2, 4, 4))
-        engine.sample(x, 2)
-        calls = {"n": 0}
-        original = engine._plan.forward_range
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        engine._plan.forward_range = counting
-        engine.sample(x, 2)  # prefix served from cache; no prefix re-run
-        assert calls["n"] == 0
-        engine.invalidate_cache()
-        engine.sample(x, 2)
-        assert calls["n"] == 1
-
 
 # --------------------------------------------------------------------------- #
 # InferenceEngine

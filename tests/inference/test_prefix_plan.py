@@ -159,7 +159,7 @@ def test_flat_network_prefix_matches_layer_by_layer(arch):
         x = np.random.default_rng(n).normal(size=(n,) + shape)
         split = engine.split_index
         assert_same_arrays(
-            [engine._prefix(x, split, ForwardContext())],
+            [engine._plan.forward_range(x, 0, split, ForwardContext())],
             [looped.forward_range(x, 0, split, training=False)],
         )
         got, want = engine.sample(x, 4), looped_mc_sample(looped, x, 4)

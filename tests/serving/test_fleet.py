@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
-from repro.nn.architectures import lenet5_spec
+from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.serving import (
     Autoscaler,
     FaultInjection,
@@ -444,6 +444,41 @@ def test_swap_model_rejects_input_shape_change():
 
     result = asyncio.run(main())
     assert result.probs.shape == (5,)
+
+
+@pytest.mark.timeout(120)
+def test_swap_model_to_more_exits_under_early_exit():
+    """A deeper successor's rows count at exits the first model lacked.
+
+    The exit counters were sized once, from the first model: after a swap
+    from one exit to four, every row retired at exit 1 or later failed its
+    request after the batch had computed fine.
+    """
+
+    def resnet(num_exits):
+        return MultiExitBayesNet(
+            resnet_spec(
+                "resnet10", input_shape=(3, 16, 16), width_multiplier=0.125
+            ),
+            MultiExitConfig(num_exits=num_exits, mcd_layers_per_exit=1, seed=0),
+        )
+
+    xs = np.random.default_rng(3).normal(size=(16, 3, 16, 16))
+
+    async def main():
+        async with ServingEngine(
+            resnet(1), cfg(early_exit_threshold=0.2, workers=1)
+        ) as server:
+            await server.submit(xs[0])
+            await server.swap_model(resnet(4))
+            results = [await server.submit(x) for x in xs]
+            return results, server.stats()
+
+    results, stats = asyncio.run(main())
+    exits = [r.exit_index for r in results]
+    assert max(exits) >= 1, "no row left exit 0: the regression is not exercised"
+    assert len(stats.exit_counts) == 4
+    assert stats.exit_counts == [exits.count(i) + (i == 0) for i in range(4)]
 
 
 # --------------------------------------------------------------------------- #

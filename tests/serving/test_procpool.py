@@ -119,27 +119,26 @@ def test_early_exit_mode_matches_thread_backend():
 
 
 @pytest.mark.timeout(120)
-def test_flat_network_engine_served_by_process_backend():
-    """NetworkEngine (single-exit) models cross the process boundary too."""
-    from repro.core.bayesnn import single_exit_bayesnet
+def test_one_exit_model_bit_identical_across_backends():
+    """A one-exit model (the SE/MCD variants) crosses the process boundary too."""
 
-    net = single_exit_bayesnet(
-        lenet5_spec(input_shape=(1, 12, 12), num_classes=5, width_multiplier=0.5),
-        num_mcd_layers=1,
-        seed=0,
-    )
+    def serve(backend):
+        model = MultiExitBayesNet(
+            lenet5_spec(input_shape=(1, 12, 12), num_classes=5, width_multiplier=0.5),
+            MultiExitConfig(num_exits=1, mcd_layers_per_exit=1, seed=0),
+        )
 
-    async def main():
-        async with ServingEngine(
-            net, cfg(num_samples=4, workers=2, worker_backend="process")
-        ) as server:
-            return await server.submit_many(X[:4])
+        async def main():
+            async with ServingEngine(
+                model, cfg(num_samples=4, workers=2, worker_backend=backend)
+            ) as server:
+                return [await server.submit(x) for x in X[:4]]
 
-    results = asyncio.run(main())
-    assert len(results) == 4
-    for res in results:
-        assert res.probs.shape == (5,)
-        assert res.probs.sum() == pytest.approx(1.0)
+        return asyncio.run(main())
+
+    for rt, rp in zip(serve("thread"), serve("process"), strict=True):
+        np.testing.assert_array_equal(rt.probs, rp.probs)
+        assert rt.mutual_information == rp.mutual_information
 
 
 # --------------------------------------------------------------------------- #

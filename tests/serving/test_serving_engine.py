@@ -2,7 +2,7 @@
 
 Covers: response correctness against the batch engines (deterministic
 model, so batched serving must agree with direct batch inference), the
-early-exit serving mode, serving a flat single-exit network, overload
+early-exit serving mode, serving a one-exit model, overload
 behaviour under both backpressure policies, input validation, and the
 stats surface.
 """
@@ -109,17 +109,30 @@ def test_early_exit_serving_mode():
     )
 
 
-def test_early_exit_requires_multi_exit_model():
-    net = single_exit_bayesnet(_small_spec(), num_mcd_layers=1, seed=0)
-    with pytest.raises(ValueError, match="multi-exit"):
-        ServingEngine(net, cfg(early_exit_threshold=0.5))
-
-
-def test_serving_flat_network():
-    net = single_exit_bayesnet(_small_spec(), num_mcd_layers=1, seed=0)
+def test_one_exit_model_serves_early_exit_at_exit_zero():
+    # a one-exit model's only exit is its last: every row retires there
+    model = _model(num_exits=1)
 
     async def main():
-        async with ServingEngine(net, cfg(num_samples=4, max_batch_size=4)) as server:
+        async with model.serving_engine(cfg(early_exit_threshold=0.99)) as server:
+            return await server.submit_many(X), server.stats()
+
+    results, stats = asyncio.run(main())
+    assert [res.exit_index for res in results] == [0] * X.shape[0]
+    assert stats.exit_counts == [X.shape[0]]
+
+
+def test_serving_engine_rejects_a_flat_network():
+    net = single_exit_bayesnet(_small_spec(), num_mcd_layers=1, seed=0)
+    with pytest.raises(TypeError, match="MultiExitBayesNet"):
+        ServingEngine(net)
+
+
+def test_serving_one_exit_model():
+    model = _model(num_exits=1)
+
+    async def main():
+        async with ServingEngine(model, cfg(num_samples=4, max_batch_size=4)) as server:
             return await server.submit_many(X[:6])
 
     results = asyncio.run(main())

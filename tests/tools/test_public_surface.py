@@ -25,7 +25,19 @@ def _public_names(module: types.ModuleType) -> set[str]:
 
 @pytest.mark.parametrize(
     "package",
-    ["repro.inference", "repro.experiments", "repro.serving.workers", "repro.core"],
+    [
+        "repro.inference",
+        "repro.experiments",
+        "repro.serving.workers",
+        "repro.core",
+        "repro.nn.layers",
+        "repro.nn.architectures",
+        "repro.analysis",
+        "repro.uncertainty",
+        "repro.hw.hls",
+        "repro.quantization",
+        "repro.datasets",
+    ],
 )
 def test_all_is_exactly_the_package_namespace(package):
     module = importlib.import_module(package)
