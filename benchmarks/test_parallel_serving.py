@@ -7,7 +7,10 @@ must sustain **>= 1.8x** the throughput of the identically-configured
 stateless per call (every worker thread runs its own engine replica over
 shared parameter arrays) and NumPy's GEMMs release the GIL, so folded
 batches genuinely overlap on separate cores while the batcher pipelines
-assembly of the next batch.
+assembly of the next batch.  The K=1 baseline is not an executor lane: a
+lone thread replica computes on the event loop (no thread hop per batch,
+and no assembly of the next batch while one computes), so the ratio
+divides by that inline path.
 
 The gate is deliberately generous (perfect scaling would be ~4x; GIL-held
 Python glue, BLAS threading and shared caches all eat into it) and the

@@ -19,12 +19,14 @@ two with classic dynamic batching:
   folded ``predict_mc`` hot path — or the active-set early-exit path — on
   a pool of ``workers`` reentrant engine replicas (shared parameters,
   private :class:`~repro.nn.ForwardContext` per replica plus a spawned
-  per-batch context), so the event loop never blocks on NumPy and
-  multi-core hosts compute batches genuinely in parallel.
+  per-batch context), so multi-core hosts compute batches genuinely in
+  parallel while the event loop keeps serving.  Only a lone thread
+  replica, whose batch nothing could overlap, computes on the loop itself.
 * :mod:`repro.serving.workers` — the two batch-execution backends behind
   ``ServingConfig(worker_backend=...)``: K reentrant engine replicas on a
-  thread pool, or K worker *processes* over a shared-memory parameter
-  arena (:class:`~repro.nn.shm.SharedParameterArena`) with crash retry.
+  thread pool (on the event loop when K is 1), or K worker *processes*
+  over a shared-memory parameter arena
+  (:class:`~repro.nn.shm.SharedParameterArena`) with crash retry.
 * :mod:`repro.serving.fleet` — the self-healing, elastic fleet layer:
   :class:`WorkerSupervisor` respawns dead workers re-attached to the
   current arena generation, :class:`Autoscaler` sizes K between

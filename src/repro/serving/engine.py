@@ -5,8 +5,10 @@
 example at a time, a :class:`~repro.serving.batcher.DynamicBatcher`
 assembles concurrent requests into microbatches, and each microbatch runs
 through the folded Monte-Carlo hot path (or the active-set early-exit path)
-on one of ``workers`` engine replicas in a thread-pool executor, so the
-asyncio event loop never blocks on NumPy.
+on one of ``workers`` engine replicas: on a thread-pool executor or in
+worker processes, so the asyncio event loop keeps serving while batches
+overlap — except for a lone thread replica, whose one batch in flight
+nothing could overlap, which computes on the loop.
 
 Request lifecycle::
 
@@ -15,7 +17,8 @@ Request lifecycle::
                                                              ▼
     UncertaintyResult ◄── per-example split ◄── folded predict_mc /
     (+ latency stamp)                           early_exit_predict
-                                                (K-worker executor)
+                                                (K-worker executor, worker
+                                                processes, or the loop at K=1)
 
 Multi-worker serving (``workers=K``) exploits the reentrancy of the layer
 stack: each worker owns an engine *replica* — same ``Parameter`` storage
@@ -508,7 +511,7 @@ class ServingEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # batch execution (runs on the event loop + worker executor)
+    # batch execution (runs on the event loop + the replica's worker)
     # ------------------------------------------------------------------ #
     async def _dispatch(
         self, payloads: list[np.ndarray]

@@ -96,10 +96,11 @@ class Replica:
     """One interchangeable engine copy, as the roster sees it.
 
     A replica whose batch is a blocking call implements :meth:`execute`
-    (:meth:`serve` runs it on the executor); one that can wait for its
-    worker on the event loop overrides :meth:`serve` itself.  Both override
-    the liveness and teardown methods when there is something behind the
-    replica that can die or must be released.
+    (:meth:`serve` runs it on the executor — or, for a lone thread
+    replica, whose batch nothing could overlap, on the loop); one that can
+    wait for its worker on the event loop overrides :meth:`serve` itself.
+    Both override the liveness and teardown methods when there is
+    something behind the replica that can die or must be released.
     """
 
     #: batches delivered over a shared-memory ring / the pickle pipe,

@@ -6,15 +6,23 @@ The first replica of a generation is the caller's engine — so its
 activation cache stays shared with batch callers and
 ``ServingEngine.engine`` is an object that really serves — the rest come
 from ``engine.replicate()``: same ``Parameter`` arrays zero-copy, private
-context and cache each.  A batch takes one path on the worker thread: the
+context and cache each.  A batch takes one path inside the replica: the
 stager packs the request rows into the ``(max_batch_size, *input_shape)``
 buffer (the layout a fresh stack would have, no per-batch allocation), then
 :func:`~repro.serving.workers.base.compute_batch_array` and
 :func:`~repro.serving.workers.base.assemble_results` run back to back.
 
-NumPy's GEMMs release the GIL, so batches genuinely overlap on multi-core
-hosts; the Python glue between the GEMMs does not, which is what the
-process backend (:mod:`repro.serving.workers.procpool`) exists to lift.
+Where that path runs depends on the live roster, decided per batch.  With
+two or more replicas it runs on an executor thread: NumPy's GEMMs release
+the GIL, so batches genuinely overlap on multi-core hosts (the Python glue
+between the GEMMs does not, which is what the process backend,
+:mod:`repro.serving.workers.procpool`, exists to lift).  A lone replica
+holds the only batch in flight, so nothing could overlap with it: after
+one loop turn — the previous batch's callers answer, the supervisor and
+health checks get theirs — it computes on the event loop itself, and
+saves the executor hop's thread wake-up, self-pipe wake-up and cold CPU
+per batch.
+
 Threads cannot die and a generation shares nothing beyond the parameters,
 so everything else — checkout, scaling, swaps, counters — is
 :mod:`repro.serving.workers.roster` unchanged.
@@ -22,6 +30,7 @@ so everything else — checkout, scaling, swaps, counters — is
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 from ...uncertainty.metrics import UncertaintyResult
@@ -55,6 +64,21 @@ class _ThreadReplica(Replica):
     @property
     def cache_misses(self) -> int:
         return self.engine.cache_stats()[1] - self._cache_base[1]
+
+    async def serve(self, off_loop, seq, token, payloads, fault):
+        """:meth:`execute` on the loop for a lone replica, else on the executor."""
+        if self.pool.current_workers == 1:
+            # the previous batch's callers were resolved before this batch
+            # was assembled: let them answer before the loop is taken
+            await asyncio.sleep(0)
+            # never block the loop: a held lock means a cancelled batch's
+            # executor thread is still inside the replica
+            if self._lock.acquire(blocking=False):
+                try:
+                    return self.execute(seq, token, payloads, fault)
+                finally:
+                    self._lock.release()
+        return await off_loop(self._execute_locked, seq, token, payloads, fault)
 
     def execute(self, seq, token, payloads, fault) -> list[UncertaintyResult]:
         started = time.perf_counter_ns()

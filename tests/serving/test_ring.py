@@ -357,39 +357,64 @@ class _PipeSpy:
         return getattr(self._conn, name)
 
 
+def _held(stage, armed, staging, release, staged_rows=None):
+    """``stage`` that blocks the exchange it is armed for until ``release``."""
+
+    def held_stage(payloads):
+        if armed.is_set():
+            armed.clear()
+            staging.set()
+            assert release.wait(HOLD_S), "the test never released"
+        if staged_rows is not None:
+            staged_rows.append(payloads[0])
+        return stage(payloads)
+
+    return held_stage
+
+
 async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
     """Cancel batch 2 while an executor thread is inside the replica.
 
-    The in-flight window is *held* open, not observed: the cancelled
-    batch's staging step (first step under the replica's lock) blocks on
-    an event the test sets only after the cancellation has landed and the
-    next batch has been launched behind it.
+    Only a replica with a live sibling computes on the executor (a lone one
+    computes on the loop, where no batch can be cancelled mid-compute), so
+    the sibling is held inside a batch of its own throughout and every
+    batch of the scene goes to the other replica.  The in-flight window is
+    *held* open, not observed: the cancelled batch's staging step (first
+    step under the replica's lock) blocks on an event the test sets only
+    after the cancellation has landed and the next batch has been launched
+    behind it.
     """
     armed = threading.Event()  # the next exchange is the one to hold
     staging = threading.Event()  # ... and it is inside the exchange now
     release = threading.Event()
+    sibling_armed, sibling_staging = threading.Event(), threading.Event()
+    sibling_release = threading.Event()
     executor = ThreadPoolExecutor(max_workers=4)
     server = ServingEngine(
         _model(),
-        cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
+        cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend="thread"),
         executor=executor,
     )
     loop = asyncio.get_running_loop()
     try:
         async with server:
             pool = server._pool
-            (replica,) = pool._replicas
-            stage = replica.stager.stage
-
-            def held_stage(payloads):
-                if armed.is_set():
-                    armed.clear()
-                    staging.set()
-                    assert release.wait(HOLD_S), "the test never released"
-                staged_rows.append(payloads[0])
-                return stage(payloads)
-
-            monkeypatch.setattr(replica.stager, "stage", held_stage)
+            sibling = _next_victim(server)
+            (replica,) = [r for r in pool._replicas if r is not sibling]
+            monkeypatch.setattr(
+                sibling.stager,
+                "stage",
+                _held(sibling.stager.stage, sibling_armed, sibling_staging, sibling_release),
+            )
+            sibling_armed.set()
+            busy = asyncio.ensure_future(pool.run(len(X), [X[0]]))
+            entered = await loop.run_in_executor(None, sibling_staging.wait, HOLD_S)
+            assert entered and sibling.in_flight == 1, "the sibling is not busy"
+            monkeypatch.setattr(
+                replica.stager,
+                "stage",
+                _held(replica.stager.stage, armed, staging, release, staged_rows),
+            )
             results = {}
             for seq in range(CANCELLED_SEQ):
                 (results[seq],) = await pool.run(seq, [X[seq]])
@@ -415,9 +440,13 @@ async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
             (results[CANCELLED_SEQ + 1],) = await asyncio.wait_for(following, HOLD_S)
             for seq in range(CANCELLED_SEQ + 2, len(X)):
                 (results[seq],) = await pool.run(seq, [X[seq]])
+            assert not busy.done() and sibling.in_flight == 1
+            sibling_release.set()
+            await asyncio.wait_for(busy, HOLD_S)
             return results, server.stats()
     finally:
         release.set()
+        sibling_release.set()
         executor.shutdown(wait=True)
 
 
@@ -512,9 +541,10 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend
 
     Cancelling the task awaiting an in-flight batch returns its place to
     checkout while its exchange is still going: an executor thread inside
-    a thread replica (holding its lock), a reply in flight from a process
-    worker (owning one of its two ring slots).  The next batch waits for
-    that exchange to end instead of staging over it — over the pinned
+    a thread replica that has a live sibling (holding its lock), a reply in
+    flight from a process worker (owning one of its two ring slots).  The
+    next batch waits for that exchange to end instead of staging over it —
+    over the pinned
     staging buffer (and the engine) of a thread replica, or over a ring
     slot whose stale reply it could otherwise take for its own.  At most
     ``depth`` replies are ever in flight per handle, read in doorbell
@@ -542,6 +572,60 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend
     assert stats.worker_crashes == 0
 
 
+@pytest.mark.timeout(120)
+def test_a_cancel_at_the_lone_replicas_yield_stages_nothing(monkeypatch):
+    """A lone thread replica's batch can only be cancelled before it computes.
+
+    It computes on the loop after one yield, so the yield is the last
+    point a cancellation can land.  There it has staged nothing, holds no
+    lock, and hands its place straight back; the next sequence number is
+    served bit for bit as by an undisturbed thread K=1 server.
+    """
+
+    async def main():
+        server = ServingEngine(
+            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread")
+        )
+        async with server:
+            pool = server._pool
+            (replica,) = pool._replicas
+            stage = replica.stager.stage
+            staged = []
+
+            def counted_stage(payloads):
+                staged.append(payloads[0])
+                return stage(payloads)
+
+            monkeypatch.setattr(replica.stager, "stage", counted_stage)
+            results = {}
+            for seq in range(CANCELLED_SEQ):
+                (results[seq],) = await pool.run(seq, [X[seq]])
+            batch = asyncio.ensure_future(pool.run(CANCELLED_SEQ, [X[CANCELLED_SEQ]]))
+            for _ in range(10):
+                await asyncio.sleep(0)
+                if replica.in_flight:
+                    break
+            # checked out, and the step that did so ended at the yield
+            assert replica.in_flight == 1 and not batch.done()
+            batch.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await batch
+            assert len(staged) == CANCELLED_SEQ and not replica._lock.locked()
+            assert replica.in_flight == 0 and pool._checkout.qsize() == 1
+            for seq in range(CANCELLED_SEQ + 1, len(X)):
+                (results[seq],) = await pool.run(seq, [X[seq]])
+            assert len(staged) == len(X) - 1
+            return results
+
+    got = asyncio.run(main())
+    want, _ = _serve_sequentially("thread", workers=1)
+    assert sorted(got) == [s for s in range(len(X)) if s != CANCELLED_SEQ]
+    for seq, res in got.items():
+        np.testing.assert_array_equal(res.probs, want[seq].probs)
+        assert res.entropy == want[seq].entropy
+        assert res.mutual_information == want[seq].mutual_information
+
+
 # --------------------------------------------------------------------------- #
 # the exchange lives on the event loop
 # --------------------------------------------------------------------------- #
@@ -551,6 +635,114 @@ class _CountingExecutor(ThreadPoolExecutor):
     def submit(self, *args, **kwargs):
         self.submissions += 1
         return super().submit(*args, **kwargs)
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_lone_thread_replica_computes_on_the_loop(workers):
+    """One live thread replica submits nothing to the executor; two submit
+    one call per batch, so their GEMMs can overlap on separate cores."""
+
+    async def main():
+        executor = _CountingExecutor(max_workers=2)
+        server = ServingEngine(
+            _model(),
+            cfg(num_samples=NUM_SAMPLES, workers=workers, worker_backend="thread"),
+            executor=executor,
+        )
+        try:
+            async with server:
+                started = executor.submissions
+                pool = server._pool
+                await asyncio.gather(*(pool.run(seq, [x]) for seq, x in enumerate(X)))
+                return executor.submissions - started
+        finally:
+            executor.shutdown(wait=True)
+
+    assert asyncio.run(main()) == (0 if workers == 1 else len(X))
+
+
+@pytest.mark.timeout(120)
+def test_a_lone_replica_whose_lock_is_held_waits_off_the_loop():
+    """A held lock (a cancelled batch's thread still inside) is waited out
+    on the executor: the loop keeps turning, and the batch runs once the
+    lock is free."""
+
+    async def main():
+        executor = _CountingExecutor(max_workers=2)
+        server = ServingEngine(
+            _model(),
+            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
+            executor=executor,
+        )
+        try:
+            async with server:
+                pool = server._pool
+                (replica,) = pool._replicas
+                started = executor.submissions
+                replica._lock.acquire()
+                try:
+                    batch = asyncio.ensure_future(pool.run(0, [X[0]]))
+                    for _ in range(10):
+                        await asyncio.sleep(0)
+                    assert not batch.done()
+                    assert executor.submissions - started == 1
+                finally:
+                    replica._lock.release()
+                (got,) = await asyncio.wait_for(batch, HOLD_S)
+                return got
+        finally:
+            executor.shutdown(wait=True)
+
+    got = asyncio.run(main())
+    want, _ = _serve_sequentially("thread", workers=1)
+    np.testing.assert_array_equal(got.probs, want[0].probs)
+
+
+@pytest.mark.timeout(120)
+def test_a_lone_replicas_callers_answer_before_its_next_batch(monkeypatch):
+    """The loop turn before an on-loop batch belongs to the last one's callers.
+
+    With eight requests queued and one row per batch, every batch after
+    the first is assembled the moment its predecessor resolves its caller
+    (the batcher's hand-off rule).  The lone replica then yields once
+    before it computes, so that caller has run — in a server, written its
+    response — before the next batch takes the loop.
+    """
+    events: list[tuple] = []
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=1,
+                worker_backend="thread",
+                max_batch_size=1,
+            ),
+        )
+
+        async def caller(i):
+            await server.submit(X[i])
+            events.append(("answered", i))
+
+        async with server:
+            (replica,) = server._pool._replicas
+            execute = replica.execute
+
+            def logged_execute(seq, token, payloads, fault):
+                events.append(("execute", seq))
+                return execute(seq, token, payloads, fault)
+
+            monkeypatch.setattr(replica, "execute", logged_execute)
+            await asyncio.gather(*(caller(i) for i in range(len(X))))
+
+    asyncio.run(main())
+    # FIFO, one row per batch: batch k serves request k
+    order = [("execute", k) for k in range(len(X))]
+    assert [e for e in events if e[0] == "execute"] == order
+    for k in range(1, len(X)):
+        assert events.index(("answered", k - 1)) < events.index(("execute", k)), events
 
 
 @pytest.mark.timeout(120)
