@@ -23,12 +23,11 @@ import time
 import numpy as np
 
 from repro.core import (
-    MCSampler,
     MultiExitBayesNet,
     MultiExitConfig,
     single_exit_bayesnet,
 )
-from repro.inference.engine import InferenceEngine
+from repro.inference.engine import InferenceEngine, NetworkEngine
 from repro.nn.architectures import lenet5_spec
 from repro.nn.layers.activations import softmax
 from tests.inference.reference_loops import looped_predict_mc
@@ -66,7 +65,7 @@ def _report(label: str, t_base: float, t_folded: float) -> float:
 def test_folded_sampler_3x_faster_than_per_sample_forward_passes():
     """Acceptance gate: folded engine vs one full forward pass per MC sample."""
     net = single_exit_bayesnet(_small_lenet_spec(), num_mcd_layers=1, seed=0)
-    sampler = MCSampler(net, seed=0)
+    sampler = NetworkEngine(net, seed=0)
     x = np.random.default_rng(1).normal(size=(BATCH, 1, 12, 12))
 
     def per_sample_loop():

@@ -15,8 +15,8 @@ Subpackages
     optimization, and the four-phase transformation framework.
 ``repro.inference``
     Sample-folded inference engine: cached backbone segments shared across
-    exits and MC samples, folded stochastic suffixes, active-set early
-    exiting, and microbatched streaming.
+    exits and MC samples, folded stochastic suffixes, and active-set early
+    exiting.
 ``repro.serving``
     Asyncio serving layer: dynamic request batching with bounded-queue
     backpressure over the folded engines, per-request uncertainty results

@@ -16,7 +16,7 @@ from .flops import (
     single_exit_sampling_flops,
 )
 from .framework import AcceleratorDesign, FrameworkConfig, TransformationFramework
-from .mcd import MCPrediction, MCSampler, deterministic_forward, insert_mcd_into_head
+from .mcd import MCPrediction, deterministic_forward, insert_mcd_into_head
 from .multi_exit import (
     CONFIDENCE_THRESHOLDS,
     DROPOUT_RATE_GRID,
@@ -50,7 +50,6 @@ __all__ = [
     "FrameworkConfig",
     "TransformationFramework",
     "MCPrediction",
-    "MCSampler",
     "deterministic_forward",
     "insert_mcd_into_head",
     "CONFIDENCE_THRESHOLDS",

@@ -388,21 +388,6 @@ class MultiExitBayesNet:
         """Predicted class labels."""
         return self.engine.predict(x, num_samples)
 
-    def predict_stream(
-        self,
-        inputs,
-        batch_size: int = 64,
-        num_samples: int | None = None,
-        early_exit_threshold: float | None = None,
-    ):
-        """Microbatched predictive distributions (see ``InferenceEngine.predict_stream``)."""
-        return self.engine.predict_stream(
-            inputs,
-            batch_size=batch_size,
-            num_samples=num_samples,
-            early_exit_threshold=early_exit_threshold,
-        )
-
     def early_exit_predict(
         self, x: np.ndarray, threshold: float, use_ensemble: bool = True
     ) -> EarlyExitResult:

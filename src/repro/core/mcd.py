@@ -5,16 +5,16 @@ The building blocks here are architecture-agnostic:
 * :func:`insert_mcd_into_head` implements the paper's MCD-placement rule —
   dropout layers are inserted *starting from the exit and moving towards the
   input*, one in front of each of the last ``n`` parameterised layers.
-* :class:`MCSampler` draws Monte-Carlo predictive samples from a network
-  that contains :class:`~repro.nn.layers.MCDropout` layers.  It is a thin
-  façade over :class:`repro.inference.NetworkEngine`, the software analogue
-  of the accelerator's **spatial MC-engine mapping** (Phase 2, Figure 4):
-  the deterministic prefix is evaluated once and its activation cached —
-  the hardware's cached-tensor clone step — and the ``S`` samples are then
-  *folded into the batch axis* so the stochastic suffix runs in a single
-  pass, exactly as the replicated MC engines evaluate all samples at once
-  in silicon.  The folded pass is bit-identical to running the suffix once
-  per sample (see :mod:`repro.inference.folding` for the contract).
+* :func:`deterministic_forward` replaces every MCD layer by its
+  expectation, for the non-Bayesian point predictions.
+* :class:`MCPrediction` is the result type of Monte-Carlo sampling.
+
+The sampling itself lives in :mod:`repro.inference`: its engines evaluate
+the deterministic prefix once — the accelerator's cached-tensor clone step
+(Phase 2, Figure 4) — and fold the ``S`` samples into the batch axis so the
+stochastic suffix runs in a single pass, exactly as the replicated MC
+engines evaluate all samples at once in silicon
+(:func:`repro.inference.folding.sample_suffix`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..nn.context import ForwardContext, resolve_context
 from ..nn.layers import Conv2D, Dense, Layer, MCDropout
 from ..nn.model import Network
 
-__all__ = ["insert_mcd_into_head", "deterministic_forward", "MCSampler", "MCPrediction"]
+__all__ = ["insert_mcd_into_head", "deterministic_forward", "MCPrediction"]
 
 
 def insert_mcd_into_head(
@@ -123,34 +123,3 @@ class MCPrediction:
     def predicted_labels(self) -> np.ndarray:
         return self.mean_probs.argmax(axis=1)
 
-
-class MCSampler:
-    """Draw Monte-Carlo predictive samples from a network with MCD layers.
-
-    The sampler splits the network at its first stochastic layer: the
-    deterministic prefix is evaluated once and its activation cached — the
-    accelerator's cached-tensor clone step (Figure 4) — and the ``S``
-    samples are folded into the batch axis so the stochastic suffix runs in
-    a single pass (:class:`repro.inference.NetworkEngine`).  Results are
-    bit-identical to the historical one-pass-per-sample loop, which lives on
-    as ``looped_mc_sample`` in ``tests/inference/reference_loops.py``.
-    """
-
-    def __init__(self, network: Network, seed: int | None = None) -> None:
-        from ..inference.engine import NetworkEngine
-
-        self._engine = NetworkEngine(network, seed=seed)
-        self.network = network
-        self.split_index = network.first_stochastic_index()
-
-    def reseed(self, seed: int) -> None:
-        """Reseed every MCD layer for reproducible sample sequences."""
-        self._engine.reseed(seed)
-
-    @property
-    def has_stochastic_layers(self) -> bool:
-        return self.split_index < len(self.network.layers)
-
-    def sample(self, x: np.ndarray, num_samples: int = 3) -> MCPrediction:
-        """Draw ``num_samples`` predictive samples in one folded pass."""
-        return self._engine.sample(x, num_samples)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ..datasets.synthetic import DatasetSplit
 from ..nn.architectures.common import BackboneSpec
 from ..nn.optimizers import SGD
@@ -140,11 +138,6 @@ class MultiExitOptimizer:
     reference_flops:
         FLOPs of the single-exit non-Bayesian baseline used to normalise the
         ``relative_flops`` metric; computed automatically when omitted.
-    eval_batch_size:
-        When set, candidate evaluation streams the test split through the
-        sample-folded engine in microbatches of this size
-        (``InferenceEngine.predict_stream``), bounding peak activation
-        memory on large evaluation sets.  ``None`` evaluates in one batch.
     """
 
     def __init__(
@@ -159,7 +152,6 @@ class MultiExitOptimizer:
         seed: int = 0,
         reference_flops: float | None = None,
         keep_models: bool = True,
-        eval_batch_size: int | None = None,
     ) -> None:
         self.spec_factory = spec_factory
         self.train_split = train_split
@@ -170,7 +162,6 @@ class MultiExitOptimizer:
         self.distill_weight = float(distill_weight)
         self.seed = int(seed)
         self.keep_models = bool(keep_models)
-        self.eval_batch_size = eval_batch_size
         self._reference_flops = reference_flops
 
     # ------------------------------------------------------------------ #
@@ -215,21 +206,9 @@ class MultiExitOptimizer:
 
         Prediction runs through the model's sample-folded
         :class:`repro.inference.InferenceEngine`: the backbone is evaluated
-        once per (micro)batch and all MC samples share it.
+        once and all MC samples share it.
         """
-        engine = model.engine
-        if self.eval_batch_size is not None:
-            probs = np.concatenate(
-                list(
-                    engine.predict_stream(
-                        self.test_split.x,
-                        batch_size=self.eval_batch_size,
-                        num_samples=candidate.num_mc_samples,
-                    )
-                )
-            )
-        else:
-            probs = engine.predict_proba(self.test_split.x, candidate.num_mc_samples)
+        probs = model.engine.predict_proba(self.test_split.x, candidate.num_mc_samples)
         labels = self.test_split.y
         flops = model.sampling_flops(candidate.num_mc_samples)
         return EvaluatedDesign(

@@ -13,30 +13,26 @@ samples.
 Public surface
 --------------
 :class:`InferenceEngine`
-    Folded MC prediction, per-exit distributions, active-set early exiting
-    and microbatched streaming over a multi-exit MCD BayesNN.
+    Folded MC prediction, per-exit distributions and active-set early
+    exiting over a multi-exit MCD BayesNN.
 :class:`NetworkEngine`
     The same folded hot path for flat single-exit networks.
 :mod:`repro.inference.folding`
     ``fold_batch`` / ``unfold_samples`` / ``folded_forward_range`` primitives
-    with a documented bit-exactness contract.
+    with a documented bit-exactness contract, and ``sample_suffix``, the one
+    fold → stochastic suffix → unfold sampler both engines call.
 :mod:`repro.inference.plan`
     The static plan every engine runs its deterministic prefix through:
     one column arena per engine replica and calling thread, BatchNorm/ReLU/
     residual add in place on the GEMM outputs, bit-identical to
     ``Layer.forward``.
-:func:`iter_microbatches`
-    The synchronous microbatching primitive behind the engines'
-    ``predict_stream``.  Batching independent async arrivals is the serving
-    tier's job (:class:`repro.serving.DynamicBatcher`), not this package's.
 
 The pre-folding per-sample loops the engines must match bit-for-bit are a
 test oracle and live in ``tests/inference/reference_loops.py``.
 """
 
 from .engine import InferenceEngine, NetworkEngine
-from .folding import fold_batch, folded_forward_range, unfold_samples
-from .streaming import iter_microbatches
+from .folding import fold_batch, folded_forward_range, sample_suffix, unfold_samples
 
 __all__ = [
     "InferenceEngine",
@@ -44,5 +40,5 @@ __all__ = [
     "fold_batch",
     "unfold_samples",
     "folded_forward_range",
-    "iter_microbatches",
+    "sample_suffix",
 ]

@@ -1,11 +1,13 @@
 """Sample-folded inference engines.
 
-Two engines share the folded hot path of :mod:`repro.inference.folding`:
+Two engines share one folded sampler,
+:func:`repro.inference.folding.sample_suffix`:
 
 * :class:`NetworkEngine` wraps a flat :class:`~repro.nn.model.Network` (the
-  single-exit Bayes-LeNet/-VGG/-ResNet construction): the deterministic
-  prefix is evaluated once, tiled ``S`` times into the batch axis, and the
-  stochastic suffix runs in a single folded pass.
+  single-exit Bayes-LeNet/-VGG/-ResNet construction, the deep-ensemble
+  members): the deterministic prefix is evaluated once, tiled ``S`` times
+  into the batch axis, and the stochastic suffix runs in a single folded
+  pass.
 * :class:`InferenceEngine` wraps a
   :class:`~repro.core.bayesnn.MultiExitBayesNet`: the backbone runs once per
   batch and its per-segment activations are shared across *all* exits and
@@ -13,8 +15,7 @@ Two engines share the folded hot path of :mod:`repro.inference.folding`:
   layer so only the stochastic head suffix is folded and re-evaluated.
 
 Both engines reproduce the per-sample loops of the test oracle bit-for-bit,
-add a synchronous microbatched ``predict_stream``, and
-:class:`InferenceEngine` implements confidence-based early exiting with
+and :class:`InferenceEngine` implements confidence-based early exiting with
 *active-set masking*: only still-undecided examples are propagated through
 later backbone segments.  Its small content-keyed cache reuses a batch's
 backbone activations only when a later call sees *identical bytes* under the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,9 +38,8 @@ from ..nn.context import ForwardContext
 from ..nn.layers import MCDropout
 from ..nn.layers.activations import softmax
 from ..nn.model import Network
-from .folding import fold_batch, folded_forward_range, unfold_samples
+from .folding import sample_suffix
 from .plan import PrefixPlan
-from .streaming import iter_microbatches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bayesnn import MultiExitBayesNet
@@ -144,7 +144,7 @@ class NetworkEngine:
     network:
         A built :class:`~repro.nn.model.Network`.
     seed:
-        When given, reseeds every MCD layer (as ``MCSampler`` does).
+        When given, reseeds every MCD layer (see :meth:`reseed`).
 
     Notes
     -----
@@ -204,24 +204,8 @@ class NetworkEngine:
             raise ValueError("num_samples must be positive")
         ctx = self.ctx if ctx is None else ctx
         split = self.split_index
-        n_layers = len(self.network.layers)
         prefix = self._plan.forward_range(x, 0, split, ctx)
-
-        if split >= n_layers:
-            # deterministic network: one pass, replicate the sample
-            probs = softmax(prefix, axis=-1)
-            sample_probs = np.stack([probs] * num_samples)
-        else:
-            folded = fold_batch(prefix, num_samples)
-            logits = folded_forward_range(
-                self.network,
-                folded,
-                num_samples,
-                split,
-                n_layers,
-                ctx=ctx,
-            )
-            sample_probs = unfold_samples(softmax(logits, axis=-1), num_samples)
+        sample_probs = sample_suffix(self.network, prefix, split, num_samples, ctx)
         return MCPrediction(
             mean_probs=sample_probs.mean(axis=0), sample_probs=sample_probs
         )
@@ -238,20 +222,6 @@ class NetworkEngine:
             return self.sample(x, num_samples, ctx=ctx).mean_probs
         ctx = self.ctx if ctx is None else ctx
         return softmax(self.network.forward(x, training=False, ctx=ctx), axis=-1)
-
-    def predict_stream(
-        self,
-        inputs: np.ndarray | Iterable[np.ndarray],
-        batch_size: int = 64,
-        num_samples: int | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Microbatched predictive distributions for high-volume workloads.
-
-        Yields one ``(<=batch_size, classes)`` probability array per
-        microbatch; peak memory stays bounded by the microbatch fold.
-        """
-        for batch in iter_microbatches(inputs, batch_size):
-            yield self.predict_proba(batch, num_samples)
 
 
 class InferenceEngine:
@@ -358,19 +328,7 @@ class InferenceEngine:
         """
         split = head.first_stochastic_index()
         prefix = head.forward_range(act, 0, split, training=False, ctx=ctx)
-        if split >= len(head.layers):
-            probs = softmax(prefix, axis=-1)
-            return np.stack([probs] * num_passes)
-        folded = fold_batch(prefix, num_passes)
-        logits = folded_forward_range(
-            head,
-            folded,
-            num_passes,
-            split,
-            len(head.layers),
-            ctx=ctx,
-        )
-        return unfold_samples(softmax(logits, axis=-1), num_passes)
+        return sample_suffix(head, prefix, split, num_passes, ctx)
 
     def predict_mc(
         self,
@@ -567,25 +525,3 @@ class InferenceEngine:
             threshold=float(threshold),
             exit_distribution=distribution,
         )
-
-    # ------------------------------------------------------------------ #
-    # streaming
-    # ------------------------------------------------------------------ #
-    def predict_stream(
-        self,
-        inputs: np.ndarray | Iterable[np.ndarray],
-        batch_size: int = 64,
-        num_samples: int | None = None,
-        early_exit_threshold: float | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Microbatched mean predictive distributions for high-volume workloads.
-
-        Yields one ``(<=batch_size, classes)`` probability array per
-        microbatch.  With ``early_exit_threshold`` set, each microbatch runs
-        through the active-set early-exit path instead of full MC sampling.
-        """
-        for batch in iter_microbatches(inputs, batch_size):
-            if early_exit_threshold is not None:
-                yield self.early_exit_predict(batch, early_exit_threshold).probs
-            else:
-                yield self.predict_proba(batch, num_samples)

@@ -66,6 +66,7 @@ from ..nn.layers import (
     ResidualBlock,
     Softmax,
 )
+from ..nn.layers.activations import softmax
 from ..nn.layers.base import Layer
 from ..nn.model import Network
 
@@ -74,6 +75,7 @@ __all__ = [
     "fold_batch",
     "unfold_samples",
     "folded_forward_range",
+    "sample_suffix",
 ]
 
 #: Layers whose forward pass treats every batch row independently with
@@ -191,3 +193,28 @@ def folded_forward_range(
             out = _sliced_forward(layer, out, num_samples, ctx)
         i += 1
     return out
+
+
+def sample_suffix(
+    network: Network,
+    prefix: np.ndarray,
+    split: int,
+    num_samples: int,
+    ctx: ForwardContext | None = None,
+) -> np.ndarray:
+    """``num_samples`` MC softmax samples of ``network``, shape ``(S, N, classes)``.
+
+    ``prefix`` is the ``(N, …)`` output of layers ``[0, split)``, computed
+    once by the caller.  It is folded ``S`` times and layers
+    ``[split, end)`` run on the fold in one pass — the accelerator's clone
+    step followed by its parallel MC engines.  A network with no layer from
+    ``split`` on (no stochastic layer) returns ``S`` copies of one softmax.
+    """
+    n_layers = len(network.layers)
+    if split >= n_layers:
+        return np.stack([softmax(prefix, axis=-1)] * num_samples)
+    folded = fold_batch(prefix, num_samples)
+    logits = folded_forward_range(
+        network, folded, num_samples, split, n_layers, ctx=ctx
+    )
+    return unfold_samples(softmax(logits, axis=-1), num_samples)

@@ -54,7 +54,7 @@ See ``docs/architecture.md`` for the request dataflow and
 ``examples/serving_demo.py`` for an end-to-end run.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 from .batcher import BatcherStats, DeadlineExceeded, DynamicBatcher, ServerOverloaded
 from .config import BatcherConfig, ServingConfig
@@ -108,7 +108,7 @@ _LAZY_EXPORTS = {
 
 def __getattr__(name: str):
     if name in _LAZY_EXPORTS:
-        value = getattr(import_module(_LAZY_EXPORTS[name], __name__), name)
+        value = getattr(_import_module(_LAZY_EXPORTS[name], __name__), name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

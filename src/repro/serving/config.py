@@ -33,7 +33,13 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from .fleet import FaultInjection, FaultPlan, FleetConfig
+from .fleet import (
+    FaultInjection,
+    FaultPlan,
+    FleetConfig,
+    require_count,
+    require_duration,
+)
 
 __all__ = ["BatcherConfig", "ServingConfig"]
 
@@ -80,14 +86,11 @@ class BatcherConfig:
     admission_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        if self.max_batch_latency <= 0:
-            raise ValueError("max_batch_latency must be positive")
-        if self.max_queue_size <= 0:
-            raise ValueError("max_queue_size must be positive")
-        if self.admission_timeout is not None and self.admission_timeout <= 0:
-            raise ValueError("admission_timeout must be positive seconds")
+        require_count("max_batch_size", self.max_batch_size)
+        require_duration("max_batch_latency", self.max_batch_latency)
+        require_count("max_queue_size", self.max_queue_size)
+        if self.admission_timeout is not None:
+            require_duration("admission_timeout", self.admission_timeout)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form, JSON-ready."""
@@ -143,8 +146,8 @@ class ServingConfig:
     fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.num_samples is not None and self.num_samples <= 0:
-            raise ValueError("num_samples must be positive")
+        if self.num_samples is not None:
+            require_count("num_samples", self.num_samples)
         if self.early_exit_threshold is not None and not (
             0.0 < self.early_exit_threshold < 1.0
         ):
@@ -153,8 +156,7 @@ class ServingConfig:
             raise TypeError(
                 f"batcher must be a BatcherConfig, got {type(self.batcher).__name__}"
             )
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
+        require_count("workers", self.workers)
         if self.worker_backend not in WORKER_BACKENDS:
             raise ValueError(
                 f"worker_backend must be one of {sorted(WORKER_BACKENDS)}, "

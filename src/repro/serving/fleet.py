@@ -50,6 +50,8 @@ makes every chaos run reproducible: no sleeps, no races, no flaky kills.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -69,6 +71,33 @@ __all__ = [
 
 #: lifecycle points a :class:`FaultPlan` can kill a worker at
 FAULT_POINTS = ("pre_doorbell", "mid_compute", "post_response")
+
+
+# Config values can arrive from JSON, whose parser accepts NaN, Infinity,
+# 2.5 and true wherever a number goes: a NaN batch latency spins the event
+# loop, a fractional sample count fails every request.
+def require_int(name: str, value: object) -> None:
+    """Reject anything but an integer (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_count(name: str, value: object) -> None:
+    """Reject a count that is not a positive integer."""
+    require_int(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def require_duration(name: str, value: object) -> None:
+    """Reject a duration that is not a finite, positive number of seconds."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(f"{name} must be positive, finite seconds, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -205,6 +234,14 @@ class FleetConfig:
     scale_up_backlog: float = 4.0
     scale_up_on_shed: bool = True
     scale_down_idle_evals: int = 4
+
+    def __post_init__(self) -> None:
+        for name in ("health_interval", "respawn_wait", "scale_interval"):
+            require_duration(name, getattr(self, name))
+        for name in ("min_workers", "max_workers"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name))
+        require_count("scale_down_idle_evals", self.scale_down_idle_evals)
 
     def resolve_bounds(self, workers: int) -> tuple[int, int]:
         """The concrete (min, max) range given the engine's initial K."""

@@ -8,7 +8,7 @@ calibration and FLOP cost can be compared against the multi-exit approach.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class DeepEnsemble:
             )
             history = trainer.fit(x, y, epochs=epochs)
             final_acc.append(history.accuracy[-1])
-        self._engines = None  # weights changed: rebuild engines (and caches)
+        # the engines read weights at call time; fresh ones restart the
+        # members' dropout streams from their seeds after training
+        self._engines = None
         return final_acc
 
     # ------------------------------------------------------------------ #
@@ -119,23 +121,6 @@ class DeepEnsemble:
     def predict(self, x: np.ndarray, num_samples: int | None = None) -> np.ndarray:
         """Predicted class labels."""
         return self.predict_proba(x, num_samples).argmax(axis=1)
-
-    def predict_stream(
-        self,
-        inputs: np.ndarray | Iterable[np.ndarray],
-        batch_size: int = 64,
-        num_samples: int | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Microbatched ensemble predictive distributions.
-
-        Yields one ``(<=batch_size, classes)`` array per microbatch; every
-        member evaluates the same microbatch before the next one is formed,
-        so peak memory is one microbatch of activations per member.
-        """
-        from ..inference.streaming import iter_microbatches
-
-        for batch in iter_microbatches(inputs, batch_size):
-            yield self.member_probabilities(batch, num_samples).mean(axis=0)
 
     def total_parameters(self) -> int:
         """Total parameter count across all members (the ensemble's memory cost)."""

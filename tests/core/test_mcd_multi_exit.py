@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.mcd import MCSampler, deterministic_forward, insert_mcd_into_head
+from repro.core.mcd import deterministic_forward, insert_mcd_into_head
 from repro.core.multi_exit import (
     CONFIDENCE_THRESHOLDS,
     DROPOUT_RATE_GRID,
@@ -13,6 +13,7 @@ from repro.core.multi_exit import (
     cumulative_exit_ensembles,
     exit_ensemble,
 )
+from repro.inference import NetworkEngine
 from repro.nn.layers import Conv2D, Dense, Flatten, MCDropout, ReLU
 from repro.nn.model import Network
 
@@ -53,7 +54,7 @@ class TestInsertMCD:
             insert_mcd_into_head(self._head(), -1, 0.5)
 
 
-class TestMCSampler:
+class TestNetworkEngineSampling:
     def _bayes_net(self, rate=0.5):
         net = Network(
             [
@@ -67,46 +68,46 @@ class TestMCSampler:
         return net.build((2, 4, 4), seed=0)
 
     def test_sample_shapes(self, rng):
-        sampler = MCSampler(self._bayes_net(), seed=0)
+        sampler = NetworkEngine(self._bayes_net(), seed=0)
         pred = sampler.sample(rng.normal(size=(5, 2, 4, 4)), num_samples=7)
         assert pred.sample_probs.shape == (7, 5, 3)
         assert pred.mean_probs.shape == (5, 3)
         assert pred.num_samples == 7
 
     def test_probabilities_normalised(self, rng):
-        sampler = MCSampler(self._bayes_net(), seed=0)
+        sampler = NetworkEngine(self._bayes_net(), seed=0)
         pred = sampler.sample(rng.normal(size=(4, 2, 4, 4)), num_samples=5)
         np.testing.assert_allclose(pred.sample_probs.sum(axis=-1), 1.0)
         np.testing.assert_allclose(pred.mean_probs.sum(axis=-1), 1.0)
 
     def test_samples_differ_for_stochastic_network(self, rng):
-        sampler = MCSampler(self._bayes_net(), seed=0)
+        sampler = NetworkEngine(self._bayes_net(), seed=0)
         pred = sampler.sample(rng.normal(size=(3, 2, 4, 4)), num_samples=4)
         assert not np.allclose(pred.sample_probs[0], pred.sample_probs[1])
 
     def test_deterministic_network_identical_samples(self, rng):
         net = Network([Flatten(), Dense(3)]).build((2, 4, 4), seed=0)
-        sampler = MCSampler(net)
+        sampler = NetworkEngine(net)
         assert not sampler.has_stochastic_layers
         pred = sampler.sample(rng.normal(size=(2, 2, 4, 4)), num_samples=3)
         np.testing.assert_allclose(pred.sample_probs[0], pred.sample_probs[2])
 
     def test_split_index(self):
         net = self._bayes_net()
-        sampler = MCSampler(net)
+        sampler = NetworkEngine(net)
         assert sampler.split_index == 3
 
     def test_seed_reproducibility(self, rng):
         x = rng.normal(size=(3, 2, 4, 4))
-        a = MCSampler(self._bayes_net(), seed=5).sample(x, 4).sample_probs
-        b = MCSampler(self._bayes_net(), seed=5).sample(x, 4).sample_probs
+        a = NetworkEngine(self._bayes_net(), seed=5).sample(x, 4).sample_probs
+        b = NetworkEngine(self._bayes_net(), seed=5).sample(x, 4).sample_probs
         np.testing.assert_allclose(a, b)
 
     def test_caching_equivalent_to_full_forward(self, rng):
         """Cached-prefix sampling must equal running the full network each time."""
         net = self._bayes_net(rate=0.25)
         x = rng.normal(size=(4, 2, 4, 4))
-        sampler = MCSampler(net, seed=9)
+        sampler = NetworkEngine(net, seed=9)
         cached = sampler.sample(x, num_samples=3).sample_probs
 
         net2 = self._bayes_net(rate=0.25)
@@ -119,13 +120,13 @@ class TestMCSampler:
         np.testing.assert_allclose(cached, full, atol=1e-12)
 
     def test_invalid_sample_count(self, rng):
-        sampler = MCSampler(self._bayes_net())
+        sampler = NetworkEngine(self._bayes_net())
         with pytest.raises(ValueError):
             sampler.sample(rng.normal(size=(1, 2, 4, 4)), num_samples=0)
 
     def test_unbuilt_network_rejected(self):
         with pytest.raises(ValueError):
-            MCSampler(Network([Dense(2)]))
+            NetworkEngine(Network([Dense(2)]))
 
     def test_deterministic_forward_ignores_mcd(self, rng):
         net = self._bayes_net()

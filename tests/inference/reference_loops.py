@@ -1,7 +1,7 @@
 """Reference (pre-folding) inference loops, kept for regression and benchmarks.
 
-These are verbatim ports of the per-sample Python loops that
-:class:`~repro.core.mcd.MCSampler` and
+These are verbatim ports of the per-sample Python loops that the
+single-exit sampler (now :class:`~repro.inference.NetworkEngine`) and
 :class:`~repro.core.bayesnn.MultiExitBayesNet` used before the sample-folded
 :mod:`repro.inference` engine replaced them.  They define the behaviour the
 folded hot path must reproduce **bit-for-bit** (same seeds ⇒ identical
@@ -38,7 +38,7 @@ __all__ = ["looped_mc_sample", "looped_predict_mc", "eager_early_exit"]
 def looped_mc_sample(
     network: Network, x: np.ndarray, num_samples: int
 ) -> "MCPrediction":
-    """Legacy ``MCSampler.sample``: one stochastic suffix pass per sample."""
+    """Legacy single-exit sampling: one stochastic suffix pass per sample."""
     from repro.core.mcd import MCPrediction
 
     if num_samples <= 0:

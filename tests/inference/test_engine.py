@@ -10,10 +10,12 @@ from repro.inference import (
     NetworkEngine,
     fold_batch,
     folded_forward_range,
-    iter_microbatches,
+    sample_suffix,
     unfold_samples,
 )
-from repro.nn.layers import Dense, Flatten, MCDropout, ReLU
+from repro.nn.context import ForwardContext
+from repro.nn.layers import Conv2D, Dense, Flatten, MCDropout, ReLU
+from repro.nn.layers.activations import softmax
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
@@ -74,50 +76,34 @@ class TestFolding:
         with pytest.raises(RuntimeError):
             folded_forward_range(Network([Dense(2)]), x, 2, 0, 1)
 
-
-# --------------------------------------------------------------------------- #
-# microbatching
-# --------------------------------------------------------------------------- #
-class TestMicrobatches:
-    def test_array_is_sliced(self, rng):
-        x = rng.normal(size=(10, 3))
-        batches = list(iter_microbatches(x, 4))
-        assert [b.shape[0] for b in batches] == [4, 4, 2]
-        np.testing.assert_array_equal(np.concatenate(batches), x)
-
-    def test_example_stream_is_stacked(self, rng):
-        examples = [rng.normal(size=(3, 4, 4)) for _ in range(5)]
-        batches = list(iter_microbatches(iter(examples), 2))
-        assert [b.shape for b in batches] == [(2, 3, 4, 4)] * 2 + [(1, 3, 4, 4)]
-        np.testing.assert_array_equal(np.concatenate(batches), np.stack(examples))
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            list(iter_microbatches(np.zeros((4, 2)), 0))
-
-    def test_negative_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            list(iter_microbatches(iter([np.zeros(2)]), -1))
-
-    def test_array_batches_are_views(self, rng):
-        x = rng.normal(size=(7, 3))
-        for batch in iter_microbatches(x, 3):
-            assert np.shares_memory(batch, x)
-
-    def test_exact_multiple_and_empty_inputs(self, rng):
-        x = rng.normal(size=(8, 2))
-        assert [b.shape[0] for b in iter_microbatches(x, 4)] == [4, 4]
-        assert [b.shape[0] for b in iter_microbatches(iter(x), 4)] == [4, 4]
-        assert list(iter_microbatches(x[:0], 4)) == []
-        assert list(iter_microbatches(iter([]), 4)) == []
-
-    def test_source_errors_propagate(self):
-        def broken():
-            yield np.zeros(2)
-            raise RuntimeError("sensor died")
-
-        with pytest.raises(RuntimeError, match="sensor died"):
-            list(iter_microbatches(broken(), 8))
+    @pytest.mark.parametrize("head", ["dense", "conv"])
+    def test_sample_suffix_is_s_sequential_suffix_passes(self, rng, head):
+        if head == "dense":
+            net, shape = _bayes_net(), (2, 4, 4)
+        else:
+            layers = [
+                Conv2D(3, name="c1"),
+                ReLU(),
+                MCDropout(0.5, filter_wise=True, name="mcd", seed=4),
+                Conv2D(2, name="c2"),
+                Flatten(),
+                Dense(3, name="out"),
+            ]
+            net, shape = Network(layers).build((2, 5, 5), seed=0), (2, 5, 5)
+        split, end = net.first_stochastic_index(), len(net.layers)
+        prefix = net.forward_range(rng.normal(size=(3,) + shape), 0, split)
+        # two fresh contexts draw the same per-layer streams
+        folded = sample_suffix(net, prefix, split, 4, ForwardContext())
+        looped_ctx = ForwardContext()
+        looped = np.stack(
+            [
+                softmax(net.forward_range(prefix, split, end, ctx=looped_ctx))
+                for _ in range(4)
+            ]
+        )
+        assert folded.shape == (4, 3, 3)
+        np.testing.assert_array_equal(folded, looped)
+        assert not np.array_equal(folded[0], folded[1])
 
 
 # --------------------------------------------------------------------------- #
@@ -146,25 +132,6 @@ class TestNetworkEngine:
         with pytest.raises(ValueError):
             NetworkEngine(_bayes_net()).sample(rng.normal(size=(1, 2, 4, 4)), 0)
 
-    def test_predict_stream_matches_full_batch(self, rng):
-        net = Network([Flatten(), Dense(3)]).build((2, 4, 4), seed=0)
-        engine = NetworkEngine(net)
-        x = rng.normal(size=(10, 2, 4, 4))
-        streamed = np.concatenate(list(engine.predict_stream(x, batch_size=3)))
-        np.testing.assert_allclose(streamed, engine.predict_proba(x), atol=1e-12)
-
-    def test_predict_stream_example_stream_matches_array(self, rng):
-        x = rng.normal(size=(5, 2, 4, 4))
-        from_array = NetworkEngine(_bayes_net(), seed=0).predict_stream(
-            x, batch_size=2, num_samples=3
-        )
-        from_rows = NetworkEngine(_bayes_net(), seed=0).predict_stream(
-            (row for row in x), batch_size=2, num_samples=3
-        )
-        for a, b in zip(from_array, from_rows, strict=True):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
-
 
 # --------------------------------------------------------------------------- #
 # InferenceEngine
@@ -181,6 +148,14 @@ class TestInferenceEngine:
         pred = model.predict_mc(x, 7)
         assert pred.sample_probs.shape == (7, 5, 5)
         np.testing.assert_allclose(pred.sample_probs.sum(axis=-1), 1.0)
+
+    def test_predict_mc_without_mcd_round_robins_the_exits(self, rng):
+        model = _multi_exit(mcd_layers=0, rate=0.0)
+        x = rng.normal(size=(4, 1, 12, 12))
+        exits = model.exit_probabilities(x, stochastic=False)
+        pred = model.predict_mc(x, 5)  # 3 passes x 2 exits, truncated to 5
+        want = np.stack([exits[k % 2] for k in range(5)])
+        np.testing.assert_array_equal(pred.sample_probs, want)
 
     def test_activation_cache_shared_across_methods(self, rng):
         model = _multi_exit()
@@ -239,30 +214,6 @@ class TestInferenceEngine:
         b = model.exit_probabilities(x, stochastic=False)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa, pb)
-
-    def test_predict_stream_matches_predict_proba(self, rng):
-        model = _multi_exit(mcd_layers=0, rate=0.0)  # deterministic for equality
-        x = rng.normal(size=(9, 1, 12, 12))
-        streamed = np.concatenate(list(model.predict_stream(x, batch_size=4)))
-        np.testing.assert_allclose(streamed, model.predict_proba(x), atol=1e-12)
-
-    def test_predict_stream_early_exit_mode(self, rng):
-        model = _multi_exit(mcd_layers=0, rate=0.0)
-        x = rng.normal(size=(6, 1, 12, 12))
-        streamed = np.concatenate(
-            list(model.predict_stream(x, batch_size=3, early_exit_threshold=0.5))
-        )
-        assert streamed.shape == (6, 5)
-        np.testing.assert_allclose(streamed.sum(axis=1), 1.0)
-
-    def test_predict_stream_early_exit_matches_early_exit_predict(self, rng):
-        model = _multi_exit(mcd_layers=0, rate=0.0)
-        x = rng.normal(size=(6, 1, 12, 12))
-        batches = list(model.predict_stream(x, batch_size=3, early_exit_threshold=0.5))
-        assert [b.shape for b in batches] == [(3, 5), (3, 5)]
-        for start, batch in zip((0, 3), batches):
-            want = model.engine.early_exit_predict(x[start : start + 3], 0.5).probs
-            np.testing.assert_array_equal(batch, want)
 
 
 class TestActiveSetEarlyExit:

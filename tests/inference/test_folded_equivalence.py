@@ -1,7 +1,7 @@
 """Folded-vs-looped equivalence: the refactor must be bit-invisible.
 
 These tests guard the acceptance criterion of the sample-folded engine:
-for a fixed seed, ``MCSampler.sample`` and ``MultiExitBayesNet.predict_mc``
+for a fixed seed, ``NetworkEngine.sample`` and ``MultiExitBayesNet.predict_mc``
 (now folded) produce **bit-identical** ``sample_probs`` to the pre-refactor
 per-sample loops, which live on verbatim in :mod:`.reference_loops`.
 """
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    MCSampler,
     MultiExitBayesNet,
     MultiExitConfig,
     single_exit_bayesnet,
@@ -36,18 +35,18 @@ def _batch(shape, n=6, seed=0):
 
 
 # --------------------------------------------------------------------------- #
-# MCSampler (single-exit Bayes nets) vs the legacy per-sample loop
+# NetworkEngine (single-exit Bayes nets) vs the legacy per-sample loop
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("arch", sorted(SPECS))
 @pytest.mark.parametrize("num_mcd_layers", [1, 3])
-def test_mcsampler_bit_identical_to_legacy_loop(arch, num_mcd_layers):
+def test_network_engine_bit_identical_to_legacy_loop(arch, num_mcd_layers):
     spec_fn, shape = SPECS[arch]
     x = _batch(shape)
 
     folded_net = single_exit_bayesnet(spec_fn(), num_mcd_layers=num_mcd_layers, seed=0)
     looped_net = single_exit_bayesnet(spec_fn(), num_mcd_layers=num_mcd_layers, seed=0)
 
-    folded = MCSampler(folded_net, seed=11).sample(x, num_samples=5)
+    folded = NetworkEngine(folded_net, seed=11).sample(x, num_samples=5)
     NetworkEngine(looped_net, seed=11)  # reseed the twin's MCD layers identically
     looped = looped_mc_sample(looped_net, x, num_samples=5)
 
@@ -55,12 +54,12 @@ def test_mcsampler_bit_identical_to_legacy_loop(arch, num_mcd_layers):
     np.testing.assert_array_equal(folded.mean_probs, looped.mean_probs)
 
 
-def test_mcsampler_repeated_calls_stay_aligned_with_loop(lenet_spec_small):
+def test_network_engine_repeated_calls_stay_aligned_with_loop(lenet_spec_small):
     """The folded pass consumes exactly the legacy RNG stream per call."""
     x = _batch((1, 12, 12))
     net_a = single_exit_bayesnet(lenet_spec_small, num_mcd_layers=2, seed=0)
     net_b = single_exit_bayesnet(small_lenet_spec(), num_mcd_layers=2, seed=0)
-    sampler = MCSampler(net_a, seed=3)
+    sampler = NetworkEngine(net_a, seed=3)
     NetworkEngine(net_b, seed=3)
     for num_samples in (1, 4, 2):
         folded = sampler.sample(x, num_samples)

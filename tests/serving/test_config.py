@@ -34,6 +34,14 @@ def _model():
         ({"max_batch_latency": 0}, "max_batch_latency must be positive"),
         ({"max_queue_size": -1}, "max_queue_size must be positive"),
         ({"admission_timeout": 0.0}, "admission_timeout must be positive"),
+        # NaN made the batcher's flush deadline NaN: the loop spun forever
+        ({"max_batch_latency": float("nan")}, "max_batch_latency must be positive"),
+        # Infinity never dispatched a lone request
+        ({"max_batch_latency": float("inf")}, "max_batch_latency must be positive"),
+        ({"admission_timeout": float("nan")}, "admission_timeout must be positive"),
+        ({"max_batch_size": 2.5}, "max_batch_size must be an int"),
+        ({"max_batch_size": True}, "max_batch_size must be an int"),
+        ({"max_queue_size": 8.0}, "max_queue_size must be an int"),
     ],
 )
 def test_batcher_config_validates_eagerly(kwargs, match):
@@ -57,11 +65,34 @@ def test_batcher_config_validates_eagerly(kwargs, match):
             {"workers": 4, "fleet": FleetConfig(min_workers=8)},
             "fleet bounds must satisfy",
         ),
+        # a fractional sample count failed every request at slicing
+        ({"num_samples": 2.5}, "num_samples must be an int"),
+        ({"num_samples": True}, "num_samples must be an int"),
+        ({"workers": 2.0}, "workers must be an int"),
+        ({"workers": True}, "workers must be an int"),
     ],
 )
 def test_serving_config_validates_eagerly(kwargs, match):
     with pytest.raises(ValueError, match=match):
         ServingConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "match"),
+    [
+        # a zero or negative interval spun the supervisor loop while idle
+        ({"health_interval": 0}, "health_interval must be positive"),
+        ({"health_interval": -0.5}, "health_interval must be positive"),
+        ({"health_interval": float("nan")}, "health_interval must be positive"),
+        ({"respawn_wait": float("inf")}, "respawn_wait must be positive"),
+        ({"scale_interval": 0.0}, "scale_interval must be positive"),
+        ({"min_workers": 1.5}, "min_workers must be an int"),
+        ({"scale_down_idle_evals": True}, "scale_down_idle_evals must be an int"),
+    ],
+)
+def test_fleet_config_validates_eagerly(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        FleetConfig(**kwargs)
 
 
 def test_serving_config_rejects_non_batcher_config():
@@ -121,6 +152,20 @@ def test_to_dict_round_trips_through_json():
     assert rebuilt.fault_plan is not config.fault_plan
     # defaults survive a minimal dict too
     assert ServingConfig.from_dict({"workers": 2}).batcher == BatcherConfig()
+
+
+@pytest.mark.parametrize(
+    ("wire", "match"),
+    [
+        ('{"batcher": {"max_batch_latency": NaN}}', "max_batch_latency must be"),
+        ('{"batcher": {"max_batch_latency": Infinity}}', "max_batch_latency must"),
+        ('{"num_samples": 2.5}', "num_samples must be an int"),
+        ('{"fleet": {"health_interval": 0}}', "health_interval must be positive"),
+    ],
+)
+def test_from_dict_rejects_what_json_lets_through(wire, match):
+    with pytest.raises(ValueError, match=match):
+        ServingConfig.from_dict(json.loads(wire))
 
 
 def test_from_dict_rejects_unknown_fields():

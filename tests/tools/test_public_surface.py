@@ -3,8 +3,8 @@
 A name left in ``__all__`` after its module was deleted or moved, or a
 public name imported into the package but not exported, fails here at
 import speed instead of in whichever test happens to use it.
-(``repro.serving`` resolves its exports lazily through ``__getattr__``,
-so its namespace is not a list of what it exports; it is not checked.)
+``repro.serving`` resolves its CLI-backed exports lazily through
+``__getattr__``, so its check adds ``_LAZY_EXPORTS`` to the eager names.
 """
 
 from __future__ import annotations
@@ -43,3 +43,14 @@ def test_all_is_exactly_the_package_namespace(package):
     module = importlib.import_module(package)
     assert len(set(module.__all__)) == len(module.__all__)
     assert set(module.__all__) == _public_names(module)
+
+
+def test_serving_exports_its_eager_names_and_its_lazy_ones():
+    serving = importlib.import_module("repro.serving")
+    lazy = set(serving._LAZY_EXPORTS)
+    # a lazy name lands in the namespace once something has resolved it
+    eager = _public_names(serving) - lazy
+    assert len(set(serving.__all__)) == len(serving.__all__)
+    assert set(serving.__all__) == eager | lazy
+    for name in serving.__all__:
+        assert getattr(serving, name) is not None
