@@ -2,17 +2,16 @@
 
 Phase 4 of the transformation framework lowers the optimised multi-exit MCD
 BayesNN into a dataflow graph of hardware layer nodes, from which the HLS
-code generator emits the accelerator sources.  The IR is a
-:class:`networkx.DiGraph` whose nodes are :class:`HWLayerNode` records; the
-graph distinguishes the deterministic region (instantiated once) from the
-Bayesian region (replicated per MC engine under spatial mapping).
+code generator emits the accelerator sources.  The IR is a chain of
+:class:`HWLayerNode` records in execution order (each node feeds the next,
+so it is acyclic by construction); it distinguishes the deterministic
+region (instantiated once) from the Bayesian region (replicated per MC
+engine under spatial mapping).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..accelerator import AcceleratorModel
 
@@ -65,39 +64,43 @@ class HWLayerNode:
 
 
 class HardwareIR:
-    """Dataflow-graph view of an accelerator design."""
+    """Dataflow-chain view of an accelerator design."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.graph = nx.DiGraph()
-        self._order: list[str] = []
+        #: design-level facts: mapping, device, bitwidth, reuse factor and
+        #: the cache boundary
+        self.metadata: dict = {}
+        self._nodes: dict[str, HWLayerNode] = {}
 
     # ------------------------------------------------------------------ #
     @classmethod
     def from_accelerator(cls, accel: AcceleratorModel) -> "HardwareIR":
         """Lower an :class:`AcceleratorModel` into a hardware IR."""
         ir = cls(name=accel.name)
-        previous: str | None = None
         for desc in accel.deterministic_descs:
-            previous = ir._append(desc, "deterministic", previous)
-        boundary = previous
+            ir._append(desc, "deterministic")
+        boundary = next(reversed(ir._nodes), None)
         for desc in accel.bayesian_descs:
-            previous = ir._append(desc, "bayesian", previous)
-        ir.graph.graph["mapping"] = accel.mapping.describe()
-        ir.graph.graph["device"] = accel.device.name
-        ir.graph.graph["bitwidth"] = accel.config.weight_bitwidth
-        ir.graph.graph["reuse_factor"] = accel.config.reuse_factor
-        ir.graph.graph["cache_boundary"] = boundary
+            ir._append(desc, "bayesian")
+        ir.metadata.update(
+            mapping=accel.mapping.describe(),
+            device=accel.device.name,
+            bitwidth=accel.config.weight_bitwidth,
+            reuse_factor=accel.config.reuse_factor,
+            cache_boundary=boundary,
+        )
         return ir
 
-    def _append(self, desc: dict, region: str, previous: str | None) -> str:
+    def _append(self, desc: dict, region: str) -> None:
+        """Add the node for ``desc`` at the end of the chain."""
         source_type = desc["type"]
         kernel = _HW_KERNELS.get(source_type, "passthrough")
         name = desc.get("name", source_type.lower())
         # guard against duplicate node names (flatten layers etc.)
         unique = name
         suffix = 1
-        while unique in self.graph:
+        while unique in self._nodes:
             suffix += 1
             unique = f"{name}_{suffix}"
         node = HWLayerNode(
@@ -113,16 +116,17 @@ class HardwareIR:
                 if k not in ("type", "name", "input_shape", "output_shape", "sublayers")
             },
         )
-        self.graph.add_node(unique, node=node)
-        self._order.append(unique)
-        if previous is not None:
-            self.graph.add_edge(previous, unique)
-        return unique
+        self._nodes[unique] = node
 
     # ------------------------------------------------------------------ #
     def nodes(self) -> list[HWLayerNode]:
         """All layer nodes in execution order."""
-        return [self.graph.nodes[n]["node"] for n in self._order]
+        return list(self._nodes.values())
+
+    def edges(self) -> list[tuple[str, str]]:
+        """The dataflow edges: each node's name paired with its successor's."""
+        names = list(self._nodes)
+        return list(zip(names, names[1:]))
 
     def deterministic_nodes(self) -> list[HWLayerNode]:
         return [n for n in self.nodes() if not n.is_bayesian]
@@ -136,14 +140,12 @@ class HardwareIR:
     @property
     def cache_boundary(self) -> str | None:
         """Name of the last deterministic node (where the tensor is cached)."""
-        return self.graph.graph.get("cache_boundary")
+        return self.metadata.get("cache_boundary")
 
     def validate(self) -> None:
         """Check structural invariants of the IR."""
-        if not self._order:
+        if not self._nodes:
             raise ValueError("IR contains no layers")
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError("hardware IR must be acyclic")
         seen_bayesian = False
         for node in self.nodes():
             if node.is_bayesian:
@@ -157,13 +159,13 @@ class HardwareIR:
     def describe(self) -> dict:
         return {
             "name": self.name,
-            "num_layers": len(self._order),
+            "num_layers": len(self._nodes),
             "num_bayesian_layers": len(self.bayesian_nodes()),
             "num_mcd_layers": len(self.mcd_nodes()),
-            "mapping": self.graph.graph.get("mapping"),
-            "device": self.graph.graph.get("device"),
-            "bitwidth": self.graph.graph.get("bitwidth"),
-            "reuse_factor": self.graph.graph.get("reuse_factor"),
+            "mapping": self.metadata.get("mapping"),
+            "device": self.metadata.get("device"),
+            "bitwidth": self.metadata.get("bitwidth"),
+            "reuse_factor": self.metadata.get("reuse_factor"),
         }
 
 

@@ -10,8 +10,10 @@ repository.
 There is one gather.  :func:`im2col` (and its patch-major form
 :func:`im2col_patches`) serves training, pooling, the sample-folded suffix
 and the planned inference prefix alike: the input is written into a
-zero-bordered image once and a single ``np.copyto`` from a strided window
-view puts every column in its final place.  Callers that lower the same
+zero-bordered channels-first image once (or read in place, when it needs
+no border and is already NCHW-contiguous), and a single ``np.copyto``
+moves whole ``kernel_w``-element kernel rows from a strided view of that
+image into their final place in the columns.  Callers that lower the same
 layers batch after batch pass a :class:`ColumnArena` and get the columns
 as a view of reusable scratch; everyone else gets a fresh array.  The
 memory order of the result (C-contiguous, except the column-major view for
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "pad_input",
@@ -87,12 +88,14 @@ class ColumnArena:
       gather has asked for and carved per call into a view of the caller's
       dtype — so a float32 batch never turns the buffer a later float64
       batch reads into float32 storage; and
-    * one zero-bordered NHWC image per distinct ``(H + 2p, W + 2p, C)``
+    * one channels-first image per distinct ``(C, H + 2p, W + 2p)``
       geometry, padding ``p`` and dtype, grown to the largest batch seen.
       Only the interior is ever written, so the border is zeroed once —
       which is why ``p`` is part of the key: a 6×6 input at ``p = 1`` and
       a 4×4 input at ``p = 2`` both pad to 8×8, and the second would read
-      the first one's interior as its border.
+      the first one's interior as its border.  An unpadded gather needs an
+      image only when its input is not NCHW-contiguous (the NCHW view of
+      NHWC memory that convolutions emit): then it is the ``p = 0`` copy.
 
     Both are bounded by the layer list and the largest batch: nothing here
     grows with the number of calls.  A column matrix returned by
@@ -115,7 +118,7 @@ class ColumnArena:
     def bordered(
         self, shape: tuple[int, ...], padding: int, dtype: np.dtype
     ) -> np.ndarray:
-        """A ``(N, H', W', C)`` image whose ``padding``-wide border is zero."""
+        """A ``(N, C, H', W')`` image whose ``padding``-wide border is zero."""
         key = (shape[1:], padding, dtype.str)
         image = self._bordered.get(key)
         if image is None or image.shape[0] < shape[0]:
@@ -123,53 +126,45 @@ class ColumnArena:
         return image[: shape[0]]
 
 
-def _windows(
+def _image(
     x: np.ndarray,
     kernel_h: int,
     kernel_w: int,
     stride: int,
     padding: int,
     arena: ColumnArena | None,
-) -> np.ndarray:
-    """Read-only ``(N, C, kh, kw, oh, ow)`` window view over zero-padded ``x``.
+) -> tuple[np.ndarray, int, int]:
+    """``(image, out_h, out_w)``: ``x`` in a C-contiguous zero-bordered NCHW image.
 
-    No element is copied except ``x`` itself into the interior of a
-    zero-bordered NHWC image (skipped when ``padding == 0``): the six axes
-    are strides over that image, so a single ``np.copyto`` from any
-    transposition of the view *is* the gather.
+    The image is ``x`` itself when there is no border to add and ``x`` is
+    already NCHW-contiguous; otherwise ``x`` is copied into the interior of
+    a fresh image or of the arena's.  Either way the ``kernel_w`` elements
+    of one kernel row are adjacent in it, which is what lets a gather move
+    whole rows.
     """
     if padding < 0:
         raise ValueError("padding must be non-negative")
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    if padding:
-        shape = (n, h + 2 * padding, w + 2 * padding, c)
-        if arena is None:
-            image = np.zeros(shape, dtype=x.dtype)
-        else:
-            image = arena.bordered(shape, padding, x.dtype)
-        image[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
-        s_n, s_h, s_w, s_c = image.strides
+    if not padding and x.flags.c_contiguous:
+        return x, out_h, out_w
+    shape = (n, c, h + 2 * padding, w + 2 * padding)
+    if arena is not None:
+        image = arena.bordered(shape, padding, x.dtype)
     else:
-        image = x
-        s_n, s_c, s_h, s_w = x.strides
-    return as_strided(
-        image,
-        (n, c, kernel_h, kernel_w, out_h, out_w),
-        (s_n, s_c, s_h, s_w, stride * s_h, stride * s_w),
-        writeable=False,
-    )
+        image = (np.zeros if padding else np.empty)(shape, dtype=x.dtype)
+    image[:, :, padding : padding + h, padding : padding + w] = x
+    return image, out_h, out_w
 
 
-def _gather(windows: np.ndarray, arena: ColumnArena | None) -> np.ndarray:
-    """Materialise a window view (in its current axis order) in one copy."""
+def _scratch(
+    shape: tuple[int, ...], dtype: np.dtype, arena: ColumnArena | None
+) -> np.ndarray:
+    """A C-contiguous ``shape`` array: fresh, or a view of the arena."""
     if arena is None:
-        out = np.empty(windows.shape, dtype=windows.dtype)
-    else:
-        out = arena.columns(windows.shape, windows.dtype)
-    np.copyto(out, windows)
-    return out
+        return np.empty(shape, dtype=dtype)
+    return arena.columns(shape, dtype)
 
 
 def im2col(
@@ -203,10 +198,13 @@ def im2col(
 
     Notes
     -----
-    The gather is one pass: ``x`` goes into a zero-bordered image once and a
-    single ``np.copyto`` from a strided window view writes every column in
-    its final place.  The memory order of the result is part of the
-    contract, because BLAS kernel choice (and strided reductions such as
+    The gather moves kernel rows, not elements: in the channels-first
+    image the ``kernel_w`` elements of a row are adjacent, so viewing them
+    as one ``kernel_w · itemsize``-byte void item makes both the image and
+    the column matrix ``(N, out_h, out_w, C, kernel_h)`` arrays of runs,
+    and a single ``np.copyto`` between the two writes every column in its
+    final place.  The memory order of the result is part of the contract,
+    because BLAS kernel choice (and strided reductions such as
     :class:`~repro.nn.layers.pooling.AvgPool2D`'s mean) follow it:
     C-contiguous for ``N > 1``, and for ``N == 1`` the column-major view
     with strides ``(itemsize, out_h * out_w * itemsize)`` that the
@@ -217,9 +215,17 @@ def im2col(
         patches = im2col_patches(x, kernel_h, kernel_w, stride, padding, arena)
         out_h, out_w = patches.shape[4], patches.shape[5]
         return patches.transpose(0, 4, 5, 1, 2, 3).reshape(out_h * out_w, -1)
-    windows = _windows(x, kernel_h, kernel_w, stride, padding, arena)
-    cols = _gather(windows.transpose(0, 4, 5, 1, 2, 3), arena)
-    return cols.reshape(math.prod(cols.shape[:3]), -1)
+    image, out_h, out_w = _image(x, kernel_h, kernel_w, stride, padding, arena)
+    n, c = x.shape[:2]
+    s_n, s_c, s_h, s_w = image.strides
+    run = np.dtype((np.void, kernel_w * x.itemsize))
+    runs = (n, out_h, out_w, c, kernel_h)
+    rows = np.ndarray(
+        runs, run, buffer=image, strides=(s_n, stride * s_h, stride * s_w, s_c, s_h)
+    )
+    cols = _scratch((n * out_h * out_w, c * kernel_h * kernel_w), x.dtype, arena)
+    np.copyto(cols.view(run).reshape(runs), rows)
+    return cols
 
 
 def im2col_patches(
@@ -233,13 +239,29 @@ def im2col_patches(
     """Gather convolution patches into a 6-D tensor.
 
     Returns the C-contiguous ``(N, C, kernel_h, kernel_w, out_h, out_w)``
-    patch tensor — the same single-pass gather as :func:`im2col`, written in
-    patch-major order.  Its per-example slice, flattened NHW-major, is the
+    patch tensor — one ``np.copyto`` from a window view of the same
+    channels-first image :func:`im2col` reads, written in patch-major order.
+    At stride 1 the ``out_w`` elements of a patch row are adjacent in the
+    image as well, so they move as one void item; at larger strides they
+    move one at a time.  Its per-example slice, flattened NHW-major, is the
     ``N == 1`` column matrix of :func:`im2col` as a view, which is what the
     sample-folded convolution path carves out of one gather over the whole
     fold (see :meth:`repro.nn.layers.conv.Conv2D.forward_folded`).
     """
-    return _gather(_windows(x, kernel_h, kernel_w, stride, padding, arena), arena)
+    image, out_h, out_w = _image(x, kernel_h, kernel_w, stride, padding, arena)
+    s_n, s_c, s_h, s_w = image.strides
+    shape = x.shape[:2] + (kernel_h, kernel_w, out_h, out_w)
+    run_w = out_w if stride == 1 else 1
+    run = np.dtype((np.void, run_w * x.itemsize))
+    windows = np.ndarray(
+        shape[:5] + (out_w // run_w,),
+        run,
+        buffer=image,
+        strides=(s_n, s_c, s_h, s_w, stride * s_h, stride * s_w),
+    )
+    patches = _scratch(shape, x.dtype, arena)
+    np.copyto(patches.view(run).reshape(windows.shape), windows)
+    return patches
 
 
 def col2im(
@@ -262,26 +284,37 @@ def col2im(
     Returns
     -------
     np.ndarray
-        Gradient image of shape ``(N, C, H, W)``.
+        Gradient image of shape ``(N, C, H, W)``: the interior view of a
+        fresh C-contiguous ``(N, C, H + 2p + stride - 1, W + 2p + stride - 1)``
+        buffer, whose strides downstream reductions (``BatchNorm``'s
+        backward sums) follow.
+
+    Notes
+    -----
+    The patches are added channels-last, into a zero ``(N, H', W', C)``
+    image, so that each kernel position's ``+=`` writes whole
+    ``(out_w, C)`` rows; every pixel still receives its additions in
+    ``(ky, kx)`` order starting from ``+0.0``.  The interior is then copied
+    into the channels-first buffer.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
+    size_h = h + 2 * padding + stride - 1
+    size_w = w + 2 * padding + stride - 1
 
-    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    img = np.zeros(
-        (n, c, h + 2 * padding + stride - 1, w + 2 * padding + stride - 1),
-        dtype=cols.dtype,
-    )
+    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+    img = np.zeros((n, size_h, size_w, c), dtype=cols.dtype)
     for ky in range(kernel_h):
         y_max = ky + stride * out_h
         for kx in range(kernel_w):
             x_max = kx + stride * out_w
-            img[:, :, ky:y_max:stride, kx:x_max:stride] += cols[:, :, ky, kx, :, :]
+            img[:, ky:y_max:stride, kx:x_max:stride] += cols[..., ky, kx]
 
-    return img[:, :, padding : h + padding, padding : w + padding]
+    rows, columns = slice(padding, h + padding), slice(padding, w + padding)
+    out = np.empty((n, c, size_h, size_w), dtype=cols.dtype)[:, :, rows, columns]
+    np.copyto(out, img[:, rows, columns].transpose(0, 3, 1, 2))
+    return out
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

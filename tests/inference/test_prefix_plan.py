@@ -338,7 +338,7 @@ def test_one_engine_shared_by_two_threads_with_per_call_contexts():
 
 
 def test_convolutions_of_equal_padded_geometry_share_one_arena():
-    """6x6 at p=1 and 4x4 at p=2 both pad to 8x8x2: the second convolution's
+    """6x6 at p=1 and 4x4 at p=2 both pad to 2x8x8: the third convolution's
     zero border must not be the first one's interior."""
     net = Network(
         [Conv2D(2, 3, padding=1), Conv2D(2, 3, padding=0), Conv2D(2, 5, padding=2)]
@@ -350,7 +350,14 @@ def test_convolutions_of_equal_padded_geometry_share_one_arena():
             [plan.forward_range(x, 0, 3, ForwardContext())],
             [net.forward_range(x, 0, 3, training=False)],
         )
-    assert len(plan.arena._bordered) == 2
+    # the two paddings that reach 2x8x8 get one image each; the third image
+    # is the unpadded convolution's NCHW copy of its channels-last input
+    assert sorted(key[:2] for key in plan.arena._bordered) == [
+        ((2, 6, 6), 0),
+        ((2, 8, 8), 1),
+        ((2, 8, 8), 2),
+    ]
+    assert len(plan.arena._bordered) == 3
 
 
 # --------------------------------------------------------------------------- #

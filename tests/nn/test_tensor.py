@@ -167,6 +167,30 @@ def _historical_im2col(x, kh, kw, stride, padding):
     return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
 
 
+def _historical_col2im(cols, input_shape, kh, kw, stride, padding):
+    """The NCHW scatter-add this repo grew up on.
+
+    Kept as the oracle for the bits *and* the memory order of the gradient
+    image: each pixel's additions in ``(ky, kx)`` order from ``+0.0``, and
+    the interior view of a C-contiguous padded NCHW buffer, whose strides
+    ``BatchNorm``'s backward sums follow.
+    """
+    n, c, h, w = input_shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    img = np.zeros(
+        (n, c, h + 2 * padding + stride - 1, w + 2 * padding + stride - 1),
+        dtype=cols.dtype,
+    )
+    for ky in range(kh):
+        for kx in range(kw):
+            img[
+                :, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride
+            ] += cols[:, :, ky, kx]
+    return img[:, :, padding : h + padding, padding : w + padding]
+
+
 def _layout(a):
     """What consumers can observe of an array's memory order."""
     strides = [s for s, extent in zip(a.strides, a.shape) if extent > 1]
@@ -175,13 +199,13 @@ def _layout(a):
 
 @st.composite
 def _gather_cases(draw):
-    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     padding = draw(st.integers(0, 2))
     h = draw(st.integers(max(1, kh - 2 * padding), 7))
     w = draw(st.integers(max(1, kw - 2 * padding), 7))
     return dict(
         n=draw(st.integers(1, 3)),
-        c=draw(st.integers(1, 3)),
+        c=draw(st.integers(1, 6)),
         h=h,
         w=w,
         kh=kh,
@@ -241,6 +265,30 @@ class TestSinglePassGather:
         y = rng.normal(size=cols.shape)
         back = col2im(y, x.shape, *args)
         np.testing.assert_allclose(np.sum(cols * y), np.sum(x * back), rtol=1e-9)
+
+    @given(case=_gather_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_col2im_matches_the_historical_bits_and_layout(self, case):
+        """Same bytes and strides as the NCHW scatter-add, on data where each
+        of its properties shows: ``-0.0`` everywhere a pixel gets only
+        ``-0.0`` (the image starts at ``+0.0``), and overlapping windows
+        (``stride < kernel``) of widely spread magnitudes, whose sums round
+        differently in another order."""
+        n, c, h, w = case["n"], case["c"], case["h"], case["w"]
+        args = (case["kh"], case["kw"], case["stride"], case["padding"])
+        rng = np.random.default_rng(2)
+        oh = (h + 2 * case["padding"] - case["kh"]) // case["stride"] + 1
+        ow = (w + 2 * case["padding"] - case["kw"]) // case["stride"] + 1
+        shape = (n * oh * ow, c * case["kh"] * case["kw"])
+        spread = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        cols = np.where(rng.random(shape) < 0.4, zeros, spread).astype(case["dtype"])
+
+        got = col2im(cols, (n, c, h, w), *args)
+        want = _historical_col2im(cols, (n, c, h, w), *args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert _layout(got) == _layout(want)
 
     @given(
         padded=st.tuples(st.integers(5, 8), st.integers(5, 8)),
