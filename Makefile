@@ -25,7 +25,9 @@ bench:
 # gates (fused suffix >= 1.3x, per-batch glue <= 40 us, 0.25 ms batch
 # flush overshoot <= 300 us) + the conv gates (flat fold >= 2x, planned
 # prefix faster than layer-by-layer — ResNet >= 1.05x, pooled LeNet >= 1.5x —
-# and allocating only its GEMM results and pool outputs)
+# and allocating only its GEMM results and pool outputs) + the column-kernel
+# gates (LeNet gathers and col2im >= 1.3x the element-wise kernels, conv_mc's
+# gathers >= 1.5x the kernel-row gather)
 parallel:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 $(PYTHON) -m pytest -q -p no:randomly \
 		tests/nn/test_forward_context.py tests/nn/test_shm_params.py \
@@ -37,7 +39,7 @@ parallel:
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \
 		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py \
-		benchmarks/test_conv_fold.py
+		benchmarks/test_conv_fold.py benchmarks/test_column_kernels.py
 
 # Fault-injection chaos suite: deterministic kill schedules under live
 # traffic, gated on bit-identical responses and a clean /dev/shm.  Opt-in

@@ -102,12 +102,14 @@ per-call state, and the arena is **per calling thread**
 their own ``ForwardContext`` — the documented alternative to replicas —
 never has two gathers in one buffer, and a thread's arena is released with
 the thread.  Each arena holds one column buffer sized to the largest column
-matrix seen (largest layer × largest batch) plus one zero-bordered
-channels-first image per distinct padded geometry and padding — an
-unpadded convolution needs one only to copy a channels-last input (the
-NCHW view of NHWC memory a step returns for ``N > 1``) into NCHW order.
-That is a function of the layer list and the largest batch, not of the
-number of calls.
+matrix seen (largest layer × largest batch) plus one zero-bordered image
+per distinct layout, padded geometry and padding, in the input's own
+order: channels-last for the NCHW view of NHWC memory a step returns for
+``N > 1``, channels-first for ``N == 1``.  An unpadded convolution reads
+either in place and needs none.  The gather's offsets are cached per
+geometry, outside the arena and independent of the batch.  All of that is
+a function of the layer list and the largest batch, not of the number of
+calls.
 """
 
 from __future__ import annotations

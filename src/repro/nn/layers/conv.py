@@ -130,9 +130,9 @@ class Conv2D(Layer):
         hands BLAS the column-major *view* of the patch tensor, which takes
         the transposed-A GEMM path — feeding it the C-ordered fold would
         change the result's bits.  Single-example slices therefore gather
-        the patch-major tensor (:func:`~repro.nn.tensor.im2col_patches`: one
-        copy from a window view of the same channels-first image the column
-        gather reads) once over the whole fold; viewed as
+        the patch-major tensor (:func:`~repro.nn.tensor.im2col_patches`: the
+        column gather's single ``np.take``, offsets in patch order) once
+        over the whole fold; viewed as
         ``(S, oh·ow, C·kh·kw)`` its per-sample slices have exactly the
         legacy strides ``(itemsize, oh·ow·itemsize)``, so the stacked matmul
         again dispatches one GEMM per sample on the legacy operand layout

@@ -9,25 +9,27 @@ repository.
 
 There is one gather.  :func:`im2col` (and its patch-major form
 :func:`im2col_patches`) serves training, pooling, the sample-folded suffix
-and the planned inference prefix alike: the input is written into a
-zero-bordered channels-first image once (or read in place, when it needs
-no border and is already NCHW-contiguous), and a single ``np.copyto``
-moves whole ``kernel_w``-element kernel rows from a strided view of that
-image into their final place in the columns.  Callers that lower the same
-layers batch after batch pass a :class:`ColumnArena` and get the columns
-as a view of reusable scratch; everyone else gets a fresh array.  The
-memory order of the result (C-contiguous, except the column-major view for
-a single example) is part of the contract — see :func:`im2col`.
+and the planned inference prefix alike: the input stays in its own memory
+order — read in place when it needs no border and is NCHW- or
+NHWC-contiguous (the NCHW view of NHWC memory convolutions emit),
+otherwise written once into a zero-bordered image of the same order — and
+a single ``np.take`` of one example's flat source offsets, cached per
+geometry and layout, puts every element in its final place in the
+columns.  Callers that lower the same layers batch after batch pass a
+:class:`ColumnArena` and get the columns as a view of reusable scratch;
+everyone else gets a fresh array.  The memory order of the result
+(C-contiguous, except the column-major view for a single example) is part
+of the contract — see :func:`im2col`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 __all__ = [
-    "pad_input",
     "conv_output_size",
     "ColumnArena",
     "im2col",
@@ -64,19 +66,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def pad_input(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial dimensions of an NCHW tensor."""
-    if padding == 0:
-        return x
-    if padding < 0:
-        raise ValueError("padding must be non-negative")
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-    )
-
-
 class ColumnArena:
     """Reusable scratch for :func:`im2col`: one column buffer, bordered images.
 
@@ -88,14 +77,16 @@ class ColumnArena:
       gather has asked for and carved per call into a view of the caller's
       dtype — so a float32 batch never turns the buffer a later float64
       batch reads into float32 storage; and
-    * one channels-first image per distinct ``(C, H + 2p, W + 2p)``
-      geometry, padding ``p`` and dtype, grown to the largest batch seen.
-      Only the interior is ever written, so the border is zeroed once —
-      which is why ``p`` is part of the key: a 6×6 input at ``p = 1`` and
-      a 4×4 input at ``p = 2`` both pad to 8×8, and the second would read
-      the first one's interior as its border.  An unpadded gather needs an
-      image only when its input is not NCHW-contiguous (the NCHW view of
-      NHWC memory that convolutions emit): then it is the ``p = 0`` copy.
+    * one zero-bordered image per distinct layout (channels-first or
+      channels-last), padded geometry, padding ``p`` and dtype, grown to
+      the largest batch seen.  Only the interior is ever written, so the
+      border is zeroed once — which is why ``p`` and the layout are part of
+      the key: a 6×6 input at ``p = 1`` and a 4×4 input at ``p = 2`` both
+      pad to 8×8, and an ``(8, 8, 8)`` image is as long channels-first as
+      channels-last; either way the second user would read the first one's
+      interior as its border.  An unpadded gather needs an image only when
+      its input is neither NCHW- nor NHWC-contiguous: then it is the
+      channels-first ``p = 0`` copy.
 
     Both are bounded by the layer list and the largest batch: nothing here
     grows with the number of calls.  A column matrix returned by
@@ -116,10 +107,18 @@ class ColumnArena:
         return self._columns.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
     def bordered(
-        self, shape: tuple[int, ...], padding: int, dtype: np.dtype
+        self,
+        shape: tuple[int, ...],
+        padding: int,
+        dtype: np.dtype,
+        channels_last: bool,
     ) -> np.ndarray:
-        """A ``(N, C, H', W')`` image whose ``padding``-wide border is zero."""
-        key = (shape[1:], padding, dtype.str)
+        """A C-contiguous ``shape`` image whose ``padding``-wide border is zero.
+
+        ``shape`` is ``(N, C, H', W')``, or ``(N, H', W', C)`` when
+        ``channels_last``.
+        """
+        key = (channels_last, shape[1:], padding, dtype.str)
         image = self._bordered.get(key)
         if image is None or image.shape[0] < shape[0]:
             image = self._bordered[key] = np.zeros(shape, dtype=dtype)
@@ -133,29 +132,127 @@ def _image(
     stride: int,
     padding: int,
     arena: ColumnArena | None,
-) -> tuple[np.ndarray, int, int]:
-    """``(image, out_h, out_w)``: ``x`` in a C-contiguous zero-bordered NCHW image.
+) -> tuple[np.ndarray, bool, int, int]:
+    """``(image, channels_last, out_h, out_w)``: ``x`` zero-bordered, in its own order.
 
-    The image is ``x`` itself when there is no border to add and ``x`` is
-    already NCHW-contiguous; otherwise ``x`` is copied into the interior of
-    a fresh image or of the arena's.  Either way the ``kernel_w`` elements
-    of one kernel row are adjacent in it, which is what lets a gather move
-    whole rows.
+    The image is C-contiguous ``(N, C, H', W')``, or ``(N, H', W', C)``
+    when ``channels_last``.  It keeps the memory order of ``x``: an
+    NCHW-contiguous input gives a channels-first image and the NCHW view of
+    NHWC memory that convolutions emit gives a channels-last one, ``x``
+    itself when there is no border to add, otherwise a copy into the
+    interior of a fresh image or of the arena's.  An input with any other
+    strides is copied into a channels-first image.
     """
     if padding < 0:
         raise ValueError("padding must be non-negative")
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    if not padding and x.flags.c_contiguous:
-        return x, out_h, out_w
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
+    nhwc = x.transpose(0, 2, 3, 1)
+    channels_last = not x.flags.c_contiguous and nhwc.flags.c_contiguous
+    if not padding and (x.flags.c_contiguous or channels_last):
+        return (nhwc if channels_last else x), channels_last, out_h, out_w
+    size_h, size_w = h + 2 * padding, w + 2 * padding
+    shape = (n, size_h, size_w, c) if channels_last else (n, c, size_h, size_w)
     if arena is not None:
-        image = arena.bordered(shape, padding, x.dtype)
+        image = arena.bordered(shape, padding, x.dtype, channels_last)
     else:
         image = (np.zeros if padding else np.empty)(shape, dtype=x.dtype)
-    image[:, :, padding : padding + h, padding : padding + w] = x
-    return image, out_h, out_w
+    rows, columns = slice(padding, padding + h), slice(padding, padding + w)
+    if channels_last:
+        image[:, rows, columns] = nhwc
+    else:
+        image[:, :, rows, columns] = x
+    return image, channels_last, out_h, out_w
+
+
+@functools.lru_cache(maxsize=None)
+def _offsets(
+    channels_last: bool,
+    c: int,
+    height: int,
+    width: int,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    out_h: int,
+    out_w: int,
+    patch_major: bool,
+) -> np.ndarray:
+    """One example's flat source offsets into a ``(C, H', W')`` image.
+
+    Element ``(c, y, x)`` sits at ``(c·H' + y)·W' + x`` in a channels-first
+    image and at ``(y·W' + x)·C + c`` in a channels-last one.  The offsets
+    come in column order ``(out_h, out_w, c, ky, kx)``, or in patch order
+    ``(c, ky, kx, out_h, out_w)`` when ``patch_major``.  Cached per
+    geometry (not per batch size) and read-only, since every gather of the
+    same layer shares them; the layer lists a process lowers bound the
+    cache.
+    """
+    if channels_last:
+        step_c, step_y, step_x = 1, width * c, c
+    else:
+        step_c, step_y, step_x = height * width, width, 1
+    chan = np.arange(c, dtype=np.intp) * step_c
+    # (out, kernel) source row / column of each window position
+    ys = (np.arange(out_h)[:, None] * stride + np.arange(kernel_h)) * step_y
+    xs = (np.arange(out_w)[:, None] * stride + np.arange(kernel_w)) * step_x
+    if patch_major:
+        offsets = (
+            chan[:, None, None, None, None]
+            + ys.T[None, :, None, :, None]
+            + xs.T[None, None, :, None, :]
+        )
+    else:
+        offsets = (
+            ys[:, None, None, :, None]
+            + xs[None, :, None, None, :]
+            + chan[None, None, :, None, None]
+        )
+    offsets = np.ascontiguousarray(offsets, dtype=np.intp).ravel()
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _gather(
+    x: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+    arena: ColumnArena | None,
+    patch_major: bool,
+) -> tuple[np.ndarray, int, int]:
+    """``(flat, out_h, out_w)``: every example's columns, one row per example.
+
+    ``flat`` is a C-contiguous ``(N, oh·ow·C·kh·kw)`` array (fresh or a
+    view of the arena) holding each example's gather in column or patch
+    order: one ``np.take`` of the cached offsets from the image viewed as
+    ``(N, C·H'·W')``.
+    """
+    image, channels_last, out_h, out_w = _image(
+        x, kernel_h, kernel_w, stride, padding, arena
+    )
+    n, c, h, w = x.shape
+    size_h, size_w = h + 2 * padding, w + 2 * padding
+    offsets = _offsets(
+        channels_last,
+        c,
+        size_h,
+        size_w,
+        kernel_h,
+        kernel_w,
+        stride,
+        out_h,
+        out_w,
+        patch_major,
+    )
+    flat = _scratch((n, offsets.size), x.dtype, arena)
+    # "clip" writes straight into ``flat`` ("raise" would buffer it); the
+    # offsets are in range by construction
+    source = image.reshape(n, c * size_h * size_w)
+    np.take(source, offsets, axis=1, out=flat, mode="clip")
+    return flat, out_h, out_w
 
 
 def _scratch(
@@ -198,14 +295,13 @@ def im2col(
 
     Notes
     -----
-    The gather moves kernel rows, not elements: in the channels-first
-    image the ``kernel_w`` elements of a row are adjacent, so viewing them
-    as one ``kernel_w · itemsize``-byte void item makes both the image and
-    the column matrix ``(N, out_h, out_w, C, kernel_h)`` arrays of runs,
-    and a single ``np.copyto`` between the two writes every column in its
-    final place.  The memory order of the result is part of the contract,
-    because BLAS kernel choice (and strided reductions such as
-    :class:`~repro.nn.layers.pooling.AvgPool2D`'s mean) follow it:
+    The gather is one ``np.take``: the image (``x`` in its own memory
+    order, zero-bordered where ``padding > 0``) is viewed as
+    ``(N, C·H'·W')``, and one example's flat source offsets — cached per
+    geometry and layout — pick every column element, in its final place,
+    out of each example's row.  The memory order of the result is part of
+    the contract, because BLAS kernel choice (and strided reductions such
+    as :class:`~repro.nn.layers.pooling.AvgPool2D`'s mean) follow it:
     C-contiguous for ``N > 1``, and for ``N == 1`` the column-major view
     with strides ``(itemsize, out_h * out_w * itemsize)`` that the
     historical ``transpose(...).reshape(...)`` of the patch tensor produced
@@ -215,17 +311,11 @@ def im2col(
         patches = im2col_patches(x, kernel_h, kernel_w, stride, padding, arena)
         out_h, out_w = patches.shape[4], patches.shape[5]
         return patches.transpose(0, 4, 5, 1, 2, 3).reshape(out_h * out_w, -1)
-    image, out_h, out_w = _image(x, kernel_h, kernel_w, stride, padding, arena)
-    n, c = x.shape[:2]
-    s_n, s_c, s_h, s_w = image.strides
-    run = np.dtype((np.void, kernel_w * x.itemsize))
-    runs = (n, out_h, out_w, c, kernel_h)
-    rows = np.ndarray(
-        runs, run, buffer=image, strides=(s_n, stride * s_h, stride * s_w, s_c, s_h)
+    flat, out_h, out_w = _gather(
+        x, kernel_h, kernel_w, stride, padding, arena, patch_major=False
     )
-    cols = _scratch((n * out_h * out_w, c * kernel_h * kernel_w), x.dtype, arena)
-    np.copyto(cols.view(run).reshape(runs), rows)
-    return cols
+    n, c = x.shape[:2]
+    return flat.reshape(n * out_h * out_w, c * kernel_h * kernel_w)
 
 
 def im2col_patches(
@@ -239,29 +329,17 @@ def im2col_patches(
     """Gather convolution patches into a 6-D tensor.
 
     Returns the C-contiguous ``(N, C, kernel_h, kernel_w, out_h, out_w)``
-    patch tensor — one ``np.copyto`` from a window view of the same
-    channels-first image :func:`im2col` reads, written in patch-major order.
-    At stride 1 the ``out_w`` elements of a patch row are adjacent in the
-    image as well, so they move as one void item; at larger strides they
-    move one at a time.  Its per-example slice, flattened NHW-major, is the
-    ``N == 1`` column matrix of :func:`im2col` as a view, which is what the
-    sample-folded convolution path carves out of one gather over the whole
-    fold (see :meth:`repro.nn.layers.conv.Conv2D.forward_folded`).
+    patch tensor — the same single ``np.take`` as :func:`im2col`, with the
+    offsets in patch-major order.  Its per-example slice, flattened
+    NHW-major, is the ``N == 1`` column matrix of :func:`im2col` as a view,
+    which is what the sample-folded convolution path carves out of one
+    gather over the whole fold (see
+    :meth:`repro.nn.layers.conv.Conv2D.forward_folded`).
     """
-    image, out_h, out_w = _image(x, kernel_h, kernel_w, stride, padding, arena)
-    s_n, s_c, s_h, s_w = image.strides
-    shape = x.shape[:2] + (kernel_h, kernel_w, out_h, out_w)
-    run_w = out_w if stride == 1 else 1
-    run = np.dtype((np.void, run_w * x.itemsize))
-    windows = np.ndarray(
-        shape[:5] + (out_w // run_w,),
-        run,
-        buffer=image,
-        strides=(s_n, s_c, s_h, s_w, stride * s_h, stride * s_w),
+    flat, out_h, out_w = _gather(
+        x, kernel_h, kernel_w, stride, padding, arena, patch_major=True
     )
-    patches = _scratch(shape, x.dtype, arena)
-    np.copyto(patches.view(run).reshape(windows.shape), windows)
-    return patches
+    return flat.reshape(x.shape[:2] + (kernel_h, kernel_w, out_h, out_w))
 
 
 def col2im(

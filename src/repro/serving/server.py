@@ -200,12 +200,14 @@ class ServingServer:
             return
         server, self._server = self._server, None
         server.close()
-        await server.wait_closed()
         self._closing.set()  # wakes idle keep-alive connections
         connections = list(self._connections)
         if not drain:
             for task in connections:
                 task.cancel()
+        # since Python 3.12.1 this waits for every open connection as well,
+        # so the connections are told to close first
+        await server.wait_closed()
         if connections:
             await asyncio.gather(*connections, return_exceptions=True)
         if self._owns_engine:

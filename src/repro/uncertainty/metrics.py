@@ -137,7 +137,7 @@ def mc_uncertainty_results(
         num_samples = int(sample_probs.shape[0])
     mean_probs = sample_probs.mean(axis=0)
     entropy = predictive_entropy(mean_probs)
-    mi = mutual_information(sample_probs)
+    mi = entropy - expected_entropy(sample_probs)  # mutual_information, reusing both
     labels = mean_probs.argmax(axis=1)
     confidence = mean_probs.max(axis=1)
     return [

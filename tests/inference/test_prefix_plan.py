@@ -171,14 +171,17 @@ def test_batch_size_sequence_regrows_the_arena(arch):
     model = _model(arch)
     engine = _cold(model)
     sizes = []
-    for i, n in enumerate((4, 16, 1, 16)):
+    for i, n in enumerate((4, 16, 1, 16) * 2):
         x = _batch(arch, n, seed=i)
         assert_same_arrays(
             engine.backbone_activations(x), model.backbone_activations(x)
         )
         sizes.append(arena_bytes(engine._plan.arena))
     assert sizes[1] > sizes[0], "a larger batch must grow the arena"
-    assert sizes[1] == sizes[2] == sizes[3], "the arena is bounded by the largest batch"
+    # a batch of 1 may add images: its pool outputs are NCHW-contiguous where
+    # a larger batch's are channels-last, and the arena keeps one image per
+    # layout and geometry — but once the size sequence repeats, nothing grows
+    assert sizes[3:] == [sizes[3]] * 5, "the arena is bounded by the largest batch"
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHS))
@@ -338,26 +341,30 @@ def test_one_engine_shared_by_two_threads_with_per_call_contexts():
 
 
 def test_convolutions_of_equal_padded_geometry_share_one_arena():
-    """6x6 at p=1 and 4x4 at p=2 both pad to 2x8x8: the third convolution's
-    zero border must not be the first one's interior."""
+    """6x6 at p=1 and 4x4 at p=2 both pad to 8x8x2 channels-last: the fourth
+    convolution's zero border must not be the second one's interior."""
     net = Network(
-        [Conv2D(2, 3, padding=1), Conv2D(2, 3, padding=0), Conv2D(2, 5, padding=2)]
-    ).build((2, 6, 6), seed=0)
+        [
+            Conv2D(2, 3, padding=0),
+            Conv2D(2, 3, padding=1),
+            Conv2D(2, 3, padding=0),
+            Conv2D(2, 5, padding=2),
+        ]
+    ).build((2, 8, 8), seed=0)
     plan = PrefixPlan(net)
     for seed in range(2):  # the second call finds both images already dirty
-        x = np.random.default_rng(seed).normal(size=(3, 2, 6, 6))
+        x = np.random.default_rng(seed).normal(size=(3, 2, 8, 8))
         assert_same_arrays(
-            [plan.forward_range(x, 0, 3, ForwardContext())],
-            [net.forward_range(x, 0, 3, training=False)],
+            [plan.forward_range(x, 0, 4, ForwardContext())],
+            [net.forward_range(x, 0, 4, training=False)],
         )
-    # the two paddings that reach 2x8x8 get one image each; the third image
-    # is the unpadded convolution's NCHW copy of its channels-last input
-    assert sorted(key[:2] for key in plan.arena._bordered) == [
-        ((2, 6, 6), 0),
-        ((2, 8, 8), 1),
-        ((2, 8, 8), 2),
+    # the two paddings that reach 8x8x2 get one image each; the unpadded
+    # convolutions read their input (NCHW, then the NCHW view of the NHWC
+    # memory a step returns) in place
+    assert sorted(key[:3] for key in plan.arena._bordered) == [
+        (True, (8, 8, 2), 1),
+        (True, (8, 8, 2), 2),
     ]
-    assert len(plan.arena._bordered) == 3
 
 
 # --------------------------------------------------------------------------- #

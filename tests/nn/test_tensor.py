@@ -12,7 +12,6 @@ from repro.nn.tensor import (
     im2col,
     im2col_patches,
     one_hot,
-    pad_input,
 )
 
 from ..conftest import arena_bytes
@@ -39,26 +38,6 @@ class TestConvOutputSize:
     def test_too_large_kernel_raises(self):
         with pytest.raises(ValueError):
             conv_output_size(4, 9, 1, 0)
-
-
-class TestPadInput:
-    def test_zero_padding_is_identity(self, rng):
-        x = rng.normal(size=(2, 3, 5, 5))
-        assert pad_input(x, 0) is x
-
-    def test_padding_shape(self, rng):
-        x = rng.normal(size=(2, 3, 5, 5))
-        assert pad_input(x, 2).shape == (2, 3, 9, 9)
-
-    def test_padding_values_are_zero(self, rng):
-        x = rng.normal(size=(1, 1, 3, 3))
-        padded = pad_input(x, 1)
-        assert np.all(padded[:, :, 0, :] == 0)
-        assert np.all(padded[:, :, :, -1] == 0)
-
-    def test_negative_padding_raises(self, rng):
-        with pytest.raises(ValueError):
-            pad_input(rng.normal(size=(1, 1, 3, 3)), -1)
 
 
 class TestIm2Col:
@@ -197,6 +176,18 @@ def _layout(a):
     return strides, a.flags.c_contiguous, a.flags.f_contiguous
 
 
+def _in_layout(x, layout):
+    """``x`` with the same values, in one of the memory orders gathers meet."""
+    if layout == "nhwc":  # the NCHW view of NHWC memory convs emit
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if layout == "strided":  # neither: every other column of a wider buffer
+        n, c, h, w = x.shape
+        wide = np.zeros((n, c, h, 2 * w), dtype=x.dtype)
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    return np.ascontiguousarray(x)
+
+
 @st.composite
 def _gather_cases(draw):
     kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -213,7 +204,7 @@ def _gather_cases(draw):
         stride=draw(st.integers(1, 3)),
         padding=padding,
         dtype=draw(st.sampled_from([np.float64, np.float32, np.int64])),
-        channels_last=draw(st.booleans()),
+        layout=draw(st.sampled_from(["nchw", "nhwc", "strided"])),
         use_arena=draw(st.booleans()),
     )
 
@@ -225,9 +216,7 @@ class TestSinglePassGather:
         n, c, h, w = case["n"], case["c"], case["h"], case["w"]
         args = (case["kh"], case["kw"], case["stride"], case["padding"])
         x = np.random.default_rng(0).normal(size=(n, c, h, w)) * 8
-        x = x.astype(case["dtype"])
-        if case["channels_last"]:  # the NCHW view of NHWC memory convs emit
-            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x = _in_layout(x.astype(case["dtype"]), case["layout"])
         arena = ColumnArena() if case["use_arena"] else None
 
         cols = im2col(x, *args, arena=arena)
@@ -349,6 +338,58 @@ class TestSinglePassGather:
             np.testing.assert_array_equal(cols, _naive_im2col(x, 3, 3, 1, 1))
         # the float32 batch of 2 got its own bordered image; nothing else grew
         assert arena_bytes(arena) == size_large + 2 * 8 * 8 * 3 * 4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc", "strided"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_both_gathers_match_the_historical_bytes_and_strides(
+        self, dtype, layout, stride, padding
+    ):
+        """Every input memory order, read in place or copied into a bordered
+        image of its own order, gathers the historical bytes into the
+        historical layout — with and without an arena, for N > 1 and N == 1."""
+        rng = np.random.default_rng(3)
+        arena = ColumnArena()
+        for n, (c, h, w) in ((3, (4, 7, 6)), (1, (3, 5, 7))):
+            x = _in_layout((rng.normal(size=(n, c, h, w)) * 8).astype(dtype), layout)
+            for kernel in (1, 3):
+                args = (kernel, kernel, stride, padding)
+                want = _historical_im2col(x, *args)
+                for use in (None, arena):
+                    cols = im2col(x, *args, arena=use)
+                    assert cols.dtype == want.dtype and cols.shape == want.shape
+                    assert cols.tobytes() == want.tobytes()
+                    assert _layout(cols) == _layout(want)
+                    patches = im2col_patches(x, *args, arena=use)
+                    assert patches.flags.c_contiguous
+                    flat = patches.transpose(0, 4, 5, 1, 2, 3).reshape(want.shape)
+                    assert flat.tobytes() == want.tobytes()
+
+    def test_one_arena_keeps_channels_first_and_last_images_apart(self):
+        """8 channels of 6x6 at p=1 pad to (8, 8, 8) in either order: the
+        channels-last image must not be the channels-first one, whose
+        interior lies where the channels-last border is."""
+        arena = ColumnArena()
+        rng = np.random.default_rng(0)
+        first = rng.normal(size=(2, 8, 6, 6)) + 1
+        last = _in_layout(rng.normal(size=(2, 8, 6, 6)) + 1, "nhwc")
+        for x in (first, last, first, last):
+            np.testing.assert_array_equal(
+                im2col(x, 3, 3, 1, 1, arena=arena), _naive_im2col(x, 3, 3, 1, 1)
+            )
+            np.testing.assert_array_equal(
+                im2col_patches(x, 3, 3, 1, 1, arena=arena),
+                im2col_patches(x, 3, 3, 1, 1),
+            )
+        assert len(arena._bordered) == 2
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_an_empty_batch_gathers_nothing(self, layout):
+        x = _in_layout(np.zeros((0, 3, 6, 6)), layout)
+        assert im2col(x, 3, 3, 1, 1).shape == (0, 27)
+        assert im2col(x, 3, 3, 1, 0, arena=ColumnArena()).shape == (0, 27)
+        assert im2col_patches(x, 3, 3, 1, 1).shape == (0, 3, 3, 3, 6, 6)
 
     def test_negative_padding_raises(self, rng):
         with pytest.raises(ValueError):

@@ -469,6 +469,37 @@ def test_graceful_stop_drains_in_flight_requests():
     asyncio.run(main())
 
 
+def test_stop_closes_an_idle_keep_alive_connection():
+    """An idle keep-alive connection is closed by ``stop()``, not waited on
+    (``Server.wait_closed()`` waits for open connections since 3.12.1)."""
+
+    async def main():
+        srv = ServingServer(ServingEngine(_model(), cfg(num_samples=1)))
+        await srv.start()
+        reader, writer = await asyncio.open_connection(srv.host, srv.port)
+        try:
+            body = json.dumps({"x": X[0].tolist()}).encode()
+            writer.write(
+                b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            await writer.drain()
+            assert b" 200 " in await reader.readline()
+            length = 0
+            while (line := await reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.decode().partition(":")
+                if name.strip().lower() == "content-length":
+                    length = int(value)
+            await reader.readexactly(length)  # the connection is idle now
+            await asyncio.wait_for(srv.stop(), 5)
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+        finally:
+            writer.close()
+        assert not srv.running
+
+    asyncio.run(main())
+
+
 def test_server_leaves_caller_owned_engine_running():
     async def main():
         async with ServingEngine(_model(), cfg(num_samples=1)) as engine:

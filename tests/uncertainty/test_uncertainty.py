@@ -15,6 +15,7 @@ from repro.uncertainty import (
     expected_calibration_error,
     expected_entropy,
     maximum_calibration_error,
+    mc_uncertainty_results,
     mutual_information,
     negative_log_likelihood,
     predictive_entropy,
@@ -137,6 +138,27 @@ class TestUncertaintyMetrics:
             expected_entropy(random_probs(rng, 5, 3))
         with pytest.raises(ValueError):
             mutual_information(random_probs(rng, 5, 3))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (4, 7, 5), (16, 3, 10)])
+    def test_mc_uncertainty_results_match_the_metric_functions_bitwise(
+        self, rng, shape
+    ):
+        """One mean and one entropy per batch, the same bits as calling
+        ``predictive_entropy`` and ``mutual_information`` separately."""
+        s, n, k = shape
+        sample_probs = np.stack([random_probs(rng, n, k) for _ in range(s)])
+        mean_probs = sample_probs.mean(axis=0)
+        entropy = predictive_entropy(mean_probs)
+        mi = mutual_information(sample_probs)
+        results = mc_uncertainty_results(sample_probs)
+        assert len(results) == n
+        for i, result in enumerate(results):
+            assert result.probs.tobytes() == mean_probs[i].tobytes()
+            assert result.entropy == float(entropy[i])
+            assert result.mutual_information == float(mi[i])
+            assert result.label == int(mean_probs[i].argmax())
+            assert result.confidence == float(mean_probs[i].max())
+            assert result.num_samples == s
 
     def test_evaluate_predictions_bundle(self, rng):
         sample_probs = np.stack([random_probs(rng, 20, 4) for _ in range(3)])
