@@ -27,9 +27,12 @@ from repro.core import (
     MultiExitConfig,
     single_exit_bayesnet,
 )
-from repro.inference.engine import InferenceEngine, NetworkEngine
+from repro.inference.engine import InferenceEngine
+from repro.inference.plan import PrefixPlan
 from repro.nn.architectures import lenet5_spec
+from repro.nn.context import ForwardContext
 from repro.nn.layers.activations import softmax
+from tests.inference.folded_harness import folded_mc_sample, reseed_mcd
 from tests.inference.reference_loops import looped_predict_mc
 
 NUM_SAMPLES = 10
@@ -65,7 +68,8 @@ def _report(label: str, t_base: float, t_folded: float) -> float:
 def test_folded_sampler_3x_faster_than_per_sample_forward_passes():
     """Acceptance gate: folded engine vs one full forward pass per MC sample."""
     net = single_exit_bayesnet(_small_lenet_spec(), num_mcd_layers=1, seed=0)
-    sampler = NetworkEngine(net, seed=0)
+    reseed_mcd(net, 0)
+    plan, ctx = PrefixPlan(net), ForwardContext()
     x = np.random.default_rng(1).normal(size=(BATCH, 1, 12, 12))
 
     def per_sample_loop():
@@ -76,7 +80,9 @@ def test_folded_sampler_3x_faster_than_per_sample_forward_passes():
             ]
         )
 
-    t_folded = _median_seconds(lambda: sampler.sample(x, NUM_SAMPLES))
+    t_folded = _median_seconds(
+        lambda: folded_mc_sample(net, x, NUM_SAMPLES, ctx, plan)
+    )
     t_loop = _median_seconds(per_sample_loop)
     speedup = _report("single-exit: per-sample passes vs folded", t_loop, t_folded)
     assert speedup >= 3.0, (

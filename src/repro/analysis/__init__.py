@@ -1,6 +1,6 @@
-"""Experiment runners and table formatting."""
+"""The paper's table and figure drivers, and table formatting."""
 
-from .experiments import (
+from .paper import (
     Table1Settings,
     build_bayes_lenet_accelerator,
     default_small_architectures,

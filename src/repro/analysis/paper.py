@@ -1,4 +1,4 @@
-"""Experiment runners: one function per paper table / figure.
+"""The paper's table and figure drivers: one function per table / figure.
 
 Every runner returns plain data structures (lists of dict rows) so that the
 benchmarks under ``benchmarks/`` and the examples consume the same code
@@ -21,9 +21,9 @@ from ..hw.accelerator import AcceleratorConfig, AcceleratorModel
 from ..hw.baselines import PUBLISHED_BASELINES
 from ..hw.hls.report import SynthesisReport
 from ..hw.mapping import spatial_mapping, temporal_mapping
-from ..inference.engine import NetworkEngine
 from ..nn.architectures import lenet5_spec, resnet_spec, vgg_spec
 from ..nn.architectures.common import BackboneSpec
+from ..nn.layers.activations import softmax
 from ..nn.losses import CrossEntropyLoss
 from ..nn.optimizers import SGD
 from ..nn.training import DistillationTrainer, Trainer
@@ -187,7 +187,7 @@ def run_table1(settings: Table1Settings | None = None) -> dict:
             seed=settings.seed,
         )
         trainer.fit(dataset.train.x, dataset.train.y, epochs=settings.epochs)
-        se_probs = NetworkEngine(se_net).predict_proba(dataset.test.x)
+        se_probs = softmax(se_net.predict(dataset.test.x), axis=-1)
         arch_results["SE"] = _best_entries(
             [_metric_entry("single-exit", se_probs, labels, 1.0)]
         )

@@ -160,14 +160,31 @@ class TransformationFramework:
     # ------------------------------------------------------------------ #
     # Phase 2
     # ------------------------------------------------------------------ #
-    def run_phase2(self, model: MultiExitBayesNet) -> MappingPlan:
-        """Choose the spatial/temporal MC-engine mapping for the device."""
+    def run_phase2(
+        self,
+        model: MultiExitBayesNet,
+        point: EvaluatedDesignPoint | None = None,
+    ) -> MappingPlan:
+        """Choose the spatial/temporal MC-engine mapping for the device.
+
+        A Phase-3 ``point`` sizes the probe with its bitwidth and reuse
+        factor, so the mapping reflects the final per-engine footprint.
+        """
+        sizing = (
+            {}
+            if point is None
+            else dict(
+                weight_bitwidth=point.point.bitwidth,
+                reuse_factor=point.point.reuse_factor,
+            )
+        )
         probe = AcceleratorModel(
             model,
             AcceleratorConfig(
                 device=self.config.device,
                 num_mc_samples=self.config.num_mc_samples,
                 mapping=temporal_mapping(self.config.num_mc_samples),
+                **sizing,
             ),
         )
         if not probe.bayesian_descs:
@@ -269,32 +286,8 @@ class TransformationFramework:
 
         best_point, all_points = self.run_phase3(best_design)
 
-        # Phase 2 is re-run with the Phase-3 bitwidth/reuse so the mapping
-        # reflects the final per-engine footprint.
-        probe = AcceleratorModel(
-            model,
-            AcceleratorConfig(
-                device=self.config.device,
-                weight_bitwidth=best_point.point.bitwidth,
-                reuse_factor=best_point.point.reuse_factor,
-                num_mc_samples=self.config.num_mc_samples,
-                mapping=temporal_mapping(self.config.num_mc_samples),
-            ),
-        )
-        if probe.bayesian_descs:
-            try:
-                mapping = optimize_mapping(
-                    self.config.num_mc_samples,
-                    probe.mc_engine_resources(),
-                    probe.deterministic_resources(),
-                    self.config.device,
-                    utilization_cap=self.config.utilization_cap,
-                )
-            except ValueError:
-                mapping = temporal_mapping(self.config.num_mc_samples)
-        else:
-            mapping = temporal_mapping(self.config.num_mc_samples)
-
+        # Phase 2 runs after Phase 3 so the mapping is sized by its point
+        mapping = self.run_phase2(model, best_point)
         accel, report, files = self.run_phase4(model, mapping, best_point)
         return AcceleratorDesign(
             model=model,

@@ -15,28 +15,25 @@ Public surface
 :class:`InferenceEngine`
     Folded MC prediction, per-exit distributions and active-set early
     exiting over a multi-exit MCD BayesNN.
-:class:`NetworkEngine`
-    The same folded hot path for flat single-exit networks.
 :mod:`repro.inference.folding`
     ``fold_batch`` / ``unfold_samples`` / ``folded_forward_range`` primitives
     with a documented bit-exactness contract, and ``sample_suffix``, the one
-    fold → stochastic suffix → unfold sampler both engines call.
+    fold → stochastic suffix → unfold sampler the engine calls per exit head.
 :mod:`repro.inference.plan`
-    The static plan every engine runs its deterministic prefix through:
+    The static plan the engine runs its deterministic backbone through:
     one column arena per engine replica and calling thread, BatchNorm/ReLU/
     residual add in place on the GEMM outputs, bit-identical to
     ``Layer.forward``.
 
-The pre-folding per-sample loops the engines must match bit-for-bit are a
+The pre-folding per-sample loops the engine must match bit-for-bit are a
 test oracle and live in ``tests/inference/reference_loops.py``.
 """
 
-from .engine import InferenceEngine, NetworkEngine
+from .engine import InferenceEngine
 from .folding import fold_batch, folded_forward_range, sample_suffix, unfold_samples
 
 __all__ = [
     "InferenceEngine",
-    "NetworkEngine",
     "fold_batch",
     "unfold_samples",
     "folded_forward_range",

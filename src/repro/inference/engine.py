@@ -1,25 +1,19 @@
-"""Sample-folded inference engines.
+"""Sample-folded inference engine.
 
-Two engines share one folded sampler,
-:func:`repro.inference.folding.sample_suffix`:
+:class:`InferenceEngine` wraps a :class:`~repro.core.bayesnn.MultiExitBayesNet`
+(all four Table I families; SE and MCD are ``num_exits=1``): the backbone
+runs once per batch through its :class:`~repro.inference.plan.PrefixPlan`
+and its per-segment activations are shared across *all* exits and *all*
+Monte-Carlo samples; each exit head is split at its first stochastic layer
+and only that stochastic suffix is folded ``S`` times into the batch axis by
+:func:`repro.inference.folding.sample_suffix`.
 
-* :class:`NetworkEngine` wraps a flat :class:`~repro.nn.model.Network` (the
-  single-exit Bayes-LeNet/-VGG/-ResNet construction, the deep-ensemble
-  members): the deterministic prefix is evaluated once, tiled ``S`` times
-  into the batch axis, and the stochastic suffix runs in a single folded
-  pass.
-* :class:`InferenceEngine` wraps a
-  :class:`~repro.core.bayesnn.MultiExitBayesNet`: the backbone runs once per
-  batch and its per-segment activations are shared across *all* exits and
-  *all* Monte-Carlo samples; each exit head is split at its first stochastic
-  layer so only the stochastic head suffix is folded and re-evaluated.
-
-Both engines reproduce the per-sample loops of the test oracle bit-for-bit,
-and :class:`InferenceEngine` implements confidence-based early exiting with
-*active-set masking*: only still-undecided examples are propagated through
-later backbone segments.  Its small content-keyed cache reuses a batch's
-backbone activations only when a later call sees *identical bytes* under the
-same weights.  :mod:`repro.serving` serves :class:`InferenceEngine`; its
+The engine reproduces the per-sample loops of the test oracle bit-for-bit
+and implements confidence-based early exiting with *active-set masking*:
+only still-undecided examples are propagated through later backbone
+segments.  Its small content-keyed cache reuses a batch's backbone
+activations only when a later call sees *identical bytes* under the same
+weights.  :mod:`repro.serving` serves :class:`InferenceEngine`; its
 ``DynamicBatcher`` is what turns async arrivals into batches.
 """
 
@@ -35,7 +29,6 @@ import numpy as np
 from ..core.mcd import MCPrediction, deterministic_forward
 from ..core.multi_exit import EarlyExitResult, exit_ensemble
 from ..nn.context import ForwardContext
-from ..nn.layers import MCDropout
 from ..nn.layers.activations import softmax
 from ..nn.model import Network
 from .folding import sample_suffix
@@ -44,7 +37,7 @@ from .plan import PrefixPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bayesnn import MultiExitBayesNet
 
-__all__ = ["NetworkEngine", "InferenceEngine"]
+__all__ = ["InferenceEngine"]
 
 
 class _ActivationCache:
@@ -131,99 +124,6 @@ class _ActivationCache:
         self._miss_key = None
 
 
-class NetworkEngine:
-    """Folded Monte-Carlo inference over a flat network with MCD layers.
-
-    The engine splits the network at its first stochastic layer, evaluates
-    the deterministic prefix once, folds the cached activation ``S`` times
-    into the batch axis and runs the stochastic suffix in a single pass —
-    the software analogue of the accelerator's spatial MC-engine mapping.
-
-    Parameters
-    ----------
-    network:
-        A built :class:`~repro.nn.model.Network`.
-    seed:
-        When given, reseeds every MCD layer (see :meth:`reseed`).
-
-    Notes
-    -----
-    The engine owns a private :class:`~repro.nn.context.ForwardContext`
-    (:attr:`ctx`) holding its dropout streams and layer caches.  One engine
-    instance is a single logical caller: don't share it between threads
-    without an explicit per-call ``ctx``.  (The prefix plan's column arena
-    is per calling thread, so the per-call-``ctx`` route shares no scratch.)
-    """
-
-    def __init__(self, network: Network, seed: int | None = None) -> None:
-        if not network.built:
-            raise ValueError("network must be built before sampling")
-        self.network = network
-        #: the engine's private forward context (streams + layer caches)
-        self.ctx = ForwardContext()
-        #: the engine's private plan for the deterministic prefix (its
-        #: scratch arena is per calling thread, see :mod:`.plan`)
-        self._plan = PrefixPlan(network)
-        if seed is not None:
-            self.reseed(seed)
-
-    # ------------------------------------------------------------------ #
-    def reseed(self, seed: int) -> None:
-        """Reseed every MCD layer for reproducible sample sequences.
-
-        Model-wide: the layers' seeds are updated, so every context (this
-        engine's, other replicas', the ctx-less default) re-derives its
-        streams from the new seeds on its next draw.
-        """
-        for offset, idx in enumerate(self.network.stochastic_layer_indices()):
-            layer = self.network.layers[idx]
-            if isinstance(layer, MCDropout):
-                layer.reseed(seed + offset)
-
-    @property
-    def split_index(self) -> int:
-        return self.network.first_stochastic_index()
-
-    @property
-    def has_stochastic_layers(self) -> bool:
-        return self.split_index < len(self.network.layers)
-
-    # ------------------------------------------------------------------ #
-    def sample(
-        self,
-        x: np.ndarray,
-        num_samples: int = 3,
-        ctx: ForwardContext | None = None,
-    ) -> MCPrediction:
-        """Draw ``num_samples`` MC predictive samples in one folded pass.
-
-        ``ctx`` overrides the engine's own context for this call (see
-        :meth:`InferenceEngine.predict_mc`).
-        """
-        if num_samples <= 0:
-            raise ValueError("num_samples must be positive")
-        ctx = self.ctx if ctx is None else ctx
-        split = self.split_index
-        prefix = self._plan.forward_range(x, 0, split, ctx)
-        sample_probs = sample_suffix(self.network, prefix, split, num_samples, ctx)
-        return MCPrediction(
-            mean_probs=sample_probs.mean(axis=0), sample_probs=sample_probs
-        )
-
-    def predict_proba(
-        self,
-        x: np.ndarray,
-        num_samples: int | None = None,
-        ctx: ForwardContext | None = None,
-    ) -> np.ndarray:
-        """Predictive distribution: MC mean when ``num_samples`` is given,
-        otherwise one (stochastic, if MCD) forward pass."""
-        if num_samples is not None:
-            return self.sample(x, num_samples, ctx=ctx).mean_probs
-        ctx = self.ctx if ctx is None else ctx
-        return softmax(self.network.forward(x, training=False, ctx=ctx), axis=-1)
-
-
 class InferenceEngine:
     """Vectorised inference over a multi-exit MCD BayesNN.
 
@@ -293,9 +193,6 @@ class InferenceEngine:
         """Current weights-version token the activation cache is keyed on."""
         return self.model.backbone.weights_version
 
-    def _weights_token(self) -> object:
-        return self.weights_token()
-
     def backbone_activations(
         self, x: np.ndarray, ctx: ForwardContext | None = None
     ) -> list[np.ndarray]:
@@ -305,7 +202,7 @@ class InferenceEngine:
         returns the bits and strides of the layer-by-layer
         ``model.backbone_activations(x)``.
         """
-        token = self._weights_token()
+        token = self.weights_token()
         acts = self._cache.get(x, token)
         if acts is None:
             acts = self._plan.activations(
@@ -473,7 +370,7 @@ class InferenceEngine:
         num_exits = model.num_exits
 
         # reuse memoised per-segment activations for this exact batch, if any
-        cached_acts = self._cache.get(x, self._weights_token())
+        cached_acts = self._cache.get(x, self.weights_token())
 
         chosen = np.zeros((n, model.num_classes))
         exit_indices = np.full(n, num_exits - 1, dtype=np.int64)

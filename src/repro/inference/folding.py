@@ -205,10 +205,12 @@ def sample_suffix(
     """``num_samples`` MC softmax samples of ``network``, shape ``(S, N, classes)``.
 
     ``prefix`` is the ``(N, …)`` output of layers ``[0, split)``, computed
-    once by the caller.  It is folded ``S`` times and layers
-    ``[split, end)`` run on the fold in one pass — the accelerator's clone
-    step followed by its parallel MC engines.  A network with no layer from
-    ``split`` on (no stochastic layer) returns ``S`` copies of one softmax.
+    once by the caller; :class:`~repro.inference.InferenceEngine` passes
+    each exit head with its deterministic head prefix.  It is folded ``S``
+    times and layers ``[split, end)`` run on the fold in one pass — the
+    accelerator's clone step followed by its parallel MC engines.  A network
+    with no layer from ``split`` on (no stochastic layer) returns ``S``
+    copies of one softmax.
     """
     n_layers = len(network.layers)
     if split >= n_layers:

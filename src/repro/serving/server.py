@@ -163,7 +163,9 @@ class ServingServer:
         self.max_body_bytes = int(max_body_bytes)
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
-        self._closing = asyncio.Event()
+        # the connection tasks waiting for (or part-way through reading)
+        # their next request: stop() cancels these, even when draining
+        self._idle: set[asyncio.Task] = set()
         self._owns_engine = False
 
     # ------------------------------------------------------------------ #
@@ -180,7 +182,6 @@ class ServingServer:
         if not self.engine.running:
             await self.engine.start()
             self._owns_engine = True
-        self._closing = asyncio.Event()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -190,9 +191,10 @@ class ServingServer:
     async def stop(self, drain: bool = True) -> None:
         """Stop listening; with ``drain=True`` finish in-flight requests.
 
-        Draining lets every request that already sent its request line
-        run to completion and write its response; idle keep-alive
-        connections are closed immediately.  ``drain=False`` aborts
+        Draining lets every request the server has read in full run to
+        completion and write its response, with ``Connection: close``;
+        a connection still waiting for, or part-way through reading, its
+        next request is closed immediately.  ``drain=False`` aborts
         in-flight requests instead.  Either way, the engine is stopped
         (with the same ``drain`` policy) iff this server started it.
         """
@@ -200,11 +202,9 @@ class ServingServer:
             return
         server, self._server = self._server, None
         server.close()
-        self._closing.set()  # wakes idle keep-alive connections
         connections = list(self._connections)
-        if not drain:
-            for task in connections:
-                task.cancel()
+        for task in list(self._idle) if drain else connections:
+            task.cancel()
         # since Python 3.12.1 this waits for every open connection as well,
         # so the connections are told to close first
         await server.wait_closed()
@@ -234,25 +234,17 @@ class ServingServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
-            while not self._closing.is_set():
-                # wait for the next request OR the shutdown signal: an idle
+            while self._server is not None:
+                # stop() cancels the task while it waits here: an idle
                 # keep-alive connection must not hold a draining stop() open
-                read_task = asyncio.ensure_future(self._read_request(reader))
-                closing = asyncio.ensure_future(self._closing.wait())
-                done, _ = await asyncio.wait(
-                    {read_task, closing}, return_when=asyncio.FIRST_COMPLETED
-                )
-                closing.cancel()
-                if read_task not in done:
-                    read_task.cancel()
-                    try:
-                        await read_task
-                    except (asyncio.CancelledError, _HttpError, Exception):
-                        pass
-                    break
+                self._idle.add(task)
                 try:
-                    request = read_task.result()
+                    try:
+                        request = await self._read_request(reader)
+                    finally:
+                        self._idle.discard(task)
                 except _HttpError as exc:
                     # protocol-level failure: answer if possible, then drop
                     # the connection (the stream position is untrustworthy)
@@ -272,7 +264,7 @@ class ServingServer:
                 if request is None:  # clean EOF between requests
                     break
                 status, payload = await self._handle(request)
-                keep_alive = request.keep_alive and not self._closing.is_set()
+                keep_alive = request.keep_alive and self._server is not None
                 try:
                     await self._write_json(writer, status, payload, keep_alive)
                 except (ConnectionResetError, BrokenPipeError):

@@ -49,6 +49,8 @@ def _validate_probs(
         raise ValueError("labels must be a 1-D array matching probs' first dimension")
     if probs.shape[0] == 0:
         raise ValueError("cannot compute calibration of an empty prediction set")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probs must be finite")
     if np.any(probs < -1e-9) or np.any(probs > 1 + 1e-9):
         raise ValueError("probs must lie in [0, 1]")
     return probs, labels
@@ -72,7 +74,9 @@ def reliability_bins(
         raise ValueError("num_bins must be positive")
     probs, labels = _validate_probs(probs, labels)
 
-    confidences = probs.max(axis=1)
+    # validation admits rounding slack of 1e-9 either side of [0, 1]; clip
+    # it so those rows land in the first or last bin rather than in none
+    confidences = np.clip(probs.max(axis=1), 0.0, 1.0)
     predictions = probs.argmax(axis=1)
     correct = (predictions == labels).astype(np.float64)
 

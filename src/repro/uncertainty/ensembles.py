@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..inference.engine import NetworkEngine
+from ..nn.layers.activations import softmax
 from ..nn.losses import CrossEntropyLoss
 from ..nn.model import Network
 from ..nn.optimizers import SGD
@@ -36,6 +36,10 @@ class DeepEnsemble:
     seed:
         Base seed; member ``i`` is built with ``seed + i`` so that members
         differ only in their initialization (and data order during training).
+
+    Prediction runs each member through one plain inference-mode forward
+    pass; the folded Monte-Carlo machinery of :mod:`repro.inference` serves
+    :class:`~repro.core.bayesnn.MultiExitBayesNet` only.
     """
 
     def __init__(
@@ -55,18 +59,10 @@ class DeepEnsemble:
             member.name = f"{member.name}_member{i}"
             member.build(self.input_shape, seed=self.seed + i)
             self.members.append(member)
-        self._engines: list[NetworkEngine] | None = None
 
     @property
     def num_members(self) -> int:
         return len(self.members)
-
-    @property
-    def engines(self) -> list[NetworkEngine]:
-        """One sample-folded :class:`NetworkEngine` per member (lazily built)."""
-        if self._engines is None:
-            self._engines = [NetworkEngine(member) for member in self.members]
-        return self._engines
 
     # ------------------------------------------------------------------ #
     def fit(
@@ -91,36 +87,27 @@ class DeepEnsemble:
             )
             history = trainer.fit(x, y, epochs=epochs)
             final_acc.append(history.accuracy[-1])
-        # the engines read weights at call time; fresh ones restart the
-        # members' dropout streams from their seeds after training
-        self._engines = None
         return final_acc
 
     # ------------------------------------------------------------------ #
-    def member_probabilities(
-        self, x: np.ndarray, num_samples: int | None = None
-    ) -> np.ndarray:
+    def member_probabilities(self, x: np.ndarray) -> np.ndarray:
         """Per-member predictive distributions, shape ``(M, N, classes)``.
 
-        Each member runs through its sample-folded
-        :class:`repro.inference.NetworkEngine`.  When ``num_samples`` is
-        given, members containing MC-dropout layers return the mean over
-        that many folded Monte-Carlo samples instead of a single stochastic
-        pass.
+        Each member runs one inference-mode forward pass.  A member with
+        MC-dropout layers draws its masks from the default forward context,
+        so its distribution is a single stochastic sample, not an MC mean.
         """
         return np.stack(
-            [engine.predict_proba(x, num_samples) for engine in self.engines]
+            [softmax(m.forward(x, training=False), axis=-1) for m in self.members]
         )
 
-    def predict_proba(
-        self, x: np.ndarray, num_samples: int | None = None
-    ) -> np.ndarray:
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Equally-weighted ensemble predictive distribution ``(N, classes)``."""
-        return self.member_probabilities(x, num_samples).mean(axis=0)
+        return self.member_probabilities(x).mean(axis=0)
 
-    def predict(self, x: np.ndarray, num_samples: int | None = None) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class labels."""
-        return self.predict_proba(x, num_samples).argmax(axis=1)
+        return self.predict_proba(x).argmax(axis=1)
 
     def total_parameters(self) -> int:
         """Total parameter count across all members (the ensemble's memory cost)."""

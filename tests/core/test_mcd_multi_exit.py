@@ -13,9 +13,11 @@ from repro.core.multi_exit import (
     cumulative_exit_ensembles,
     exit_ensemble,
 )
-from repro.inference import NetworkEngine
+from repro.nn.context import ForwardContext
 from repro.nn.layers import Conv2D, Dense, Flatten, MCDropout, ReLU
 from repro.nn.model import Network
+
+from ..inference.folded_harness import folded_mc_sample, reseed_mcd
 
 
 class TestInsertMCD:
@@ -67,48 +69,42 @@ class TestNetworkEngineSampling:
         )
         return net.build((2, 4, 4), seed=0)
 
+    def _sample(self, net, x, num_samples, seed=None):
+        if seed is not None:
+            reseed_mcd(net, seed)
+        return folded_mc_sample(net, x, num_samples, ForwardContext())
+
     def test_sample_shapes(self, rng):
-        sampler = NetworkEngine(self._bayes_net(), seed=0)
-        pred = sampler.sample(rng.normal(size=(5, 2, 4, 4)), num_samples=7)
+        pred = self._sample(self._bayes_net(), rng.normal(size=(5, 2, 4, 4)), 7, 0)
         assert pred.sample_probs.shape == (7, 5, 3)
         assert pred.mean_probs.shape == (5, 3)
         assert pred.num_samples == 7
 
     def test_probabilities_normalised(self, rng):
-        sampler = NetworkEngine(self._bayes_net(), seed=0)
-        pred = sampler.sample(rng.normal(size=(4, 2, 4, 4)), num_samples=5)
+        pred = self._sample(self._bayes_net(), rng.normal(size=(4, 2, 4, 4)), 5, 0)
         np.testing.assert_allclose(pred.sample_probs.sum(axis=-1), 1.0)
         np.testing.assert_allclose(pred.mean_probs.sum(axis=-1), 1.0)
 
     def test_samples_differ_for_stochastic_network(self, rng):
-        sampler = NetworkEngine(self._bayes_net(), seed=0)
-        pred = sampler.sample(rng.normal(size=(3, 2, 4, 4)), num_samples=4)
+        pred = self._sample(self._bayes_net(), rng.normal(size=(3, 2, 4, 4)), 4, 0)
         assert not np.allclose(pred.sample_probs[0], pred.sample_probs[1])
 
     def test_deterministic_network_identical_samples(self, rng):
         net = Network([Flatten(), Dense(3)]).build((2, 4, 4), seed=0)
-        sampler = NetworkEngine(net)
-        assert not sampler.has_stochastic_layers
-        pred = sampler.sample(rng.normal(size=(2, 2, 4, 4)), num_samples=3)
+        pred = self._sample(net, rng.normal(size=(2, 2, 4, 4)), 3)
         np.testing.assert_allclose(pred.sample_probs[0], pred.sample_probs[2])
-
-    def test_split_index(self):
-        net = self._bayes_net()
-        sampler = NetworkEngine(net)
-        assert sampler.split_index == 3
 
     def test_seed_reproducibility(self, rng):
         x = rng.normal(size=(3, 2, 4, 4))
-        a = NetworkEngine(self._bayes_net(), seed=5).sample(x, 4).sample_probs
-        b = NetworkEngine(self._bayes_net(), seed=5).sample(x, 4).sample_probs
+        a = self._sample(self._bayes_net(), x, 4, 5).sample_probs
+        b = self._sample(self._bayes_net(), x, 4, 5).sample_probs
         np.testing.assert_allclose(a, b)
 
     def test_caching_equivalent_to_full_forward(self, rng):
         """Cached-prefix sampling must equal running the full network each time."""
         net = self._bayes_net(rate=0.25)
         x = rng.normal(size=(4, 2, 4, 4))
-        sampler = NetworkEngine(net, seed=9)
-        cached = sampler.sample(x, num_samples=3).sample_probs
+        cached = self._sample(net, x, 3, 9).sample_probs
 
         net2 = self._bayes_net(rate=0.25)
         net2.set_weights(net.get_weights())
@@ -120,13 +116,8 @@ class TestNetworkEngineSampling:
         np.testing.assert_allclose(cached, full, atol=1e-12)
 
     def test_invalid_sample_count(self, rng):
-        sampler = NetworkEngine(self._bayes_net())
         with pytest.raises(ValueError):
-            sampler.sample(rng.normal(size=(1, 2, 4, 4)), num_samples=0)
-
-    def test_unbuilt_network_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkEngine(Network([Dense(2)]))
+            self._sample(self._bayes_net(), rng.normal(size=(1, 2, 4, 4)), 0)
 
     def test_deterministic_forward_ignores_mcd(self, rng):
         net = self._bayes_net()

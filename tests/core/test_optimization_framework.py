@@ -147,8 +147,8 @@ class TestPhase1Flow:
 
 class TestTransformationFramework:
     @pytest.fixture(scope="class")
-    def design(self, fast_dataset):
-        framework = TransformationFramework(
+    def framework(self, fast_dataset):
+        return TransformationFramework(
             spec_factory=small_lenet_spec,
             train_split=fast_dataset.train,
             test_split=fast_dataset.test,
@@ -161,6 +161,9 @@ class TestTransformationFramework:
                 reuse_factors=(16,),
             ),
         )
+
+    @pytest.fixture(scope="class")
+    def design(self, framework):
         candidates = [
             CandidateConfig(
                 num_exits=2, dropout_rate=0.25, mcd_layers_per_exit=1, num_mc_samples=2
@@ -196,3 +199,8 @@ class TestTransformationFramework:
 
     def test_mapping_covers_samples(self, design):
         assert design.mapping.num_samples == 2
+
+    def test_mapping_is_phase2_sized_by_phase3_point(self, framework, design):
+        assert design.mapping == framework.run_phase2(
+            design.model, design.phase3_point
+        )

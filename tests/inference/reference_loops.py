@@ -1,18 +1,17 @@
 """Reference (pre-folding) inference loops, kept for regression and benchmarks.
 
-These are verbatim ports of the per-sample Python loops that the
-single-exit sampler (now :class:`~repro.inference.NetworkEngine`) and
-:class:`~repro.core.bayesnn.MultiExitBayesNet` used before the sample-folded
-:mod:`repro.inference` engine replaced them.  They define the behaviour the
-folded hot path must reproduce **bit-for-bit** (same seeds ⇒ identical
-``sample_probs``), which the regression tests in
-``tests/inference/test_folded_equivalence.py`` enforce, and they serve as the
-baseline of the looped-vs-folded microbenchmark in
-``benchmarks/test_inference_engine.py``.
+These are verbatim ports of the per-sample Python loops that the flat
+single-exit sampler and :class:`~repro.core.bayesnn.MultiExitBayesNet` used
+before the sample-folded :mod:`repro.inference` engine replaced them.  They
+define the behaviour the folded hot path must reproduce **bit-for-bit**
+(same seeds ⇒ identical ``sample_probs``), which the regression tests in
+``tests/inference/test_folded_equivalence.py`` enforce — the flat-network
+side through :mod:`.folded_harness` — and they serve as the baseline of the
+looped-vs-folded microbenchmark in ``benchmarks/test_inference_engine.py``.
 
 These loops deliberately run ctx-less: they use the process-wide default
 :class:`~repro.nn.context.ForwardContext`, whose streams seed from the
-layers' seeds exactly like the engines' private contexts do — which is
+layers' seeds exactly like a fresh private context does — which is
 what keeps twin-model folded-vs-legacy comparisons bit-identical after the
 reentrancy refactor.
 """

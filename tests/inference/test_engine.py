@@ -1,4 +1,4 @@
-"""Unit tests for the sample-folded inference engines."""
+"""Unit tests for the sample-folded inference engine and its primitives."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.core.mcd import MCPrediction
 from repro.inference import (
     InferenceEngine,
-    NetworkEngine,
     fold_batch,
     folded_forward_range,
     sample_suffix,
@@ -19,6 +18,7 @@ from repro.nn.layers.activations import softmax
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
+from .folded_harness import folded_mc_sample, reseed_mcd
 from .reference_loops import eager_early_exit
 
 
@@ -107,30 +107,28 @@ class TestFolding:
 
 
 # --------------------------------------------------------------------------- #
-# NetworkEngine
+# folded flat-network sampling (the test harness over PrefixPlan + sample_suffix)
 # --------------------------------------------------------------------------- #
 class TestNetworkEngine:
-    def test_requires_built_network(self):
-        with pytest.raises(ValueError):
-            NetworkEngine(Network([Dense(2)]))
-
     def test_sample_shapes_and_mean(self, rng):
-        engine = NetworkEngine(_bayes_net(), seed=0)
-        pred = engine.sample(rng.normal(size=(5, 2, 4, 4)), num_samples=7)
+        net = _bayes_net()
+        reseed_mcd(net, 0)
+        x = rng.normal(size=(5, 2, 4, 4))
+        pred = folded_mc_sample(net, x, 7, ForwardContext())
         assert isinstance(pred, MCPrediction)
         assert pred.sample_probs.shape == (7, 5, 3)
         np.testing.assert_allclose(pred.sample_probs.mean(axis=0), pred.mean_probs)
 
     def test_deterministic_network_replicates_sample(self, rng):
         net = Network([Flatten(), Dense(3)]).build((2, 4, 4), seed=0)
-        engine = NetworkEngine(net)
-        assert not engine.has_stochastic_layers
-        pred = engine.sample(rng.normal(size=(2, 2, 4, 4)), num_samples=3)
+        x = rng.normal(size=(2, 2, 4, 4))
+        pred = folded_mc_sample(net, x, 3, ForwardContext())
         np.testing.assert_array_equal(pred.sample_probs[0], pred.sample_probs[2])
 
     def test_invalid_sample_count(self, rng):
+        x = rng.normal(size=(1, 2, 4, 4))
         with pytest.raises(ValueError):
-            NetworkEngine(_bayes_net()).sample(rng.normal(size=(1, 2, 4, 4)), 0)
+            folded_mc_sample(_bayes_net(), x, 0, ForwardContext())
 
 
 # --------------------------------------------------------------------------- #

@@ -1,9 +1,11 @@
 """Folded-vs-looped equivalence: the refactor must be bit-invisible.
 
 These tests guard the acceptance criterion of the sample-folded engine:
-for a fixed seed, ``NetworkEngine.sample`` and ``MultiExitBayesNet.predict_mc``
-(now folded) produce **bit-identical** ``sample_probs`` to the pre-refactor
-per-sample loops, which live on verbatim in :mod:`.reference_loops`.
+for a fixed seed, folded flat-network sampling (``PrefixPlan`` prefix, then
+``sample_suffix``, driven by :mod:`.folded_harness`) and
+``MultiExitBayesNet.predict_mc`` (now folded) produce **bit-identical**
+``sample_probs`` to the pre-refactor per-sample loops, which live on
+verbatim in :mod:`.reference_loops`.
 """
 
 import numpy as np
@@ -17,10 +19,11 @@ from repro.core import (
     single_exit_bayesnet,
 )
 from repro.inference import fold_batch, unfold_samples
-from repro.inference.engine import NetworkEngine
+from repro.nn.context import ForwardContext
 from repro.nn.layers import Conv2D, MCDropout, ResidualBlock
 
 from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
+from .folded_harness import folded_mc_sample, reseed_mcd
 from .reference_loops import looped_mc_sample, looped_predict_mc
 
 SPECS = {
@@ -35,7 +38,7 @@ def _batch(shape, n=6, seed=0):
 
 
 # --------------------------------------------------------------------------- #
-# NetworkEngine (single-exit Bayes nets) vs the legacy per-sample loop
+# folded single-exit Bayes nets vs the legacy per-sample loop
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("arch", sorted(SPECS))
 @pytest.mark.parametrize("num_mcd_layers", [1, 3])
@@ -46,8 +49,9 @@ def test_network_engine_bit_identical_to_legacy_loop(arch, num_mcd_layers):
     folded_net = single_exit_bayesnet(spec_fn(), num_mcd_layers=num_mcd_layers, seed=0)
     looped_net = single_exit_bayesnet(spec_fn(), num_mcd_layers=num_mcd_layers, seed=0)
 
-    folded = NetworkEngine(folded_net, seed=11).sample(x, num_samples=5)
-    NetworkEngine(looped_net, seed=11)  # reseed the twin's MCD layers identically
+    reseed_mcd(folded_net, 11)
+    reseed_mcd(looped_net, 11)
+    folded = folded_mc_sample(folded_net, x, 5, ForwardContext())
     looped = looped_mc_sample(looped_net, x, num_samples=5)
 
     np.testing.assert_array_equal(folded.sample_probs, looped.sample_probs)
@@ -59,10 +63,11 @@ def test_network_engine_repeated_calls_stay_aligned_with_loop(lenet_spec_small):
     x = _batch((1, 12, 12))
     net_a = single_exit_bayesnet(lenet_spec_small, num_mcd_layers=2, seed=0)
     net_b = single_exit_bayesnet(small_lenet_spec(), num_mcd_layers=2, seed=0)
-    sampler = NetworkEngine(net_a, seed=3)
-    NetworkEngine(net_b, seed=3)
+    reseed_mcd(net_a, 3)
+    reseed_mcd(net_b, 3)
+    ctx = ForwardContext()
     for num_samples in (1, 4, 2):
-        folded = sampler.sample(x, num_samples)
+        folded = folded_mc_sample(net_a, x, num_samples, ctx)
         looped = looped_mc_sample(net_b, x, num_samples)
         np.testing.assert_array_equal(folded.sample_probs, looped.sample_probs)
 

@@ -5,7 +5,7 @@ an ``MCDropout -> Dense`` pair into one pass per sample block: the scaled
 keep-mask is folded into the GEMM operand instead of materialising the
 masked ``(S·N, F)`` intermediate.  These tests pin the acceptance criterion:
 for every suffix composition (Dense-only, Conv2D-interleaved, ResidualBlock)
-and S in {1, 4, 10}, the fused engine is **bit-identical** to the legacy
+and S in {1, 4, 10}, the fused folded sampler is **bit-identical** to the legacy
 one-pass-per-sample loop — and the fusion actually engages, so the guarantee
 is not vacuously about the unfused path.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import single_exit_bayesnet
-from repro.inference.engine import NetworkEngine
 from repro.nn.context import ForwardContext
 from repro.nn.layers import (
     Conv2D,
@@ -28,6 +27,7 @@ from repro.nn.layers import (
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
+from .folded_harness import folded_mc_sample, reseed_mcd
 from .reference_loops import looped_mc_sample
 
 
@@ -88,8 +88,9 @@ def test_fused_suffix_bit_identical_to_legacy_loop(arch, num_samples):
     fused_net, looped_net, shape = _twin_networks(arch)
     x = np.random.default_rng(3).normal(size=(6,) + shape)
 
-    fused = NetworkEngine(fused_net, seed=7).sample(x, num_samples)
-    NetworkEngine(looped_net, seed=7)  # reseed the twin's MCD layers identically
+    reseed_mcd(fused_net, 7)
+    reseed_mcd(looped_net, 7)
+    fused = folded_mc_sample(fused_net, x, num_samples, ForwardContext())
     looped = looped_mc_sample(looped_net, x, num_samples)
 
     np.testing.assert_array_equal(fused.sample_probs, looped.sample_probs)
@@ -103,8 +104,9 @@ def test_fused_suffix_on_full_architecture(num_samples):
     looped_net = single_exit_bayesnet(small_lenet_spec(), num_mcd_layers=3, seed=0)
     x = np.random.default_rng(1).normal(size=(5, 1, 12, 12))
 
-    fused = NetworkEngine(fused_net, seed=2).sample(x, num_samples)
-    NetworkEngine(looped_net, seed=2)
+    reseed_mcd(fused_net, 2)
+    reseed_mcd(looped_net, 2)
+    fused = folded_mc_sample(fused_net, x, num_samples, ForwardContext())
     looped = looped_mc_sample(looped_net, x, num_samples)
     np.testing.assert_array_equal(fused.sample_probs, looped.sample_probs)
 
@@ -112,7 +114,7 @@ def test_fused_suffix_on_full_architecture(num_samples):
 def test_fusion_engages_on_dense_suffix(monkeypatch):
     """The MCD->Dense pair really takes the fused path, not the fallback."""
     net, _, shape = _twin_networks("dense")
-    engine = NetworkEngine(net, seed=0)
+    reseed_mcd(net, 0)
     calls = []
     original = Dense.forward_folded
 
@@ -121,7 +123,8 @@ def test_fusion_engages_on_dense_suffix(monkeypatch):
         return original(self, x, num_samples, scaled_mask=scaled_mask)
 
     monkeypatch.setattr(Dense, "forward_folded", spy)
-    engine.sample(np.random.default_rng(0).normal(size=(4,) + shape), 4)
+    x = np.random.default_rng(0).normal(size=(4,) + shape)
+    folded_mc_sample(net, x, 4, ForwardContext())
     assert any(calls), "fused kernel never engaged on an MCD->Dense suffix"
 
 
@@ -162,7 +165,8 @@ def test_zero_rate_mcd_before_dense_stays_identity():
     looped_net = Network([Flatten(), MCDropout(0.0), Dense(3)])
     looped_net.build((2, 3, 3), seed=0)
     x = np.random.default_rng(2).normal(size=(4, 2, 3, 3))
-    fused = NetworkEngine(fused_net, seed=1).sample(x, 3)
-    NetworkEngine(looped_net, seed=1)
+    reseed_mcd(fused_net, 1)
+    reseed_mcd(looped_net, 1)
+    fused = folded_mc_sample(fused_net, x, 3, ForwardContext())
     looped = looped_mc_sample(looped_net, x, 3)
     np.testing.assert_array_equal(fused.sample_probs, looped.sample_probs)

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
-from repro.inference.engine import NetworkEngine
 from repro.inference.plan import PrefixPlan
 from repro.nn.architectures import resnet_spec
 from repro.nn.context import ForwardContext
@@ -51,6 +50,7 @@ from ..conftest import (
     small_vgg_spec,
     stepped_strides,
 )
+from .folded_harness import folded_mc_sample, reseed_mcd
 from .reference_loops import eager_early_exit, looped_mc_sample, looped_predict_mc
 
 
@@ -153,16 +153,18 @@ def test_flat_network_prefix_matches_layer_by_layer(arch):
     looped = single_exit_bayesnet(spec_fn(), num_mcd_layers=1, seed=0)
     for net in (planned, looped):
         _randomise_batchnorm(net)
-    engine = NetworkEngine(planned, seed=3)
-    NetworkEngine(looped, seed=3)  # reseed the twin's MCD layers identically
+    reseed_mcd(planned, 3)
+    reseed_mcd(looped, 3)
+    plan, ctx = PrefixPlan(planned), ForwardContext()
+    split = planned.first_stochastic_index()
     for n in (1, 6):
         x = np.random.default_rng(n).normal(size=(n,) + shape)
-        split = engine.split_index
         assert_same_arrays(
-            [engine._plan.forward_range(x, 0, split, ForwardContext())],
+            [plan.forward_range(x, 0, split, ForwardContext())],
             [looped.forward_range(x, 0, split, training=False)],
         )
-        got, want = engine.sample(x, 4), looped_mc_sample(looped, x, 4)
+        got = folded_mc_sample(planned, x, 4, ctx, plan)
+        want = looped_mc_sample(looped, x, 4)
         assert_same_arrays([got.sample_probs], [want.sample_probs])
 
 

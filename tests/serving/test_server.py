@@ -500,6 +500,48 @@ def test_stop_closes_an_idle_keep_alive_connection():
     asyncio.run(main())
 
 
+def test_keep_alive_requests_create_no_tasks():
+    """A keep-alive connection reads each request on its own task: serving
+    20 health checks creates no task at all."""
+
+    async def read_response(reader):
+        assert b" 200 " in await reader.readline()
+        length = 0
+        while (line := await reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode().partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        await reader.readexactly(length)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        created = 0
+
+        def counting_factory(loop, coro, **kwargs):
+            nonlocal created
+            created += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+            reader, writer = await asyncio.open_connection(srv.host, srv.port)
+            request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+            try:
+                writer.write(request)  # the connection task exists from here
+                await read_response(reader)
+                loop.set_task_factory(counting_factory)
+                try:
+                    for _ in range(20):
+                        writer.write(request)
+                        await read_response(reader)
+                finally:
+                    loop.set_task_factory(None)
+            finally:
+                writer.close()
+        assert created == 0, f"{created / 20:.1f} tasks per request"
+
+    asyncio.run(main())
+
+
 def test_server_leaves_caller_owned_engine_running():
     async def main():
         async with ServingEngine(_model(), cfg(num_samples=1)) as engine:

@@ -78,6 +78,33 @@ class TestCalibration:
         with pytest.raises(ValueError):
             reliability_bins(np.ones((3, 2)) * 0.5, np.zeros(3, dtype=int), num_bins=0)
 
+    def test_nan_probs_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            expected_calibration_error(np.array([[np.nan, np.nan]]), np.array([0]))
+
+    def test_confidence_within_rounding_slack_lands_in_last_bin(self):
+        probs = np.array([[1 + 5e-10, 0.0]])
+        bins = reliability_bins(probs, np.array([0]))
+        assert bins[-1].count == 1
+        assert bins[-1].mean_confidence == 1.0
+        assert expected_calibration_error(probs, np.array([0])) == 0.0
+
+    def test_every_row_binned_with_rounding_slack(self):
+        probs = np.array([[1 + 5e-10, 0.0], [0.6, 0.4]])
+        labels = np.array([0, 0])
+        assert sum(b.count for b in reliability_bins(probs, labels)) == 2
+        assert expected_calibration_error(probs, labels) == pytest.approx(0.2)
+
+    def test_valid_rows_pinned(self):
+        """ECE/MCE of valid rows are bit-identical to the values before clipping."""
+        rng = np.random.default_rng(2024)
+        probs = rng.dirichlet(np.ones(5) * 0.5, size=300)
+        probs[:3] = np.eye(5)[:3]  # confidence exactly 1.0
+        labels = rng.integers(0, 5, size=300)
+        assert expected_calibration_error(probs, labels) == 0.3811390691132454
+        assert maximum_calibration_error(probs, labels) == 0.9071046610774391
+        assert expected_calibration_error(probs, labels, 7) == 0.38113906911324535
+
     @given(st.integers(2, 6), st.integers(20, 80))
     @settings(max_examples=20, deadline=None)
     def test_ece_invariant_to_duplicating_dataset(self, k, n):
