@@ -22,9 +22,10 @@ bench:
 # the K=4 scaling gates (threads >= 1.8x, processes >= 2.5x; gates skip
 # below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
 # one-ring-worker busy-share gate (>= 0.80) + the hot-path glue
-# gates (fused suffix >= 1.3x, per-batch glue <= 40 us, 0.25 ms batch
-# flush overshoot <= 300 us) + the conv gates (flat fold >= 2x, planned
-# prefix faster than layer-by-layer — ResNet >= 1.05x, pooled LeNet >= 1.5x —
+# gates (suffix fold >= 1.3x the tile -> mask -> GEMM chain, per-batch
+# glue <= 40 us, 0.25 ms batch flush overshoot <= 300 us) + the conv
+# gates (flat fold >= 2x, planned prefix faster than layer-by-layer —
+# ResNet >= 1.05x, pooled LeNet >= 1.5x —
 # and allocating only its GEMM results and pool outputs) + the column-kernel
 # gates (LeNet gathers and col2im >= 1.3x the element-wise kernels, conv_mc's
 # gathers >= 1.5x the kernel-row gather)

@@ -9,9 +9,10 @@ pickled frame down the pipe), the thread replica's
 replica's **direct-to-ring** staging (payload rows land straight in the
 :class:`~repro.serving.workers.ring.BatchRing` slot); then the compute
 stages a batch pays for: a cold forward, the **content-keyed cache hit
-path** (repeated bytes skip the backbone forward), and the **fused
-stochastic suffix** at the served width (its speed and bit-identity
-against mask-then-GEMM are gated in ``test_fused_suffix.py``).  All of it
+path** (repeated bytes skip the backbone forward), and the **stochastic
+suffix** at the served width, ``MCDropout.fold`` then the stacked GEMM
+(its speed against tile -> mask -> GEMM is gated in
+``test_fused_suffix.py``).  All of it
 lands in ``BENCH_serving.json`` so the report documents where the time
 goes stage by stage.
 
@@ -129,21 +130,20 @@ def test_glue_breakdown_records_per_stage_times():
     # -- disassemble: per-request results from the batch's raw arrays ----- #
     t_disassemble = _best_seconds_per_call(lambda: assemble_results(out), loops=50)
 
-    # -- fused stochastic suffix at the served width ---------------------- #
+    # -- stochastic suffix (fold -> GEMM) at the served width ------------- #
     rng = np.random.default_rng(1)
     features = 256
     dense = Dense(10, name="classifier")
     dense.build((features,), rng)
     mcd = MCDropout(0.25, seed=3, name="mcd0")
     mcd.build((features,), rng)
-    xs = rng.normal(size=(NUM_SAMPLES * BATCH, features))
+    prefix = rng.normal(size=(BATCH, features))
 
-    def _suffix_fused():
+    def _suffix():
         ctx = ForwardContext()
-        scaled = mcd.folded_scaled_mask(xs, ctx)
-        return dense.forward_folded(xs, NUM_SAMPLES, scaled_mask=scaled)
+        return dense.forward_folded(mcd.fold(prefix, NUM_SAMPLES, ctx), NUM_SAMPLES)
 
-    t_suffix_fused = _best_seconds_per_call(_suffix_fused, loops=20)
+    t_suffix = _best_seconds_per_call(_suffix, loops=20)
 
     # glue = assemble + transport; disassembly and compute are recorded
     # alongside but are not part of the glue sum.  With direct-to-ring
@@ -157,7 +157,7 @@ def test_glue_breakdown_records_per_stage_times():
         f"compute cold {t_compute_cold * 1e3:.2f} ms vs cache hit "
         f"{t_compute_hit * 1e3:.2f} ms; "
         f"disassemble {t_disassemble * 1e6:.1f} us; "
-        f"suffix fused {t_suffix_fused * 1e6:.1f} us; "
+        f"suffix fold {t_suffix * 1e6:.1f} us; "
         f"glue hot path {glue_hotpath * 1e6:.1f} us (budget {GLUE_BUDGET_US} us)"
     )
     reporting.record(
@@ -171,7 +171,7 @@ def test_glue_breakdown_records_per_stage_times():
         compute_cold_ms=t_compute_cold * 1e3,
         compute_cache_hit_ms=t_compute_hit * 1e3,
         disassemble_us=t_disassemble * 1e6,
-        suffix_fused_us=t_suffix_fused * 1e6,
+        suffix_fold_us=t_suffix * 1e6,
         glue_hotpath_us=glue_hotpath * 1e6,
         glue_budget_us=GLUE_BUDGET_US,
     )

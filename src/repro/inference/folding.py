@@ -4,10 +4,11 @@ The accelerator evaluates ``S`` Monte-Carlo samples *spatially* — the cached
 deterministic activation is cloned into ``S`` parallel MC engines and the
 stochastic suffix is evaluated once (Figure 4 of the paper).  The software
 analogue implemented here folds the sample axis into the batch axis: the
-cached activation of shape ``(N, …)`` is tiled to ``(S·N, …)`` and the
-stochastic suffix is evaluated in a single pass, with every
-:class:`~repro.nn.layers.MCDropout` layer drawing one *independent* mask row
-per (sample, example) pair.
+first :class:`~repro.nn.layers.MCDropout` layer of the suffix clones the
+cached activation of shape ``(N, …)`` into ``(S·N, …)`` under its S masks
+(:meth:`~repro.nn.layers.dropout._DropoutBase.fold`), and the rest of the
+stochastic suffix is evaluated in a single pass, with every later MC-dropout
+layer drawing one *independent* mask row per (sample, example) pair.
 
 Bit-exactness contract
 ----------------------
@@ -19,7 +20,7 @@ observationally invisible.  Three facts make that possible:
 * ``np.random.Generator.random`` fills arrays from the bit stream in row-major
   order, so one draw of shape ``(S·N, …)`` consumes the per-layer RNG stream
   in exactly the same order as ``S`` sequential draws of shape ``(N, …)``.
-  Tiling the batch sample-major therefore reproduces the legacy masks.
+  Folding the batch sample-major therefore reproduces the legacy masks.
 * Row-wise layers (activations, pooling, dropout masking, reshapes,
   inference-mode batch norm) compute each batch row independently, so they
   are bit-stable under batch tiling.
@@ -38,13 +39,10 @@ observationally invisible.  Three facts make that possible:
   deterministic prefix plan of :mod:`repro.inference.plan` shares).  Any
   remaining parameterised layer (custom layers) falls back to a per-slice
   loop.
-* An :class:`MCDropout` directly feeding a :class:`Dense` runs as a **fused
-  stochastic-suffix kernel**: the scaled keep-mask is drawn once (same RNG
-  consumption as the standalone layer) and folded into the GEMM operand one
-  sample block at a time, so the masked ``(S·N, F)`` intermediate is never
-  materialised.  Every element still sees the identical multiply and the
-  identical per-sample GEMM shape, so the fusion stays inside the bit-
-  exactness contract (see :meth:`~repro.nn.layers.dense.Dense.forward_folded`).
+* The clone step never materialises an unmasked ``(S·N, …)`` tile: the
+  first MC-dropout layer draws its S masks in one call and multiplies the
+  ``(N, …)`` prefix into them broadcast over S, which is the same multiply,
+  element for element and in the same memory order, as masking the tile.
 """
 
 from __future__ import annotations
@@ -80,8 +78,6 @@ __all__ = [
 
 #: Layers whose forward pass treats every batch row independently with
 #: identical per-row arithmetic — safe to evaluate on the flat fold.
-#: ``MCDropout`` belongs here by construction: its mask draw on the folded
-#: batch consumes the per-layer RNG stream exactly like S sequential draws.
 ROWWISE_LAYERS: tuple[type[Layer], ...] = (
     ReLU,
     Softmax,
@@ -91,7 +87,6 @@ ROWWISE_LAYERS: tuple[type[Layer], ...] = (
     GlobalAvgPool2D,
     BatchNorm,
     Dropout,
-    MCDropout,
 )
 
 
@@ -99,7 +94,8 @@ def fold_batch(x: np.ndarray, num_samples: int) -> np.ndarray:
     """Tile a batch ``(N, …)`` sample-major into ``(S·N, …)``.
 
     Row ``s·N + n`` of the result is example ``n`` of Monte-Carlo sample
-    ``s`` — the clone step of the accelerator's spatial mapping.
+    ``s`` — the clone step of the accelerator's spatial mapping, which
+    :func:`sample_suffix` leaves to the suffix's first MC-dropout layer.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -160,38 +156,16 @@ def folded_forward_range(
             f"num_samples={num_samples}"
         )
     ctx = resolve_context(ctx)
-    layers = network.layers
     out = x
-    i = start
-    while i < stop:
-        layer = layers[i]
-        # Fused stochastic suffix: an MCDropout feeding a Dense folds its
-        # scaled mask straight into the GEMM operand — the (S·N, F) masked
-        # intermediate is never materialised.  The mask draw and every
-        # arithmetic step match the unfused pair bit for bit (see
-        # Dense.forward_folded), so the fusion is observationally invisible.
-        if (
-            isinstance(layer, MCDropout)
-            and layer.rate > 0.0
-            and i + 1 < stop
-            and isinstance(layers[i + 1], Dense)
-            and out.ndim == 2
-        ):
-            scaled = layer.folded_scaled_mask(out, ctx)
-            out = layers[i + 1].forward_folded(out, num_samples, scaled_mask=scaled)
-            i += 2
-            continue
-        if isinstance(layer, ROWWISE_LAYERS):
+    for layer in network.layers[start:stop]:
+        if isinstance(layer, MCDropout):
+            out = layer.fold(out, 1, ctx)
+        elif isinstance(layer, ROWWISE_LAYERS):
             out = layer.forward(out, training=False, ctx=ctx)
-        elif isinstance(layer, Dense):
-            out = layer.forward_folded(out, num_samples)
-        elif isinstance(layer, Conv2D):
-            out = layer.forward_folded(out, num_samples)
-        elif isinstance(layer, ResidualBlock):
+        elif isinstance(layer, (Dense, Conv2D, ResidualBlock)):
             out = layer.forward_folded(out, num_samples)
         else:
             out = _sliced_forward(layer, out, num_samples, ctx)
-        i += 1
     return out
 
 
@@ -206,17 +180,24 @@ def sample_suffix(
 
     ``prefix`` is the ``(N, …)`` output of layers ``[0, split)``, computed
     once by the caller; :class:`~repro.inference.InferenceEngine` passes
-    each exit head with its deterministic head prefix.  It is folded ``S``
-    times and layers ``[split, end)`` run on the fold in one pass — the
-    accelerator's clone step followed by its parallel MC engines.  A network
-    with no layer from ``split`` on (no stochastic layer) returns ``S``
-    copies of one softmax.
+    each exit head with its deterministic head prefix.  Layer ``split`` —
+    the first MC-dropout layer — folds it ``S`` times under its masks, and
+    layers ``(split, end)`` run on the fold in one pass: the accelerator's
+    clone step followed by its parallel MC engines.  A network with no
+    layer from ``split`` on (no stochastic layer) returns ``S`` copies of
+    one softmax.
     """
-    n_layers = len(network.layers)
-    if split >= n_layers:
+    layers = network.layers
+    if split >= len(layers):
         return np.stack([softmax(prefix, axis=-1)] * num_samples)
-    folded = fold_batch(prefix, num_samples)
+    if not isinstance(layers[split], MCDropout):
+        raise TypeError(
+            f"layer {split} ({type(layers[split]).__name__}) starts the "
+            "stochastic suffix but is not an MCDropout"
+        )
+    ctx = resolve_context(ctx)
+    folded = layers[split].fold(prefix, num_samples, ctx)
     logits = folded_forward_range(
-        network, folded, num_samples, split, n_layers, ctx=ctx
+        network, folded, num_samples, split + 1, len(layers), ctx=ctx
     )
     return unfold_samples(softmax(logits, axis=-1), num_samples)

@@ -60,26 +60,12 @@ class Dense(Layer):
             out = out + self.bias.value
         return out
 
-    def forward_folded(
-        self,
-        x: np.ndarray,
-        num_samples: int,
-        scaled_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def forward_folded(self, x: np.ndarray, num_samples: int) -> np.ndarray:
         """Evaluate on a sample-folded ``(S·N, F)`` batch as stacked GEMMs.
 
         BLAS kernels are not bit-stable across different M, so the fold is
-        dispatched as ``S`` GEMMs with the legacy ``(N, F)`` operand shape —
-        via one stacked ``(S, N, F) @ (F, U)`` matmul when no mask is fused.
-
-        With ``scaled_mask`` (the preceding MC-dropout layer's scaled
-        keep-mask, same shape as ``x``), the mask is folded into the GEMM
-        operand block by block: each sample block is masked into one
-        reusable ``(N, F)`` scratch and multiplied immediately, so the full
-        ``(S·N, F)`` masked intermediate is never materialised.  The
-        per-block elementwise product and the per-block GEMM see exactly the
-        values and operand layout of the unfused path, keeping the fused
-        kernel bit-identical to ``dropout.forward`` + ``forward_folded``.
+        dispatched as one stacked ``(S, N, F) @ (F, U)`` matmul: ``S`` GEMMs
+        with the legacy ``(N, F)`` operand shape.
         """
         if x.shape[0] % num_samples:
             raise ValueError(
@@ -87,17 +73,7 @@ class Dense(Layer):
                 f"num_samples={num_samples}"
             )
         n = x.shape[0] // num_samples
-        w = self.weight.value
-        if scaled_mask is None:
-            stacked = x.reshape(num_samples, n, x.shape[1])
-            out = np.matmul(stacked, w)
-        else:
-            out = np.empty((num_samples, n, self.units), dtype=np.result_type(x, w))
-            buf = np.empty((n, x.shape[1]), dtype=out.dtype)
-            for s in range(num_samples):
-                block = slice(s * n, (s + 1) * n)
-                np.multiply(x[block], scaled_mask[block], out=buf)
-                np.matmul(buf, w, out=out[s])
+        out = np.matmul(x.reshape(num_samples, n, x.shape[1]), self.weight.value)
         if self.use_bias:
             out = out + self.bias.value
         return out.reshape(num_samples * n, self.units)

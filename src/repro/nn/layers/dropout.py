@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..context import ForwardContext, resolve_context
+from ..context import ForwardContext
 from .base import Layer
 
 __all__ = ["Dropout", "MCDropout"]
@@ -68,10 +68,10 @@ class _DropoutBase(Layer):
     def keep_prob(self) -> float:
         return 1.0 - self.rate
 
-    def _sample_mask(
-        self, x: np.ndarray, rng: np.random.Generator | None = None
+    def _draw_scaled(
+        self, x: np.ndarray, rows: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Sample a Bernoulli keep-mask broadcastable to ``x``.
+        """A Bernoulli keep-mask for ``rows`` rows like ``x``, divided by ``keep_prob``.
 
         Filter-wise masking (Section II-A) draws **one Bernoulli per
         filter**: on convolutional ``(N, C, H, W)`` activations the mask has
@@ -79,66 +79,56 @@ class _DropoutBase(Layer):
         ``(N, F)`` activations every feature *is* a single-element filter,
         so the filter-wise mask is the full ``(N, F)`` shape and coincides
         with element-wise masking — there is deliberately no separate code
-        path for it.  Either way the mask consumes ``rows(x)``-proportional
-        RNG stream, which is what lets the sample-folded engine
-        (:mod:`repro.inference.folding`) draw all S per-sample masks in one
-        call without changing the stream.
+        path for it.  Either way one ``rng.random`` call consumes
+        ``rows``-proportional stream, which is what lets :meth:`fold` draw
+        all S per-sample masks in one call without changing the stream.
 
-        ``rng`` defaults to the process-wide default context's stream for
-        this layer.
+        For float64 the draw is scaled in place by the reciprocal, bit-exact
+        because the mask holds only 0.0 and 1.0: ``0.0 * inv == 0.0 / keep``
+        and ``1.0 * inv == inv == 1.0 / keep``.
         """
-        if rng is None:
-            rng = resolve_context(None).rng(self)
         if self.filter_wise and x.ndim == 4:
-            shape: tuple[int, ...] = (x.shape[0], x.shape[1], 1, 1)
+            shape: tuple[int, ...] = (rows, x.shape[1], 1, 1)
         else:
-            shape = x.shape
-        return (rng.random(shape) < self.keep_prob).astype(x.dtype)
+            shape = (rows,) + x.shape[1:]
+        u = rng.random(shape)
+        if x.dtype == np.float64:
+            return np.multiply(u < self.keep_prob, 1.0 / self.keep_prob, out=u)
+        return (u < self.keep_prob).astype(x.dtype) / self.keep_prob
 
     def _apply(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
         if self.rate == 0.0:
             ctx.save(self, np.ones((1,) * x.ndim, dtype=x.dtype))
             return x
-        mask = self._sample_mask(x, ctx.rng(self))
-        scaled = mask / self.keep_prob
+        scaled = self._draw_scaled(x, x.shape[0], ctx.rng(self))
         ctx.save(self, scaled)
         return x * scaled
 
-    def folded_scaled_mask(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray | None:
-        """Draw the scaled keep-mask for ``x`` without applying it.
+    def fold(
+        self, x: np.ndarray, num_samples: int, ctx: ForwardContext
+    ) -> np.ndarray:
+        """The sample-major ``(S·N, …)`` fold of ``x`` under S masks of this layer.
 
-        The fused stochastic-suffix kernel (see
-        :func:`repro.inference.folding.folded_forward_range`) folds the mask
-        into the following GEMM's operand instead of materialising
-        ``x * scaled`` as a separate full-width pass.  The draw consumes the
-        layer's RNG stream exactly like :meth:`_apply` — one ``rng.random``
-        call of the same shape — but skips two of its full-width
-        temporaries: the uniform draw is scaled *in place*, and the scalar
-        division is replaced by a multiply with the reciprocal.  Both are
-        bit-exact because the mask holds only 0.0 and 1.0:
-        ``0.0 * inv == 0.0 / keep`` and ``1.0 * inv == inv == 1.0 / keep``
-        (``inv = 1.0 / keep_prob`` is itself the correctly-rounded quotient).
-        The mask is saved in ``ctx`` exactly as :meth:`_apply` would.
-
-        Returns ``None`` when ``rate == 0`` (identity layer: nothing to
-        fold, and no stream is consumed — matching :meth:`_apply`).
+        Row ``s·N + n`` is example ``n`` under sample ``s``'s mask: the
+        accelerator's clone step and the mask in one pass, with the bytes,
+        memory order and RNG stream use of ``_apply`` on ``x`` tiled S
+        times, but no tile.  ``num_samples=1`` masks an already folded
+        batch.  Nothing is saved in ``ctx``: the folded path has no backward.
         """
+        n = x.shape[0]
         if self.rate == 0.0:
-            ctx.save(self, np.ones((1,) * x.ndim, dtype=x.dtype))
-            return None
-        rng = ctx.rng(self)
-        if self.filter_wise and x.ndim == 4:
-            shape: tuple[int, ...] = (x.shape[0], x.shape[1], 1, 1)
+            reps = (num_samples,) + (1,) * (x.ndim - 1)
+            return x if num_samples == 1 else np.tile(x, reps)
+        scaled = self._draw_scaled(x, num_samples * n, ctx.rng(self))
+        stacked = scaled.reshape((num_samples, n) + scaled.shape[1:])
+        if scaled.shape[1:] == x.shape[1:]:
+            out = np.multiply(x, stacked, out=stacked)
         else:
-            shape = x.shape
-        if x.dtype == np.float64:
-            u = rng.random(shape)
-            scaled = np.multiply(u < self.keep_prob, 1.0 / self.keep_prob, out=u)
-        else:
-            scaled = self._sample_mask(x, rng)
-            np.divide(scaled, self.keep_prob, out=scaled)
-        ctx.save(self, scaled)
-        return scaled
+            # a filter-wise mask broadcasts over H and W, so the product
+            # takes its layout from x: C order, as the tile's would be, for
+            # a real fold; x's own layout, as _apply keeps it, for S = 1
+            out = np.multiply(x, stacked, order="C" if num_samples > 1 else "K")
+        return out.reshape((num_samples * n,) + x.shape[1:])
 
     def backward(
         self, grad_output: np.ndarray, ctx: ForwardContext | None = None

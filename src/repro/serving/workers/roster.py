@@ -382,12 +382,13 @@ class WorkerPool:
     def _enqueue(self, replicas: list[Replica]) -> None:
         """Event-loop callback: offer freshly made replicas for checkout."""
         for replica in replicas:
-            if self._checkout is not None and replica.alive and not replica.retiring:
+            if replica.alive and not replica.retiring:
                 for level in range(replica.depth):
                     self._offer(replica, level)
 
     def _offer(self, replica: Replica, level: int) -> None:
-        self._checkout.put_nowait((level, next(self._tickets), replica))
+        if self._checkout is not None:  # a stopped pool takes no places back
+            self._checkout.put_nowait((level, next(self._tickets), replica))
 
     async def stop(self) -> None:
         if self._checkout is None and not self._replicas:
@@ -440,7 +441,7 @@ class WorkerPool:
         replica.in_flight -= 1
         if replica.retiring:
             self._retire(replica)
-        elif self._checkout is not None:
+        else:
             self._offer(replica, level)
 
     def _retire(self, replica: Replica) -> None:
@@ -595,6 +596,9 @@ class WorkerPool:
         assert self._checkout is not None, "pool is not started"
         token = self._weights_token()
         while True:
+            if self._checkout is None:
+                # stop() ran while this batch was out burying its replica
+                raise WorkerCrashed("the serving pool was stopped mid-batch")
             # fail fast once the whole pool is gone — without this check a
             # batch would park on the (then permanently empty) checkout
             # queue forever, wedging drain-on-stop along with it.  Under a

@@ -1,19 +1,23 @@
-"""Fused stochastic-suffix kernel: bit-exactness against the legacy loop.
+"""The stochastic suffix's one path: bit-exactness against the legacy loop.
 
-The fusion (:func:`repro.inference.folding.folded_forward_range`) collapses
-an ``MCDropout -> Dense`` pair into one pass per sample block: the scaled
-keep-mask is folded into the GEMM operand instead of materialising the
-masked ``(S·N, F)`` intermediate.  These tests pin the acceptance criterion:
+:func:`repro.inference.folding.sample_suffix` leaves the clone step to the
+suffix's first MC-dropout layer: :meth:`~repro.nn.layers.dropout._DropoutBase.fold`
+multiplies the ``(N, …)`` prefix into that layer's S masks, so the unmasked
+``(S·N, …)`` tile is never built.  These tests pin the acceptance criterion:
 for every suffix composition (Dense-only, Conv2D-interleaved, ResidualBlock)
-and S in {1, 4, 10}, the fused folded sampler is **bit-identical** to the legacy
-one-pass-per-sample loop — and the fusion actually engages, so the guarantee
-is not vacuously about the unfused path.
+and S in {1, 4, 10}, the folded sampler is **bit-identical** to the legacy
+one-pass-per-sample loop — and ``fold`` is bit-identical, memory order and
+RNG stream included, to masking the tiled batch.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import single_exit_bayesnet
+from repro.inference import folding
+from repro.inference.folding import fold_batch, sample_suffix
 from repro.nn.context import ForwardContext
 from repro.nn.layers import (
     Conv2D,
@@ -42,8 +46,8 @@ def _dense_suffix_layers():
 
 
 def _conv_suffix_layers():
-    # filter-wise MCD on 4-D features (not fused) feeding a Conv2D, then a
-    # fused MCD -> Dense pair at the end: both dispatch arms in one network
+    # filter-wise MCD on 4-D features folds the prefix ahead of a Conv2D,
+    # then an element-wise MCD on the folded batch feeds the Dense
     return [
         Conv2D(6, 3, padding="same", name="c1"),
         ReLU(),
@@ -111,55 +115,115 @@ def test_fused_suffix_on_full_architecture(num_samples):
     np.testing.assert_array_equal(fused.sample_probs, looped.sample_probs)
 
 
-def test_fusion_engages_on_dense_suffix(monkeypatch):
-    """The MCD->Dense pair really takes the fused path, not the fallback."""
-    net, _, shape = _twin_networks("dense")
+@pytest.mark.parametrize("arch", sorted(SUFFIXES))
+def test_sample_suffix_never_tiles_the_prefix(arch, monkeypatch):
+    """With the split layer's rate > 0 the fold is the masked product alone."""
+    net, _, shape = _twin_networks(arch)
+    assert net.layers[net.first_stochastic_index()].rate > 0
     reseed_mcd(net, 0)
-    calls = []
-    original = Dense.forward_folded
+    tiled = []
 
-    def spy(self, x, num_samples, scaled_mask=None):
-        calls.append(scaled_mask is not None)
-        return original(self, x, num_samples, scaled_mask=scaled_mask)
+    def spy(original):
+        def recording(*args, **kwargs):
+            tiled.append(original.__name__)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(Dense, "forward_folded", spy)
+        return recording
+
+    monkeypatch.setattr(folding, "fold_batch", spy(folding.fold_batch))
+    monkeypatch.setattr(np, "tile", spy(np.tile))
     x = np.random.default_rng(0).normal(size=(4,) + shape)
     folded_mc_sample(net, x, 4, ForwardContext())
-    assert any(calls), "fused kernel never engaged on an MCD->Dense suffix"
+    assert tiled == []
 
 
-def test_fused_kernel_matches_materialised_mask():
-    """Block-wise mask folding == materialised elementwise multiply, bitwise."""
-    rng = np.random.default_rng(5)
-    layer = Dense(7)
-    layer.build((12,), rng)
-    num_samples, n = 4, 3
-    x = rng.normal(size=(num_samples * n, 12))
-    mask = (rng.random(x.shape) < 0.75).astype(x.dtype) / 0.75
-    fused = layer.forward_folded(x, num_samples, scaled_mask=mask)
-    unfused = layer.forward_folded(x * mask, num_samples)
-    np.testing.assert_array_equal(fused, unfused)
+def test_sample_suffix_rejects_a_split_that_is_not_mc_dropout():
+    net, _, shape = _twin_networks("dense")
+    with pytest.raises(TypeError, match="not an MCDropout"):
+        sample_suffix(net, np.zeros((2,) + shape), 0, 3, ForwardContext())
 
 
-def test_folded_scaled_mask_consumes_stream_like_apply():
-    """folded_scaled_mask draws the identical mask _apply would."""
+def test_fold_matches_apply_on_the_tiled_batch():
+    """fold(x, S) has the bytes of _apply(fold_batch(x, S))."""
+    a, b = MCDropout(0.25, seed=9), MCDropout(0.25, seed=9)
+    x = np.random.default_rng(5).normal(size=(3, 12))
+    folded = a.fold(x, 4, ForwardContext())
+    applied = b._apply(fold_batch(x, 4), ForwardContext())
+    assert folded.shape == applied.shape == (12, 12)
+    assert folded.tobytes() == applied.tobytes()
+
+
+def test_fold_consumes_stream_like_apply():
+    """fold leaves the RNG stream where _apply on the tiled batch leaves it."""
     a = MCDropout(0.25, seed=9)
     b = MCDropout(0.25, seed=9)
-    for layer in (a, b):
-        layer.build((16,), np.random.default_rng(0))
-    x = np.ones((5, 16))
+    x = np.random.default_rng(4).normal(size=(5, 16))
     ctx_a, ctx_b = ForwardContext(), ForwardContext()
-    scaled = a.folded_scaled_mask(x, ctx_a)
-    applied = b._apply(x, ctx_b)
-    np.testing.assert_array_equal(x * scaled, applied)
-    # second draws stay aligned: the fused draw advanced the stream equally
     np.testing.assert_array_equal(
-        a.folded_scaled_mask(x, ctx_a), b._apply(x, ctx_b)
+        a.fold(x, 3, ctx_a), b._apply(fold_batch(x, 3), ctx_b)
     )
+    # second draws stay aligned: the fold advanced the stream equally
+    np.testing.assert_array_equal(a.fold(x, 1, ctx_a), b._apply(x, ctx_b))
+    assert ctx_a.rng(a).random() == ctx_b.rng(b).random()
+
+
+def _prefix(data, rank):
+    """A random float64 prefix: C-contiguous, or another layout of the same values."""
+    n = data.draw(st.integers(1, 5), label="N")
+    if rank == 2:
+        shape = (n, data.draw(st.integers(1, 6), label="F"))
+    else:
+        shape = (n,) + tuple(data.draw(st.integers(1, 4), label=a) for a in "CHW")
+    x = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).normal(
+        size=shape
+    )
+    if not data.draw(st.booleans(), label="other layout"):
+        return x
+    if rank == 2:
+        return np.asfortranarray(x)
+    # the plan's NCHW view of NHWC memory
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _layout(a):
+    """The strides that matter: those of the axes longer than one."""
+    return [stride for size, stride in zip(a.shape, a.strides) if size > 1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    data=st.data(),
+    rank=st.sampled_from([2, 4]),
+    filter_wise=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    rate=st.sampled_from([0.0, 0.25, 0.5]),
+    num_samples=st.integers(1, 4),
+)
+def test_fold_is_apply_on_the_tile_in_bytes_layout_and_stream(
+    data, rank, filter_wise, dtype, rate, num_samples
+):
+    x = _prefix(data, rank).astype(dtype, order="K")
+    a, b = (MCDropout(rate, filter_wise=filter_wise, seed=3) for _ in range(2))
+    ctx_a, ctx_b = ForwardContext(), ForwardContext()
+    folded = a.fold(x, num_samples, ctx_a)
+    applied = b._apply(fold_batch(x, num_samples), ctx_b)
+
+    assert (folded.shape, folded.dtype) == (applied.shape, applied.dtype)
+    assert folded.tobytes() == applied.tobytes()
+    # the same memory order: a tile is C-contiguous, and at S = 1 the layer
+    # keeps its input's layout, as _apply does
+    assert _layout(folded) == _layout(applied)
+    assert folded.flags.c_contiguous or (num_samples == 1 and not x.flags.c_contiguous)
+    assert ctx_a.rng(a).random() == ctx_b.rng(b).random()
+    if rank == 4:
+        # a later global pool sums in stride order, so layout would show here
+        pool = GlobalAvgPool2D()
+        pooled = pool.forward(folded, ctx=ctx_a)
+        assert pooled.tobytes() == pool.forward(applied, ctx=ctx_b).tobytes()
 
 
 def test_zero_rate_mcd_before_dense_stays_identity():
-    """rate=0 pairs skip fusion (no stream consumed) and stay bit-exact."""
+    """A rate-0 split layer folds by tiling (no stream consumed), bit-exact."""
     fused_net = Network([Flatten(), MCDropout(0.0), Dense(3)])
     fused_net.build((2, 3, 3), seed=0)
     looped_net = Network([Flatten(), MCDropout(0.0), Dense(3)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.context import ForwardContext
 from repro.nn.layers import (
     AvgPool2D,
     BatchNorm,
@@ -221,17 +222,18 @@ class TestDropout:
         """
         fw = build(MCDropout(0.5, filter_wise=True, seed=123), (32,))
         ew = build(MCDropout(0.5, filter_wise=False, seed=123), (32,))
-        x = np.ones((6, 32))
-        mask_fw = fw._sample_mask(x)
+        x = np.ones((6, 32))  # so the output is the scaled mask itself
+        mask_fw = fw.forward(x)
         assert mask_fw.shape == (6, 32)
-        np.testing.assert_array_equal(mask_fw, ew._sample_mask(x))
+        np.testing.assert_array_equal(mask_fw, ew.forward(x))
         # per-element masking: rows must not be forced to a single value
         assert any(len(np.unique(mask_fw[n])) == 2 for n in range(6))
 
     def test_filter_wise_conv_mask_shape(self):
         layer = build(MCDropout(0.5, filter_wise=True, seed=5), (8, 4, 4))
-        mask = layer._sample_mask(np.ones((3, 8, 4, 4)))
-        assert mask.shape == (3, 8, 1, 1)
+        ctx = ForwardContext()
+        layer.forward(np.ones((3, 8, 4, 4)), ctx=ctx)
+        assert ctx.saved(layer).shape == (3, 8, 1, 1)
 
     def test_deterministic_forward_is_identity(self, rng):
         layer = build(MCDropout(0.5), (6,))

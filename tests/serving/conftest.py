@@ -8,13 +8,17 @@ swaps and cancelled batches included.  So does one that leaves the test
 thread's CPU mask narrowed (a process pool keeps its loop thread off its
 workers' CPUs and must put the mask back when it stops), or a
 ``DynamicBatcher`` that was started and never stopped (its collector task
-was still pending on the loop when the test let go of it).
+was still pending on the loop when the test let go of it), or an event
+loop that reported an error nobody handled — a task whose exception was
+never retrieved, which asyncio only prints when the task is collected.
 
 Also registers the ``hypothesis`` profile of the suite's state machines.
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import multiprocessing
 import os
 import time
@@ -66,6 +70,29 @@ def _foreign(name: str) -> bool:
     if mapped_by("self"):
         return False
     return any(mapped_by(pid) for pid in os.listdir("/proc") if pid.isdigit())
+
+
+@pytest.fixture(autouse=True)
+def no_unhandled_loop_errors(monkeypatch):
+    """Fail a test whose event loops reported an error nobody handled.
+
+    Yields the list of reported contexts; a test that plants such an error
+    on purpose empties it once it has looked.
+    """
+    reported: list[dict] = []
+    default = asyncio.base_events.BaseEventLoop.default_exception_handler
+
+    def recording(loop, context):
+        reported.append(context)
+        default(loop, context)
+
+    monkeypatch.setattr(
+        asyncio.base_events.BaseEventLoop, "default_exception_handler", recording
+    )
+    yield reported
+    gc.collect()  # a dropped task reports its lost exception when collected
+    messages = [context["message"] for context in reported]
+    assert not reported, f"unhandled event-loop errors: {messages}"
 
 
 @pytest.fixture(autouse=True)

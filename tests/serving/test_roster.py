@@ -220,6 +220,32 @@ def test_supervised_total_death_waits_bounded_then_serves_the_respawn():
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("supervised", [False, True])
+def test_a_death_whose_reap_outlasts_stop_raises_worker_crashed(supervised):
+    """stop() clears the checkout while a batch is still burying its replica.
+
+    The batch path then neither hands the corpse's place back nor parks on
+    the checkout again: it raises the pool's typed error.
+    """
+
+    async def main():
+        plan = FaultPlan([(0, "mid_compute")])
+        async with serving(1, fault_plan=plan) as pool:
+            pool.supervised = supervised
+            pool.reap_gate.clear()
+            batch = asyncio.ensure_future(pool.run(0, ["x0.0"]))
+            await wait_for_event(pool.reaping)
+            stopping = asyncio.ensure_future(pool.stop())
+            await wait_until(lambda: pool._checkout is None)
+            pool.reap_gate.set()
+            with pytest.raises(WorkerCrashed):
+                await asyncio.wait_for(batch, WAIT_S)
+            await asyncio.wait_for(stopping, WAIT_S)
+            assert pool._replicas == [] and pool.worker_crashes == 1
+
+    asyncio.run(main())
+
+
 def test_silent_death_is_found_only_by_the_scan_and_respawned_to_target():
     async def main():
         plan = FaultPlan([(0, "post_response")])
