@@ -23,7 +23,8 @@ bench:
 # below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
 # one-ring-worker busy-share gate (>= 0.80) + the hot-path glue
 # gates (suffix fold >= 1.3x the tile -> mask -> GEMM chain, per-batch
-# glue <= 40 us, 0.25 ms batch flush overshoot <= 300 us) + the conv
+# glue <= 40 us, 0.25 ms batch flush overshoot <= 300 us, a cold
+# activation-cache lookup + store <= 0.25x a blake2b of the batch) + the conv
 # gates (flat fold >= 2x, planned prefix faster than layer-by-layer —
 # ResNet >= 1.05x, pooled LeNet >= 1.5x —
 # and allocating only its GEMM results and pool outputs) + the column-kernel

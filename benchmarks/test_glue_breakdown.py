@@ -21,7 +21,15 @@ term, since direct-to-ring staging makes assembly the transport) must fit
 in :data:`GLUE_BUDGET_US` per batch.  The other stages stay ungated:
 individually they are host-dependent noise; the sum is the promise.
 
-A second gated figure covers the one stage that is a *wait* rather than
+A second gated figure is the activation cache's **miss cost**: one cold
+lookup + store (``cache_miss_us``) on the served LeNet batch and on
+``conv_mc``'s ResNet batch, against a full cache of other batches.  The
+cache matches inputs by their bytes — one ``tobytes`` copy and comparisons
+that stop at the first differing byte — so a miss must stay within
+:data:`CACHE_MISS_DIGEST_SHARE` of a blake2b digest of the same batch (the
+key the cache once computed for every batch it served).
+
+A third gated figure covers the one stage that is a *wait* rather than
 work: ``batch_flush_overshoot_us``, how much later than its
 ``max_batch_latency`` a lone request's partial batch is dispatched.  The
 event loop's selector timers are whole milliseconds rounded up, so a
@@ -34,6 +42,9 @@ selector wait) is recorded alongside, ungated.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import inspect
+import itertools
 import multiprocessing as mp
 import statistics
 import time
@@ -41,6 +52,7 @@ import time
 import numpy as np
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
+from repro.inference.engine import InferenceEngine, _ActivationCache
 from repro.nn.architectures import lenet5_spec
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Dense, MCDropout
@@ -58,6 +70,10 @@ LOOPS = 200
 GLUE_BUDGET_US = 40.0
 #: how late a 0.25 ms partial-batch flush may fire
 FLUSH_OVERSHOOT_BUDGET_US = 300.0
+#: a cold cache lookup + store, as a share of a blake2b of the same batch
+CACHE_MISS_DIGEST_SHARE = 0.25
+#: the served batches: the demo LeNet's and conv_mc's ResNet's
+CACHE_MISS_BATCHES = {"lenet": (BATCH,) + SHAPE, "resnet": (16, 3, 16, 16)}
 
 
 def _best_seconds_per_call(fn, loops=LOOPS, repeats=5):
@@ -184,6 +200,60 @@ def test_glue_breakdown_records_per_stage_times():
     )
     # and the cache-hit path must actually be cheaper than a cold forward
     assert t_compute_hit < t_compute_cold
+
+
+def _cache_miss_seconds(shape) -> float:
+    """One cold ``get`` + ``put`` against a full cache of other batches.
+
+    Cycling one batch more than the cache holds makes every lookup a miss
+    and every store an eviction — the steady state of serving fresh bytes.
+    """
+    cache = _ActivationCache(
+        inspect.signature(InferenceEngine).parameters["cache_size"].default
+    )
+    rng = np.random.default_rng(2)
+    batches = [rng.normal(size=shape) for _ in range(cache.maxsize + 1)]
+    acts = [np.empty(0)]
+    turns = itertools.cycle(batches)
+
+    def _miss():
+        x = next(turns)
+        if cache.get(x, 0) is None:
+            cache.put(x, 0, acts)
+
+    seconds = _best_seconds_per_call(_miss)
+    assert cache.hits == 0, "a cold lookup hit; the timing would be a lie"
+    return seconds
+
+
+def test_cache_miss_costs_a_fraction_of_a_digest():
+    miss_us, digest_us = {}, {}
+    for name, shape in CACHE_MISS_BATCHES.items():
+        x = np.random.default_rng(3).normal(size=shape)
+        miss_us[name] = _cache_miss_seconds(shape) * 1e6
+        digest_us[name] = (
+            _best_seconds_per_call(lambda: hashlib.blake2b(x, digest_size=16).digest())
+            * 1e6
+        )
+    print(
+        "\ncache miss (cold get + put) vs blake2b of the batch: "
+        + "; ".join(
+            f"{name} {CACHE_MISS_BATCHES[name]} {miss_us[name]:.1f} us vs "
+            f"{digest_us[name]:.1f} us"
+            for name in CACHE_MISS_BATCHES
+        )
+    )
+    reporting.record(
+        "serving_glue_breakdown",
+        **{f"cache_miss_{name}_us": us for name, us in miss_us.items()},
+        **{f"cache_miss_digest_{name}_us": us for name, us in digest_us.items()},
+    )
+    for name in CACHE_MISS_BATCHES:
+        assert miss_us[name] <= CACHE_MISS_DIGEST_SHARE * digest_us[name], (
+            f"a cold cache lookup + store on the {name} batch takes "
+            f"{miss_us[name]:.1f} us, over {CACHE_MISS_DIGEST_SHARE}x the "
+            f"{digest_us[name]:.1f} us blake2b of the same bytes"
+        )
 
 
 def _median_flush_overshoot_us(max_batch_latency, requests=100):

@@ -11,17 +11,15 @@ and only that stochastic suffix is folded ``S`` times into the batch axis by
 The engine reproduces the per-sample loops of the test oracle bit-for-bit
 and implements confidence-based early exiting with *active-set masking*:
 only still-undecided examples are propagated through later backbone
-segments.  Its small content-keyed cache reuses a batch's backbone
-activations only when a later call sees *identical bytes* under the same
-weights.  :mod:`repro.serving` serves :class:`InferenceEngine`; its
+segments.  Its small cache reuses a batch's backbone activations when a
+later call passes *identical bytes* under the same weights.
+:mod:`repro.serving` serves :class:`InferenceEngine`; its
 ``DynamicBatcher`` is what turns async arrivals into batches.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,87 +39,55 @@ __all__ = ["InferenceEngine"]
 
 
 class _ActivationCache:
-    """Content-keyed LRU memo of activations for repeated inputs.
+    """LRU memo of backbone activations, matched on the input's bytes.
 
-    Keys are ``(weights token, shape, dtype, blake2b(bytes))`` — the cheap
-    content digest the ISSUE-9 serving path needs: staged batches and ring
-    views are *fresh array objects* every time, so the historical
-    identity-keyed cache could never hit under serving.  Content keying
-    gives replicas hot-path hits for repeated inputs regardless of which
-    buffer the bytes arrive in, and makes in-place mutation of a cached
-    *input* safe by construction (the digest changes with the bytes).
+    An entry is ``(weights token, shape, dtype.str, input bytes,
+    activations)``, oldest first, at most ``maxsize`` of them — so the
+    cache holds at most ``maxsize`` private input copies, and mutating the
+    caller's array after a store cannot make a stale entry match.  Staged
+    batches and ring views are fresh arrays, so matching bytes rather than
+    objects is what lets serving replicas hit.  A lookup costs one
+    ``tobytes`` copy plus at most ``maxsize`` comparisons: a hit compares
+    the full length, a miss usually stops at the first differing byte.
 
-    Every key embeds a *weights-version token* (see
-    :attr:`Network.weights_version`, derived from the per-parameter
-    mutation counters): entries stored under an older token are pruned on
-    the next store, so optimizer steps, ``Parameter.assign``,
-    ``set_weights`` and post-training quantization all invalidate the
-    cache without having to know about it.  Only a raw
-    ``param.value[...]`` write without a following ``param.bump_version()``
-    goes unnoticed — such code must call ``engine.invalidate_cache()``
-    itself.  Non-C-contiguous inputs bypass the cache (hashing them would
-    need a materialising copy); ``hits``/``misses`` count every lookup and
-    feed ``ServingStats``.
+    A store drops the entries stored under other *weights-version tokens*
+    (:attr:`Network.weights_version`, from the per-parameter mutation
+    counters), so optimizer steps, ``Parameter.assign``, ``set_weights``
+    and quantization invalidate the cache unawares; code writing
+    ``param.value[...]`` must bump the version or ``invalidate_cache()``.
+    Non-C-contiguous inputs count as misses and are never stored;
+    ``hits``/``misses`` count every lookup and feed ``ServingStats``.
     """
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = int(maxsize)
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        # the key of the last get() miss, so the put() that follows a cold
-        # lookup does not hash the same bytes twice (id() is stable here:
-        # the caller holds x alive between its get and put)
-        self._miss_key: tuple | None = None
-
-    @staticmethod
-    def _key(x: np.ndarray, token: object) -> tuple | None:
-        if not x.flags.c_contiguous:
-            return None
-        digest = hashlib.blake2b(x, digest_size=16).digest()
-        return (token, x.shape, x.dtype.str, digest)
+        self._entries: list[tuple] = []
+        self.hits = self.misses = 0
 
     def get(self, x: np.ndarray, token: object):
-        # a miss key is only good for the put() right after its own get():
-        # early exit gets without a put, and freed arrays' ids get reused
-        self._miss_key = None
         if self.maxsize <= 0:
             return None
-        key = self._key(x, token)
-        if key is None:
-            self.misses += 1
-            return None
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            self._miss_key = (id(x), token, key)
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
+        if x.flags.c_contiguous:
+            key = (token, x.shape, x.dtype.str, x.tobytes())
+            for i, entry in enumerate(self._entries):
+                if entry[:4] == key:
+                    self._entries.append(self._entries.pop(i))
+                    self.hits += 1
+                    return entry[4]
+        self.misses += 1
+        return None
 
     def put(self, x: np.ndarray, token: object, value: object) -> None:
-        if self.maxsize <= 0:
+        if self.maxsize <= 0 or not x.flags.c_contiguous:
             return
-        miss_key, self._miss_key = self._miss_key, None
-        if miss_key is not None and miss_key[0] == id(x) and miss_key[1] == token:
-            key = miss_key[2]
-        else:
-            key = self._key(x, token)
-        if key is None:
-            return
-        # a weights bump invalidates everything stored under older tokens
-        stale = [k for k in self._entries if k[0] != token]
-        for k in stale:
-            del self._entries[k]
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        key = (token, x.shape, x.dtype.str, x.tobytes())
+        # drop what older weights stored, and the entry these bytes replace
+        kept = [e for e in self._entries if e[0] == token and e[:4] != key]
+        kept.append(key + (value,))
+        self._entries = kept[-self.maxsize :]
 
     def clear(self) -> None:
         self._entries.clear()
-        self._miss_key = None
 
 
 class InferenceEngine:
@@ -186,7 +152,7 @@ class InferenceEngine:
         self._cache.clear()
 
     def cache_stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the content-keyed activation cache so far."""
+        """``(hits, misses)`` of the activation cache so far."""
         return self._cache.hits, self._cache.misses
 
     def weights_token(self) -> int:
@@ -350,8 +316,8 @@ class InferenceEngine:
 
         When the batch's backbone activations are already memoised (a prior
         :meth:`predict_mc` / :meth:`backbone_activations` call on a batch
-        with *identical bytes* under the current weights — the cache is
-        content-keyed, so staged buffers and ring views hit like the
+        with *identical bytes* under the current weights — the cache
+        matches bytes, so staged buffers and ring views hit like the
         original array), the backbone is not re-run at all:
         each exit reads the still-active rows straight out of the cached
         per-segment activations.  Cache hits may differ from the cold path

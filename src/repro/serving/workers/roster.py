@@ -45,7 +45,8 @@ The rules, each stated once here and true of both backends:
   successors are enqueued.
 * **Lifetime.**  Replicas exist from ``start()`` to ``stop()``; between
   the two, ``scale_to`` / ``swap_engine`` only record the new size /
-  engine and generation for the next start.
+  engine and generation for the next start.  ``stop()`` fails every batch
+  parked on checkout with ``WorkerCrashed``.
 * **Counters** are kept per replica and banked into the pool when a
   replica leaves the roster (retired, reaped, stopped), so pool totals
   never go backwards.
@@ -393,7 +394,10 @@ class WorkerPool:
     async def stop(self) -> None:
         if self._checkout is None and not self._replicas:
             return
-        self._checkout = None
+        checkout, self._checkout = self._checkout, None
+        if checkout is not None:
+            # wake the batches parked on it; each passes the wake-up on (run)
+            checkout.put_nowait((0, next(self._tickets), None))
         if self._retire_futures:
             # let in-progress drain-before-retire shutdowns finish first;
             # they run on the executor we are about to drop
@@ -604,14 +608,15 @@ class WorkerPool:
             # queue forever, wedging drain-on-stop along with it.  Under a
             # supervisor a transiently empty fleet is survivable: park on
             # checkout (bounded) until a respawn lands.
+            checkout = self._checkout
             if any(r.alive for r in self._replicas):
-                level, _, replica = await self._checkout.get()
+                level, ticket, replica = await checkout.get()
             elif not self.supervised:
                 raise WorkerCrashed(f"all {self.workers} serving workers have died")
             else:
                 try:
-                    level, _, replica = await asyncio.wait_for(
-                        self._checkout.get(), self._respawn_wait
+                    level, ticket, replica = await asyncio.wait_for(
+                        checkout.get(), self._respawn_wait
                     )
                 except asyncio.TimeoutError:
                     if any(r.alive for r in self._replicas):
@@ -620,6 +625,10 @@ class WorkerPool:
                         f"all serving workers died and no respawn arrived "
                         f"within {self._respawn_wait}s"
                     ) from None
+            if self._checkout is not checkout:
+                # stop() dropped the queue: wake the next waiter, raise at the top
+                checkout.put_nowait((level, ticket, replica))
+                continue
             if not replica.alive:
                 if not self.supervised and not any(r.alive for r in self._replicas):
                     # a poison token from a total-pool death: pass the

@@ -14,12 +14,19 @@ The ROADMAP named two holes after PR 1:
 A later hole: a cache lookup that was never followed by a store left its
 miss key behind, and the next store trusted it for any array with the same
 ``id()`` — storing one batch's activations under another batch's bytes.
+The cache now matches an input by its bytes and keeps no miss key; a
+hypothesis property pins it against an LRU reference keyed on
+``(token, shape, dtype, bytes)``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 from repro.inference import engine as engine_module
@@ -163,10 +170,7 @@ def test_early_exit_cold_path_unchanged():
     assert res.exit_distribution.sum() == pytest.approx(1.0)
 
 
-def test_a_lookup_without_a_store_leaves_no_key_for_the_next_store(monkeypatch):
-    # CPython reuses ids of freed arrays as a matter of course; make every
-    # array share one id so the collision is deterministic
-    monkeypatch.setattr(engine_module, "id", lambda obj: 0, raising=False)
+def test_a_strided_miss_between_lookup_and_store_caches_nothing_under_first_bytes():
     model = _model()
     engine = model.engine
     a = np.ascontiguousarray(X)
@@ -181,3 +185,89 @@ def test_a_lookup_without_a_store_leaves_no_key_for_the_next_store(monkeypatch):
     want = _model().engine.backbone_activations(a.copy())
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+# --------------------------------------------------------------------------- #
+# the cache against an LRU reference keyed on (token, shape, dtype, bytes)
+# --------------------------------------------------------------------------- #
+class _ReferenceLRU:
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.entries: OrderedDict[tuple, object] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, x, token):
+        if self.maxsize <= 0:
+            return None
+        key = (token, x.shape, x.dtype.str, x.tobytes())
+        if not x.flags.c_contiguous or key not in self.entries:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return self.entries[key]
+
+    def put(self, x, token, value) -> None:
+        if self.maxsize <= 0 or not x.flags.c_contiguous:
+            return
+        for key in [k for k in self.entries if k[0] != token]:
+            del self.entries[key]
+        key = (token, x.shape, x.dtype.str, x.tobytes())
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+
+
+def _cache_pool() -> list[np.ndarray]:
+    """Arrays that agree in values, bytes, shape or dtype, but never in all."""
+    plus = np.arange(8.0).reshape(2, 4)  # plus[0, 0] is +0.0
+    minus = plus.copy()
+    minus[0, 0] = -0.0  # equal values, other bytes
+    nan = np.full((2, 4), np.nan)
+    nan_other = nan.copy()
+    nan_other.view(np.uint64)[0, 0] += 1  # another NaN payload
+    strided = np.arange(16.0).reshape(2, 8)[:, ::2]  # never cacheable
+    return [
+        plus,
+        plus.copy(),  # the same bytes in another array
+        minus,
+        nan,
+        nan_other,
+        plus.reshape(4, 2).copy(),  # the same bytes in another shape
+        plus.view(np.int64),  # ... and in another dtype
+        strided,
+        np.ascontiguousarray(strided),
+    ]
+
+
+# (op, pool index); a bump ignores its index, and draws rarer than a lookup
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["get", "get", "get", "put", "put", "negate", "bump"]),
+        st.integers(0, len(_cache_pool()) - 1),
+    ),
+    min_size=2,
+    max_size=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(maxsize=st.integers(0, 3), ops=_CACHE_OPS)
+def test_the_cache_matches_an_lru_reference_keyed_on_bytes(maxsize, ops):
+    pool = _cache_pool()
+    cache = engine_module._ActivationCache(maxsize)
+    reference = _ReferenceLRU(maxsize)
+    token = 0
+    for op, i in ops:
+        if op == "get":
+            assert cache.get(pool[i], token) is reference.get(pool[i], token)
+        elif op == "put":
+            value = object()
+            cache.put(pool[i], token, value)
+            reference.put(pool[i], token, value)
+        elif op == "bump":
+            token += 1
+        else:  # the caller mutates an array (a stored one, perhaps) in place
+            np.negative(pool[i], out=pool[i])
+        assert (cache.hits, cache.misses) == (reference.hits, reference.misses)

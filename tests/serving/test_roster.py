@@ -246,6 +246,35 @@ def test_a_death_whose_reap_outlasts_stop_raises_worker_crashed(supervised):
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_stop_wakes_a_batch_parked_on_checkout_with_worker_crashed(depth):
+    """stop() drops the checkout queue a batch is parked on.
+
+    The held batches still return their rows once released, and the
+    parked one raises the pool's typed error instead of waiting forever.
+    """
+
+    async def main():
+        async with serving(1, depth=depth) as pool:
+            holds = [pool.hold(seq) for seq in range(depth)]
+            held = [asyncio.ensure_future(run(pool, seq)) for seq in range(depth)]
+            for entered, _ in holds:
+                await wait_for_event(entered)
+            parked = asyncio.ensure_future(pool.run(depth, ["parked"]))
+            await asyncio.sleep(0.02)
+            assert not parked.done()
+            stopping = asyncio.ensure_future(pool.stop())
+            await wait_until(lambda: pool._checkout is None)
+            for _, release in holds:
+                release.set()
+            await asyncio.wait_for(asyncio.gather(*held), WAIT_S)
+            await asyncio.wait_for(stopping, WAIT_S)
+            with pytest.raises(WorkerCrashed):
+                await asyncio.wait_for(parked, WAIT_S)
+
+    asyncio.run(main())
+
+
 def test_silent_death_is_found_only_by_the_scan_and_respawned_to_target():
     async def main():
         plan = FaultPlan([(0, "post_response")])
