@@ -15,10 +15,10 @@ bench:
 
 # Reentrancy/shared-memory/concurrency suites (incl. the ring exchange's
 # two-deep queue and cancellation, the slot-sizing contract — a spawn-free
-# geometry grid, a lying geometry failing one batch — the pipe replica's
-# deaths, worker/loop CPU placement — K = 1..3 pinned workers on a 4-core
-# host — and the batcher's hand-off ordering, its queue bound and the
-# request-conservation state machine) +
+# geometry grid, a lying geometry failing one batch — worker/loop CPU
+# placement — K = 1..3 pinned workers on a 4-core host — and the batcher's
+# hand-off ordering, its queue bound and the request-conservation state
+# machine) +
 # the K=4 scaling gates (threads >= 1.8x, processes >= 2.5x; gates skip
 # below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
 # one-ring-worker busy-share gate (>= 0.80) + the hot-path glue

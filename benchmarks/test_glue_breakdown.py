@@ -3,8 +3,7 @@
 A served request's latency is compute plus *glue*: assembling payloads
 into a batch, moving the batch to a worker, and fanning the output back
 out into per-request results.  This microbenchmark times each stage in
-isolation, for the pipe replica's mechanisms (``np.stack`` assembly, one
-pickled frame down the pipe), the thread replica's
+isolation: ``np.stack`` assembly against the thread replica's
 :class:`~repro.serving.batcher.BatchStager` pinned staging, and the ring
 replica's **direct-to-ring** staging (payload rows land straight in the
 :class:`~repro.serving.workers.ring.BatchRing` slot); then the compute
@@ -45,7 +44,6 @@ import asyncio
 import hashlib
 import inspect
 import itertools
-import multiprocessing as mp
 import statistics
 import time
 
@@ -96,15 +94,7 @@ def test_glue_breakdown_records_per_stage_times():
     t_stack = _best_seconds_per_call(lambda: np.stack(payloads))
     t_stage = _best_seconds_per_call(lambda: stager.stage(payloads))
 
-    # -- transport: pickle pipe roundtrip vs ring slot stage + view ------- #
-    # batch is 32 * 144 * 8 B = 36 KiB, inside the 64 KiB pipe buffer, so
-    # the in-process send/recv below cannot deadlock
-    parent_conn, child_conn = mp.Pipe()
-
-    def _pipe_roundtrip():
-        parent_conn.send(batch)
-        return child_conn.recv()
-
+    # -- transport: ring slot stage + view -------------------------------- #
     ring = BatchRing.create(slots=1, request_bytes=batch.nbytes, response_bytes=4096)
 
     def _direct_to_ring():
@@ -115,11 +105,8 @@ def test_glue_breakdown_records_per_stage_times():
         return ring.read_request(0)
 
     try:
-        t_pipe = _best_seconds_per_call(_pipe_roundtrip)
         t_ring_direct = _best_seconds_per_call(_direct_to_ring)
     finally:
-        parent_conn.close()
-        child_conn.close()
         ring.release()
 
     # -- compute: cold forward vs content-keyed cache hit ----------------- #
@@ -168,8 +155,7 @@ def test_glue_breakdown_records_per_stage_times():
     print(
         f"\nglue breakdown (batch={BATCH}x{SHAPE}, S={NUM_SAMPLES}): "
         f"assemble stack {t_stack * 1e6:.1f} us vs stage {t_stage * 1e6:.1f} us; "
-        f"transport pipe {t_pipe * 1e6:.1f} us vs direct ring "
-        f"{t_ring_direct * 1e6:.1f} us; "
+        f"transport direct ring {t_ring_direct * 1e6:.1f} us; "
         f"compute cold {t_compute_cold * 1e3:.2f} ms vs cache hit "
         f"{t_compute_hit * 1e3:.2f} ms; "
         f"disassemble {t_disassemble * 1e6:.1f} us; "
@@ -182,7 +168,6 @@ def test_glue_breakdown_records_per_stage_times():
         num_samples=NUM_SAMPLES,
         assemble_stack_us=t_stack * 1e6,
         assemble_staged_us=t_stage * 1e6,
-        transport_pipe_us=t_pipe * 1e6,
         transport_ring_direct_us=t_ring_direct * 1e6,
         compute_cold_ms=t_compute_cold * 1e3,
         compute_cache_hit_ms=t_compute_hit * 1e3,

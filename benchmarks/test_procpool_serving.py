@@ -76,7 +76,6 @@ def _serve_flood_seconds(
     workers: int,
     x: np.ndarray,
     repeats: int = 3,
-    transport: str = "ring",
 ) -> float:
     """Best wall time to serve all of ``x`` concurrently with K workers."""
     model = _model()
@@ -88,7 +87,6 @@ def _serve_flood_seconds(
                 num_samples=NUM_SAMPLES,
                 workers=workers,
                 worker_backend=backend,
-                worker_transport=transport,
                 max_batch_size=MAX_BATCH,
                 max_batch_latency=0.002,
                 max_queue_size=2 * NUM_REQUESTS,
@@ -149,44 +147,6 @@ def test_four_process_workers_at_least_2p5x_one_worker():
     )
 
 
-@needs_cores
-@pytest.mark.timeout(300)
-def test_ring_transport_strictly_beats_pipe_transport():
-    """Gate: the shm ring must strictly out-serve the pickle pipe at K=4.
-
-    Same workers, same batches, same compute — the only difference is how
-    the arrays cross the process boundary.  The ring stages each batch
-    directly into a pre-pinned shared-memory slot (the pipe carries just a
-    slot index), so the pickle/copy tax on both legs disappears; if that
-    does not show up as throughput on a multi-core flood, the transport is
-    not paying for its complexity.
-    """
-    x = np.random.default_rng(3).normal(size=(NUM_REQUESTS, 1, 12, 12))
-
-    t_pipe = _serve_flood_seconds("process", WORKERS, x, transport="pipe")
-    t_ring = _serve_flood_seconds("process", WORKERS, x, transport="ring")
-
-    speedup = t_pipe / t_ring
-    print(
-        f"\nring vs pipe (K={WORKERS} processes, S={NUM_SAMPLES}, "
-        f"{NUM_REQUESTS} requests): pipe {t_pipe * 1e3:.1f} ms, "
-        f"ring {t_ring * 1e3:.1f} ms ({speedup:.2f}x) on {os.cpu_count()} cores"
-    )
-    reporting.record(
-        "procpool_serving",
-        k4_pipe_s=t_pipe,
-        k4_ring_s=t_ring,
-        throughput_k4_ring_rps=NUM_REQUESTS / t_ring,
-        throughput_k4_pipe_rps=NUM_REQUESTS / t_pipe,
-        speedup_ring_vs_pipe=speedup,
-    )
-    assert t_ring < t_pipe, (
-        f"ring transport served the flood in {t_ring * 1e3:.1f} ms vs the "
-        f"pipe's {t_pipe * 1e3:.1f} ms ({speedup:.2f}x) — zero-copy slots "
-        "should strictly beat pickling every batch through the pipe"
-    )
-
-
 needs_spare_cpu = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="worker placement needs sched_setaffinity and a second allowed CPU",
@@ -232,7 +192,7 @@ def test_one_ring_worker_stays_busy_under_a_closed_loop_flood():
         k1_ring_worker_busy_share=stats.worker_busy_share,
         throughput_k1_ring_flood_rps=stats.throughput_rps,
     )
-    assert stats.transport_pipe_batches == 0 and stats.worker_crashes == 0
+    assert stats.worker_crashes == 0
     assert stats.worker_busy_share >= 0.80, (
         f"the worker computed only {stats.worker_busy_share:.1%} of the time "
         "between its replies — the next batch should already be staged when "

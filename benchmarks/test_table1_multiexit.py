@@ -2,8 +2,8 @@
 
 Regenerates the accuracy / ECE / relative-FLOPs comparison for ResNet-18 and
 VGG-19 multi-exit MCD BayesNNs and checks the claims that survive the
-scaled-down synthetic substitution (see EXPERIMENTS.md for the full
-discussion):
+scaled-down synthetic substitution (see README.md, "Reproducing the
+paper", for the full discussion):
 
 * the multi-exit variants stay accuracy-competitive with the single-exit
   baselines;

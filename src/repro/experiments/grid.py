@@ -24,7 +24,7 @@ Axes
     confidence threshold.
 ``batchers``
     :class:`~repro.serving.BatcherConfig` field overrides.
-``workers`` / ``worker_backends`` / ``worker_transports``
+``workers`` / ``worker_backends``
     The fleet axes of :class:`~repro.serving.ServingConfig`.
 ``traffic``
     The load shape: ``{"process": "sequential" | "poisson" | "burst",
@@ -38,7 +38,7 @@ digest of the cell's **model axes only** (architecture, ``num_samples``,
 exit policy), so two runners expanding the same spec agree on every
 seed without coordination, replicates of one grid point repeat the
 identical seeded workload, and cells that differ only in *execution*
-axes (batcher geometry, workers, backend, transport, traffic) serve
+axes (batcher geometry, workers, backend, traffic) serve
 the same seeded model.  The runner's sequential bit-identity probe must
 therefore hash identically across that whole execution slice — turning
 ``bit_hash`` into a grid-wide numerics invariant, not just a label.
@@ -53,7 +53,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..serving.config import WORKER_BACKENDS, WORKER_TRANSPORTS, BatcherConfig
+from ..serving.config import WORKER_BACKENDS, BatcherConfig
 
 __all__ = ["Cell", "GridSpec", "GRIDS", "smoke_grid", "paper_grid"]
 
@@ -102,7 +102,7 @@ class Cell:
 
     ``params`` is a plain JSON-ready dict (``arch``, ``num_samples``,
     ``exit_policy``, ``batcher``, ``workers``, ``worker_backend``,
-    ``worker_transport``, ``traffic``, ``replicate``); ``key`` is its
+    ``traffic``, ``replicate``); ``key`` is its
     content digest and ``seed`` the derived per-cell seed.
     """
 
@@ -137,7 +137,6 @@ class GridSpec:
     batchers: tuple[Mapping[str, Any], ...] = ({},)
     workers: tuple[int, ...] = (1,)
     worker_backends: tuple[str, ...] = ("thread",)
-    worker_transports: tuple[str, ...] = ("ring",)
     traffic: tuple[Mapping[str, Any], ...] = (dict(_TRAFFIC_DEFAULTS),)
     replicates: int = 1
     base_seed: int = 0
@@ -150,7 +149,6 @@ class GridSpec:
             "batchers",
             "workers",
             "worker_backends",
-            "worker_transports",
             "traffic",
         ):
             if not getattr(self, axis):
@@ -174,12 +172,6 @@ class GridSpec:
                     f"worker backend must be one of {sorted(WORKER_BACKENDS)}, "
                     f"got {backend!r}"
                 )
-        for transport in self.worker_transports:
-            if transport not in WORKER_TRANSPORTS:
-                raise ValueError(
-                    f"worker transport must be one of "
-                    f"{sorted(WORKER_TRANSPORTS)}, got {transport!r}"
-                )
         for shape in self.traffic:
             process = shape.get("process", "sequential")
             if process not in TRAFFIC_PROCESSES:
@@ -194,7 +186,7 @@ class GridSpec:
     def cells(self) -> list[Cell]:
         """Expand to one :class:`Cell` per (grid point x replicate)."""
         out: list[Cell] = []
-        for arch, s, policy, batcher, k, backend, transport, shape in (
+        for arch, s, policy, batcher, k, backend, shape in (
             itertools.product(
                 self.architectures,
                 self.num_samples,
@@ -202,7 +194,6 @@ class GridSpec:
                 self.batchers,
                 self.workers,
                 self.worker_backends,
-                self.worker_transports,
                 self.traffic,
             )
         ):
@@ -214,7 +205,6 @@ class GridSpec:
                     "batcher": dict(batcher),
                     "workers": k,
                     "worker_backend": backend,
-                    "worker_transport": transport,
                     "traffic": {**_TRAFFIC_DEFAULTS, **dict(shape)},
                 }
             )

@@ -4,7 +4,7 @@
 pending cells from a :class:`~repro.experiments.store.ResultsStore`,
 builds the cell's model and :class:`~repro.serving.ServingConfig`, and
 drives a :class:`~repro.serving.ServingEngine` — dynamic batcher, thread
-or process workers, ring or pipe transport — under the cell's traffic
+or process workers — under the cell's traffic
 schedule.  One metrics row per execution goes back to the store, stamped
 with the :func:`runner_fingerprint` of the machine that measured it:
 
@@ -15,9 +15,9 @@ with the :func:`runner_fingerprint` of the machine that measured it:
 * ``bit_hash``: a blake2b digest over the probabilities of a small
   *sequential probe* submitted before the load phase.  One-at-a-time
   submission pins the batch boundaries, and batch sequence numbers seed
-  the MC contexts, so the probe is bit-identical across worker counts,
-  backends and transports — the cross-cell invariant that catches a
-  numerics regression no throughput number would.
+  the MC contexts, so the probe is bit-identical across worker counts
+  and backends — the cross-cell invariant that catches a numerics
+  regression no throughput number would.
 
 Traffic shapes (the ``traffic`` cell axis):
 
@@ -90,7 +90,6 @@ def build_serving_config(params: Mapping[str, Any]) -> ServingConfig:
         batcher=BatcherConfig(**params["batcher"]),
         workers=int(params["workers"]),
         worker_backend=params["worker_backend"],
-        worker_transport=params["worker_transport"],
     )
 
 
@@ -258,6 +257,5 @@ async def _run_cell_async(params: Mapping[str, Any], seed: int) -> dict[str, Any
         "workers_respawned": stats.workers_respawned,
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
-        "transport": stats.transport,
         "bit_hash": bit_hash,
     }

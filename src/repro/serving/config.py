@@ -14,7 +14,7 @@ wire.  This module is that value:
 * :class:`ServingConfig` — everything a :class:`~repro.serving.engine
   .ServingEngine` needs beyond the model itself: inference mode
   (``num_samples`` / ``early_exit_threshold``), a nested
-  :class:`BatcherConfig`, the worker fleet (count, backend, transport),
+  :class:`BatcherConfig`, the worker fleet (count, backend),
   an optional :class:`~repro.serving.fleet.FleetConfig`, and the
   test-only :class:`~repro.serving.fleet.FaultPlan`.
 
@@ -45,8 +45,6 @@ __all__ = ["BatcherConfig", "ServingConfig"]
 
 #: executable values for ``ServingConfig.worker_backend``
 WORKER_BACKENDS = ("thread", "process")
-#: executable values for ``ServingConfig.worker_transport``
-WORKER_TRANSPORTS = ("ring", "pipe")
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,8 @@ class ServingConfig:
         ``"thread"`` (in-process replicas) or ``"process"`` (worker
         processes over a shared-memory parameter arena).
     worker_transport:
-        Process backend only: ``"ring"`` (shared-memory ring slots sized
-        for the batch geometry, default) or ``"pipe"`` (one pickled frame
-        each way; the tests' reference transport).
+        ``"ring"``, the only value: the process backend ships every batch
+        through shared-memory ring slots sized for the batch geometry.
     fleet:
         Optional :class:`~repro.serving.fleet.FleetConfig` turning the
         static pool into a supervised / autoscaled fleet.
@@ -162,10 +159,9 @@ class ServingConfig:
                 f"worker_backend must be one of {sorted(WORKER_BACKENDS)}, "
                 f"got {self.worker_backend!r}"
             )
-        if self.worker_transport not in WORKER_TRANSPORTS:
+        if self.worker_transport != "ring":
             raise ValueError(
-                f"worker_transport must be 'ring' or 'pipe', "
-                f"got {self.worker_transport!r}"
+                f"worker_transport must be 'ring', got {self.worker_transport!r}"
             )
         if self.fault_plan is not None and self.worker_backend != "process":
             raise ValueError(

@@ -111,13 +111,9 @@ class ServingStats:
     requests_shed:
         Requests rejected with ``DeadlineExceeded`` by the opt-in
         shed-on-missed-deadline policy (``admission_timeout``).
-    transport:
-        How batches reach workers: ``"inproc"`` for the thread backend,
-        ``"ring"``/``"pipe"`` for the process backend.
-    transport_ring_batches / transport_pipe_batches:
+    transport_ring_batches:
         Process backend: batches that crossed the boundary through the
-        shared-memory ring vs the pickle pipe — one of the two is zero,
-        by the configured ``worker_transport``.
+        shared-memory ring (always 0 for the thread backend).
     workers_respawned / scale_events / current_workers / arena_generation:
         Fleet telemetry (see :mod:`repro.serving.fleet`): dead workers
         replaced by the supervisor, completed grow/shrink transitions,
@@ -157,11 +153,8 @@ class ServingStats:
     #: requests rejected by the shed-on-missed-deadline policy (see
     #: :class:`~repro.serving.batcher.DynamicBatcher` ``admission_timeout``)
     requests_shed: int = 0
-    #: batch transport: ``"inproc"`` (thread), ``"ring"`` or ``"pipe"``
-    transport: str = "inproc"
-    #: process backend: batches shipped via the shm ring / the pickle pipe
+    #: process backend: batches shipped via the shm ring
     transport_ring_batches: int = 0
-    transport_pipe_batches: int = 0
     #: dead workers replaced by the supervisor (crash-retry excluded)
     workers_respawned: int = 0
     #: completed autoscale (or manual ``scale_to``) transitions
@@ -204,7 +197,7 @@ class ServingEngine:
         ``early_exit_threshold``), the nested
         :class:`~repro.serving.config.BatcherConfig` (batching,
         backpressure, deadline shedding), the worker fleet (``workers``,
-        ``worker_backend``, ``worker_transport``), an optional
+        ``worker_backend``), an optional
         :class:`~repro.serving.fleet.FleetConfig` and the test-only
         :class:`~repro.serving.fleet.FaultPlan`.  Field semantics are
         documented on the config classes; the config round-trips through
@@ -252,7 +245,6 @@ class ServingEngine:
         self.early_exit_threshold = config.early_exit_threshold
         self.workers = int(config.workers)
         self.worker_backend = config.worker_backend
-        self.worker_transport = config.worker_transport
         self.fleet = config.fleet
         fleet = config.fleet
         #: largest fleet size this engine may reach (executor sizing)
@@ -271,8 +263,6 @@ class ServingEngine:
         )
         if fleet is not None:
             pool_kwargs["respawn_wait"] = fleet.respawn_wait
-        if config.worker_backend == "process":
-            pool_kwargs["transport"] = config.worker_transport
         self._pool = _POOL_BACKENDS[config.worker_backend](self.engine, **pool_kwargs)
         self.supervisor: WorkerSupervisor | None = None
         # autoscaler signal deltas (shed/completed since last evaluation)
@@ -562,11 +552,7 @@ class ServingEngine:
             worker_backend=self.worker_backend,
             worker_crashes=self._pool.worker_crashes,
             requests_shed=b.shed,
-            transport=(
-                self.worker_transport if self.worker_backend == "process" else "inproc"
-            ),
             transport_ring_batches=self._pool.ring_batches,
-            transport_pipe_batches=self._pool.pipe_batches,
             workers_respawned=self._pool.workers_respawned,
             scale_events=self._pool.scale_events,
             current_workers=self._pool.current_workers,

@@ -10,8 +10,8 @@ that gap with two small control-loop components that a
 * :class:`WorkerSupervisor` — a liveness loop over the worker pool.  It
   periodically calls :meth:`~repro.serving.workers.roster.WorkerPool
   .ensure_healthy`, which reaps workers that died since the last check
-  (including *silent* deaths: a worker killed while idle never fails a
-  pipe exchange, so only a liveness scan finds it), unlinks their ring
+  (including *silent* deaths: a worker killed while idle never fails an
+  exchange, so only a liveness scan finds it), unlinks their ring
   segments, and respawns replacements attached to the **current** arena
   generation.  While a supervisor is attached, a transiently empty fleet
   makes batches *wait* for the respawn instead of failing with

@@ -503,10 +503,9 @@ async def _serve_forever(args) -> None:
             f"workers={config.workers}) — Ctrl-C to stop",
             flush=True,
         )
-        try:
-            await asyncio.Event().wait()
-        except asyncio.CancelledError:
-            pass
+        # Ctrl-C cancels this wait; the cancellation stops the server on its
+        # way out and reaches ``main`` as the KeyboardInterrupt it came from
+        await asyncio.Event().wait()
 
 
 def main(argv=None) -> None:

@@ -20,11 +20,9 @@ bit-identical across backends and worker counts for identical batch
 formation.  Select with ``ServingConfig(worker_backend="thread"|"process")``.
 
 The process backend ships each batch through the worker's two-slot
-shared-memory ring (:class:`~repro.serving.workers.ring.BatchRing`,
-``worker_transport="ring"``, the default) with the pipe as a doorbell —
-one batch computing, the next staged behind it, every slot sized exactly
-for the batch geometry the pool serves; ``worker_transport="pipe"`` sends
-the stacked batch down the pipe as one pickled frame instead.  See
+shared-memory ring (:class:`~repro.serving.workers.ring.BatchRing`) with
+the pipe as a doorbell — one batch computing, the next staged behind it,
+every slot sized exactly for the batch geometry the pool serves.  See
 :mod:`repro.serving.workers.procpool` for the slot ownership rules.
 """
 

@@ -114,8 +114,7 @@ def compute_batch_array(
     The fresh per-batch context spawns every dropout stream from
     ``(layer seed, seq)``, so the output depends only on the batch's
     position in the request sequence — never on which worker (thread *or*
-    process) computes it, which transport delivered it, or what that
-    worker served before.
+    process) computes it or what that worker served before.
     """
     ctx = ForwardContext(spawn_key=seq)
     if early_exit_threshold is not None:

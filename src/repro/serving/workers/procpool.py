@@ -14,31 +14,24 @@ lives here is the part that is about processes:
   ``replicate()`` across the process boundary) and serves request frames
   until told to stop.  Startup costs an interpreter + imports per worker,
   amortised over a serving lifetime.
-* **Two transports, one replica class each** (the pool's ``transport``).
-  Both hand :func:`~repro.serving.workers.base.compute_batch_array` the
-  same ``(N, *input_shape)`` float64 array, so responses are bit-identical;
-  the channel carries inputs and probabilities only, never model state.
-  Every reply carries ``delta``, what the worker counted since its previous
-  reply — activation-cache hits and misses, the nanoseconds inside this
-  batch out of the nanoseconds since that reply (the pool's ``busy_share``)
-  — banked per handle so the totals survive the worker.
-
-  ``"ring"`` (the default, :class:`_RingHandle`): each worker owns a two-slot
+* **One exchange** (:class:`_RingHandle`).  Each worker owns a two-slot
   shared-memory :class:`~repro.serving.workers.ring.BatchRing` and the whole
   exchange runs on the event loop.  The parent writes the request rows
   straight into a free slot and sends a ``("ring", seq, token, slot, fault)``
-  doorbell, the worker reads the batch as a zero-copy view, writes the
-  result arrays into the slot's response region and answers ``("ok", delta,
-  (slot, layout))``; a loop reader on the pipe wakes the parent, which
-  assembles the results from the slot before it hands the slot on.  No
-  thread, no polling interval: the worker's death is the pipe's EOF (and,
-  belt and braces, its ``process.sentinel``), watched by the same reader.
-
-  ``"pipe"`` (:class:`_PipeHandle`, the tests' reference transport): a
-  blocking replica like a thread's.  The roster's inherited ``serve`` runs
-  ``execute`` on the executor under the replica's lock, one batch at a time:
-  ``np.stack``, one pickled ``("batch", seq, token, array, fault)`` frame
-  down, one ``("ok", delta, out)`` frame back, EOF is the worker's death.
+  doorbell down the pipe; the worker reads the batch as a zero-copy view,
+  hands :func:`~repro.serving.workers.base.compute_batch_array` the same
+  ``(N, *input_shape)`` float64 array a thread replica gets (so responses
+  are bit-identical across backends), writes the result arrays into the
+  slot's response region and answers ``("ok", delta, (slot, layout))``; a
+  loop reader on the pipe wakes the parent, which assembles the results
+  from the slot before it hands the slot on.  The channel carries inputs
+  and probabilities only, never model state.  No thread, no polling
+  interval: the worker's death is the pipe's EOF (and, belt and braces,
+  its ``process.sentinel``), watched by the same reader.  Every reply
+  carries ``delta``, what the worker counted since its previous reply —
+  activation-cache hits and misses, the nanoseconds inside this batch out
+  of the nanoseconds since that reply (the pool's ``busy_share``) —
+  banked per handle so the totals survive the worker.
 * **The batch geometry is a contract.**  The pool knows the largest batch,
   the example shape, the sample count and the class count, and ``submit()``
   rejects every other shape and dtype, so the slots are sized once, exactly
@@ -153,7 +146,7 @@ class _WorkerConfig:
 
 
 def _worker_main(
-    conn, config: _WorkerConfig, ring_manifest: RingManifest | None, cpu: int | None
+    conn, config: _WorkerConfig, ring_manifest: RingManifest, cpu: int | None
 ) -> None:
     """Worker process entry point: serve batches until told to stop."""
     engine = config.engine
@@ -161,7 +154,7 @@ def _worker_main(
         config.manifest, list(engine.model.parameters())
     )
     arena.refresh()
-    ring = BatchRing.attached(ring_manifest) if ring_manifest is not None else None
+    ring = BatchRing.attached(ring_manifest)
     seen_token = None
     # cache counters already reported to the parent; each reply carries the
     # delta since the previous one, so parent totals survive worker deaths
@@ -178,14 +171,11 @@ def _worker_main(
         while True:
             msg = conn.recv()
             started = time.perf_counter_ns()
-            kind = msg[0]
-            if kind == "stop":
+            if msg[0] == "stop":
                 break
-            _, seq, token, payload, fault = msg
+            _, seq, token, slot, fault = msg
             try:
-                # "ring": payload names the slot holding the staged batch;
-                # "batch": payload is the batch itself, stacked by the parent
-                batch = ring.read_request(payload) if kind == "ring" else payload
+                batch = ring.read_request(slot)
                 if fault == "mid_compute":
                     # poisoned request (FaultPlan, test-only): die holding it
                     # exactly as a real mid-compute crash would — after
@@ -201,13 +191,9 @@ def _worker_main(
                 out = compute_batch_array(
                     engine, seq, batch, config.num_samples, config.early_exit_threshold
                 )
-                # the reply's body: the result itself, or where it is —
-                # written into the slot the request came in
-                body = out
-                if kind == "ring":
-                    layout, arrays = out.arrays()
-                    ring.write_response(payload, arrays)
-                    body = (payload, layout)
+                # the results go into the slot the request came in
+                layout, arrays = out.arrays()
+                ring.write_response(slot, arrays)
             except Exception as exc:  # the batch failed; the worker lives on
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
             else:
@@ -222,7 +208,7 @@ def _worker_main(
                     now - replied,
                 )
                 seen_hits, seen_misses, replied = hits, misses, now
-                conn.send(("ok", delta, body))
+                conn.send(("ok", delta, (slot, layout)))
                 if fault == "post_response":
                     # die *after* answering, before the parent recycles the
                     # slot: a silent death only a liveness scan can find
@@ -236,122 +222,6 @@ def _worker_main(
             pass
 
 
-class _WorkerHandle(Replica):
-    """Parent-side endpoint of one worker process: the process, the pipe, teardown.
-
-    How a batch crosses the pipe is the subclass's: :class:`_RingHandle`
-    or :class:`_PipeHandle`.  ``_lock`` is held for as long as an exchange
-    uses the pipe: it is what ``shutdown``'s stop frame and closing the
-    channel wait on.
-    """
-
-    #: this worker's ring (``transport="ring"``), unlinked with the channel
-    ring: BatchRing | None = None
-
-    def __init__(self, index: int, process, conn, cpu: int | None) -> None:
-        super().__init__()
-        self.index = index
-        self.process = process
-        self.conn = conn
-        #: the CPU the worker pinned itself to; ``None`` when it runs unpinned
-        self.cpu = cpu
-
-    def __repr__(self) -> str:
-        return (
-            f"worker {self.index} (pid {self.process.pid}, "
-            f"exit code {self.process.exitcode})"
-        )
-
-    def _kill(self) -> None:
-        self.process.kill()
-        self.process.join(5.0)
-
-    def _accept(self, reply: tuple):
-        """The body of an ``"ok"`` reply; raises what an ``"error"`` one reports.
-
-        The worker's cache traffic and busy time are accumulated from the
-        per-reply deltas, so the totals survive its death.
-        """
-        if reply[0] == "error":
-            raise RuntimeError(f"serving worker {self.index} failed: {reply[1]}")
-        _, (hits, misses, compute_ns, cycle_ns), body = reply
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self.compute_ns += compute_ns
-        self.cycle_ns += cycle_ns
-        return body
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    def _close_channel(self, owned: bool, timeout: float = 5.0) -> None:
-        """Close the pipe and unlink the ring once no exchange uses them.
-
-        The worker is gone by now, so the exchanges still in flight
-        (cancelled batches') end on EOF within a loop turn; closing under
-        them would strand their readers on fd numbers the next spawn reuses.
-        """
-        owned = owned or self._lock.acquire(timeout=timeout)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if self.ring is not None:
-            self.ring.release()
-        if owned:
-            self._lock.release()
-
-    def reap(self) -> None:
-        self.alive = False
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-        self._close_channel(owned=False)
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Ask the worker to exit, escalating to terminate."""
-        if not self.alive:
-            return
-        self.alive = False
-        # the stop frame must not interleave with a request frame, nor the
-        # close with a reply still in flight (a cancelled batch's): wait for
-        # every exchange to end, then keep the handle until it is closed.
-        # Bounded wait: a wedged exchange falls through to terminate below.
-        owned = self._lock.acquire(timeout=timeout)
-        if owned and self.process.is_alive():
-            try:
-                self.conn.send(("stop",))
-            except OSError:
-                pass
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join(timeout)
-        self._close_channel(owned, timeout)
-
-
-class _PipeHandle(_WorkerHandle):
-    """``transport="pipe"``: batch and result are pickled down the pipe.
-
-    A blocking replica: the inherited ``serve`` runs :meth:`execute` on the
-    executor under ``_lock``, so the thread of a cancelled batch keeps the
-    pipe until its reply is back.
-    """
-
-    def execute(self, seq, token, payloads, fault) -> list[UncertaintyResult]:
-        try:
-            if fault == "pre_doorbell":
-                self._kill()  # FaultPlan (test-only): dead before the frame
-            self.conn.send(("batch", seq, token, np.stack(payloads), fault))
-            self.pipe_batches += 1
-            reply = self.conn.recv()
-        except (OSError, EOFError) as exc:
-            # OSError covers BrokenPipeError/ConnectionResetError and also
-            # "handle is closed": the worker died, or was shut down first
-            raise ReplicaDied(f"worker {self.index}: {exc!r}") from None
-        return assemble_results(self._accept(reply))
-
-
 class _Exchange(NamedTuple):
     """One batch's hold on a ring handle: a slot, and where its results go."""
 
@@ -361,21 +231,29 @@ class _Exchange(NamedTuple):
     results: asyncio.Future
 
 
-class _RingHandle(_WorkerHandle):
-    """``transport="ring"``: the exchange runs on the event loop.
+class _RingHandle(Replica):
+    """Parent-side endpoint of one worker: its process, pipe and ring.
 
-    An exchange owns one of the ring's slots from before its rows are staged
-    until its reply has been read, whoever reads it: the batch that asked,
-    or, once that batch was cancelled, the loop on its own, which throws the
-    reply away.  ``_exchanges`` holds the exchanges whose doorbell is out,
-    in doorbell order, which is the order the serial worker answers in.
-    Exactly one party ends an exchange: the batch itself up to its
-    doorbell, :meth:`_finish` from then on — and ``_finish`` only ever takes
-    the queue's head.  ``_lock`` is held while any slot is owned.
+    The exchange runs on the event loop.  An exchange owns one of the
+    ring's slots from before its rows are staged until its reply has been
+    read, whoever reads it: the batch that asked, or, once that batch was
+    cancelled, the loop on its own, which throws the reply away.
+    ``_exchanges`` holds the exchanges whose doorbell is out, in doorbell
+    order, which is the order the serial worker answers in.  Exactly one
+    party ends an exchange: the batch itself up to its doorbell,
+    :meth:`_finish` from then on — and ``_finish`` only ever takes the
+    queue's head.  ``_lock`` is held while any slot is owned: it is what
+    ``shutdown``'s stop frame and closing the channel wait on.
     """
 
     def __init__(self, index: int, process, conn, cpu, ring: BatchRing) -> None:
-        super().__init__(index, process, conn, cpu)
+        super().__init__()
+        self.index = index
+        self.process = process
+        self.conn = conn
+        #: the CPU the worker pinned itself to; ``None`` when it runs unpinned
+        self.cpu = cpu
+        #: this worker's ring, unlinked with the channel
         self.ring = ring
         self.depth = ring.slots
         #: reused in the order they were freed, so the slot a waiting batch
@@ -389,10 +267,20 @@ class _RingHandle(_WorkerHandle):
         #: (loop, fds) while loop readers wait for the replies in flight
         self._watched: tuple | None = None
 
+    def __repr__(self) -> str:
+        return (
+            f"worker {self.index} (pid {self.process.pid}, "
+            f"exit code {self.process.exitcode})"
+        )
+
     @property
     def replies_in_flight(self) -> int:
         """Doorbells rung whose reply has yet to be read off the pipe."""
         return len(self._exchanges)
+
+    def _kill(self) -> None:
+        self.process.kill()
+        self.process.join(5.0)
 
     def _stage(self, slot: int, payloads: list) -> None:
         """Write the batch's rows straight into its ring slot."""
@@ -532,16 +420,76 @@ class _RingHandle(_WorkerHandle):
         else:
             results.set_result(outcome)
 
+    def _accept(self, reply: tuple):
+        """The body of an ``"ok"`` reply; raises what an ``"error"`` one reports.
+
+        The worker's cache traffic and busy time are accumulated from the
+        per-reply deltas, so the totals survive its death.
+        """
+        if reply[0] == "error":
+            raise RuntimeError(f"serving worker {self.index} failed: {reply[1]}")
+        _, (hits, misses, compute_ns, cycle_ns), body = reply
+        self.cache_hits += hits
+        self.cache_misses += misses
+        self.compute_ns += compute_ns
+        self.cycle_ns += cycle_ns
+        return body
+
+    def is_alive(self) -> bool:
+        return self.process.is_alive()
+
+    def _close_channel(self, owned: bool, timeout: float = 5.0) -> None:
+        """Close the pipe and unlink the ring once no exchange uses them.
+
+        The worker is gone by now, so the exchanges still in flight
+        (cancelled batches') end on EOF within a loop turn; closing under
+        them would strand their readers on fd numbers the next spawn reuses.
+        """
+        owned = owned or self._lock.acquire(timeout=timeout)
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        self.ring.release()
+        if owned:
+            self._lock.release()
+
+    def reap(self) -> None:
+        self.alive = False
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5.0)
+        self._close_channel(owned=False)
+
+    def shutdown(self, timeout: float = 5.0) -> None:
+        """Ask the worker to exit, escalating to terminate."""
+        if not self.alive:
+            return
+        self.alive = False
+        # the stop frame must not interleave with a request frame, nor the
+        # close with a reply still in flight (a cancelled batch's): wait for
+        # every exchange to end, then keep the handle until it is closed.
+        # Bounded wait: a wedged exchange falls through to terminate below.
+        owned = self._lock.acquire(timeout=timeout)
+        if owned and self.process.is_alive():
+            try:
+                self.conn.send(("stop",))
+            except OSError:
+                pass
+        self.process.join(timeout)
+        if self.process.is_alive():  # pragma: no cover - stuck worker
+            self.process.terminate()
+            self.process.join(timeout)
+        self._close_channel(owned, timeout)
+
 
 class ProcessWorkerPool(WorkerPool):
     """K spawned worker processes over one shared-memory parameter arena."""
 
-    def __init__(self, *args, transport: str = "ring", **kwargs) -> None:
+    depth = _SLOTS
+
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if transport not in ("ring", "pipe"):
-            raise ValueError(f"transport must be 'ring' or 'pipe', got {transport!r}")
-        self.transport = transport
-        self.depth = _SLOTS if transport == "ring" else 1
         #: the CPUs ``start`` found this process allowed on, ascending;
         #: ``None`` while stopped and where the host cannot place threads
         self._allowed: list[int] | None = None
@@ -646,27 +594,23 @@ class ProcessWorkerPool(WorkerPool):
             ),
         )
 
-    def _spawn_worker(self, config: _WorkerConfig, cpu: int | None) -> _WorkerHandle:
+    def _spawn_worker(self, config: _WorkerConfig, cpu: int | None) -> _RingHandle:
         """Spawn one worker process over its own ring (no ready-wait)."""
         ctx = multiprocessing.get_context(_MP_CONTEXT)
-        ring = None
-        if self.transport == "ring":
-            ring = BatchRing.create(_SLOTS, *self._ring_geometry())
+        ring = BatchRing.create(_SLOTS, *self._ring_geometry())
         index = next(self._indices)
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, config, ring.manifest if ring else None, cpu),
+            args=(child_conn, config, ring.manifest, cpu),
             daemon=True,
             name=f"repro-serving-worker-{index}",
         )
         process.start()
         child_conn.close()
-        if ring is None:
-            return _PipeHandle(index, process, parent_conn, cpu)
         return _RingHandle(index, process, parent_conn, cpu, ring)
 
-    def _make_replicas(self, count: int, timeout: float) -> list[_WorkerHandle]:
+    def _make_replicas(self, count: int, timeout: float) -> list[_RingHandle]:
         """Spawn ``count`` workers over the current arena, then await them all."""
         config = _WorkerConfig(
             engine=self.engine,
@@ -674,7 +618,7 @@ class ProcessWorkerPool(WorkerPool):
             early_exit_threshold=self.early_exit_threshold,
             manifest=self._shared.manifest,
         )
-        handles: list[_WorkerHandle] = []
+        handles: list[_RingHandle] = []
         try:
             for _ in range(count):
                 handles.append(self._spawn_worker(config, self._pick_cpu(handles)))

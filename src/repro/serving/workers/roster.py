@@ -81,7 +81,6 @@ _START_TIMEOUT_S = 120.0
 #: per-replica counters the pool banks when a replica leaves the roster
 _COUNTERS = (
     "ring_batches",
-    "pipe_batches",
     "cache_hits",
     "cache_misses",
     "compute_ns",
@@ -104,11 +103,11 @@ class Replica:
     something behind the replica that can die or must be released.
     """
 
-    #: batches delivered over a shared-memory ring / the pickle pipe,
-    #: activation-cache traffic, and the worker's time inside batches
+    #: batches delivered over a shared-memory ring, activation-cache
+    #: traffic, and the worker's time inside batches
     #: (``compute_ns``) out of its time between replies (``cycle_ns``), of
     #: this replica alone (``_COUNTERS``)
-    ring_batches = pipe_batches = cache_hits = cache_misses = 0
+    ring_batches = cache_hits = cache_misses = 0
     compute_ns = cycle_ns = 0
     #: how many batches the replica can hold at once; the roster offers it
     #: for checkout this many times
@@ -293,11 +292,6 @@ class WorkerPool:
     def ring_batches(self) -> int:
         """Batches delivered over a shared-memory ring (process backend)."""
         return self._total("ring_batches")
-
-    @property
-    def pipe_batches(self) -> int:
-        """Batches delivered over the pickle pipe (process backend)."""
-        return self._total("pipe_batches")
 
     @property
     def cache_hits(self) -> int:

@@ -84,7 +84,6 @@ def test_json_round_trip():
         (dict(num_samples=(0,)), "num_samples"),
         (dict(exit_policies=(1.5,)), "exit policies"),
         (dict(worker_backends=("gpu",)), "worker backend"),
-        (dict(worker_transports=("carrier-pigeon",)), "worker transport"),
         (dict(traffic=({"process": "avalanche"},)), "traffic process"),
         (dict(batchers=({"max_batch_size": -1},)), "max_batch_size"),
     ],

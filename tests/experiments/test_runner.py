@@ -126,7 +126,6 @@ def test_real_cell_execution_records_serving_metrics(tmp_path):
     assert metrics["ok"] == 6 and metrics["failed"] == 0
     assert metrics["throughput_rps"] > 0
     assert metrics["latency_p50_s"] <= metrics["latency_p99_s"]
-    assert metrics["transport"] == "inproc"
     assert len(metrics["bit_hash"]) == 16
     assert result["runner_fingerprint"]
 

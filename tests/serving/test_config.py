@@ -70,6 +70,8 @@ def test_batcher_config_validates_eagerly(kwargs, match):
         ({"num_samples": True}, "num_samples must be an int"),
         ({"workers": 2.0}, "workers must be an int"),
         ({"workers": True}, "workers must be an int"),
+        # the ring is the only transport: the pickle pipe is gone
+        ({"worker_transport": "pipe"}, "worker_transport must be 'ring'"),
     ],
 )
 def test_serving_config_validates_eagerly(kwargs, match):
@@ -135,7 +137,6 @@ def test_to_dict_round_trips_through_json():
         num_samples=6,
         workers=2,
         worker_backend="process",
-        worker_transport="pipe",
         batcher=BatcherConfig(max_batch_size=4, admission_timeout=2.0),
         fleet=FleetConfig(min_workers=1, max_workers=3, health_interval=0.1),
         fault_plan=FaultPlan([(3, "mid_compute"), (5, "post_response")]),
@@ -161,6 +162,8 @@ def test_to_dict_round_trips_through_json():
         ('{"batcher": {"max_batch_latency": Infinity}}', "max_batch_latency must"),
         ('{"num_samples": 2.5}', "num_samples must be an int"),
         ('{"fleet": {"health_interval": 0}}', "health_interval must be positive"),
+        # a config stored when the pickle pipe still existed fails on load
+        ('{"worker_transport": "pipe"}', "worker_transport must be 'ring'"),
     ],
 )
 def test_from_dict_rejects_what_json_lets_through(wire, match):

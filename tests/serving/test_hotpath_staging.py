@@ -3,7 +3,7 @@
 The content-keyed activation cache is observable end-to-end: repeated
 request bytes hit (``ServingStats.cache_hits``), a zero-downtime
 ``swap_model`` invalidates (the first post-swap batch misses), and the
-process backend reports the same counters across its pipe.
+process backend reports the same counters on its workers' replies.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Worker transports: slot mechanics, the sizing contract, crashes, teardown.
+"""The worker ring: slot mechanics, the sizing contract, crashes, teardown.
 
-The shm ring never changes what is served: ``worker_transport="ring"`` and
-``"pipe"`` are bit-identical, a worker crash mid-slot retries on a sibling
-and unlinks the dead worker's segment, and ``stop()`` releases every ring
-segment.  The batch geometry is a contract: the pool sizes every slot
-exactly for what it serves, so each batch and response fits by
+The shm ring never changes what is served: the process backend is
+bit-identical to the thread backend, a worker crash mid-slot retries on a
+sibling and unlinks the dead worker's segment, and ``stop()`` releases
+every ring segment.  The batch geometry is a contract: the pool sizes every
+slot exactly for what it serves, so each batch and response fits by
 construction — and a geometry that lies fails that one batch loudly
 instead of degrading silently.  A replica holds at most ``depth``
-exchanges (one staging buffer per thread replica, the pipe of a pipe
-replica; two ring slots per ring worker, answered in doorbell order), and
+exchanges (one staging buffer per thread replica; two ring slots per ring
+worker, answered in doorbell order), and
 each keeps its place until its reply has been read — so a cancelled batch
 can never be staged over or hand its reply to a later one, and a worker
 that dies fails every batch it held exactly once.
@@ -175,29 +175,12 @@ def test_ring_read_returns_fresh_view_objects():
 
 
 # --------------------------------------------------------------------------- #
-# transport equivalence and fallbacks (full serving stack)
+# the full serving stack
 # --------------------------------------------------------------------------- #
 @pytest.mark.timeout(120)
-def test_ring_transport_bit_identical_to_pipe_transport():
-    results_ring, stats_ring = _serve_sequentially("process")
-    results_pipe, stats_pipe = _serve_sequentially("process", worker_transport="pipe")
-    for rr, rp in zip(results_ring, results_pipe):
-        np.testing.assert_array_equal(rr.probs, rp.probs)
-        assert rr.entropy == rp.entropy
-    assert stats_ring.transport == "ring"
-    assert stats_ring.transport_ring_batches == len(X)
-    assert stats_ring.transport_pipe_batches == 0
-    assert stats_pipe.transport == "pipe"
-    assert stats_pipe.transport_ring_batches == 0
-    assert stats_pipe.transport_pipe_batches == len(X)
-
-
-@pytest.mark.timeout(120)
-def test_thread_backend_reports_inproc_transport():
+def test_thread_backend_ships_no_ring_batches():
     results, stats = _serve_sequentially("thread", workers=1)
-    assert stats.transport == "inproc"
     assert stats.transport_ring_batches == 0
-    assert stats.transport_pipe_batches == 0
     assert len(results) == len(X)
 
 
@@ -235,7 +218,6 @@ def test_early_exit_batches_are_served_from_their_slots(caplog):
             np.testing.assert_array_equal(res.probs, expected.probs)
             assert (res.entropy, res.exit_index) == (expected.entropy, expected.exit_index)
     assert stats.transport_ring_batches == len(batches)
-    assert stats.transport_pipe_batches == 0
     assert not caplog.records
 
 
@@ -280,7 +262,7 @@ def test_a_lying_geometry_fails_that_batch_loudly_and_nothing_else(monkeypatch, 
     want = _run_directly("thread", [[0], [1, 2], [3]])
     _assert_same_bits(got[0], want[0])
     _assert_same_bits(got[1], want[2])
-    assert (stats.worker_crashes, stats.transport_pipe_batches) == (0, 0)
+    assert stats.worker_crashes == 0
 
 
 CANCELLED_SEQ = 2
@@ -332,26 +314,18 @@ def _assert_idle(handle) -> None:
 
 
 class _PipeSpy:
-    """Stands in for a handle's ``conn``: what crossed it, and in what state."""
+    """Stands in for a handle's ``conn``: what was sent, and in what state."""
 
     def __init__(self, handle) -> None:
         self._conn = handle.conn
         #: (frame kind, seq or None, ring slots owned when it was sent)
         self.sent: list[tuple] = []
-        #: frame kinds in the order they were sent and received
-        self.traffic: list[str] = []
         self._handle = handle
 
     def send(self, frame):
         seq = frame[1] if len(frame) > 1 else None
-        self.sent.append((frame[0], seq, getattr(self._handle, "_owned", None)))
-        self.traffic.append(frame[0])
+        self.sent.append((frame[0], seq, self._handle._owned))
         self._conn.send(frame)
-
-    def recv(self):
-        frame = self._conn.recv()
-        self.traffic.append(frame[0])
-        return frame
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
@@ -549,8 +523,7 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend
     slot whose stale reply it could otherwise take for its own.  At most
     ``depth`` replies are ever in flight per handle, read in doorbell
     order.  Every later response must match an undisturbed thread K=1
-    server bit for bit *for its own sequence number*, and nothing may
-    touch the pipe.
+    server bit for bit *for its own sequence number*.
     """
     staged_rows: list[np.ndarray] = []
     scenario = (
@@ -567,7 +540,6 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend
         np.testing.assert_array_equal(res.probs, want[seq].probs)
         assert res.entropy == want[seq].entropy
         assert res.mutual_information == want[seq].mutual_information
-    assert stats.transport_pipe_batches == 0
     assert stats.transport_ring_batches == (len(X) if backend == "process" else 0)
     assert stats.worker_crashes == 0
 
@@ -746,14 +718,12 @@ def test_a_lone_replicas_callers_answer_before_its_next_batch(monkeypatch):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("transport", ["ring", "pipe"])
-def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ring_batches_never_touch_the_executor(monkeypatch, workers):
     """Between ``start`` and ``stop`` a ring batch needs no thread at all.
 
-    Not with two of them in flight per worker either.  The pipe transport
-    is the counter-example: its pickled frames may be of any size, so the
-    whole exchange is one blocking call on the executor — one submission
-    per batch, one batch at a time.
+    Not with two of them in flight per worker either, nor with a sibling
+    to choose between.
     """
 
     async def main():
@@ -762,40 +732,39 @@ def test_ring_batches_never_touch_the_executor(monkeypatch, transport):
             _model(),
             cfg(
                 num_samples=NUM_SAMPLES,
-                workers=1,
+                workers=workers,
                 worker_backend="process",
-                worker_transport=transport,
             ),
             executor=executor,
         )
         try:
             async with server:
                 started = executor.submissions
-                assert started > 0  # spawning the worker did use it
+                assert started > 0  # spawning the workers did use it
                 pool = server._pool
-                (handle,) = pool._replicas
-                in_flight = []
-                if transport == "ring":
+                in_flight = {handle: [] for handle in pool._replicas}
+
+                def counting(handle):
                     finish = handle._finish
 
                     def counting_finish(*args, **kwargs):
-                        in_flight.append(handle.replies_in_flight)
+                        in_flight[handle].append(handle.replies_in_flight)
                         return finish(*args, **kwargs)
 
-                    monkeypatch.setattr(handle, "_finish", counting_finish)
-                # all at once: the worker's places are what paces them
+                    return counting_finish
+
+                for handle in pool._replicas:
+                    monkeypatch.setattr(handle, "_finish", counting(handle))
+                # all at once: the workers' places are what paces them
                 await asyncio.gather(*(pool.run(seq, [x]) for seq, x in enumerate(X)))
-                assert handle.depth == max(in_flight, default=1)
+                for handle, seen in in_flight.items():
+                    assert handle.depth == max(seen)
                 return executor.submissions - started, server.stats()
         finally:
             executor.shutdown(wait=True)
 
     submissions, stats = asyncio.run(main())
-    batches = (stats.transport_ring_batches, stats.transport_pipe_batches)
-    if transport == "pipe":
-        assert (submissions, batches) == (len(X), (0, len(X)))
-    else:
-        assert (submissions, batches) == (0, (len(X), 0))
+    assert (submissions, stats.transport_ring_batches) == (0, len(X))
 
 
 @pytest.mark.timeout(120)
@@ -867,7 +836,7 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
         return pool
 
     pool = asyncio.run(main())
-    assert pool.ring_batches == 9 and pool.pipe_batches == 0
+    assert pool.ring_batches == 9
 
 
 # --------------------------------------------------------------------------- #
@@ -958,7 +927,63 @@ def test_a_death_ends_every_exchange_in_flight_exactly_once(seq, point, lost):
     want = _run_directly("thread", ROWS)
     for batch, ref in zip(got, want):
         _assert_same_bits(batch, ref)
-    assert stats.transport_pipe_batches == 0
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize(
+    "point, doorbells",
+    [
+        ("pre_doorbell", 4),  # killed staging: the doorbell never went out
+        ("mid_compute", 5),  # the doorbell went out, EOF came back
+        ("post_response", 4),  # answered, then dead: reaped before batch 2
+    ],
+)
+def test_a_death_between_batches_is_retried_bit_identically(point, doorbells):
+    """Every ``FaultPlan`` point with one batch in flight at a time.
+
+    The lost batch is retried on the sibling and comes back bit-identical
+    to thread K=1; the death is counted once, and the corpse is reaped: its
+    lock and pipe are released and its ring segment is unlinked.  Every
+    batch rings exactly one live worker, plus the doorbell a batch lost
+    mid-compute had already rung.
+    """
+    plan = FaultPlan([(1, point)])
+    batches = [[0, 1], [2], [3, 4, 5], [6]]
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            cfg(
+                num_samples=NUM_SAMPLES,
+                workers=2,
+                worker_backend="process",
+                fault_plan=plan,
+            ),
+        )
+        async with server:
+            pool = server._pool
+            _, victim = pool._replicas  # batch 1 goes to the second worker
+            segment = victim.ring.manifest.segment_name
+            got = []
+            for seq, rows in enumerate(batches):
+                got.append(await pool.run(seq, [X[i] for i in rows]))
+                if seq == 1:  # dead at every point; reaped before batch 2
+                    victim.process.join(10.0)
+                    assert plan.pending == () and not victim.is_alive()
+                    for _ in range(1000):
+                        if not victim.alive:
+                            break
+                        await asyncio.sleep(0.001)
+            assert pool.worker_crashes == 1 and not victim.alive
+            assert victim.conn.closed and not victim._lock.locked()
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=segment)
+            return got, server.stats()
+
+    got, stats = asyncio.run(main())
+    for batch, ref in zip(got, _run_directly("thread", batches)):
+        _assert_same_bits(batch, ref)
+    assert stats.transport_ring_batches == doorbells
 
 
 @pytest.mark.timeout(120)
@@ -994,113 +1019,6 @@ def test_the_stop_frame_waits_out_both_replies_in_flight():
     assert sent == [("ring", 0, 1), ("ring", 1, 2), ("stop", None, 0)]
     assert handle.process.exitcode == 0 and handle.ring_batches == 2
     assert (handle.cache_misses, handle.replies_in_flight) == (2, 0)
-
-
-# --------------------------------------------------------------------------- #
-# the pipe replica: one blocking exchange at a time, on the executor
-# --------------------------------------------------------------------------- #
-@pytest.mark.timeout(120)
-@pytest.mark.parametrize(
-    "point, frames_sent",
-    [
-        ("pre_doorbell", 4),  # killed first: the frame met a closed pipe
-        ("mid_compute", 5),  # the frame went out, EOF came back
-        ("post_response", 4),  # answered, then dead: the next frame finds out
-    ],
-)
-def test_a_pipe_replica_death_is_retried_bit_identically(point, frames_sent):
-    """Every ``FaultPlan`` point on ``worker_transport="pipe"``.
-
-    The blocking exchange turns a closed pipe (``send``) and EOF (``recv``)
-    into ``ReplicaDied``; the roster retries the batch on the sibling, counts
-    the death once and reaps the corpse, whose lock and pipe are released.
-    """
-    plan = FaultPlan([(1, point)])
-    batches = [[0, 1], [2], [3, 4, 5], [6]]
-
-    async def main():
-        server = ServingEngine(
-            _model(),
-            cfg(
-                num_samples=NUM_SAMPLES,
-                workers=2,
-                worker_backend="process",
-                worker_transport="pipe",
-                fault_plan=plan,
-            ),
-        )
-        async with server:
-            pool = server._pool
-            _, victim = pool._replicas  # batch 1 goes to the second worker
-            got = []
-            for seq, rows in enumerate(batches):
-                got.append(await pool.run(seq, [X[i] for i in rows]))
-                if seq == 1:  # dead at every point; gone before its next frame
-                    victim.process.join(10.0)
-                    assert plan.pending == () and not victim.is_alive()
-            assert pool.worker_crashes == 1 and not victim.alive
-            assert victim.conn.closed and not victim._lock.locked()
-            return got, server.stats()
-
-    got, stats = asyncio.run(main())
-    for batch, ref in zip(got, _run_directly("thread", batches)):
-        _assert_same_bits(batch, ref)
-    assert stats.transport_ring_batches == 0
-    assert stats.transport_pipe_batches == frames_sent
-
-
-@pytest.mark.timeout(120)
-def test_a_cancelled_pipe_batch_keeps_the_pipe_until_its_reply_is_back():
-    """Cancel mid-exchange, then stop: nothing interleaves on the pipe.
-
-    The executor thread of a cancelled batch stays inside ``execute``,
-    holding ``_lock``, until the worker (held with SIGSTOP) has answered:
-    the next batch's frame and ``shutdown()``'s stop frame both wait for
-    that reply, the counters it carried are kept, and the worker exits on
-    the stop frame, not on a kill.
-    """
-
-    async def main():
-        server = ServingEngine(
-            _model(),
-            cfg(
-                num_samples=NUM_SAMPLES,
-                workers=1,
-                worker_backend="process",
-                worker_transport="pipe",
-            ),
-        )
-        async with server:
-            pool = server._pool
-            (handle,) = pool._replicas
-            assert handle.depth == 1
-            handle.conn = spy = _PipeSpy(handle)
-            with _frozen(handle):
-                batch = asyncio.ensure_future(pool.run(0, [X[0]]))
-                while spy.traffic != ["batch"]:  # the frame is out, no reply
-                    await asyncio.sleep(0.001)
-                batch.cancel()
-                with pytest.raises(asyncio.CancelledError):
-                    await batch
-                assert handle._lock.locked() and handle.in_flight == 0
-                following = asyncio.ensure_future(pool.run(1, [X[1]]))
-                await asyncio.sleep(0.05)
-                assert not following.done() and spy.traffic == ["batch"]
-            got = await asyncio.wait_for(following, HOLD_S)
-            with _frozen(handle):
-                last = asyncio.ensure_future(pool.run(2, [X[2]]))
-                while len(spy.traffic) < 5:
-                    await asyncio.sleep(0.001)
-                last.cancel()
-                await asyncio.gather(last, return_exceptions=True)
-                assert handle._lock.locked()
-        return handle, spy.traffic, got
-
-    handle, traffic, got = asyncio.run(main())
-    assert traffic == ["batch", "ok", "batch", "ok", "batch", "ok", "stop"]
-    assert handle.process.exitcode == 0 and not handle._lock.locked()
-    assert (handle.pipe_batches, handle.cache_misses) == (3, 3)
-    _assert_same_bits(got, _run_directly("thread", [[0], [1]])[1])
 
 
 # --------------------------------------------------------------------------- #
@@ -1151,5 +1069,6 @@ def test_stop_releases_every_ring_segment():
 
 
 def test_worker_transport_validated():
-    with pytest.raises(ValueError, match="worker_transport"):
-        ServingEngine(_model(), cfg(worker_transport="telepathy"))
+    for transport in ("pipe", "telepathy"):
+        with pytest.raises(ValueError, match="worker_transport must be 'ring'"):
+            ServingEngine(_model(), cfg(worker_transport=transport))

@@ -20,13 +20,20 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import http.client
 import json
 import logging
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import (
@@ -656,3 +663,51 @@ def test_client_and_server_report_one_percentile_statistic():
         assert getattr(stats, name) == getattr(report, name)
     assert report.latency_p99_s == stats.latency_max_s == max(sample)
     assert report.latency_p50_s == sorted(sample)[5]  # rank ceil(0.5 * 12)
+
+
+# --------------------------------------------------------------------- #
+# the command line: python -m repro.serving.server
+# --------------------------------------------------------------------- #
+@pytest.mark.timeout(120)
+def test_the_cli_serves_on_the_process_backend_and_stops_on_sigint():
+    """Port 0 → a served prediction over the ring → SIGINT → exit 0, clean.
+
+    The signal goes to the server's pid alone: stopping its workers and
+    unlinking their segments is the server's job, not the terminal's (the
+    suite's leak gate fails the test on a ``/dev/shm`` segment left behind).
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serving.server", "--port", "0"]
+        + ["--backend", "process"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    match = None
+    try:
+        for line in proc.stdout:  # a warning may come first; EOF if it died
+            match = re.search(r"serving on http://([^:\s]+):(\d+)", line)
+            if match:
+                break
+        assert match, f"the server exited without serving: {proc.wait()}"
+        conn = http.client.HTTPConnection(match[1], int(match[2]), timeout=30)
+        conn.request("POST", "/v1/predict", json.dumps({"x": X[0].tolist()}))
+        reply = conn.getresponse()
+        assert reply.status == 200, reply.read()
+        reply.read()
+        conn.request("GET", "/v1/stats")
+        stats = json.loads(conn.getresponse().read())
+        conn.close()
+        assert stats["transport_ring_batches"] >= 1
+        assert "transport" not in stats and "transport_pipe_batches" not in stats
+        proc.send_signal(signal.SIGINT)
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, out
+    assert "shutting down" in out
