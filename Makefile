@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench parallel chaos lint docs quickstart serve-demo serve loadgen grid all
+.PHONY: test bench parallel chaos lint docs quickstart serve-demo serve loadgen grid reach all
 
 # Tier-1: full test suite (pytest config lives in pyproject.toml)
 test:
@@ -61,8 +61,8 @@ ifneq ($(shell command -v ruff 2>/dev/null),)
 	ruff format --check .
 else
 	@echo "ruff is not on PATH: stdlib fallback (compileall + tools/lint_fallback.py)"
-	$(PYTHON) -m compileall -q src tests benchmarks
-	$(PYTHON) tools/lint_fallback.py src tests benchmarks
+	$(PYTHON) -m compileall -q src tests benchmarks tools
+	$(PYTHON) tools/lint_fallback.py src tests benchmarks tools
 endif
 
 # Documentation gate: relative links resolve, README/docs examples execute
@@ -96,5 +96,11 @@ grid:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments init --store $(STORE) --grid $(GRID)
 	PYTHONPATH=src $(PYTHON) -m repro.experiments run --store $(STORE) --reclaim-running
 	PYTHONPATH=src $(PYTHON) -m repro.experiments report --store $(STORE) --markdown --summary
+
+# Reach census: run the examples, the six paper drivers and the smoke grid
+# under a profiler and print, for every function in src/repro, whether any
+# of them enters it ("entered"/"never") and its lines.  Several minutes.
+reach:
+	$(PYTHON) tools/reach.py
 
 all: test bench docs quickstart

@@ -5,7 +5,7 @@ Conv2D flat-fold: the per-slice fallback it replaces
 
 Before this optimisation, ``folded_forward_range`` evaluated
 every :class:`Conv2D` and :class:`ResidualBlock` one sample-slice at a
-time (``_sliced_forward``): S separate im2col gathers and S separate
+time (``_sliced_forward`` below): S separate im2col gathers and S separate
 Python round-trips per conv layer, because GEMM results are not bit-stable
 under batch tiling.  The flat-fold keeps the bit-exactness argument —
 per-sample GEMMs with the legacy operand shapes and memory order — while
@@ -55,15 +55,11 @@ import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
-from repro.inference.folding import (
-    ROWWISE_LAYERS,
-    _sliced_forward,
-    fold_batch,
-    folded_forward_range,
-)
+from repro.inference.folding import ROWWISE_LAYERS, folded_forward_range
 from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Conv2D, Dense, MaxPool2D, ResidualBlock, pooling
+from tests.inference.folded_harness import fold_batch
 
 from . import reporting
 
@@ -91,6 +87,18 @@ PLAN_BATCH = 16
 #: pins that instead.
 LENET_PLAN_MIN_SPEEDUP = 1.5
 LENET_PLAN_BATCH = 32
+
+
+def _sliced_forward(layer, x, num_samples, ctx):
+    """Evaluate a layer one sample-slice at a time (always bit-exact)."""
+    n = x.shape[0] // num_samples
+    return np.concatenate(
+        [
+            layer.forward(x[s * n : (s + 1) * n], training=False, ctx=ctx)
+            for s in range(num_samples)
+        ],
+        axis=0,
+    )
 
 
 def _legacy_forward_range(network, x, num_samples, ctx):

@@ -7,7 +7,7 @@ Materialised, it tiles the prefix to ``(S·N, F)`` and then masks the tile
 ``/ keep_prob`` and ``x * scaled``, each a full-width temporary) — before
 the stacked per-sample GEMM.  At serving widths every temporary is
 megabytes, an ``mmap``-backed allocation whose page faults dominate.
-:meth:`repro.nn.layers.dropout._DropoutBase.fold` is the clone step and
+:meth:`repro.nn.layers.dropout.MCDropout.fold` is the clone step and
 the mask in one: the uniform draw is the only full-width allocation, scaled
 in place by a bit-exact multiply-by-reciprocal, and the prefix is
 multiplied into it broadcast over ``S``.
@@ -25,9 +25,9 @@ import time
 
 import numpy as np
 
-from repro.inference import fold_batch
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Dense, MCDropout
+from tests.inference.folded_harness import fold_batch
 
 from . import reporting
 

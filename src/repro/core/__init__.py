@@ -23,8 +23,6 @@ from .multi_exit import (
     EarlyExitResult,
     ExitHeadConfig,
     build_exit_head,
-    confidence_early_exit,
-    cumulative_exit_ensembles,
     exit_ensemble,
 )
 from .optimization import (
@@ -57,8 +55,6 @@ __all__ = [
     "EarlyExitResult",
     "ExitHeadConfig",
     "build_exit_head",
-    "confidence_early_exit",
-    "cumulative_exit_ensembles",
     "exit_ensemble",
     "CandidateConfig",
     "EvaluatedDesign",

@@ -237,8 +237,10 @@ class MultiExitBayesNet:
             "exit_points": list(self.exit_points),
             "mcd_layers_per_exit": self.config.mcd_layers_per_exit,
             "dropout_rate": self.config.dropout_rate,
-            "backbone": self.backbone.describe(),
-            "exits": [head.describe() for head in self.exits],
+            "backbone": [layer.describe() for layer in self.backbone.layers],
+            "exits": [
+                [layer.describe() for layer in head.layers] for head in self.exits
+            ],
         }
 
     # ------------------------------------------------------------------ #

@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..nn.layers import (
-    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2D,
     Layer,
@@ -29,7 +27,6 @@ from ..nn.layers import (
     MCDropout,
     ReLU,
     ResidualBlock,
-    Softmax,
 )
 from ..nn.model import Network
 
@@ -83,14 +80,12 @@ def layer_flops(layer: Layer) -> int:
         return _dense_flops(layer)
     if isinstance(layer, BatchNorm):
         return 2 * _num_elements(layer.output_shape)
-    if isinstance(layer, (ReLU, Softmax)):
+    if isinstance(layer, ReLU):
         return _num_elements(layer.output_shape)
-    if isinstance(layer, (MCDropout, Dropout)):
+    if isinstance(layer, MCDropout):
         # mask multiply + scale
         return 2 * _num_elements(layer.output_shape)
-    if isinstance(layer, (MaxPool2D, AvgPool2D)):
-        return _num_elements(layer.input_shape)
-    if isinstance(layer, GlobalAvgPool2D):
+    if isinstance(layer, (MaxPool2D, GlobalAvgPool2D)):
         return _num_elements(layer.input_shape)
     if isinstance(layer, Flatten):
         return 0

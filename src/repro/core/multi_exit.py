@@ -1,4 +1,4 @@
-"""Multi-exit machinery: exit heads, exit ensembles, confidence-based exiting.
+"""Multi-exit machinery: exit heads, the exit ensemble, the early-exit result.
 
 An *exit head* is a small classifier attached to an intermediate backbone
 activation.  The paper places one exit after each semantic block (Section
@@ -22,9 +22,7 @@ __all__ = [
     "ExitHeadConfig",
     "build_exit_head",
     "exit_ensemble",
-    "cumulative_exit_ensembles",
     "EarlyExitResult",
-    "confidence_early_exit",
     "CONFIDENCE_THRESHOLDS",
     "DROPOUT_RATE_GRID",
 ]
@@ -135,23 +133,6 @@ def exit_ensemble(exit_probs: Sequence[np.ndarray]) -> np.ndarray:
     return stacked.mean(axis=0)
 
 
-def cumulative_exit_ensembles(exit_probs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Running ensembles: element ``i`` averages exits ``0..i``.
-
-    The paper evaluates confidence exiting both on individual exit
-    predictions and on "the largest possible ensemble at each exit"; the
-    latter is exactly this cumulative average.
-    """
-    if not exit_probs:
-        raise ValueError("exit_probs must not be empty")
-    out: list[np.ndarray] = []
-    running = np.zeros_like(exit_probs[0])
-    for i, probs in enumerate(exit_probs):
-        running = running + probs
-        out.append(running / (i + 1))
-    return out
-
-
 @dataclass
 class EarlyExitResult:
     """Outcome of confidence-based early exiting on a batch."""
@@ -171,46 +152,3 @@ class EarlyExitResult:
         if costs.shape[0] != self.exit_distribution.shape[0]:
             raise ValueError("cost vector length must equal the number of exits")
         return float((costs * self.exit_distribution).sum())
-
-
-def confidence_early_exit(
-    exit_probs: Sequence[np.ndarray],
-    threshold: float,
-    use_ensemble: bool = True,
-) -> EarlyExitResult:
-    """Confidence-based early exiting over precomputed exit predictions.
-
-    A sample leaves at the first exit whose confidence (max probability of
-    either the exit prediction or the cumulative ensemble, depending on
-    ``use_ensemble``) exceeds ``threshold``; samples that never reach the
-    threshold use the final exit's prediction.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    candidates = (
-        cumulative_exit_ensembles(exit_probs)
-        if use_ensemble
-        else [np.asarray(p) for p in exit_probs]
-    )
-    num_exits = len(candidates)
-    n = candidates[0].shape[0]
-
-    chosen_probs = candidates[-1].copy()
-    exit_indices = np.full(n, num_exits - 1, dtype=np.int64)
-    undecided = np.ones(n, dtype=bool)
-
-    for i, probs in enumerate(candidates):
-        confident = undecided & (probs.max(axis=1) >= threshold)
-        chosen_probs[confident] = probs[confident]
-        exit_indices[confident] = i
-        undecided &= ~confident
-        if not undecided.any():
-            break
-
-    distribution = np.bincount(exit_indices, minlength=num_exits) / n
-    return EarlyExitResult(
-        probs=chosen_probs,
-        exit_indices=exit_indices,
-        threshold=float(threshold),
-        exit_distribution=distribution,
-    )

@@ -26,9 +26,7 @@ __all__ = [
     "DatasetSplit",
     "SyntheticImageDataset",
     "mnist_like",
-    "cifar10_like",
     "cifar100_like",
-    "svhn_like",
 ]
 
 
@@ -201,21 +199,6 @@ def mnist_like(
     )
 
 
-def cifar10_like(
-    train_size: int = 512, test_size: int = 256, seed: int = 0, image_size: int = 32
-) -> SyntheticImageDataset:
-    """Synthetic stand-in for CIFAR-10: 3-channel images, 10 classes."""
-    return SyntheticImageDataset(
-        "cifar10_like",
-        (3, image_size, image_size),
-        10,
-        train_size=train_size,
-        test_size=test_size,
-        noise_level=0.7,
-        seed=seed,
-    )
-
-
 def cifar100_like(
     train_size: int = 1024,
     test_size: int = 512,
@@ -238,20 +221,5 @@ def cifar100_like(
         train_size=train_size,
         test_size=test_size,
         noise_level=noise_level,
-        seed=seed,
-    )
-
-
-def svhn_like(
-    train_size: int = 512, test_size: int = 256, seed: int = 0, image_size: int = 32
-) -> SyntheticImageDataset:
-    """Synthetic stand-in for SVHN: 3-channel digit images, 10 classes."""
-    return SyntheticImageDataset(
-        "svhn_like",
-        (3, image_size, image_size),
-        10,
-        train_size=train_size,
-        test_size=test_size,
-        noise_level=0.9,
         seed=seed,
     )

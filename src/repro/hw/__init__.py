@@ -12,14 +12,7 @@ from .accelerator import (
     partition_multi_exit,
     partition_network,
 )
-from .baselines import (
-    CPU_I9_9900K,
-    GPU_RTX_2080,
-    PUBLISHED_BASELINES,
-    PlatformResult,
-    ProcessorModel,
-    cpu_gpu_projection,
-)
+from .baselines import PUBLISHED_BASELINES, PlatformResult
 from .devices import DEVICES, XCKU115, FPGADevice, get_device
 from .dse import (
     CHANNEL_MULTIPLIERS,
@@ -38,7 +31,6 @@ from .mapping import (
 )
 from .power import PowerBreakdown, PowerModel
 from .resources import LayerResourceModel, ResourceUsage, estimate_layer_resources
-from .rng import GaloisLFSR, lfsr_uniform_stream
 
 __all__ = [
     "hls",
@@ -47,11 +39,7 @@ __all__ = [
     "partition_network",
     "partition_multi_exit",
     "PlatformResult",
-    "ProcessorModel",
     "PUBLISHED_BASELINES",
-    "CPU_I9_9900K",
-    "GPU_RTX_2080",
-    "cpu_gpu_projection",
     "FPGADevice",
     "DEVICES",
     "get_device",
@@ -74,6 +62,4 @@ __all__ = [
     "LayerResourceModel",
     "ResourceUsage",
     "estimate_layer_resources",
-    "GaloisLFSR",
-    "lfsr_uniform_stream",
 ]

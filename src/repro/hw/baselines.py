@@ -4,23 +4,14 @@ The paper compares its accelerator against published numbers: CPU and GPU
 implementations of MCD-based BayesNNs (quoted from TPDS'22) and four prior
 FPGA accelerators (VIBNN/ASPLOS'18, BYNQNET/DATE'20, DAC'21, TPDS'22).  This
 module records those published figures verbatim — they are comparison
-*inputs*, not something we re-measure — and additionally provides a simple
-analytical CPU/GPU model so new workloads can be projected onto those
-platforms for the what-if studies in the examples.
+*inputs*, not something we re-measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "PlatformResult",
-    "PUBLISHED_BASELINES",
-    "cpu_gpu_projection",
-    "ProcessorModel",
-    "CPU_I9_9900K",
-    "GPU_RTX_2080",
-]
+__all__ = ["PlatformResult", "PUBLISHED_BASELINES"]
 
 
 @dataclass(frozen=True)
@@ -104,64 +95,3 @@ PUBLISHED_BASELINES: dict[str, PlatformResult] = {
         latency_ms=0.32,
     ),
 }
-
-
-@dataclass(frozen=True)
-class ProcessorModel:
-    """Roofline-style model of a CPU/GPU running MCD-based BayesNN inference.
-
-    ``effective_gflops`` is the sustained throughput on small-batch CNN
-    inference (well below peak because MC sampling runs at batch size 1), and
-    ``average_power_w`` the package power during inference.
-    """
-
-    name: str
-    platform: str
-    frequency_mhz: float
-    technology_nm: int
-    effective_gflops: float
-    average_power_w: float
-    overhead_ms: float = 0.05
-
-    def project(self, total_flops: float) -> PlatformResult:
-        """Project latency/energy for a workload of ``total_flops`` FLOPs."""
-        if total_flops < 0:
-            raise ValueError("total_flops must be non-negative")
-        latency_ms = (
-            total_flops / (self.effective_gflops * 1e9) * 1000.0 + self.overhead_ms
-        )
-        return PlatformResult(
-            name=self.name,
-            platform=self.platform,
-            frequency_mhz=self.frequency_mhz,
-            technology_nm=self.technology_nm,
-            power_w=self.average_power_w,
-            latency_ms=latency_ms,
-        )
-
-
-CPU_I9_9900K = ProcessorModel(
-    name="CPU (projected)",
-    platform="Intel Core i9-9900K",
-    frequency_mhz=3600.0,
-    technology_nm=14,
-    effective_gflops=45.0,
-    average_power_w=205.0,
-)
-
-GPU_RTX_2080 = ProcessorModel(
-    name="GPU (projected)",
-    platform="NVIDIA RTX 2080",
-    frequency_mhz=1545.0,
-    technology_nm=12,
-    effective_gflops=350.0,
-    average_power_w=236.0,
-)
-
-
-def cpu_gpu_projection(total_flops: float) -> dict[str, PlatformResult]:
-    """Project a workload onto the CPU and GPU analytical models."""
-    return {
-        "CPU": CPU_I9_9900K.project(total_flops),
-        "GPU": GPU_RTX_2080.project(total_flops),
-    }

@@ -115,28 +115,25 @@ class HLSCodeGenerator:
                 padding=node.params.get("padding", 0),
                 reuse_factor=reuse,
             )
-        if node.kernel in ("maxpool2d", "avgpool2d"):
+        if node.kernel == "maxpool2d":
             in_c, in_h, in_w = node.input_shape
             out_c, out_h, out_w = node.output_shape
-            kind = "max" if node.kernel == "maxpool2d" else "avg"
-            pool = node.params.get("pool_size", 2)
-            select = "best" if kind == "max" else f"(data_t)(sum / (accum_t)({pool} * {pool}))"
             return templates.POOLING_LAYER_TEMPLATE.format(
-                kind=kind,
+                kind="max",
                 name=name,
                 channels=in_c,
                 in_height=in_h,
                 in_width=in_w,
                 out_height=out_h,
                 out_width=out_w,
-                pool_size=pool,
-                select_expr=select,
+                pool_size=node.params.get("pool_size", 2),
+                select_expr="best",
             )
         if node.kernel == "relu":
             return templates.RELU_LAYER_TEMPLATE.format(name=name)
         if node.kernel == "mc_dropout":
             return ""  # emitted in mcd_header
-        # batchnorm, softmax, flatten, residual blocks etc. are folded or
+        # batchnorm, flatten, residual blocks etc. are folded or
         # handled inside composite kernels; emit a comment as documentation.
         return f"// kernel '{node.kernel}' for layer {name} is folded into the adjacent kernels\n"
 

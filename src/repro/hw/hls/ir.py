@@ -23,13 +23,10 @@ _HW_KERNELS = {
     "Dense": "dense",
     "BatchNorm": "batchnorm",
     "ReLU": "relu",
-    "Softmax": "softmax",
     "MaxPool2D": "maxpool2d",
-    "AvgPool2D": "avgpool2d",
     "GlobalAvgPool2D": "global_avgpool",
     "Flatten": "flatten",
     "MCDropout": "mc_dropout",
-    "Dropout": "mc_dropout",
     "ResidualBlock": "residual_block",
 }
 

@@ -76,17 +76,17 @@ def estimate_layer_cycles(
         spatial = out_elements // max(1, channels)
         return LayerLatency(name=name, cycles=max(1, spatial), pipeline_depth=3)
 
-    if ltype in ("MCDropout", "Dropout"):
+    if ltype == "MCDropout":
         # Algorithm 1: a single pipelined loop over dropout_size elements
         return LayerLatency(name=name, cycles=max(1, out_elements), pipeline_depth=3)
 
-    if ltype in ("MaxPool2D", "AvgPool2D"):
+    if ltype == "MaxPool2D":
         return LayerLatency(name=name, cycles=max(1, out_elements), pipeline_depth=2)
 
     if ltype == "GlobalAvgPool2D":
         return LayerLatency(name=name, cycles=max(1, _prod(in_shape)), pipeline_depth=4)
 
-    if ltype in ("ReLU", "Softmax"):
+    if ltype == "ReLU":
         channels = out_shape[-1] if out_shape else 1
         return LayerLatency(
             name=name, cycles=max(1, out_elements // max(1, channels)), pipeline_depth=2

@@ -193,7 +193,7 @@ def estimate_layer_resources(
         weights = 2 * channels
         return _mac_layer_resources(mults, weights, bitwidth, reuse_factor, model)
 
-    if ltype in ("MCDropout", "Dropout"):
+    if ltype == "MCDropout":
         # Algorithm 1: one RNG, one comparator and one multiplier per parallel
         # lane; lanes = channels / reuse_factor.  No BRAM at all.
         channels = in_shape[0] if in_shape else 1
@@ -215,7 +215,7 @@ def estimate_layer_resources(
             lut=lut + model.lut_control_per_layer,
         )
 
-    if ltype in ("MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"):
+    if ltype in ("MaxPool2D", "GlobalAvgPool2D"):
         channels = in_shape[0] if in_shape else 1
         lanes = max(1, math.ceil(channels / reuse_factor))
         lut = lanes * model.lut_per_comparator_bit * bitwidth * 4
@@ -225,7 +225,7 @@ def estimate_layer_resources(
             ff=ff + model.ff_control_per_layer,
         )
 
-    if ltype in ("ReLU", "Softmax", "Flatten"):
+    if ltype in ("ReLU", "Flatten"):
         width = bitwidth * max(1, min(out_elements, 64))
         return ResourceUsage(
             lut=model.lut_per_adder_bit * width + model.lut_control_per_layer / 2,

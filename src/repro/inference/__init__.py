@@ -16,7 +16,7 @@ Public surface
     Folded MC prediction, per-exit distributions and active-set early
     exiting over a multi-exit MCD BayesNN.
 :mod:`repro.inference.folding`
-    ``fold_batch`` / ``unfold_samples`` / ``folded_forward_range`` primitives
+    ``unfold_samples`` / ``folded_forward_range`` primitives
     with a documented bit-exactness contract, and ``sample_suffix``, the one
     fold → stochastic suffix → unfold sampler the engine calls per exit head.
 :mod:`repro.inference.plan`
@@ -30,11 +30,10 @@ test oracle and live in ``tests/inference/reference_loops.py``.
 """
 
 from .engine import InferenceEngine
-from .folding import fold_batch, folded_forward_range, sample_suffix, unfold_samples
+from .folding import folded_forward_range, sample_suffix, unfold_samples
 
 __all__ = [
     "InferenceEngine",
-    "fold_batch",
     "unfold_samples",
     "folded_forward_range",
     "sample_suffix",

@@ -6,7 +6,7 @@ stochastic suffix is evaluated once (Figure 4 of the paper).  The software
 analogue implemented here folds the sample axis into the batch axis: the
 first :class:`~repro.nn.layers.MCDropout` layer of the suffix clones the
 cached activation of shape ``(N, …)`` into ``(S·N, …)`` under its S masks
-(:meth:`~repro.nn.layers.dropout._DropoutBase.fold`), and the rest of the
+(:meth:`~repro.nn.layers.dropout.MCDropout.fold`), and the rest of the
 stochastic suffix is evaluated in a single pass, with every later MC-dropout
 layer drawing one *independent* mask row per (sample, example) pair.
 
@@ -36,9 +36,8 @@ observationally invisible.  Three facts make that possible:
   same way and applying batch norm, ReLU and the residual add in place on
   the convolution outputs
   (:meth:`~repro.nn.layers.ResidualBlock.forward_inference`, which the
-  deterministic prefix plan of :mod:`repro.inference.plan` shares).  Any
-  remaining parameterised layer (custom layers) falls back to a per-slice
-  loop.
+  deterministic prefix plan of :mod:`repro.inference.plan` shares).  A
+  layer kind outside this vocabulary is refused with a ``TypeError``.
 * The clone step never materialises an unmasked ``(S·N, …)`` tile: the
   first MC-dropout layer draws its S masks in one call and multiplies the
   ``(N, …)`` prefix into them broadcast over S, which is the same multiply,
@@ -51,18 +50,15 @@ import numpy as np
 
 from ..nn.context import ForwardContext, resolve_context
 from ..nn.layers import (
-    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2D,
     MaxPool2D,
     MCDropout,
     ReLU,
     ResidualBlock,
-    Softmax,
 )
 from ..nn.layers.activations import softmax
 from ..nn.layers.base import Layer
@@ -70,7 +66,6 @@ from ..nn.model import Network
 
 __all__ = [
     "ROWWISE_LAYERS",
-    "fold_batch",
     "unfold_samples",
     "folded_forward_range",
     "sample_suffix",
@@ -80,30 +75,15 @@ __all__ = [
 #: identical per-row arithmetic — safe to evaluate on the flat fold.
 ROWWISE_LAYERS: tuple[type[Layer], ...] = (
     ReLU,
-    Softmax,
     Flatten,
     MaxPool2D,
-    AvgPool2D,
     GlobalAvgPool2D,
     BatchNorm,
-    Dropout,
 )
 
 
-def fold_batch(x: np.ndarray, num_samples: int) -> np.ndarray:
-    """Tile a batch ``(N, …)`` sample-major into ``(S·N, …)``.
-
-    Row ``s·N + n`` of the result is example ``n`` of Monte-Carlo sample
-    ``s`` — the clone step of the accelerator's spatial mapping, which
-    :func:`sample_suffix` leaves to the suffix's first MC-dropout layer.
-    """
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
-    return np.tile(x, (num_samples,) + (1,) * (x.ndim - 1))
-
-
 def unfold_samples(y: np.ndarray, num_samples: int) -> np.ndarray:
-    """Inverse of :func:`fold_batch` on the output: ``(S·N, …) -> (S, N, …)``."""
+    """The sample-major ``(S·N, …)`` fold split back into ``(S, N, …)``."""
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
     if y.shape[0] % num_samples:
@@ -112,20 +92,6 @@ def unfold_samples(y: np.ndarray, num_samples: int) -> np.ndarray:
             f"num_samples={num_samples}"
         )
     return y.reshape((num_samples, y.shape[0] // num_samples) + y.shape[1:])
-
-
-def _sliced_forward(
-    layer: Layer, x: np.ndarray, num_samples: int, ctx: ForwardContext
-) -> np.ndarray:
-    """Evaluate a layer one sample-slice at a time (always bit-exact)."""
-    n = x.shape[0] // num_samples
-    return np.concatenate(
-        [
-            layer.forward(x[s * n : (s + 1) * n], training=False, ctx=ctx)
-            for s in range(num_samples)
-        ],
-        axis=0,
-    )
 
 
 def folded_forward_range(
@@ -138,9 +104,10 @@ def folded_forward_range(
 ) -> np.ndarray:
     """Run layers ``[start, stop)`` of ``network`` on a sample-folded batch.
 
-    ``x`` must already be folded to ``(S·N, …)`` (see :func:`fold_batch`).
-    The result is bit-identical to evaluating the range once per sample on
-    the ``(N, …)`` batch.
+    ``x`` must already be folded to the sample-major ``(S·N, …)``: row
+    ``s·N + n`` is example ``n`` of sample ``s``.  The result is
+    bit-identical to evaluating the range once per sample on the ``(N, …)``
+    batch.  A layer outside the library's vocabulary raises ``TypeError``.
     ``ctx`` supplies the MCD mask streams (and receives the layer caches);
     concurrent callers over the same network must each pass their own.
     """
@@ -165,7 +132,10 @@ def folded_forward_range(
         elif isinstance(layer, (Dense, Conv2D, ResidualBlock)):
             out = layer.forward_folded(out, num_samples)
         else:
-            out = _sliced_forward(layer, out, num_samples, ctx)
+            raise TypeError(
+                f"{type(layer).__name__} has no folded evaluation: "
+                "sample folding covers the library's layer kinds only"
+            )
     return out
 
 

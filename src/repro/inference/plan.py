@@ -88,9 +88,6 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
    path) into a throwaway context.
    A NaN stays a NaN either way, but *which* NaN's sign and payload
    survives is the kernel's choice and outside the contract.
-   ``AvgPool2D`` has no step: a maximum can be checked on all its ties, a
-   sum's roundings (NumPy adds a contiguous window pairwise from eight
-   elements, a single example's strided window in order) only sampled.
 
 Ownership and bound
 -------------------

@@ -9,9 +9,9 @@ layers stay stateless under concurrent forwards.
 
 from . import architectures, layers
 from .context import ForwardContext, default_context, resolve_context
-from .losses import CrossEntropyLoss, DistillationLoss, MSELoss
+from .losses import CrossEntropyLoss, DistillationLoss
 from .model import Network
-from .optimizers import SGD, Adam, CosineLR, StepLR
+from .optimizers import SGD
 from .training import (
     DistillationTrainer,
     Trainer,
@@ -29,11 +29,7 @@ __all__ = [
     "Network",
     "CrossEntropyLoss",
     "DistillationLoss",
-    "MSELoss",
     "SGD",
-    "Adam",
-    "StepLR",
-    "CosineLR",
     "Trainer",
     "DistillationTrainer",
     "TrainingHistory",

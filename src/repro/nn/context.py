@@ -35,7 +35,7 @@ the legacy reference loops — behaves exactly as before (and is exactly as
 non-reentrant as before).  Reentrancy is opt-in: pass an explicit context
 per logical caller.
 
-Reseeding: :meth:`repro.nn.layers.dropout._DropoutBase.reseed` bumps the
+Reseeding: :meth:`repro.nn.layers.dropout.MCDropout.reseed` bumps the
 layer's ``seed_epoch``; every context re-derives its stream for that layer
 from the new seed on the next draw.  Reseeding is therefore a *model-wide*
 operation visible to all contexts, which keeps the historical

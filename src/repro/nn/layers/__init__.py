@@ -1,12 +1,12 @@
 """Layer zoo for the NumPy neural-network substrate."""
 
-from .activations import ReLU, Softmax, log_softmax, softmax
+from .activations import ReLU, log_softmax, softmax
 from .base import Layer, Parameter
 from .batchnorm import BatchNorm
 from .conv import Conv2D
 from .dense import Dense
-from .dropout import Dropout, MCDropout
-from .pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from .dropout import MCDropout
+from .pooling import GlobalAvgPool2D, MaxPool2D
 from .reshape import Flatten
 from .residual import ResidualBlock
 
@@ -14,15 +14,12 @@ __all__ = [
     "Layer",
     "Parameter",
     "ReLU",
-    "Softmax",
     "softmax",
     "log_softmax",
     "BatchNorm",
     "Conv2D",
     "Dense",
-    "Dropout",
     "MCDropout",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "MaxPool2D",
     "Flatten",

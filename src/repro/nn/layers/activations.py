@@ -1,4 +1,4 @@
-"""Activation layers and the softmax output head."""
+"""The ReLU layer and the softmax functions of the output head."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from ..context import ForwardContext
 from .base import Layer
 
-__all__ = ["ReLU", "Softmax", "relu_", "softmax", "log_softmax"]
+__all__ = ["ReLU", "relu_", "softmax", "log_softmax"]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -50,29 +50,3 @@ class ReLU(Layer):
     ) -> np.ndarray:
         return grad_output * self._ctx(ctx).saved(self)
 
-
-class Softmax(Layer):
-    """Softmax activation over the last axis.
-
-    The backward pass implements the full softmax Jacobian so the layer can
-    be used standalone; in practice the cross-entropy loss in
-    :mod:`repro.nn.losses` works on logits and folds the softmax derivative
-    into the loss gradient for numerical stability.
-    """
-
-    def forward(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        ctx: ForwardContext | None = None,
-    ) -> np.ndarray:
-        out = softmax(x, axis=-1)
-        self._ctx(ctx).save(self, out)
-        return out
-
-    def backward(
-        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
-        s = self._ctx(ctx).saved(self)
-        dot = (grad_output * s).sum(axis=-1, keepdims=True)
-        return s * (grad_output - dot)

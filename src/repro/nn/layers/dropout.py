@@ -1,4 +1,4 @@
-"""Dropout layers: standard (training-only) and Monte-Carlo dropout.
+"""The Monte-Carlo dropout layer.
 
 The paper implements Monte-Carlo dropout (MCD) as a *filter-wise* Bernoulli
 mask applied to the output feature maps of a layer (Section II-A): for a
@@ -6,12 +6,12 @@ layer with :math:`F_i` filters, the mask :math:`M_i` has one Bernoulli draw
 per filter.  Unlike conventional dropout, the MCD layer stays stochastic at
 inference time — that is exactly what produces distinct Monte-Carlo samples.
 
-Both layers use *inverted* dropout scaling (surviving activations are scaled
+The layer uses *inverted* dropout scaling (surviving activations are scaled
 by ``1 / keep_prob``) so that the expected activation magnitude is preserved
 and no rescaling is needed at evaluation time.  The generated HLS code in
 :mod:`repro.hw.hls` instead follows the paper's Algorithm 1 verbatim.
 
-The layers themselves are stateless per call: masks are stored in the
+The layer itself is stateless per call: masks are stored in the
 :class:`~repro.nn.context.ForwardContext` and the Bernoulli draws come from
 the *context-owned* RNG stream for this layer (see :meth:`ForwardContext.rng`
 for the seeding/spawn rule).  The layer only carries the ``seed`` the streams
@@ -26,11 +26,18 @@ import numpy as np
 from ..context import ForwardContext
 from .base import Layer
 
-__all__ = ["Dropout", "MCDropout"]
+__all__ = ["MCDropout"]
 
 
-class _DropoutBase(Layer):
-    """Shared mask-generation logic for dropout variants."""
+class MCDropout(Layer):
+    """Monte-Carlo dropout: stochastic during both training and inference.
+
+    Running the same input through a network containing ``MCDropout`` layers
+    multiple times yields distinct samples from the approximate posterior
+    predictive distribution (Gal & Ghahramani, 2016).
+    """
+
+    stochastic = True
 
     def __init__(
         self,
@@ -96,7 +103,13 @@ class _DropoutBase(Layer):
             return np.multiply(u < self.keep_prob, 1.0 / self.keep_prob, out=u)
         return (u < self.keep_prob).astype(x.dtype) / self.keep_prob
 
-    def _apply(self, x: np.ndarray, ctx: ForwardContext) -> np.ndarray:
+    def forward(
+        self,
+        x: np.ndarray,
+        training: bool = False,
+        ctx: ForwardContext | None = None,
+    ) -> np.ndarray:
+        ctx = self._ctx(ctx)
         if self.rate == 0.0:
             ctx.save(self, np.ones((1,) * x.ndim, dtype=x.dtype))
             return x
@@ -111,7 +124,7 @@ class _DropoutBase(Layer):
 
         Row ``s·N + n`` is example ``n`` under sample ``s``'s mask: the
         accelerator's clone step and the mask in one pass, with the bytes,
-        memory order and RNG stream use of ``_apply`` on ``x`` tiled S
+        memory order and RNG stream use of :meth:`forward` on ``x`` tiled S
         times, but no tile.  ``num_samples=1`` masks an already folded
         batch.  Nothing is saved in ``ctx``: the folded path has no backward.
         """
@@ -126,7 +139,7 @@ class _DropoutBase(Layer):
         else:
             # a filter-wise mask broadcasts over H and W, so the product
             # takes its layout from x: C order, as the tile's would be, for
-            # a real fold; x's own layout, as _apply keeps it, for S = 1
+            # a real fold; x's own layout, as forward keeps it, for S = 1
             out = np.multiply(x, stacked, order="C" if num_samples > 1 else "K")
         return out.reshape((num_samples * n,) + x.shape[1:])
 
@@ -145,41 +158,6 @@ class _DropoutBase(Layer):
             }
         )
         return info
-
-
-class Dropout(_DropoutBase):
-    """Conventional dropout: active during training, identity at inference."""
-
-    def forward(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        ctx: ForwardContext | None = None,
-    ) -> np.ndarray:
-        ctx = self._ctx(ctx)
-        if not training:
-            ctx.save(self, np.ones((1,) * x.ndim, dtype=x.dtype))
-            return x
-        return self._apply(x, ctx)
-
-
-class MCDropout(_DropoutBase):
-    """Monte-Carlo dropout: stochastic during both training and inference.
-
-    Running the same input through a network containing ``MCDropout`` layers
-    multiple times yields distinct samples from the approximate posterior
-    predictive distribution (Gal & Ghahramani, 2016).
-    """
-
-    stochastic = True
-
-    def forward(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        ctx: ForwardContext | None = None,
-    ) -> np.ndarray:
-        return self._apply(x, self._ctx(ctx))
 
     def deterministic_forward(
         self, x: np.ndarray, ctx: ForwardContext | None = None

@@ -1,4 +1,4 @@
-"""Pooling layers: max, average, and global average pooling."""
+"""Pooling layers: max and global average pooling."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from ..context import ForwardContext
 from ..tensor import col2im, conv_output_size, im2col
 from .base import Layer
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D", "GlobalAvgPool2D"]
 
 
 @cache
@@ -34,8 +34,24 @@ def _max_is_a_scan(window: int, dtype: str) -> bool:
     return cols.max(axis=1).tobytes() == scan.tobytes()
 
 
-class _Pool2D(Layer):
-    """Shared machinery for spatial pooling over NCHW inputs."""
+class MaxPool2D(Layer):
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Two paths with one result.  Where :meth:`scans` holds, the output is a
+    running maximum over the ``pool_size²`` window positions, each a strided
+    view of the input (:meth:`running_max`): no column matrix.  Otherwise —
+    a window NumPy reduces lane-wise, or one longer than nine elements — the
+    input is gathered into columns and reduced with ``max``/``argmax``.
+
+    The running maximum reproduces the column path's bits and layout: the
+    output is NCHW-contiguous for ``N == 1`` and the NCHW view of NHWC
+    memory otherwise, which is what ``cols.max(axis=2)`` makes of
+    :func:`~repro.nn.tensor.im2col`'s column-major single-example columns
+    and C-contiguous batch columns.  Its ``uint8`` index (which window
+    position held the maximum) is the column path's ``argmax``, and the
+    backward scatters through it with ``col2im``'s additions on ``col2im``'s
+    operands.  With a NaN in a window the index is outside that contract.
+    """
 
     def __init__(
         self, pool_size: int = 2, stride: int | None = None, name: str | None = None
@@ -64,26 +80,6 @@ class _Pool2D(Layer):
         info = super().describe()
         info.update({"pool_size": self.pool_size, "stride": self.stride})
         return info
-
-
-class MaxPool2D(_Pool2D):
-    """Max pooling over non-overlapping (or strided) windows.
-
-    Two paths with one result.  Where :meth:`scans` holds, the output is a
-    running maximum over the ``pool_size²`` window positions, each a strided
-    view of the input (:meth:`running_max`): no column matrix.  Otherwise —
-    a window NumPy reduces lane-wise, or one longer than nine elements — the
-    input is gathered into columns and reduced with ``max``/``argmax``.
-
-    The running maximum reproduces the column path's bits and layout: the
-    output is NCHW-contiguous for ``N == 1`` and the NCHW view of NHWC
-    memory otherwise, which is what ``cols.max(axis=2)`` makes of
-    :func:`~repro.nn.tensor.im2col`'s column-major single-example columns
-    and C-contiguous batch columns.  Its ``uint8`` index (which window
-    position held the maximum) is the column path's ``argmax``, and the
-    backward scatters through it with ``col2im``'s additions on ``col2im``'s
-    operands.  With a NaN in a window the index is outside that contract.
-    """
 
     def scans(self, dtype: np.dtype) -> bool:
         """Whether :meth:`running_max` has the column path's bits for ``dtype``."""
@@ -189,38 +185,6 @@ class MaxPool2D(_Pool2D):
         for k, position in enumerate(self._positions(img)):
             position += np.where(index == k, grad_output, 0)
         return img
-
-
-class AvgPool2D(_Pool2D):
-    """Average pooling over spatial windows."""
-
-    def forward(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        ctx: ForwardContext | None = None,
-    ) -> np.ndarray:
-        n, c, _, _ = x.shape
-        _, out_h, out_w = self.output_shape
-        cols = self._to_cols(x)
-        out = cols.mean(axis=2)
-        self._ctx(ctx).save(self, x.shape)
-        return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-
-    def backward(
-        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
-        x_shape = self._ctx(ctx).saved(self)
-        n, c, _, _ = x_shape
-        _, out_h, out_w = self.output_shape
-        window = self.pool_size * self.pool_size
-
-        flat_grad = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, c)
-        grad_cols = np.repeat(flat_grad[:, :, None] / window, window, axis=2)
-        grad_cols = grad_cols.reshape(n * out_h * out_w, c * window)
-        return col2im(
-            grad_cols, x_shape, self.pool_size, self.pool_size, self.stride, 0
-        )
 
 
 class GlobalAvgPool2D(Layer):

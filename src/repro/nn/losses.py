@@ -14,7 +14,6 @@ from .tensor import one_hot
 __all__ = [
     "CrossEntropyLoss",
     "DistillationLoss",
-    "MSELoss",
     "cross_entropy",
     "kl_divergence",
 ]
@@ -80,17 +79,3 @@ class DistillationLoss:
         n = self._student.shape[0]
         # d/dlogits of T^2 * KL(teacher || softmax(logits/T)) = T*(student - teacher)
         return self.temperature * (self._student - self._teacher) / n
-
-
-class MSELoss:
-    """Mean squared error (used in a few regression-style tests)."""
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        return 2.0 * self._diff / self._diff.size

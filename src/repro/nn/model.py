@@ -6,10 +6,10 @@ rest of the repository relies on:
 * **partial forward passes** (``forward_range``) so that the multi-exit
   Bayesian model can cache the deterministic backbone activation and re-run
   only the stochastic exit heads for each Monte-Carlo sample;
-* **named layers** and structural ``describe()`` output consumed by the FLOP
-  analyzer and the FPGA hardware back-end;
+* **named layers**, each with the structural ``describe()`` output the
+  FPGA hardware back-end consumes;
 * **parameter snapshots** (``get_weights`` / ``set_weights``) used by the
-  quantizer, the deep-ensemble baseline, and the tests.
+  quantizer and the tests.
 
 Per-call state (layer backward caches, dropout masks, RNG streams) lives in
 an explicit :class:`~repro.nn.context.ForwardContext` threaded through every
@@ -245,32 +245,6 @@ class Network:
         """
         indices = self.stochastic_layer_indices()
         return indices[0] if indices else len(self.layers)
-
-    def describe(self) -> dict:
-        """Structural description used by FLOP counting and HW lowering."""
-        return {
-            "name": self.name,
-            "input_shape": list(self.input_shape) if self.input_shape else None,
-            "num_parameters": self.num_parameters if self.built else None,
-            "layers": [layer.describe() for layer in self.layers],
-        }
-
-    def summary(self) -> str:
-        """Human-readable table of layers, shapes and parameter counts."""
-        if not self.built:
-            raise RuntimeError("build the network before calling summary()")
-        lines = [f"Network: {self.name}  (input {self.input_shape})"]
-        header = f"{'#':>3}  {'layer':<28} {'type':<16} {'output shape':<18} {'params':>10}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for i, layer in enumerate(self.layers):
-            lines.append(
-                f"{i:>3}  {layer.name:<28} {layer.__class__.__name__:<16} "
-                f"{str(layer.output_shape):<18} {layer.num_parameters:>10}"
-            )
-        lines.append("-" * len(header))
-        lines.append(f"total parameters: {self.num_parameters}")
-        return "\n".join(lines)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""The optimizer base and SGD.
 
 The paper trains with SGD, momentum 0.9, weight decay 5e-4 and an initial
 learning rate of 0.1 — :class:`SGD` implements exactly that configuration.
@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers.base import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -62,84 +62,3 @@ class SGD(Optimizer):
             v += grad
             p.value -= self.lr * v
             p.bump_version()
-
-
-class Adam(Optimizer):
-    """Adam optimizer (used by some tests and ablation studies)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
-        self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.value) for p in self.parameters]
-        self._v = [np.zeros_like(p.value) for p in self.parameters]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.value
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-            p.bump_version()
-
-
-class StepLR:
-    """Step decay schedule: multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(
-        self, optimizer: Optimizer, step_size: int, gamma: float = 0.1
-    ) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch and return the new learning rate."""
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.gamma ** (self.epoch // self.step_size)
-        return self.optimizer.lr
-
-
-class CosineLR:
-    """Cosine-annealing schedule from the base LR down to ``min_lr``."""
-
-    def __init__(
-        self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0
-    ) -> None:
-        if total_epochs <= 0:
-            raise ValueError("total_epochs must be positive")
-        self.optimizer = optimizer
-        self.total_epochs = int(total_epochs)
-        self.min_lr = float(min_lr)
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch = min(self.epoch + 1, self.total_epochs)
-        cos = 0.5 * (1 + np.cos(np.pi * self.epoch / self.total_epochs))
-        self.optimizer.lr = self.min_lr + (self.base_lr - self.min_lr) * cos
-        return self.optimizer.lr

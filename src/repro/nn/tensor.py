@@ -300,12 +300,11 @@ def im2col(
     ``(N, C·H'·W')``, and one example's flat source offsets — cached per
     geometry and layout — pick every column element, in its final place,
     out of each example's row.  The memory order of the result is part of
-    the contract, because BLAS kernel choice (and strided reductions such
-    as :class:`~repro.nn.layers.pooling.AvgPool2D`'s mean) follow it:
-    C-contiguous for ``N > 1``, and for ``N == 1`` the column-major view
-    with strides ``(itemsize, out_h * out_w * itemsize)`` that the
-    historical ``transpose(...).reshape(...)`` of the patch tensor produced
-    without copying.
+    the contract, because BLAS kernel choice follows it: C-contiguous for
+    ``N > 1``, and for ``N == 1`` the column-major view with strides
+    ``(itemsize, out_h * out_w * itemsize)`` that the historical
+    ``transpose(...).reshape(...)`` of the patch tensor produced without
+    copying.
     """
     if x.shape[0] == 1:
         patches = im2col_patches(x, kernel_h, kernel_w, stride, padding, arena)

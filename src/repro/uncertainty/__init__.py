@@ -6,7 +6,6 @@ from .calibration import (
     maximum_calibration_error,
     reliability_bins,
 )
-from .ensembles import DeepEnsemble
 from .metrics import (
     UncertaintyReport,
     UncertaintyResult,
@@ -25,7 +24,6 @@ __all__ = [
     "reliability_bins",
     "expected_calibration_error",
     "maximum_calibration_error",
-    "DeepEnsemble",
     "UncertaintyReport",
     "UncertaintyResult",
     "mc_uncertainty_results",

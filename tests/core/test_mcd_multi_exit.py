@@ -9,8 +9,6 @@ from repro.core.multi_exit import (
     DROPOUT_RATE_GRID,
     ExitHeadConfig,
     build_exit_head,
-    confidence_early_exit,
-    cumulative_exit_ensembles,
     exit_ensemble,
 )
 from repro.nn.context import ForwardContext
@@ -18,6 +16,10 @@ from repro.nn.layers import Conv2D, Dense, Flatten, MCDropout, ReLU
 from repro.nn.model import Network
 
 from ..inference.folded_harness import folded_mc_sample, reseed_mcd
+from ..inference.reference_loops import (
+    confidence_early_exit,
+    cumulative_exit_ensembles,
+)
 
 
 class TestInsertMCD:

@@ -1,16 +1,13 @@
-"""Tests for the synthetic dataset generators and the data loader."""
+"""Tests for the synthetic dataset generators."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import (
-    DataLoader,
     DatasetSplit,
     SyntheticImageDataset,
     cifar100_like,
-    cifar10_like,
     mnist_like,
-    svhn_like,
 )
 
 
@@ -102,43 +99,53 @@ class TestSyntheticDataset:
 
     def test_factory_shapes(self):
         assert mnist_like(train_size=4, test_size=2).input_shape == (1, 28, 28)
-        assert cifar10_like(train_size=4, test_size=2).input_shape == (3, 32, 32)
-        assert svhn_like(train_size=4, test_size=2).input_shape == (3, 32, 32)
         ds = cifar100_like(train_size=4, test_size=2, num_classes=20)
         assert ds.num_classes == 20
 
+    def test_cifar100_like_shapes_and_labels(self):
+        ds = cifar100_like(train_size=30, test_size=10, image_size=8, num_classes=7)
+        assert ds.train.x.shape == (30, 3, 8, 8)
+        assert ds.test.x.shape == (10, 3, 8, 8)
+        assert ds.train.y.min() >= 0 and ds.train.y.max() < 7
+        assert ds.describe()["noise_level"] == 0.8
 
-class TestDataLoader:
-    def _split(self, n=20):
-        return DatasetSplit(np.arange(n)[:, None].astype(float), np.arange(n))
+    def test_factories_are_deterministic_given_seed(self):
+        for factory in (mnist_like, cifar100_like):
+            kwargs = dict(train_size=6, test_size=3, image_size=8)
+            a, b = factory(seed=4, **kwargs), factory(seed=4, **kwargs)
+            c = factory(seed=5, **kwargs)
+            np.testing.assert_array_equal(a.train.x, b.train.x)
+            np.testing.assert_array_equal(a.test.y, b.test.y)
+            assert not np.allclose(a.train.x, c.train.x)
 
-    def test_batches_cover_dataset(self):
-        loader = DataLoader(self._split(), batch_size=6, shuffle=True, seed=0)
-        seen = np.concatenate([y for _, y in loader])
-        assert sorted(seen.tolist()) == list(range(20))
-
-    def test_len(self):
-        assert len(DataLoader(self._split(20), batch_size=6)) == 4
-        assert len(DataLoader(self._split(20), batch_size=6, drop_last=True)) == 3
-
-    def test_drop_last(self):
-        loader = DataLoader(
-            self._split(20), batch_size=6, drop_last=True, shuffle=False
+    def test_train_and_test_splits_are_drawn_apart(self):
+        ds = SyntheticImageDataset(
+            "t", (1, 8, 8), 3, train_size=10, test_size=10, seed=0
         )
-        sizes = [len(x) for x, _ in loader]
-        assert sizes == [6, 6, 6]
+        assert not np.allclose(ds.train.x, ds.test.x)
 
-    def test_no_shuffle_preserves_order(self):
-        loader = DataLoader(self._split(10), batch_size=5, shuffle=False)
-        first_batch = next(iter(loader))[1]
-        np.testing.assert_array_equal(first_batch, np.arange(5))
+    def test_shifted_test_set_follows_its_seed(self):
+        ds = SyntheticImageDataset(
+            "t", (1, 8, 8), 3, train_size=10, test_size=10, seed=0
+        )
+        np.testing.assert_array_equal(
+            ds.shifted_test_set().x, ds.shifted_test_set().x
+        )
+        assert not np.allclose(
+            ds.shifted_test_set(seed=1).x, ds.shifted_test_set(seed=2).x
+        )
 
-    def test_shuffle_changes_between_epochs(self):
-        loader = DataLoader(self._split(50), batch_size=50, shuffle=True, seed=0)
-        first = next(iter(loader))[1].copy()
-        second = next(iter(loader))[1].copy()
-        assert not np.array_equal(first, second)
+    def test_unit_noise_multiplier_only_shifts_intensity(self):
+        ds = SyntheticImageDataset(
+            "t", (1, 8, 8), 3, train_size=10, test_size=10, seed=0
+        )
+        shifted = ds.shifted_test_set(noise_multiplier=1.0, intensity_shift=0.25)
+        np.testing.assert_allclose(shifted.x, ds.test.x + 0.25)
 
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            DataLoader(self._split(), batch_size=0)
+    def test_subset_is_a_prefix(self):
+        ds = SyntheticImageDataset(
+            "t", (1, 8, 8), 3, train_size=20, test_size=10, seed=0
+        )
+        sub = ds.train.subset(7)
+        np.testing.assert_array_equal(sub.x, ds.train.x[:7])
+        np.testing.assert_array_equal(sub.y, ds.train.y[:7])

@@ -1,11 +1,14 @@
 """Tests for the hardware IR, HLS code generation, and synthesis reports."""
 
+import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -172,6 +175,87 @@ class TestCodeGeneration:
         )
         mcd = HLSCodeGenerator(accel).mcd_header()
         assert "no MC-dropout layers" in mcd
+
+
+def _lfsr_taps(mcd_header: str) -> int:
+    """The feedback mask of the generated ``lfsr_step``."""
+    return int(re.search(r"& (0x[0-9a-fA-F]+)u\);", mcd_header).group(1), 16)
+
+
+def _lfsr_seeds(top_source: str) -> list[int]:
+    """The initial ``lfsr_states`` of the generated top function."""
+    seeds = re.search(r"lfsr_states\[\d+\] = \{([^}]*)\}", top_source).group(1)
+    return [int(s) for s in seeds.split(",")]
+
+
+def _lfsr_states(seed: int, taps: int, steps: int) -> np.ndarray:
+    """The states the generated ``lfsr_step`` walks through from ``seed``."""
+    states = np.empty(steps, dtype=np.uint64)
+    state = seed
+    for i in range(steps):
+        state = (state >> 1) ^ (taps if state & 1 else 0)
+        states[i] = state
+    return states
+
+
+class TestGeneratedLFSR:
+    """The Galois LFSR that feeds the generated MC-dropout kernels."""
+
+    STEPS = 20_000
+
+    def test_each_spatial_engine_starts_from_its_own_nonzero_seed(
+        self, accel_spatial
+    ):
+        seeds = _lfsr_seeds(HLSCodeGenerator(accel_spatial).top_source())
+        assert len(seeds) == accel_spatial.mapping.num_engines == 3
+        assert len(set(seeds)) == len(seeds)
+        assert all(0 < s < 2**32 for s in seeds)
+
+    def test_temporal_mapping_seeds_its_one_engine(self, accel_temporal):
+        top = HLSCodeGenerator(accel_temporal).top_source()
+        seeds = _lfsr_seeds(top)
+        assert len(seeds) == accel_temporal.mapping.num_engines == 1
+        assert seeds[0] != 0
+        assert "lfsr_states[0]" in top
+
+    def test_state_never_reaches_zero(self, accel_spatial):
+        gen = HLSCodeGenerator(accel_spatial)
+        taps = _lfsr_taps(gen.mcd_header())
+        for seed in _lfsr_seeds(gen.top_source()):
+            states = _lfsr_states(seed, taps, self.STEPS)
+            assert states.min() > 0
+            assert states.max() < 2**32
+
+    def test_uniform_draws_cover_the_unit_interval_evenly(self, accel_spatial):
+        gen = HLSCodeGenerator(accel_spatial)
+        seed = _lfsr_seeds(gen.top_source())[0]
+        u = _lfsr_states(seed, _lfsr_taps(gen.mcd_header()), self.STEPS) / 2.0**32
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 0.02
+        counts, _ = np.histogram(u, bins=10, range=(0.0, 1.0))
+        assert np.all(np.abs(counts / self.STEPS - 0.1) < 0.02)
+
+    @pytest.mark.parametrize("accel", ["accel_spatial", "accel_temporal"])
+    def test_kept_share_matches_the_keep_rate(self, accel, request):
+        """Algorithm 1 zeroes an element when its draw exceeds the keep rate."""
+        model = request.getfixturevalue(accel)
+        gen = HLSCodeGenerator(model)
+        keep = float(
+            re.search(r"KEEP_RATE\s+= ([0-9.]+)f", gen.parameters_header()).group(1)
+        )
+        assert keep == pytest.approx(1.0 - gen.dropout_rate)
+        seed = _lfsr_seeds(gen.top_source())[0]
+        u = _lfsr_states(seed, _lfsr_taps(gen.mcd_header()), self.STEPS) / 2.0**32
+        assert abs(np.mean(u <= keep) - keep) < 0.02
+
+    def test_engines_draw_different_streams(self, accel_spatial):
+        gen = HLSCodeGenerator(accel_spatial)
+        taps = _lfsr_taps(gen.mcd_header())
+        streams = [
+            _lfsr_states(seed, taps, 64) for seed in _lfsr_seeds(gen.top_source())
+        ]
+        for a, b in itertools.combinations(streams, 2):
+            assert not np.intersect1d(a, b).size
 
 
 class TestSynthesisReport:

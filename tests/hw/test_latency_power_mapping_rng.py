@@ -1,20 +1,17 @@
-"""Tests for the latency model, power model, MC-engine mapping, and LFSR RNG."""
+"""Tests for the latency model, power model and MC-engine mapping."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import (
     XCKU115,
-    GaloisLFSR,
     LatencyModel,
     MappingPlan,
     PowerModel,
     ResourceUsage,
     estimate_layer_cycles,
     get_device,
-    lfsr_uniform_stream,
     mixed_mapping,
     optimize_mapping,
     spatial_mapping,
@@ -176,43 +173,3 @@ class TestMapping:
         plan = MappingPlan(num_samples=samples, num_engines=engines)
         assert plan.passes_per_engine * plan.num_engines >= samples
         assert (plan.passes_per_engine - 1) * plan.num_engines < samples
-
-
-class TestLFSR:
-    def test_non_zero_seed_required(self):
-        with pytest.raises(ValueError):
-            GaloisLFSR(0)
-
-    def test_deterministic_stream(self):
-        a = lfsr_uniform_stream(123, 50)
-        b = lfsr_uniform_stream(123, 50)
-        np.testing.assert_allclose(a, b)
-
-    def test_values_in_unit_interval(self):
-        values = lfsr_uniform_stream(7, 1000)
-        assert values.min() >= 0.0 and values.max() < 1.0
-
-    def test_roughly_uniform(self):
-        values = lfsr_uniform_stream(99, 5000)
-        assert abs(values.mean() - 0.5) < 0.03
-        hist, _ = np.histogram(values, bins=10, range=(0, 1))
-        assert hist.min() > 300
-
-    def test_state_never_zero(self):
-        lfsr = GaloisLFSR(1)
-        for _ in range(1000):
-            assert lfsr.next_word() != 0
-
-    def test_bernoulli_keep_mask_rate(self):
-        lfsr = GaloisLFSR(42)
-        mask = lfsr.bernoulli_keep_mask(4000, keep_rate=0.75)
-        assert set(np.unique(mask)) <= {0.0, 1.0}
-        assert abs(mask.mean() - 0.75) < 0.03
-
-    def test_keep_rate_bounds(self):
-        lfsr = GaloisLFSR(1)
-        with pytest.raises(ValueError):
-            lfsr.bernoulli_keep_mask(10, 1.5)
-
-    def test_different_seeds_differ(self):
-        assert not np.allclose(lfsr_uniform_stream(1, 100), lfsr_uniform_stream(2, 100))

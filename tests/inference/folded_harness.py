@@ -6,6 +6,9 @@ multi-exit models only.  The fold machinery it runs per exit head —
 :func:`~repro.inference.folding.sample_suffix` — is driven here over a whole
 flat :class:`~repro.nn.model.Network`, so the folded-vs-looped tests can
 compare it bitwise against ``reference_loops.looped_mc_sample``.
+``fold_batch`` is the clone step as an explicit tile, the reference the
+fold tests and benchmarks compare ``MCDropout.fold`` and the per-slice
+evaluation against.
 """
 
 from __future__ import annotations
@@ -19,7 +22,20 @@ from repro.nn.context import ForwardContext
 from repro.nn.layers import MCDropout
 from repro.nn.model import Network
 
-__all__ = ["folded_mc_sample", "reseed_mcd"]
+__all__ = ["fold_batch", "folded_mc_sample", "reseed_mcd"]
+
+
+def fold_batch(x: np.ndarray, num_samples: int) -> np.ndarray:
+    """Tile a batch ``(N, …)`` sample-major into ``(S·N, …)``.
+
+    Row ``s·N + n`` of the result is example ``n`` of Monte-Carlo sample
+    ``s`` — the clone step of the accelerator's spatial mapping, which
+    :func:`~repro.inference.folding.sample_suffix` leaves to the suffix's
+    first MC-dropout layer.
+    """
+    if num_samples <= 0:
+        raise ValueError("num_samples must be positive")
+    return np.tile(x, (num_samples,) + (1,) * (x.ndim - 1))
 
 
 def folded_mc_sample(

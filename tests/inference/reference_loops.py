@@ -8,6 +8,9 @@ define the behaviour the folded hot path must reproduce **bit-for-bit**
 ``tests/inference/test_folded_equivalence.py`` enforce — the flat-network
 side through :mod:`.folded_harness` — and they serve as the baseline of the
 looped-vs-folded microbenchmark in ``benchmarks/test_inference_engine.py``.
+``confidence_early_exit`` is the select step of the eager early exit: the
+per-exit loop over precomputed exit predictions the engine's active-set
+exit is checked against.
 
 These loops deliberately run ctx-less: they use the process-wide default
 :class:`~repro.nn.context.ForwardContext`, whose streams seed from the
@@ -19,7 +22,7 @@ reentrancy refactor.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -31,7 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mcd import MCPrediction
     from repro.core.multi_exit import EarlyExitResult
 
-__all__ = ["looped_mc_sample", "looped_predict_mc", "eager_early_exit"]
+__all__ = [
+    "looped_mc_sample",
+    "looped_predict_mc",
+    "eager_early_exit",
+    "cumulative_exit_ensembles",
+    "confidence_early_exit",
+]
 
 
 def looped_mc_sample(
@@ -103,7 +112,6 @@ def eager_early_exit(
     independent implementations.
     """
     from repro.core.mcd import deterministic_forward
-    from repro.core.multi_exit import confidence_early_exit
 
     stochastic = model.config.is_bayesian
     activations = model.backbone_activations(x, training=False)
@@ -115,3 +123,65 @@ def eager_early_exit(
             logits = deterministic_forward(head, act)
         probs.append(softmax(logits, axis=-1))
     return confidence_early_exit(probs, threshold, use_ensemble=use_ensemble)
+
+
+def cumulative_exit_ensembles(exit_probs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Running ensembles: element ``i`` averages exits ``0..i``.
+
+    The paper evaluates confidence exiting both on individual exit
+    predictions and on "the largest possible ensemble at each exit"; the
+    latter is exactly this cumulative average.
+    """
+    if not exit_probs:
+        raise ValueError("exit_probs must not be empty")
+    out: list[np.ndarray] = []
+    running = np.zeros_like(exit_probs[0])
+    for i, probs in enumerate(exit_probs):
+        running = running + probs
+        out.append(running / (i + 1))
+    return out
+
+
+def confidence_early_exit(
+    exit_probs: Sequence[np.ndarray],
+    threshold: float,
+    use_ensemble: bool = True,
+) -> "EarlyExitResult":
+    """Confidence-based early exiting over precomputed exit predictions.
+
+    A sample leaves at the first exit whose confidence (max probability of
+    either the exit prediction or the cumulative ensemble, depending on
+    ``use_ensemble``) exceeds ``threshold``; samples that never reach the
+    threshold use the final exit's prediction.
+    """
+    from repro.core.multi_exit import EarlyExitResult
+
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
+    candidates = (
+        cumulative_exit_ensembles(exit_probs)
+        if use_ensemble
+        else [np.asarray(p) for p in exit_probs]
+    )
+    num_exits = len(candidates)
+    n = candidates[0].shape[0]
+
+    chosen_probs = candidates[-1].copy()
+    exit_indices = np.full(n, num_exits - 1, dtype=np.int64)
+    undecided = np.ones(n, dtype=bool)
+
+    for i, probs in enumerate(candidates):
+        confident = undecided & (probs.max(axis=1) >= threshold)
+        chosen_probs[confident] = probs[confident]
+        exit_indices[confident] = i
+        undecided &= ~confident
+        if not undecided.any():
+            break
+
+    distribution = np.bincount(exit_indices, minlength=num_exits) / n
+    return EarlyExitResult(
+        probs=chosen_probs,
+        exit_indices=exit_indices,
+        threshold=float(threshold),
+        exit_distribution=distribution,
+    )

@@ -7,18 +7,17 @@ from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.core.mcd import MCPrediction
 from repro.inference import (
     InferenceEngine,
-    fold_batch,
     folded_forward_range,
     sample_suffix,
     unfold_samples,
 )
 from repro.nn.context import ForwardContext
-from repro.nn.layers import Conv2D, Dense, Flatten, MCDropout, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MCDropout, ReLU
 from repro.nn.layers.activations import softmax
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
-from .folded_harness import folded_mc_sample, reseed_mcd
+from .folded_harness import fold_batch, folded_mc_sample, reseed_mcd
 from .reference_loops import eager_early_exit
 
 
@@ -75,6 +74,21 @@ class TestFolding:
             folded_forward_range(net, rng.normal(size=(7, 16)), 2, 3, 5)
         with pytest.raises(RuntimeError):
             folded_forward_range(Network([Dense(2)]), x, 2, 0, 1)
+
+    def test_folded_forward_range_refuses_a_layer_kind_it_cannot_fold(self, rng):
+        """A layer outside the library's vocabulary is named, not sliced."""
+
+        class Doubling(Layer):
+            def forward(self, x, training=False, ctx=None):
+                return 2.0 * x
+
+        net = Network([Dense(4), Doubling()]).build((3,), seed=0)
+        x = fold_batch(rng.normal(size=(2, 3)), 2)
+        np.testing.assert_array_equal(
+            folded_forward_range(net, x, 2, 0, 1), net.layers[0].forward_folded(x, 2)
+        )
+        with pytest.raises(TypeError, match="Doubling"):
+            folded_forward_range(net, x, 2, 0, 2)
 
     @pytest.mark.parametrize("head", ["dense", "conv"])
     def test_sample_suffix_is_s_sequential_suffix_passes(self, rng, head):

@@ -18,12 +18,12 @@ from repro.core import (
     MultiExitConfig,
     single_exit_bayesnet,
 )
-from repro.inference import fold_batch, unfold_samples
+from repro.inference import unfold_samples
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Conv2D, MCDropout, ResidualBlock
 
 from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
-from .folded_harness import folded_mc_sample, reseed_mcd
+from .folded_harness import fold_batch, folded_mc_sample, reseed_mcd
 from .reference_loops import looped_mc_sample, looped_predict_mc
 
 SPECS = {

@@ -1,7 +1,7 @@
 """The stochastic suffix's one path: bit-exactness against the legacy loop.
 
 :func:`repro.inference.folding.sample_suffix` leaves the clone step to the
-suffix's first MC-dropout layer: :meth:`~repro.nn.layers.dropout._DropoutBase.fold`
+suffix's first MC-dropout layer: :meth:`~repro.nn.layers.dropout.MCDropout.fold`
 multiplies the ``(N, …)`` prefix into that layer's S masks, so the unmasked
 ``(S·N, …)`` tile is never built.  These tests pin the acceptance criterion:
 for every suffix composition (Dense-only, Conv2D-interleaved, ResidualBlock)
@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import single_exit_bayesnet
-from repro.inference import folding
-from repro.inference.folding import fold_batch, sample_suffix
+from repro.inference.folding import sample_suffix
 from repro.nn.context import ForwardContext
 from repro.nn.layers import (
     Conv2D,
@@ -31,7 +30,7 @@ from repro.nn.layers import (
 from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec
-from .folded_harness import folded_mc_sample, reseed_mcd
+from .folded_harness import fold_batch, folded_mc_sample, reseed_mcd
 from .reference_loops import looped_mc_sample
 
 
@@ -130,7 +129,6 @@ def test_sample_suffix_never_tiles_the_prefix(arch, monkeypatch):
 
         return recording
 
-    monkeypatch.setattr(folding, "fold_batch", spy(folding.fold_batch))
     monkeypatch.setattr(np, "tile", spy(np.tile))
     x = np.random.default_rng(0).normal(size=(4,) + shape)
     folded_mc_sample(net, x, 4, ForwardContext())
@@ -144,26 +142,26 @@ def test_sample_suffix_rejects_a_split_that_is_not_mc_dropout():
 
 
 def test_fold_matches_apply_on_the_tiled_batch():
-    """fold(x, S) has the bytes of _apply(fold_batch(x, S))."""
+    """fold(x, S) has the bytes of forward(fold_batch(x, S))."""
     a, b = MCDropout(0.25, seed=9), MCDropout(0.25, seed=9)
     x = np.random.default_rng(5).normal(size=(3, 12))
     folded = a.fold(x, 4, ForwardContext())
-    applied = b._apply(fold_batch(x, 4), ForwardContext())
+    applied = b.forward(fold_batch(x, 4), ctx=ForwardContext())
     assert folded.shape == applied.shape == (12, 12)
     assert folded.tobytes() == applied.tobytes()
 
 
 def test_fold_consumes_stream_like_apply():
-    """fold leaves the RNG stream where _apply on the tiled batch leaves it."""
+    """fold leaves the RNG stream where forward on the tiled batch leaves it."""
     a = MCDropout(0.25, seed=9)
     b = MCDropout(0.25, seed=9)
     x = np.random.default_rng(4).normal(size=(5, 16))
     ctx_a, ctx_b = ForwardContext(), ForwardContext()
     np.testing.assert_array_equal(
-        a.fold(x, 3, ctx_a), b._apply(fold_batch(x, 3), ctx_b)
+        a.fold(x, 3, ctx_a), b.forward(fold_batch(x, 3), ctx=ctx_b)
     )
     # second draws stay aligned: the fold advanced the stream equally
-    np.testing.assert_array_equal(a.fold(x, 1, ctx_a), b._apply(x, ctx_b))
+    np.testing.assert_array_equal(a.fold(x, 1, ctx_a), b.forward(x, ctx=ctx_b))
     assert ctx_a.rng(a).random() == ctx_b.rng(b).random()
 
 
@@ -206,12 +204,12 @@ def test_fold_is_apply_on_the_tile_in_bytes_layout_and_stream(
     a, b = (MCDropout(rate, filter_wise=filter_wise, seed=3) for _ in range(2))
     ctx_a, ctx_b = ForwardContext(), ForwardContext()
     folded = a.fold(x, num_samples, ctx_a)
-    applied = b._apply(fold_batch(x, num_samples), ctx_b)
+    applied = b.forward(fold_batch(x, num_samples), ctx=ctx_b)
 
     assert (folded.shape, folded.dtype) == (applied.shape, applied.dtype)
     assert folded.tobytes() == applied.tobytes()
     # the same memory order: a tile is C-contiguous, and at S = 1 the layer
-    # keeps its input's layout, as _apply does
+    # keeps its input's layout, as forward does
     assert _layout(folded) == _layout(applied)
     assert folded.flags.c_contiguous or (num_samples == 1 and not x.flags.c_contiguous)
     assert ctx_a.rng(a).random() == ctx_b.rng(b).random()

@@ -2,8 +2,8 @@
 
 These tests exercise complete paths through the library: training a
 multi-exit MCD BayesNN on a synthetic task and checking calibration
-behaviour, comparing against the deep-ensemble baseline, and carrying the
-trained model all the way to an HLS accelerator project.
+behaviour, comparing its sampling cost against a deep ensemble's, and
+carrying the trained model all the way to an HLS accelerator project.
 """
 
 import numpy as np
@@ -25,11 +25,7 @@ from repro.hw import (
 from repro.hw.hls import HLSCodeGenerator, SynthesisReport
 from repro.nn import SGD, DistillationTrainer
 from repro.quantization import QuantizationConfig, quantize_network
-from repro.uncertainty import (
-    DeepEnsemble,
-    accuracy,
-    evaluate_predictions,
-)
+from repro.uncertainty import accuracy, evaluate_predictions
 
 from ..conftest import small_lenet_spec
 
@@ -128,22 +124,6 @@ class TestDeepEnsembleComparison:
         ensemble_flops = 4 * member_flops
         ours_flops = trained_model.sampling_flops(4)
         assert ours_flops < 0.6 * ensemble_flops
-
-    def test_ensemble_baseline_trains(self, dataset):
-        ens = DeepEnsemble(_member, (1, 12, 12), num_members=2, seed=0)
-        ens.fit(dataset.train.x, dataset.train.y, epochs=1, lr=0.05)
-        probs = ens.predict_proba(dataset.test.x)
-        assert probs.shape == (len(dataset.test.x), 5)
-
-
-def _member():
-    from repro.nn import Network
-    from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
-
-    return Network(
-        [Conv2D(4, 3, padding=1), ReLU(), MaxPool2D(2), Flatten(), Dense(5)],
-        name="ens_member",
-    )
 
 
 class TestModelToAccelerator:

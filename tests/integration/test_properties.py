@@ -10,7 +10,7 @@ from repro.core import (
     multi_exit_sampling_flops,
     single_exit_sampling_flops,
 )
-from repro.core.multi_exit import confidence_early_exit, exit_ensemble
+from repro.core.multi_exit import exit_ensemble
 from repro.hw import XCKU115, MappingPlan, PowerModel, ResourceUsage
 from repro.nn.layers.activations import log_softmax, softmax
 from repro.nn.tensor import conv_output_size, one_hot
@@ -22,6 +22,8 @@ from repro.uncertainty import (
     negative_log_likelihood,
     predictive_entropy,
 )
+
+from ..inference.reference_loops import confidence_early_exit
 
 
 def _random_probs(seed: int, n: int, k: int) -> np.ndarray:

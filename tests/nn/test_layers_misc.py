@@ -5,16 +5,13 @@ import pytest
 
 from repro.nn.context import ForwardContext
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm,
-    Dropout,
     Flatten,
     GlobalAvgPool2D,
     MaxPool2D,
     MCDropout,
     ReLU,
     ResidualBlock,
-    Softmax,
 )
 from repro.nn.layers.activations import log_softmax, relu_, softmax
 
@@ -36,11 +33,6 @@ class TestPooling:
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         np.testing.assert_allclose(layer.forward(x), [[[[4.0]]]])
 
-    def test_avgpool_values(self):
-        layer = build(AvgPool2D(2), (1, 2, 2))
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        np.testing.assert_allclose(layer.forward(x), [[[[2.5]]]])
-
     def test_global_avgpool(self, rng):
         layer = build(GlobalAvgPool2D(), (5, 6, 6))
         x = rng.normal(size=(2, 5, 6, 6))
@@ -48,10 +40,6 @@ class TestPooling:
 
     def test_maxpool_gradient(self, rng):
         layer = build(MaxPool2D(2), (2, 4, 4))
-        check_input_gradient(layer, rng.normal(size=(2, 2, 4, 4)))
-
-    def test_avgpool_gradient(self, rng):
-        layer = build(AvgPool2D(2), (2, 4, 4))
         check_input_gradient(layer, rng.normal(size=(2, 2, 4, 4)))
 
     def test_global_avgpool_gradient(self, rng):
@@ -64,6 +52,39 @@ class TestPooling:
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
             MaxPool2D(0)
+
+    @pytest.mark.parametrize("pool,stride", [(3, 1), (4, 4), (3, 2)])
+    def test_maxpool_matches_window_maxima(self, rng, pool, stride):
+        """Overlapping windows, and a window too long to scan (4·4 > 9)."""
+        layer = build(MaxPool2D(pool, stride=stride), (2, 8, 8))
+        x = rng.normal(size=(3, 2, 8, 8))
+        _, out_h, out_w = layer.output_shape
+        want = np.empty((3, 2, out_h, out_w))
+        for i in range(out_h):
+            for j in range(out_w):
+                top, left = i * stride, j * stride
+                window = x[:, :, top : top + pool, left : left + pool]
+                want[:, :, i, j] = window.max(axis=(2, 3))
+        np.testing.assert_array_equal(layer.forward(x), want)
+
+    @pytest.mark.parametrize("pool,stride", [(3, 1), (4, 4)])
+    def test_maxpool_gradient_other_windows(self, rng, pool, stride):
+        layer = build(MaxPool2D(pool, stride=stride), (2, 8, 8))
+        check_input_gradient(layer, rng.normal(size=(2, 2, 8, 8)))
+
+    def test_maxpool_gradient_goes_to_the_maximum_only(self, rng):
+        layer = build(MaxPool2D(2), (1, 4, 4))
+        x = rng.normal(size=(1, 1, 4, 4))
+        out = layer.forward(x)
+        grad = layer.backward(np.ones_like(out))
+        assert grad.sum() == out.size
+        np.testing.assert_array_equal(grad != 0, np.isin(x, out))
+
+    def test_pooling_rejects_input_without_channels(self):
+        with pytest.raises(ValueError):
+            build(MaxPool2D(2), (8, 8))
+        with pytest.raises(ValueError):
+            build(GlobalAvgPool2D(), (8,))
 
 
 class TestActivations:
@@ -98,10 +119,6 @@ class TestActivations:
     def test_log_softmax_consistent_with_softmax(self, rng):
         logits = rng.normal(size=(4, 6))
         np.testing.assert_allclose(np.exp(log_softmax(logits)), softmax(logits))
-
-    def test_softmax_layer_gradient(self, rng):
-        layer = build(Softmax(), (5,))
-        check_input_gradient(layer, rng.normal(size=(3, 5)))
 
 
 class TestBatchNorm:
@@ -164,17 +181,6 @@ class TestBatchNorm:
 
 
 class TestDropout:
-    def test_standard_dropout_identity_at_inference(self, rng):
-        layer = build(Dropout(0.5), (10,))
-        x = rng.normal(size=(4, 10))
-        np.testing.assert_allclose(layer.forward(x, training=False), x)
-
-    def test_standard_dropout_active_in_training(self, rng):
-        layer = build(Dropout(0.5, filter_wise=False, seed=0), (100,))
-        x = np.ones((4, 100))
-        out = layer.forward(x, training=True)
-        assert np.any(out == 0)
-
     def test_mc_dropout_active_at_inference(self):
         layer = build(MCDropout(0.5, filter_wise=False, seed=0), (200,))
         x = np.ones((2, 200))
@@ -258,7 +264,31 @@ class TestDropout:
 
     def test_stochastic_flag(self):
         assert MCDropout(0.1).stochastic is True
-        assert Dropout(0.1).stochastic is False
+
+    def test_mask_holds_zero_or_the_inverse_keep_rate(self):
+        for dtype in (np.float64, np.float32):
+            layer = build(MCDropout(0.25, filter_wise=False, seed=2), (64,))
+            out = layer.forward(np.ones((8, 64), dtype=dtype))
+            assert out.dtype == dtype
+            assert set(np.unique(out)) <= {dtype(0.0), dtype(1.0) / dtype(0.75)}
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.8])
+    def test_kept_share_matches_keep_prob(self, rate):
+        layer = build(MCDropout(rate, filter_wise=False, seed=11), (500,))
+        out = layer.forward(np.ones((40, 500)))
+        assert abs(np.mean(out != 0) - layer.keep_prob) < 0.02
+
+    def test_different_seeds_draw_different_masks(self):
+        x = np.ones((2, 128))
+        a = build(MCDropout(0.5, filter_wise=False, seed=1), (128,)).forward(x)
+        b = build(MCDropout(0.5, filter_wise=False, seed=2), (128,)).forward(x)
+        assert not np.array_equal(a, b)
+
+    def test_describe_reports_rate_and_mode(self):
+        info = build(MCDropout(0.3, filter_wise=True), (4, 2, 2)).describe()
+        assert info["rate"] == 0.3
+        assert info["filter_wise"] is True
+        assert info["stochastic_at_inference"] is True
 
 
 class TestFlattenAndResidual:

@@ -1,14 +1,11 @@
-"""Tests for calibration metrics, uncertainty metrics and deep ensembles."""
+"""Tests for calibration and uncertainty metrics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Network
-from repro.nn.layers import Dense, Flatten, ReLU
 from repro.uncertainty import (
-    DeepEnsemble,
     accuracy,
     brier_score,
     evaluate_predictions,
@@ -58,6 +55,17 @@ class TestCalibration:
         assert maximum_calibration_error(
             probs, labels
         ) >= expected_calibration_error(probs, labels) - 1e-12
+
+    def test_mce_is_the_largest_bin_gap(self):
+        probs = np.array([[0.95, 0.05], [0.95, 0.05], [0.65, 0.35], [0.65, 0.35]])
+        labels = np.array([0, 0, 0, 1])  # gaps 0.05 and 0.15, two rows each
+        assert maximum_calibration_error(probs, labels, 10) == pytest.approx(0.15)
+        assert expected_calibration_error(probs, labels, 10) == pytest.approx(0.10)
+
+    def test_confident_correct_predictions_are_calibrated(self):
+        probs = np.eye(4)
+        assert expected_calibration_error(probs, np.arange(4)) == 0.0
+        assert maximum_calibration_error(probs, np.arange(4)) == 0.0
 
     def test_reliability_bins_cover_all_samples(self, rng):
         probs = random_probs(rng, 150, 3)
@@ -197,38 +205,3 @@ class TestUncertaintyMetrics:
             "accuracy", "nll", "brier", "ece", "mean_entropy", "mean_mutual_information"
         }
         assert data["mean_mutual_information"] >= 0
-
-
-class TestDeepEnsemble:
-    def _factory(self):
-        def make():
-            return Network([Flatten(), Dense(16), ReLU(), Dense(3)], name="member")
-        return make
-
-    def test_members_have_different_initializations(self):
-        ens = DeepEnsemble(self._factory(), (1, 6, 6), num_members=2, seed=0)
-        w0 = ens.members[0].get_weights()[0]
-        w1 = ens.members[1].get_weights()[0]
-        assert not np.allclose(w0, w1)
-
-    def test_predict_proba_normalised(self, rng):
-        ens = DeepEnsemble(self._factory(), (1, 6, 6), num_members=3, seed=0)
-        probs = ens.predict_proba(rng.normal(size=(4, 1, 6, 6)))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-
-    def test_fit_improves_training_accuracy(self, tiny_dataset):
-        def make():
-            return Network([Flatten(), Dense(32), ReLU(), Dense(5)], name="member")
-
-        ens = DeepEnsemble(make, (1, 12, 12), num_members=2, seed=0)
-        accs = ens.fit(tiny_dataset.train.x, tiny_dataset.train.y, epochs=3, lr=0.05)
-        assert all(a > 1.0 / 5 for a in accs)
-
-    def test_total_parameters_scales_with_members(self):
-        ens1 = DeepEnsemble(self._factory(), (1, 6, 6), num_members=1, seed=0)
-        ens3 = DeepEnsemble(self._factory(), (1, 6, 6), num_members=3, seed=0)
-        assert ens3.total_parameters() == 3 * ens1.total_parameters()
-
-    def test_invalid_member_count(self):
-        with pytest.raises(ValueError):
-            DeepEnsemble(self._factory(), (1, 6, 6), num_members=0)

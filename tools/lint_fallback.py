@@ -14,8 +14,8 @@ it and keeps the real gate).  Two pyflakes rules that need nothing but
 A ``# noqa`` comment on the import's line silences ``F401``, as it does
 for ruff.  Usage::
 
-    python -m compileall -q src tests benchmarks     # syntax, the first half
-    python tools/lint_fallback.py src tests benchmarks
+    python -m compileall -q src tests benchmarks tools   # syntax, the first half
+    python tools/lint_fallback.py src tests benchmarks tools
 """
 
 from __future__ import annotations
