@@ -26,14 +26,15 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import FaultPlan, FleetConfig, ServingConfig, ServingEngine
+from repro.serving import (
+    BatcherConfig,
+    FaultPlan,
+    FleetConfig,
+    ServingConfig,
+    ServingEngine,
+)
 
 from . import reporting
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 NUM_SAMPLES = 6
@@ -60,14 +61,15 @@ def test_respawn_gap_latency_is_recorded_and_bounded():
     async def main():
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=WORKERS,
                 worker_backend="process",
-                max_batch_size=1,
-                max_queue_size=2 * NUM_REQUESTS,
                 fleet=FleetConfig(health_interval=0.02),
                 fault_plan=plan,
+                batcher=BatcherConfig(
+                    max_batch_size=1, max_queue_size=2 * NUM_REQUESTS
+                ),
             ),
         ) as server:
             latencies = np.empty(NUM_REQUESTS)

@@ -34,14 +34,9 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import ServingConfig, ServingEngine
+from repro.serving import BatcherConfig, ServingConfig, ServingEngine
 
 from . import reporting
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 NUM_SAMPLES = 8
@@ -72,12 +67,14 @@ def _serve_flood_seconds(workers: int, x: np.ndarray, repeats: int = 3) -> float
     async def main() -> float:
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=workers,
-                max_batch_size=MAX_BATCH,
-                max_batch_latency=0.002,
-                max_queue_size=2 * NUM_REQUESTS,
+                batcher=BatcherConfig(
+                    max_batch_size=MAX_BATCH,
+                    max_batch_latency=0.002,
+                    max_queue_size=2 * NUM_REQUESTS,
+                ),
             ),
         ) as server:
             await server.submit_many(x)  # warmup wave (threads, caches)
@@ -139,12 +136,12 @@ def test_multiworker_flood_is_correct_under_load():
     async def main():
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=4,
                 workers=WORKERS,
-                max_batch_size=MAX_BATCH,
-                max_batch_latency=0.002,
-                max_queue_size=96,
+                batcher=BatcherConfig(
+                    max_batch_size=MAX_BATCH, max_batch_latency=0.002, max_queue_size=96
+                ),
             ),
         ) as server:
             results = await server.submit_many(x)

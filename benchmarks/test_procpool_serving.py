@@ -39,14 +39,9 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import ServingConfig, ServingEngine
+from repro.serving import BatcherConfig, ServingConfig, ServingEngine
 
 from . import reporting
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 NUM_SAMPLES = 8
@@ -83,13 +78,15 @@ def _serve_flood_seconds(
     async def main() -> float:
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=workers,
                 worker_backend=backend,
-                max_batch_size=MAX_BATCH,
-                max_batch_latency=0.002,
-                max_queue_size=2 * NUM_REQUESTS,
+                batcher=BatcherConfig(
+                    max_batch_size=MAX_BATCH,
+                    max_batch_latency=0.002,
+                    max_queue_size=2 * NUM_REQUESTS,
+                ),
             ),
         ) as server:
             await server.submit_many(x)  # warmup wave (workers, caches)
@@ -163,12 +160,11 @@ def test_one_ring_worker_stays_busy_under_a_closed_loop_flood():
     async def main():
         async with ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=10,
                 workers=1,
                 worker_backend="process",
-                max_batch_size=32,
-                max_queue_size=1024,
+                batcher=BatcherConfig(max_batch_size=32, max_queue_size=1024),
             ),
         ) as server:
             stop_at = time.perf_counter() + seconds
@@ -213,13 +209,13 @@ def test_process_flood_is_correct_under_load():
     async def main():
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=4,
                 workers=2,
                 worker_backend="process",
-                max_batch_size=MAX_BATCH,
-                max_batch_latency=0.002,
-                max_queue_size=64,
+                batcher=BatcherConfig(
+                    max_batch_size=MAX_BATCH, max_batch_latency=0.002, max_queue_size=64
+                ),
             ),
         ) as server:
             results = await server.submit_many(x)

@@ -26,14 +26,9 @@ import numpy as np
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import ServerOverloaded, ServingConfig, ServingEngine
+from repro.serving import BatcherConfig, ServerOverloaded, ServingConfig, ServingEngine
 
 from . import reporting
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 NUM_SAMPLES = 10
@@ -79,11 +74,13 @@ def test_dynamic_batching_3x_sequential_throughput():
         # loop, worker thread) is paid once per deployment, not per request
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
-                max_batch_size=32,
-                max_batch_latency=0.005,
-                max_queue_size=2 * NUM_REQUESTS,
+                batcher=BatcherConfig(
+                    max_batch_size=32,
+                    max_batch_latency=0.005,
+                    max_queue_size=2 * NUM_REQUESTS,
+                ),
             ),
         ) as server:
             await server.submit_many(x)  # warmup wave
@@ -134,12 +131,14 @@ def test_backpressure_under_overload():
     async def flood_rejecting():
         server = ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
-                max_batch_size=8,
-                max_batch_latency=0.001,
-                max_queue_size=8,
-                reject_on_full=True,
+                batcher=BatcherConfig(
+                    max_batch_size=8,
+                    max_batch_latency=0.001,
+                    max_queue_size=8,
+                    reject_on_full=True,
+                ),
             ),
         )
         async with server:
@@ -164,12 +163,14 @@ def test_backpressure_under_overload():
     async def flood_awaiting():
         server = ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
-                max_batch_size=8,
-                max_batch_latency=0.001,
-                max_queue_size=8,
-                reject_on_full=False,
+                batcher=BatcherConfig(
+                    max_batch_size=8,
+                    max_batch_latency=0.001,
+                    max_queue_size=8,
+                    reject_on_full=False,
+                ),
             ),
         )
         async with server:

@@ -22,11 +22,11 @@ Subpackages
     backpressure over the folded engines, per-request uncertainty results
     and throughput/latency stats.
 ``repro.uncertainty``
-    Calibration (ECE) and uncertainty metrics, deep-ensemble baseline.
+    Calibration (ECE) and uncertainty metrics.
 ``repro.quantization``
     Fixed-point formats and post-training quantization.
 ``repro.datasets``
-    Synthetic stand-ins for MNIST / CIFAR-10 / CIFAR-100 / SVHN.
+    Synthetic stand-ins for MNIST / CIFAR-100.
 ``repro.hw``
     FPGA substrate: devices, resource/latency/power models, MC-engine
     mapping, co-exploration, and HLS code generation.

@@ -20,7 +20,7 @@ MCD+ME (ours)     ``num_exits=M, mcd_layers_per_exit>=1``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ def single_exit_bayesnet(
     spec: BackboneSpec,
     num_mcd_layers: int = 1,
     dropout_rate: float = 0.25,
-    filter_wise: bool = True,
     seed: int = 0,
     name: str | None = None,
 ) -> Network:
@@ -60,7 +59,6 @@ def single_exit_bayesnet(
         layers,
         num_mcd_layers=num_mcd_layers,
         dropout_rate=dropout_rate,
-        filter_wise=filter_wise,
         seed=seed,
         name_prefix="mcd",
     )
@@ -77,7 +75,8 @@ class MultiExitConfig:
     ----------
     num_exits:
         Number of exits.  Exits are attached to the *last* ``num_exits``
-        semantic blocks of the backbone (the final exit is always present).
+        semantic blocks of the backbone (the final exit is always present
+        and reuses the architecture's original classifier head).
     mcd_layers_per_exit:
         MC-dropout layers inserted into each exit head, counted from the exit
         towards the input.  ``0`` disables MCD (non-Bayesian exits).
@@ -90,12 +89,6 @@ class MultiExitConfig:
         Number of MC samples drawn when :meth:`MultiExitBayesNet.predict_mc`
         is called without an explicit count (the paper uses 3 for the
         hardware comparison).
-    use_original_final_head:
-        When true, the final exit reuses the architecture's original
-        classifier head; otherwise it uses the same lightweight head as the
-        intermediate exits.
-    filter_wise_dropout:
-        Whether MCD masks whole filters (paper default) or single elements.
     seed:
         Seed for weight initialization and MCD mask streams.
     """
@@ -105,10 +98,7 @@ class MultiExitConfig:
     dropout_rate: float = 0.25
     exit_conv_channels: int = 0
     default_mc_samples: int = 3
-    use_original_final_head: bool = True
-    filter_wise_dropout: bool = True
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_exits <= 0:
@@ -166,13 +156,8 @@ class MultiExitBayesNet:
                 conv_channels=0 if is_final else config.exit_conv_channels,
                 mcd_layers=config.mcd_layers_per_exit,
                 dropout_rate=config.dropout_rate,
-                filter_wise=config.filter_wise_dropout,
             )
-            custom = (
-                spec._require_factory()()
-                if (is_final and config.use_original_final_head)
-                else None
-            )
+            custom = spec._require_factory()() if is_final else None
             layers = build_exit_head(
                 head_cfg,
                 feature_shape,
@@ -225,23 +210,6 @@ class MultiExitBayesNet:
         self.backbone.zero_grad()
         for head in self.exits:
             head.zero_grad()
-
-    def describe(self) -> dict:
-        """Structural description used by the hardware back-end."""
-        return {
-            "name": self.name,
-            "architecture": self.spec.name,
-            "input_shape": list(self.spec.input_shape),
-            "num_classes": self.spec.num_classes,
-            "num_exits": self.num_exits,
-            "exit_points": list(self.exit_points),
-            "mcd_layers_per_exit": self.config.mcd_layers_per_exit,
-            "dropout_rate": self.config.dropout_rate,
-            "backbone": [layer.describe() for layer in self.backbone.layers],
-            "exits": [
-                [layer.describe() for layer in head.layers] for head in self.exits
-            ],
-        }
 
     # ------------------------------------------------------------------ #
     # forward / backward (training)

@@ -34,7 +34,6 @@ def insert_mcd_into_head(
     layers: list[Layer],
     num_mcd_layers: int,
     dropout_rate: float,
-    filter_wise: bool = True,
     seed: int | None = None,
     name_prefix: str = "mcd",
 ) -> list[Layer]:
@@ -72,7 +71,6 @@ def insert_mcd_into_head(
             out.append(
                 MCDropout(
                     rate=dropout_rate,
-                    filter_wise=filter_wise,
                     seed=None if seed is None else seed + inserted,
                     name=f"{name_prefix}_{inserted}",
                 )
@@ -88,15 +86,13 @@ def deterministic_forward(
     """Forward pass with every MC-dropout layer replaced by its expectation.
 
     With inverted dropout the expectation of the MCD layer is the identity,
-    so this simply skips the stochastic masking.  Used for the non-Bayesian
-    point prediction that Table I's "SE"/"ME" rows rely on.
+    so this skips the MCD layers.  Used for the non-Bayesian point
+    prediction that Table I's "SE"/"ME" rows rely on.
     """
     ctx = resolve_context(ctx)
     out = x
     for layer in network.layers:
-        if isinstance(layer, MCDropout):
-            out = layer.deterministic_forward(out, ctx=ctx)
-        else:
+        if not isinstance(layer, MCDropout):
             out = layer.forward(out, training=False, ctx=ctx)
     return out
 

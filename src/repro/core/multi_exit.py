@@ -10,7 +10,7 @@ exit is confident enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,16 +62,12 @@ class ExitHeadConfig:
         exit backwards (0 = non-Bayesian exit).
     dropout_rate:
         Bernoulli drop probability for the MCD layers.
-    filter_wise:
-        Whether dropout masks whole filters (paper default) or elements.
     """
 
     num_classes: int
     conv_channels: int = 0
     mcd_layers: int = 1
     dropout_rate: float = 0.25
-    filter_wise: bool = True
-    extra: dict = field(default_factory=dict)
 
 
 def build_exit_head(
@@ -116,7 +112,6 @@ def build_exit_head(
         layers,
         num_mcd_layers=config.mcd_layers,
         dropout_rate=config.dropout_rate,
-        filter_wise=config.filter_wise,
         seed=seed,
         name_prefix=f"{name}_mcd",
     )

@@ -10,7 +10,7 @@ optimization priority is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..datasets.synthetic import DatasetSplit
@@ -79,7 +79,6 @@ class EvaluatedDesign:
     flops: float
     relative_flops: float
     model: MultiExitBayesNet | None = None
-    extra: dict = field(default_factory=dict)
 
     def score(self, priority: str) -> float:
         """Scalar score (higher is better) under the given optimization priority."""

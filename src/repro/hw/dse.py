@@ -11,7 +11,7 @@ more than a user-set tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..quantization.fixed_point import STANDARD_BITWIDTHS
@@ -59,7 +59,6 @@ class EvaluatedDesignPoint:
     max_utilization: float
     fits: bool
     accuracy: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def objective(self, name: str) -> float:
         """Scalar objective (lower is better)."""

@@ -119,7 +119,6 @@ class HLSCodeGenerator:
             in_c, in_h, in_w = node.input_shape
             out_c, out_h, out_w = node.output_shape
             return templates.POOLING_LAYER_TEMPLATE.format(
-                kind="max",
                 name=name,
                 channels=in_c,
                 in_height=in_h,
@@ -127,7 +126,6 @@ class HLSCodeGenerator:
                 out_height=out_h,
                 out_width=out_w,
                 pool_size=node.params.get("pool_size", 2),
-                select_expr="best",
             )
         if node.kernel == "relu":
             return templates.RELU_LAYER_TEMPLATE.format(name=name)
@@ -221,10 +219,20 @@ def _sanitize(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
 
 
+#: Vivado part of each catalogued Xilinx device (``FPGADevice.name`` keys)
+_VIVADO_PARTS = {
+    "XCKU115": "xcku115-flvb2104-2-e",
+    "XC7Z020": "xc7z020clg400-1",
+    "ZCU102 (XCZU9EG)": "xczu9eg-ffvb1156-2-e",
+}
+
+
 def _part_for_device(device_name: str) -> str:
-    parts = {
-        "XCKU115": "xcku115-flvb2104-2-e",
-        "XC7Z020": "xc7z020clg400-1",
-        "ZCU102 (XCZU9EG)": "xczu9eg-ffvb1156-2-e",
-    }
-    return parts.get(device_name, "xcku115-flvb2104-2-e")
+    """The Vivado part ``build_prj.tcl`` targets; other vendors' devices raise."""
+    try:
+        return _VIVADO_PARTS[device_name]
+    except KeyError:
+        raise ValueError(
+            f"no Vivado part for device {device_name!r}; the HLS build script "
+            f"can target {sorted(_VIVADO_PARTS)}"
+        ) from None

@@ -9,7 +9,7 @@ experiment harness can archive machine-readable results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..accelerator import AcceleratorModel
 
@@ -33,7 +33,6 @@ class SynthesisReport:
     utilization: dict[str, float]
     power_w: dict[str, float]
     energy_per_image_j: float
-    extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -71,7 +70,6 @@ class SynthesisReport:
             "utilization": self.utilization,
             "power_w": self.power_w,
             "energy_per_image_j": self.energy_per_image_j,
-            **({"extra": self.extra} if self.extra else {}),
         }
 
     def to_text(self) -> str:

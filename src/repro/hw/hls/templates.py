@@ -127,8 +127,8 @@ CONV_OW_{name}:
 """
 
 POOLING_LAYER_TEMPLATE = """\
-// {kind} pooling layer: {name} ({channels} x {in_height} x {in_width} -> {channels} x {out_height} x {out_width})
-void {kind}_pool_{name}(data_t input[{channels}][{in_height}][{in_width}],
+// max pooling layer: {name} ({channels} x {in_height} x {in_width} -> {channels} x {out_height} x {out_width})
+void max_pool_{name}(data_t input[{channels}][{in_height}][{in_width}],
                         data_t output[{channels}][{out_height}][{out_width}]) {{
 POOL_C_{name}:
     for (unsigned c = 0; c < {channels}; c++) {{
@@ -138,15 +138,13 @@ POOL_W_{name}:
             for (unsigned ow = 0; ow < {out_width}; ow++) {{
 #pragma HLS PIPELINE II=1
                 data_t best = input[c][oh * {pool_size}][ow * {pool_size}];
-                accum_t sum = 0;
                 for (unsigned kh = 0; kh < {pool_size}; kh++) {{
                     for (unsigned kw = 0; kw < {pool_size}; kw++) {{
                         data_t v = input[c][oh * {pool_size} + kh][ow * {pool_size} + kw];
                         if (v > best) best = v;
-                        sum += v;
                     }}
                 }}
-                output[c][oh][ow] = {select_expr};
+                output[c][oh][ow] = best;
             }}
         }}
     }}

@@ -16,8 +16,8 @@ accelerators:
   as the number of MCD layers grows.
 
 The estimator works from layer *descriptions* (dicts produced by
-``Layer.describe()`` / ``Network.describe()``), so a hardware estimate never
-requires allocating the actual NumPy weights.
+``Layer.describe()``), so a hardware estimate never requires allocating the
+actual NumPy weights.
 """
 
 from __future__ import annotations

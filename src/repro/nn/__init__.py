@@ -16,7 +16,6 @@ from .training import (
     DistillationTrainer,
     Trainer,
     TrainingHistory,
-    evaluate_classifier,
     iterate_minibatches,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "Trainer",
     "DistillationTrainer",
     "TrainingHistory",
-    "evaluate_classifier",
     "iterate_minibatches",
 ]

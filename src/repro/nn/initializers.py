@@ -1,107 +1,25 @@
-"""Weight initializers for the NumPy neural-network substrate.
+"""Weight initialization: He-normal weights and zero biases.
 
-Each initializer is a small callable object so that layers can be
-constructed reproducibly from a seeded :class:`numpy.random.Generator`.
+Layers draw their weights from a seeded :class:`numpy.random.Generator`,
+so a network built twice from one seed has identical parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "Initializer",
-    "HeNormal",
-    "XavierUniform",
-    "Zeros",
-    "Ones",
-    "Constant",
-    "get_initializer",
-]
+__all__ = ["he_normal", "zeros"]
 
 
-class Initializer:
-    """Base class for weight initializers."""
+def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """He-normal weights of a dense ``(in, out)`` or a conv weight shape.
 
-    def __call__(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    @staticmethod
-    def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-        """Compute fan-in / fan-out for dense and convolutional shapes."""
-        if len(shape) == 2:  # (in, out) dense weight
-            return shape[0], shape[1]
-        if len(shape) == 4:  # (out_c, in_c, kh, kw) conv weight
-            receptive = shape[2] * shape[3]
-            return shape[1] * receptive, shape[0] * receptive
-        size = int(np.prod(shape))
-        return size, size
+    A conv shape is ``(out_c, in_c, kh, kw)``; its fan-in is ``in_c * kh * kw``.
+    """
+    fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+    return rng.normal(0.0, np.sqrt(2.0 / max(fan_in, 1)), size=shape)
 
 
-@dataclass
-class HeNormal(Initializer):
-    """He-normal initialization, appropriate for ReLU networks."""
-
-    gain: float = 1.0
-
-    def __call__(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        fan_in, _ = self._fan_in_out(shape)
-        std = self.gain * np.sqrt(2.0 / max(fan_in, 1))
-        return rng.normal(0.0, std, size=shape)
-
-
-@dataclass
-class XavierUniform(Initializer):
-    """Xavier / Glorot uniform initialization."""
-
-    gain: float = 1.0
-
-    def __call__(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        fan_in, fan_out = self._fan_in_out(shape)
-        limit = self.gain * np.sqrt(6.0 / max(fan_in + fan_out, 1))
-        return rng.uniform(-limit, limit, size=shape)
-
-
-class Zeros(Initializer):
-    """All-zeros initialization (biases, batch-norm shift)."""
-
-    def __call__(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return np.zeros(shape, dtype=np.float64)
-
-
-class Ones(Initializer):
-    """All-ones initialization (batch-norm scale)."""
-
-    def __call__(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return np.ones(shape, dtype=np.float64)
-
-
-@dataclass
-class Constant(Initializer):
-    """Constant-value initialization."""
-
-    value: float = 0.0
-
-    def __call__(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return np.full(shape, self.value, dtype=np.float64)
-
-
-_REGISTRY = {
-    "he_normal": HeNormal,
-    "xavier_uniform": XavierUniform,
-    "zeros": Zeros,
-    "ones": Ones,
-}
-
-
-def get_initializer(name: str | Initializer) -> Initializer:
-    """Resolve an initializer by name or pass through an instance."""
-    if isinstance(name, Initializer):
-        return name
-    try:
-        return _REGISTRY[name]()
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown initializer {name!r}; available: {sorted(_REGISTRY)}"
-        ) from exc
+def zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """All-zeros float64 array (biases); draws nothing from any stream."""
+    return np.zeros(shape, dtype=np.float64)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..context import ForwardContext
-from ..initializers import Initializer, Zeros, get_initializer
+from ..initializers import he_normal, zeros
 from ..tensor import ColumnArena, col2im, conv_output_size, im2col, im2col_patches
 from .base import Layer
 
@@ -37,7 +37,6 @@ class Conv2D(Layer):
         stride: int = 1,
         padding: int | str = "same",
         use_bias: bool = True,
-        weight_initializer: str | Initializer = "he_normal",
         name: str | None = None,
     ) -> None:
         super().__init__(name=name)
@@ -49,8 +48,6 @@ class Conv2D(Layer):
         self.kernel_size = int(kernel_size)
         self.stride = int(stride)
         self.use_bias = use_bias
-        self.weight_initializer = get_initializer(weight_initializer)
-        self._bias_initializer = Zeros()
         if padding == "same":
             if kernel_size % 2 == 0:
                 raise ValueError("'same' padding requires an odd kernel size")
@@ -73,13 +70,9 @@ class Conv2D(Layer):
         super().build(input_shape, rng)
         in_channels = input_shape[0]
         w_shape = (self.filters, in_channels, self.kernel_size, self.kernel_size)
-        self.weight = self.add_parameter(
-            "weight", self.weight_initializer(w_shape, rng)
-        )
+        self.weight = self.add_parameter("weight", he_normal(w_shape, rng))
         if self.use_bias:
-            self.bias = self.add_parameter(
-                "bias", self._bias_initializer((self.filters,), rng)
-            )
+            self.bias = self.add_parameter("bias", zeros((self.filters,)))
 
     # ------------------------------------------------------------------ #
     def lower(

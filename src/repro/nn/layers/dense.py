@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..context import ForwardContext
-from ..initializers import Initializer, Zeros, get_initializer
+from ..initializers import he_normal, zeros
 from .base import Layer
 
 __all__ = ["Dense"]
@@ -18,7 +18,6 @@ class Dense(Layer):
         self,
         units: int,
         use_bias: bool = True,
-        weight_initializer: str | Initializer = "he_normal",
         name: str | None = None,
     ) -> None:
         super().__init__(name=name)
@@ -26,8 +25,6 @@ class Dense(Layer):
             raise ValueError("units must be positive")
         self.units = int(units)
         self.use_bias = use_bias
-        self.weight_initializer = get_initializer(weight_initializer)
-        self._bias_initializer = Zeros()
 
     def compute_output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 1:
@@ -41,12 +38,10 @@ class Dense(Layer):
         super().build(input_shape, rng)
         in_features = input_shape[0]
         self.weight = self.add_parameter(
-            "weight", self.weight_initializer((in_features, self.units), rng)
+            "weight", he_normal((in_features, self.units), rng)
         )
         if self.use_bias:
-            self.bias = self.add_parameter(
-                "bias", self._bias_initializer((self.units,), rng)
-            )
+            self.bias = self.add_parameter("bias", zeros((self.units,)))
 
     def forward(
         self,

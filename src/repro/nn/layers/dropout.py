@@ -42,7 +42,6 @@ class MCDropout(Layer):
     def __init__(
         self,
         rate: float = 0.5,
-        filter_wise: bool = True,
         seed: int | None = None,
         name: str | None = None,
     ) -> None:
@@ -50,7 +49,6 @@ class MCDropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
-        self.filter_wise = bool(filter_wise)
         #: seed every context derives its mask stream for this layer from
         self.seed = seed
         #: bumped by :meth:`reseed`; contexts compare it to re-derive streams
@@ -80,21 +78,20 @@ class MCDropout(Layer):
     ) -> np.ndarray:
         """A Bernoulli keep-mask for ``rows`` rows like ``x``, divided by ``keep_prob``.
 
-        Filter-wise masking (Section II-A) draws **one Bernoulli per
-        filter**: on convolutional ``(N, C, H, W)`` activations the mask has
-        shape ``(N, C, 1, 1)`` and drops whole feature maps.  On dense
+        The mask is filter-wise (Section II-A): **one Bernoulli per
+        filter**.  On convolutional ``(N, C, H, W)`` activations it has
+        shape ``(N, C, 1, 1)`` and drops whole feature maps; on dense
         ``(N, F)`` activations every feature *is* a single-element filter,
-        so the filter-wise mask is the full ``(N, F)`` shape and coincides
-        with element-wise masking — there is deliberately no separate code
-        path for it.  Either way one ``rng.random`` call consumes
-        ``rows``-proportional stream, which is what lets :meth:`fold` draw
-        all S per-sample masks in one call without changing the stream.
+        so it is the full ``(N, F)`` shape.  Either way one ``rng.random``
+        call consumes ``rows``-proportional stream, which is what lets
+        :meth:`fold` draw all S per-sample masks in one call without
+        changing the stream.
 
         For float64 the draw is scaled in place by the reciprocal, bit-exact
         because the mask holds only 0.0 and 1.0: ``0.0 * inv == 0.0 / keep``
         and ``1.0 * inv == inv == 1.0 / keep``.
         """
-        if self.filter_wise and x.ndim == 4:
+        if x.ndim == 4:
             shape: tuple[int, ...] = (rows, x.shape[1], 1, 1)
         else:
             shape = (rows,) + x.shape[1:]
@@ -150,22 +147,5 @@ class MCDropout(Layer):
 
     def describe(self) -> dict:
         info = super().describe()
-        info.update(
-            {
-                "rate": self.rate,
-                "filter_wise": self.filter_wise,
-                "stochastic_at_inference": self.stochastic,
-            }
-        )
+        info.update({"rate": self.rate, "stochastic_at_inference": self.stochastic})
         return info
-
-    def deterministic_forward(
-        self, x: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
-        """Forward pass with dropout disabled (expected-value approximation).
-
-        Used when a single deterministic prediction is required, e.g. when
-        comparing against the non-Bayesian baseline.
-        """
-        self._ctx(ctx).save(self, np.ones((1,) * x.ndim, dtype=x.dtype))
-        return x

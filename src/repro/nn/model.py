@@ -43,7 +43,6 @@ class Network:
         self.layers: list[Layer] = list(layers) if layers else []
         self.built = False
         self.input_shape: tuple[int, ...] | None = None
-        self._weights_version_base = 0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -185,19 +184,9 @@ class Network:
         optimizer steps, ``Parameter.assign``, ``set_weights``, post-training
         quantization — invalidates caches automatically.  Only a raw
         ``param.value[...] = ...`` write without a following
-        ``param.bump_version()`` (or :meth:`bump_weights_version` on the
-        network) can go unnoticed.
+        ``param.bump_version()`` can go unnoticed.
         """
-        return self._weights_version_base + sum(p.version for p in self.parameters())
-
-    def bump_weights_version(self) -> None:
-        """Record a parameter mutation done outside the ``Parameter`` API.
-
-        Prefer :meth:`Parameter.assign` (or ``param.bump_version()``) for new
-        code; this network-level escape hatch remains for call sites that
-        mutate many parameters at once and for backward compatibility.
-        """
-        self._weights_version_base += 1
+        return sum(p.version for p in self.parameters())
 
     def get_weights(self) -> list[np.ndarray]:
         """Return copies of every parameter value, in deterministic order."""

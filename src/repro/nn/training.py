@@ -32,7 +32,6 @@ __all__ = [
     "Trainer",
     "DistillationTrainer",
     "MultiExitModel",
-    "evaluate_classifier",
     "iterate_minibatches",
 ]
 
@@ -43,65 +42,51 @@ class TrainingHistory:
 
     loss: list[float] = field(default_factory=list)
     accuracy: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
-
-    def record(
-        self,
-        loss: float,
-        accuracy: float,
-        val_loss: float | None = None,
-        val_accuracy: float | None = None,
-    ) -> None:
-        self.loss.append(float(loss))
-        self.accuracy.append(float(accuracy))
-        if val_loss is not None:
-            self.val_loss.append(float(val_loss))
-        if val_accuracy is not None:
-            self.val_accuracy.append(float(val_accuracy))
-
-    @property
-    def epochs(self) -> int:
-        return len(self.loss)
 
 
 def iterate_minibatches(
-    x: np.ndarray,
-    y: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-    shuffle: bool = True,
+    x: np.ndarray, y: np.ndarray, batch_size: int, rng: np.random.Generator
 ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """Yield (inputs, labels) mini-batches, optionally shuffled."""
+    """Yield (inputs, labels) mini-batches in an order shuffled by ``rng``."""
     if len(x) != len(y):
         raise ValueError("inputs and labels must have the same length")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     indices = np.arange(len(x))
-    if shuffle:
-        rng = rng or np.random.default_rng()
-        rng.shuffle(indices)
+    rng.shuffle(indices)
     for start in range(0, len(x), batch_size):
         batch = indices[start : start + batch_size]
         yield x[batch], y[batch]
 
 
-def evaluate_classifier(
-    model: Network, x: np.ndarray, y: np.ndarray, batch_size: int = 128
-) -> tuple[float, float]:
-    """Return (mean cross-entropy loss, accuracy) of a network on a dataset."""
-    loss_fn = CrossEntropyLoss()
-    total_loss = 0.0
-    correct = 0
-    for xb, yb in iterate_minibatches(x, y, batch_size, shuffle=False):
-        logits = model.predict(xb)
-        total_loss += loss_fn(logits, yb) * len(xb)
-        correct += int((logits.argmax(axis=1) == yb).sum())
-    n = len(x)
-    return total_loss / n, correct / n
+class _EpochTrainer:
+    """The epoch loop both trainers share.
+
+    Each epoch runs the subclass's ``train_on_batch`` once per shuffled
+    mini-batch and appends the epoch's mean loss and accuracy to
+    :attr:`history`.
+    """
+
+    def __init__(self, batch_size: int, seed: int) -> None:
+        self.batch_size = int(batch_size)
+        self.rng = np.random.default_rng(seed)
+        self.history = TrainingHistory()
+
+    def fit(self, x: np.ndarray, y: np.ndarray, epochs: int = 1) -> TrainingHistory:
+        """Train for a number of epochs over (x, y)."""
+        for _ in range(epochs):
+            losses: list[float] = []
+            accs: list[float] = []
+            for xb, yb in iterate_minibatches(x, y, self.batch_size, self.rng):
+                loss, acc = self.train_on_batch(xb, yb)
+                losses.append(loss)
+                accs.append(acc)
+            self.history.loss.append(float(np.mean(losses)))
+            self.history.accuracy.append(float(np.mean(accs)))
+        return self.history
 
 
-class Trainer:
+class Trainer(_EpochTrainer):
     """Mini-batch SGD training of a single-exit network."""
 
     def __init__(
@@ -112,12 +97,10 @@ class Trainer:
         batch_size: int = 64,
         seed: int = 0,
     ) -> None:
+        super().__init__(batch_size, seed)
         self.model = model
         self.optimizer = optimizer
         self.loss = loss or CrossEntropyLoss()
-        self.batch_size = int(batch_size)
-        self.rng = np.random.default_rng(seed)
-        self.history = TrainingHistory()
 
     def train_on_batch(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """One optimization step; returns (loss, accuracy) on the batch."""
@@ -128,41 +111,6 @@ class Trainer:
         self.optimizer.step()
         accuracy = float((logits.argmax(axis=1) == y).mean())
         return loss, accuracy
-
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int = 1,
-        validation_data: tuple[np.ndarray, np.ndarray] | None = None,
-        scheduler=None,
-        verbose: bool = False,
-    ) -> TrainingHistory:
-        """Train for a number of epochs over (x, y)."""
-        for epoch in range(epochs):
-            losses: list[float] = []
-            accs: list[float] = []
-            for xb, yb in iterate_minibatches(x, y, self.batch_size, self.rng):
-                loss, acc = self.train_on_batch(xb, yb)
-                losses.append(loss)
-                accs.append(acc)
-            val_loss = val_acc = None
-            if validation_data is not None:
-                val_loss, val_acc = evaluate_classifier(
-                    self.model, *validation_data, batch_size=self.batch_size
-                )
-            self.history.record(np.mean(losses), np.mean(accs), val_loss, val_acc)
-            if scheduler is not None:
-                scheduler.step()
-            if verbose:  # pragma: no cover - console output
-                msg = (
-                    f"epoch {epoch + 1}/{epochs}: "
-                    f"loss={self.history.loss[-1]:.4f} acc={self.history.accuracy[-1]:.4f}"
-                )
-                if val_acc is not None:
-                    msg += f" val_acc={val_acc:.4f}"
-                print(msg)
-        return self.history
 
 
 class MultiExitModel(Protocol):
@@ -181,7 +129,7 @@ class MultiExitModel(Protocol):
         """Reset accumulated gradients."""
 
 
-class DistillationTrainer:
+class DistillationTrainer(_EpochTrainer):
     """Bidirectional exit-ensemble distillation for multi-exit models.
 
     Each exit ``e`` minimises::
@@ -204,13 +152,11 @@ class DistillationTrainer:
     ) -> None:
         if distill_weight < 0:
             raise ValueError("distill_weight must be non-negative")
+        super().__init__(batch_size, seed)
         self.model = model
         self.optimizer = optimizer
         self.distill_weight = float(distill_weight)
         self.temperature = float(temperature)
-        self.batch_size = int(batch_size)
-        self.rng = np.random.default_rng(seed)
-        self.history = TrainingHistory()
 
     def train_on_batch(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """One optimization step over every exit; returns (loss, ensemble accuracy)."""
@@ -246,29 +192,3 @@ class DistillationTrainer:
         ensemble = np.mean([softmax(lg, axis=-1) for lg in exit_logits], axis=0)
         accuracy = float((ensemble.argmax(axis=1) == y).mean())
         return total_loss / len(exit_logits), accuracy
-
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int = 1,
-        scheduler=None,
-        verbose: bool = False,
-    ) -> TrainingHistory:
-        """Train the multi-exit model for a number of epochs."""
-        for epoch in range(epochs):
-            losses: list[float] = []
-            accs: list[float] = []
-            for xb, yb in iterate_minibatches(x, y, self.batch_size, self.rng):
-                loss, acc = self.train_on_batch(xb, yb)
-                losses.append(loss)
-                accs.append(acc)
-            self.history.record(np.mean(losses), np.mean(accs))
-            if scheduler is not None:
-                scheduler.step()
-            if verbose:  # pragma: no cover - console output
-                print(
-                    f"epoch {epoch + 1}/{epochs}: "
-                    f"loss={self.history.loss[-1]:.4f} acc={self.history.accuracy[-1]:.4f}"
-                )
-        return self.history

@@ -4,7 +4,6 @@ from .fixed_point import STANDARD_BITWIDTHS, FixedPointFormat
 from .quantizers import (
     QuantizationConfig,
     QuantizationResult,
-    activation_formats,
     quantize_network,
 )
 
@@ -14,5 +13,4 @@ __all__ = [
     "QuantizationConfig",
     "QuantizationResult",
     "quantize_network",
-    "activation_formats",
 ]

@@ -1,9 +1,9 @@
 """Post-training quantization of networks.
 
-This replaces the QKeras dependency of the original flow: weights (and,
-through a calibration pass, activations) are mapped to fixed-point formats,
-and the quantization impact on accuracy can be measured before the hardware
-design-space exploration commits to a bitwidth.
+This replaces the QKeras dependency of the original flow: weights are
+mapped to fixed-point formats, and the quantization impact on accuracy can
+be measured before the hardware design-space exploration commits to a
+bitwidth.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "QuantizationConfig",
     "QuantizationResult",
     "quantize_network",
-    "activation_formats",
 ]
 
 
@@ -90,25 +89,3 @@ def quantize_network(
             # (repro.inference engines, the serving layer) see the mutation
             param.assign(fmt.quantize(param.value))
     return QuantizationResult(config=config, weight_formats=formats, weight_rmse=rmse)
-
-
-def activation_formats(
-    network: Network,
-    calibration_batch: np.ndarray,
-    activation_bits: int,
-) -> dict[str, FixedPointFormat]:
-    """Calibrate per-layer activation formats from a representative batch.
-
-    Runs the batch through the network layer by layer and picks, for each
-    layer, the fixed-point format whose range covers the observed maximum
-    activation magnitude.
-    """
-    if not network.built:
-        raise ValueError("network must be built before calibration")
-    formats: dict[str, FixedPointFormat] = {}
-    out = calibration_batch
-    for layer in network.layers:
-        out = layer.forward(out, training=False)
-        max_abs = float(np.max(np.abs(out))) if out.size else 1.0
-        formats[layer.name] = FixedPointFormat.for_range(max_abs, activation_bits)
-    return formats

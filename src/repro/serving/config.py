@@ -23,8 +23,8 @@ object that exists is a config object that can serve — and round-trip
 through plain dicts (:meth:`ServingConfig.to_dict` /
 :meth:`ServingConfig.from_dict`) so the wire boundary can carry them as
 JSON.  ``ServingEngine(model, config=ServingConfig(...))`` is the only
-constructor; :meth:`ServingConfig.from_kwargs` builds the nested config
-from a flat keyword spelling.
+constructor, and ``ServingConfig(..., batcher=BatcherConfig(...))`` the
+only spelling of a config.
 """
 
 from __future__ import annotations
@@ -171,36 +171,6 @@ class ServingConfig:
         if self.fleet is not None:
             # surfaces inconsistent bounds at config time, not serve time
             self.fleet.resolve_bounds(self.workers)
-
-    # ------------------------------------------------------------------ #
-    # flat-kwarg adapter (the legacy ServingEngine surface)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ServingConfig":
-        """Build a config from one flat keyword namespace.
-
-        Splits the flat namespace into the nested form: batcher knobs
-        (``max_batch_size``, ``max_batch_latency``, ``max_queue_size``,
-        ``reject_on_full``, ``admission_timeout``) go into the nested
-        :class:`BatcherConfig`; everything else is a top-level field.
-        Unknown names raise ``TypeError`` like any wrong kwarg would.
-        """
-        batcher_names = {f.name for f in fields(BatcherConfig)}
-        batcher_kwargs = {
-            name: kwargs.pop(name) for name in list(kwargs) if name in batcher_names
-        }
-        unknown = set(kwargs) - {f.name for f in fields(cls)} - {"batcher"}
-        if unknown:
-            raise TypeError(
-                f"unknown serving configuration fields: {sorted(unknown)}"
-            )
-        if batcher_kwargs and "batcher" in kwargs:
-            raise TypeError(
-                "pass either a BatcherConfig or flat batcher kwargs, not both"
-            )
-        if batcher_kwargs:
-            kwargs["batcher"] = BatcherConfig(**batcher_kwargs)
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------ #
     # wire form

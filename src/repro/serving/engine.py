@@ -213,10 +213,6 @@ class ServingEngine:
         once.  Deliberately *not* part of the config: an executor is a
         live resource, not serializable policy.
 
-    Flat keyword arguments (``num_samples=..., max_batch_size=...``) are
-    not accepted; :meth:`~repro.serving.config.ServingConfig.from_kwargs`
-    builds the nested config from them.
-
     Examples
     --------
     >>> # doctest: +SKIP

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batcher import DeadlineExceeded, ServerOverloaded
-from .config import ServingConfig
+from .config import BatcherConfig, ServingConfig
 from .engine import ServingEngine
 
 __all__ = ["ServingServer"]
@@ -486,13 +486,15 @@ async def _serve_forever(args) -> None:
     if args.config_json is not None:
         config = ServingConfig.from_dict(json.loads(args.config_json))
     else:
-        config = ServingConfig.from_kwargs(
+        config = ServingConfig(
             num_samples=args.num_samples,
             workers=args.workers,
             worker_backend=args.backend,
-            max_batch_size=args.max_batch_size,
-            max_batch_latency=args.max_batch_latency,
-            max_queue_size=args.max_queue_size,
+            batcher=BatcherConfig(
+                max_batch_size=args.max_batch_size,
+                max_batch_latency=args.max_batch_latency,
+                max_queue_size=args.max_queue_size,
+            ),
         )
     engine = ServingEngine(_demo_model(), config)
     async with ServingServer(engine, host=args.host, port=args.port) as server:

@@ -3,7 +3,6 @@
 from .calibration import (
     ReliabilityBin,
     expected_calibration_error,
-    maximum_calibration_error,
     reliability_bins,
 )
 from .metrics import (
@@ -23,7 +22,6 @@ __all__ = [
     "ReliabilityBin",
     "reliability_bins",
     "expected_calibration_error",
-    "maximum_calibration_error",
     "UncertaintyReport",
     "UncertaintyResult",
     "mc_uncertainty_results",

@@ -1,4 +1,4 @@
-"""Calibration metrics: expected / maximum calibration error, reliability bins.
+"""Calibration metrics: expected calibration error and reliability bins.
 
 The paper reports calibration with the expected calibration error (ECE):
 predictions are grouped into equal-width confidence bins, and ECE is the
@@ -16,7 +16,6 @@ __all__ = [
     "ReliabilityBin",
     "reliability_bins",
     "expected_calibration_error",
-    "maximum_calibration_error",
 ]
 
 
@@ -119,12 +118,3 @@ def expected_calibration_error(
     bins = reliability_bins(probs, labels, num_bins)
     total = sum(b.count for b in bins)
     return float(sum(b.count / total * b.gap for b in bins))
-
-
-def maximum_calibration_error(
-    probs: np.ndarray, labels: np.ndarray, num_bins: int = 15
-) -> float:
-    """Maximum calibration error (MCE): largest per-bin confidence/accuracy gap."""
-    bins = reliability_bins(probs, labels, num_bins)
-    occupied = [b.gap for b in bins if b.count > 0]
-    return float(max(occupied)) if occupied else 0.0

@@ -121,12 +121,6 @@ class TestStructure:
         n_backbone = sum(p.size for p in multi_exit_model.backbone.parameters())
         assert multi_exit_model.num_parameters > n_backbone
 
-    def test_describe(self, multi_exit_model):
-        desc = multi_exit_model.describe()
-        assert desc["num_exits"] == 2
-        assert len(desc["exits"]) == 2
-        assert desc["mcd_layers_per_exit"] == 1
-
 
 class TestForwardBackward:
     def test_forward_exits_shapes(self, multi_exit_model, rng):

@@ -65,7 +65,7 @@ class TestNetworkEngineSampling:
                 Flatten(),
                 Dense(16, name="fc1"),
                 ReLU(),
-                MCDropout(rate, filter_wise=False, name="mcd"),
+                MCDropout(rate, name="mcd"),
                 Dense(3, name="out"),
             ]
         )

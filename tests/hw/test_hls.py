@@ -16,6 +16,7 @@ from repro.core import single_exit_bayesnet
 from repro.hw import (
     AcceleratorConfig,
     AcceleratorModel,
+    get_device,
     spatial_mapping,
     temporal_mapping,
 )
@@ -153,6 +154,25 @@ class TestCodeGeneration:
         tcl = HLSCodeGenerator(accel_spatial).build_script()
         assert "create_clock -period 5.52" in tcl  # 181 MHz -> 5.52 ns
         assert "xcku115" in tcl
+
+    def test_build_script_refuses_a_device_without_a_vivado_part(self):
+        net = single_exit_bayesnet(small_lenet_spec(), num_mcd_layers=1, seed=0)
+        accel = AcceleratorModel(
+            net,
+            AcceleratorConfig(
+                device=get_device("Cyclone V"), weight_bitwidth=8, reuse_factor=16
+            ),
+        )
+        with pytest.raises(ValueError, match=r"'Cyclone V'.*'XCKU115'"):
+            HLSCodeGenerator(accel).build_script()
+
+    def test_max_pool_kernels_keep_no_sum(self, accel_spatial):
+        layers = HLSCodeGenerator(accel_spatial).layers_header()
+        kernels = re.findall(r"void max_pool_\w+\(.*?\n\}\n", layers, re.S)
+        assert len(kernels) == 2
+        for kernel in kernels:
+            assert not re.search(r"\bsum\b", kernel)
+            assert "output[c][oh][ow] = best;" in kernel
 
     def test_write_to_disk(self, accel_spatial, tmp_path):
         paths = HLSCodeGenerator(accel_spatial).write(tmp_path)

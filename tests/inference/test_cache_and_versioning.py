@@ -75,8 +75,6 @@ def test_network_weights_version_reflects_parameter_mutations():
     assert net.weights_version == v1
     param.bump_version()  # ...until recorded
     assert net.weights_version > v1
-    net.bump_weights_version()  # network-level escape hatch still works
-    assert net.weights_version > v1 + 1
 
 
 def test_optimizer_step_bumps_weights_version():

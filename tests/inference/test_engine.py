@@ -27,7 +27,7 @@ def _bayes_net(rate=0.5, seed=0):
             Flatten(),
             Dense(16, name="fc1"),
             ReLU(),
-            MCDropout(rate, filter_wise=False, name="mcd", seed=seed),
+            MCDropout(rate, name="mcd", seed=seed),
             Dense(3, name="out"),
         ]
     )
@@ -98,7 +98,7 @@ class TestFolding:
             layers = [
                 Conv2D(3, name="c1"),
                 ReLU(),
-                MCDropout(0.5, filter_wise=True, name="mcd", seed=4),
+                MCDropout(0.5, name="mcd", seed=4),
                 Conv2D(2, name="c2"),
                 Flatten(),
                 Dense(3, name="out"),

@@ -212,12 +212,9 @@ def test_conv_flat_fold_rejects_indivisible_batch():
     rate=st.floats(min_value=0.1, max_value=0.7),
     num_samples=st.integers(min_value=2, max_value=6),
     batch=st.integers(min_value=1, max_value=4),
-    filter_wise=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_folded_masks_independent_across_tiles(
-    rate, num_samples, batch, filter_wise, seed
-):
+def test_folded_masks_independent_across_tiles(rate, num_samples, batch, seed):
     """One folded draw == S independent sequential draws, tile for tile.
 
     Running an MCDropout layer on the sample-folded batch must (a) give each
@@ -227,8 +224,8 @@ def test_folded_masks_independent_across_tiles(
     independent Bernoulli draws.
     """
     features = 64
-    folded_layer = MCDropout(rate, filter_wise=filter_wise, seed=seed)
-    looped_layer = MCDropout(rate, filter_wise=filter_wise, seed=seed)
+    folded_layer = MCDropout(rate, seed=seed)
+    looped_layer = MCDropout(rate, seed=seed)
     for layer in (folded_layer, looped_layer):
         layer.build((features,), np.random.default_rng(0))
 
@@ -250,8 +247,8 @@ def test_folded_masks_independent_across_tiles(
 def test_folded_conv_masks_independent_across_tiles(num_samples, seed):
     """Filter-wise 4-D masks: one (S·N, C, 1, 1) draw == S (N, C, 1, 1) draws."""
     shape = (3, 16, 2, 2)
-    folded_layer = MCDropout(0.5, filter_wise=True, seed=seed)
-    looped_layer = MCDropout(0.5, filter_wise=True, seed=seed)
+    folded_layer = MCDropout(0.5, seed=seed)
+    looped_layer = MCDropout(0.5, seed=seed)
     for layer in (folded_layer, looped_layer):
         layer.build(shape[1:], np.random.default_rng(0))
 

@@ -50,7 +50,7 @@ def _conv_suffix_layers():
     return [
         Conv2D(6, 3, padding="same", name="c1"),
         ReLU(),
-        MCDropout(0.25, filter_wise=True, name="mcd0"),
+        MCDropout(0.25, name="mcd0"),
         Conv2D(6, 3, padding="same", name="c2"),
         ReLU(),
         Flatten(),
@@ -192,16 +192,15 @@ def _layout(a):
 @given(
     data=st.data(),
     rank=st.sampled_from([2, 4]),
-    filter_wise=st.booleans(),
     dtype=st.sampled_from([np.float64, np.float32]),
     rate=st.sampled_from([0.0, 0.25, 0.5]),
     num_samples=st.integers(1, 4),
 )
 def test_fold_is_apply_on_the_tile_in_bytes_layout_and_stream(
-    data, rank, filter_wise, dtype, rate, num_samples
+    data, rank, dtype, rate, num_samples
 ):
     x = _prefix(data, rank).astype(dtype, order="K")
-    a, b = (MCDropout(rate, filter_wise=filter_wise, seed=3) for _ in range(2))
+    a, b = (MCDropout(rate, seed=3) for _ in range(2))
     ctx_a, ctx_b = ForwardContext(), ForwardContext()
     folded = a.fold(x, num_samples, ctx_a)
     applied = b.forward(fold_batch(x, num_samples), ctx=ctx_b)

@@ -254,7 +254,7 @@ def test_plan_follows_every_way_weights_change():
 
 def test_swap_model_serves_the_new_model_bits():
     x = _batch("resnet10", 4)
-    config = ServingConfig.from_kwargs(num_samples=4, workers=1)
+    config = ServingConfig(num_samples=4, workers=1)
 
     async def serve(first, second=None):
         async with ServingEngine(first, config) as server:

@@ -25,7 +25,7 @@ from repro.nn.model import Network
 
 
 def _mcd(seed=0, rate=0.5):
-    layer = MCDropout(rate, filter_wise=False, seed=seed)
+    layer = MCDropout(rate, seed=seed)
     layer.build((64,), np.random.default_rng(0))
     return layer
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.mcd import deterministic_forward
 from repro.nn.context import ForwardContext
 from repro.nn.layers import (
     BatchNorm,
@@ -14,6 +15,7 @@ from repro.nn.layers import (
     ResidualBlock,
 )
 from repro.nn.layers.activations import log_softmax, relu_, softmax
+from repro.nn.model import Network
 
 from .gradcheck import check_input_gradient, check_parameter_gradients
 
@@ -182,18 +184,18 @@ class TestBatchNorm:
 
 class TestDropout:
     def test_mc_dropout_active_at_inference(self):
-        layer = build(MCDropout(0.5, filter_wise=False, seed=0), (200,))
+        layer = build(MCDropout(0.5, seed=0), (200,))
         x = np.ones((2, 200))
         out = layer.forward(x, training=False)
         assert np.any(out == 0)
 
     def test_mc_dropout_samples_differ(self):
-        layer = build(MCDropout(0.5, filter_wise=False, seed=0), (100,))
+        layer = build(MCDropout(0.5, seed=0), (100,))
         x = np.ones((1, 100))
         assert not np.allclose(layer.forward(x), layer.forward(x))
 
     def test_mc_dropout_reseed_reproducible(self):
-        layer = build(MCDropout(0.5, filter_wise=False), (64,))
+        layer = build(MCDropout(0.5), (64,))
         x = np.ones((2, 64))
         layer.reseed(7)
         a = layer.forward(x)
@@ -202,13 +204,13 @@ class TestDropout:
         np.testing.assert_allclose(a, b)
 
     def test_inverted_scaling_preserves_expectation(self):
-        layer = build(MCDropout(0.25, filter_wise=False, seed=3), (50,))
+        layer = build(MCDropout(0.25, seed=3), (50,))
         x = np.ones((200, 50))
         out = layer.forward(x)
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_filter_wise_drops_whole_channels(self):
-        layer = build(MCDropout(0.5, filter_wise=True, seed=1), (8, 4, 4))
+        layer = build(MCDropout(0.5, seed=1), (8, 4, 4))
         x = np.ones((2, 8, 4, 4))
         out = layer.forward(x)
         # each channel is either fully dropped or fully kept
@@ -219,32 +221,28 @@ class TestDropout:
                 assert len(vals) == 1
 
     def test_filter_wise_dense_mask_shape_and_semantics(self):
-        """Regression: on (N, F) activations, filter-wise == element-wise.
+        """On (N, F) activations every feature is a single-element filter.
 
-        Each dense feature is a single-element filter, so the filter-wise
-        mask must cover the full ``(batch, features)`` shape (one draw per
-        feature, not per example or shared across the batch) and equal the
-        element-wise mask drawn from the same stream.
+        So the filter-wise mask covers the full ``(batch, features)`` shape:
+        one draw per feature, not per example or shared across the batch.
         """
-        fw = build(MCDropout(0.5, filter_wise=True, seed=123), (32,))
-        ew = build(MCDropout(0.5, filter_wise=False, seed=123), (32,))
+        layer = build(MCDropout(0.5, seed=123), (32,))
         x = np.ones((6, 32))  # so the output is the scaled mask itself
-        mask_fw = fw.forward(x)
-        assert mask_fw.shape == (6, 32)
-        np.testing.assert_array_equal(mask_fw, ew.forward(x))
-        # per-element masking: rows must not be forced to a single value
-        assert any(len(np.unique(mask_fw[n])) == 2 for n in range(6))
+        mask = layer.forward(x)
+        assert mask.shape == (6, 32)
+        # rows must not be forced to a single value
+        assert any(len(np.unique(mask[n])) == 2 for n in range(6))
 
     def test_filter_wise_conv_mask_shape(self):
-        layer = build(MCDropout(0.5, filter_wise=True, seed=5), (8, 4, 4))
+        layer = build(MCDropout(0.5, seed=5), (8, 4, 4))
         ctx = ForwardContext()
         layer.forward(np.ones((3, 8, 4, 4)), ctx=ctx)
         assert ctx.saved(layer).shape == (3, 8, 1, 1)
 
     def test_deterministic_forward_is_identity(self, rng):
-        layer = build(MCDropout(0.5), (6,))
+        net = Network([MCDropout(0.5)]).build((6,), seed=0)
         x = rng.normal(size=(3, 6))
-        np.testing.assert_allclose(layer.deterministic_forward(x), x)
+        np.testing.assert_array_equal(deterministic_forward(net, x), x)
 
     def test_zero_rate_is_identity(self, rng):
         layer = build(MCDropout(0.0), (6,))
@@ -252,7 +250,7 @@ class TestDropout:
         np.testing.assert_allclose(layer.forward(x), x)
 
     def test_backward_uses_same_mask(self):
-        layer = build(MCDropout(0.5, filter_wise=False, seed=0), (40,))
+        layer = build(MCDropout(0.5, seed=0), (40,))
         x = np.ones((1, 40))
         out = layer.forward(x)
         grad = layer.backward(np.ones_like(out))
@@ -267,27 +265,26 @@ class TestDropout:
 
     def test_mask_holds_zero_or_the_inverse_keep_rate(self):
         for dtype in (np.float64, np.float32):
-            layer = build(MCDropout(0.25, filter_wise=False, seed=2), (64,))
+            layer = build(MCDropout(0.25, seed=2), (64,))
             out = layer.forward(np.ones((8, 64), dtype=dtype))
             assert out.dtype == dtype
             assert set(np.unique(out)) <= {dtype(0.0), dtype(1.0) / dtype(0.75)}
 
     @pytest.mark.parametrize("rate", [0.1, 0.5, 0.8])
     def test_kept_share_matches_keep_prob(self, rate):
-        layer = build(MCDropout(rate, filter_wise=False, seed=11), (500,))
+        layer = build(MCDropout(rate, seed=11), (500,))
         out = layer.forward(np.ones((40, 500)))
         assert abs(np.mean(out != 0) - layer.keep_prob) < 0.02
 
     def test_different_seeds_draw_different_masks(self):
         x = np.ones((2, 128))
-        a = build(MCDropout(0.5, filter_wise=False, seed=1), (128,)).forward(x)
-        b = build(MCDropout(0.5, filter_wise=False, seed=2), (128,)).forward(x)
+        a = build(MCDropout(0.5, seed=1), (128,)).forward(x)
+        b = build(MCDropout(0.5, seed=2), (128,)).forward(x)
         assert not np.array_equal(a, b)
 
     def test_describe_reports_rate_and_mode(self):
-        info = build(MCDropout(0.3, filter_wise=True), (4, 2, 2)).describe()
+        info = build(MCDropout(0.3), (4, 2, 2)).describe()
         assert info["rate"] == 0.3
-        assert info["filter_wise"] is True
         assert info["stochastic_at_inference"] is True
 
 

@@ -9,7 +9,6 @@ from repro.nn import (
     CrossEntropyLoss,
     DistillationTrainer,
     Trainer,
-    evaluate_classifier,
 )
 from repro.nn.architectures import (
     get_architecture,
@@ -36,15 +35,15 @@ class TestMinibatches:
             seen.extend(yb.tolist())
         assert sorted(seen) == list(range(10))
 
-    def test_batch_sizes(self):
+    def test_batch_sizes(self, rng):
         x = np.zeros((10, 2))
         y = np.zeros(10, dtype=int)
-        sizes = [len(xb) for xb, _ in iterate_minibatches(x, y, 4, shuffle=False)]
+        sizes = [len(xb) for xb, _ in iterate_minibatches(x, y, 4, rng)]
         assert sizes == [4, 4, 2]
 
-    def test_length_mismatch_raises(self):
+    def test_length_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
-            list(iterate_minibatches(np.zeros((3, 1)), np.zeros(2), 2))
+            list(iterate_minibatches(np.zeros((3, 1)), np.zeros(2), 2, rng))
 
 
 class TestTrainer:
@@ -68,27 +67,16 @@ class TestTrainer:
             ), CrossEntropyLoss(), batch_size=32, seed=0
         )
         trainer.fit(tiny_dataset.train.x, tiny_dataset.train.y, epochs=4)
-        _, acc = evaluate_classifier(net, tiny_dataset.train.x, tiny_dataset.train.y)
+        predicted = net.predict(tiny_dataset.train.x).argmax(axis=1)
+        acc = float((predicted == tiny_dataset.train.y).mean())
         assert acc > 1.0 / tiny_dataset.num_classes + 0.1
-
-    def test_validation_metrics_recorded(self, tiny_dataset):
-        spec = small_lenet_spec()
-        net = spec.single_exit_network(seed=0)
-        trainer = Trainer(net, SGD(net.parameters(), lr=0.05), batch_size=32)
-        history = trainer.fit(
-            tiny_dataset.train.x,
-            tiny_dataset.train.y,
-            epochs=1,
-            validation_data=(tiny_dataset.test.x, tiny_dataset.test.y),
-        )
-        assert len(history.val_accuracy) == 1
 
     def test_history_epochs(self, tiny_dataset):
         spec = small_lenet_spec()
         net = spec.single_exit_network(seed=0)
         trainer = Trainer(net, SGD(net.parameters(), lr=0.05), batch_size=32)
         history = trainer.fit(tiny_dataset.train.x, tiny_dataset.train.y, epochs=2)
-        assert history.epochs == 2
+        assert len(history.loss) == len(history.accuracy) == 2
 
 
 class TestDistillationTrainer:

@@ -11,7 +11,6 @@ from repro.quantization import (
     STANDARD_BITWIDTHS,
     FixedPointFormat,
     QuantizationConfig,
-    activation_formats,
     quantize_network,
 )
 
@@ -133,15 +132,3 @@ class TestQuantizeNetwork:
         after = net.predict(x)
         assert after.shape == before.shape
         assert np.max(np.abs(after - before)) < 1.0  # 8-bit quantization is mild
-
-    def test_activation_formats_calibration(self, rng):
-        net = self._net()
-        formats = activation_formats(
-            net, rng.normal(size=(8, 1, 6, 6)), activation_bits=8
-        )
-        assert set(formats) == {layer.name for layer in net.layers}
-        assert all(f.total_bits == 8 for f in formats.values())
-
-    def test_activation_formats_requires_built_network(self, rng):
-        with pytest.raises(ValueError):
-            activation_formats(Network([Dense(2)]), rng.normal(size=(2, 4)), 8)

@@ -37,12 +37,13 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import FaultPlan, FleetConfig, ServingConfig, ServingEngine
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
+from repro.serving import (
+    BatcherConfig,
+    FaultPlan,
+    FleetConfig,
+    ServingConfig,
+    ServingEngine,
+)
 
 
 pytestmark = pytest.mark.chaos
@@ -68,7 +69,12 @@ def _thread_oracle(model_factory, n: int) -> list:
 
     async def main():
         async with ServingEngine(
-            model_factory(), cfg(num_samples=NUM_SAMPLES, workers=1, max_batch_size=1)
+            model_factory(),
+            ServingConfig(
+                num_samples=NUM_SAMPLES,
+                workers=1,
+                batcher=BatcherConfig(max_batch_size=1),
+            ),
         ) as server:
             return [await server.submit(X[i % len(X)]) for i in range(n)]
 
@@ -95,14 +101,13 @@ def _run_chaos_flood(n: int, kills, workers: int) -> tuple[list, object, int]:
     async def main():
         async with ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=workers,
                 worker_backend="process",
-                max_batch_size=1,
-                max_queue_size=max(2 * n, 128),
                 fleet=FleetConfig(health_interval=0.02),
                 fault_plan=plan,
+                batcher=BatcherConfig(max_batch_size=1, max_queue_size=max(2 * n, 128)),
             ),
         ) as server:
             results = await asyncio.gather(
@@ -204,13 +209,12 @@ def test_chaos_generation_swap_mid_traffic_never_tears():
     async def main():
         async with ServingEngine(
             _model(seed=0, width=0.5),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=2,
                 worker_backend="process",
-                max_batch_size=1,
-                max_queue_size=2 * n,
                 fleet=FleetConfig(health_interval=0.02),
+                batcher=BatcherConfig(max_batch_size=1, max_queue_size=2 * n),
             ),
         ) as server:
             flood = [

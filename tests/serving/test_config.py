@@ -111,25 +111,6 @@ def test_configs_are_frozen():
 
 
 # --------------------------------------------------------------------- #
-# from_kwargs: the flat namespace splits into the nested one
-# --------------------------------------------------------------------- #
-def test_from_kwargs_splits_flat_namespace():
-    config = ServingConfig.from_kwargs(
-        num_samples=8, workers=2, max_batch_size=4, reject_on_full=True
-    )
-    assert config.num_samples == 8
-    assert config.workers == 2
-    assert config.batcher == BatcherConfig(max_batch_size=4, reject_on_full=True)
-
-
-def test_from_kwargs_rejects_unknown_and_mixed():
-    with pytest.raises(TypeError, match="unknown serving configuration fields"):
-        ServingConfig.from_kwargs(batch_size=4)
-    with pytest.raises(TypeError, match="not both"):
-        ServingConfig.from_kwargs(batcher=BatcherConfig(), max_batch_size=4)
-
-
-# --------------------------------------------------------------------- #
 # wire round-trip
 # --------------------------------------------------------------------- #
 def test_to_dict_round_trips_through_json():
@@ -192,15 +173,10 @@ def test_engine_accepts_config_object():
 
 
 def test_engine_rejects_flat_kwargs():
-    # the flat keyword surface is gone from the engine; from_kwargs is the
-    # one way to spell a config flat
+    # a config is spelled one way: ServingConfig(..., batcher=BatcherConfig(...))
     with pytest.raises(TypeError, match="num_samples"):
         ServingEngine(_model(), num_samples=4, max_batch_size=2)
     with pytest.raises(TypeError, match="num_samples"):
         _model().serving_engine(num_samples=4)
-    engine = ServingEngine(
-        _model(), ServingConfig.from_kwargs(num_samples=4, max_batch_size=2)
-    )
-    assert engine.config == ServingConfig(
-        num_samples=4, batcher=BatcherConfig(max_batch_size=2)
-    )
+    with pytest.raises(TypeError, match="max_batch_size"):
+        ServingConfig(num_samples=4, max_batch_size=2)

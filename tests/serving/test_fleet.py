@@ -26,6 +26,7 @@ from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.serving import (
     Autoscaler,
+    BatcherConfig,
     FaultInjection,
     FaultPlan,
     FleetConfig,
@@ -33,11 +34,6 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 NUM_SAMPLES = 6
@@ -97,7 +93,9 @@ def test_fault_plan_accepts_injection_objects():
 
 def test_fault_plan_requires_process_backend():
     with pytest.raises(ValueError, match="process"):
-        ServingEngine(_model(), cfg(fault_plan=FaultPlan([(0, "pre_doorbell")])))
+        ServingEngine(
+            _model(), ServingConfig(fault_plan=FaultPlan([(0, "pre_doorbell")]))
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -172,7 +170,7 @@ def test_supervisor_respawns_killed_worker_and_restores_k():
     async def main():
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=4,
                 workers=2,
                 worker_backend="process",
@@ -210,7 +208,7 @@ def test_supervised_total_death_recovers_instead_of_failing():
     async def serve(kill: bool):
         async with ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=1,
                 worker_backend="process",
@@ -245,7 +243,7 @@ def test_scale_to_grows_and_drains_back(backend):
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=1, worker_backend=backend)
+            model, ServingConfig(num_samples=4, workers=1, worker_backend=backend)
         ) as server:
             await server.submit(X[0])
             await server._pool.scale_to(3)
@@ -277,12 +275,11 @@ def test_autoscaler_grows_under_pressure_and_shrinks_when_idle():
     async def main():
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=32,
                 workers=1,
-                max_batch_size=1,
-                max_queue_size=256,
                 fleet=fleet,
+                batcher=BatcherConfig(max_batch_size=1, max_queue_size=256),
             ),
         ) as server:
             assert server.supervisor is not None and server.supervisor.running
@@ -319,7 +316,7 @@ def test_swap_model_changes_weights_and_shapes_without_downtime(backend):
 
     async def serve_plain(model_factory, seqs):
         async with ServingEngine(
-            model_factory(), cfg(num_samples=NUM_SAMPLES, workers=1)
+            model_factory(), ServingConfig(num_samples=NUM_SAMPLES, workers=1)
         ) as server:
             return [await server.submit(X[i]) for i in range(seqs)]
 
@@ -328,7 +325,7 @@ def test_swap_model_changes_weights_and_shapes_without_downtime(backend):
         oracle_new = await serve_plain(lambda: _model(seed=3, width=0.75), 8)
         async with ServingEngine(
             _model(seed=0, width=0.5),
-            cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend=backend),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=2, worker_backend=backend),
         ) as server:
             before = [await server.submit(X[i]) for i in range(4)]
             generation = await server.swap_model(_model(seed=3, width=0.75))
@@ -352,7 +349,7 @@ def test_swap_releases_old_arena_segment():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=2, worker_backend="process")
+            model, ServingConfig(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
             old_segment = server._pool._shared.manifest.segment_name
@@ -381,7 +378,12 @@ def test_swap_model_to_live_model_keeps_parameters_shared():
 
     async def oracle_main():
         async with ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, max_batch_size=1)
+            _model(),
+            ServingConfig(
+                num_samples=NUM_SAMPLES,
+                workers=1,
+                batcher=BatcherConfig(max_batch_size=1),
+            ),
         ) as server:
             return [await server.submit(X[0]) for _ in range(3)]
 
@@ -390,11 +392,11 @@ def test_swap_model_to_live_model_keeps_parameters_shared():
     async def main():
         async with ServingEngine(
             model,
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=2,
                 worker_backend="process",
-                max_batch_size=1,
+                batcher=BatcherConfig(max_batch_size=1),
             ),
         ) as server:
             before = await server.submit(X[0])
@@ -433,7 +435,9 @@ def test_swap_model_rejects_input_shape_change():
         )
 
     async def main():
-        async with ServingEngine(model, cfg(num_samples=4, workers=1)) as server:
+        async with ServingEngine(
+            model, ServingConfig(num_samples=4, workers=1)
+        ) as server:
             with pytest.raises(ValueError, match="input shape"):
                 await server.swap_model(other(input_shape=(1, 16, 16)))
             with pytest.raises(ValueError, match="number of classes"):
@@ -467,7 +471,7 @@ def test_swap_model_to_more_exits_under_early_exit():
 
     async def main():
         async with ServingEngine(
-            resnet(1), cfg(early_exit_threshold=0.2, workers=1)
+            resnet(1), ServingConfig(early_exit_threshold=0.2, workers=1)
         ) as server:
             await server.submit(xs[0])
             await server.swap_model(resnet(4))
@@ -500,7 +504,7 @@ def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
 
     async def main():
         async with ServingEngine(
-            _model(), cfg(num_samples=4, workers=2, worker_backend=backend)
+            _model(), ServingConfig(num_samples=4, workers=2, worker_backend=backend)
         ) as server:
             snapshots = []
 

@@ -22,10 +22,6 @@ NUM_SAMPLES = 6
 X = np.random.default_rng(11).normal(size=(8, 1, 12, 12))
 
 
-def cfg(**kwargs):
-    return ServingConfig.from_kwargs(**kwargs)
-
-
 def _model(seed=0):
     return MultiExitBayesNet(
         lenet5_spec(input_shape=(1, 12, 12), num_classes=5, width_multiplier=0.5),
@@ -40,7 +36,8 @@ def _model(seed=0):
 def test_cache_hits_on_repeated_bytes_and_invalidates_on_swap_thread():
     def serve(defeat_cache: bool):
         server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread")
+            _model(),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
         )
 
         async def main():
@@ -85,7 +82,8 @@ def test_cache_hits_on_repeated_bytes_and_invalidates_on_swap_thread():
 @pytest.mark.timeout(120)
 def test_cache_counters_cross_the_process_boundary():
     server = ServingEngine(
-        _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+        _model(),
+        ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
     )
 
     async def main():

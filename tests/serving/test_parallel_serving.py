@@ -20,12 +20,7 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn import ForwardContext
 from repro.nn.architectures import lenet5_spec
-from repro.serving import DynamicBatcher, ServingConfig, ServingEngine
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
+from repro.serving import BatcherConfig, DynamicBatcher, ServingConfig, ServingEngine
 
 
 NUM_SAMPLES = 6
@@ -50,7 +45,7 @@ def _serve_sequentially(workers: int) -> list:
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=NUM_SAMPLES, workers=workers)
+            model, ServingConfig(num_samples=NUM_SAMPLES, workers=workers)
         ) as server:
             return [await server.submit(x) for x in X]
 
@@ -96,7 +91,11 @@ def test_multiworker_serving_matches_direct_engine_for_deterministic_model():
     async def main():
         async with ServingEngine(
             model,
-            cfg(num_samples=2, workers=4, max_batch_size=4, max_batch_latency=0.005),
+            ServingConfig(
+                num_samples=2,
+                workers=4,
+                batcher=BatcherConfig(max_batch_size=4, max_batch_latency=0.005),
+            ),
         ) as server:
             return await server.submit_many(X)
 
@@ -235,7 +234,9 @@ def test_serving_engine_accepts_deadlines():
     model = _model(mcd=0)
 
     async def main():
-        async with ServingEngine(model, cfg(num_samples=1, workers=2)) as server:
+        async with ServingEngine(
+            model, ServingConfig(num_samples=1, workers=2)
+        ) as server:
             results = await asyncio.gather(
                 *(server.submit(x, deadline=0.5) for x in X[:4])
             )
@@ -364,7 +365,7 @@ def test_pipelined_stop_without_drain_cancels_in_flight():
 def test_workers_validated():
     model = _model(mcd=0)
     with pytest.raises(ValueError, match="workers"):
-        ServingEngine(model, cfg(workers=0))
+        ServingEngine(model, ServingConfig(workers=0))
     with pytest.raises(ValueError, match="max_concurrent_batches"):
         DynamicBatcher(lambda p: p, max_concurrent_batches=0)
 
@@ -379,7 +380,7 @@ def test_start_is_idempotent_while_serving():
     model = _model(mcd=1)
 
     async def main():
-        server = ServingEngine(model, cfg(num_samples=NUM_SAMPLES, workers=2))
+        server = ServingEngine(model, ServingConfig(num_samples=NUM_SAMPLES, workers=2))
         await server.start()
         first = asyncio.ensure_future(server.submit(X[0]))
         await asyncio.sleep(0)  # the first batch is in flight

@@ -41,9 +41,7 @@ def _server(workers: int = 1) -> ServingEngine:
     )
     return ServingEngine(
         model,
-        ServingConfig.from_kwargs(
-            num_samples=4, workers=workers, worker_backend="process"
-        ),
+        ServingConfig(num_samples=4, workers=workers, worker_backend="process"),
     )
 
 

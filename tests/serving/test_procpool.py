@@ -25,12 +25,7 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import ServingConfig, ServingEngine, WorkerCrashed
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
+from repro.serving import BatcherConfig, ServingConfig, ServingEngine, WorkerCrashed
 
 
 NUM_SAMPLES = 6
@@ -52,7 +47,9 @@ def _serve_sequentially(backend: str, workers: int, **kwargs) -> list:
     async def main():
         async with ServingEngine(
             model,
-            cfg(num_samples=NUM_SAMPLES, workers=workers, worker_backend=backend),
+            ServingConfig(
+                num_samples=NUM_SAMPLES, workers=workers, worker_backend=backend
+            ),
             **kwargs,
         ) as server:
             results = [await server.submit(x) for x in X]
@@ -107,7 +104,10 @@ def test_early_exit_mode_matches_thread_backend():
 
         async def main():
             async with ServingEngine(
-                model, cfg(early_exit_threshold=0.5, workers=2, worker_backend=backend)
+                model,
+                ServingConfig(
+                    early_exit_threshold=0.5, workers=2, worker_backend=backend
+                ),
             ) as server:
                 return [await server.submit(x) for x in X]
 
@@ -130,7 +130,7 @@ def test_one_exit_model_bit_identical_across_backends():
 
         async def main():
             async with ServingEngine(
-                model, cfg(num_samples=4, workers=2, worker_backend=backend)
+                model, ServingConfig(num_samples=4, workers=2, worker_backend=backend)
             ) as server:
                 return [await server.submit(x) for x in X[:4]]
 
@@ -160,7 +160,10 @@ def test_weight_updates_propagate_and_match_thread_backend():
 
         async def main():
             async with ServingEngine(
-                model, cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend=backend)
+                model,
+                ServingConfig(
+                    num_samples=NUM_SAMPLES, workers=2, worker_backend=backend
+                ),
             ) as server:
                 before = await server.submit(X[0])
                 for p in model.parameters():
@@ -182,7 +185,8 @@ def test_same_input_changes_after_weight_update():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+            model,
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
         ) as server:
             before = await server.submit(X[0])
             for p in model.parameters():
@@ -203,7 +207,7 @@ def test_dead_workers_batch_retried_on_live_sibling():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=2, worker_backend="process")
+            model, ServingConfig(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])  # warm both ends of the channel
             victim = _next_victim(server)
@@ -233,7 +237,7 @@ def test_all_workers_dead_raises_worker_crashed():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=1, worker_backend="process")
+            model, ServingConfig(num_samples=4, workers=1, worker_backend="process")
         ) as server:
             await server.submit(X[0])
             victim = _next_victim(server)
@@ -260,7 +264,7 @@ def test_stop_releases_segment_and_model_stays_usable():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=2, worker_backend="process")
+            model, ServingConfig(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
             return server._pool._shared.manifest.segment_name
@@ -280,7 +284,7 @@ def test_stop_releases_segment_and_model_stays_usable():
 @pytest.mark.timeout(120)
 def test_worker_backend_validated():
     with pytest.raises(ValueError, match="worker_backend"):
-        ServingEngine(_model(), cfg(worker_backend="fiber"))
+        ServingEngine(_model(), ServingConfig(worker_backend="fiber"))
 
 
 # --------------------------------------------------------------------------- #
@@ -304,7 +308,7 @@ def test_crash_holding_ring_slot_retried_then_crashed_again_on_sibling():
     async def main():
         async with ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=3,
                 worker_backend="process",
@@ -333,7 +337,9 @@ def test_double_crash_with_two_workers_exhausts_pool():
     async def main():
         async with ServingEngine(
             _model(),
-            cfg(num_samples=4, workers=2, worker_backend="process", fault_plan=plan),
+            ServingConfig(
+                num_samples=4, workers=2, worker_backend="process", fault_plan=plan
+            ),
         ) as server:
             with pytest.raises(WorkerCrashed):
                 await server.submit(X[0])
@@ -358,12 +364,12 @@ def test_worker_crash_during_stop_drain_still_answers_queued_requests():
     async def main():
         server = ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=4,
                 workers=2,
                 worker_backend="process",
-                max_batch_size=1,
                 fault_plan=plan,
+                batcher=BatcherConfig(max_batch_size=1),
             ),
         )
         await server.start()
@@ -399,7 +405,7 @@ def test_fleet_events_leave_one_log_record_each(caplog):
 
     async def main():
         async with ServingEngine(
-            _model(), cfg(num_samples=4, workers=1, worker_backend="process")
+            _model(), ServingConfig(num_samples=4, workers=1, worker_backend="process")
         ) as server:
             pool = server._pool
             # what start() had to say — the placement, where the host has a
@@ -435,7 +441,7 @@ def test_stop_is_idempotent_across_backends(backend):
 
     async def main():
         server = ServingEngine(
-            model, cfg(num_samples=4, workers=2, worker_backend=backend)
+            model, ServingConfig(num_samples=4, workers=2, worker_backend=backend)
         )
         await server.start()
         first = await server.submit(X[0])

@@ -30,15 +30,10 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
-from repro.serving import FaultPlan, ServingConfig, ServingEngine
+from repro.serving import BatcherConfig, FaultPlan, ServingConfig, ServingEngine
 from repro.serving.workers.procpool import ProcessWorkerPool, _RingHandle
 from repro.serving.workers.ring import BatchRing
 from repro.serving.workers.roster import ReplicaDied
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 NUM_SAMPLES = 6
@@ -58,7 +53,9 @@ def _serve_sequentially(backend: str, workers: int = 2, **kwargs):
     model = _model()
     server = ServingEngine(
         model,
-        cfg(num_samples=NUM_SAMPLES, workers=workers, worker_backend=backend, **kwargs),
+        ServingConfig(
+            num_samples=NUM_SAMPLES, workers=workers, worker_backend=backend, **kwargs
+        ),
     )
 
     async def main():
@@ -196,12 +193,12 @@ def test_early_exit_batches_are_served_from_their_slots(caplog):
     batches = [[0, 1, 2], [3, 4, 5], [6, 7, 0], [1]]
 
     async def serve(backend):
-        config = cfg(
+        config = ServingConfig(
             num_samples=1,
             early_exit_threshold=0.5,
-            max_batch_size=3,
             workers=1,
             worker_backend=backend,
+            batcher=BatcherConfig(max_batch_size=3),
         )
         async with ServingEngine(_model(), config) as server:
             got = [
@@ -241,7 +238,8 @@ def test_a_lying_geometry_fails_that_batch_loudly_and_nothing_else(monkeypatch, 
 
     async def main():
         server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+            _model(),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
         )
         async with server:
             pool = server._pool
@@ -366,7 +364,7 @@ async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
     executor = ThreadPoolExecutor(max_workers=4)
     server = ServingEngine(
         _model(),
-        cfg(num_samples=NUM_SAMPLES, workers=2, worker_backend="thread"),
+        ServingConfig(num_samples=NUM_SAMPLES, workers=2, worker_backend="thread"),
         executor=executor,
     )
     loop = asyncio.get_running_loop()
@@ -436,7 +434,8 @@ async def _cancel_between_doorbell_and_reply(monkeypatch, staged_rows: list):
     before that, and the reply it finally takes is its own.
     """
     server = ServingEngine(
-        _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+        _model(),
+        ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
     )
     async with server:
         pool = server._pool
@@ -556,7 +555,8 @@ def test_a_cancel_at_the_lone_replicas_yield_stages_nothing(monkeypatch):
 
     async def main():
         server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread")
+            _model(),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
         )
         async with server:
             pool = server._pool
@@ -619,7 +619,9 @@ def test_only_a_lone_thread_replica_computes_on_the_loop(workers):
         executor = _CountingExecutor(max_workers=2)
         server = ServingEngine(
             _model(),
-            cfg(num_samples=NUM_SAMPLES, workers=workers, worker_backend="thread"),
+            ServingConfig(
+                num_samples=NUM_SAMPLES, workers=workers, worker_backend="thread"
+            ),
             executor=executor,
         )
         try:
@@ -644,7 +646,7 @@ def test_a_lone_replica_whose_lock_is_held_waits_off_the_loop():
         executor = _CountingExecutor(max_workers=2)
         server = ServingEngine(
             _model(),
-            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
             executor=executor,
         )
         try:
@@ -686,11 +688,11 @@ def test_a_lone_replicas_callers_answer_before_its_next_batch(monkeypatch):
     async def main():
         server = ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=1,
                 worker_backend="thread",
-                max_batch_size=1,
+                batcher=BatcherConfig(max_batch_size=1),
             ),
         )
 
@@ -730,7 +732,7 @@ def test_ring_batches_never_touch_the_executor(monkeypatch, workers):
         executor = _CountingExecutor(max_workers=2)
         server = ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=workers,
                 worker_backend="process",
@@ -800,7 +802,7 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
 
         server = ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=2,
                 worker_backend="process",
@@ -848,7 +850,9 @@ def _run_directly(backend: str, batches: list[list[int]], **kwargs) -> list[list
     async def main():
         server = ServingEngine(
             _model(),
-            cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend=backend, **kwargs),
+            ServingConfig(
+                num_samples=NUM_SAMPLES, workers=1, worker_backend=backend, **kwargs
+            ),
         )
         async with server:
             return [
@@ -895,7 +899,7 @@ def test_a_death_ends_every_exchange_in_flight_exactly_once(seq, point, lost):
     async def main():
         server = ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=2,
                 worker_backend="process",
@@ -953,7 +957,7 @@ def test_a_death_between_batches_is_retried_bit_identically(point, doorbells):
     async def main():
         server = ServingEngine(
             _model(),
-            cfg(
+            ServingConfig(
                 num_samples=NUM_SAMPLES,
                 workers=2,
                 worker_backend="process",
@@ -997,7 +1001,8 @@ def test_the_stop_frame_waits_out_both_replies_in_flight():
 
     async def main():
         server = ServingEngine(
-            _model(), cfg(num_samples=NUM_SAMPLES, workers=1, worker_backend="process")
+            _model(),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="process"),
         )
         async with server:
             pool = server._pool
@@ -1030,7 +1035,7 @@ def test_worker_crash_mid_slot_retries_and_unlinks_its_ring():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=2, worker_backend="process")
+            model, ServingConfig(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
             victim = _next_victim(server)
@@ -1056,7 +1061,7 @@ def test_stop_releases_every_ring_segment():
 
     async def main():
         async with ServingEngine(
-            model, cfg(num_samples=4, workers=2, worker_backend="process")
+            model, ServingConfig(num_samples=4, workers=2, worker_backend="process")
         ) as server:
             await server.submit(X[0])
             return [h.ring.manifest.segment_name for h in server._pool._replicas]
@@ -1071,4 +1076,4 @@ def test_stop_releases_every_ring_segment():
 def test_worker_transport_validated():
     for transport in ("pipe", "telepathy"):
         with pytest.raises(ValueError, match="worker_transport must be 'ring'"):
-            ServingEngine(_model(), cfg(worker_transport=transport))
+            ServingEngine(_model(), ServingConfig(worker_transport=transport))

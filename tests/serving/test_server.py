@@ -37,16 +37,13 @@ import repro
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.serving import (
+    BatcherConfig,
     FleetConfig,
     LoadGenerator,
     ServingConfig,
     ServingEngine,
     ServingServer,
 )
-
-
-def cfg(**kwargs):
-    return ServingConfig.from_kwargs(**kwargs)
 
 
 def _model(seed=0):
@@ -101,7 +98,7 @@ def test_served_response_bit_identical_to_direct_submit():
     # same model seed + same config + one-at-a-time submission => identical
     # batch formation => the spawn-key rule makes the bits equal; JSON must
     # not perturb them on the way through
-    config = cfg(num_samples=4, max_batch_size=4)
+    config = ServingConfig(num_samples=4, batcher=BatcherConfig(max_batch_size=4))
 
     async def main():
         direct = []
@@ -124,7 +121,9 @@ def test_served_response_bit_identical_to_direct_submit():
 
 def test_stats_and_health_endpoints():
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=2))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=2))
+        ) as srv:
             status, health = await _request(srv, "GET", "/v1/health")
             assert status == 200
             assert health["status"] == "ok"
@@ -151,7 +150,9 @@ def test_bad_payloads_map_to_400():
     inf_x[0, 5, 1] = -np.inf
 
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             for payload, raw in [
                 (None, b"{not json"),  # malformed JSON
                 ({"y": 1}, None),  # missing x
@@ -188,7 +189,7 @@ def test_bad_payloads_map_to_400():
 
 def test_oversized_body_maps_to_413():
     async def main():
-        engine = ServingEngine(_model(), cfg(num_samples=1))
+        engine = ServingEngine(_model(), ServingConfig(num_samples=1))
         async with ServingServer(engine, max_body_bytes=1024) as srv:
             status, body = await _request(
                 srv, "POST", "/v1/predict", raw=b"x" * 2048
@@ -230,7 +231,9 @@ def test_transfer_encoding_gets_one_501_then_eof():
     )
 
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             statuses = await _raw_exchange(srv, request)
             assert statuses == [b"HTTP/1.1 501 Not Implemented"], statuses
             status, body = await _request(
@@ -256,7 +259,9 @@ def test_conflicting_content_lengths_get_one_400_then_eof():
     )
 
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             statuses = await _raw_exchange(srv, request)
             assert statuses == [b"HTTP/1.1 400 Bad Request"], statuses
             # a repeated header that agrees is one Content-Length
@@ -290,7 +295,9 @@ def _health_request(head: bytes) -> bytes:
 )
 def test_bad_framing_gets_one_400_then_eof(head, caplog):
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             statuses = await _raw_exchange(srv, _health_request(head))
             assert statuses == [b"HTTP/1.1 400 Bad Request"], statuses
             status, body = await _request(srv, "GET", "/v1/health")
@@ -313,7 +320,9 @@ def test_bad_framing_gets_one_400_then_eof(head, caplog):
 )
 def test_framing_at_the_bounds_is_served(head):
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             statuses = await _raw_exchange(srv, _health_request(head))
             assert statuses == [b"HTTP/1.1 200 OK"], statuses
 
@@ -323,8 +332,9 @@ def test_framing_at_the_bounds_is_served(head):
 def test_overload_maps_to_503():
     # queue of 1 + fail-fast policy + a storm of concurrent requests:
     # the queue is guaranteed full for most arrivals
-    config = cfg(
-        num_samples=4, max_batch_size=1, max_queue_size=1, reject_on_full=True
+    config = ServingConfig(
+        num_samples=4,
+        batcher=BatcherConfig(max_batch_size=1, max_queue_size=1, reject_on_full=True),
     )
 
     async def main():
@@ -351,8 +361,9 @@ def test_the_queue_bound_holds_on_the_wire_under_open_loop_bursts():
     # bursts of 32 at several times that: most of every burst finds the two
     # pending places taken and must be told so — and the server's own
     # accounting of the episode must agree with the client's
-    config = cfg(
-        num_samples=4, max_batch_size=1, max_queue_size=2, reject_on_full=True
+    config = ServingConfig(
+        num_samples=4,
+        batcher=BatcherConfig(max_batch_size=1, max_queue_size=2, reject_on_full=True),
     )
 
     async def main():
@@ -383,7 +394,9 @@ def test_missed_deadline_maps_to_504():
     # a 1 us budget has always lapsed by the time assembly re-checks the
     # backlog (the enqueue->assembly hop alone costs microseconds), so the
     # shed is deterministic however fast this host drains the fillers
-    config = cfg(num_samples=512, max_batch_size=1, admission_timeout=5.0)
+    config = ServingConfig(
+        num_samples=512, batcher=BatcherConfig(max_batch_size=1, admission_timeout=5.0)
+    )
 
     async def main():
         async with ServingServer(ServingEngine(_model(), config)) as srv:
@@ -412,7 +425,7 @@ def test_missed_deadline_maps_to_504():
 # lifecycle
 # --------------------------------------------------------------------- #
 def test_health_flips_during_supervised_worker_kill():
-    config = cfg(
+    config = ServingConfig(
         num_samples=2,
         workers=1,
         worker_backend="process",
@@ -453,7 +466,7 @@ def test_health_flips_during_supervised_worker_kill():
 
 
 def test_graceful_stop_drains_in_flight_requests():
-    config = cfg(num_samples=16, max_batch_size=1)
+    config = ServingConfig(num_samples=16, batcher=BatcherConfig(max_batch_size=1))
 
     async def main():
         engine = ServingEngine(_model(), config)
@@ -481,7 +494,7 @@ def test_stop_closes_an_idle_keep_alive_connection():
     (``Server.wait_closed()`` waits for open connections since 3.12.1)."""
 
     async def main():
-        srv = ServingServer(ServingEngine(_model(), cfg(num_samples=1)))
+        srv = ServingServer(ServingEngine(_model(), ServingConfig(num_samples=1)))
         await srv.start()
         reader, writer = await asyncio.open_connection(srv.host, srv.port)
         try:
@@ -529,7 +542,9 @@ def test_keep_alive_requests_create_no_tasks():
             created += 1
             return asyncio.Task(coro, loop=loop, **kwargs)
 
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             reader, writer = await asyncio.open_connection(srv.host, srv.port)
             request = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
             try:
@@ -551,7 +566,7 @@ def test_keep_alive_requests_create_no_tasks():
 
 def test_server_leaves_caller_owned_engine_running():
     async def main():
-        async with ServingEngine(_model(), cfg(num_samples=1)) as engine:
+        async with ServingEngine(_model(), ServingConfig(num_samples=1)) as engine:
             async with ServingServer(engine) as srv:
                 status, _ = await _request(
                     srv, "POST", "/v1/predict", {"x": X[0].tolist()}
@@ -567,7 +582,9 @@ def test_loadgen_trace_replay_and_reports():
     # a trace schedule is replayed exactly; the report accounts for every
     # scheduled arrival
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             gen = LoadGenerator(
                 srv.host,
                 srv.port,
@@ -589,7 +606,9 @@ def test_loadgen_keep_alive_reuses_connections():
     schedule = [i * 0.005 for i in range(10)]
 
     async def drive(keep_alive):
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             gen = LoadGenerator(
                 srv.host,
                 srv.port,
@@ -618,7 +637,9 @@ def test_loadgen_trace_capture_replay_round_trip(tmp_path):
     from repro.serving import load_trace
 
     async def main():
-        async with ServingServer(ServingEngine(_model(), cfg(num_samples=1))) as srv:
+        async with ServingServer(
+            ServingEngine(_model(), ServingConfig(num_samples=1))
+        ) as srv:
             recorded = LoadGenerator(
                 srv.host, srv.port, rate=200.0, duration=0.1, seed=3
             )
@@ -647,7 +668,7 @@ def test_client_and_server_report_one_percentile_statistic():
     schedule = [i * 0.002 for i in range(12)]
 
     async def main():
-        engine = ServingEngine(_model(), cfg(num_samples=1))
+        engine = ServingEngine(_model(), ServingConfig(num_samples=1))
         async with ServingServer(engine) as srv:
             gen = LoadGenerator(srv.host, srv.port, process="trace", schedule=schedule)
             report = await gen.run()

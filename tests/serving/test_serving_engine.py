@@ -16,12 +16,7 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 from repro.nn.architectures import lenet5_spec
-from repro.serving import ServerOverloaded, ServingConfig, ServingEngine
-
-
-def cfg(**kwargs):
-    """Shorthand: flat serving kwargs -> a validated ServingConfig."""
-    return ServingConfig.from_kwargs(**kwargs)
+from repro.serving import BatcherConfig, ServerOverloaded, ServingConfig, ServingEngine
 
 
 def _small_spec():
@@ -47,7 +42,10 @@ def test_served_predictions_match_batch_engine_for_deterministic_model():
 
     async def main():
         async with model.serving_engine(
-            cfg(num_samples=2, max_batch_size=5, max_batch_latency=0.01)
+            ServingConfig(
+                num_samples=2,
+                batcher=BatcherConfig(max_batch_size=5, max_batch_latency=0.01),
+            )
         ) as server:
             return await server.submit_many(X)
 
@@ -68,7 +66,9 @@ def test_bayesian_serving_returns_uncertainty():
     model = _model(mcd=1)
 
     async def main():
-        async with model.serving_engine(cfg(num_samples=8, max_batch_size=8)) as server:
+        async with model.serving_engine(
+            ServingConfig(num_samples=8, batcher=BatcherConfig(max_batch_size=8))
+        ) as server:
             return await server.submit_many(X[:4])
 
     results = asyncio.run(main())
@@ -88,10 +88,11 @@ def test_early_exit_serving_mode():
 
     async def main_det():
         async with model_det.serving_engine(
-            cfg(
+            ServingConfig(
                 early_exit_threshold=0.5,
-                max_batch_size=X.shape[0],
-                max_batch_latency=0.02,
+                batcher=BatcherConfig(
+                    max_batch_size=X.shape[0], max_batch_latency=0.02
+                ),
             ),
         ) as server:
             results = await server.submit_many(X)
@@ -114,7 +115,9 @@ def test_one_exit_model_serves_early_exit_at_exit_zero():
     model = _model(num_exits=1)
 
     async def main():
-        async with model.serving_engine(cfg(early_exit_threshold=0.99)) as server:
+        async with model.serving_engine(
+            ServingConfig(early_exit_threshold=0.99)
+        ) as server:
             return await server.submit_many(X), server.stats()
 
     results, stats = asyncio.run(main())
@@ -132,7 +135,9 @@ def test_serving_one_exit_model():
     model = _model(num_exits=1)
 
     async def main():
-        async with ServingEngine(model, cfg(num_samples=4, max_batch_size=4)) as server:
+        async with ServingEngine(
+            model, ServingConfig(num_samples=4, batcher=BatcherConfig(max_batch_size=4))
+        ) as server:
             return await server.submit_many(X[:6])
 
     results = asyncio.run(main())
@@ -147,12 +152,14 @@ def test_overload_rejection_policy():
 
     async def main():
         server = model.serving_engine(
-            cfg(
+            ServingConfig(
                 num_samples=1,
-                max_batch_size=1,
-                max_batch_latency=0.001,
-                max_queue_size=4,
-                reject_on_full=True,
+                batcher=BatcherConfig(
+                    max_batch_size=1,
+                    max_batch_latency=0.001,
+                    max_queue_size=4,
+                    reject_on_full=True,
+                ),
             ),
         )
         async with server:
@@ -177,12 +184,14 @@ def test_overload_await_policy_completes_everything():
 
     async def main():
         async with model.serving_engine(
-            cfg(
+            ServingConfig(
                 num_samples=1,
-                max_batch_size=4,
-                max_batch_latency=0.001,
-                max_queue_size=2,
-                reject_on_full=False,
+                batcher=BatcherConfig(
+                    max_batch_size=4,
+                    max_batch_latency=0.001,
+                    max_queue_size=2,
+                    reject_on_full=False,
+                ),
             ),
         ) as server:
             results = await asyncio.gather(*(server.submit(x) for x in X))
@@ -199,7 +208,9 @@ def test_mis_shaped_request_fails_fast_without_poisoning_batch():
     model = _model(mcd=0)
 
     async def main():
-        async with model.serving_engine(cfg(num_samples=1, max_batch_size=4)) as server:
+        async with model.serving_engine(
+            ServingConfig(num_samples=1, batcher=BatcherConfig(max_batch_size=4))
+        ) as server:
             good = server.submit(X[0])
             with pytest.raises(ValueError, match="expected a single example"):
                 await server.submit(np.zeros((3, 3)))
@@ -213,7 +224,9 @@ def test_stats_surface():
     model = _model(mcd=1)
 
     async def main():
-        async with model.serving_engine(cfg(num_samples=4, max_batch_size=6)) as server:
+        async with model.serving_engine(
+            ServingConfig(num_samples=4, batcher=BatcherConfig(max_batch_size=6))
+        ) as server:
             await server.submit_many(X)
             return server.stats()
 
@@ -236,9 +249,9 @@ def test_stats_surface():
 def test_serving_engine_rejects_bad_arguments():
     model = _model()
     with pytest.raises(ValueError, match="num_samples"):
-        ServingEngine(model, cfg(num_samples=0))
+        ServingEngine(model, ServingConfig(num_samples=0))
     with pytest.raises(ValueError, match="early_exit_threshold"):
-        ServingEngine(model, cfg(early_exit_threshold=1.5))
+        ServingEngine(model, ServingConfig(early_exit_threshold=1.5))
     with pytest.raises(TypeError, match="model must be"):
         ServingEngine(object())
 
@@ -250,7 +263,9 @@ def test_submit_many_propagates_deadlines():
     from repro.serving import DeadlineExceeded
 
     model = _model(mcd=1)
-    config = cfg(num_samples=512, max_batch_size=1, admission_timeout=5.0)
+    config = ServingConfig(
+        num_samples=512, batcher=BatcherConfig(max_batch_size=1, admission_timeout=5.0)
+    )
 
     async def main():
         async with ServingEngine(model, config) as server:
@@ -274,7 +289,7 @@ def test_submit_many_scalar_deadline_and_length_check():
     model = _model(mcd=1)
 
     async def main():
-        async with ServingEngine(model, cfg(num_samples=2)) as server:
+        async with ServingEngine(model, ServingConfig(num_samples=2)) as server:
             # a generous scalar budget applies to all and all complete
             results = await server.submit_many(X[:3], deadline=30.0)
             assert len(results) == 3

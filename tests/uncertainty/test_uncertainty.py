@@ -11,7 +11,6 @@ from repro.uncertainty import (
     evaluate_predictions,
     expected_calibration_error,
     expected_entropy,
-    maximum_calibration_error,
     mc_uncertainty_results,
     mutual_information,
     negative_log_likelihood,
@@ -52,20 +51,20 @@ class TestCalibration:
     def test_mce_at_least_ece(self, rng):
         probs = random_probs(rng, 200, 4)
         labels = rng.integers(0, 4, 200)
-        assert maximum_calibration_error(
-            probs, labels
-        ) >= expected_calibration_error(probs, labels) - 1e-12
+        max_gap = max(b.gap for b in reliability_bins(probs, labels))
+        assert max_gap >= expected_calibration_error(probs, labels) - 1e-12
 
     def test_mce_is_the_largest_bin_gap(self):
         probs = np.array([[0.95, 0.05], [0.95, 0.05], [0.65, 0.35], [0.65, 0.35]])
         labels = np.array([0, 0, 0, 1])  # gaps 0.05 and 0.15, two rows each
-        assert maximum_calibration_error(probs, labels, 10) == pytest.approx(0.15)
+        bins = reliability_bins(probs, labels, 10)
+        assert max(b.gap for b in bins) == pytest.approx(0.15)
         assert expected_calibration_error(probs, labels, 10) == pytest.approx(0.10)
 
     def test_confident_correct_predictions_are_calibrated(self):
         probs = np.eye(4)
         assert expected_calibration_error(probs, np.arange(4)) == 0.0
-        assert maximum_calibration_error(probs, np.arange(4)) == 0.0
+        assert all(b.gap == 0.0 for b in reliability_bins(probs, np.arange(4)))
 
     def test_reliability_bins_cover_all_samples(self, rng):
         probs = random_probs(rng, 150, 3)
@@ -104,13 +103,15 @@ class TestCalibration:
         assert expected_calibration_error(probs, labels) == pytest.approx(0.2)
 
     def test_valid_rows_pinned(self):
-        """ECE/MCE of valid rows are bit-identical to the values before clipping."""
+        """ECE and the largest bin gap of valid rows are bit-identical to the
+        values before clipping."""
         rng = np.random.default_rng(2024)
         probs = rng.dirichlet(np.ones(5) * 0.5, size=300)
         probs[:3] = np.eye(5)[:3]  # confidence exactly 1.0
         labels = rng.integers(0, 5, size=300)
         assert expected_calibration_error(probs, labels) == 0.3811390691132454
-        assert maximum_calibration_error(probs, labels) == 0.9071046610774391
+        max_gap = max(b.gap for b in reliability_bins(probs, labels))
+        assert max_gap == 0.9071046610774391
         assert expected_calibration_error(probs, labels, 7) == 0.38113906911324535
 
     @given(st.integers(2, 6), st.integers(20, 80))
