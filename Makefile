@@ -25,9 +25,9 @@ bench:
 # gates (suffix fold >= 1.3x the tile -> mask -> GEMM chain, per-batch
 # glue <= 40 us, 0.25 ms batch flush overshoot <= 300 us, a cold
 # activation-cache lookup + store <= 0.25x a blake2b of the batch) + the conv
-# gates (flat fold >= 2x, planned prefix faster than layer-by-layer —
-# ResNet >= 1.05x, pooled LeNet >= 1.5x —
-# and allocating only its GEMM results and pool outputs) + the column-kernel
+# gates (planned prefix faster than layer-by-layer — ResNet >= 1.05x,
+# pooled LeNet >= 1.5x — and allocating only its GEMM results and pool
+# outputs) + the column-kernel
 # gates (LeNet gathers and col2im >= 1.3x the element-wise kernels, conv_mc's
 # gathers >= 1.5x the kernel-row gather)
 parallel:

@@ -1,24 +1,5 @@
-"""Conv benchmarks: the flat fold of the suffix, the plan of the prefix.
+"""Conv benchmarks: the planned prefix vs the layer-by-layer one it replaced.
 
-Conv2D flat-fold: the per-slice fallback it replaces
-----------------------------------------------------
-
-Before this optimisation, ``folded_forward_range`` evaluated
-every :class:`Conv2D` and :class:`ResidualBlock` one sample-slice at a
-time (``_sliced_forward`` below): S separate im2col gathers and S separate
-Python round-trips per conv layer, because GEMM results are not bit-stable
-under batch tiling.  The flat-fold keeps the bit-exactness argument —
-per-sample GEMMs with the legacy operand shapes and memory order — while
-amortising the gather and the dispatch across the fold.
-
-Acceptance gate: on a conv-heavy MC suffix (ResNet-10 backbone, N=1,
-S=10 — the paper's edge-inference regime, where the sample axis dwarfs
-the batch axis) the folded path must be **>= 2x** the emulated per-slice
-fallback *and* bit-identical to it.  Single-core friendly: both sides run
-the same GEMMs on one thread, only the glue differs.
-
-Planned prefix: the layer-by-layer prefix it replaces
------------------------------------------------------
 The deterministic backbone used to run ``Layer.forward`` layer by layer:
 fresh column and padded buffers per convolution, four full-size BatchNorm
 temporaries and a ReLU temporary per block, every cache saved into the
@@ -47,7 +28,6 @@ baseline are the path the plan's pool step replaced, not the step itself.
 
 from __future__ import annotations
 
-import time
 import tracemalloc
 from unittest import mock
 
@@ -55,15 +35,13 @@ import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
-from repro.inference.folding import ROWWISE_LAYERS, folded_forward_range
 from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.nn.context import ForwardContext
-from repro.nn.layers import Conv2D, Dense, MaxPool2D, ResidualBlock, pooling
-from tests.inference.folded_harness import fold_batch
+from repro.nn.layers import Conv2D, MaxPool2D, ResidualBlock, pooling
 
 from . import reporting
+from .timing import best_seconds_each
 
-NUM_SAMPLES = 10
 REPEATS = 20
 
 #: planned vs layer-by-layer prefix.  Issue 16 asked for 1.3x here; that is
@@ -89,98 +67,6 @@ LENET_PLAN_MIN_SPEEDUP = 1.5
 LENET_PLAN_BATCH = 32
 
 
-def _sliced_forward(layer, x, num_samples, ctx):
-    """Evaluate a layer one sample-slice at a time (always bit-exact)."""
-    n = x.shape[0] // num_samples
-    return np.concatenate(
-        [
-            layer.forward(x[s * n : (s + 1) * n], training=False, ctx=ctx)
-            for s in range(num_samples)
-        ],
-        axis=0,
-    )
-
-
-def _legacy_forward_range(network, x, num_samples, ctx):
-    """The pre-optimisation exact path: conv layers run per sample-slice."""
-    out = x
-    for layer in network.layers:
-        if isinstance(layer, ROWWISE_LAYERS):
-            out = layer.forward(out, training=False, ctx=ctx)
-        elif isinstance(layer, Dense):
-            out = layer.forward_folded(out, num_samples)
-        else:
-            out = _sliced_forward(layer, out, num_samples, ctx)
-    return out
-
-
-def _best_seconds_each(*fns, repeats=REPEATS):
-    """Best-of-``repeats`` wall time of each function, sides alternating.
-
-    The host changes speed for seconds at a time; timing one side after
-    the other would let such a shift land on one side only.
-    """
-    for fn in fns:
-        fn()  # warmup (builds BLAS thread state, touches caches)
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
-
-
-@pytest.mark.timeout(300)
-def test_conv_flat_fold_at_least_2x_per_slice_fallback():
-    """Gate: flat-folded conv suffix >= 2x the per-slice loop, bit-exact."""
-    spec = resnet_spec("resnet10", input_shape=(3, 16, 16), width_multiplier=0.125)
-    network = spec.backbone
-    network.build((3, 16, 16), np.random.default_rng(0))
-
-    x = fold_batch(np.random.default_rng(1).normal(size=(1, 3, 16, 16)), NUM_SAMPLES)
-    ctx = ForwardContext(spawn_key=0)
-
-    folded = folded_forward_range(
-        network, x, NUM_SAMPLES, 0, len(network.layers), ctx=ctx
-    )
-    sliced = _legacy_forward_range(network, x, NUM_SAMPLES, ctx)
-    np.testing.assert_array_equal(folded, sliced)
-
-    t_fold, t_slice = _best_seconds_each(
-        lambda: folded_forward_range(
-            network, x, NUM_SAMPLES, 0, len(network.layers), ctx=ctx
-        ),
-        lambda: _legacy_forward_range(network, x, NUM_SAMPLES, ctx),
-    )
-
-    speedup = t_slice / t_fold
-    print(
-        f"\nconv flat-fold (resnet10 wm=0.125, N=1, S={NUM_SAMPLES}): "
-        f"per-slice {t_slice * 1e3:.2f} ms, folded {t_fold * 1e3:.2f} ms "
-        f"({speedup:.2f}x), bit-exact"
-    )
-    reporting.record(
-        "conv_flat_fold",
-        arch="resnet10_wm0.125",
-        num_samples=NUM_SAMPLES,
-        batch=1,
-        per_slice_s=t_slice,
-        folded_s=t_fold,
-        speedup_folded_vs_per_slice=speedup,
-        bit_exact=True,
-    )
-    assert speedup >= 2.0, (
-        f"conv flat-fold only {speedup:.2f}x over the per-slice fallback "
-        f"({t_slice * 1e3:.2f} ms vs {t_fold * 1e3:.2f} ms) — amortising "
-        "the im2col gather and GEMM dispatch should at least halve the "
-        "suffix time at S=10"
-    )
-
-
-# --------------------------------------------------------------------------- #
-# the planned deterministic prefix
-# --------------------------------------------------------------------------- #
 def _conv_mc_model() -> MultiExitBayesNet:
     """The ``conv_mc`` workload's model (benchmarks/e2e/workloads.py)."""
     spec = resnet_spec("resnet10", (3, 16, 16), width_multiplier=0.125)
@@ -237,7 +123,8 @@ def _planned_vs_layer_by_layer(
                 model.backbone_activations(x, ctx=ctx)
 
     t_plan, t_layer = (
-        t / len(batches) for t in _best_seconds_each(planned, layer_by_layer)
+        t / len(batches)
+        for t in best_seconds_each(planned, layer_by_layer, repeats=REPEATS)
     )
 
     speedup = t_layer / t_plan

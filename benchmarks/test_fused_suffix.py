@@ -21,8 +21,6 @@ keeps the timed comparison honest.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.nn.context import ForwardContext
@@ -30,6 +28,7 @@ from repro.nn.layers import Dense, MCDropout
 from tests.inference.folded_harness import fold_batch
 
 from . import reporting
+from .timing import best_seconds_per_call
 
 #: serving-shaped suffix: S MC samples x a microbatch of N examples over a
 #: flattened F-wide feature vector (matches the paper's S=10 sampling depth)
@@ -39,17 +38,6 @@ FEATURES = 2048
 UNITS = 16
 RATE = 0.25
 GATE = 1.3
-
-
-def _best_seconds_per_call(fn, loops=10, repeats=5):
-    fn()  # warmup
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        times.append((time.perf_counter() - start) / loops)
-    return float(min(times))
 
 
 def test_suffix_fold_speedup_gate():
@@ -72,8 +60,8 @@ def test_suffix_fold_speedup_gate():
     # the timed paths must be computing the same thing, bit for bit
     np.testing.assert_array_equal(materialised(), folded())
 
-    t_materialised = _best_seconds_per_call(materialised)
-    t_folded = _best_seconds_per_call(folded)
+    t_materialised = best_seconds_per_call(materialised, loops=10)
+    t_folded = best_seconds_per_call(folded, loops=10)
     speedup = t_materialised / t_folded
     print(
         f"\nsuffix fold (S={NUM_SAMPLES}, N={BATCH}, F={FEATURES}, U={UNITS}): "

@@ -59,6 +59,7 @@ from repro.serving.workers.base import assemble_results, compute_batch_array
 from repro.serving.workers.ring import BatchRing
 
 from . import reporting
+from .timing import best_seconds_per_call
 
 BATCH = 32
 SHAPE = (1, 12, 12)
@@ -74,25 +75,14 @@ CACHE_MISS_DIGEST_SHARE = 0.25
 CACHE_MISS_BATCHES = {"lenet": (BATCH,) + SHAPE, "resnet": (16, 3, 16, 16)}
 
 
-def _best_seconds_per_call(fn, loops=LOOPS, repeats=5):
-    fn()  # warmup
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        times.append((time.perf_counter() - start) / loops)
-    return float(min(times))
-
-
 def test_glue_breakdown_records_per_stage_times():
     payloads = list(np.random.default_rng(0).normal(size=(BATCH,) + SHAPE))
     batch = np.stack(payloads)
 
     # -- assemble: per-batch np.stack allocation vs pinned staging buffer --
     stager = BatchStager(BATCH, SHAPE)
-    t_stack = _best_seconds_per_call(lambda: np.stack(payloads))
-    t_stage = _best_seconds_per_call(lambda: stager.stage(payloads))
+    t_stack = best_seconds_per_call(lambda: np.stack(payloads), loops=LOOPS)
+    t_stage = best_seconds_per_call(lambda: stager.stage(payloads), loops=LOOPS)
 
     # -- transport: ring slot stage + view -------------------------------- #
     ring = BatchRing.create(slots=1, request_bytes=batch.nbytes, response_bytes=4096)
@@ -105,7 +95,7 @@ def test_glue_breakdown_records_per_stage_times():
         return ring.read_request(0)
 
     try:
-        t_ring_direct = _best_seconds_per_call(_direct_to_ring)
+        t_ring_direct = best_seconds_per_call(_direct_to_ring, loops=LOOPS)
     finally:
         ring.release()
 
@@ -125,13 +115,13 @@ def test_glue_breakdown_records_per_stage_times():
         return compute_batch_array(engine, 0, batch, NUM_SAMPLES, None)
 
     out = _compute_cold()
-    t_compute_cold = _best_seconds_per_call(_compute_cold, loops=5)
-    t_compute_hit = _best_seconds_per_call(_compute_cached, loops=5)
+    t_compute_cold = best_seconds_per_call(_compute_cold, loops=5)
+    t_compute_hit = best_seconds_per_call(_compute_cached, loops=5)
     hits, misses = engine.cache_stats()
     assert hits > 0, "cache-hit stage never hit; the timing would be a lie"
 
     # -- disassemble: per-request results from the batch's raw arrays ----- #
-    t_disassemble = _best_seconds_per_call(lambda: assemble_results(out), loops=50)
+    t_disassemble = best_seconds_per_call(lambda: assemble_results(out), loops=50)
 
     # -- stochastic suffix (fold -> GEMM) at the served width ------------- #
     rng = np.random.default_rng(1)
@@ -146,7 +136,7 @@ def test_glue_breakdown_records_per_stage_times():
         ctx = ForwardContext()
         return dense.forward_folded(mcd.fold(prefix, NUM_SAMPLES, ctx), NUM_SAMPLES)
 
-    t_suffix = _best_seconds_per_call(_suffix, loops=20)
+    t_suffix = best_seconds_per_call(_suffix, loops=20)
 
     # glue = assemble + transport; disassembly and compute are recorded
     # alongside but are not part of the glue sum.  With direct-to-ring
@@ -206,7 +196,7 @@ def _cache_miss_seconds(shape) -> float:
         if cache.get(x, 0) is None:
             cache.put(x, 0, acts)
 
-    seconds = _best_seconds_per_call(_miss)
+    seconds = best_seconds_per_call(_miss, loops=LOOPS)
     assert cache.hits == 0, "a cold lookup hit; the timing would be a lie"
     return seconds
 
@@ -217,7 +207,9 @@ def test_cache_miss_costs_a_fraction_of_a_digest():
         x = np.random.default_rng(3).normal(size=shape)
         miss_us[name] = _cache_miss_seconds(shape) * 1e6
         digest_us[name] = (
-            _best_seconds_per_call(lambda: hashlib.blake2b(x, digest_size=16).digest())
+            best_seconds_per_call(
+                lambda: hashlib.blake2b(x, digest_size=16).digest(), loops=LOOPS
+            )
             * 1e6
         )
     print(

@@ -29,7 +29,7 @@ from repro.nn.context import ForwardContext
 from repro.nn.layers import pooling
 
 from . import reporting
-from .test_conv_fold import _best_seconds_each
+from .timing import best_seconds_each
 
 #: 2.13-2.74x over ten runs on the 2-vCPU dev box (0.61-0.99 ms vs
 #: 1.68-2.14 ms; the box changes speed between runs, the ratio much less)
@@ -66,7 +66,7 @@ def test_pool_training_step_beats_the_column_path():
     for got, want in zip(step(), column_step()):
         assert got.tobytes() == want.tobytes()
 
-    t_scan, t_column = _best_seconds_each(step, column_step, repeats=REPEATS)
+    t_scan, t_column = best_seconds_each(step, column_step, repeats=REPEATS)
     speedup = t_column / t_scan
     print(
         f"\npool1 training step (lenet5 20x20, N={POOL_BATCH}): column path "

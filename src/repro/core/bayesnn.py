@@ -332,10 +332,6 @@ class MultiExitBayesNet:
         """
         return self.engine.exit_probabilities(x, stochastic=stochastic)
 
-    def predict_deterministic(self, x: np.ndarray) -> np.ndarray:
-        """Ensemble prediction with MCD replaced by its expectation."""
-        return self.engine.predict_deterministic(x)
-
     def predict_mc(self, x: np.ndarray, num_samples: int | None = None) -> MCPrediction:
         """Monte-Carlo prediction with cached backbone activations.
 

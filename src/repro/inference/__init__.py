@@ -16,9 +16,11 @@ Public surface
     Folded MC prediction, per-exit distributions and active-set early
     exiting over a multi-exit MCD BayesNN.
 :mod:`repro.inference.folding`
-    ``unfold_samples`` / ``folded_forward_range`` primitives
-    with a documented bit-exactness contract, and ``sample_suffix``, the one
-    fold → stochastic suffix → unfold sampler the engine calls per exit head.
+    ``unfold_samples`` / ``folded_forward_range`` primitives with a
+    documented bit-exactness contract — MC-dropout masks the fold, ``Dense``
+    runs stacked per-sample GEMMs, every other layer runs per sample slice —
+    and ``sample_suffix``, the one fold → stochastic suffix → unfold sampler
+    the engine calls per exit head.
 :mod:`repro.inference.plan`
     The static plan the engine runs its deterministic backbone through:
     one column arena per engine replica and calling thread, BatchNorm/ReLU/

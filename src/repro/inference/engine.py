@@ -274,12 +274,6 @@ class InferenceEngine:
             for head, act in zip(self.model.exits, activations)
         ]
 
-    def predict_deterministic(
-        self, x: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
-        """Ensemble prediction with MCD replaced by its expectation."""
-        return exit_ensemble(self.exit_probabilities(x, stochastic=False, ctx=ctx))
-
     def predict_proba(
         self,
         x: np.ndarray,
@@ -289,7 +283,7 @@ class InferenceEngine:
         """Mean predictive distribution (MC if Bayesian, deterministic otherwise)."""
         if self.model.config.is_bayesian:
             return self.predict_mc(x, num_samples, ctx=ctx).mean_probs
-        return self.predict_deterministic(x, ctx=ctx)
+        return exit_ensemble(self.exit_probabilities(x, stochastic=False, ctx=ctx))
 
     def predict(self, x: np.ndarray, num_samples: int | None = None) -> np.ndarray:
         """Predicted class labels."""

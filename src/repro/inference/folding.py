@@ -21,23 +21,16 @@ observationally invisible.  Three facts make that possible:
   order, so one draw of shape ``(S·N, …)`` consumes the per-layer RNG stream
   in exactly the same order as ``S`` sequential draws of shape ``(N, …)``.
   Folding the batch sample-major therefore reproduces the legacy masks.
-* Row-wise layers (activations, pooling, dropout masking, reshapes,
-  inference-mode batch norm) compute each batch row independently, so they
-  are bit-stable under batch tiling.
-* GEMM-backed layers are **not** bit-stable under batch tiling (BLAS picks
-  different kernels/blocking for different M), so they are evaluated as
-  *stacked* per-sample GEMMs with the legacy shapes, dispatched in C:
-  :class:`Dense` as a ``(S, N, F) @ (F, U)`` matmul, :class:`Conv2D` via
-  :meth:`~repro.nn.layers.conv.Conv2D.forward_folded` (the folded im2col
-  column matrix reshaped to ``(S, N·oh·ow, C·kh·kw)`` — im2col is a pure
-  gather, so the fold is exactly the per-slice column matrices stacked,
-  in the memory order :func:`~repro.nn.tensor.im2col` guarantees),
-  and :class:`ResidualBlock` by folding each constituent convolution the
-  same way and applying batch norm, ReLU and the residual add in place on
-  the convolution outputs
-  (:meth:`~repro.nn.layers.ResidualBlock.forward_inference`, which the
-  deterministic prefix plan of :mod:`repro.inference.plan` shares).  A
-  layer kind outside this vocabulary is refused with a ``TypeError``.
+* GEMM results are **not** bit-stable under batch tiling (BLAS picks
+  different kernels/blocking for different M).  :class:`Dense` — the
+  suffix's classifier — therefore runs as a *stacked* per-sample GEMM with
+  the legacy shapes, a ``(S, N, F) @ (F, U)`` matmul dispatched in C
+  (:meth:`~repro.nn.layers.dense.Dense.forward_folded`).
+* Every other layer runs once per ``(N, …)`` sample slice and the slices
+  are concatenated: the legacy per-sample pass, layer by layer, so it is
+  exact for any layer kind.  ``np.concatenate`` keeps the slices' memory
+  order (a convolution's NCHW view of NHWC memory stays one), so a
+  layout-sensitive reduction further on sums in the legacy order too.
 * The clone step never materialises an unmasked ``(S·N, …)`` tile: the
   first MC-dropout layer draws its S masks in one call and multiplies the
   ``(N, …)`` prefix into them broadcast over S, which is the same multiply,
@@ -49,37 +42,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.context import ForwardContext, resolve_context
-from ..nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Flatten,
-    GlobalAvgPool2D,
-    MaxPool2D,
-    MCDropout,
-    ReLU,
-    ResidualBlock,
-)
+from ..nn.layers import Dense, MCDropout
 from ..nn.layers.activations import softmax
-from ..nn.layers.base import Layer
 from ..nn.model import Network
 
 __all__ = [
-    "ROWWISE_LAYERS",
     "unfold_samples",
     "folded_forward_range",
     "sample_suffix",
 ]
-
-#: Layers whose forward pass treats every batch row independently with
-#: identical per-row arithmetic — safe to evaluate on the flat fold.
-ROWWISE_LAYERS: tuple[type[Layer], ...] = (
-    ReLU,
-    Flatten,
-    MaxPool2D,
-    GlobalAvgPool2D,
-    BatchNorm,
-)
 
 
 def unfold_samples(y: np.ndarray, num_samples: int) -> np.ndarray:
@@ -107,7 +78,8 @@ def folded_forward_range(
     ``x`` must already be folded to the sample-major ``(S·N, …)``: row
     ``s·N + n`` is example ``n`` of sample ``s``.  The result is
     bit-identical to evaluating the range once per sample on the ``(N, …)``
-    batch.  A layer outside the library's vocabulary raises ``TypeError``.
+    batch: MC-dropout masks the fold, :class:`Dense` runs its stacked
+    per-sample GEMM, and every other layer runs once per sample slice.
     ``ctx`` supplies the MCD mask streams (and receives the layer caches);
     concurrent callers over the same network must each pass their own.
     """
@@ -127,14 +99,14 @@ def folded_forward_range(
     for layer in network.layers[start:stop]:
         if isinstance(layer, MCDropout):
             out = layer.fold(out, 1, ctx)
-        elif isinstance(layer, ROWWISE_LAYERS):
-            out = layer.forward(out, training=False, ctx=ctx)
-        elif isinstance(layer, (Dense, Conv2D, ResidualBlock)):
+        elif isinstance(layer, Dense):
             out = layer.forward_folded(out, num_samples)
         else:
-            raise TypeError(
-                f"{type(layer).__name__} has no folded evaluation: "
-                "sample folding covers the library's layer kinds only"
+            out = np.concatenate(
+                [
+                    layer.forward(part, training=False, ctx=ctx)
+                    for part in unfold_samples(out, num_samples)
+                ]
             )
     return out
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..context import ForwardContext
 from ..initializers import he_normal, zeros
-from ..tensor import ColumnArena, col2im, conv_output_size, im2col, im2col_patches
+from ..tensor import ColumnArena, col2im, conv_output_size, im2col
 from .base import Layer
 
 __all__ = ["Conv2D"]
@@ -104,61 +104,6 @@ class Conv2D(Layer):
         out, cols = self.lower(x)
         self._ctx(ctx).save(self, (x.shape, cols))
         return out
-
-    def forward_folded(self, x: np.ndarray, num_samples: int) -> np.ndarray:
-        """Inference-only forward on a sample-folded ``(S·N, C, H, W)`` batch.
-
-        Bit-identical to running :meth:`forward` once per ``(N, …)`` sample
-        slice and concatenating, by the same argument that makes the Dense
-        flat-fold exact: ``im2col`` is a pure gather (no arithmetic), and
-        the fold is sample-major, so the folded column matrix is exactly
-        the per-slice column matrices stacked along the row axis.  Reshaping
-        it to ``(S, N·oh·ow, C·kh·kw)`` and using the stacked ``np.matmul``
-        then dispatches one GEMM per sample *with the legacy shapes and
-        memory order* — BLAS never sees a different M or a different
-        packing path, so kernel selection cannot change a bit.  The bias
-        add and the NHWC→NCHW untangling are row-wise and fold-stable.
-
-        The one wrinkle is ``N == 1``: there :func:`~repro.nn.tensor.im2col`
-        hands BLAS the column-major *view* of the patch tensor, which takes
-        the transposed-A GEMM path — feeding it the C-ordered fold would
-        change the result's bits.  Single-example slices therefore gather
-        the patch-major tensor (:func:`~repro.nn.tensor.im2col_patches`: the
-        column gather's single ``np.take``, offsets in patch order) once
-        over the whole fold; viewed as
-        ``(S, oh·ow, C·kh·kw)`` its per-sample slices have exactly the
-        legacy strides ``(itemsize, oh·ow·itemsize)``, so the stacked matmul
-        again dispatches one GEMM per sample on the legacy operand layout
-        while the gather stays amortised.
-
-        No backward cache is saved: the folded path exists for the
-        inference hot path only (see :mod:`repro.inference.folding`).
-        """
-        sn = x.shape[0]
-        if sn % num_samples:
-            raise ValueError(
-                f"folded batch of {sn} rows is not divisible by "
-                f"num_samples={num_samples}"
-            )
-        n = sn // num_samples
-        out_c, out_h, out_w = self.output_shape
-        w_mat = self.weight.value.reshape(self.filters, -1).T
-        if n == 1:
-            patches = im2col_patches(
-                x, self.kernel_size, self.kernel_size, self.stride, self.padding
-            )
-            stacked = patches.transpose(0, 4, 5, 1, 2, 3).reshape(
-                num_samples, out_h * out_w, -1
-            )
-        else:
-            cols = im2col(
-                x, self.kernel_size, self.kernel_size, self.stride, self.padding
-            )
-            stacked = cols.reshape(num_samples, n * out_h * out_w, -1)
-        out = np.matmul(stacked, w_mat).reshape(sn * out_h * out_w, -1)
-        if self.use_bias:
-            out += self.bias.value
-        return out.reshape(sn, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
     def _accumulate_param_grads(
         self, grad_output: np.ndarray, ctx: ForwardContext | None

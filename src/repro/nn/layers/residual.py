@@ -192,20 +192,6 @@ class ResidualBlock(Layer):
         same_order = shortcut.strides == out.strides
         return relu_(np.add(out, shortcut, out=out if same_order else None))
 
-    def forward_folded(self, x: np.ndarray, num_samples: int) -> np.ndarray:
-        """Inference-only forward on a sample-folded ``(S·N, C, H, W)`` batch.
-
-        Bit-identical to running :meth:`forward` once per sample slice: the
-        convolutions take :meth:`Conv2D.forward_folded` (stacked per-sample
-        GEMMs with the legacy shapes), inference-mode batch norm and ReLU
-        are row-wise and therefore fold-stable, and the residual sum is an
-        element-wise add (see :meth:`forward_inference`).  The block
-        contains no stochastic layers, so no RNG stream is consumed.
-        """
-        return self.forward_inference(
-            x, lambda conv, inp: conv.forward_folded(inp, num_samples)
-        )
-
     def backward(
         self, grad_output: np.ndarray, ctx: ForwardContext | None = None
     ) -> np.ndarray:

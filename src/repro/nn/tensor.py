@@ -8,18 +8,17 @@ NumPy implementation fast enough for the scaled-down experiments in this
 repository.
 
 There is one gather.  :func:`im2col` (and its patch-major form
-:func:`im2col_patches`) serves training, pooling, the sample-folded suffix
-and the planned inference prefix alike: the input stays in its own memory
-order — read in place when it needs no border and is NCHW- or
-NHWC-contiguous (the NCHW view of NHWC memory convolutions emit),
-otherwise written once into a zero-bordered image of the same order — and
-a single ``np.take`` of one example's flat source offsets, cached per
-geometry and layout, puts every element in its final place in the
-columns.  Callers that lower the same layers batch after batch pass a
-:class:`ColumnArena` and get the columns as a view of reusable scratch;
-everyone else gets a fresh array.  The memory order of the result
-(C-contiguous, except the column-major view for a single example) is part
-of the contract — see :func:`im2col`.
+:func:`im2col_patches`) serves training, pooling and the planned inference
+prefix alike: the input stays in its own memory order — read in place when
+it needs no border and is NCHW- or NHWC-contiguous (the NCHW view of NHWC
+memory convolutions emit), otherwise written once into a zero-bordered
+image of the same order — and a single ``np.take`` of one example's flat
+source offsets, cached per geometry and layout, puts every element in its
+final place in the columns.  Callers that lower the same layers batch
+after batch pass a :class:`ColumnArena` and get the columns as a view of
+reusable scratch; everyone else gets a fresh array.  The memory order of
+the result (C-contiguous, except the column-major view for a single
+example) is part of the contract — see :func:`im2col`.
 """
 
 from __future__ import annotations
@@ -330,10 +329,7 @@ def im2col_patches(
     Returns the C-contiguous ``(N, C, kernel_h, kernel_w, out_h, out_w)``
     patch tensor — the same single ``np.take`` as :func:`im2col`, with the
     offsets in patch-major order.  Its per-example slice, flattened
-    NHW-major, is the ``N == 1`` column matrix of :func:`im2col` as a view,
-    which is what the sample-folded convolution path carves out of one
-    gather over the whole fold (see
-    :meth:`repro.nn.layers.conv.Conv2D.forward_folded`).
+    NHW-major, is the ``N == 1`` column matrix of :func:`im2col` as a view.
     """
     flat, out_h, out_w = _gather(
         x, kernel_h, kernel_w, stride, padding, arena, patch_major=True

@@ -26,13 +26,12 @@ __all__ = [
 class QuantizationConfig:
     """Bitwidth configuration for a whole network.
 
-    ``weight_bits`` / ``activation_bits`` are the default bitwidths; specific
-    layers can be overridden via ``per_layer_weight_bits`` keyed by layer
-    name (used by the co-exploration when mixing precisions).
+    ``weight_bits`` is the default bitwidth; specific layers can be
+    overridden via ``per_layer_weight_bits`` keyed by layer name (used by
+    the co-exploration when mixing precisions).
     """
 
     weight_bits: int = 8
-    activation_bits: int = 8
     per_layer_weight_bits: dict[str, int] = field(default_factory=dict)
 
     def weight_bits_for(self, layer_name: str) -> int:

@@ -216,8 +216,8 @@ class TestInference:
 
     def test_deterministic_prediction_reproducible(self, multi_exit_model, rng):
         x = rng.normal(size=(3, 1, 12, 12))
-        a = multi_exit_model.predict_deterministic(x)
-        b = multi_exit_model.predict_deterministic(x)
+        a = multi_exit_model.exit_probabilities(x, stochastic=False)
+        b = multi_exit_model.exit_probabilities(x, stochastic=False)
         np.testing.assert_allclose(a, b)
 
     def test_predict_proba_bayesian_uses_mc(self, multi_exit_model, rng):

@@ -75,8 +75,8 @@ class TestFolding:
         with pytest.raises(RuntimeError):
             folded_forward_range(Network([Dense(2)]), x, 2, 0, 1)
 
-    def test_folded_forward_range_refuses_a_layer_kind_it_cannot_fold(self, rng):
-        """A layer outside the library's vocabulary is named, not sliced."""
+    def test_folded_forward_range_runs_any_other_layer_per_slice(self, rng):
+        """A layer kind the fold has no case for runs once per sample slice."""
 
         class Doubling(Layer):
             def forward(self, x, training=False, ctx=None):
@@ -84,11 +84,12 @@ class TestFolding:
 
         net = Network([Dense(4), Doubling()]).build((3,), seed=0)
         x = fold_batch(rng.normal(size=(2, 3)), 2)
-        np.testing.assert_array_equal(
-            folded_forward_range(net, x, 2, 0, 1), net.layers[0].forward_folded(x, 2)
+        dense = net.layers[0].forward_folded(x, 2)
+        np.testing.assert_array_equal(folded_forward_range(net, x, 2, 0, 1), dense)
+        sliced = np.concatenate(
+            [net.layers[1].forward(part) for part in unfold_samples(dense, 2)]
         )
-        with pytest.raises(TypeError, match="Doubling"):
-            folded_forward_range(net, x, 2, 0, 2)
+        np.testing.assert_array_equal(folded_forward_range(net, x, 2, 0, 2), sliced)
 
     @pytest.mark.parametrize("head", ["dense", "conv"])
     def test_sample_suffix_is_s_sequential_suffix_passes(self, rng, head):

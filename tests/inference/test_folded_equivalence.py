@@ -18,9 +18,10 @@ from repro.core import (
     MultiExitConfig,
     single_exit_bayesnet,
 )
-from repro.inference import unfold_samples
+from repro.inference import folded_forward_range, unfold_samples
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Conv2D, MCDropout, ResidualBlock
+from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
 from .folded_harness import fold_batch, folded_mc_sample, reseed_mcd
@@ -149,12 +150,14 @@ def test_non_bayesian_predict_mc_matches_legacy(lenet_spec_small):
 
 
 # --------------------------------------------------------------------------- #
-# Conv2D / ResidualBlock flat-fold vs the per-slice loop
+# Conv2D / ResidualBlock in a folded range vs the per-slice loop
 # --------------------------------------------------------------------------- #
 def _folded_vs_sliced(layer, shape, n, num_samples, seed=1):
-    """Compare ``forward_folded`` against per-slice ``forward`` + concat."""
+    """Compare ``folded_forward_range`` over a one-layer network against
+    per-slice ``forward`` + concat."""
+    net = Network([layer]).build(shape, seed=0)
     x = np.random.default_rng(seed).normal(size=(num_samples * n,) + shape)
-    folded = layer.forward_folded(x, num_samples)
+    folded = folded_forward_range(net, x, num_samples, 0, 1)
     sliced = np.concatenate(
         [
             layer.forward(x[s * n : (s + 1) * n], training=False)
@@ -171,16 +174,15 @@ def _folded_vs_sliced(layer, shape, n, num_samples, seed=1):
     ids=["k3same", "k3s2", "k1"],
 )
 def test_conv_flat_fold_bit_identical_to_slices(n, kernel, stride, padding, use_bias):
-    """The conv flat-fold must match the per-slice loop *bitwise*.
+    """A folded convolution must match the per-slice loop *bitwise*.
 
     ``n == 1`` is the load-bearing case: there the legacy per-slice
-    ``im2col`` hands BLAS an F-ordered view, so the fold has to reproduce
-    that exact operand layout (see ``Conv2D.forward_folded``) — allclose
-    would hide a regression that bit-equality catches.
+    ``im2col`` hands BLAS an F-ordered view, so a fold that lowered the
+    slices as one batch would change the result's bits — allclose would
+    hide a regression that bit-equality catches.
     """
     shape = (3, 9, 9)
     layer = Conv2D(8, kernel, stride=stride, padding=padding, use_bias=use_bias)
-    layer.build(shape, np.random.default_rng(0))
     _folded_vs_sliced(layer, shape, n, num_samples=5)
 
 
@@ -193,15 +195,13 @@ def test_conv_flat_fold_bit_identical_to_slices(n, kernel, stride, padding, use_
 def test_residual_flat_fold_bit_identical_to_slices(n, stride, use_batchnorm):
     shape = (4, 8, 8)
     block = ResidualBlock(8, stride=stride, use_batchnorm=use_batchnorm)
-    block.build(shape, np.random.default_rng(0))
     _folded_vs_sliced(block, shape, n, num_samples=4)
 
 
 def test_conv_flat_fold_rejects_indivisible_batch():
-    layer = Conv2D(4, 3)
-    layer.build((1, 6, 6), np.random.default_rng(0))
+    net = Network([Conv2D(4, 3)]).build((1, 6, 6), seed=0)
     with pytest.raises(ValueError, match="not divisible"):
-        layer.forward_folded(np.zeros((7, 1, 6, 6)), num_samples=3)
+        folded_forward_range(net, np.zeros((7, 1, 6, 6)), 3, 0, 1)
 
 
 # --------------------------------------------------------------------------- #
