@@ -24,7 +24,13 @@ Gates:
 
 all bit-exact (and stride-exact).  Both sides are NumPy on one thread with
 the same inputs, so the ratios say what the data movement costs, not how
-fast the box is.
+fast the box is — on a quiet host.  A shared host has stretches of several
+seconds in which the take slows by about 1.7x and the kernel-row gather by
+only 1.2-1.5x, with every other thread of the process idle: a ``conv_mc``
+timing loop of 200-repeat windows read 1.31-1.58x through such a stretch
+and 1.72-1.80x on either side of it.  So each gate takes the best of
+``REPEATS`` alternating calls, a span long enough that its minima come
+from quiet time (about 9 s of calls for ``conv_mc`` on a quiet host).
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ COL2IM_MIN_SPEEDUP = 1.3
 TAKE_MIN_SPEEDUP = 1.5
 BATCH = 32
 CONV_MC_BATCH = 16
-REPEATS = 200
+#: best-of count of each side; 200 spanned 0.6 s, shorter than a contended stretch
+REPEATS = 3000
 
 
 def _element_im2col(x, kernel_h, kernel_w, stride, padding):
