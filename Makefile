@@ -97,9 +97,10 @@ grid:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments run --store $(STORE) --reclaim-running
 	PYTHONPATH=src $(PYTHON) -m repro.experiments report --store $(STORE) --markdown --summary
 
-# Reach census: run the examples, the six paper drivers and the smoke grid
-# under a profiler and print, for every function in src/repro, whether any
-# of them enters it ("entered"/"never") and its lines.  Several minutes.
+# Reach census: run the examples, the six paper drivers, the smoke grid, the
+# server and loadgen CLIs and one short e2e workload under a profiler (child
+# interpreters too) and print, for every function in src/repro, whether any
+# of them enters it ("entered"/"never") and its lines.  About a minute.
 reach:
 	$(PYTHON) tools/reach.py
 

@@ -18,8 +18,8 @@ from repro.hw import (
     AcceleratorConfig,
     AcceleratorModel,
     CoExplorer,
+    MappingPlan,
     get_device,
-    mixed_mapping,
     optimize_mapping,
     pareto_front,
     spatial_mapping,
@@ -84,8 +84,8 @@ def test_ablation_mapping_mix(benchmark):
         rows = []
         for name, mapping in (
             ("temporal", temporal_mapping(6)),
-            ("mixed-2", mixed_mapping(6, 2)),
-            ("mixed-3", mixed_mapping(6, 3)),
+            ("mixed-2", MappingPlan(6, 2)),
+            ("mixed-3", MappingPlan(6, 3)),
             ("spatial", spatial_mapping(6)),
         ):
             accel = AcceleratorModel(

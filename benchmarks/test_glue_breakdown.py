@@ -3,8 +3,7 @@
 A served request's latency is compute plus *glue*: assembling payloads
 into a batch, moving the batch to a worker, and fanning the output back
 out into per-request results.  This microbenchmark times each stage in
-isolation: ``np.stack`` assembly against the thread replica's
-:class:`~repro.serving.batcher.BatchStager` pinned staging, and the ring
+isolation: the thread replica's ``np.stack`` assembly, and the ring
 replica's **direct-to-ring** staging (payload rows land straight in the
 :class:`~repro.serving.workers.ring.BatchRing` slot); then the compute
 stages a batch pays for: a cold forward, the **content-keyed cache hit
@@ -54,7 +53,7 @@ from repro.inference.engine import InferenceEngine, _ActivationCache
 from repro.nn.architectures import lenet5_spec
 from repro.nn.context import ForwardContext
 from repro.nn.layers import Dense, MCDropout
-from repro.serving.batcher import BatchStager, DynamicBatcher
+from repro.serving.batcher import DynamicBatcher
 from repro.serving.workers.base import assemble_results, compute_batch_array
 from repro.serving.workers.ring import BatchRing
 
@@ -79,10 +78,8 @@ def test_glue_breakdown_records_per_stage_times():
     payloads = list(np.random.default_rng(0).normal(size=(BATCH,) + SHAPE))
     batch = np.stack(payloads)
 
-    # -- assemble: per-batch np.stack allocation vs pinned staging buffer --
-    stager = BatchStager(BATCH, SHAPE)
+    # -- assemble: the thread replica's per-batch np.stack ---------------- #
     t_stack = best_seconds_per_call(lambda: np.stack(payloads), loops=LOOPS)
-    t_stage = best_seconds_per_call(lambda: stager.stage(payloads), loops=LOOPS)
 
     # -- transport: ring slot stage + view -------------------------------- #
     ring = BatchRing.create(slots=1, request_bytes=batch.nbytes, response_bytes=4096)
@@ -144,7 +141,7 @@ def test_glue_breakdown_records_per_stage_times():
     glue_hotpath = t_ring_direct
     print(
         f"\nglue breakdown (batch={BATCH}x{SHAPE}, S={NUM_SAMPLES}): "
-        f"assemble stack {t_stack * 1e6:.1f} us vs stage {t_stage * 1e6:.1f} us; "
+        f"assemble stack {t_stack * 1e6:.1f} us; "
         f"transport direct ring {t_ring_direct * 1e6:.1f} us; "
         f"compute cold {t_compute_cold * 1e3:.2f} ms vs cache hit "
         f"{t_compute_hit * 1e3:.2f} ms; "
@@ -157,7 +154,6 @@ def test_glue_breakdown_records_per_stage_times():
         batch=BATCH,
         num_samples=NUM_SAMPLES,
         assemble_stack_us=t_stack * 1e6,
-        assemble_staged_us=t_stage * 1e6,
         transport_ring_direct_us=t_ring_direct * 1e6,
         compute_cold_ms=t_compute_cold * 1e3,
         compute_cache_hit_ms=t_compute_hit * 1e3,
@@ -166,8 +162,6 @@ def test_glue_breakdown_records_per_stage_times():
         glue_hotpath_us=glue_hotpath * 1e6,
         glue_budget_us=GLUE_BUDGET_US,
     )
-    # staging actually engaged: the view is the pinned buffer's head
-    np.testing.assert_array_equal(stager.stage(payloads), batch)
     # the strict glue gate: the hot path fits the per-batch budget
     assert glue_hotpath * 1e6 <= GLUE_BUDGET_US, (
         f"hot-path glue {glue_hotpath * 1e6:.1f} us exceeds the "

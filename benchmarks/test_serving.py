@@ -29,6 +29,7 @@ from repro.nn.architectures import lenet5_spec
 from repro.serving import BatcherConfig, ServerOverloaded, ServingConfig, ServingEngine
 
 from . import reporting
+from .timing import best_seconds_per_call
 
 
 NUM_SAMPLES = 10
@@ -45,17 +46,6 @@ def _model() -> MultiExitBayesNet:
         _small_lenet_spec(),
         MultiExitConfig(num_exits=2, mcd_layers_per_exit=1, seed=0),
     )
-
-
-def _best_seconds(fn, repeats: int = 5, warmup: int = 1) -> float:
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(min(times))
 
 
 def test_dynamic_batching_3x_sequential_throughput():
@@ -91,7 +81,7 @@ def test_dynamic_batching_3x_sequential_throughput():
                 times.append(time.perf_counter() - start)
             return float(min(times)), server.stats()
 
-    t_sequential = _best_seconds(sequential)
+    t_sequential = best_seconds_per_call(sequential, loops=1)
     t_served, stats = asyncio.run(served())
 
     speedup = t_sequential / t_served

@@ -52,8 +52,7 @@ def main() -> None:
         ),
     )
 
-    # a compact Phase-1 grid keeps the example quick; omit `candidates`
-    # entirely to search the full default grid of Figure 3
+    # a compact Phase-1 grid (exits x dropout rates) keeps the example quick
     candidates = [
         CandidateConfig(
             num_exits=1, dropout_rate=0.25, mcd_layers_per_exit=1, num_mc_samples=3

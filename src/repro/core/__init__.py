@@ -9,11 +9,9 @@ from .bayesnn import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 from .flops import (
     FlopBreakdown,
     layer_flops,
-    layer_macs,
     multi_exit_sampling_flops,
     network_flops,
     reduction_rate,
-    single_exit_sampling_flops,
 )
 from .framework import AcceleratorDesign, FrameworkConfig, TransformationFramework
 from .mcd import MCPrediction, deterministic_forward, insert_mcd_into_head
@@ -23,14 +21,12 @@ from .multi_exit import (
     EarlyExitResult,
     ExitHeadConfig,
     build_exit_head,
-    exit_ensemble,
 )
 from .optimization import (
     CandidateConfig,
     EvaluatedDesign,
     MultiExitOptimizer,
     UserConstraints,
-    default_candidate_grid,
 )
 
 __all__ = [
@@ -39,9 +35,7 @@ __all__ = [
     "single_exit_bayesnet",
     "FlopBreakdown",
     "layer_flops",
-    "layer_macs",
     "network_flops",
-    "single_exit_sampling_flops",
     "multi_exit_sampling_flops",
     "reduction_rate",
     "AcceleratorDesign",
@@ -55,10 +49,8 @@ __all__ = [
     "EarlyExitResult",
     "ExitHeadConfig",
     "build_exit_head",
-    "exit_ensemble",
     "CandidateConfig",
     "EvaluatedDesign",
     "MultiExitOptimizer",
     "UserConstraints",
-    "default_candidate_grid",
 ]

@@ -206,11 +206,6 @@ class MultiExitBayesNet:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def zero_grad(self) -> None:
-        self.backbone.zero_grad()
-        for head in self.exits:
-            head.zero_grad()
-
     # ------------------------------------------------------------------ #
     # forward / backward (training)
     # ------------------------------------------------------------------ #
@@ -294,10 +289,9 @@ class MultiExitBayesNet:
         Built lazily.  Its backbone-activation cache is invalidated
         automatically by :meth:`forward_exits` (i.e. by training) and by
         anything that changes ``backbone.weights_version`` — optimizer
-        steps, ``Parameter.assign``, ``set_weights``, post-training
-        quantization.  Only a raw ``param.value[...]`` write without a
-        ``param.bump_version()`` needs a manual
-        ``model.engine.invalidate_cache()``.
+        steps, ``Parameter.assign``, post-training quantization.  Only a
+        raw ``param.value[...]`` write without a ``param.bump_version()``
+        needs a manual ``model.engine.invalidate_cache()``.
         """
         if self._engine is None:
             from ..inference.engine import InferenceEngine
@@ -347,12 +341,8 @@ class MultiExitBayesNet:
     def predict_proba(
         self, x: np.ndarray, num_samples: int | None = None
     ) -> np.ndarray:
-        """Mean predictive distribution (MC if Bayesian, deterministic otherwise)."""
+        """Mean predictive distribution over ``num_samples`` folded MC samples."""
         return self.engine.predict_proba(x, num_samples)
-
-    def predict(self, x: np.ndarray, num_samples: int | None = None) -> np.ndarray:
-        """Predicted class labels."""
-        return self.engine.predict(x, num_samples)
 
     def early_exit_predict(
         self, x: np.ndarray, threshold: float, use_ensemble: bool = True

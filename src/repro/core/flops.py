@@ -9,7 +9,7 @@ result is cached and every forward pass harvests one sample per exit.  The
 reduction rate (Eq. 3) is the ratio of the two.
 
 This module provides per-layer FLOP counting for the NumPy substrate plus
-those three equations.
+Eq. 2 and the reduction rate (Eq. 3, in closed form over ``alpha``).
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from ..nn.model import Network
 
 __all__ = [
     "layer_flops",
-    "layer_macs",
     "network_flops",
-    "single_exit_sampling_flops",
     "multi_exit_sampling_flops",
     "reduction_rate",
     "FlopBreakdown",
@@ -94,19 +92,6 @@ def layer_flops(layer: Layer) -> int:
     return 0
 
 
-def layer_macs(layer: Layer) -> int:
-    """Multiply-accumulate count of a layer (used by the hardware model)."""
-    if isinstance(layer, ResidualBlock):
-        return sum(layer_macs(sub) for sub in layer.sublayers())
-    if isinstance(layer, Conv2D):
-        out_c, out_h, out_w = layer.output_shape
-        in_c = layer.input_shape[0]
-        return out_c * out_h * out_w * in_c * layer.kernel_size**2
-    if isinstance(layer, Dense):
-        return layer.input_shape[0] * layer.units
-    return 0
-
-
 def _num_elements(shape: tuple[int, ...]) -> int:
     n = 1
     for s in shape:
@@ -152,14 +137,6 @@ class FlopBreakdown:
         return multi_exit_sampling_flops(
             self.backbone_flops, self.total_exit_flops, num_samples, self.num_exits
         )
-
-
-def single_exit_sampling_flops(
-    flops_main: float, flops_exit: float, num_samples: int
-) -> float:
-    """Equation 1: cost of ``num_samples`` MC samples from a single-exit BayesNN."""
-    _validate_counts(flops_main, flops_exit, num_samples, 1)
-    return num_samples * (flops_main + flops_exit)
 
 
 def multi_exit_sampling_flops(

@@ -85,19 +85,6 @@ class AcceleratorDesign:
     report: SynthesisReport
     hls_files: dict[str, str]
 
-    def summary(self) -> dict:
-        return {
-            "algorithm": {
-                "num_exits": self.phase1_design.config.num_exits,
-                "dropout_rate": self.phase1_design.config.dropout_rate,
-                "mcd_layers_per_exit": self.phase1_design.config.mcd_layers_per_exit,
-                "accuracy": self.phase1_design.accuracy,
-                "ece": self.phase1_design.ece,
-                "relative_flops": self.phase1_design.relative_flops,
-            },
-            "hardware": self.report.as_dict(),
-        }
-
 
 class TransformationFramework:
     """End-to-end driver of the four phases.
@@ -139,7 +126,7 @@ class TransformationFramework:
     # Phase 1
     # ------------------------------------------------------------------ #
     def run_phase1(
-        self, candidates: Sequence[CandidateConfig] | None = None
+        self, candidates: Sequence[CandidateConfig]
     ) -> tuple[EvaluatedDesign, list[EvaluatedDesign]]:
         """Multi-exit optimization (Figure 3)."""
         optimizer = MultiExitOptimizer(
@@ -275,9 +262,7 @@ class TransformationFramework:
         return accel, report, files
 
     # ------------------------------------------------------------------ #
-    def run(
-        self, candidates: Sequence[CandidateConfig] | None = None
-    ) -> AcceleratorDesign:
+    def run(self, candidates: Sequence[CandidateConfig]) -> AcceleratorDesign:
         """Execute all four phases and return the complete design bundle."""
         best_design, all_designs = self.run_phase1(candidates)
         model = best_design.model

@@ -112,10 +112,3 @@ class MCPrediction:
     mean_probs: np.ndarray
     sample_probs: np.ndarray
 
-    @property
-    def num_samples(self) -> int:
-        return int(self.sample_probs.shape[0])
-
-    def predicted_labels(self) -> np.ndarray:
-        return self.mean_probs.argmax(axis=1)
-

@@ -21,7 +21,6 @@ from .mcd import insert_mcd_into_head
 __all__ = [
     "ExitHeadConfig",
     "build_exit_head",
-    "exit_ensemble",
     "EarlyExitResult",
     "CONFIDENCE_THRESHOLDS",
     "DROPOUT_RATE_GRID",
@@ -120,14 +119,6 @@ def build_exit_head(
 # --------------------------------------------------------------------------- #
 # ensembling and early exiting
 # --------------------------------------------------------------------------- #
-def exit_ensemble(exit_probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Equally-weighted average of per-exit predictive distributions."""
-    if not exit_probs:
-        raise ValueError("exit_probs must not be empty")
-    stacked = np.stack(list(exit_probs))
-    return stacked.mean(axis=0)
-
-
 @dataclass
 class EarlyExitResult:
     """Outcome of confidence-based early exiting on a batch."""
@@ -137,9 +128,6 @@ class EarlyExitResult:
     threshold: float
     #: fraction of samples that left at each exit
     exit_distribution: np.ndarray
-
-    def predicted_labels(self) -> np.ndarray:
-        return self.probs.argmax(axis=1)
 
     def expected_flops(self, cumulative_exit_flops: Sequence[float]) -> float:
         """Average FLOPs per sample given the cumulative cost of reaching each exit."""

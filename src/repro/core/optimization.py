@@ -21,14 +21,12 @@ from ..uncertainty.calibration import expected_calibration_error
 from ..uncertainty.metrics import accuracy as accuracy_metric
 from ..uncertainty.metrics import negative_log_likelihood
 from .bayesnn import MultiExitBayesNet, MultiExitConfig
-from .multi_exit import DROPOUT_RATE_GRID
 
 __all__ = [
     "CandidateConfig",
     "UserConstraints",
     "EvaluatedDesign",
     "MultiExitOptimizer",
-    "default_candidate_grid",
 ]
 
 
@@ -40,11 +38,6 @@ class CandidateConfig:
     dropout_rate: float
     mcd_layers_per_exit: int
     num_mc_samples: int
-
-    @property
-    def num_forward_passes(self) -> int:
-        """``N_pass = ceil(N_sample / N_exit)`` (Section IV-B)."""
-        return -(-self.num_mc_samples // self.num_exits)
 
 
 @dataclass
@@ -92,34 +85,6 @@ class EvaluatedDesign:
             f"unknown optimization priority {priority!r}; "
             "expected 'accuracy', 'calibration'/'ece' or 'flops'"
         )
-
-
-def default_candidate_grid(
-    max_exits: int,
-    num_mc_samples: int = 4,
-    dropout_rates: Sequence[float] = DROPOUT_RATE_GRID,
-    mcd_layers: Sequence[int] = (1,),
-    exit_counts: Sequence[int] | None = None,
-) -> list[CandidateConfig]:
-    """The default Phase 1 grid: exits x dropout rates x MCD depths."""
-    if max_exits <= 0:
-        raise ValueError("max_exits must be positive")
-    exits = (
-        list(exit_counts) if exit_counts is not None else list(range(1, max_exits + 1))
-    )
-    grid = []
-    for n_exit in exits:
-        for rate in dropout_rates:
-            for depth in mcd_layers:
-                grid.append(
-                    CandidateConfig(
-                        num_exits=n_exit,
-                        dropout_rate=rate,
-                        mcd_layers_per_exit=depth,
-                        num_mc_samples=num_mc_samples,
-                    )
-                )
-    return grid
 
 
 class MultiExitOptimizer:
@@ -246,19 +211,14 @@ class MultiExitOptimizer:
 
     def run(
         self,
-        candidates: Iterable[CandidateConfig] | None = None,
+        candidates: Iterable[CandidateConfig],
         constraints: UserConstraints | None = None,
         priority: str = "calibration",
-        max_exits: int | None = None,
     ) -> tuple[EvaluatedDesign, list[EvaluatedDesign]]:
-        """Execute the full Phase 1 flow of Figure 3.
+        """Execute the full Phase 1 flow of Figure 3 over ``candidates``.
 
         Returns the selected design and the list of all evaluated designs.
         """
-        if candidates is None:
-            if max_exits is None:
-                max_exits = self.spec_factory().num_blocks
-            candidates = default_candidate_grid(max_exits)
         constraints = constraints or UserConstraints()
 
         designs = self.explore(candidates)

@@ -44,12 +44,6 @@ class DatasetSplit:
     def __len__(self) -> int:
         return len(self.x)
 
-    def subset(self, n: int) -> "DatasetSplit":
-        """First ``n`` samples (splits are already shuffled at generation)."""
-        if n <= 0:
-            raise ValueError("subset size must be positive")
-        return DatasetSplit(self.x[:n], self.y[:n])
-
 
 def _smooth_noise(
     rng: np.random.Generator,

@@ -234,9 +234,6 @@ class GridSpec:
     # ------------------------------------------------------------------ #
     # JSON round trip (grid files for the CLI)
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        return _canonical(dataclasses.asdict(self))
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "GridSpec":
         names = {f.name for f in dataclasses.fields(cls)}

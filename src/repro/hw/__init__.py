@@ -24,7 +24,6 @@ from .dse import (
 from .latency import LatencyModel, LayerLatency, estimate_layer_cycles
 from .mapping import (
     MappingPlan,
-    mixed_mapping,
     optimize_mapping,
     spatial_mapping,
     temporal_mapping,
@@ -55,7 +54,6 @@ __all__ = [
     "MappingPlan",
     "spatial_mapping",
     "temporal_mapping",
-    "mixed_mapping",
     "optimize_mapping",
     "PowerBreakdown",
     "PowerModel",

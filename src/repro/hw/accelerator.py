@@ -154,13 +154,6 @@ class AcceleratorModel:
         """Number of MC-dropout layers in the design."""
         return sum(1 for d in self.bayesian_descs if _is_stochastic_desc(d))
 
-    @property
-    def is_bayesian(self) -> bool:
-        return self.num_mcd_layers > 0
-
-    def all_layer_descs(self) -> list[dict]:
-        return list(self.deterministic_descs) + list(self.bayesian_descs)
-
     # ------------------------------------------------------------------ #
     # resources
     # ------------------------------------------------------------------ #
@@ -225,12 +218,6 @@ class AcceleratorModel:
 
     def latency_ms(self, num_samples: int | None = None) -> float:
         return self._latency_model.cycles_to_ms(self.total_cycles(num_samples))
-
-    def throughput_images_per_s(self) -> float:
-        latency = self.latency_ms()
-        if latency <= 0:
-            raise ZeroDivisionError("latency must be positive")
-        return 1000.0 / latency
 
     # ------------------------------------------------------------------ #
     # power and energy

@@ -1,6 +1,6 @@
 """HLS lowering: hardware IR, code generation and synthesis reports."""
 
-from .codegen import HLSCodeGenerator, generate_hls_project
+from .codegen import HLSCodeGenerator
 from .ir import HardwareIR, HWLayerNode
 from .report import SynthesisReport
 
@@ -8,6 +8,5 @@ __all__ = [
     "HardwareIR",
     "HWLayerNode",
     "HLSCodeGenerator",
-    "generate_hls_project",
     "SynthesisReport",
 ]

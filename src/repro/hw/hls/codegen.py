@@ -10,14 +10,12 @@ mapping, and the fixed-point typedefs match the co-explored bitwidth.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ...quantization.fixed_point import FixedPointFormat
 from ..accelerator import AcceleratorModel
 from . import templates
 from .ir import HardwareIR, HWLayerNode
 
-__all__ = ["HLSCodeGenerator", "generate_hls_project"]
+__all__ = ["HLSCodeGenerator"]
 
 
 class HLSCodeGenerator:
@@ -189,30 +187,6 @@ class HLSCodeGenerator:
             "top.cpp": self.top_source(),
             "build_prj.tcl": self.build_script(),
         }
-
-    def write(self, output_dir: str | Path) -> list[Path]:
-        """Write the project files to ``output_dir`` and return their paths."""
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        for filename, content in self.generate().items():
-            path = out / filename
-            path.write_text(content)
-            written.append(path)
-        return written
-
-
-def generate_hls_project(
-    accel: AcceleratorModel,
-    output_dir: str | Path | None = None,
-    dropout_rate: float | None = None,
-) -> dict[str, str]:
-    """Convenience wrapper: generate (and optionally write) an HLS project."""
-    generator = HLSCodeGenerator(accel, dropout_rate=dropout_rate)
-    files = generator.generate()
-    if output_dir is not None:
-        generator.write(output_dir)
-    return files
 
 
 def _sanitize(name: str) -> str:

@@ -65,9 +65,6 @@ class HardwareIR:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        #: design-level facts: mapping, device, bitwidth, reuse factor and
-        #: the cache boundary
-        self.metadata: dict = {}
         self._nodes: dict[str, HWLayerNode] = {}
 
     # ------------------------------------------------------------------ #
@@ -77,16 +74,8 @@ class HardwareIR:
         ir = cls(name=accel.name)
         for desc in accel.deterministic_descs:
             ir._append(desc, "deterministic")
-        boundary = next(reversed(ir._nodes), None)
         for desc in accel.bayesian_descs:
             ir._append(desc, "bayesian")
-        ir.metadata.update(
-            mapping=accel.mapping.describe(),
-            device=accel.device.name,
-            bitwidth=accel.config.weight_bitwidth,
-            reuse_factor=accel.config.reuse_factor,
-            cache_boundary=boundary,
-        )
         return ir
 
     def _append(self, desc: dict, region: str) -> None:
@@ -120,11 +109,6 @@ class HardwareIR:
         """All layer nodes in execution order."""
         return list(self._nodes.values())
 
-    def edges(self) -> list[tuple[str, str]]:
-        """The dataflow edges: each node's name paired with its successor's."""
-        names = list(self._nodes)
-        return list(zip(names, names[1:]))
-
     def deterministic_nodes(self) -> list[HWLayerNode]:
         return [n for n in self.nodes() if not n.is_bayesian]
 
@@ -133,11 +117,6 @@ class HardwareIR:
 
     def mcd_nodes(self) -> list[HWLayerNode]:
         return [n for n in self.nodes() if n.kernel == "mc_dropout"]
-
-    @property
-    def cache_boundary(self) -> str | None:
-        """Name of the last deterministic node (where the tensor is cached)."""
-        return self.metadata.get("cache_boundary")
 
     def validate(self) -> None:
         """Check structural invariants of the IR."""
@@ -152,18 +131,6 @@ class HardwareIR:
                     "deterministic node appears after the Bayesian region: "
                     f"{node.name}"
                 )
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "num_layers": len(self._nodes),
-            "num_bayesian_layers": len(self.bayesian_nodes()),
-            "num_mcd_layers": len(self.mcd_nodes()),
-            "mapping": self.metadata.get("mapping"),
-            "device": self.metadata.get("device"),
-            "bitwidth": self.metadata.get("bitwidth"),
-            "reuse_factor": self.metadata.get("reuse_factor"),
-        }
 
 
 def _prod(shape) -> int:

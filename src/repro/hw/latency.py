@@ -129,23 +129,8 @@ class LatencyModel:
             return 0
         return sum(lat.total_cycles for lat in latencies)
 
-    def chain_interval_cycles(self, latencies: list[LayerLatency]) -> int:
-        """Throughput interval (cycles between consecutive inputs)."""
-        if not latencies:
-            return 0
-        if self.dataflow:
-            return max(lat.cycles for lat in latencies)
-        return sum(lat.total_cycles for lat in latencies)
-
     def cycles_to_ms(self, cycles: int) -> float:
         return cycles * self.cycle_time_us / 1000.0
-
-    def network_latency_ms(
-        self, layer_descs: list[dict], reuse_factor: int = 1
-    ) -> float:
-        """End-to-end latency in milliseconds of a sequential layer chain."""
-        latencies = [estimate_layer_cycles(d, reuse_factor) for d in layer_descs]
-        return self.cycles_to_ms(self.chain_cycles(latencies))
 
 
 def _prod(shape) -> int:

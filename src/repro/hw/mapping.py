@@ -30,7 +30,6 @@ __all__ = [
     "MappingPlan",
     "spatial_mapping",
     "temporal_mapping",
-    "mixed_mapping",
     "optimize_mapping",
 ]
 
@@ -94,11 +93,6 @@ def spatial_mapping(num_samples: int) -> MappingPlan:
 def temporal_mapping(num_samples: int) -> MappingPlan:
     """A single shared MC engine (Figure 4b)."""
     return MappingPlan(num_samples=num_samples, num_engines=1)
-
-
-def mixed_mapping(num_samples: int, num_engines: int) -> MappingPlan:
-    """``num_engines`` engines each serving several samples."""
-    return MappingPlan(num_samples=num_samples, num_engines=num_engines)
 
 
 def optimize_mapping(

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.mcd import MCPrediction, deterministic_forward
-from ..core.multi_exit import EarlyExitResult, exit_ensemble
+from ..core.multi_exit import EarlyExitResult
 from ..nn.context import ForwardContext
 from ..nn.layers.activations import softmax
 from ..nn.model import Network
@@ -52,8 +52,8 @@ class _ActivationCache:
 
     A store drops the entries stored under other *weights-version tokens*
     (:attr:`Network.weights_version`, from the per-parameter mutation
-    counters), so optimizer steps, ``Parameter.assign``, ``set_weights``
-    and quantization invalidate the cache unawares; code writing
+    counters), so optimizer steps, ``Parameter.assign`` and quantization
+    invalidate the cache unawares; code writing
     ``param.value[...]`` must bump the version or ``invalidate_cache()``.
     Non-C-contiguous inputs count as misses and are never stored;
     ``hits``/``misses`` count every lookup and feed ``ServingStats``.
@@ -280,14 +280,8 @@ class InferenceEngine:
         num_samples: int | None = None,
         ctx: ForwardContext | None = None,
     ) -> np.ndarray:
-        """Mean predictive distribution (MC if Bayesian, deterministic otherwise)."""
-        if self.model.config.is_bayesian:
-            return self.predict_mc(x, num_samples, ctx=ctx).mean_probs
-        return exit_ensemble(self.exit_probabilities(x, stochastic=False, ctx=ctx))
-
-    def predict(self, x: np.ndarray, num_samples: int | None = None) -> np.ndarray:
-        """Predicted class labels."""
-        return self.predict_proba(x, num_samples).argmax(axis=1)
+        """Mean predictive distribution over ``num_samples`` folded MC samples."""
+        return self.predict_mc(x, num_samples, ctx=ctx).mean_probs
 
     # ------------------------------------------------------------------ #
     # batched early exiting (active-set masking)

@@ -63,8 +63,8 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
 5. **Weights are read at call time.**  Nothing derived from a parameter or
    a running statistic (weight matrix views, ``inv_std``) outlives a call,
    so no ``weights_version`` bookkeeping is needed: an optimizer step,
-   ``set_weights``, quantization or a model swap is visible to the next
-   call by construction.
+   ``Parameter.assign``, quantization or a model swap is visible to the
+   next call by construction.
 6. **Non-float64 input takes the same kernels.**  Columns are gathered in
    the input's dtype, exactly as layer-by-layer, so ``matmul`` performs the
    same promotion; the arena is raw storage carved per call, so a float32

@@ -8,7 +8,7 @@ layers stay stateless under concurrent forwards.
 """
 
 from . import architectures, layers
-from .context import ForwardContext, default_context, resolve_context
+from .context import ForwardContext, resolve_context
 from .losses import CrossEntropyLoss, DistillationLoss
 from .model import Network
 from .optimizers import SGD
@@ -23,7 +23,6 @@ __all__ = [
     "architectures",
     "layers",
     "ForwardContext",
-    "default_context",
     "resolve_context",
     "Network",
     "CrossEntropyLoss",

@@ -2,19 +2,16 @@
 
 from .common import BackboneSpec, scale_channels
 from .lenet import lenet5_spec
-from .resnet import RESNET_CONFIGS, resnet18_spec, resnet_spec
-from .vgg import VGG_CONFIGS, vgg11_spec, vgg19_spec, vgg_spec
+from .resnet import RESNET_CONFIGS, resnet_spec
+from .vgg import VGG_CONFIGS, vgg_spec
 
 __all__ = [
     "BackboneSpec",
     "scale_channels",
     "lenet5_spec",
     "resnet_spec",
-    "resnet18_spec",
     "RESNET_CONFIGS",
     "vgg_spec",
-    "vgg11_spec",
-    "vgg19_spec",
     "VGG_CONFIGS",
     "get_architecture",
 ]

@@ -11,7 +11,7 @@ from ..layers import BatchNorm, Conv2D, Dense, GlobalAvgPool2D, ReLU, ResidualBl
 from ..model import Network
 from .common import BackboneSpec, scale_channels
 
-__all__ = ["resnet_spec", "resnet18_spec", "RESNET_CONFIGS"]
+__all__ = ["resnet_spec", "RESNET_CONFIGS"]
 
 #: (channels, number of residual blocks, first-block stride) per stage.
 RESNET_CONFIGS: dict[str, list[tuple[int, int, int]]] = {
@@ -88,8 +88,3 @@ def resnet_spec(
             "final_channels": final_channels,
         },
     )
-
-
-def resnet18_spec(**kwargs) -> BackboneSpec:
-    """ResNet-18 backbone (Table I / Figure 5 CIFAR model)."""
-    return resnet_spec("resnet18", **kwargs)

@@ -12,7 +12,7 @@ from ..layers import BatchNorm, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from ..model import Network
 from .common import BackboneSpec, scale_channels
 
-__all__ = ["vgg_spec", "vgg11_spec", "vgg19_spec", "VGG_CONFIGS"]
+__all__ = ["vgg_spec", "VGG_CONFIGS"]
 
 #: (channels, number of conv layers) per stage for the standard VGG variants.
 VGG_CONFIGS: dict[str, list[tuple[int, int]]] = {
@@ -110,13 +110,3 @@ def vgg_spec(
             "stages": len(config),
         },
     )
-
-
-def vgg11_spec(**kwargs) -> BackboneSpec:
-    """VGG-11 backbone (the Bayes-VGG11 / SVHN model of Figure 5)."""
-    return vgg_spec("vgg11", **kwargs)
-
-
-def vgg19_spec(**kwargs) -> BackboneSpec:
-    """VGG-19 backbone (the CIFAR-100 model of Table I)."""
-    return vgg_spec("vgg19", **kwargs)

@@ -35,9 +35,9 @@ the legacy reference loops — behaves exactly as before (and is exactly as
 non-reentrant as before).  Reentrancy is opt-in: pass an explicit context
 per logical caller.
 
-Reseeding: :meth:`repro.nn.layers.dropout.MCDropout.reseed` bumps the
-layer's ``seed_epoch``; every context re-derives its stream for that layer
-from the new seed on the next draw.  Reseeding is therefore a *model-wide*
+Reseeding: a new ``layer.seed`` comes with a bump of the layer's
+``seed_epoch``; every context re-derives its stream for that layer from the
+new seed on the next draw.  Reseeding is therefore a *model-wide*
 operation visible to all contexts, which keeps the historical
 "reseed ⇒ subsequent masks reproducible" contract.
 """
@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     #: layer -> (seed_epoch at stream creation, stream)
     RngMap = weakref.WeakKeyDictionary[Layer, tuple[int, np.random.Generator]]
 
-__all__ = ["ForwardContext", "default_context", "resolve_context"]
+__all__ = ["ForwardContext", "resolve_context"]
 
 
 class ForwardContext:
@@ -115,8 +115,8 @@ class ForwardContext:
         Created lazily from ``layer.seed`` (see class docstring for the
         spawn rule) and persistent across calls, so consecutive draws in
         one context consume a single stream — exactly like the historical
-        layer-owned generator.  A layer ``reseed`` bumps ``layer.seed_epoch``
-        and makes every context re-derive its stream on the next draw.
+        layer-owned generator.  A bump of ``layer.seed_epoch`` makes every
+        context re-derive its stream on the next draw.
         """
         epoch = getattr(layer, "seed_epoch", 0)
         entry = self._rngs.get(layer)
@@ -132,11 +132,6 @@ class ForwardContext:
         return np.random.Generator(np.random.PCG64(seq))
 
     # ------------------------------------------------------------------ #
-    def clear(self) -> None:
-        """Drop all caches and streams (streams re-derive from layer seeds)."""
-        self._saved.clear()
-        self._rngs.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ForwardContext(spawn_key={self.spawn_key!r}, "
@@ -148,11 +143,6 @@ class ForwardContext:
 #: (training loops, scripts, the legacy loops) behaving exactly as before
 #: the refactor, including its single-threadedness.
 _DEFAULT_CONTEXT = ForwardContext()
-
-
-def default_context() -> ForwardContext:
-    """The process-wide context used by ctx-less calls (not thread-safe)."""
-    return _DEFAULT_CONTEXT
 
 
 def resolve_context(ctx: ForwardContext | None) -> ForwardContext:

@@ -60,11 +60,6 @@ class Parameter:
         #: ``(segment_name, byte_offset, shape)`` while shared, else None
         self._shm_spec: tuple[str, int, tuple[int, ...]] | None = None
 
-    @property
-    def is_shared(self) -> bool:
-        """Whether :attr:`value` currently lives in a shared-memory segment."""
-        return self._shm_spec is not None
-
     def share_memory_(
         self, view: np.ndarray, spec: tuple[str, int, tuple[int, ...]]
     ) -> None:
@@ -108,10 +103,6 @@ class Parameter:
 
             self.value = attach_view(self._shm_spec)
         self.grad = np.zeros_like(self.value)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     @property
     def size(self) -> int:
@@ -231,16 +222,9 @@ class Layer:
         """Iterate over the layer's trainable parameters."""
         yield from self._params.values()
 
-    def get_parameter(self, name: str) -> Parameter:
-        return self._params[name]
-
     @property
     def num_parameters(self) -> int:
         return sum(p.size for p in self._params.values())
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
 
     # ------------------------------------------------------------------ #
     # description (used by FLOP counting and the hardware back-end)

@@ -51,23 +51,9 @@ class MCDropout(Layer):
         self.rate = float(rate)
         #: seed every context derives its mask stream for this layer from
         self.seed = seed
-        #: bumped by :meth:`reseed`; contexts compare it to re-derive streams
+        #: bumped with every change of :attr:`seed`; contexts compare it to
+        #: re-derive their stream for this layer
         self.seed_epoch = 0
-
-    def reseed(self, seed: int) -> None:
-        """Reset the mask stream(s), making subsequent masks reproducible.
-
-        This is a *model-wide* operation: the new seed is recorded on the
-        layer and the ``seed_epoch`` bump makes **every**
-        :class:`~repro.nn.context.ForwardContext` — the process-wide default
-        and each engine replica's private one — re-derive its stream for
-        this layer from the new seed on its next draw.  Two ``reseed(s)``
-        calls with the same ``s`` therefore replay the same mask sequence in
-        whichever context draws next, exactly as when the layer owned its
-        stream directly.
-        """
-        self.seed = int(seed)
-        self.seed_epoch += 1
 
     @property
     def keep_prob(self) -> float:

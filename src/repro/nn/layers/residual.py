@@ -129,10 +129,6 @@ class ResidualBlock(Layer):
     def num_parameters(self) -> int:
         return sum(layer.num_parameters for layer in self.sublayers())
 
-    def zero_grad(self) -> None:
-        for layer in self.sublayers():
-            layer.zero_grad()
-
     # ------------------------------------------------------------------ #
     def forward(
         self,

@@ -7,9 +7,7 @@ rest of the repository relies on:
   Bayesian model can cache the deterministic backbone activation and re-run
   only the stochastic exit heads for each Monte-Carlo sample;
 * **named layers**, each with the structural ``describe()`` output the
-  FPGA hardware back-end consumes;
-* **parameter snapshots** (``get_weights`` / ``set_weights``) used by the
-  quantizer and the tests.
+  FPGA hardware back-end consumes.
 
 Per-call state (layer backward caches, dropout masks, RNG streams) lives in
 an explicit :class:`~repro.nn.context.ForwardContext` threaded through every
@@ -75,12 +73,6 @@ class Network:
                 layer.name = f"{base}_{seen[base]}"
             else:
                 seen[base] = 0
-
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        if not self.built:
-            raise RuntimeError("network is not built")
-        return self.layers[-1].output_shape if self.layers else self.input_shape
 
     # ------------------------------------------------------------------ #
     # computation
@@ -166,14 +158,6 @@ class Network:
             yield from layer.parameters()
 
     @property
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
-    @property
     def weights_version(self) -> int:
         """Monotonic token that changes whenever parameter values change.
 
@@ -181,47 +165,16 @@ class Network:
         layer) key their entries on this value to detect stale activations.
         The token is derived from the per-parameter mutation counters
         (:attr:`Parameter.version`), so *any* documented mutation path —
-        optimizer steps, ``Parameter.assign``, ``set_weights``, post-training
-        quantization — invalidates caches automatically.  Only a raw
+        optimizer steps, ``Parameter.assign``, post-training quantization —
+        invalidates caches automatically.  Only a raw
         ``param.value[...] = ...`` write without a following
         ``param.bump_version()`` can go unnoticed.
         """
         return sum(p.version for p in self.parameters())
 
-    def get_weights(self) -> list[np.ndarray]:
-        """Return copies of every parameter value, in deterministic order."""
-        return [p.value.copy() for p in self.parameters()]
-
-    def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        """Load parameter values previously obtained from :meth:`get_weights`."""
-        params = list(self.parameters())
-        if len(params) != len(weights):
-            raise ValueError(
-                f"weight count mismatch: network has {len(params)} parameters, "
-                f"got {len(weights)}"
-            )
-        for param, value in zip(params, weights):
-            value = np.asarray(value, dtype=np.float64)
-            if param.value.shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {param.name}: "
-                    f"{param.value.shape} vs {value.shape}"
-                )
-            param.assign(value)
-
     # ------------------------------------------------------------------ #
     # structure / introspection
     # ------------------------------------------------------------------ #
-    def layer_index(self, name: str) -> int:
-        """Return the index of the layer with the given name."""
-        for i, layer in enumerate(self.layers):
-            if layer.name == name:
-                return i
-        raise KeyError(f"no layer named {name!r}")
-
-    def get_layer(self, name: str) -> Layer:
-        return self.layers[self.layer_index(name)]
-
     def stochastic_layer_indices(self) -> list[int]:
         """Indices of layers that are stochastic at inference time (MCD)."""
         return [i for i, layer in enumerate(self.layers) if layer.stochastic]

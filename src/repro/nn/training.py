@@ -125,9 +125,6 @@ class MultiExitModel(Protocol):
     def parameters(self) -> Iterable[Parameter]:
         """All trainable parameters of backbone and exits."""
 
-    def zero_grad(self) -> None:
-        """Reset accumulated gradients."""
-
 
 class DistillationTrainer(_EpochTrainer):
     """Bidirectional exit-ensemble distillation for multi-exit models.

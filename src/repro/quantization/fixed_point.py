@@ -53,10 +53,6 @@ class FixedPointFormat:
     def min_value(self) -> float:
         return -(2.0 ** (self.integer_bits - 1))
 
-    @property
-    def num_levels(self) -> int:
-        return 2**self.total_bits
-
     # ------------------------------------------------------------------ #
     def quantize(self, values: np.ndarray | float) -> np.ndarray:
         """Round-to-nearest quantization with saturation."""
@@ -68,11 +64,6 @@ class FixedPointFormat:
         """Root-mean-square error introduced by quantizing ``values``."""
         arr = np.asarray(values, dtype=np.float64)
         return float(np.sqrt(np.mean((arr - self.quantize(arr)) ** 2)))
-
-    def to_integer(self, values: np.ndarray | float) -> np.ndarray:
-        """Return the integer codes (two's-complement value / resolution)."""
-        q = self.quantize(values)
-        return np.round(q / self.resolution).astype(np.int64)
 
     @classmethod
     def for_range(cls, max_abs: float, total_bits: int) -> "FixedPointFormat":

@@ -46,12 +46,6 @@ class QuantizationResult:
     weight_formats: dict[str, FixedPointFormat]
     weight_rmse: dict[str, float]
 
-    @property
-    def mean_rmse(self) -> float:
-        if not self.weight_rmse:
-            return 0.0
-        return float(np.mean(list(self.weight_rmse.values())))
-
 
 def quantize_network(
     network: Network,

@@ -89,12 +89,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Sequence
 
-import numpy as np
-
 from .config import BatcherConfig
 
 __all__ = [
-    "BatchStager",
     "DynamicBatcher",
     "BatcherStats",
     "ServerOverloaded",
@@ -162,60 +159,6 @@ class BatcherStats:
     def mean_batch_size(self) -> float:
         """Average dispatched batch size (0.0 before the first batch)."""
         return self.batched_requests / self.batches if self.batches else 0.0
-
-
-class BatchStager:
-    """Pre-pinned microbatch assembly buffer: stack without allocating.
-
-    The historical hot path re-allocated a fresh ``np.stack`` per
-    microbatch just to hand the workers one contiguous array.  A stager
-    owns one ``(max_batch_size, *example_shape)`` float64 buffer and
-    assembles each batch by writing request rows into its head — the
-    only per-batch cost is the row copies that ``np.stack`` also paid.
-
-    :meth:`stage` returns a view over the buffer head whose layout is
-    exactly what ``np.stack`` would produce (C-contiguous, same
-    shape/strides), which keeps staged and stacked batches bit-identical
-    through BLAS.  Downstream activation caches are content-keyed, so a
-    staged buffer is indistinguishable from a fresh stack to them: same
-    bytes, same key — repeated inputs hit the cache even though the buffer
-    object is reused.
-
-    One stager per worker replica — the view is invalidated by the next
-    ``stage`` call on the same stager, so a replica must be done with a
-    batch (results assembled into fresh arrays) before its next checkout,
-    which a thread replica's depth of one — one batch per checkout —
-    guarantees.
-    """
-
-    def __init__(self, max_batch_size: int, example_shape: Sequence[int]) -> None:
-        if max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        self.example_shape = tuple(int(d) for d in example_shape)
-        self._buffer = np.empty(
-            (int(max_batch_size),) + self.example_shape, dtype=np.float64
-        )
-
-    def stage(self, payloads: Sequence[np.ndarray]) -> np.ndarray:
-        """Assemble ``payloads`` into the pinned buffer's head.
-
-        The buffer was sized for the geometry the caller serves: a batch
-        it cannot hold, or a payload of another shape or kind, raises.
-        """
-        n = len(payloads)
-        shape = self.example_shape
-        if not 0 < n <= self._buffer.shape[0] or not all(
-            isinstance(p, np.ndarray) and p.shape == shape and p.dtype == np.float64
-            for p in payloads
-        ):
-            raise ValueError(
-                f"the stager holds 1..{self._buffer.shape[0]} float64 rows of "
-                f"shape {shape}; got {n} payload(s)"
-            )
-        batch = self._buffer[:n]
-        for i, payload in enumerate(payloads):
-            batch[i] = payload
-        return batch
 
 
 @dataclass(slots=True, eq=False)

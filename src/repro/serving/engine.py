@@ -60,7 +60,7 @@ import numpy as np
 from ..core.bayesnn import MultiExitBayesNet
 from ..metrics import nearest_rank_percentile
 from ..uncertainty.metrics import UncertaintyResult
-from .batcher import BatcherStats, DynamicBatcher
+from .batcher import DynamicBatcher
 from .config import ServingConfig
 from .fleet import FleetSignals, WorkerSupervisor
 from .workers import ProcessWorkerPool, ThreadWorkerPool
@@ -252,7 +252,7 @@ class ServingEngine:
             num_samples=config.num_samples,
             early_exit_threshold=config.early_exit_threshold,
             # the batch geometry is always known (built model, validated
-            # submissions): it sizes the pinned staging buffers / ring slots
+            # submissions): it sizes the process workers' ring slots
             max_batch_size=config.batcher.max_batch_size,
             input_shape=self.input_shape,
             fault_plan=config.fault_plan,
@@ -513,11 +513,6 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     # stats
     # ------------------------------------------------------------------ #
-    @property
-    def batcher_stats(self) -> BatcherStats:
-        """Raw counters of the underlying :class:`DynamicBatcher`."""
-        return self._batcher.stats
-
     def stats(self) -> ServingStats:
         """Aggregate throughput/latency/batching statistics so far."""
         b = self._batcher.stats

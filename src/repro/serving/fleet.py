@@ -144,7 +144,7 @@ class FaultPlan:
 
     ``take`` is called on the event loop (``WorkerPool.run``, once per
     delivery attempt); the lock is for the test threads that read
-    ``pending`` / ``fired`` while batches are being dispatched.
+    ``pending`` while batches are being dispatched.
     """
 
     def __init__(
@@ -154,7 +154,6 @@ class FaultPlan:
             spec if isinstance(spec, FaultInjection) else FaultInjection(*spec)
             for spec in injections
         ]
-        self._fired: list[FaultInjection] = []
         self._lock = threading.Lock()
 
     def take(self, seq: int) -> str | None:
@@ -162,7 +161,7 @@ class FaultPlan:
         with self._lock:
             for i, spec in enumerate(self._pending):
                 if spec.seq == seq:
-                    self._fired.append(self._pending.pop(i))
+                    del self._pending[i]
                     return spec.point
         return None
 
@@ -171,12 +170,6 @@ class FaultPlan:
         """Injections not yet fired (chaos tests assert this drains)."""
         with self._lock:
             return tuple(self._pending)
-
-    @property
-    def fired(self) -> tuple[FaultInjection, ...]:
-        """Injections already consumed, in firing order."""
-        with self._lock:
-            return tuple(self._fired)
 
     def __len__(self) -> int:
         with self._lock:

@@ -171,10 +171,6 @@ class ServingServer:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def running(self) -> bool:
-        return self._server is not None
-
     async def start(self) -> None:
         """Bind the listener (idempotent); starts the engine if needed."""
         if self._server is not None:

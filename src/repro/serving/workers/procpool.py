@@ -273,11 +273,6 @@ class _RingHandle(Replica):
             f"exit code {self.process.exitcode})"
         )
 
-    @property
-    def replies_in_flight(self) -> int:
-        """Doorbells rung whose reply has yet to be read off the pipe."""
-        return len(self._exchanges)
-
     def _kill(self) -> None:
         self.process.kill()
         self.process.join(5.0)

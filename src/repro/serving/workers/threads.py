@@ -1,16 +1,14 @@
 """Thread backend: how an in-process replica is made, how a batch reaches it.
 
-A replica is an engine plus the pinned
-:class:`~repro.serving.batcher.BatchStager` buffer checked out with it.
-The first replica of a generation is the caller's engine — so its
-activation cache stays shared with batch callers and
-``ServingEngine.engine`` is an object that really serves — the rest come
-from ``engine.replicate()``: same ``Parameter`` arrays zero-copy, private
-context and cache each.  A batch takes one path inside the replica: the
-stager packs the request rows into the ``(max_batch_size, *input_shape)``
-buffer (the layout a fresh stack would have, no per-batch allocation), then
+A replica is an engine.  The first replica of a generation is the
+caller's engine — so its activation cache stays shared with batch callers
+and ``ServingEngine.engine`` is an object that really serves — the rest
+come from ``engine.replicate()``: same ``Parameter`` arrays zero-copy,
+private context and cache each.  A batch takes one path inside the
+replica: ``np.stack`` of the request rows (``submit`` has already made each
+a float64 array of the served shape), then
 :func:`~repro.serving.workers.base.compute_batch_array` and
-:func:`~repro.serving.workers.base.assemble_results` run back to back.
+:func:`~repro.serving.workers.base.assemble_results` back to back.
 
 Where that path runs depends on the live roster, decided per batch.  With
 two or more replicas it runs on an executor thread: NumPy's GEMMs release
@@ -33,8 +31,9 @@ from __future__ import annotations
 import asyncio
 import time
 
+import numpy as np
+
 from ...uncertainty.metrics import UncertaintyResult
-from ..batcher import BatchStager
 from .base import assemble_results, compute_batch_array
 from .roster import Replica, WorkerPool
 
@@ -42,16 +41,15 @@ __all__ = ["ThreadWorkerPool"]
 
 
 class _ThreadReplica(Replica):
-    """One engine and the staging buffer that travels with it."""
+    """One engine: one batch at a time."""
 
-    #: one engine context and one staging buffer: one batch at a time
+    #: one engine context: one batch at a time
     depth = 1
 
     def __init__(self, pool: "ThreadWorkerPool", engine) -> None:
         super().__init__()
         self.pool = pool
         self.engine = engine
-        self.stager = BatchStager(pool.max_batch_size, pool.input_shape)
         # the caller's engine may have served before (batch callers, an
         # earlier start): only traffic from here on is this replica's
         self._cache_base = engine.cache_stats()
@@ -78,14 +76,14 @@ class _ThreadReplica(Replica):
                     return self.execute(seq, token, payloads, fault)
                 finally:
                     self._lock.release()
-        return await off_loop(self._execute_locked, seq, token, payloads, fault)
+        return await super().serve(off_loop, seq, token, payloads, fault)
 
     def execute(self, seq, token, payloads, fault) -> list[UncertaintyResult]:
         started = time.perf_counter_ns()
         out = compute_batch_array(
             self.engine,
             seq,
-            self.stager.stage(payloads),
+            np.stack(payloads),
             self.pool.num_samples,
             self.pool.early_exit_threshold,
         )

@@ -164,7 +164,8 @@ class TestForwardBackward:
 
     def test_gradients_accumulate_in_shared_backbone(self, multi_exit_model, rng):
         x = rng.normal(size=(2, 1, 12, 12))
-        multi_exit_model.zero_grad()
+        for param in multi_exit_model.parameters():
+            param.zero_grad()
         logits = multi_exit_model.forward_exits(x, training=True)
         multi_exit_model.backward_exits([np.ones_like(lg) for lg in logits])
         first_conv = multi_exit_model.backbone.layers[0]
@@ -185,7 +186,8 @@ class TestForwardBackward:
             logits = model.forward_exits(x, training=False)
             return float(sum(np.sum(p * lg) for p, lg in zip(proj, logits)))
 
-        model.zero_grad()
+        for param in model.parameters():
+            param.zero_grad()
         logits = model.forward_exits(x, training=False)
         model.backward_exits(proj)
         param = next(model.backbone.layers[0].parameters())
@@ -224,12 +226,6 @@ class TestInference:
         x = rng.normal(size=(2, 1, 12, 12))
         probs = multi_exit_model.predict_proba(x, num_samples=3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-
-    def test_predict_labels_range(self, multi_exit_model, rng):
-        x = rng.normal(size=(6, 1, 12, 12))
-        labels = multi_exit_model.predict(x)
-        assert labels.shape == (6,)
-        assert labels.min() >= 0 and labels.max() < 5
 
     def test_exit_probabilities_count(self, multi_exit_model, rng):
         probs = multi_exit_model.exit_probabilities(rng.normal(size=(2, 1, 12, 12)))

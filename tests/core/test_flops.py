@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.core.flops import (
     FlopBreakdown,
     layer_flops,
-    layer_macs,
     multi_exit_sampling_flops,
     network_flops,
     reduction_rate,
-    single_exit_sampling_flops,
 )
 from repro.nn.layers import (
     Conv2D,
@@ -63,13 +61,6 @@ class TestLayerFlops:
         total = sum(layer_flops(s) for s in block.sublayers()) + 4 * 6 * 6
         assert layer_flops(block) == total
 
-    def test_macs_conv(self):
-        layer = build(Conv2D(8, 3, padding=1, use_bias=False), (4, 10, 10))
-        assert layer_macs(layer) == 8 * 10 * 10 * 4 * 9
-
-    def test_macs_non_mac_layer_is_zero(self):
-        assert layer_macs(build(ReLU(), (5,))) == 0
-
 
 class TestNetworkFlops:
     def test_sum_of_layers(self):
@@ -85,9 +76,6 @@ class TestNetworkFlops:
 
 
 class TestSamplingCostModel:
-    def test_equation1(self):
-        assert single_exit_sampling_flops(100, 10, 5) == 5 * 110
-
     def test_equation2_divisible(self):
         # 8 samples over 4 exits -> 2 passes of the exits
         assert multi_exit_sampling_flops(100, 10, 8, 4) == 100 + 2 * 10
@@ -130,8 +118,6 @@ class TestSamplingCostModel:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             reduction_rate(-0.1, 4, 2)
-        with pytest.raises(ValueError):
-            single_exit_sampling_flops(10, 1, 0)
         with pytest.raises(ValueError):
             multi_exit_sampling_flops(10, 1, 4, 0)
 

@@ -7,7 +7,6 @@ from repro.core import (
     EvaluatedDesign,
     MultiExitOptimizer,
     UserConstraints,
-    default_candidate_grid,
 )
 from repro.core.framework import FrameworkConfig, TransformationFramework
 from repro.datasets import SyntheticImageDataset
@@ -39,28 +38,6 @@ def optimizer(fast_dataset):
         batch_size=32,
         seed=0,
     )
-
-
-class TestCandidateGrid:
-    def test_default_grid_size(self):
-        grid = default_candidate_grid(max_exits=2, dropout_rates=(0.25, 0.5))
-        assert len(grid) == 2 * 2
-
-    def test_forward_passes(self):
-        c = CandidateConfig(
-            num_exits=3, dropout_rate=0.25, mcd_layers_per_exit=1, num_mc_samples=7
-        )
-        assert c.num_forward_passes == 3
-
-    def test_explicit_exit_counts(self):
-        grid = default_candidate_grid(
-            max_exits=4, exit_counts=(1, 4), dropout_rates=(0.25,)
-        )
-        assert {c.num_exits for c in grid} == {1, 4}
-
-    def test_invalid_max_exits(self):
-        with pytest.raises(ValueError):
-            default_candidate_grid(0)
 
 
 class TestConstraintsAndSelection:
@@ -191,11 +168,6 @@ class TestTransformationFramework:
             "top.cpp",
         }
         assert "mc_dropout" in design.hls_files["mcd_layers.h"]
-
-    def test_summary_structure(self, design):
-        summary = design.summary()
-        assert "algorithm" in summary and "hardware" in summary
-        assert summary["algorithm"]["num_exits"] == 2
 
     def test_mapping_covers_samples(self, design):
         assert design.mapping.num_samples == 2

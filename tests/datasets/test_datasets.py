@@ -74,15 +74,6 @@ class TestSyntheticDataset:
         assert shifted.x.mean() > ds.test.x.mean() + 0.5
         np.testing.assert_array_equal(shifted.y, ds.test.y)
 
-    def test_subset(self):
-        ds = SyntheticImageDataset(
-            "t", (1, 8, 8), 3, train_size=20, test_size=10, seed=0
-        )
-        sub = ds.train.subset(5)
-        assert len(sub) == 5
-        with pytest.raises(ValueError):
-            ds.train.subset(0)
-
     def test_describe(self):
         ds = mnist_like(train_size=16, test_size=8)
         meta = ds.describe()
@@ -141,11 +132,3 @@ class TestSyntheticDataset:
         )
         shifted = ds.shifted_test_set(noise_multiplier=1.0, intensity_shift=0.25)
         np.testing.assert_allclose(shifted.x, ds.test.x + 0.25)
-
-    def test_subset_is_a_prefix(self):
-        ds = SyntheticImageDataset(
-            "t", (1, 8, 8), 3, train_size=20, test_size=10, seed=0
-        )
-        sub = ds.train.subset(7)
-        np.testing.assert_array_equal(sub.x, ds.train.x[:7])
-        np.testing.assert_array_equal(sub.y, ds.train.y[:7])

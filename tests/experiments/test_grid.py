@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.grid import GRIDS, Cell, GridSpec, cell_digest, smoke_grid
@@ -70,7 +72,7 @@ def test_json_round_trip():
         replicates=2,
         base_seed=7,
     )
-    rebuilt = GridSpec.from_dict(spec.to_dict())
+    rebuilt = GridSpec.from_dict(dataclasses.asdict(spec))
     assert [c.key for c in rebuilt.cells()] == [c.key for c in spec.cells()]
     with pytest.raises(ValueError, match="unknown GridSpec fields"):
         GridSpec.from_dict({"nope": 1})

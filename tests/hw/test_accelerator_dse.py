@@ -71,7 +71,6 @@ class TestAcceleratorModel:
 
     def test_num_mcd_layers(self, accel):
         assert accel.num_mcd_layers == 1
-        assert accel.is_bayesian
 
     def test_resources_include_engine_replication(self, bayes_lenet):
         temporal = AcceleratorModel(
@@ -143,11 +142,6 @@ class TestAcceleratorModel:
         summary = accel.summary()
         assert {"resources", "latency_ms", "power_w", "energy_per_image_j"} <= set(
             summary
-        )
-
-    def test_throughput(self, accel):
-        assert accel.throughput_images_per_s() == pytest.approx(
-            1000.0 / accel.latency_ms()
         )
 
     def test_mapping_sample_mismatch_rejected(self):

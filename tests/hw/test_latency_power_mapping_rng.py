@@ -12,7 +12,6 @@ from repro.hw import (
     ResourceUsage,
     estimate_layer_cycles,
     get_device,
-    mixed_mapping,
     optimize_mapping,
     spatial_mapping,
     temporal_mapping,
@@ -46,23 +45,9 @@ class TestLatencyModel:
         lats = [estimate_layer_cycles(d) for d in descs]
         assert model.chain_cycles(lats) == sum(lat.total_cycles for lat in lats)
 
-    def test_interval_dataflow_is_max(self):
-        model = LatencyModel(clock_mhz=100, dataflow=True)
-        descs = [
-            desc(Conv2D(4, 3, padding=1), (2, 6, 6)),
-            desc(MCDropout(0.5), (4, 6, 6)),
-        ]
-        lats = [estimate_layer_cycles(d) for d in descs]
-        assert model.chain_interval_cycles(lats) == max(lat.cycles for lat in lats)
-
     def test_cycles_to_ms(self):
         model = LatencyModel(clock_mhz=200)
         assert model.cycles_to_ms(200_000) == pytest.approx(1.0)
-
-    def test_network_latency_positive(self):
-        model = LatencyModel(clock_mhz=181)
-        descs = [desc(Conv2D(4, 3, padding=1), (1, 8, 8)), desc(Dense(10), (64,))]
-        assert model.network_latency_ms(descs) > 0
 
     def test_invalid_clock(self):
         with pytest.raises(ValueError):
@@ -120,23 +105,23 @@ class TestMapping:
     def test_spatial_temporal_strategies(self):
         assert spatial_mapping(4).strategy == "spatial"
         assert temporal_mapping(4).strategy == "temporal"
-        assert mixed_mapping(4, 2).strategy == "mixed"
+        assert MappingPlan(4, 2).strategy == "mixed"
 
     def test_passes_per_engine(self):
         assert spatial_mapping(5).passes_per_engine == 1
         assert temporal_mapping(5).passes_per_engine == 5
-        assert mixed_mapping(5, 2).passes_per_engine == 3
+        assert MappingPlan(5, 2).passes_per_engine == 3
 
     def test_engine_resources_scale(self):
         engine = ResourceUsage(dsp=10, lut=100)
-        plan = mixed_mapping(6, 3)
+        plan = MappingPlan(6, 3)
         total = plan.engine_resources(engine)
         assert total.dsp == 30 and total.lut == 300
 
     def test_latency_cycles(self):
         assert spatial_mapping(4).bayesian_latency_cycles(100) == 100
         assert temporal_mapping(4).bayesian_latency_cycles(100) == 400
-        assert mixed_mapping(4, 2).bayesian_latency_cycles(100) == 200
+        assert MappingPlan(4, 2).bayesian_latency_cycles(100) == 200
 
     def test_invalid_plans(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ flat :class:`~repro.nn.model.Network`, so the folded-vs-looped tests can
 compare it bitwise against ``reference_loops.looped_mc_sample``.
 ``fold_batch`` is the clone step as an explicit tile, the reference the
 fold tests and benchmarks compare ``MCDropout.fold`` and the per-slice
-evaluation against.
+evaluation against.  ``reseed`` restarts one MC-dropout layer's masks,
+``reseed_mcd`` every MC-dropout layer of a network.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.nn.context import ForwardContext
 from repro.nn.layers import MCDropout
 from repro.nn.model import Network
 
-__all__ = ["fold_batch", "folded_mc_sample", "reseed_mcd"]
+__all__ = ["fold_batch", "folded_mc_sample", "reseed", "reseed_mcd"]
 
 
 def fold_batch(x: np.ndarray, num_samples: int) -> np.ndarray:
@@ -55,9 +56,23 @@ def folded_mc_sample(
     return MCPrediction(mean_probs=sample_probs.mean(axis=0), sample_probs=sample_probs)
 
 
+def reseed(layer: MCDropout, seed: int) -> None:
+    """Restart ``layer``'s masks from ``seed``, in every context.
+
+    The new seed is recorded on the layer, and the ``seed_epoch`` bump makes
+    **every** :class:`~repro.nn.context.ForwardContext` — the process-wide
+    default and each engine replica's private one — re-derive its stream
+    for this layer on its next draw.  Two ``reseed(layer, s)`` calls with
+    the same ``s`` therefore replay the same mask sequence in whichever
+    context draws next.
+    """
+    layer.seed = int(seed)
+    layer.seed_epoch += 1
+
+
 def reseed_mcd(network: Network, seed: int) -> None:
     """Reseed the network's MCD layers ``seed, seed + 1, …`` in layer order."""
     for offset, idx in enumerate(network.stochastic_layer_indices()):
         layer = network.layers[idx]
         if isinstance(layer, MCDropout):
-            layer.reseed(seed + offset)
+            reseed(layer, seed + offset)

@@ -212,14 +212,6 @@ class TestInferenceEngine:
         after = model.engine.predict_proba(x)
         assert not np.allclose(before, after)
 
-    def test_set_weights_invalidates_activation_cache(self, rng):
-        model = _multi_exit(mcd_layers=0, rate=0.0)
-        x = rng.normal(size=(4, 1, 12, 12))
-        before = model.engine.predict_proba(x)
-        model.backbone.set_weights([w * 1.5 for w in model.backbone.get_weights()])
-        after = model.engine.predict_proba(x)
-        assert not np.allclose(before, after)
-
     def test_exit_probabilities_deterministic_mode_stable(self, rng):
         model = _multi_exit()
         x = rng.normal(size=(3, 1, 12, 12))

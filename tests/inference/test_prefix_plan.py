@@ -242,8 +242,8 @@ def test_plan_follows_every_way_weights_change():
     optimizer.step()
     seen.append(check())
 
-    weights = model.backbone.get_weights()
-    model.backbone.set_weights([w * 1.5 + 0.01 for w in weights])
+    for param in model.backbone.parameters():
+        param.assign(param.value * 1.5 + 0.01)
     seen.append(check())
 
     quantize_network(model.backbone, QuantizationConfig(weight_bits=6))

@@ -127,7 +127,7 @@ class TestDeepEnsembleComparison:
 
 
 class TestModelToAccelerator:
-    def test_trained_model_lowered_to_hls(self, trained_model, tmp_path):
+    def test_trained_model_lowered_to_hls(self, trained_model):
         """Trained multi-exit model -> quantize -> accelerator -> HLS project."""
         for head in trained_model.exits:
             quantize_network(head, QuantizationConfig(weight_bits=8))
@@ -164,10 +164,8 @@ class TestModelToAccelerator:
         report = SynthesisReport.from_accelerator(accel)
         assert report.latency_ms > 0
 
-        files = HLSCodeGenerator(accel).write(tmp_path)
-        assert (tmp_path / "top.cpp").exists()
-        top = (tmp_path / "top.cpp").read_text()
-        assert "Bayesian" in top
+        files = HLSCodeGenerator(accel).generate()
+        assert "Bayesian" in files["top.cpp"]
 
     def test_quantized_model_accuracy_preserved(self, trained_model, dataset):
         before = accuracy(

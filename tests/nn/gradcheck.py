@@ -58,7 +58,8 @@ def check_parameter_gradients(
     out = layer.forward(x, training=training)
     projection = rng.normal(size=out.shape)
 
-    layer.zero_grad()
+    for param in layer.parameters():
+        param.zero_grad()
     layer.forward(x, training=training)
     layer.backward(projection)
 

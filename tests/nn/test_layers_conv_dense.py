@@ -118,11 +118,3 @@ class TestDense:
         layer.forward(x)
         layer.backward(g)
         np.testing.assert_allclose(layer.weight.grad, 2 * first)
-
-    def test_zero_grad(self, rng):
-        layer = build(Dense(3), (4,))
-        layer.forward(rng.normal(size=(2, 4)))
-        layer.backward(rng.normal(size=(2, 3)))
-        layer.zero_grad()
-        assert np.all(layer.weight.grad == 0)
-        assert np.all(layer.bias.grad == 0)

@@ -30,12 +30,12 @@ def _network() -> Network:
 
 def test_arena_rebinds_values_preserving_contents():
     net = _network()
-    before = net.get_weights()
+    before = [p.value.copy() for p in net.parameters()]
     params = list(net.parameters())
     arena = SharedParameterArena.create(params)
     try:
         for p, w in zip(params, before):
-            assert p.is_shared
+            assert p._shm_spec is not None
             np.testing.assert_array_equal(p.value, w)
         # a write through the parameter is visible through a raw attach of
         # the same segment (i.e. the storage genuinely moved)
@@ -107,7 +107,7 @@ def test_version_slots_publish_and_refresh():
 
 def test_release_restores_private_usable_storage():
     net = _network()
-    before = net.get_weights()
+    before = [p.value.copy() for p in net.parameters()]
     arena = SharedParameterArena.create(list(net.parameters()))
     name = arena.manifest.segment_name
     arena.release()
@@ -116,7 +116,7 @@ def test_release_restores_private_usable_storage():
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=name)
     for p, w in zip(net.parameters(), before):
-        assert not p.is_shared
+        assert p._shm_spec is None
         np.testing.assert_array_equal(p.value, w)
     # the model trains/mutates like any private model afterwards
     for p in net.parameters():
@@ -142,5 +142,5 @@ def test_share_memory_shape_mismatch_rejected():
     p = Parameter(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="shape"):
         p.share_memory_(np.zeros((2, 2)), ("bogus", 0, (2, 2)))
-    assert not p.is_shared
+    assert p._shm_spec is None
     p.unshare_()  # no-op on private parameters

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn import SGD, DistillationTrainer, tensor
-from repro.nn.architectures import lenet5_spec, resnet_spec, vgg11_spec
+from repro.nn.architectures import lenet5_spec, resnet_spec, vgg_spec
 from repro.nn.layers import conv, pooling
 
 from .test_tensor import _historical_col2im, _historical_im2col
@@ -39,7 +39,7 @@ MODELS = {
         8,
     ),
     "vgg11": (
-        lambda: vgg11_spec(input_shape=(3, 16, 16), width_multiplier=0.125),
+        lambda: vgg_spec("vgg11", input_shape=(3, 16, 16), width_multiplier=0.125),
         (3, 16, 16),
         2,
         8,

@@ -83,7 +83,6 @@ def test_fault_plan_consumes_each_injection_exactly_once():
     assert plan.take(7) == "post_response"
     assert len(plan) == 0
     assert plan.pending == ()
-    assert [spec.seq for spec in plan.fired] == [3, 3, 7]
 
 
 def test_fault_plan_accepts_injection_objects():
@@ -401,7 +400,7 @@ def test_swap_model_to_live_model_keeps_parameters_shared():
         ) as server:
             before = await server.submit(X[0])
             generation = await server.swap_model(model)
-            still_shared = all(p.is_shared for p in model.parameters())
+            still_shared = all(p._shm_spec for p in model.parameters())
             after = await server.submit(X[0])
             # owner-side mutations must still land in the live segment
             p0 = next(iter(model.parameters()))
@@ -418,7 +417,7 @@ def test_swap_model_to_live_model_keeps_parameters_shared():
     # ...and the post-bump response must NOT match the unbumped oracle
     assert not np.array_equal(bumped.probs, oracle[2].probs)
     # the model survives teardown with ordinary private storage
-    assert not any(p.is_shared for p in model.parameters())
+    assert all(p._shm_spec is None for p in model.parameters())
 
 
 @pytest.mark.timeout(120)

@@ -272,7 +272,7 @@ def test_stop_releases_segment_and_model_stays_usable():
     segment_name = asyncio.run(main())
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=segment_name)
-    assert not any(p.is_shared for p in model.parameters())
+    assert all(p._shm_spec is None for p in model.parameters())
     # the model is untouched by a serve/stop cycle: private storage,
     # normal mutation, batch inference all work
     direct = model.engine.predict_mc(X, num_samples=2)
@@ -459,4 +459,4 @@ def test_stop_is_idempotent_across_backends(backend):
     assert first.probs.shape == (5,)
     assert second.probs.shape == (5,)
     # the model came back to private storage exactly once
-    assert not any(p.is_shared for p in model.parameters())
+    assert all(p._shm_spec is None for p in model.parameters())

@@ -7,7 +7,7 @@ every ring segment.  The batch geometry is a contract: the pool sizes every
 slot exactly for what it serves, so each batch and response fits by
 construction — and a geometry that lies fails that one batch loudly
 instead of degrading silently.  A replica holds at most ``depth``
-exchanges (one staging buffer per thread replica; two ring slots per ring
+exchanges (one engine context per thread replica; two ring slots per ring
 worker, answered in doorbell order), and
 each keeps its place until its reply has been read — so a cancelled batch
 can never be staged over or hand its reply to a later one, and a worker
@@ -276,7 +276,7 @@ async def _until_doorbell(handles, replies: int = 1) -> None:
     """
     for _ in range(10):
         await asyncio.sleep(0)
-        if any(h.replies_in_flight >= replies for h in handles):
+        if any(len(h._exchanges) >= replies for h in handles):
             return
     raise AssertionError("the batches never rang their doorbells")
 
@@ -306,7 +306,7 @@ async def _run_with_doorbells_out(pool, victim, batches, doorbells: int = 2) -> 
 
 def _assert_idle(handle) -> None:
     """Every place handed back: both slots, the lock, the readers."""
-    assert handle.replies_in_flight == 0 and handle._owned == 0
+    assert len(handle._exchanges) == 0 and handle._owned == 0
     assert sorted(handle._free_slots) == list(range(handle.depth))
     assert not handle._lock.locked() and handle._watched is None
 
@@ -329,19 +329,19 @@ class _PipeSpy:
         return getattr(self._conn, name)
 
 
-def _held(stage, armed, staging, release, staged_rows=None):
-    """``stage`` that blocks the exchange it is armed for until ``release``."""
+def _held(execute, armed, staging, release, staged_rows=None):
+    """``execute`` that blocks the batch it is armed for until ``release``."""
 
-    def held_stage(payloads):
+    def held_execute(seq, token, payloads, fault):
         if armed.is_set():
             armed.clear()
             staging.set()
             assert release.wait(HOLD_S), "the test never released"
         if staged_rows is not None:
             staged_rows.append(payloads[0])
-        return stage(payloads)
+        return execute(seq, token, payloads, fault)
 
-    return held_stage
+    return held_execute
 
 
 async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
@@ -351,9 +351,9 @@ async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
     computes on the loop, where no batch can be cancelled mid-compute), so
     the sibling is held inside a batch of its own throughout and every
     batch of the scene goes to the other replica.  The in-flight window is
-    *held* open, not observed: the cancelled batch's staging step (first
-    step under the replica's lock) blocks on an event the test sets only
-    after the cancellation has landed and the next batch has been launched
+    *held* open, not observed: the cancelled batch's ``execute`` (run
+    under the replica's lock) blocks on an event the test sets only after
+    the cancellation has landed and the next batch has been launched
     behind it.
     """
     armed = threading.Event()  # the next exchange is the one to hold
@@ -374,18 +374,18 @@ async def _cancel_inside_a_thread_replica(monkeypatch, staged_rows: list):
             sibling = _next_victim(server)
             (replica,) = [r for r in pool._replicas if r is not sibling]
             monkeypatch.setattr(
-                sibling.stager,
-                "stage",
-                _held(sibling.stager.stage, sibling_armed, sibling_staging, sibling_release),
+                sibling,
+                "execute",
+                _held(sibling.execute, sibling_armed, sibling_staging, sibling_release),
             )
             sibling_armed.set()
             busy = asyncio.ensure_future(pool.run(len(X), [X[0]]))
             entered = await loop.run_in_executor(None, sibling_staging.wait, HOLD_S)
             assert entered and sibling.in_flight == 1, "the sibling is not busy"
             monkeypatch.setattr(
-                replica.stager,
-                "stage",
-                _held(replica.stager.stage, armed, staging, release, staged_rows),
+                replica,
+                "execute",
+                _held(replica.execute, armed, staging, release, staged_rows),
             )
             results = {}
             for seq in range(CANCELLED_SEQ):
@@ -447,7 +447,7 @@ async def _cancel_between_doorbell_and_reply(monkeypatch, staged_rows: list):
         def logged_stage(slot, payloads):
             staged_rows.append(payloads[0])
             events.append(("doorbell", len(staged_rows) - 1, slot))
-            assert handle.replies_in_flight < handle.depth
+            assert len(handle._exchanges) < handle.depth
             return stage(slot, payloads)
 
         def logged_finish(*args, **kwargs):
@@ -477,7 +477,7 @@ async def _cancel_between_doorbell_and_reply(monkeypatch, staged_rows: list):
 
             # one place is back in checkout, but both replies are still in
             # flight and both slots still owned
-            assert handle.replies_in_flight == 2 and handle._lock.locked()
+            assert len(handle._exchanges) == 2 and handle._lock.locked()
             assert handle.in_flight == 1 and pool._checkout.qsize() == 1
             following = asyncio.ensure_future(
                 pool.run(CANCELLED_SEQ + 2, [X[CANCELLED_SEQ + 2]])
@@ -516,10 +516,9 @@ def test_cancelled_batch_keeps_the_exchange_strictly_serial(monkeypatch, backend
     checkout while its exchange is still going: an executor thread inside
     a thread replica that has a live sibling (holding its lock), a reply in
     flight from a process worker (owning one of its two ring slots).  The
-    next batch waits for that exchange to end instead of staging over it —
-    over the pinned
-    staging buffer (and the engine) of a thread replica, or over a ring
-    slot whose stale reply it could otherwise take for its own.  At most
+    next batch waits for that exchange to end instead of running over it —
+    over the engine of a thread replica, or over a ring slot whose stale
+    reply it could otherwise take for its own.  At most
     ``depth`` replies are ever in flight per handle, read in doorbell
     order.  Every later response must match an undisturbed thread K=1
     server bit for bit *for its own sequence number*.
@@ -561,14 +560,14 @@ def test_a_cancel_at_the_lone_replicas_yield_stages_nothing(monkeypatch):
         async with server:
             pool = server._pool
             (replica,) = pool._replicas
-            stage = replica.stager.stage
+            execute = replica.execute
             staged = []
 
-            def counted_stage(payloads):
+            def counted_execute(seq, token, payloads, fault):
                 staged.append(payloads[0])
-                return stage(payloads)
+                return execute(seq, token, payloads, fault)
 
-            monkeypatch.setattr(replica.stager, "stage", counted_stage)
+            monkeypatch.setattr(replica, "execute", counted_execute)
             results = {}
             for seq in range(CANCELLED_SEQ):
                 (results[seq],) = await pool.run(seq, [X[seq]])
@@ -750,7 +749,7 @@ def test_ring_batches_never_touch_the_executor(monkeypatch, workers):
                     finish = handle._finish
 
                     def counting_finish(*args, **kwargs):
-                        in_flight[handle].append(handle.replies_in_flight)
+                        in_flight[handle].append(len(handle._exchanges))
                         return finish(*args, **kwargs)
 
                     return counting_finish
@@ -829,7 +828,7 @@ def test_no_reader_outlives_its_exchange(monkeypatch):
                     batch.cancel()
                 outcomes = await asyncio.gather(*batches, return_exceptions=True)
                 assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
-                assert survivor.replies_in_flight == 2
+                assert len(survivor._exchanges) == 2
             await pool.run(5, [X[5]])  # waits out a reply in flight first
             await pool.run(6, [X[6]])
             _assert_idle(survivor)
@@ -1016,14 +1015,14 @@ def test_the_stop_frame_waits_out_both_replies_in_flight():
                 for batch in batches:
                     batch.cancel()
                 await asyncio.gather(*batches, return_exceptions=True)
-                assert handle.replies_in_flight == 2 and handle._lock.locked()
+                assert len(handle._exchanges) == 2 and handle._lock.locked()
         return handle, spy.sent
 
     handle, sent = asyncio.run(main())
     # the stop frame owns the (idle) handle through its lock, not a place
     assert sent == [("ring", 0, 1), ("ring", 1, 2), ("stop", None, 0)]
     assert handle.process.exitcode == 0 and handle.ring_batches == 2
-    assert (handle.cache_misses, handle.replies_in_flight) == (2, 0)
+    assert (handle.cache_misses, len(handle._exchanges)) == (2, 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -170,7 +170,7 @@ def test_bad_payloads_map_to_400():
                 )
                 assert status == 400, (payload, raw, body)
                 assert body["error"] == "bad_request"
-            assert srv.engine.batcher_stats.submitted == 0  # all refused before submit
+            assert srv.engine._batcher.stats.submitted == 0  # all refused first
             # an infinite budget is legal: it means "no deadline"
             status, body = await _request(
                 srv,
@@ -480,7 +480,7 @@ def test_graceful_stop_drains_in_flight_requests():
         status, resp = await inflight
         assert status == 200
         assert resp["label"] in range(5)
-        assert not server.running
+        assert server._server is None
         assert not engine.running  # server-started engine is server-stopped
         # listener really closed
         with pytest.raises(OSError):
@@ -515,7 +515,7 @@ def test_stop_closes_an_idle_keep_alive_connection():
             assert await asyncio.wait_for(reader.read(), 5) == b""
         finally:
             writer.close()
-        assert not srv.running
+        assert srv._server is None
 
     asyncio.run(main())
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import multiprocessing
+import sys
 import textwrap
 import threading
 from pathlib import Path
@@ -96,3 +99,62 @@ def test_census_tells_entered_functions_from_never_entered_ones(tmp_path):
         "never.<locals>.inner": "never",
     }
     assert rows[-1] == "total: 8 functions; entered 5 (10 lines); never 3 (9 lines)"
+
+
+def _census_of(tmp_path, monkeypatch, capsys, entry) -> dict[str, str]:
+    """``reach.main`` over the functions under ``tmp_path``, with one entry point."""
+    monkeypatch.setattr(reach, "SOURCE_ROOT", tmp_path)
+    monkeypatch.setattr(reach, "_examples", lambda: [("entry", entry)])
+    monkeypatch.setattr(reach, "_paper_drivers", lambda: [])
+    monkeypatch.setattr(reach, "_smoke_grid", lambda store: [])
+    monkeypatch.setattr(reach, "_child_processes", lambda: [], raising=False)
+    monkeypatch.setattr(sys, "path", [str(tmp_path)] + sys.path)
+    capsys.readouterr()
+    assert reach.main() == 0
+    rows = capsys.readouterr().out.splitlines()
+    return {row.split()[-1]: row.split()[0] for row in rows[1:-1]}
+
+
+def test_an_edit_during_the_census_leaves_entered_functions_entered(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "census_edited.py"
+    path.write_text(MODULE)
+
+    def entry():
+        module = importlib.import_module("census_edited")
+        module.called()
+        # every function moves two lines down while the census runs
+        path.write_text("\n\n" + MODULE)
+
+    status = _census_of(tmp_path, monkeypatch, capsys, entry)
+    assert status["called"] == status["helper"] == "entered"
+    assert status["Box.unused"] == "never"
+
+
+CHILD_MODULE = textwrap.dedent(
+    """
+    def in_child():
+        return 1
+
+
+    def nowhere():
+        return 2
+    """
+)
+
+
+def test_a_function_run_only_in_a_spawned_child_is_entered(
+    tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "census_child.py").write_text(CHILD_MODULE)
+
+    def entry():
+        module = importlib.import_module("census_child")
+        child = multiprocessing.get_context("spawn").Process(target=module.in_child)
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+
+    status = _census_of(tmp_path, monkeypatch, capsys, entry)
+    assert status == {"in_child": "entered", "nowhere": "never"}

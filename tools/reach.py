@@ -1,17 +1,27 @@
 """Reach census: which ``src/repro`` functions the product entry points enter.
 
-Runs the product's entry points in this process, under ``sys.setprofile``
-and ``threading.setprofile``:
+Runs the product's entry points under ``sys.setprofile`` and
+``threading.setprofile``:
 
 * every script in ``examples/``, as ``__main__``;
 * the six paper drivers, ``repro.analysis.paper.run_*``;
-* the smoke grid's ``init`` → ``run`` → ``report`` into a temporary store.
+* the smoke grid's ``init`` → ``run`` → ``status`` → ``report`` into a
+  temporary store, with the JSON and CSV outputs CI asks for;
+* the server CLI on the process backend (``--port 0 --backend process``),
+  serving one predict from the loadgen CLI and then getting SIGINT;
+* one short ``http_closed`` run of the repo benchmark (``benchmarks/e2e``).
+
+The first three run in this process.  Every child interpreter — the two
+CLIs, the benchmark's processes and the workers any of them spawns — is
+traced by a ``sitecustomize.py`` that the census writes into its temporary
+directory and puts first on the children's ``PYTHONPATH``: it installs the
+same profile at start-up and appends each code object it enters to a file
+of its own in that directory, whose path is written into the module.
 
 It then prints one row per function defined under ``src/repro`` (found by
-an ``ast`` walk): ``entered`` or ``never``, the function's lines (``def``
-to last line) and where it is.  Code that runs only in a child process —
-the process-backend workers of ``examples/serving_demo.py`` — is not seen
-here.  Stdlib only.  Usage::
+an ``ast`` walk before anything runs, so an edit to ``src/`` during a run
+moves nothing): ``entered`` or ``never``, the function's lines (``def`` to
+last line) and where it is.  Stdlib only.  Usage::
 
     PYTHONPATH=src python tools/reach.py     # or: make reach
 """
@@ -21,8 +31,12 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import json
 import os
+import re
 import runpy
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -41,6 +55,34 @@ PAPER_DRIVERS = (
     "run_figure5_latency",
     "run_flops_reduction",
 )
+
+
+#: the ``sitecustomize.py`` every child interpreter of the census imports
+CHILD_PROFILE = """\
+\"\"\"Written by tools/reach.py: add this interpreter's calls to the census.\"\"\"
+import os
+import sys
+import threading
+
+_out = os.open(
+    os.path.join({codes!r}, "%d.codes" % os.getpid()),
+    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+)
+_seen = set()
+
+
+def _profile(frame, event, arg):
+    if event == "call" and frame.f_code not in _seen:
+        code = frame.f_code
+        _seen.add(code)
+        # one unbuffered line per new function: nothing is lost to os._exit
+        line = "%s\\t%d\\n" % (os.path.abspath(code.co_filename), code.co_firstlineno)
+        os.write(_out, line.encode())
+
+
+threading.setprofile(_profile)
+sys.setprofile(_profile)
+"""
 
 
 def functions(root: Path) -> dict[tuple[str, int], tuple[str, int]]:
@@ -88,15 +130,50 @@ def collecting(entered: set[CodeType]):
         threading.setprofile(None)
 
 
+@contextlib.contextmanager
+def tracing_children(scratch: Path):
+    """Trace every child interpreter started inside; yields their codes directory.
+
+    ``PYTHONPATH`` leads with ``scratch``, which holds the generated
+    ``sitecustomize.py``, then ``src``; it is restored on the way out.
+    """
+    codes = scratch / "codes"
+    codes.mkdir()
+    (scratch / "sitecustomize.py").write_text(CHILD_PROFILE.format(codes=str(codes)))
+    before = os.environ.get("PYTHONPATH")
+    paths = [str(scratch), str(REPO_ROOT / "src")] + ([before] if before else [])
+    os.environ["PYTHONPATH"] = os.pathsep.join(paths)
+    try:
+        yield codes
+    finally:
+        if before is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = before
+
+
 def entered_keys(codes: Iterable[CodeType]) -> set[tuple[str, int]]:
     """The ``functions`` keys of the entered code objects."""
+    return _keys((code.co_filename, code.co_firstlineno) for code in codes)
+
+
+def child_keys(codes: Path) -> set[tuple[str, int]]:
+    """The ``functions`` keys the traced children wrote into ``codes``."""
+    entered = []
+    for path in codes.glob("*.codes"):
+        for line in path.read_text().splitlines():
+            name, _, first = line.rpartition("\t")
+            entered.append((name, int(first)))
+    return _keys(entered)
+
+
+def _keys(entered: Iterable[tuple[str, int]]) -> set[tuple[str, int]]:
     paths: dict[str, str] = {}
     keys = set()
-    for code in codes:
-        name = code.co_filename
+    for name, first in entered:
         if name not in paths:
             paths[name] = os.path.realpath(name)
-        keys.add((paths[name], code.co_firstlineno))
+        keys.add((paths[name], first))
     return keys
 
 
@@ -129,10 +206,67 @@ def _smoke_grid(store: str) -> list[tuple[str, Callable[[], object]]]:
 
     commands = (
         ["init", "--store", store, "--grid", "smoke"],
-        ["run", "--store", store, "--reclaim-running"],
-        ["report", "--store", store, "--markdown", "--summary"],
+        ["run", "--store", store, "--reclaim-running", "--json"],
+        ["status", "--store", store, "--expect-done"],
+        ["report", "--store", store, "--markdown", "--summary"]
+        + ["--csv", store + ".csv"],
     )
     return [(f"grid {argv[0]}", lambda argv=argv: main(argv)) for argv in commands]
+
+
+def _server_cli() -> None:
+    """The server CLI: one predict from the loadgen CLI, then SIGINT."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.serving.server", "--port", "0"]
+        + ["--backend", "process"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        for line in server.stdout:  # a warning may come first; EOF if it died
+            match = re.search(r"serving on http://([^:\s]+):(\d+)", line)
+            if match:
+                break
+        else:
+            raise RuntimeError(f"the server CLI exited with {server.wait()}")
+        loadgen = subprocess.run(
+            [sys.executable, "-m", "repro.serving.loadgen", "--host", match[1]]
+            + ["--port", match[2], "--process", "burst", "--burst-size", "1"]
+            + ["--rate", "1", "--duration", "1", "--json"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        if json.loads(loadgen.stdout)["ok"] != 1:
+            raise RuntimeError(f"the loadgen CLI got no answer: {loadgen.stdout}")
+        server.send_signal(signal.SIGINT)
+        server.communicate(timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    if server.returncode != 0:
+        raise RuntimeError(f"the server CLI exited with {server.returncode}")
+
+
+def _benchmark_run() -> None:
+    """One short ``http_closed`` run of the repo benchmark."""
+    subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / "e2e" / "run.py")]
+        + ["--workload=http_closed", "--seed=0", "--trace=0", "--seconds=0.3"]
+        + ["--round-seconds=0.3", "--replay-batches=4", "--setup-runs=1"],
+        capture_output=True,
+        check=True,
+        cwd=REPO_ROOT,
+    )
+
+
+def _child_processes() -> list[tuple[str, Callable[[], object]]]:
+    return [
+        ("server and loadgen CLIs", _server_cli),
+        ("e2e http_closed", _benchmark_run),
+    ]
 
 
 def census(entry_points: Iterable[tuple[str, Callable[[], object]]]) -> set[CodeType]:
@@ -167,12 +301,16 @@ def table(found: dict, keys: set[tuple[str, int]]) -> list[str]:
 
 
 def main() -> int:
+    found = functions(SOURCE_ROOT)  # before anything runs
     sys.path.insert(0, str(REPO_ROOT / "src"))
     with tempfile.TemporaryDirectory() as scratch:
         store = str(Path(scratch) / "grid.sqlite")
-        entries = _examples() + _paper_drivers() + _smoke_grid(store)
-        keys = entered_keys(census(entries))
-    print("\n".join(table(functions(SOURCE_ROOT), keys)))
+        entries = (
+            _examples() + _paper_drivers() + _smoke_grid(store) + _child_processes()
+        )
+        with tracing_children(Path(scratch)) as codes:
+            keys = entered_keys(census(entries)) | child_keys(codes)
+    print("\n".join(table(found, keys)))
     return 0
 
 
