@@ -93,6 +93,15 @@ class TestSamplingCostModel:
         expected = (1 + alpha) / (1 / s + alpha / e)
         assert abs(reduction_rate(alpha, s, e) - expected) < 1e-12
 
+    @pytest.mark.parametrize("samples,exits", [(8, 4), (6, 2), (5, 5), (3, 1)])
+    def test_equation3_is_equation1_over_equation2(self, samples, exits):
+        main, exit_ = 100, 10
+        single_exit = samples * (main + exit_)  # Equation 1
+        multi_exit = multi_exit_sampling_flops(main, exit_, samples, exits)
+        assert reduction_rate(exit_ / main, samples, exits) == pytest.approx(
+            single_exit / multi_exit
+        )
+
     def test_reduction_rate_single_sample_single_exit_is_one(self):
         assert abs(reduction_rate(0.3, 1, 1) - 1.0) < 1e-12
 

@@ -96,6 +96,18 @@ class TestPhase1Flow:
         assert best.ece >= 0.0
         assert best.relative_flops > 0.0
 
+    def test_run_needs_candidates(self, optimizer, fast_dataset):
+        """No default grid: the caller names every candidate Phase 1 trains."""
+        framework = TransformationFramework(
+            small_lenet_spec, fast_dataset.train, fast_dataset.test
+        )
+        with pytest.raises(TypeError, match="candidates"):
+            optimizer.run()
+        with pytest.raises(TypeError, match="candidates"):
+            framework.run()
+        with pytest.raises(TypeError, match="candidates"):
+            framework.run_phase1()
+
     def test_reference_flops_positive(self, optimizer):
         assert optimizer.reference_flops() > 0
 

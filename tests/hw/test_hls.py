@@ -73,6 +73,31 @@ class TestHardwareIR:
         ir = HardwareIR.from_accelerator(accel_spatial)
         ir.validate()  # would raise if a deterministic node followed a Bayesian one
 
+    def test_bayesian_region_starts_at_the_first_mcd_layer(self, accel_spatial):
+        """The last deterministic node is where the activation cache sits."""
+        ir = HardwareIR.from_accelerator(accel_spatial)
+        det, bayes = ir.deterministic_nodes(), ir.bayesian_nodes()
+        assert ir.nodes() == det + bayes
+        assert bayes[0].kernel == "mc_dropout"
+        assert all(node.kernel != "mc_dropout" for node in det)
+
+    def test_validate_rejects_an_empty_or_misordered_chain(self, accel_spatial):
+        with pytest.raises(ValueError, match="no layers"):
+            HardwareIR("empty").validate()
+        ir = HardwareIR("misordered")
+        ir._append(accel_spatial.bayesian_descs[0], "bayesian")
+        ir._append(accel_spatial.deterministic_descs[0], "deterministic")
+        with pytest.raises(ValueError, match="after the Bayesian region"):
+            ir.validate()
+
+    def test_repeated_layer_names_get_numbered_nodes(self, accel_spatial):
+        ir = HardwareIR("repeated")
+        desc = accel_spatial.deterministic_descs[0]
+        for _ in range(3):
+            ir._append(desc, "deterministic")
+        name = desc["name"]
+        assert [n.name for n in ir.nodes()] == [name, f"{name}_2", f"{name}_3"]
+
     def test_mcd_nodes_detected(self, accel_spatial):
         ir = HardwareIR.from_accelerator(accel_spatial)
         assert len(ir.mcd_nodes()) == 2
@@ -95,6 +120,12 @@ class TestCodeGeneration:
         assert set(files) == {
             "parameters.h", "mcd_layers.h", "layers.h", "top.cpp", "build_prj.tcl"
         }
+
+    def test_generation_is_deterministic(self, accel_temporal):
+        first = HLSCodeGenerator(accel_temporal).generate()
+        second = HLSCodeGenerator(accel_temporal).generate()
+        assert first == second
+        assert all(text.strip() for text in first.values())
 
     def test_parameters_header_contents(self, accel_spatial):
         params = HLSCodeGenerator(accel_spatial).parameters_header()

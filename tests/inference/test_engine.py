@@ -170,6 +170,26 @@ class TestInferenceEngine:
         want = np.stack([exits[k % 2] for k in range(5)])
         np.testing.assert_array_equal(pred.sample_probs, want)
 
+    def test_predict_proba_is_the_mean_of_predict_mc(self, rng):
+        x = rng.normal(size=(4, 1, 12, 12))
+        proba = _multi_exit().engine.predict_proba(x, 5)  # twin models, one seed
+        pred = _multi_exit().engine.predict_mc(x, 5)
+        np.testing.assert_array_equal(proba, pred.mean_probs)
+
+    @pytest.mark.parametrize("num_samples", [1, 3, 4])
+    def test_predict_proba_without_mcd_weights_each_exit_by_its_turns(
+        self, rng, num_samples
+    ):
+        """A model without MC dropout averages its exits' deterministic
+        outputs, each counted as often as the round robin reaches it."""
+        model = _multi_exit(mcd_layers=0, rate=0.0)
+        x = rng.normal(size=(4, 1, 12, 12))
+        exits = model.exit_probabilities(x, stochastic=False)
+        turns = [len(range(e, num_samples, 2)) for e in range(2)]
+        want = sum(t * p for t, p in zip(turns, exits)) / num_samples
+        np.testing.assert_allclose(model.predict_proba(x, num_samples), want)
+        np.testing.assert_allclose(want.sum(axis=1), 1.0)
+
     def test_activation_cache_shared_across_methods(self, rng):
         model = _multi_exit()
         engine = model.engine

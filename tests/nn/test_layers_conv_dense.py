@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import SGD
 from repro.nn.layers import Conv2D, Dense
 
 from .gradcheck import check_input_gradient, check_parameter_gradients
@@ -118,3 +119,11 @@ class TestDense:
         layer.forward(x)
         layer.backward(g)
         np.testing.assert_allclose(layer.weight.grad, 2 * first)
+
+    def test_zero_grad(self, rng):
+        layer = build(Dense(3), (4,))
+        layer.forward(rng.normal(size=(2, 4)))
+        layer.backward(rng.normal(size=(2, 3)))
+        SGD(layer.parameters(), lr=0.1).zero_grad()
+        assert np.all(layer.weight.grad == 0)
+        assert np.all(layer.bias.grad == 0)

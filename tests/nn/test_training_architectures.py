@@ -23,6 +23,20 @@ from repro.nn.training import iterate_minibatches
 from ..conftest import small_lenet_spec
 
 
+def _assert_a_stale_gradient_changes_nothing(make_model, make_trainer, x, y):
+    """Twin models take one step on ``(x, y)``; one twin starts with garbage
+    in every gradient, as an earlier step would leave it.  The trainer's
+    optimizer zeroes the gradients, so both steps must be identical."""
+    clean, stale = make_model(), make_model()
+    for param in stale.parameters():
+        param.grad[...] = 1e3
+    make_trainer(clean).train_on_batch(x, y)
+    make_trainer(stale).train_on_batch(x, y)
+    for a, b in zip(clean.parameters(), stale.parameters()):
+        np.testing.assert_array_equal(a.grad, b.grad)
+        np.testing.assert_array_equal(a.value, b.value)
+
+
 class TestMinibatches:
     def test_covers_all_samples(self, rng):
         x = np.arange(10)[:, None].astype(float)
@@ -68,6 +82,14 @@ class TestTrainer:
         acc = float((predicted == tiny_dataset.train.y).mean())
         assert acc > 1.0 / tiny_dataset.num_classes + 0.1
 
+    def test_each_step_starts_from_zeroed_gradients(self, tiny_dataset):
+        _assert_a_stale_gradient_changes_nothing(
+            lambda: small_lenet_spec().single_exit_network(seed=0),
+            lambda net: Trainer(net, SGD(net.parameters(), lr=0.05)),
+            tiny_dataset.train.x[:8],
+            tiny_dataset.train.y[:8],
+        )
+
     def test_history_epochs(self, tiny_dataset):
         spec = small_lenet_spec()
         net = spec.single_exit_network(seed=0)
@@ -104,6 +126,20 @@ class TestDistillationTrainer:
             tiny_dataset.train.x[:16], tiny_dataset.train.y[:16]
         )
         assert np.isfinite(loss) and 0.0 <= acc <= 1.0
+
+    def test_each_step_starts_from_zeroed_gradients(self, tiny_dataset):
+        def model():
+            return MultiExitBayesNet(
+                small_lenet_spec(),
+                MultiExitConfig(num_exits=2, mcd_layers_per_exit=0, seed=0),
+            )
+
+        _assert_a_stale_gradient_changes_nothing(
+            model,
+            lambda m: DistillationTrainer(m, SGD(m.parameters(), lr=0.05)),
+            tiny_dataset.train.x[:8],
+            tiny_dataset.train.y[:8],
+        )
 
     def test_negative_distill_weight_rejected(self, tiny_dataset, multi_exit_model):
         with pytest.raises(ValueError):

@@ -53,6 +53,17 @@ class TestFixedPointFormat:
         ]
         assert errors == sorted(errors, reverse=True)
 
+    @pytest.mark.parametrize("total_bits,integer_bits", [(8, 4), (6, 3), (16, 6)])
+    def test_quantized_values_are_integer_codes_of_the_word(
+        self, rng, total_bits, integer_bits
+    ):
+        fmt = FixedPointFormat(total_bits, integer_bits)
+        codes = fmt.quantize(rng.normal(scale=4 * fmt.max_value, size=512))
+        codes = codes / fmt.resolution
+        np.testing.assert_array_equal(codes, np.round(codes))
+        assert codes.min() == -(2 ** (total_bits - 1))  # both ends saturate
+        assert codes.max() == 2 ** (total_bits - 1) - 1
+
     def test_for_range_covers_value(self):
         fmt = FixedPointFormat.for_range(5.0, 8)
         assert fmt.max_value >= 5.0 - fmt.resolution

@@ -719,6 +719,33 @@ def test_a_lone_replicas_callers_answer_before_its_next_batch(monkeypatch):
 
 
 @pytest.mark.timeout(120)
+def test_a_thread_replica_computes_its_payloads_stacked_in_the_order_given():
+    """A thread replica's batch is ``np.stack`` of its payloads: each row's
+    result is the one a direct compute on that stack gives it."""
+    from repro.serving.workers.base import assemble_results, compute_batch_array
+
+    rows = [X[3], X[0], X[5]]
+
+    async def main():
+        server = ServingEngine(
+            _model(),
+            ServingConfig(num_samples=NUM_SAMPLES, workers=1, worker_backend="thread"),
+        )
+        async with server:
+            (replica,) = server._pool._replicas
+            return replica.execute(11, None, rows, None)
+
+    got = asyncio.run(main())
+    out = compute_batch_array(_model().engine, 11, np.stack(rows), NUM_SAMPLES, None)
+    want = assemble_results(out)
+    assert len(got) == len(rows)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.probs, w.probs)
+        assert g.entropy == w.entropy
+        assert g.mutual_information == w.mutual_information
+
+
+@pytest.mark.timeout(120)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ring_batches_never_touch_the_executor(monkeypatch, workers):
     """Between ``start`` and ``stop`` a ring batch needs no thread at all.

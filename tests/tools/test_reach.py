@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import textwrap
 import threading
 from pathlib import Path
+from types import CodeType, SimpleNamespace
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -158,3 +166,262 @@ def test_a_function_run_only_in_a_spawned_child_is_entered(
 
     status = _census_of(tmp_path, monkeypatch, capsys, entry)
     assert status == {"in_child": "entered", "nowhere": "never"}
+
+
+ODD_PLACES = textwrap.dedent(
+    """
+    import functools
+
+    try:
+        import os
+    except ImportError:
+        def in_handler():
+            return 1
+    else:
+        def in_else():
+            return 2
+    finally:
+        def in_finally():
+            return 3
+
+
+    async def coroutine():
+        return 4
+
+
+    class Outer:
+        class Inner:
+            @staticmethod
+            @functools.lru_cache
+            def stacked(
+                x,
+            ):
+                return x
+    """
+)
+
+
+def _function_codes(code: CodeType):
+    """Every function code object compiled into ``code``, nested ones too."""
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            if const.co_flags & inspect.CO_NEWLOCALS:  # not a class body
+                yield const
+            yield from _function_codes(const)
+
+
+def test_each_function_is_keyed_by_the_first_line_its_code_object_reports(tmp_path):
+    path = tmp_path / "census_odd.py"
+    path.write_text(ODD_PLACES)
+    found = reach.functions(tmp_path)
+    assert sorted(name for name, _ in found.values()) == [
+        "Outer.Inner.stacked",
+        "coroutine",
+        "in_else",
+        "in_finally",
+        "in_handler",
+    ]
+    # the profile sees (co_filename, co_firstlineno): every branch's
+    # function, taken or not, must land on its own key
+    compiled = compile(ODD_PLACES, str(path.resolve()), "exec")
+    assert set(found) == reach.entered_keys(_function_codes(compiled))
+    assert {name: lines for name, lines in found.values()}["Outer.Inner.stacked"] == 4
+
+
+def test_entered_keys_name_a_file_by_its_real_path(tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "mod.py").write_text("def f():\n    return 1\n")
+    (tmp_path / "link").symlink_to(real)
+    linked = str(tmp_path / "link" / "mod.py")
+    module = compile("def f():\n    return 1\n", linked, "exec")
+    (code,) = _function_codes(module)
+    assert reach.entered_keys([code]) == {(str((real / "mod.py").resolve()), 1)}
+
+
+def test_child_keys_merge_every_childs_file_under_real_paths(tmp_path):
+    real = tmp_path / "we\tird"  # a tab in a path: lines split at the last one
+    real.mkdir()
+    (tmp_path / "link").symlink_to(real)
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    (codes / "101.codes").write_text(f"{real / 'mod.py'}\t3\n")
+    (codes / "102.codes").write_text(
+        f"{tmp_path / 'link' / 'mod.py'}\t3\n{real / 'mod.py'}\t9\n"
+    )
+    (codes / "103.codes").write_text("")  # a child that entered nothing
+    target = os.path.realpath(real / "mod.py")
+    assert reach.child_keys(codes) == {(target, 3), (target, 9)}
+
+
+@pytest.mark.parametrize("before", [None, "elsewhere"])
+def test_tracing_children_leads_with_the_profile_and_restores_pythonpath(
+    tmp_path, monkeypatch, before
+):
+    if before is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", before)
+    with pytest.raises(RuntimeError, match="inside"):
+        with reach.tracing_children(tmp_path) as codes:
+            paths = os.environ["PYTHONPATH"].split(os.pathsep)
+            assert paths == [str(tmp_path), str(reach.REPO_ROOT / "src")] + (
+                [] if before is None else [before]
+            )
+            assert codes.is_dir() and not any(codes.iterdir())
+            profile = (tmp_path / "sitecustomize.py").read_text()
+            assert repr(str(codes)) in profile
+            raise RuntimeError("inside")
+    assert os.environ.get("PYTHONPATH") == before
+
+
+def test_a_child_interpreter_writes_each_function_once_even_through_os_exit(
+    tmp_path, monkeypatch
+):
+    source = tmp_path / "source"
+    source.mkdir()
+    (source / "census_sub.py").write_text(CHILD_MODULE)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    script = "import os, census_sub; census_sub.in_child(); census_sub.in_child()"
+    with reach.tracing_children(scratch) as codes:
+        subprocess.run(
+            [sys.executable, "-c", script + "; os._exit(0)"],
+            cwd=source,
+            check=True,
+            timeout=60,
+        )
+    keys = reach.child_keys(codes)
+    found = reach.functions(source)
+    status = {
+        name: "entered" if key in keys else "never"
+        for key, (name, _) in found.items()
+    }
+    assert status == {"in_child": "entered", "nowhere": "never"}
+    # one unbuffered line for the first call, none for the second
+    _, first = next(key for key, (name, _) in found.items() if name == "in_child")
+    lines = [
+        line
+        for codes_file in codes.glob("*.codes")
+        for line in codes_file.read_text().splitlines()
+        if line.endswith(f"census_sub.py\t{first}")
+    ]
+    assert len(lines) == 1
+
+
+def test_census_swallows_each_entry_points_output_and_names_it(capsys):
+    def noisy():
+        print("noise")
+
+    entered = reach.census([("noisy entry", noisy)])
+    assert noisy.__code__ in entered
+    assert capsys.readouterr() == ("", "running noisy entry\n")
+    assert sys.getprofile() is None
+
+
+def test_a_census_that_enters_nothing_reads_every_function_never(tmp_path):
+    (tmp_path / "census_target.py").write_text(MODULE)
+    rows = reach.table(reach.functions(tmp_path), set())
+    assert {row.split()[0] for row in rows[1:-1]} == {"never"}
+    assert rows[-1] == "total: 8 functions; entered 0 (0 lines); never 8 (19 lines)"
+
+
+def test_the_census_grid_commands_parse_under_the_grid_cli(monkeypatch, tmp_path):
+    from repro.experiments import __main__ as grid_cli
+
+    calls = []
+    monkeypatch.setattr(grid_cli, "main", calls.append)
+    store = str(tmp_path / "grid.sqlite")
+    for _, command in reach._smoke_grid(store):
+        command()
+    assert [argv[0] for argv in calls] == ["init", "run", "status", "report"]
+    parser = grid_cli._build_parser()
+    for argv in calls:
+        assert parser.parse_args(argv).store == store
+
+
+class _FakeServer:
+    """The ``Popen`` of a server CLI that prints ``lines`` and exits on SIGINT."""
+
+    def __init__(self, lines):
+        self.stdout = iter(lines)
+        self.returncode = None
+        self.signals = []
+        self.killed = False
+
+    def send_signal(self, sig):
+        self.signals.append(sig)
+        self.returncode = 0
+
+    def communicate(self, timeout=None):
+        return "", None
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self):
+        if self.returncode is None:
+            self.returncode = 1
+        return self.returncode
+
+    def kill(self):
+        self.killed = True
+        self.returncode = -signal.SIGKILL
+
+
+def _fake_clis(monkeypatch, server, answered=1):
+    """Route the census's two CLI launches to fakes; returns their argvs."""
+    launched = []
+
+    def popen(argv, **kwargs):
+        launched.append(argv)
+        return server
+
+    def run(argv, **kwargs):
+        launched.append(argv)
+        return SimpleNamespace(stdout=json.dumps({"ok": answered}))
+
+    monkeypatch.setattr(reach.subprocess, "Popen", popen)
+    monkeypatch.setattr(reach.subprocess, "run", run)
+    return launched
+
+
+BANNER = (
+    "serving on http://127.0.0.1:8123  (input 1x12x12, process backend, workers=1)\n"
+)
+
+
+def test_the_census_drives_the_server_cli_with_flags_both_clis_accept(monkeypatch):
+    from repro.serving import loadgen, server
+
+    fake = _FakeServer(["a warning first\n", BANNER])
+    launched = _fake_clis(monkeypatch, fake)
+    reach._server_cli()
+    assert fake.signals == [signal.SIGINT] and not fake.killed
+
+    server_argv, loadgen_argv = launched
+    assert server_argv[1:3] == ["-m", "repro.serving.server"]
+    args = server._build_parser().parse_args(server_argv[3:])
+    assert (args.port, args.backend) == (0, "process")
+    assert loadgen_argv[1:3] == ["-m", "repro.serving.loadgen"]
+    args = loadgen._build_parser().parse_args(loadgen_argv[3:])
+    assert (args.host, args.port, args.json) == ("127.0.0.1", 8123, True)
+
+
+def test_a_server_cli_that_dies_before_serving_fails_the_census(monkeypatch):
+    fake = _FakeServer(["Traceback (most recent call last):\n"])
+    launched = _fake_clis(monkeypatch, fake)
+    with pytest.raises(RuntimeError, match="exited with 1"):
+        reach._server_cli()
+    assert len(launched) == 1  # the loadgen never ran
+
+
+def test_a_predict_that_gets_no_answer_fails_the_census_and_kills_the_server(
+    monkeypatch,
+):
+    fake = _FakeServer([BANNER])
+    _fake_clis(monkeypatch, fake, answered=0)
+    with pytest.raises(RuntimeError, match="no answer"):
+        reach._server_cli()
+    assert fake.killed and fake.signals == []
