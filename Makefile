@@ -98,9 +98,10 @@ grid:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments report --store $(STORE) --markdown --summary
 
 # Reach census: run the examples, the six paper drivers, the smoke grid, the
-# server and loadgen CLIs and one short e2e workload under a profiler (child
-# interpreters too) and print, for every function in src/repro, whether any
-# of them enters it ("entered"/"never") and its lines.  About a minute.
+# server and loadgen CLIs and one short e2e workload, each in a child
+# interpreter under a profiler (their own children too), and print, for every
+# function in src/repro, whether any of them enters it ("entered"/"never")
+# and its lines.  About 40 s.
 reach:
 	$(PYTHON) tools/reach.py
 

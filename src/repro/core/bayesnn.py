@@ -341,7 +341,10 @@ class MultiExitBayesNet:
     def predict_proba(
         self, x: np.ndarray, num_samples: int | None = None
     ) -> np.ndarray:
-        """Mean predictive distribution over ``num_samples`` folded MC samples."""
+        """Mean predictive distribution over ``num_samples`` folded MC samples.
+
+        Raises ``ValueError`` for a model without MC dropout (SE, ME).
+        """
         return self.engine.predict_proba(x, num_samples)
 
     def early_exit_predict(

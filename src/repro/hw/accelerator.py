@@ -83,7 +83,6 @@ class AcceleratorConfig:
     reuse_factor: int = 1
     num_mc_samples: int = 3
     mapping: MappingPlan | None = None
-    dataflow: bool = True
     resource_model: LayerResourceModel = field(default_factory=LayerResourceModel)
     power_model: PowerModel = field(default_factory=PowerModel)
 
@@ -134,9 +133,7 @@ class AcceleratorModel:
                 "AcceleratorModel expects a MultiExitBayesNet or Network, "
                 f"got {type(model).__name__}"
             )
-        self._latency_model = LatencyModel(
-            clock_mhz=self.config.clock_mhz, dataflow=self.config.dataflow
-        )
+        self._latency_model = LatencyModel(clock_mhz=self.config.clock_mhz)
 
     # ------------------------------------------------------------------ #
     # structural properties

@@ -2,11 +2,8 @@
 
 Each layer is modelled as a pipelined loop whose initiation interval is set
 by the reuse factor: the layer produces one output "bundle" every
-``reuse_factor`` cycles, plus a fixed pipeline-fill depth.  Layers are
-composed either as a streaming **dataflow** (throughput limited by the
-slowest stage, latency is the sum of stage latencies for the first output)
-or **sequentially** (latency is the plain sum), matching the two execution
-strategies available in hls4ml.
+``reuse_factor`` cycles, plus a fixed pipeline-fill depth.  The latency of
+a chain of layers is the sum of its stages' latencies.
 """
 
 from __future__ import annotations
@@ -106,14 +103,9 @@ class LatencyModel:
     ----------
     clock_mhz:
         Accelerator clock frequency.
-    dataflow:
-        When true (default, matching hls4ml's ``io_stream`` dataflow), the
-        end-to-end latency of a chain is the sum of the stage latencies but
-        the *throughput* interval is set by the slowest stage.
     """
 
     clock_mhz: float = 181.0
-    dataflow: bool = True
 
     def __post_init__(self) -> None:
         if self.clock_mhz <= 0:
@@ -124,9 +116,7 @@ class LatencyModel:
         return 1.0 / self.clock_mhz
 
     def chain_cycles(self, latencies: list[LayerLatency]) -> int:
-        """Latency in cycles of a chain of layers."""
-        if not latencies:
-            return 0
+        """Latency in cycles of a chain of layers: the sum of its stages."""
         return sum(lat.total_cycles for lat in latencies)
 
     def cycles_to_ms(self, cycles: int) -> float:

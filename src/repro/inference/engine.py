@@ -280,7 +280,18 @@ class InferenceEngine:
         num_samples: int | None = None,
         ctx: ForwardContext | None = None,
     ) -> np.ndarray:
-        """Mean predictive distribution over ``num_samples`` folded MC samples."""
+        """Mean predictive distribution over ``num_samples`` folded MC samples.
+
+        A model without MC dropout has no predictive distribution to sample:
+        the round robin would weight each exit by its turns and drop the
+        deepest exits when ``num_samples < num_exits``.  Such a model raises
+        ``ValueError``; read its exits with ``exit_probabilities``.
+        """
+        if not self.model.config.is_bayesian:
+            raise ValueError(
+                "predict_proba needs MC dropout (mcd_layers_per_exit > 0 and "
+                "dropout_rate > 0); use exit_probabilities(x, stochastic=False)"
+            )
         return self.predict_mc(x, num_samples, ctx=ctx).mean_probs
 
     # ------------------------------------------------------------------ #

@@ -120,6 +120,16 @@ class TestPhase1Flow:
         assert model.num_exits == 2
         assert model.config.dropout_rate == 0.5
 
+    def test_a_candidate_without_mc_dropout_is_not_scored(self, optimizer):
+        """An ME candidate has no MC ensemble: scoring it raises instead of
+        reading a round robin that skews its exits."""
+        candidate = CandidateConfig(
+            num_exits=2, dropout_rate=0.0, mcd_layers_per_exit=0, num_mc_samples=1
+        )
+        model = optimizer.build_candidate(candidate)
+        with pytest.raises(ValueError, match="needs MC dropout"):
+            optimizer.evaluate_candidate(candidate, model)
+
     def test_infeasible_constraints_fall_back(self, optimizer):
         candidates = [
             CandidateConfig(

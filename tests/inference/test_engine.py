@@ -176,19 +176,18 @@ class TestInferenceEngine:
         pred = _multi_exit().engine.predict_mc(x, 5)
         np.testing.assert_array_equal(proba, pred.mean_probs)
 
-    @pytest.mark.parametrize("num_samples", [1, 3, 4])
-    def test_predict_proba_without_mcd_weights_each_exit_by_its_turns(
-        self, rng, num_samples
+    @pytest.mark.parametrize("mcd_layers, rate", [(0, 0.0), (0, 0.25), (1, 0.0)])
+    def test_predict_proba_rejects_a_model_without_mc_dropout(
+        self, rng, mcd_layers, rate
     ):
-        """A model without MC dropout averages its exits' deterministic
-        outputs, each counted as often as the round robin reaches it."""
-        model = _multi_exit(mcd_layers=0, rate=0.0)
-        x = rng.normal(size=(4, 1, 12, 12))
-        exits = model.exit_probabilities(x, stochastic=False)
-        turns = [len(range(e, num_samples, 2)) for e in range(2)]
-        want = sum(t * p for t, p in zip(turns, exits)) / num_samples
-        np.testing.assert_allclose(model.predict_proba(x, num_samples), want)
-        np.testing.assert_allclose(want.sum(axis=1), 1.0)
+        """SE and ME models have no predictive distribution to sample: the
+        round robin would skew the exits (or drop some), so it raises."""
+        model = _multi_exit(mcd_layers=mcd_layers, rate=rate)
+        x = rng.normal(size=(2, 1, 12, 12))
+        with pytest.raises(ValueError, match="needs MC dropout"):
+            model.predict_proba(x, 1)
+        with pytest.raises(ValueError, match="needs MC dropout"):
+            model.engine.predict_proba(x)
 
     def test_activation_cache_shared_across_methods(self, rng):
         model = _multi_exit()
@@ -227,9 +226,9 @@ class TestInferenceEngine:
 
         model = _multi_exit(mcd_layers=0, rate=0.0)  # deterministic: only weights move
         x = rng.normal(size=(4, 1, 12, 12))
-        before = model.engine.predict_proba(x)
+        before = model.engine.exit_probabilities(x, stochastic=False)
         quantize_network(model.backbone, QuantizationConfig(weight_bits=2))
-        after = model.engine.predict_proba(x)
+        after = model.engine.exit_probabilities(x, stochastic=False)
         assert not np.allclose(before, after)
 
     def test_exit_probabilities_deterministic_mode_stable(self, rng):

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import importlib
+import functools
 import importlib.util
 import inspect
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -66,10 +65,39 @@ MODULE = textwrap.dedent(
 )
 
 
-def test_census_tells_entered_functions_from_never_entered_ones(tmp_path):
-    path = tmp_path / "census_target.py"
-    path.write_text(MODULE)
-    found = reach.functions(tmp_path)
+ENTRY = """
+import threading
+import census_target as module
+
+module.called()
+module.decorated()
+module.Box().used()
+worker = threading.Thread(target=module.in_thread)
+worker.start()
+worker.join()
+"""
+
+
+def _child(script: str):
+    """An entry point: one child interpreter that runs ``script``."""
+    return functools.partial(reach._run, [sys.executable, "-c", script])
+
+
+@pytest.mark.parametrize(
+    "entries, total",
+    [
+        ([("entry", _child(ENTRY))], "entered 5 (10 lines); never 3 (9 lines)"),
+        ([], "entered 0 (0 lines); never 8 (19 lines)"),
+    ],
+    ids=["one entry point", "none"],
+)
+def test_census_tells_entered_functions_from_never_entered_ones(
+    tmp_path, monkeypatch, entries, total
+):
+    source = tmp_path / "source"
+    source.mkdir()
+    (source / "census_target.py").write_text(MODULE)
+    found = reach.functions(source)
     assert {name: lines for name, lines in found.values()} == {
         "called": 2,
         "helper": 2,
@@ -81,42 +109,26 @@ def test_census_tells_entered_functions_from_never_entered_ones(tmp_path):
         "never.<locals>.inner": 2,
     }
 
-    spec = importlib.util.spec_from_file_location("census_target", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-
-    def entry():
-        module.called()
-        module.decorated()
-        module.Box().used()
-        worker = threading.Thread(target=module.in_thread)
-        worker.start()
-        worker.join()
-
-    rows = reach.table(found, reach.entered_keys(reach.census([("entry", entry)])))
+    monkeypatch.setenv("PYTHONPATH", str(source))
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    rows = reach.table(found, reach.census(entries, scratch))
     assert rows[0].split() == ["status", "lines", "function"]
     status = {row.split()[-1]: row.split()[0] for row in rows[1:-1]}
+    entered = {"called", "helper", "decorated", "Box.used", "in_thread"}
     assert status == {
-        "called": "entered",
-        "helper": "entered",
-        "decorated": "entered",
-        "Box.used": "entered",
-        "Box.unused": "never",
-        "in_thread": "entered",
-        "never": "never",
-        "never.<locals>.inner": "never",
+        name: "entered" if entries and name in entered else "never"
+        for name in status
     }
-    assert rows[-1] == "total: 8 functions; entered 5 (10 lines); never 3 (9 lines)"
+    assert len(status) == 8
+    assert rows[-1] == f"total: 8 functions; {total}"
 
 
 def _census_of(tmp_path, monkeypatch, capsys, entry) -> dict[str, str]:
     """``reach.main`` over the functions under ``tmp_path``, with one entry point."""
     monkeypatch.setattr(reach, "SOURCE_ROOT", tmp_path)
-    monkeypatch.setattr(reach, "_examples", lambda: [("entry", entry)])
-    monkeypatch.setattr(reach, "_paper_drivers", lambda: [])
-    monkeypatch.setattr(reach, "_smoke_grid", lambda store: [])
-    monkeypatch.setattr(reach, "_child_processes", lambda: [], raising=False)
-    monkeypatch.setattr(sys, "path", [str(tmp_path)] + sys.path)
+    monkeypatch.setattr(reach, "_entry_points", lambda store: [("entry", entry)])
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     capsys.readouterr()
     assert reach.main() == 0
     rows = capsys.readouterr().out.splitlines()
@@ -130,8 +142,7 @@ def test_an_edit_during_the_census_leaves_entered_functions_entered(
     path.write_text(MODULE)
 
     def entry():
-        module = importlib.import_module("census_edited")
-        module.called()
+        _child("import census_edited; census_edited.called()")()
         # every function moves two lines down while the census runs
         path.write_text("\n\n" + MODULE)
 
@@ -152,19 +163,23 @@ CHILD_MODULE = textwrap.dedent(
 )
 
 
+SPAWN = """
+import multiprocessing
+import census_child
+
+if __name__ == "__main__":
+    child = multiprocessing.get_context("spawn").Process(target=census_child.in_child)
+    child.start()
+    child.join(60)
+    assert child.exitcode == 0
+"""
+
+
 def test_a_function_run_only_in_a_spawned_child_is_entered(
     tmp_path, monkeypatch, capsys
 ):
     (tmp_path / "census_child.py").write_text(CHILD_MODULE)
-
-    def entry():
-        module = importlib.import_module("census_child")
-        child = multiprocessing.get_context("spawn").Process(target=module.in_child)
-        child.start()
-        child.join(60)
-        assert child.exitcode == 0
-
-    status = _census_of(tmp_path, monkeypatch, capsys, entry)
+    status = _census_of(tmp_path, monkeypatch, capsys, _child(SPAWN))
     assert status == {"in_child": "entered", "nowhere": "never"}
 
 
@@ -224,19 +239,9 @@ def test_each_function_is_keyed_by_the_first_line_its_code_object_reports(tmp_pa
     # the profile sees (co_filename, co_firstlineno): every branch's
     # function, taken or not, must land on its own key
     compiled = compile(ODD_PLACES, str(path.resolve()), "exec")
-    assert set(found) == reach.entered_keys(_function_codes(compiled))
+    keys = {(c.co_filename, c.co_firstlineno) for c in _function_codes(compiled)}
+    assert set(found) == keys
     assert {name: lines for name, lines in found.values()}["Outer.Inner.stacked"] == 4
-
-
-def test_entered_keys_name_a_file_by_its_real_path(tmp_path):
-    real = tmp_path / "real"
-    real.mkdir()
-    (real / "mod.py").write_text("def f():\n    return 1\n")
-    (tmp_path / "link").symlink_to(real)
-    linked = str(tmp_path / "link" / "mod.py")
-    module = compile("def f():\n    return 1\n", linked, "exec")
-    (code,) = _function_codes(module)
-    assert reach.entered_keys([code]) == {(str((real / "mod.py").resolve()), 1)}
 
 
 def test_child_keys_merge_every_childs_file_under_real_paths(tmp_path):
@@ -310,45 +315,44 @@ def test_a_child_interpreter_writes_each_function_once_even_through_os_exit(
     assert len(lines) == 1
 
 
-def test_census_swallows_each_entry_points_output_and_names_it(capsys):
-    def noisy():
-        print("noise")
-
-    entered = reach.census([("noisy entry", noisy)])
-    assert noisy.__code__ in entered
-    assert capsys.readouterr() == ("", "running noisy entry\n")
-    assert sys.getprofile() is None
+def test_census_keeps_each_entry_points_output_out_of_the_table(tmp_path, capfd):
+    entries = [("noisy entry", _child("print('noise')"))]
+    reach.census(entries, tmp_path)
+    assert capfd.readouterr() == ("", "running noisy entry\n")
 
 
-def test_a_census_that_enters_nothing_reads_every_function_never(tmp_path):
-    (tmp_path / "census_target.py").write_text(MODULE)
-    rows = reach.table(reach.functions(tmp_path), set())
-    assert {row.split()[0] for row in rows[1:-1]} == {"never"}
-    assert rows[-1] == "total: 8 functions; entered 0 (0 lines); never 8 (19 lines)"
+def test_the_census_grid_commands_parse_under_the_grid_cli(tmp_path):
+    from repro.experiments.__main__ import _build_parser
 
-
-def test_the_census_grid_commands_parse_under_the_grid_cli(monkeypatch, tmp_path):
-    from repro.experiments import __main__ as grid_cli
-
-    calls = []
-    monkeypatch.setattr(grid_cli, "main", calls.append)
     store = str(tmp_path / "grid.sqlite")
-    for _, command in reach._smoke_grid(store):
-        command()
-    assert [argv[0] for argv in calls] == ["init", "run", "status", "report"]
-    parser = grid_cli._build_parser()
-    for argv in calls:
-        assert parser.parse_args(argv).store == store
+    commands = [argv for _, argv in reach._smoke_grid(store)]
+    names = ("init", "run", "status", "report")
+    assert [argv[1:4] for argv in commands] == [
+        ["-m", "repro.experiments", name] for name in names
+    ]
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[3:]).store == store
 
 
 class _FakeServer:
-    """The ``Popen`` of a server CLI that prints ``lines`` and exits on SIGINT."""
+    """The ``Popen`` of a server CLI that prints ``lines``, then exits or hangs.
 
-    def __init__(self, lines):
-        self.stdout = iter(lines)
+    A hung server's stdout ends only when it is killed; SIGINT stops it.
+    """
+
+    def __init__(self, lines, hangs=False):
         self.returncode = None
         self.signals = []
-        self.killed = False
+        self.killed = threading.Event()
+        self.stdout = self._print(lines, hangs)
+
+    def _print(self, lines, hangs):
+        yield from lines
+        if hangs:
+            assert self.killed.wait(30), "the census never killed a hung server"
+        elif self.returncode is None:
+            self.returncode = 1
 
     def send_signal(self, sig):
         self.signals.append(sig)
@@ -361,13 +365,16 @@ class _FakeServer:
         return self.returncode
 
     def wait(self):
-        if self.returncode is None:
-            self.returncode = 1
         return self.returncode
 
     def kill(self):
-        self.killed = True
         self.returncode = -signal.SIGKILL
+        self.killed.set()
+
+
+BANNER = (
+    "serving on http://127.0.0.1:8123  (input 1x12x12, process backend, workers=1)\n"
+)
 
 
 def _fake_clis(monkeypatch, server, answered=1):
@@ -379,17 +386,14 @@ def _fake_clis(monkeypatch, server, answered=1):
         return server
 
     def run(argv, **kwargs):
+        assert kwargs["timeout"] > 0
         launched.append(argv)
         return SimpleNamespace(stdout=json.dumps({"ok": answered}))
 
     monkeypatch.setattr(reach.subprocess, "Popen", popen)
     monkeypatch.setattr(reach.subprocess, "run", run)
+    monkeypatch.setattr(reach, "BANNER_SECONDS", 0.5)
     return launched
-
-
-BANNER = (
-    "serving on http://127.0.0.1:8123  (input 1x12x12, process backend, workers=1)\n"
-)
 
 
 def test_the_census_drives_the_server_cli_with_flags_both_clis_accept(monkeypatch):
@@ -398,7 +402,7 @@ def test_the_census_drives_the_server_cli_with_flags_both_clis_accept(monkeypatc
     fake = _FakeServer(["a warning first\n", BANNER])
     launched = _fake_clis(monkeypatch, fake)
     reach._server_cli()
-    assert fake.signals == [signal.SIGINT] and not fake.killed
+    assert fake.signals == [signal.SIGINT] and not fake.killed.is_set()
 
     server_argv, loadgen_argv = launched
     assert server_argv[1:3] == ["-m", "repro.serving.server"]
@@ -409,19 +413,21 @@ def test_the_census_drives_the_server_cli_with_flags_both_clis_accept(monkeypatc
     assert (args.host, args.port, args.json) == ("127.0.0.1", 8123, True)
 
 
-def test_a_server_cli_that_dies_before_serving_fails_the_census(monkeypatch):
-    fake = _FakeServer(["Traceback (most recent call last):\n"])
-    launched = _fake_clis(monkeypatch, fake)
-    with pytest.raises(RuntimeError, match="exited with 1"):
-        reach._server_cli()
-    assert len(launched) == 1  # the loadgen never ran
-
-
-def test_a_predict_that_gets_no_answer_fails_the_census_and_kills_the_server(
-    monkeypatch,
+@pytest.mark.parametrize(
+    "lines, hangs, answered, error, launches",
+    [
+        (["Traceback (most recent call last):\n"], False, 1, "exited with 1", 1),
+        (["still importing\n"], True, 1, "exited with -9", 1),
+        ([BANNER], False, 0, "no answer", 2),
+    ],
+    ids=["dies before its banner", "hangs before its banner", "predict unanswered"],
+)
+def test_a_server_cli_that_does_not_serve_fails_the_census_and_is_stopped(
+    monkeypatch, lines, hangs, answered, error, launches
 ):
-    fake = _FakeServer([BANNER])
-    _fake_clis(monkeypatch, fake, answered=0)
-    with pytest.raises(RuntimeError, match="no answer"):
+    fake = _FakeServer(lines, hangs)
+    launched = _fake_clis(monkeypatch, fake, answered)
+    with pytest.raises(RuntimeError, match=error):
         reach._server_cli()
-    assert fake.killed and fake.signals == []
+    assert len(launched) == launches  # the loadgen runs only after the banner
+    assert fake.signals == [] and fake.poll() is not None

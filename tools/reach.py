@@ -1,7 +1,6 @@
 """Reach census: which ``src/repro`` functions the product entry points enter.
 
-Runs the product's entry points under ``sys.setprofile`` and
-``threading.setprofile``:
+Runs each of the product's entry points in a child interpreter:
 
 * every script in ``examples/``, as ``__main__``;
 * the six paper drivers, ``repro.analysis.paper.run_*``;
@@ -11,37 +10,36 @@ Runs the product's entry points under ``sys.setprofile`` and
   serving one predict from the loadgen CLI and then getting SIGINT;
 * one short ``http_closed`` run of the repo benchmark (``benchmarks/e2e``).
 
-The first three run in this process.  Every child interpreter — the two
-CLIs, the benchmark's processes and the workers any of them spawns — is
+Every child interpreter — these, and the workers any of them spawns — is
 traced by a ``sitecustomize.py`` that the census writes into its temporary
-directory and puts first on the children's ``PYTHONPATH``: it installs the
-same profile at start-up and appends each code object it enters to a file
-of its own in that directory, whose path is written into the module.
+directory and puts first on the children's ``PYTHONPATH``: it installs
+``sys.setprofile`` and ``threading.setprofile`` at start-up and appends
+each code object it enters to a file of its own in that directory, whose
+path is written into the module.  An entry point's stdout goes nowhere;
+its stderr passes through.
 
 It then prints one row per function defined under ``src/repro`` (found by
 an ``ast`` walk before anything runs, so an edit to ``src/`` during a run
 moves nothing): ``entered`` or ``never``, the function's lines (``def`` to
 last line) and where it is.  Stdlib only.  Usage::
 
-    PYTHONPATH=src python tools/reach.py     # or: make reach
+    python tools/reach.py     # or: make reach
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
-import io
+import functools
 import json
 import os
 import re
-import runpy
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
-from types import CodeType
 from typing import Callable, Iterable
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -114,23 +112,6 @@ def functions(root: Path) -> dict[tuple[str, int], tuple[str, int]]:
 
 
 @contextlib.contextmanager
-def collecting(entered: set[CodeType]):
-    """Record the code object of every Python call in every thread."""
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    threading.setprofile(profile)
-    sys.setprofile(profile)
-    try:
-        yield
-    finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-
-
-@contextlib.contextmanager
 def tracing_children(scratch: Path):
     """Trace every child interpreter started inside; yields their codes directory.
 
@@ -152,58 +133,44 @@ def tracing_children(scratch: Path):
             os.environ["PYTHONPATH"] = before
 
 
-def entered_keys(codes: Iterable[CodeType]) -> set[tuple[str, int]]:
-    """The ``functions`` keys of the entered code objects."""
-    return _keys((code.co_filename, code.co_firstlineno) for code in codes)
-
-
 def child_keys(codes: Path) -> set[tuple[str, int]]:
     """The ``functions`` keys the traced children wrote into ``codes``."""
-    entered = []
+    paths: dict[str, str] = {}
+    keys = set()
     for path in codes.glob("*.codes"):
         for line in path.read_text().splitlines():
             name, _, first = line.rpartition("\t")
-            entered.append((name, int(first)))
-    return _keys(entered)
-
-
-def _keys(entered: Iterable[tuple[str, int]]) -> set[tuple[str, int]]:
-    paths: dict[str, str] = {}
-    keys = set()
-    for name, first in entered:
-        if name not in paths:
-            paths[name] = os.path.realpath(name)
-        keys.add((paths[name], first))
+            if name not in paths:
+                paths[name] = os.path.realpath(name)
+            keys.add((paths[name], int(first)))
     return keys
 
 
-def _examples() -> list[tuple[str, Callable[[], object]]]:
-    def run(path: Path) -> Callable[[], object]:
-        def script() -> None:
-            argv = sys.argv
-            sys.argv = [str(path)]
-            try:
-                runpy.run_path(str(path), run_name="__main__")
-            finally:
-                sys.argv = argv
+def _run(argv: list[str]) -> None:
+    """Run one entry point's interpreter to the end; its stdout goes nowhere."""
+    subprocess.run(
+        argv, stdout=subprocess.DEVNULL, check=True, cwd=REPO_ROOT, timeout=900
+    )
 
-        return script
 
+def _examples() -> list[tuple[str, list[str]]]:
     return [
-        (f"examples/{path.name}", run(path))
+        (f"examples/{path.name}", [sys.executable, str(path)])
         for path in sorted((REPO_ROOT / "examples").glob("*.py"))
     ]
 
 
-def _paper_drivers() -> list[tuple[str, Callable[[], object]]]:
-    from repro.analysis import paper
+def _paper_drivers() -> list[tuple[str, list[str]]]:
+    return [
+        (
+            f"paper.{name}",
+            [sys.executable, "-c", f"from repro.analysis import paper; paper.{name}()"],
+        )
+        for name in PAPER_DRIVERS
+    ]
 
-    return [(f"paper.{name}", getattr(paper, name)) for name in PAPER_DRIVERS]
 
-
-def _smoke_grid(store: str) -> list[tuple[str, Callable[[], object]]]:
-    from repro.experiments.__main__ import main
-
+def _smoke_grid(store: str) -> list[tuple[str, list[str]]]:
     commands = (
         ["init", "--store", store, "--grid", "smoke"],
         ["run", "--store", store, "--reclaim-running", "--json"],
@@ -211,7 +178,23 @@ def _smoke_grid(store: str) -> list[tuple[str, Callable[[], object]]]:
         ["report", "--store", store, "--markdown", "--summary"]
         + ["--csv", store + ".csv"],
     )
-    return [(f"grid {argv[0]}", lambda argv=argv: main(argv)) for argv in commands]
+    return [
+        (f"grid {argv[0]}", [sys.executable, "-m", "repro.experiments"] + argv)
+        for argv in commands
+    ]
+
+
+#: one short ``http_closed`` run of the repo benchmark
+BENCHMARK_RUN = (
+    "e2e http_closed",
+    [sys.executable, str(REPO_ROOT / "benchmarks" / "e2e" / "run.py")]
+    + ["--workload=http_closed", "--seed=0", "--trace=0", "--seconds=0.3"]
+    + ["--round-seconds=0.3", "--replay-batches=4", "--setup-runs=1"],
+)
+
+
+#: how long the server CLI may take to print its banner before it is killed
+BANNER_SECONDS = 120.0
 
 
 def _server_cli() -> None:
@@ -223,13 +206,20 @@ def _server_cli() -> None:
         stderr=subprocess.STDOUT,
         text=True,
     )
+    # a server that hangs before its banner is killed, which ends its stdout
+    watchdog = threading.Timer(BANNER_SECONDS, server.kill)
+    watchdog.start()
     try:
         for line in server.stdout:  # a warning may come first; EOF if it died
             match = re.search(r"serving on http://([^:\s]+):(\d+)", line)
             if match:
                 break
         else:
-            raise RuntimeError(f"the server CLI exited with {server.wait()}")
+            raise RuntimeError(
+                f"the server CLI exited with {server.wait()} before serving "
+                f"(it is killed after {BANNER_SECONDS:g} s)"
+            )
+        watchdog.cancel()
         loadgen = subprocess.run(
             [sys.executable, "-m", "repro.serving.loadgen", "--host", match[1]]
             + ["--port", match[2], "--process", "burst", "--burst-size", "1"]
@@ -237,12 +227,14 @@ def _server_cli() -> None:
             capture_output=True,
             text=True,
             check=True,
+            timeout=120,
         )
         if json.loads(loadgen.stdout)["ok"] != 1:
             raise RuntimeError(f"the loadgen CLI got no answer: {loadgen.stdout}")
         server.send_signal(signal.SIGINT)
         server.communicate(timeout=60)
     finally:
+        watchdog.cancel()
         if server.poll() is None:
             server.kill()
             server.communicate()
@@ -250,37 +242,22 @@ def _server_cli() -> None:
         raise RuntimeError(f"the server CLI exited with {server.returncode}")
 
 
-def _benchmark_run() -> None:
-    """One short ``http_closed`` run of the repo benchmark."""
-    subprocess.run(
-        [sys.executable, str(REPO_ROOT / "benchmarks" / "e2e" / "run.py")]
-        + ["--workload=http_closed", "--seed=0", "--trace=0", "--seconds=0.3"]
-        + ["--round-seconds=0.3", "--replay-batches=4", "--setup-runs=1"],
-        capture_output=True,
-        check=True,
-        cwd=REPO_ROOT,
-    )
-
-
-def _child_processes() -> list[tuple[str, Callable[[], object]]]:
-    return [
-        ("server and loadgen CLIs", _server_cli),
-        ("e2e http_closed", _benchmark_run),
+def _entry_points(store: str) -> list[tuple[str, Callable[[], None]]]:
+    children = _examples() + _paper_drivers() + _smoke_grid(store) + [BENCHMARK_RUN]
+    return [(label, functools.partial(_run, argv)) for label, argv in children] + [
+        ("server and loadgen CLIs", _server_cli)
     ]
 
 
-def census(entry_points: Iterable[tuple[str, Callable[[], object]]]) -> set[CodeType]:
-    """Run each entry point with its output swallowed; the code entered.
-
-    A thread an entry point leaves running keeps its profile, so the set
-    is returned as a copy (one C call, atomic under the GIL).
-    """
-    entered: set[CodeType] = set()
-    for label, entry in entry_points:
-        print(f"running {label}", file=sys.stderr, flush=True)
-        with collecting(entered), contextlib.redirect_stdout(io.StringIO()):
+def census(
+    entry_points: Iterable[tuple[str, Callable[[], None]]], scratch: Path
+) -> set[tuple[str, int]]:
+    """Run each entry point with its children traced; the ``functions`` keys entered."""
+    with tracing_children(scratch) as codes:
+        for label, entry in entry_points:
+            print(f"running {label}", file=sys.stderr, flush=True)
             entry()
-    return entered.copy()
+    return child_keys(codes)
 
 
 def table(found: dict, keys: set[tuple[str, int]]) -> list[str]:
@@ -302,14 +279,9 @@ def table(found: dict, keys: set[tuple[str, int]]) -> list[str]:
 
 def main() -> int:
     found = functions(SOURCE_ROOT)  # before anything runs
-    sys.path.insert(0, str(REPO_ROOT / "src"))
     with tempfile.TemporaryDirectory() as scratch:
         store = str(Path(scratch) / "grid.sqlite")
-        entries = (
-            _examples() + _paper_drivers() + _smoke_grid(store) + _child_processes()
-        )
-        with tracing_children(Path(scratch)) as codes:
-            keys = entered_keys(census(entries)) | child_keys(codes)
+        keys = census(_entry_points(store), Path(scratch))
     print("\n".join(table(found, keys)))
     return 0
 
