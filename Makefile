@@ -29,10 +29,13 @@ bench:
 # pooled LeNet >= 1.5x — and allocating only its GEMM results and pool
 # outputs) + the column-kernel
 # gates (LeNet gathers and col2im >= 1.3x the element-wise kernels, conv_mc's
-# gathers >= 1.5x the kernel-row gather)
+# gathers >= 1.5x the kernel-row gather) + the training bit-identity suites
+# (max-pool scatter and column kernels against their oracles at one BLAS
+# thread)
 parallel:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 $(PYTHON) -m pytest -q -p no:randomly \
 		tests/nn/test_forward_context.py tests/nn/test_shm_params.py \
+		tests/nn/test_training_twin.py tests/nn/test_maxpool_paths.py \
 		tests/serving/test_parallel_serving.py tests/serving/test_procpool.py \
 		tests/serving/test_fleet.py tests/serving/test_roster.py \
 		tests/serving/test_ring.py tests/serving/test_batcher.py \

@@ -4,9 +4,10 @@
 and ``max`` over each window's row, then a zero ``(M, C, pool²)`` matrix
 scattered into by fancy indexing and a ``col2im`` for the backward.  Where
 its probe allows, it now folds the window positions into the output with
-``np.maximum``, records the winning position in a ``uint8`` index, and
-adds the gradient back one window position at a time — ``col2im``'s
-additions on ``col2im``'s operands, so both paths give the same bits.
+``np.maximum`` and records the winning position in a ``uint8`` index.
+Where the windows tile, as here, the backward scatters the gradient onto
+those positions in one ``np.add.at``: no pixel gets two additions, so
+both paths give the same bits.
 
 Gate: at ``pool1`` of the ``train_distill`` LeNet (full width, 20x20
 inputs, N = 32, fed the conv output it sees in training) the scan path's
@@ -31,8 +32,13 @@ from repro.nn.layers import pooling
 from . import reporting
 from .timing import best_seconds_each
 
-#: 2.13-2.74x over ten runs on the 2-vCPU dev box (0.61-0.99 ms vs
-#: 1.68-2.14 ms; the box changes speed between runs, the ratio much less)
+#: 3.61-4.30x over twelve runs of this file alone on the 2-vCPU dev box
+#: (0.64-0.80 ms vs 2.35-3.45 ms; the per-position loop it replaced read
+#: 3.41-4.01x in eight runs alternating with them), 5.2-5.6x after
+#: another training test in the same process.  Alone, the scan side pays
+#: page faults on allocations the allocator maps afresh between
+#: column-path calls: with glibc's mmap and trim thresholds raised it
+#: reads 0.36-0.39 ms (5.2-5.3x; the loop 2.5x)
 POOL_MIN_SPEEDUP = 1.5
 POOL_BATCH = 32
 REPEATS = 200

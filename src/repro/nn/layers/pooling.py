@@ -34,6 +34,43 @@ def _max_is_a_scan(window: int, dtype: str) -> bool:
     return cols.max(axis=1).tobytes() == scan.tobytes()
 
 
+def _memory_axes(n: int) -> tuple[int, ...]:
+    """The NCHW axes in the order :meth:`MaxPool2D._allocate` lays them out
+    in memory: NCHW for ``N == 1``, NHWC otherwise."""
+    return (0, 1, 2, 3) if n == 1 else (0, 2, 3, 1)
+
+
+@cache
+def _window_offsets(
+    x_shape: tuple, pool_size: int, stride: int, out_h: int, out_w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets into a gradient image of ``x_shape`` in its memory order.
+
+    ``corners`` holds each output's window corner, in the output's memory
+    order (the index's); ``steps[k]`` is window position ``k``'s distance
+    from its corner, ``k = ky·pool_size + kx``.  Cached per input shape and
+    read-only, since every backward of the same layer shares them; a
+    training run sees one or two batch sizes per layer.
+    """
+    n, c, h, w = x_shape
+    if n == 1:
+        step_c, step_y, step_x = h * w, w, 1
+    else:
+        step_c, step_y, step_x = 1, w * c, c
+    step_n = c * h * w
+    corners = (
+        np.arange(n)[:, None, None, None] * step_n
+        + np.arange(c)[None, :, None, None] * step_c
+        + np.arange(out_h)[None, None, :, None] * (stride * step_y)
+        + np.arange(out_w)[None, None, None, :] * (stride * step_x)
+    )
+    corners = np.ascontiguousarray(corners.transpose(_memory_axes(n)))
+    positions = np.arange(pool_size)
+    steps = (positions[:, None] * step_y + positions[None, :] * step_x).ravel()
+    corners.flags.writeable = steps.flags.writeable = False
+    return corners, steps
+
+
 class MaxPool2D(Layer):
     """Max pooling over non-overlapping (or strided) windows.
 
@@ -48,9 +85,13 @@ class MaxPool2D(Layer):
     memory otherwise, which is what ``cols.max(axis=2)`` makes of
     :func:`~repro.nn.tensor.im2col`'s column-major single-example columns
     and C-contiguous batch columns.  Its ``uint8`` index (which window
-    position held the maximum) is the column path's ``argmax``, and the
-    backward scatters through it with ``col2im``'s additions on ``col2im``'s
-    operands.  With a NaN in a window the index is outside that contract.
+    position held the maximum) is the column path's ``argmax``.  Where the
+    windows tile (``stride >= pool_size``) the backward scatters each
+    output's gradient onto that position in one ``np.add.at``: no pixel
+    gets two additions, so the sum is ``col2im``'s.  Overlapping windows
+    add into a pixel in ``(ky, kx)`` order, so their backward reads the
+    index as ``argmax`` and runs the column path's ``col2im``.  With a NaN
+    in a window the index is outside that contract.
     """
 
     def __init__(
@@ -151,9 +192,13 @@ class MaxPool2D(Layer):
         self, grad_output: np.ndarray, ctx: ForwardContext | None = None
     ) -> np.ndarray:
         x_shape, argmax = self._ctx(ctx).saved(self)
-        if argmax.ndim == 4:  # the running maximum's output-shaped index
-            return self._index_backward(grad_output, x_shape, argmax)
         n, c, _, _ = x_shape
+        if argmax.ndim == 4:  # the running maximum's output-shaped index
+            if self.stride >= self.pool_size:
+                return self._index_backward(grad_output, x_shape, argmax)
+            # overlapping windows: a pixel's additions must come in (ky, kx)
+            # order, which col2im keeps
+            argmax = argmax.transpose(0, 2, 3, 1).reshape(-1, c)
         _, out_h, out_w = self.output_shape
         window = self.pool_size * self.pool_size
 
@@ -171,19 +216,30 @@ class MaxPool2D(Layer):
     def _index_backward(
         self, grad_output: np.ndarray, x_shape: tuple, index: np.ndarray
     ) -> np.ndarray:
-        """``col2im`` of the scattered gradient, one window position at a time.
+        """The gradient scattered once onto each output's recorded maximum.
 
-        Position ``k`` adds ``grad_output`` where it held the maximum and
-        ``+0.0`` elsewhere into its strided view of a zero image — the
-        column path's ``col2im`` operands in its order, so every stride
-        (overlapping windows included) gives its bits.  The image is in the
+        Output ``o`` whose index reads ``k`` adds its gradient at its window
+        corner plus position ``k``'s step, onto a zero image.  The windows
+        tile (:meth:`backward` calls this only then), so each pixel gets
+        at most one addition onto ``+0.0`` — the column path's ``col2im``
+        sum, ``-0.0`` becoming ``+0.0`` included.  The image is in the
         index's memory order rather than ``col2im``'s NCHW: the ReLU below
         multiplies it by a mask in that order and the convolution below
         reshapes it to NHWC rows, both cheaper on aligned memory.
         """
+        axes = _memory_axes(x_shape[0])
+        _, out_h, out_w = self.output_shape
+        corners, steps = _window_offsets(
+            x_shape, self.pool_size, self.stride, out_h, out_w
+        )
+        offsets = steps.take(index.transpose(axes))
+        offsets += corners
         img = self._allocate(x_shape, grad_output.dtype, np.zeros)
-        for k, position in enumerate(self._positions(img)):
-            position += np.where(index == k, grad_output, 0)
+        np.add.at(
+            img.transpose(axes).reshape(-1),
+            offsets.reshape(-1),
+            grad_output.transpose(axes).reshape(-1),
+        )
         return img
 
 

@@ -35,7 +35,12 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and decoupled weight decay."""
+    """Stochastic gradient descent with momentum and coupled L2 weight decay.
+
+    The decay joins the gradient before the momentum, as an L2 penalty's
+    gradient would: ``v ← momentum·v + (g + weight_decay·w)``, then
+    ``w ← w − lr·v``.
+    """
 
     def __init__(
         self,

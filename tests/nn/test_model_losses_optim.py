@@ -5,7 +5,15 @@ import pytest
 
 from repro.nn import SGD, CrossEntropyLoss, DistillationLoss, Network
 from repro.nn.initializers import he_normal, zeros
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, MCDropout, ReLU
+from repro.nn.layers import (
+    Conv2D,
+    Dense,
+    Flatten,
+    MaxPool2D,
+    MCDropout,
+    Parameter,
+    ReLU,
+)
 from repro.nn.layers.activations import softmax
 from repro.nn.losses import cross_entropy, kl_divergence
 
@@ -182,6 +190,19 @@ class TestOptimizers:
             opt.step()
         # v1 = g, v2 = 0.9·g + g: the weight moves by lr·(1 + 1.9)·g
         assert param.value[0, 0] == pytest.approx(start - 0.1 * 2.9)
+
+    def test_sgd_step_is_momentum_over_the_l2_decayed_gradient_in_bytes(self):
+        rng = np.random.default_rng(0)
+        param = Parameter(rng.normal(size=(3, 4)))
+        lr, momentum, decay = 0.05, 0.9, 5e-4
+        opt = SGD([param], lr=lr, momentum=momentum, weight_decay=decay)
+        w, v = param.value.copy(), np.zeros_like(param.value)
+        for _ in range(2):  # the second step starts from a nonzero velocity
+            param.grad = rng.normal(size=w.shape)
+            v = momentum * v + (param.grad + decay * w)
+            w = w - lr * v
+            opt.step()
+            assert param.value.tobytes() == w.tobytes()
 
     def test_sgd_step_changes_the_weights_version(self):
         net = self._quadratic_problem()

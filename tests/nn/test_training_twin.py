@@ -6,6 +6,9 @@ one trained through the element-wise oracles kept in ``test_tensor.py``.
 The gradient image's *memory order* is part of that: ``BatchNorm``'s
 backward sums follow it, so a ``col2im`` with the right values in another
 layout keeps LeNet's bits and changes ResNet's and VGG's.
+
+The max-pool backward's one scatter has the same duty against the
+per-window-position loop it replaced (``test_maxpool_paths``' oracle).
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from repro.nn import SGD, DistillationTrainer, tensor
 from repro.nn.architectures import lenet5_spec, resnet_spec, vgg_spec
 from repro.nn.layers import conv, pooling
 
+from .test_maxpool_paths import looped_index_backward
 from .test_tensor import _historical_col2im, _historical_im2col
 
 STEPS = 6
@@ -85,6 +89,17 @@ def _train(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_training_bits_match_the_historical_kernels(name):
     with historical_kernels():
+        want_losses, want_params = _train(name)
+    got_losses, got_params = _train(name)
+    assert got_losses == want_losses
+    assert got_params == want_params
+
+
+@pytest.mark.parametrize("name", ["lenet5_20x20", "vgg11"])
+def test_training_bits_match_the_looped_pool_backward(name):
+    with mock.patch.object(
+        pooling.MaxPool2D, "_index_backward", looped_index_backward
+    ):
         want_losses, want_params = _train(name)
     got_losses, got_params = _train(name)
     assert got_losses == want_losses
