@@ -21,15 +21,15 @@ LeNet on 12x12 inputs, N = 32), where the layer-by-layer side also pays
 for both max-pools' column matrix, ``argmax`` and saved cache: at least
 ``LENET_PLAN_MIN_SPEEDUP`` faster, allocating its GEMM results plus one
 output per pool.  ``MaxPool2D.forward`` runs the plan's running maximum
-itself (plus a ``uint8`` index), so the layer-by-layer side runs with the
-layer's probe patched to its column path: the reference and the timed
-baseline are the path the plan's pool step replaced, not the step itself.
+itself (plus a ``uint8`` index), so the layer-by-layer side runs its pools
+through the column oracle (``tests/nn/column_pool.py``): the reference and
+the timed baseline are the path the plan's pool step replaced, not the
+step itself.
 """
 
 from __future__ import annotations
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +37,8 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.nn.context import ForwardContext
-from repro.nn.layers import Conv2D, MaxPool2D, ResidualBlock, pooling
+from repro.nn.layers import Conv2D, MaxPool2D, ResidualBlock
+from tests.nn.column_pool import column_path
 
 from . import reporting
 from .timing import best_seconds_each
@@ -58,7 +59,7 @@ PLAN_BATCH = 16
 
 #: the LeNet prefix, whose two max-pools the plan runs as the layer's running
 #: maximum without an index, against layers whose pools gather columns
-#: (`_column_pools`): 1.77-2.01x over ten runs with BLAS pinned (`make
+#: (`column_path`): 1.77-2.01x over ten runs with BLAS pinned (`make
 #: parallel`), 1.85-1.91x unpinned, on the 2-vCPU dev box; a plan whose
 #: pool steps gather columns too reads 0.97-1.02x.  A pool step that records
 #: an index costs only ~0.05 ms here, so `test_rule7_pool_step_records_no_index`
@@ -89,11 +90,6 @@ def _demo_lenet_model() -> MultiExitBayesNet:
     )
 
 
-def _column_pools():
-    """Every ``MaxPool2D.forward`` on its column path (``im2col`` + ``argmax``)."""
-    return mock.patch.object(pooling, "_max_is_a_scan", lambda window, dtype: False)
-
-
 def _planned_vs_layer_by_layer(
     model, section: str, arch: str, batch: int, min_speedup: float
 ):
@@ -107,7 +103,7 @@ def _planned_vs_layer_by_layer(
 
     for x in batches[:2]:
         planned_acts = engine.backbone_activations(x)
-        with _column_pools():
+        with column_path():
             layer_acts = model.backbone_activations(x, ctx=ctx)
         for got, want in zip(planned_acts, layer_acts):
             assert got.strides == want.strides
@@ -118,7 +114,7 @@ def _planned_vs_layer_by_layer(
             engine.backbone_activations(x)
 
     def layer_by_layer():
-        with _column_pools():
+        with column_path():
             for x in batches:
                 model.backbone_activations(x, ctx=ctx)
 

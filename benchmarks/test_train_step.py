@@ -2,24 +2,21 @@
 
 ``MaxPool2D`` used to train through a column matrix: ``im2col``, ``argmax``
 and ``max`` over each window's row, then a zero ``(M, C, pool²)`` matrix
-scattered into by fancy indexing and a ``col2im`` for the backward.  Where
-its probe allows, it now folds the window positions into the output with
-``np.maximum`` and records the winning position in a ``uint8`` index.
-Where the windows tile, as here, the backward scatters the gradient onto
-those positions in one ``np.add.at``: no pixel gets two additions, so
-both paths give the same bits.
+scattered into by fancy indexing and a ``col2im`` for the backward.  That
+path is now the tests' oracle (``tests/nn/column_pool.py``).  The layer
+folds the window positions into the output with ``np.maximum``, records
+the winning position in a ``uint8`` index, and scatters the gradient onto
+those positions in one ``np.add.at``.
 
 Gate: at ``pool1`` of the ``train_distill`` LeNet (full width, 20x20
-inputs, N = 32, fed the conv output it sees in training) the scan path's
+inputs, N = 32, fed the conv output it sees in training) the layer's
 forward plus backward is at least ``POOL_MIN_SPEEDUP`` times the column
-path's, and bit-identical to it.  Both sides are NumPy on one thread with
+oracle's, and bit-identical to it.  Both sides are NumPy on one thread with
 the same inputs, so the ratio says what the column round trip costs, not
 how fast the box is.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec
 from repro.nn.context import ForwardContext
-from repro.nn.layers import pooling
+from tests.nn.column_pool import bit_exact, column_backward, column_forward
 
 from . import reporting
 from .timing import best_seconds_each
@@ -53,7 +50,7 @@ def test_pool_training_step_beats_the_column_path():
     )
     backbone = model.backbone
     pool = backbone.layers[2]
-    assert pool.name == "pool1" and pool.scans(np.float64)
+    assert pool.name == "pool1" and bit_exact(pool, np.float64)
     rng = np.random.default_rng(0)
     x = backbone.forward_range(
         rng.normal(size=(POOL_BATCH, 1, 20, 20)), 0, 2, training=True
@@ -66,8 +63,9 @@ def test_pool_training_step_beats_the_column_path():
         return out, pool.backward(grad, ctx=ctx)
 
     def column_step():
-        with mock.patch.object(pooling, "_max_is_a_scan", lambda w, d: False):
-            return step()
+        ctx = ForwardContext()
+        out = column_forward(pool, x, training=True, ctx=ctx)
+        return out, column_backward(pool, grad, ctx=ctx)
 
     for got, want in zip(step(), column_step()):
         assert got.tobytes() == want.tobytes()

@@ -271,7 +271,8 @@ class MultiExitBayesNet:
         bounds = self._segment_bounds()
         grad_back: np.ndarray | None = None
         for i in reversed(range(self.num_exits)):
-            grad_head = self.exits[i].backward(grads[i], ctx=ctx)
+            head = self.exits[i]
+            grad_head = head.backward_range(grads[i], 0, len(head.layers), ctx=ctx)
             total = grad_head if grad_back is None else grad_head + grad_back
             start, stop = bounds[i]
             first = 1 if start == 0 < stop else start

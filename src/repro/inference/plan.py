@@ -27,11 +27,11 @@ nothing: it runs the layer's own running maximum
 training forward records — one output, the ``pool_size²`` window positions
 folded into it, no compare work.  Nothing is saved into the
 :class:`~repro.nn.context.ForwardContext` (there is no backward pass to
-serve).  A layer kind without a step — average pooling (see rule 7),
+serve).  A layer kind without a step — average pooling (see rule 4),
 flatten, dense, custom layers — runs its own ``forward(training=False)``.
 ``Layer.forward`` remains the training path and is the oracle the plan is
-tested against (for max-pooling the oracle is the layer's column path,
-since its forward runs the same fold).
+tested against (for max-pooling, whose forward runs the same fold, the
+tests keep a column-matrix oracle).
 
 Bit-exactness rules
 -------------------
@@ -69,25 +69,14 @@ pinned by a test in ``tests/inference/test_prefix_plan.py``:
    the input's dtype, exactly as layer-by-layer, so ``matmul`` performs the
    same promotion; the arena is raw storage carved per call, so a float32
    batch leaves nothing behind that a later float64 batch could read.
-7. **Max-pooling is a running maximum with the layer's layout and the
-   layer's ties.**  :meth:`~repro.nn.layers.MaxPool2D.running_max` folds
-   the window positions in ``(kh, kw)`` order and never rounds, so two
-   things are left to reproduce.  *Layout*: ``N > 1`` returns the NCHW
-   view of fresh
-   ``(N, oh, ow, C)`` memory, but ``N == 1`` returns NCHW-contiguous
-   memory — what ``cols.max(axis=2)`` makes of rule 1's column-major
-   columns — and the head's ``Flatten`` / GEMM path follows those strides.
-   *Ties*: ``-0.0`` (rule 2 makes it common) and ``+0.0`` compare equal,
-   and a running maximum keeps the later position.  So does NumPy's
-   ``max`` while it scans a window element by element, but a window that
-   fills a vector register (nine float64 elements under AVX-512) is
-   reduced lane-wise and resolves ties in lane order.
-   :meth:`~repro.nn.layers.MaxPool2D.scans` compares the two on every tie
-   pattern, once per window length and dtype; a window that fails, or is
-   longer than nine elements, runs the layer's own ``forward`` (its column
-   path) into a throwaway context.
-   A NaN stays a NaN either way, but *which* NaN's sign and payload
-   survives is the kernel's choice and outside the contract.
+7. **Max-pooling is the layer's running maximum.**
+   :meth:`~repro.nn.layers.MaxPool2D.running_max` folds the window
+   positions in ``(kh, kw)`` order and never rounds; a ``-0.0``/``+0.0``
+   tie (rule 2 makes it common) goes to the later position.  Its layout:
+   ``N > 1`` returns the NCHW view of fresh ``(N, oh, ow, C)`` memory,
+   ``N == 1`` NCHW-contiguous memory, and the head's ``Flatten`` / GEMM
+   path follows those strides.  Which NaN's sign and payload survives is
+   outside the contract.
 
 Ownership and bound
 -------------------
@@ -149,9 +138,7 @@ def _residual(block: ResidualBlock, x: np.ndarray, arena: ColumnArena) -> np.nda
 
 
 def _max_pool(pool: MaxPool2D, x: np.ndarray, arena: ColumnArena) -> np.ndarray:
-    """``pool.forward(x)`` as the layer's running maximum, with no index."""
-    if not pool.scans(x.dtype):
-        return pool.forward(x, training=False, ctx=ForwardContext())
+    """``pool.forward(x)`` without the index a training forward records."""
     return pool.running_max(x)
 
 

@@ -11,12 +11,12 @@ rest of the repository relies on:
 
 Per-call state (layer backward caches, dropout masks, RNG streams) lives in
 an explicit :class:`~repro.nn.context.ForwardContext` threaded through every
-``forward`` / ``backward`` entry point.  Passing a private context per
+``forward`` / ``backward_range`` entry point.  Passing a private context per
 logical caller makes the same ``Network`` object reentrant — several
 threads can run inference over shared :class:`Parameter` storage at once.
 With ``ctx=None`` the process-wide default context is used and behaviour
 (and single-threadedness) is exactly as before the context refactor; a
-``forward``/``backward`` pair must use the same context.
+``forward``/``backward_range`` pair must use the same context.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ class Network:
         for layer in self.layers[start:stop]:
             out = layer.forward(out, training=training, ctx=ctx)
         return out
-
-    def backward(
-        self, grad_output: np.ndarray, ctx: ForwardContext | None = None
-    ) -> np.ndarray:
-        """Back-propagate through the full network (after a forward pass)."""
-        return self.backward_range(grad_output, 0, len(self.layers), ctx=ctx)
 
     def backward_range(
         self,

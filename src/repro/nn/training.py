@@ -107,7 +107,11 @@ class Trainer(_EpochTrainer):
         self.optimizer.zero_grad()
         logits = self.model.forward(x, training=True)
         loss = self.loss(logits, y)
-        self.model.backward(self.loss.backward())
+        # no reader for the input gradient: layer 0 accumulates its
+        # parameter gradients only (MultiExitBayesNet.backward_exits' rule)
+        layers = self.model.layers
+        grad = self.model.backward_range(self.loss.backward(), 1, len(layers))
+        layers[0].backward_params(grad)
         self.optimizer.step()
         accuracy = float((logits.argmax(axis=1) == y).mean())
         return loss, accuracy

@@ -7,16 +7,12 @@ path of the library.
 
 from __future__ import annotations
 
-import contextlib
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.datasets import SyntheticImageDataset
 from repro.nn.architectures import lenet5_spec, resnet_spec, vgg_spec
-from repro.nn.layers import pooling
 
 
 @pytest.fixture
@@ -53,15 +49,6 @@ def tiny_dataset() -> SyntheticImageDataset:
 def arena_bytes(arena) -> int:
     """Bytes a ``ColumnArena`` holds: column buffer plus bordered images."""
     return arena._columns.nbytes + sum(i.nbytes for i in arena._bordered.values())
-
-
-@contextlib.contextmanager
-def column_path():
-    """``MaxPool2D.forward`` on its column path (``im2col``, ``max``,
-    ``argmax``): the max-pool oracle, since the layer's forward otherwise
-    runs the same running maximum as the prefix plan's pool step."""
-    with mock.patch.object(pooling, "_max_is_a_scan", lambda window, dtype: False):
-        yield
 
 
 def conv_output_layout(x: np.ndarray) -> np.ndarray:

@@ -63,7 +63,8 @@ def _full_chain_backward(model, grads, ctx) -> np.ndarray:
     bounds = model._segment_bounds()
     grad_back = None
     for i in reversed(range(model.num_exits)):
-        total = model.exits[i].backward(grads[i], ctx=ctx)
+        head = model.exits[i]
+        total = head.backward_range(grads[i], 0, len(head.layers), ctx=ctx)
         if grad_back is not None:
             total = total + grad_back
         grad_back = model.backbone.backward_range(total, *bounds[i], ctx=ctx)

@@ -25,6 +25,8 @@ from repro.hw.hls import (
     HLSCodeGenerator,
     SynthesisReport,
 )
+from repro.nn.architectures import lenet5_spec, vgg_spec
+from repro.nn.layers import MaxPool2D
 
 from ..conftest import small_lenet_spec
 
@@ -188,6 +190,37 @@ class TestCodeGeneration:
         for kernel in kernels:
             assert not re.search(r"\bsum\b", kernel)
             assert "output[c][oh][ow] = best;" in kernel
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lenet5_spec,
+            lambda: vgg_spec("vgg11", width_multiplier=0.0625),
+            lambda: vgg_spec("vgg19", width_multiplier=0.0625),
+        ],
+        ids=["lenet5", "vgg11", "vgg19"],
+    )
+    def test_max_pool_kernels_compute_what_the_layers_compute(self, make_spec):
+        """Each ``MaxPool2D``'s kernel has the layer's input and output dims
+        and reads tiling windows, ``oh * pool_size + kh``, inside its input:
+        the layer's stride is its pool size, all the template can express."""
+        net = single_exit_bayesnet(make_spec(), num_mcd_layers=1, seed=0)
+        accel = AcceleratorModel(
+            net, AcceleratorConfig(weight_bitwidth=8, reuse_factor=16)
+        )
+        layers = HLSCodeGenerator(accel).layers_header()
+        pools = [layer for layer in net.layers if isinstance(layer, MaxPool2D)]
+        assert pools
+        for pool in pools:
+            kernel = re.search(
+                rf"void max_pool_{pool.name}\(.*?\n\}}\n", layers, re.S
+            ).group(0)
+            (c, h, w), (_, oh, ow) = pool.input_shape, pool.output_shape
+            assert f"data_t input[{c}][{h}][{w}]" in kernel
+            assert f"data_t output[{c}][{oh}][{ow}]" in kernel
+            size = pool.pool_size
+            assert f"input[c][oh * {size} + kh][ow * {size} + kw]" in kernel
+            assert size * oh <= h and size * ow <= w, "a window reads past the input"
 
     def test_invalid_dropout_rate_rejected(self, accel_spatial):
         with pytest.raises(ValueError):

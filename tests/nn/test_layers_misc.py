@@ -56,24 +56,33 @@ class TestPooling:
         with pytest.raises(ValueError):
             MaxPool2D(0)
 
-    @pytest.mark.parametrize("pool,stride", [(3, 1), (4, 4), (3, 2)])
-    def test_maxpool_matches_window_maxima(self, rng, pool, stride):
-        """Overlapping windows, and a window too long to scan (4·4 > 9)."""
-        layer = build(MaxPool2D(pool, stride=stride), (2, 8, 8))
+    @pytest.mark.parametrize("pool", [3, 4, 1])
+    def test_maxpool_matches_window_maxima(self, rng, pool):
+        """Tiling windows, cropped rows and columns, and a window too long
+        to scan (4·4 > 9)."""
+        layer = build(MaxPool2D(pool), (2, 8, 8))
         x = rng.normal(size=(3, 2, 8, 8))
         _, out_h, out_w = layer.output_shape
         want = np.empty((3, 2, out_h, out_w))
         for i in range(out_h):
             for j in range(out_w):
-                top, left = i * stride, j * stride
+                top, left = i * pool, j * pool
                 window = x[:, :, top : top + pool, left : left + pool]
                 want[:, :, i, j] = window.max(axis=(2, 3))
         np.testing.assert_array_equal(layer.forward(x), want)
 
-    @pytest.mark.parametrize("pool,stride", [(3, 1), (4, 4)])
-    def test_maxpool_gradient_other_windows(self, rng, pool, stride):
-        layer = build(MaxPool2D(pool, stride=stride), (2, 8, 8))
+    @pytest.mark.parametrize("pool", [3, 4])
+    def test_maxpool_gradient_other_windows(self, rng, pool):
+        layer = build(MaxPool2D(pool), (2, 8, 8))
         check_input_gradient(layer, rng.normal(size=(2, 2, 8, 8)))
+
+    def test_maxpool_takes_no_stride(self):
+        """The stride is the pool size, as in the HLS kernel: a stride is an
+        error, and so is a name passed by position."""
+        with pytest.raises(TypeError):
+            MaxPool2D(3, stride=2)
+        with pytest.raises(TypeError):
+            MaxPool2D(3, 2)
 
     def test_maxpool_gradient_goes_to_the_maximum_only(self, rng):
         layer = build(MaxPool2D(2), (1, 4, 4))

@@ -20,7 +20,7 @@ from repro.nn.architectures.common import scale_channels
 from repro.nn.layers import Conv2D, ResidualBlock
 from repro.nn.training import iterate_minibatches
 
-from ..conftest import small_lenet_spec
+from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
 
 
 def _assert_a_stale_gradient_changes_nothing(make_model, make_trainer, x, y):
@@ -89,6 +89,23 @@ class TestTrainer:
             tiny_dataset.train.x[:8],
             tiny_dataset.train.y[:8],
         )
+
+    @pytest.mark.parametrize(
+        "make_spec", [small_lenet_spec, small_vgg_spec, small_resnet_spec]
+    )
+    def test_step_gradients_are_the_full_backwards(self, make_spec):
+        """Layer 0 skips only its input gradient: one step's parameter
+        gradients are the full backward chain's, in bytes."""
+        stepped, full = (make_spec().single_exit_network(seed=0) for _ in range(2))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8,) + full.input_shape)
+        y = rng.integers(0, full.layers[-1].output_shape[0], size=8)
+        Trainer(stepped, SGD(stepped.parameters(), lr=0.05)).train_on_batch(x, y)
+        loss = CrossEntropyLoss()
+        loss(full.forward(x, training=True), y)
+        full.backward_range(loss.backward(), 0, len(full.layers))
+        for got, want in zip(stepped.parameters(), full.parameters()):
+            assert got.grad.tobytes() == want.grad.tobytes()
 
     def test_history_epochs(self, tiny_dataset):
         spec = small_lenet_spec()

@@ -20,7 +20,7 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn import SGD, DistillationTrainer, tensor
 from repro.nn.architectures import lenet5_spec, resnet_spec, vgg_spec
-from repro.nn.layers import conv, pooling
+from repro.nn.layers import MaxPool2D, conv
 
 from .test_maxpool_paths import looped_index_backward
 from .test_tensor import _historical_col2im, _historical_im2col
@@ -63,7 +63,7 @@ def _oracle_col2im(cols, input_shape, kernel_h, kernel_w, stride=1, padding=0):
 def historical_kernels():
     """Every training-path ``im2col`` / ``col2im`` name bound to the oracles."""
     with contextlib.ExitStack() as stack:
-        for module in (tensor, conv, pooling):
+        for module in (tensor, conv):
             stack.enter_context(mock.patch.object(module, "im2col", _oracle_im2col))
             stack.enter_context(mock.patch.object(module, "col2im", _oracle_col2im))
         yield
@@ -97,9 +97,7 @@ def test_training_bits_match_the_historical_kernels(name):
 
 @pytest.mark.parametrize("name", ["lenet5_20x20", "vgg11"])
 def test_training_bits_match_the_looped_pool_backward(name):
-    with mock.patch.object(
-        pooling.MaxPool2D, "_index_backward", looped_index_backward
-    ):
+    with mock.patch.object(MaxPool2D, "_index_backward", looped_index_backward):
         want_losses, want_params = _train(name)
     got_losses, got_params = _train(name)
     assert got_losses == want_losses
