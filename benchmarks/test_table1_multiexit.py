@@ -12,13 +12,34 @@ paper", for the full discussion):
   configuration;
 * every variant costs roughly one backbone forward pass (relative FLOPs
   near 1), and confidence-based exiting pushes the ECE-optimal cost below it.
+
+The output is also pinned: sha256 over ``json.dumps(results,
+sort_keys=True, default=repr)``, as ``tests/analysis/test_paper_digests.py``
+pins the other drivers.  Table I trains, so its figures go through BLAS
+reductions; the digest is recorded per runner fingerprint and NumPy
+version, and a platform with no recorded digest fails with the digest to
+record.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
+
 from repro.analysis import format_rows
+from repro.experiments.runner import runner_fingerprint
 
 from .conftest import benchmark_table1_settings, once
+
+#: (runner fingerprint, NumPy version) -> sha256 of run_table1's output at
+#: benchmark_table1_settings()
+TABLE1_DIGESTS = {
+    ("linux-x86_64-cpu2", "2.4.6"): (
+        "9a669f555d045aa46f0aee889b0986a601e18bdf4c321001c862fb7bcff78bc4"
+    ),
+}
 
 
 def _rows(results: dict) -> list[dict]:
@@ -91,3 +112,13 @@ def test_table1_multi_exit_bayesnns(benchmark):
         # ECE-optimal configurations are not more expensive than the full ensemble
         ece_flops = variants["MCD+ME"]["ece_opt"]["relative_flops"]
         assert ece_flops <= variants["MCD+ME"]["acc_opt"]["relative_flops"] + 0.05, arch
+
+    text = json.dumps(results, sort_keys=True, default=repr)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    key = (runner_fingerprint(), np.__version__)
+    assert key in TABLE1_DIGESTS, (
+        f"no Table I digest recorded for {key}; record this run's: {digest}"
+    )
+    assert digest == TABLE1_DIGESTS[key], (
+        f"Table I output moved on {key}: {digest} != {TABLE1_DIGESTS[key]}"
+    )

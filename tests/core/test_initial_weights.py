@@ -19,6 +19,12 @@ def _lenet():
     return lenet5_spec(input_shape=(1, 12, 12), num_classes=5, width_multiplier=0.5)
 
 
+def _resnet10():
+    return resnet_spec(
+        "resnet10", input_shape=(3, 8, 8), num_classes=4, width_multiplier=0.125
+    )
+
+
 def _multi_exit(spec):
     return MultiExitBayesNet(
         spec, MultiExitConfig(num_exits=2, mcd_layers_per_exit=1, seed=0)
@@ -27,11 +33,7 @@ def _multi_exit(spec):
 
 MODELS = {
     "lenet5": lambda: _multi_exit(_lenet()),
-    "resnet10": lambda: _multi_exit(
-        resnet_spec(
-            "resnet10", input_shape=(3, 8, 8), num_classes=4, width_multiplier=0.125
-        )
-    ),
+    "resnet10": lambda: _multi_exit(_resnet10()),
     "vgg11": lambda: _multi_exit(
         vgg_spec(
             "vgg11",
@@ -44,6 +46,8 @@ MODELS = {
     "single_exit_lenet5": lambda: single_exit_bayesnet(
         _lenet(), num_mcd_layers=2, seed=0
     ),
+    "se_lenet5": lambda: _lenet().single_exit_network(seed=0),
+    "se_resnet10": lambda: _resnet10().single_exit_network(seed=0),
 }
 
 DIGESTS = {
@@ -53,6 +57,10 @@ DIGESTS = {
     "single_exit_lenet5": (
         "3411d92d299133af29b7574938be1284b0d9de5799c69df6589f3dc87fbafa7f"
     ),
+    # MC-dropout layers hold no parameters, so the SE LeNet's bytes are the
+    # two-MCD network's
+    "se_lenet5": "3411d92d299133af29b7574938be1284b0d9de5799c69df6589f3dc87fbafa7f",
+    "se_resnet10": "6dcfde0737138d89e80785668cab9d28ca05ae3b3a02df6cc152e46536e72d6c",
 }
 
 
