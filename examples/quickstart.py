@@ -23,6 +23,7 @@ from repro.core import (
     MultiExitConfig,
     network_flops,
     reduction_rate,
+    single_exit_bayesnet,
 )
 from repro.datasets import mnist_like
 from repro.hw import AcceleratorConfig, AcceleratorModel, spatial_mapping
@@ -89,11 +90,7 @@ def main() -> None:
         print(f"  {key:<26}: {value:.4f}")
 
     breakdown = model.flop_breakdown()
-    se_flops = network_flops(
-        lenet5_spec(
-            input_shape=dataset.input_shape, num_classes=dataset.num_classes
-        ).single_exit_network()
-    )
+    se_flops = network_flops(single_exit_bayesnet(spec))
     rows = []
     for samples in (1, 2, 4, 8):
         naive = samples * se_flops

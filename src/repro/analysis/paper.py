@@ -163,21 +163,17 @@ def run_table1(settings: Table1Settings | None = None) -> dict:
     }
 
     for arch_name, factory in settings.architectures.items():
-
-        def spec_factory(width_multiplier: float = 1.0, _factory=factory):
-            """Instantiate a fresh spec, passing num_classes when supported."""
-            try:
-                return _factory(
-                    width_multiplier=width_multiplier, num_classes=settings.num_classes
-                )
-            except TypeError:
-                return _factory(width_multiplier=width_multiplier)
+        # one spec builds all four families (each build makes fresh layers);
+        # num_classes is passed when the factory takes it
+        try:
+            spec = factory(width_multiplier=1.0, num_classes=settings.num_classes)
+        except TypeError:
+            spec = factory(width_multiplier=1.0)
 
         arch_results: dict = {}
 
         # ---------------- SE: single exit, no MCD -------------------------- #
-        se_spec = spec_factory()
-        se_net = se_spec.single_exit_network(seed=settings.seed)
+        se_net = single_exit_bayesnet(spec, seed=settings.seed)
         se_flops = float(network_flops(se_net))
         trainer = Trainer(
             se_net,
@@ -196,7 +192,7 @@ def run_table1(settings: Table1Settings | None = None) -> dict:
         mcd_entries = []
         for rate in settings.dropout_rates:
             model = MultiExitBayesNet(
-                spec_factory(),
+                spec,
                 MultiExitConfig(
                     num_exits=1,
                     mcd_layers_per_exit=1,
@@ -213,11 +209,10 @@ def run_table1(settings: Table1Settings | None = None) -> dict:
 
         # ---------------- ME: multi-exit, no MCD --------------------------- #
         me_entries = []
-        me_spec = spec_factory()
         me_model = MultiExitBayesNet(
-            me_spec,
+            spec,
             MultiExitConfig(
-                num_exits=me_spec.num_blocks,
+                num_exits=spec.num_blocks,
                 mcd_layers_per_exit=0,
                 dropout_rate=0.0,
                 default_mc_samples=settings.num_mc_samples,
@@ -236,11 +231,10 @@ def run_table1(settings: Table1Settings | None = None) -> dict:
         # ---------------- MCD+ME: the paper's approach --------------------- #
         ours_entries = []
         for rate in settings.dropout_rates:
-            ours_spec = spec_factory()
             ours = MultiExitBayesNet(
-                ours_spec,
+                spec,
                 MultiExitConfig(
-                    num_exits=ours_spec.num_blocks,
+                    num_exits=spec.num_blocks,
                     mcd_layers_per_exit=1,
                     dropout_rate=rate,
                     default_mc_samples=settings.num_mc_samples,

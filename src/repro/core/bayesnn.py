@@ -38,31 +38,34 @@ __all__ = ["MultiExitConfig", "MultiExitBayesNet", "single_exit_bayesnet"]
 
 def single_exit_bayesnet(
     spec: BackboneSpec,
-    num_mcd_layers: int = 1,
+    num_mcd_layers: int = 0,
     dropout_rate: float = 0.25,
     seed: int = 0,
     name: str | None = None,
 ) -> Network:
-    """Build a *single-exit* MCD BayesNN as one flat :class:`Network`.
+    """Build a *single-exit* network from fresh layers as one flat :class:`Network`.
 
     The backbone and the architecture's original classifier head are
     composed into a single sequential network, and ``num_mcd_layers``
     MC-dropout layers are inserted in front of the last parameterised layers
-    (from the exit towards the input, the paper's placement rule).  This is
-    the "Bayes-LeNet / Bayes-ResNet18 / Bayes-VGG11" construction used in
-    the hardware-cost study of Figure 5.
+    (from the exit towards the input, the paper's placement rule).  With no
+    MC dropout this is the non-Bayesian baseline ("SE" in Table I, named
+    ``{spec.name}_se``); with it, the "Bayes-LeNet / Bayes-ResNet18 /
+    Bayes-VGG11" construction used in the hardware-cost study of Figure 5.
     """
     from .mcd import insert_mcd_into_head
 
-    layers = list(spec.backbone.layers) + list(spec._require_factory()())
     layers = insert_mcd_into_head(
-        layers,
+        spec.backbone_factory() + spec.final_head_factory(),
         num_mcd_layers=num_mcd_layers,
         dropout_rate=dropout_rate,
         seed=seed,
         name_prefix="mcd",
     )
-    net = Network(layers, name=name or f"{spec.name}_bayes_mcd{num_mcd_layers}")
+    if name is None:
+        suffix = f"bayes_mcd{num_mcd_layers}" if num_mcd_layers else "se"
+        name = f"{spec.name}_{suffix}"
+    net = Network(layers, name=name)
     net.build(spec.input_shape, seed=seed)
     return net
 
@@ -138,7 +141,7 @@ class MultiExitBayesNet:
         # always the end of the backbone)
         self.exit_points: list[int] = list(spec.exit_points[-config.num_exits :])
 
-        self.backbone: Network = spec.backbone
+        self.backbone = Network(spec.backbone_factory(), name=f"{spec.name}_backbone")
         self.backbone.build(spec.input_shape, seed=config.seed)
 
         self._engine = None  # lazily-built repro.inference.InferenceEngine
@@ -157,7 +160,7 @@ class MultiExitBayesNet:
                 mcd_layers=config.mcd_layers_per_exit,
                 dropout_rate=config.dropout_rate,
             )
-            custom = spec._require_factory()() if is_final else None
+            custom = spec.final_head_factory() if is_final else None
             layers = build_exit_head(
                 head_cfg,
                 feature_shape,

@@ -92,7 +92,7 @@ class TransformationFramework:
     Parameters
     ----------
     spec_factory:
-        Callable returning a fresh :class:`BackboneSpec`.  It may optionally
+        Callable returning a :class:`BackboneSpec`.  It may optionally
         accept a ``width_multiplier`` keyword (used by Phase 3 channel
         scaling); factories that do not accept it are still supported, in
         which case channel scaling is skipped.

@@ -20,7 +20,7 @@ from ..nn.training import DistillationTrainer
 from ..uncertainty.calibration import expected_calibration_error
 from ..uncertainty.metrics import accuracy as accuracy_metric
 from ..uncertainty.metrics import negative_log_likelihood
-from .bayesnn import MultiExitBayesNet, MultiExitConfig
+from .bayesnn import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 
 __all__ = [
     "CandidateConfig",
@@ -93,8 +93,8 @@ class MultiExitOptimizer:
     Parameters
     ----------
     spec_factory:
-        Zero-argument callable returning a fresh :class:`BackboneSpec`
-        (a spec instance can only be consumed by one model).
+        Zero-argument callable returning the :class:`BackboneSpec` every
+        candidate and the single-exit reference are built from.
     train_split, test_split:
         Dataset splits used for training and evaluation.
     epochs, lr, batch_size:
@@ -134,8 +134,7 @@ class MultiExitOptimizer:
         if self._reference_flops is None:
             from .flops import network_flops
 
-            spec = self.spec_factory()
-            baseline = spec.single_exit_network(seed=self.seed)
+            baseline = single_exit_bayesnet(self.spec_factory(), seed=self.seed)
             self._reference_flops = float(network_flops(baseline))
         return self._reference_flops
 

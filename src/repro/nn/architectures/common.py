@@ -6,18 +6,20 @@ paper (Section III), exit points are chosen by semantic grouping: the network
 is split into "blocks" separated by pooling layers (or, for ResNet, stages of
 residual blocks), and one exit can be attached after each block.
 
-The spec deliberately keeps the backbone *unbuilt* so that downstream code —
-the multi-exit constructor, the FLOP analyzer, and the hardware design-space
-exploration (which rescales channel counts) — can all instantiate it lazily.
+The spec owns no layers.  It holds two zero-argument factories (backbone
+layers and final-head layers) and every model built from it — single-exit,
+flat MC-dropout or multi-exit — calls them for fresh, unbuilt layers.  So one
+spec builds any number of models that share no parameter, and it pickles
+whenever its factories do (the architecture modules bind module-level
+layer-list functions with :func:`functools.partial`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..layers.base import Layer
-from ..model import Network
 
 __all__ = ["BackboneSpec", "scale_channels"]
 
@@ -38,87 +40,48 @@ def scale_channels(channels: int, multiplier: float, minimum: int = 4) -> int:
 
 @dataclass
 class BackboneSpec:
-    """A backbone network plus the metadata needed to attach exits.
+    """How to make a backbone and its classifier head, plus the exit points.
 
     Attributes
     ----------
     name:
         Human-readable architecture name (e.g. ``"resnet18"``).
-    backbone:
-        Unbuilt :class:`~repro.nn.model.Network` containing the feature
+    backbone_factory:
+        Zero-argument callable returning the unbuilt layers of the feature
         extractor (no classifier head).
     exit_points:
         Layer indices ``p`` such that ``backbone.forward_range(x, 0, p)`` is
-        the activation fed to exit ``i``.  The last entry always equals
-        ``len(backbone.layers)`` (the final exit uses the full backbone).
+        the activation fed to exit ``i``.  The last entry always equals the
+        number of backbone layers (the final exit uses the full backbone).
     input_shape:
         Per-sample input shape ``(C, H, W)``.
     num_classes:
         Number of output classes.
     final_head_factory:
-        Zero-argument callable returning the (unbuilt) list of layers for the
+        Zero-argument callable returning the unbuilt layers of the
         architecture's original classifier head.
     """
 
     name: str
-    backbone: Network
+    backbone_factory: Callable[[], list[Layer]]
     exit_points: list[int]
     input_shape: tuple[int, int, int]
     num_classes: int
     final_head_factory: Callable[[], list[Layer]]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.exit_points:
             raise ValueError("exit_points must not be empty")
         if sorted(self.exit_points) != list(self.exit_points):
             raise ValueError("exit_points must be increasing")
-        if self.exit_points[-1] != len(self.backbone.layers):
+        depth = len(self.backbone_factory())
+        if self.exit_points[-1] != depth:
             raise ValueError(
                 "the last exit point must be the end of the backbone "
-                f"({len(self.backbone.layers)}), got {self.exit_points[-1]}"
+                f"({depth}), got {self.exit_points[-1]}"
             )
 
     @property
     def num_blocks(self) -> int:
         """Number of semantic blocks (= maximum number of exits)."""
         return len(self.exit_points)
-
-    # ------------------------------------------------------------------ #
-    # pickling
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        # The head factory is a construction-time closure (not picklable and
-        # not needed after exits are built).  Dropping it keeps whole models
-        # picklable, which is how the process-pool serving workers receive
-        # their engine replicas.
-        state = self.__dict__.copy()
-        state["final_head_factory"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def _require_factory(self) -> Callable[[], list[Layer]]:
-        if self.final_head_factory is None:
-            raise RuntimeError(
-                f"spec {self.name!r} lost its final_head_factory in pickling; "
-                "rebuild the spec (e.g. lenet5_spec(...)) to construct new "
-                "models from it"
-            )
-        return self.final_head_factory
-
-    def single_exit_network(self, seed: int = 0, name: str | None = None) -> Network:
-        """Compose backbone + original classifier into a built single-exit network.
-
-        This is the non-Bayesian, single-exit baseline ("SE" in Table I) and
-        is also the network handed to the hardware back-end for the
-        Bayes-LeNet / Bayes-VGG / Bayes-ResNet accelerator experiments.
-        """
-        net = Network(name=name or f"{self.name}_se")
-        for layer in self.backbone.layers:
-            net.add(layer)
-        for layer in self._require_factory()():
-            net.add(layer)
-        net.build(self.input_shape, seed=seed)
-        return net

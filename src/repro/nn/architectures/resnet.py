@@ -7,8 +7,11 @@ block of the paper's exit-placement scheme, giving four exit points.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import accumulate
+
 from ..layers import BatchNorm, Conv2D, Dense, GlobalAvgPool2D, ReLU, ResidualBlock
-from ..model import Network
+from ..layers.base import Layer
 from .common import BackboneSpec, scale_channels
 
 __all__ = ["resnet_spec", "RESNET_CONFIGS"]
@@ -19,6 +22,37 @@ RESNET_CONFIGS: dict[str, list[tuple[int, int, int]]] = {
     "resnet18": [(64, 2, 1), (128, 2, 2), (256, 2, 2), (512, 2, 2)],
     "resnet34": [(64, 3, 1), (128, 4, 2), (256, 6, 2), (512, 3, 2)],
 }
+
+
+def _backbone(
+    config: list[tuple[int, int, int]], width_multiplier: float, use_batchnorm: bool
+) -> list[Layer]:
+    stem = scale_channels(64, width_multiplier)
+    layers: list[Layer] = [
+        Conv2D(stem, 3, padding=1, use_bias=not use_batchnorm, name="stem_conv")
+    ]
+    if use_batchnorm:
+        layers.append(BatchNorm(name="stem_bn"))
+    layers.append(ReLU(name="stem_relu"))
+    for stage, (channels, n_blocks, first_stride) in enumerate(config):
+        c = scale_channels(channels, width_multiplier)
+        layers.extend(
+            ResidualBlock(
+                c,
+                stride=first_stride if block == 0 else 1,
+                use_batchnorm=use_batchnorm,
+                name=f"stage{stage}_block{block}",
+            )
+            for block in range(n_blocks)
+        )
+    return layers
+
+
+def _final_head(num_classes: int) -> list[Layer]:
+    return [
+        GlobalAvgPool2D(name="global_pool"),
+        Dense(num_classes, name="classifier"),
+    ]
 
 
 def resnet_spec(
@@ -40,51 +74,14 @@ def resnet_spec(
             raise ValueError("max_stages must be positive")
         config = config[:max_stages]
 
-    stem_channels = scale_channels(64, width_multiplier)
-    backbone = Network(name=f"{variant}_backbone")
-    backbone.add(
-        Conv2D(
-            stem_channels, 3, padding=1, use_bias=not use_batchnorm, name="stem_conv"
-        )
-    )
-    if use_batchnorm:
-        backbone.add(BatchNorm(name="stem_bn"))
-    backbone.add(ReLU(name="stem_relu"))
-
-    exit_points: list[int] = []
-    for stage, (channels, n_blocks, first_stride) in enumerate(config):
-        c = scale_channels(channels, width_multiplier)
-        for block in range(n_blocks):
-            stride = first_stride if block == 0 else 1
-            backbone.add(
-                ResidualBlock(
-                    c,
-                    stride=stride,
-                    use_batchnorm=use_batchnorm,
-                    name=f"stage{stage}_block{block}",
-                )
-            )
-        exit_points.append(len(backbone.layers))
-
-    final_channels = scale_channels(config[-1][0], width_multiplier)
-
-    def final_head():
-        return [
-            GlobalAvgPool2D(name="global_pool"),
-            Dense(num_classes, name="classifier"),
-        ]
-
+    # the stem (conv [+ bn] + relu), then one exit after each stage's blocks
+    stem_layers = 3 if use_batchnorm else 2
+    exit_points = list(accumulate((n for _, n, _ in config), initial=stem_layers))[1:]
     return BackboneSpec(
         name=variant,
-        backbone=backbone,
+        backbone_factory=partial(_backbone, config, width_multiplier, use_batchnorm),
         exit_points=exit_points,
         input_shape=tuple(input_shape),
         num_classes=num_classes,
-        final_head_factory=final_head,
-        metadata={
-            "width_multiplier": width_multiplier,
-            "use_batchnorm": use_batchnorm,
-            "stages": len(config),
-            "final_channels": final_channels,
-        },
+        final_head_factory=partial(_final_head, num_classes),
     )

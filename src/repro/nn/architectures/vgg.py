@@ -8,8 +8,11 @@ branches.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import accumulate
+
 from ..layers import BatchNorm, Conv2D, Dense, Flatten, MaxPool2D, ReLU
-from ..model import Network
+from ..layers.base import Layer
 from .common import BackboneSpec, scale_channels
 
 __all__ = ["vgg_spec", "VGG_CONFIGS"]
@@ -21,6 +24,33 @@ VGG_CONFIGS: dict[str, list[tuple[int, int]]] = {
     "vgg16": [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)],
     "vgg19": [(64, 2), (128, 2), (256, 4), (512, 4), (512, 4)],
 }
+
+
+def _backbone(
+    config: list[tuple[int, int]], width_multiplier: float, use_batchnorm: bool
+) -> list[Layer]:
+    bias = not use_batchnorm
+    layers: list[Layer] = []
+    for stage, (channels, n_convs) in enumerate(config):
+        c = scale_channels(channels, width_multiplier)
+        for i in range(n_convs):
+            layers.append(
+                Conv2D(c, 3, padding=1, use_bias=bias, name=f"stage{stage}_conv{i}")
+            )
+            if use_batchnorm:
+                layers.append(BatchNorm(name=f"stage{stage}_bn{i}"))
+            layers.append(ReLU(name=f"stage{stage}_relu{i}"))
+        layers.append(MaxPool2D(2, name=f"stage{stage}_pool"))
+    return layers
+
+
+def _final_head(hidden: int, num_classes: int) -> list[Layer]:
+    return [
+        Flatten(name="flatten"),
+        Dense(hidden, name="fc1"),
+        ReLU(name="fc1_relu"),
+        Dense(num_classes, name="classifier"),
+    ]
 
 
 def vgg_spec(
@@ -67,46 +97,16 @@ def vgg_spec(
     if not config:
         raise ValueError(f"input shape {input_shape} is too small for {variant}")
 
-    backbone = Network(name=f"{variant}_backbone")
-    exit_points: list[int] = []
-    for stage, (channels, n_convs) in enumerate(config):
-        c = scale_channels(channels, width_multiplier)
-        for i in range(n_convs):
-            backbone.add(
-                Conv2D(
-                    c,
-                    3,
-                    padding=1,
-                    use_bias=not use_batchnorm,
-                    name=f"stage{stage}_conv{i}",
-                )
-            )
-            if use_batchnorm:
-                backbone.add(BatchNorm(name=f"stage{stage}_bn{i}"))
-            backbone.add(ReLU(name=f"stage{stage}_relu{i}"))
-        backbone.add(MaxPool2D(2, name=f"stage{stage}_pool"))
-        exit_points.append(len(backbone.layers))
-
-    hidden = scale_channels(512, width_multiplier)
-
-    def final_head():
-        return [
-            Flatten(name="flatten"),
-            Dense(hidden, name="fc1"),
-            ReLU(name="fc1_relu"),
-            Dense(num_classes, name="classifier"),
-        ]
-
+    # each conv is followed by [bn +] relu, and each stage ends with its pool
+    layers_per_conv = 3 if use_batchnorm else 2
+    exit_points = list(accumulate(n * layers_per_conv + 1 for _, n in config))
     return BackboneSpec(
         name=variant,
-        backbone=backbone,
+        backbone_factory=partial(_backbone, config, width_multiplier, use_batchnorm),
         exit_points=exit_points,
         input_shape=tuple(input_shape),
         num_classes=num_classes,
-        final_head_factory=final_head,
-        metadata={
-            "width_multiplier": width_multiplier,
-            "use_batchnorm": use_batchnorm,
-            "stages": len(config),
-        },
+        final_head_factory=partial(
+            _final_head, scale_channels(512, width_multiplier), num_classes
+        ),
     )

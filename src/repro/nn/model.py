@@ -34,24 +34,15 @@ __all__ = ["Network"]
 class Network:
     """An ordered container of layers forming a feed-forward network."""
 
-    def __init__(
-        self, layers: Sequence[Layer] | None = None, name: str = "network"
-    ) -> None:
+    def __init__(self, layers: Sequence[Layer], name: str = "network") -> None:
         self.name = name
-        self.layers: list[Layer] = list(layers) if layers else []
+        self.layers: list[Layer] = list(layers)
         self.built = False
         self.input_shape: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def add(self, layer: Layer) -> "Network":
-        """Append a layer; returns self for chaining."""
-        if self.built:
-            raise RuntimeError("cannot add layers after the network is built")
-        self.layers.append(layer)
-        return self
-
     def build(self, input_shape: tuple[int, ...], seed: int = 0) -> "Network":
         """Build every layer for the given per-sample input shape."""
         rng = np.random.default_rng(seed)

@@ -17,7 +17,6 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.layers.base import Layer
-from repro.nn.model import Network
 
 from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
 
@@ -25,8 +24,9 @@ from ..conftest import small_lenet_spec, small_resnet_spec, small_vgg_spec
 def _batchnorm_first_spec() -> BackboneSpec:
     """A backbone whose layer 0 has parameters but no ``backward_params`` of
     its own, so the base version (``backward``, result dropped) runs."""
-    backbone = Network(
-        [
+    return BackboneSpec(
+        name="bn_first",
+        backbone_factory=lambda: [
             BatchNorm(name="bn0"),
             Conv2D(4, 3, padding=1, name="conv1"),
             ReLU(name="relu1"),
@@ -34,11 +34,7 @@ def _batchnorm_first_spec() -> BackboneSpec:
             Conv2D(6, 3, padding=1, name="conv2"),
             ReLU(name="relu2"),
             MaxPool2D(2, name="pool2"),
-        ]
-    )
-    return BackboneSpec(
-        name="bn_first",
-        backbone=backbone,
+        ],
         exit_points=[4, 7],
         input_shape=(2, 8, 8),
         num_classes=3,

@@ -46,8 +46,8 @@ MODELS = {
     "single_exit_lenet5": lambda: single_exit_bayesnet(
         _lenet(), num_mcd_layers=2, seed=0
     ),
-    "se_lenet5": lambda: _lenet().single_exit_network(seed=0),
-    "se_resnet10": lambda: _resnet10().single_exit_network(seed=0),
+    "se_lenet5": lambda: single_exit_bayesnet(_lenet(), seed=0),
+    "se_resnet10": lambda: single_exit_bayesnet(_resnet10(), seed=0),
 }
 
 DIGESTS = {

@@ -46,7 +46,7 @@ class TestPartitioning:
         assert all(d["type"] != "MCDropout" for d in det)
 
     def test_partition_deterministic_network_all_deterministic(self):
-        net = small_lenet_spec().single_exit_network()
+        net = single_exit_bayesnet(small_lenet_spec())
         det, bayes = partition_network(net)
         assert bayes == []
         assert len(det) == len(net.layers)

@@ -227,7 +227,7 @@ class TestCodeGeneration:
             HLSCodeGenerator(accel_spatial, dropout_rate=1.5)
 
     def test_non_bayesian_design_generates_empty_mcd_header(self):
-        net = small_lenet_spec().single_exit_network(seed=0)
+        net = single_exit_bayesnet(small_lenet_spec(), seed=0)
         accel = AcceleratorModel(
             net, AcceleratorConfig(weight_bitwidth=8, reuse_factor=16)
         )

@@ -117,7 +117,7 @@ class TestDeepEnsembleComparison:
     def test_multi_exit_far_cheaper_than_ensemble(self, trained_model, dataset):
         """The headline motivation: similar calibration machinery, far fewer FLOPs."""
         def member_factory():
-            return small_lenet_spec().single_exit_network(seed=0)
+            return single_exit_bayesnet(small_lenet_spec(), seed=0)
 
         # ensemble of 4 independent networks == 4 full forward passes
         member_flops = network_flops(member_factory())

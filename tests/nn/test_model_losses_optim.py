@@ -21,15 +21,18 @@ from .gradcheck import numerical_gradient
 
 
 def small_network() -> Network:
-    net = Network(name="small")
-    net.add(Conv2D(4, 3, padding=1, name="conv"))
-    net.add(ReLU())
-    net.add(MaxPool2D(2))
-    net.add(Flatten())
-    net.add(Dense(8, name="hidden"))
-    net.add(ReLU())
-    net.add(Dense(3, name="out"))
-    return net
+    return Network(
+        [
+            Conv2D(4, 3, padding=1, name="conv"),
+            ReLU(),
+            MaxPool2D(2),
+            Flatten(),
+            Dense(8, name="hidden"),
+            ReLU(),
+            Dense(3, name="out"),
+        ],
+        name="small",
+    )
 
 
 class TestNetwork:
@@ -57,11 +60,6 @@ class TestNetwork:
     def test_unbuilt_forward_raises(self, rng):
         with pytest.raises(RuntimeError):
             small_network().forward(rng.normal(size=(1, 1, 8, 8)))
-
-    def test_add_after_build_raises(self):
-        net = small_network().build((1, 8, 8))
-        with pytest.raises(RuntimeError):
-            net.add(Dense(2))
 
     def test_duplicate_names_made_unique(self):
         net = Network([ReLU(name="act"), ReLU(name="act")]).build((4,))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MultiExitBayesNet, MultiExitConfig
+from repro.core import MultiExitBayesNet, MultiExitConfig, single_exit_bayesnet
 from repro.nn import (
     SGD,
     CrossEntropyLoss,
@@ -60,7 +60,7 @@ class TestMinibatches:
 class TestTrainer:
     def test_training_reduces_loss(self, tiny_dataset):
         spec = small_lenet_spec()
-        net = spec.single_exit_network(seed=0)
+        net = single_exit_bayesnet(spec, seed=0)
         trainer = Trainer(
             net, SGD(
                 net.parameters(), lr=0.05
@@ -71,7 +71,7 @@ class TestTrainer:
 
     def test_training_beats_chance(self, tiny_dataset):
         spec = small_lenet_spec()
-        net = spec.single_exit_network(seed=0)
+        net = single_exit_bayesnet(spec, seed=0)
         trainer = Trainer(
             net, SGD(
                 net.parameters(), lr=0.05
@@ -84,7 +84,7 @@ class TestTrainer:
 
     def test_each_step_starts_from_zeroed_gradients(self, tiny_dataset):
         _assert_a_stale_gradient_changes_nothing(
-            lambda: small_lenet_spec().single_exit_network(seed=0),
+            lambda: single_exit_bayesnet(small_lenet_spec(), seed=0),
             lambda net: Trainer(net, SGD(net.parameters(), lr=0.05)),
             tiny_dataset.train.x[:8],
             tiny_dataset.train.y[:8],
@@ -96,7 +96,7 @@ class TestTrainer:
     def test_step_gradients_are_the_full_backwards(self, make_spec):
         """Layer 0 skips only its input gradient: one step's parameter
         gradients are the full backward chain's, in bytes."""
-        stepped, full = (make_spec().single_exit_network(seed=0) for _ in range(2))
+        stepped, full = (single_exit_bayesnet(make_spec(), seed=0) for _ in range(2))
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8,) + full.input_shape)
         y = rng.integers(0, full.layers[-1].output_shape[0], size=8)
@@ -109,7 +109,7 @@ class TestTrainer:
 
     def test_history_epochs(self, tiny_dataset):
         spec = small_lenet_spec()
-        net = spec.single_exit_network(seed=0)
+        net = single_exit_bayesnet(spec, seed=0)
         trainer = Trainer(net, SGD(net.parameters(), lr=0.05), batch_size=32)
         history = trainer.fit(tiny_dataset.train.x, tiny_dataset.train.y, epochs=2)
         assert len(history.loss) == len(history.accuracy) == 2
@@ -177,11 +177,11 @@ class TestArchitectures:
     def test_lenet_structure(self):
         spec = lenet5_spec()
         assert spec.num_blocks == 2
-        assert spec.exit_points[-1] == len(spec.backbone.layers)
+        assert spec.exit_points[-1] == len(spec.backbone_factory())
 
     def test_lenet_single_exit_network(self, rng):
         spec = lenet5_spec(input_shape=(1, 28, 28))
-        net = spec.single_exit_network()
+        net = single_exit_bayesnet(spec)
         out = net.predict(rng.normal(size=(2, 1, 28, 28)))
         assert out.shape == (2, 10)
 
@@ -191,7 +191,8 @@ class TestArchitectures:
 
     def test_vgg19_conv_count(self):
         spec = vgg_spec("vgg19", input_shape=(3, 32, 32), use_batchnorm=False)
-        convs = [layer for layer in spec.backbone.layers if isinstance(layer, Conv2D)]
+        layers = spec.backbone_factory()
+        convs = [layer for layer in layers if isinstance(layer, Conv2D)]
         assert len(convs) == 16
 
     def test_vgg_truncated_for_small_inputs(self):
@@ -204,9 +205,8 @@ class TestArchitectures:
 
     def test_resnet18_block_count(self):
         spec = resnet_spec("resnet18", input_shape=(3, 32, 32))
-        blocks = [
-            layer for layer in spec.backbone.layers if isinstance(layer, ResidualBlock)
-        ]
+        layers = spec.backbone_factory()
+        blocks = [layer for layer in layers if isinstance(layer, ResidualBlock)]
         assert len(blocks) == 8
         assert spec.num_blocks == 4
 
@@ -214,7 +214,7 @@ class TestArchitectures:
         spec = resnet_spec(
             "resnet10", input_shape=(3, 16, 16), width_multiplier=0.125, max_stages=2
         )
-        net = spec.single_exit_network()
+        net = single_exit_bayesnet(spec)
         assert net.predict(rng.normal(size=(2, 3, 16, 16))).shape == (2, 10)
 
     def test_resnet_unknown_variant(self):
@@ -222,8 +222,8 @@ class TestArchitectures:
             resnet_spec("resnet999")
 
     def test_width_multiplier_reduces_parameters(self):
-        wide = lenet5_spec(width_multiplier=1.0).single_exit_network()
-        narrow = lenet5_spec(width_multiplier=0.5).single_exit_network()
+        wide = single_exit_bayesnet(lenet5_spec(width_multiplier=1.0))
+        narrow = single_exit_bayesnet(lenet5_spec(width_multiplier=0.5))
         def size(net):
             return sum(p.size for p in net.parameters())
 
@@ -251,7 +251,7 @@ class TestArchitectures:
         with pytest.raises(ValueError):
             BackboneSpec(
                 name="bad",
-                backbone=spec.backbone,
+                backbone_factory=spec.backbone_factory,
                 exit_points=[1, 99],
                 input_shape=spec.input_shape,
                 num_classes=10,
