@@ -16,9 +16,9 @@ bench:
 # Reentrancy/shared-memory/concurrency suites (incl. the ring exchange's
 # two-deep queue and cancellation, the slot-sizing contract — a spawn-free
 # geometry grid, a lying geometry failing one batch — worker/loop CPU
-# placement — K = 1..3 pinned workers on a 4-core host — and the batcher's
+# placement — K = 1..3 pinned workers on a 4-core host — the batcher's
 # hand-off ordering, its queue bound and the request-conservation state
-# machine) +
+# machine, and folded-vs-looped MC bit-identity) +
 # the K=4 scaling gates (threads >= 1.8x, processes >= 2.5x; gates skip
 # below 4 cores; BLAS pinned so the workers scale, not the libraries) + the
 # one-ring-worker busy-share gate (>= 0.80) + the hot-path glue
@@ -42,6 +42,7 @@ parallel:
 		tests/serving/test_ring.py tests/serving/test_batcher.py \
 		tests/serving/test_batcher_properties.py \
 		tests/serving/test_placement.py \
+		tests/inference/test_folded_equivalence.py \
 		benchmarks/test_parallel_serving.py benchmarks/test_procpool_serving.py \
 		benchmarks/test_fleet.py \
 		benchmarks/test_fused_suffix.py benchmarks/test_glue_breakdown.py \
@@ -101,11 +102,12 @@ grid:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments run --store $(STORE) --reclaim-running
 	PYTHONPATH=src $(PYTHON) -m repro.experiments report --store $(STORE) --markdown --summary
 
-# Reach census: run the examples, the six paper drivers, the smoke grid, the
-# server and loadgen CLIs and one short e2e workload, each in a child
-# interpreter under a profiler (their own children too), and print, for every
-# function in src/repro, whether any of them enters it ("entered"/"never")
-# and its lines.  About 40 s.
+# Reach census: run the examples, the six paper drivers, the smoke grid (and
+# an init of the paper grid and of a grid file), the README and
+# docs/architecture.md python blocks, the server and loadgen CLIs and one
+# short e2e workload, each in a child interpreter under a profiler (their own
+# children too), and print, for every function in src/repro, whether any of
+# them enters it ("entered"/"never") and its lines.  About 45 s.
 reach:
 	$(PYTHON) tools/reach.py
 

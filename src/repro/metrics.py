@@ -1,8 +1,8 @@
 """The one latency statistic every report in the repo quotes.
 
 Server-side :class:`~repro.serving.engine.ServingStats`, the load
-generator's :class:`~repro.serving.loadgen.LoadReport`, the autoscaler's
-p95 signal and the experiment grid's rows all call
+generator's :class:`~repro.serving.loadgen.LoadReport` and the experiment
+grid's rows all call
 :func:`nearest_rank_percentile`, so a client's and a server's p99 over the
 same sample are the same number.
 """

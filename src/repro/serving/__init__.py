@@ -27,10 +27,9 @@ two with classic dynamic batching:
   thread pool (on the event loop when K is 1), or K worker *processes*
   over a shared-memory parameter arena
   (:class:`~repro.nn.shm.SharedParameterArena`) with crash retry.
-* :mod:`repro.serving.fleet` — the self-healing, elastic fleet layer:
+* :mod:`repro.serving.fleet` — the self-healing fleet layer:
   :class:`WorkerSupervisor` respawns dead workers re-attached to the
-  current arena generation, :class:`Autoscaler` sizes K between
-  ``min_workers``/``max_workers`` from live signals, and a test-only
+  current arena generation, keeping K at ``workers``, and a test-only
   :class:`FaultPlan` injects deterministic worker kills for the chaos
   suite.  Enable with ``ServingConfig(fleet=FleetConfig(...))``; hot-swap
   models with ``ServingEngine.swap_model``.
@@ -43,7 +42,7 @@ two with classic dynamic batching:
   ``GET /v1/health``, with typed error mapping (``ServerOverloaded`` →
   503, ``DeadlineExceeded`` → 504, bad payload → 400).
 * :class:`LoadGenerator` / :class:`LoadReport` — the open-loop load
-  harness: Poisson / burst / replayable-trace arrival schedules, a
+  harness: Poisson / burst / explicit-trace arrival schedules, a
   bounded outstanding-request budget, and achieved-vs-offered-rate plus
   p50/p95/p99 latency reporting.
 * :class:`ServingStats` / :class:`BatcherStats` — throughput, latency
@@ -59,14 +58,7 @@ from importlib import import_module as _import_module
 from .batcher import BatcherStats, DeadlineExceeded, DynamicBatcher, ServerOverloaded
 from .config import BatcherConfig, ServingConfig
 from .engine import ServingEngine, ServingStats
-from .fleet import (
-    Autoscaler,
-    FaultInjection,
-    FaultPlan,
-    FleetConfig,
-    FleetSignals,
-    WorkerSupervisor,
-)
+from .fleet import FaultInjection, FaultPlan, FleetConfig, WorkerSupervisor
 from .workers import ProcessWorkerPool, ThreadWorkerPool, WorkerCrashed
 
 __all__ = [
@@ -81,15 +73,12 @@ __all__ = [
     "ServingStats",
     "LoadGenerator",
     "LoadReport",
-    "load_trace",
     "ThreadWorkerPool",
     "ProcessWorkerPool",
     "WorkerCrashed",
-    "Autoscaler",
     "FaultInjection",
     "FaultPlan",
     "FleetConfig",
-    "FleetSignals",
     "WorkerSupervisor",
 ]
 
@@ -102,7 +91,6 @@ _LAZY_EXPORTS = {
     "ServingServer": ".server",
     "LoadGenerator": ".loadgen",
     "LoadReport": ".loadgen",
-    "load_trace": ".loadgen",
 }
 
 

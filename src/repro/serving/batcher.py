@@ -28,8 +28,8 @@ batch that fills never waits and pays nothing.
 **One pending set.**  An accepted, not yet dispatched request sits in one
 place, the batcher's EDF heap: ``submit`` pushes it there and the collector
 assembles from there.  So ``max_queue_size`` bounds what it says — requests
-accepted and not yet dispatched, ``queue_depth == len(heap) <=
-max_queue_size`` at every instant, ``stats.queue_peak`` its high-water mark
+accepted and not yet dispatched, ``len(heap) <= max_queue_size`` at
+every instant, ``stats.queue_peak`` its high-water mark
 (batches in flight are bounded separately, by ``workers x depth``).  With
 the heap full, ``reject_on_full=True`` fails ``submit`` fast with
 :class:`ServerOverloaded` so the caller can retry elsewhere; the default
@@ -248,12 +248,6 @@ admission_timeout:
     @property
     def running(self) -> bool:
         return self._collector is not None and not self._collector.done()
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests accepted and not yet dispatched, ``<= max_queue_size``:
-        the autoscaler's backlog signal (batches in flight are not in it)."""
-        return len(self._heap)
 
     async def start(self) -> None:
         """Start the background collector (idempotent)."""

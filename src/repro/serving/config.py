@@ -125,7 +125,7 @@ class ServingConfig:
         through shared-memory ring slots sized for the batch geometry.
     fleet:
         Optional :class:`~repro.serving.fleet.FleetConfig` turning the
-        static pool into a supervised / autoscaled fleet.
+        static pool into a supervised fleet of ``workers`` replicas.
     fault_plan:
         Test-only :class:`~repro.serving.fleet.FaultPlan` of
         deterministic worker kills (process backend only).  Note a plan
@@ -168,9 +168,6 @@ class ServingConfig:
                 "fault_plan injects worker-process deaths and requires "
                 "worker_backend='process'"
             )
-        if self.fleet is not None:
-            # surfaces inconsistent bounds at config time, not serve time
-            self.fleet.resolve_bounds(self.workers)
 
     # ------------------------------------------------------------------ #
     # wire form

@@ -62,7 +62,7 @@ from ..metrics import nearest_rank_percentile
 from ..uncertainty.metrics import UncertaintyResult
 from .batcher import DynamicBatcher
 from .config import ServingConfig
-from .fleet import FleetSignals, WorkerSupervisor
+from .fleet import WorkerSupervisor
 from .workers import ProcessWorkerPool, ThreadWorkerPool
 
 __all__ = ["ServingEngine", "ServingStats"]
@@ -114,11 +114,11 @@ class ServingStats:
     transport_ring_batches:
         Process backend: batches that crossed the boundary through the
         shared-memory ring (always 0 for the thread backend).
-    workers_respawned / scale_events / current_workers / arena_generation:
+    workers_respawned / current_workers / arena_generation:
         Fleet telemetry (see :mod:`repro.serving.fleet`): dead workers
-        replaced by the supervisor, completed grow/shrink transitions,
-        replicas currently able to take a batch, and the shared-arena
-        generation (bumped once per zero-downtime model swap).
+        replaced by the supervisor, replicas currently able to take a
+        batch, and the shared-arena generation (bumped once per
+        zero-downtime model swap).
     cache_hits / cache_misses:
         Content-keyed activation-cache traffic summed over every replica
         the pool has owned (thread replicas report directly, process
@@ -157,9 +157,8 @@ class ServingStats:
     transport_ring_batches: int = 0
     #: dead workers replaced by the supervisor (crash-retry excluded)
     workers_respawned: int = 0
-    #: completed autoscale (or manual ``scale_to``) transitions
-    scale_events: int = 0
-    #: replicas currently able to take a batch (tracks scaling live)
+    #: replicas currently able to take a batch (dips while a death is
+    #: being replaced)
     current_workers: int = 0
     #: replicas whose worker probes alive *right now* (process liveness;
     #: a silent death shows here before the supervisor reaps it)
@@ -242,11 +241,6 @@ class ServingEngine:
         self.workers = int(config.workers)
         self.worker_backend = config.worker_backend
         self.fleet = config.fleet
-        fleet = config.fleet
-        #: largest fleet size this engine may reach (executor sizing)
-        self._max_fleet = (
-            fleet.resolve_bounds(self.workers)[1] if fleet is not None else self.workers
-        )
         pool_kwargs = dict(
             workers=self.workers,
             num_samples=config.num_samples,
@@ -257,13 +251,10 @@ class ServingEngine:
             input_shape=self.input_shape,
             fault_plan=config.fault_plan,
         )
-        if fleet is not None:
-            pool_kwargs["respawn_wait"] = fleet.respawn_wait
+        if self.fleet is not None:
+            pool_kwargs["respawn_wait"] = self.fleet.respawn_wait
         self._pool = _POOL_BACKENDS[config.worker_backend](self.engine, **pool_kwargs)
         self.supervisor: WorkerSupervisor | None = None
-        # autoscaler signal deltas (shed/completed since last evaluation)
-        self._shed_seen = 0
-        self._completed_seen = 0
         self._batch_seq = 0
         self._batcher = DynamicBatcher(
             self._dispatch,
@@ -301,27 +292,18 @@ class ServingEngine:
         cost of an interpreter + imports per worker.
         """
         if self._executor is None:
-            # headroom beyond the largest fleet: supervisor respawns and
+            # headroom beyond the fleet: supervisor respawns and
             # drain-retire shutdowns run on this executor concurrently
-            # with up to max-fleet in-flight batches
+            # with up to ``workers`` in-flight batches
             extra = 2 if self.fleet is not None else 0
             self._executor = ThreadPoolExecutor(
-                max_workers=self._max_fleet + extra,
-                thread_name_prefix="repro-serving",
+                self.workers + extra, thread_name_prefix="repro-serving"
             )
         await self._pool.start(self._executor)
         await self._batcher.start()
         if self.fleet is not None:
             if self.supervisor is None:
-                signal_source = (
-                    self._fleet_signals if self.fleet.autoscaling else None
-                )
-                self.supervisor = WorkerSupervisor(
-                    self._pool,
-                    self.fleet,
-                    signal_source=signal_source,
-                    on_scale=self._on_scale,
-                )
+                self.supervisor = WorkerSupervisor(self._pool, self.fleet)
             await self.supervisor.start()
 
     async def stop(self, drain: bool = True) -> None:
@@ -341,28 +323,6 @@ class ServingEngine:
         if self._owns_executor and self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-
-    def _fleet_signals(self) -> FleetSignals:
-        """Snapshot the live load signals one autoscaler evaluation needs."""
-        b = self._batcher.stats
-        shed_delta = b.shed - self._shed_seen
-        self._shed_seen = b.shed
-        completed_delta = b.completed - self._completed_seen
-        self._completed_seen = b.completed
-        lat = np.sort(np.asarray(self._latencies, dtype=np.float64))
-        return FleetSignals(
-            queue_depth=self._batcher.queue_depth,
-            current_workers=self._pool.current_workers,
-            shed_delta=shed_delta,
-            completed_delta=completed_delta,
-            latency_p95_s=nearest_rank_percentile(lat, 95) if lat.size else 0.0,
-        )
-
-    def _on_scale(self, target: int) -> None:
-        # keep the dispatch pipeline as wide as the fleet (every replica
-        # holds ``depth`` batches), so grown workers actually receive
-        # concurrent batches
-        self._batcher.max_concurrent_batches = max(1, int(target)) * self._pool.depth
 
     async def swap_model(self, model: MultiExitBayesNet) -> int:
         """Hot-swap the served model with zero downtime; returns the generation.
@@ -545,7 +505,6 @@ class ServingEngine:
             requests_shed=b.shed,
             transport_ring_batches=self._pool.ring_batches,
             workers_respawned=self._pool.workers_respawned,
-            scale_events=self._pool.scale_events,
             current_workers=self._pool.current_workers,
             alive_workers=self._pool.alive_workers,
             arena_generation=self._pool.generation,

@@ -1,11 +1,9 @@
-"""Self-healing, elastically scaled worker fleet for the serving tier.
+"""Self-healing worker fleet for the serving tier.
 
-PRs 5–6 gave the serving engine process workers over a shared-memory
-arena and a zero-copy ring transport — but a *static, fragile* fleet: a
-crashed worker was reaped and never replaced, K was fixed at
-construction, and any model change meant stop/start.  This module closes
-that gap with two small control-loop components that a
-:class:`~repro.serving.engine.ServingEngine` runs alongside its batcher:
+Left to itself a worker pool is a *static, fragile* fleet: a crashed
+worker is reaped and never replaced.  This module closes that gap with one
+small control loop that a :class:`~repro.serving.engine.ServingEngine`
+runs alongside its batcher:
 
 * :class:`WorkerSupervisor` — a liveness loop over the worker pool.  It
   periodically calls :meth:`~repro.serving.workers.roster.WorkerPool
@@ -13,21 +11,14 @@ that gap with two small control-loop components that a
   (including *silent* deaths: a worker killed while idle never fails an
   exchange, so only a liveness scan finds it), unlinks their ring
   segments, and respawns replacements attached to the **current** arena
-  generation.  While a supervisor is attached, a transiently empty fleet
-  makes batches *wait* for the respawn instead of failing with
+  generation, back up to the configured ``workers``.  While a supervisor
+  is attached, a transiently empty fleet makes batches *wait* for the
+  respawn instead of failing with
   :class:`~repro.serving.workers.base.WorkerCrashed` — crash recovery
   becomes invisible to callers, because the per-batch spawn-key rule
   already makes a retried/respawned batch bit-identical to the original.
-* :class:`Autoscaler` — a closed-loop sizing policy between
-  ``min_workers`` and ``max_workers`` driven by signals the system
-  already exports: submission-queue depth, shed and deadline-miss
-  deltas, and recent per-request latency.  Decisions are made by the
-  pure function :meth:`Autoscaler.decide` over a :class:`FleetSignals`
-  snapshot (unit-testable without clocks or sleeps); the loop applies
-  them via :meth:`~repro.serving.workers.roster.WorkerPool.scale_to`,
-  which drains a retiring replica's in-flight batch before releasing it.
 
-Both loops are deliberately *policy over mechanism*: the pool owns the
+The loop is deliberately *policy over mechanism*: the pool owns the
 mechanics (spawn, drain, retire, re-attach), the fleet owns only when to
 invoke them.  Zero-downtime model swaps — including **shape** changes,
 e.g. a DSE rescaling picking a new width — ride the same mechanics: see
@@ -61,11 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "FAULT_POINTS",
-    "Autoscaler",
     "FaultInjection",
     "FaultPlan",
     "FleetConfig",
-    "FleetSignals",
     "WorkerSupervisor",
 ]
 
@@ -76,15 +65,10 @@ FAULT_POINTS = ("pre_doorbell", "mid_compute", "post_response")
 # Config values can arrive from JSON, whose parser accepts NaN, Infinity,
 # 2.5 and true wherever a number goes: a NaN batch latency spins the event
 # loop, a fractional sample count fails every request.
-def require_int(name: str, value: object) -> None:
-    """Reject anything but an integer (``bool`` included)."""
+def require_count(name: str, value: object) -> None:
+    """Reject a count that is not a positive integer (``bool`` included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def require_count(name: str, value: object) -> None:
-    """Reject a count that is not a positive integer."""
-    require_int(name, value)
     if value <= 0:
         raise ValueError(f"{name} must be positive")
 
@@ -178,11 +162,11 @@ class FaultPlan:
 
 @dataclass
 class FleetConfig:
-    """Knobs for the supervisor/autoscaler pair of one serving engine.
+    """Knobs for the supervisor of one serving engine.
 
     Passing a ``FleetConfig`` as ``ServingConfig(fleet=...)`` turns on
-    supervision (unless ``supervise=False``) and — when ``min_workers``
-    and ``max_workers`` describe a real range — autoscaling.
+    supervision (unless ``supervise=False``); the fleet stays at the
+    engine's ``workers``.
 
     Attributes
     ----------
@@ -199,130 +183,26 @@ class FleetConfig:
         With every worker dead, how long a batch waits for the
         supervisor to deliver a respawn before failing with
         ``WorkerCrashed``.  Also the per-worker spawn deadline.
-    min_workers / max_workers:
-        Inclusive autoscaling range.  ``None`` pins the respective bound
-        to the engine's initial ``workers`` — so the default config
-        supervises without scaling.
-    scale_interval:
-        Seconds between autoscaler evaluations.
-    scale_up_backlog:
-        Grow when pending requests per live worker exceed this.  The
-        signal is capped by the batcher's ``max_queue_size``: a threshold
-        of ``max_queue_size / workers`` or more never fires.
-    scale_up_on_shed:
-        Grow (regardless of backlog) when any request was shed or missed
-        its deadline since the last evaluation — shed traffic is the
-        strongest "too small" signal the batcher produces.
-    scale_down_idle_evals:
-        Shrink after this many consecutive evaluations with an empty
-        queue and no completions-in-progress pressure.
     """
 
     supervise: bool = True
     health_interval: float = 0.05
     respawn_wait: float = 60.0
-    min_workers: int | None = None
-    max_workers: int | None = None
-    scale_interval: float = 0.25
-    scale_up_backlog: float = 4.0
-    scale_up_on_shed: bool = True
-    scale_down_idle_evals: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("health_interval", "respawn_wait", "scale_interval"):
+        for name in ("health_interval", "respawn_wait"):
             require_duration(name, getattr(self, name))
-        for name in ("min_workers", "max_workers"):
-            if getattr(self, name) is not None:
-                require_int(name, getattr(self, name))
-        require_count("scale_down_idle_evals", self.scale_down_idle_evals)
-
-    def resolve_bounds(self, workers: int) -> tuple[int, int]:
-        """The concrete (min, max) range given the engine's initial K."""
-        lo = self.min_workers if self.min_workers is not None else workers
-        hi = self.max_workers if self.max_workers is not None else workers
-        if lo <= 0 or hi < lo:
-            raise ValueError(
-                f"fleet bounds must satisfy 1 <= min <= max, got ({lo}, {hi})"
-            )
-        return lo, hi
-
-    @property
-    def autoscaling(self) -> bool:
-        """Whether the config describes a real scaling range."""
-        lo = self.min_workers
-        hi = self.max_workers
-        return lo is not None or hi is not None
-
-
-@dataclass
-class FleetSignals:
-    """One autoscaler evaluation's snapshot of live load signals.
-
-    Everything here is already exported by the batcher/engine stats; the
-    snapshot exists so :meth:`Autoscaler.decide` is a pure function that
-    unit tests can drive without traffic or clocks.
-    """
-
-    #: requests accepted and not yet dispatched right now (never above
-    #: ``max_queue_size``; batches in flight are bounded separately)
-    queue_depth: int
-    #: replicas currently able to take a batch
-    current_workers: int
-    #: requests shed (``DeadlineExceeded``) since the last evaluation
-    shed_delta: int = 0
-    #: requests completed since the last evaluation
-    completed_delta: int = 0
-    #: recent p95 end-to-end latency, seconds (0.0 when unknown)
-    latency_p95_s: float = 0.0
-
-
-class Autoscaler:
-    """Hysteresis policy: grow fast on pressure, shrink slowly when idle.
-
-    Growth is triggered by backlog (queued requests per worker above
-    ``scale_up_backlog``) or by shed/missed-deadline traffic; shrink only
-    after ``scale_down_idle_evals`` consecutive idle evaluations, one
-    worker at a time.  The asymmetry is deliberate: under-provisioning
-    sheds user traffic immediately, over-provisioning merely idles a
-    process for a few intervals.
-    """
-
-    def __init__(self, config: FleetConfig, workers: int) -> None:
-        self.config = config
-        self.min_workers, self.max_workers = config.resolve_bounds(workers)
-        self._idle_evals = 0
-
-    def decide(self, signals: FleetSignals) -> int:
-        """Target worker count for this snapshot (pure; no side effects
-        beyond the idle-streak counter)."""
-        current = signals.current_workers
-        pressured = signals.queue_depth > self.config.scale_up_backlog * max(
-            current, 1
-        ) or (self.config.scale_up_on_shed and signals.shed_delta > 0)
-        if pressured:
-            self._idle_evals = 0
-            return min(current + 1, self.max_workers)
-        idle = signals.queue_depth == 0
-        if idle:
-            self._idle_evals += 1
-            if self._idle_evals >= self.config.scale_down_idle_evals:
-                self._idle_evals = 0
-                return max(current - 1, self.min_workers)
-        else:
-            self._idle_evals = 0
-        return max(min(current, self.max_workers), self.min_workers)
 
 
 class WorkerSupervisor:
-    """Owns the periodic health/scale loops of one serving engine's pool.
+    """Owns the periodic health loop of one serving engine's pool.
 
     The supervisor is mechanically simple — it is an asyncio task calling
-    two pool methods on a timer — because all the hard state transitions
-    (reap, unlink, spawn, re-attach, drain, retire) live in the pool
-    itself, where they are also exercised by the synchronous crash-retry
-    path.  Splitting policy from mechanism keeps a supervisor crash from
-    ever corrupting fleet state: the worst a dead supervisor can do is
-    stop healing.
+    one pool method on a timer — because all the hard state transitions
+    (reap, unlink, spawn, re-attach) live in the pool itself, where they
+    are also exercised by the synchronous crash-retry path.  Splitting
+    policy from mechanism keeps a supervisor crash from ever corrupting
+    fleet state: the worst a dead supervisor can do is stop healing.
 
     Lifecycle per worker, as the supervisor sees it::
 
@@ -331,68 +211,38 @@ class WorkerSupervisor:
            (crash / kill / silent death)            │
                                ▼                    │
                     reaped (ring unlinked)          │
-                               │ respawn to target  │
+                               │ respawn to workers │
                                ▼                    │
             fresh worker, attached to the           │
             *current* arena generation ─────────────┘
 
-    and on scale-down / generation swap::
+    and on a generation swap::
 
         serving ──► retiring (no new checkouts) ──► drained ──► shutdown
     """
 
-    def __init__(
-        self,
-        pool: "WorkerPool",
-        config: FleetConfig,
-        signal_source=None,
-        on_scale=None,
-    ) -> None:
+    def __init__(self, pool: "WorkerPool", config: FleetConfig) -> None:
         self.pool = pool
         self.config = config
-        #: zero-arg callable returning a :class:`FleetSignals` snapshot
-        #: (wired by the serving engine); ``None`` disables autoscaling
-        self._signal_source = signal_source
-        #: optional callback fired after a scale transition with the new
-        #: target (the engine uses it to widen the batcher's pipeline)
-        self._on_scale = on_scale
-        self.autoscaler = (
-            Autoscaler(config, pool.target_workers)
-            if config.autoscaling and signal_source is not None
-            else None
-        )
         self._health_task: asyncio.Task | None = None
-        self._scale_task: asyncio.Task | None = None
-
-    @property
-    def running(self) -> bool:
-        return any(
-            task is not None and not task.done()
-            for task in (self._health_task, self._scale_task)
-        )
 
     async def start(self) -> None:
-        """Attach to the pool and start the health/scale loops (idempotent)."""
-        if self.running:
+        """Attach to the pool and start the health loop (idempotent)."""
+        if self._health_task is not None or not self.config.supervise:
             return
-        if self.config.supervise:
-            self.pool.supervised = True
-            self._health_task = asyncio.ensure_future(self._health_loop())
-        if self.autoscaler is not None:
-            self._scale_task = asyncio.ensure_future(self._scale_loop())
+        self.pool.supervised = True
+        self._health_task = asyncio.ensure_future(self._health_loop())
 
     async def stop(self) -> None:
-        """Detach from the pool and cancel the loops (idempotent)."""
+        """Detach from the pool and cancel the loop (idempotent)."""
         self.pool.supervised = False
-        for task in (self._health_task, self._scale_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._health_task = None
-        self._scale_task = None
+        task, self._health_task = self._health_task, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
 
     async def _health_loop(self) -> None:
         while True:
@@ -406,18 +256,3 @@ class WorkerSupervisor:
                 # callers through the pool's respawn_wait timeout
                 pass
             await asyncio.sleep(self.config.health_interval)
-
-    async def _scale_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.scale_interval)
-            signals = self._signal_source()
-            target = self.autoscaler.decide(signals)
-            if target != self.pool.target_workers:
-                try:
-                    await self.pool.scale_to(target)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    continue  # e.g. a spawn failed mid-grow; re-evaluate
-                if self._on_scale is not None:
-                    self._on_scale(target)

@@ -34,11 +34,6 @@ the engine's in-process throughput.  ``keep_alive=False`` restores the
 old connection-per-request behaviour; either way the report counts
 ``connections_opened`` so the before/after is visible in the numbers.
 
-A run's arrival schedule is replayable: :meth:`LoadReport.save_trace`
-persists the offsets to JSON and :func:`load_trace` feeds them back as a
-``"trace"`` schedule — capture against one build, replay bit-for-bit
-against the next (``--trace-out`` / ``--trace-in`` on the CLI).
-
 ``python -m repro.serving.loadgen`` is the CLI twin of
 ``python -m repro.serving.server`` (the ``make loadgen`` target).
 """
@@ -49,14 +44,13 @@ import asyncio
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Awaitable, Callable, Sequence
 
 import numpy as np
 
 from ..metrics import nearest_rank_percentile
 
-__all__ = ["LoadGenerator", "LoadReport", "load_trace"]
+__all__ = ["LoadGenerator", "LoadReport"]
 
 ARRIVAL_PROCESSES = ("poisson", "burst", "trace")
 
@@ -171,8 +165,6 @@ class LoadReport:
     latency_p99_s: float = float("nan")
     keep_alive: bool = True  #: whether connections were pooled and reused
     connections_opened: int = 0  #: TCP connections dialled over the run
-    #: the arrival offsets that were fired, for :meth:`save_trace`
-    schedule: list[float] = field(default_factory=list, repr=False)
 
     @property
     def failed(self) -> int:
@@ -198,35 +190,6 @@ class LoadReport:
             "keep_alive": self.keep_alive,
             "connections_opened": self.connections_opened,
         }
-
-    def save_trace(self, path: str | Path) -> Path:
-        """Persist this run's arrival schedule for later replay.
-
-        The file is JSON — ``{"process", "offered_rate", "schedule"}`` —
-        and :func:`load_trace` turns it back into the offsets a
-        ``process="trace"`` generator replays bit-for-bit against a new
-        build (the ``--trace-out`` / ``--trace-in`` CLI round trip).
-        """
-        path = Path(path)
-        path.write_text(
-            json.dumps(
-                {
-                    "process": self.process,
-                    "offered_rate": self.offered_rate,
-                    "schedule": list(self.schedule),
-                }
-            )
-        )
-        return path
-
-
-def load_trace(path: str | Path) -> list[float]:
-    """Arrival offsets from a :meth:`LoadReport.save_trace` file."""
-    data = json.loads(Path(path).read_text())
-    schedule = data.get("schedule")
-    if not isinstance(schedule, list):
-        raise ValueError(f"{path} is not a saved trace (no schedule list)")
-    return [float(t) for t in schedule]
 
 
 class LoadGenerator:
@@ -481,7 +444,6 @@ class LoadGenerator:
             latency_p99_s=nearest_rank_percentile(lat, 99),
             keep_alive=self.keep_alive,
             connections_opened=self.connections_opened,
-            schedule=list(self.schedule),
         )
 
 
@@ -512,35 +474,18 @@ def _build_parser():
         help="dial a fresh connection per request (the pre-reuse behaviour)",
     )
     parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="save this run's arrival schedule for replay with --trace-in",
-    )
-    parser.add_argument(
-        "--trace-in",
-        default=None,
-        metavar="PATH",
-        help="replay a saved schedule (overrides --process/--rate/--duration)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="print the raw LoadReport dict"
     )
     return parser
 
 
 async def _main(args) -> None:
-    if args.trace_in is not None:
-        process, schedule = "trace", load_trace(args.trace_in)
-    else:
-        process, schedule = args.process, None
     gen = LoadGenerator(
         args.host,
         args.port,
         rate=args.rate,
         duration=args.duration,
-        process=process,
-        schedule=schedule,
+        process=args.process,
         burst_size=args.burst_size,
         seed=args.seed,
         deadline_ms=args.deadline_ms,
@@ -548,8 +493,6 @@ async def _main(args) -> None:
         keep_alive=not args.no_keep_alive,
     )
     report = await gen.run()
-    if args.trace_out is not None:
-        report.save_trace(args.trace_out)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
         return

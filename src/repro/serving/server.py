@@ -420,7 +420,7 @@ class ServingServer:
     def _health(self) -> tuple[int, dict]:
         engine = self.engine
         alive = engine.alive_workers if engine.running else 0
-        target = engine._pool.target_workers
+        target = engine._pool.workers
         if not engine.running or alive == 0:
             status, state = 503, "down"
         elif alive < target:

@@ -18,7 +18,7 @@ worker process and the second on the receiving thread.  Responses are
 therefore **bit-identical across backends** (and across worker counts,
 by the spawn-key rule) whenever batch formation is identical.  Where a
 batch runs — which replica, what happens when it dies, how the fleet
-grows, shrinks and swaps models — is :mod:`repro.serving.workers.roster`.
+heals and swaps models — is :mod:`repro.serving.workers.roster`.
 """
 
 from __future__ import annotations

@@ -63,9 +63,9 @@ lives here is the part that is about processes:
   to itself before it reports ready, and ``start`` narrows the *loop
   thread's* mask to the CPUs no worker owns (the affinity call is per
   thread, so it runs on the loop, not where workers are spawned); ``stop``
-  puts back the mask ``start`` found.  Workers made later — by
-  ``scale_to``, or by a swap on a host with CPUs to spare — are placed the
-  same way, but the loop thread keeps the mask chosen at ``start``.  On
+  puts back the mask ``start`` found.  Workers made later — a respawn, or
+  a swap's cohort — are placed the same way, but the loop thread keeps the
+  mask chosen at ``start``.  On
   any other host, or with at least as many workers as CPUs, no mask is
   touched; a worker that cannot pin itself says so in its ready frame and
   serves unpinned.
@@ -492,7 +492,7 @@ class ProcessWorkerPool(WorkerPool):
         self._loop_narrowed = False
         #: the (arena, weights token) pair last published to the workers
         self._published: tuple | None = None
-        #: worker indices never repeat (respawns and grows get fresh ones),
+        #: worker indices never repeat (respawns and swaps get fresh ones),
         #: so logs and crash messages never alias two lifetimes
         self._indices = itertools.count()
 
@@ -540,7 +540,7 @@ class ProcessWorkerPool(WorkerPool):
         was.
         """
         allowed = self._allowed
-        if allowed is None or self.target_workers >= len(allowed):
+        if allowed is None or self.workers >= len(allowed):
             return None
         load = Counter(h.cpu for h in [*self._replicas, *spawning] if h.alive)
         return min(allowed[1:], key=lambda cpu: load[cpu])

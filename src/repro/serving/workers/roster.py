@@ -5,8 +5,8 @@ By the spawn-key rule (:func:`~repro.serving.workers.base
 on which replica ran it, so replicas are interchangeable copies and the
 job of handing batches to them is the same job for threads and processes.
 :class:`WorkerPool` does that job — check a replica out, run one batch,
-check it in or retire it, retry on a sibling if it died, grow, shrink,
-roll a generation, keep the counters monotonic — over the small
+check it in or retire it, retry on a sibling if it died, respawn the
+dead, roll a generation, keep the counters monotonic — over the small
 :class:`Replica` contract.  A backend supplies only *how a replica is
 made* (:meth:`WorkerPool._make_replicas`, plus whatever one generation's
 replicas share) and *how a batch reaches it* (:meth:`Replica.serve`).
@@ -33,20 +33,17 @@ The rules, each stated once here and true of both backends:
   parked waiter; a supervised pool parks batches (bounded by
   ``respawn_wait``) until :meth:`WorkerPool.ensure_healthy` delivers a
   respawn.
-* **Elasticity.**  :meth:`WorkerPool.scale_to` grows by making replicas of
-  the current generation and shrinks by *marking* replicas retiring — a
-  retiring replica finishes its in-flight batches, takes no new one, and
-  is shut down, once, by the check-in that brings ``in_flight`` to zero
-  (drain-before-retire).
 * **Generations.**  :meth:`WorkerPool.swap_engine` opens the successor
-  generation, makes a same-size cohort over it, retires the old cohort,
-  waits out the drain and only then closes what the old generation shared.
-  No request fails and no batch runs on an old replica once its
-  successors are enqueued.
+  generation, makes a same-size cohort over it and *marks* the old cohort
+  retiring — a retiring replica finishes its in-flight batches, takes no
+  new one, and is shut down, once, by the check-in that brings
+  ``in_flight`` to zero (drain-before-retire) — then waits out the drain
+  and only then closes what the old generation shared.  No request fails
+  and no batch runs on an old replica once its successors are enqueued.
 * **Lifetime.**  Replicas exist from ``start()`` to ``stop()``; between
-  the two, ``scale_to`` / ``swap_engine`` only record the new size /
-  engine and generation for the next start.  ``stop()`` fails every batch
-  parked on checkout with ``WorkerCrashed``.
+  the two, ``swap_engine`` only records the engine and generation for the
+  next start.  ``stop()`` fails every batch parked on checkout with
+  ``WorkerCrashed``.
 * **Counters** are kept per replica and banked into the pool when a
   replica leaves the roster (retired, reaped, stopped), so pool totals
   never go backwards.
@@ -56,7 +53,7 @@ For deterministic crash-path testing the pool accepts a
 delivery attempt, keyed on the batch sequence number, and rides into
 :meth:`Replica.serve` as ``fault`` (``None`` in production).
 
-Fleet events — crash, respawn, scale, generation swap — leave one
+Fleet events — crash, respawn, generation swap — leave one
 ``logging`` record each on this module's logger; the per-batch path logs
 nothing.
 """
@@ -171,11 +168,11 @@ class WorkerPool:
     """A fleet of interchangeable replicas behind ``start`` / ``run`` / ``stop``.
 
     :class:`~repro.serving.engine.ServingEngine` drives the lifecycle
-    triple; :mod:`repro.serving.fleet` drives :meth:`ensure_healthy`,
-    :meth:`scale_to` and :meth:`swap_engine`.  ``stop`` is idempotent and
-    leaves the wrapped engine fully usable.  Counters are plain ints
-    mutated only on the event loop (or under the GIL from executor
-    threads) and feed ``ServingStats``.
+    triple; :mod:`repro.serving.fleet` drives :meth:`ensure_healthy`, and
+    ``ServingEngine.swap_model`` drives :meth:`swap_engine`.  ``stop`` is
+    idempotent and leaves the wrapped engine fully usable.  Counters are
+    plain ints mutated only on the event loop (or under the GIL from
+    executor threads) and feed ``ServingStats``.
 
     Pools know the batch geometry (largest batch, per-example shape) up
     front — the serving engine only accepts built models and ``submit()``
@@ -199,6 +196,7 @@ class WorkerPool:
         respawn_wait: float = 60.0,
     ) -> None:
         self.engine = engine
+        #: fleet size; ``ensure_healthy`` restores it after crashes
         self.workers = int(workers)
         self.num_samples = num_samples
         self.early_exit_threshold = early_exit_threshold
@@ -206,9 +204,6 @@ class WorkerPool:
         #: the ring slots (processes)
         self.max_batch_size = int(max_batch_size)
         self.input_shape = tuple(input_shape)
-        #: desired fleet size; ``scale_to`` moves it, ``ensure_healthy``
-        #: restores it after crashes
-        self.target_workers = self.workers
         #: set by a :class:`~repro.serving.fleet.WorkerSupervisor` when it
         #: takes ownership of crash recovery: a transiently dead fleet then
         #: *waits* for respawns instead of failing with ``WorkerCrashed``
@@ -216,14 +211,12 @@ class WorkerPool:
         #: dead replicas observed / replaced by ``ensure_healthy``
         self.worker_crashes = 0
         self.workers_respawned = 0
-        #: applied grow/shrink transitions of a serving pool
-        self.scale_events = 0
         #: model generation; bumped once per ``swap_engine``
         self.generation = 0
         #: test-only deterministic kill schedule (see repro.serving.fleet)
         self._fault_plan = fault_plan
         #: how long a batch waits on an all-dead supervised fleet, and a
-        #: respawn / grow / swap waits for its new replicas to be ready
+        #: respawn / swap waits for its new replicas to be ready
         self._respawn_wait = float(respawn_wait)
         self._replicas: list[Replica] = []
         #: what the current generation's replicas share (``_open_generation``)
@@ -242,9 +235,9 @@ class WorkerPool:
         #: set whenever a retiring or dying replica has left the fleet for
         #: good; what ``swap_engine`` sleeps on while the old cohort drains
         self._departed = asyncio.Event()
-        #: serializes fleet mutations (respawn / scale / swap) against each
-        #: other — the supervisor's health and scale loops are separate
-        #: tasks, and two concurrent spawns would race the roster
+        #: serializes fleet mutations (respawn / swap) against each other —
+        #: the supervisor's health loop and a swap are separate tasks, and
+        #: two concurrent spawns would race the roster
         self._fleet_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
@@ -410,7 +403,7 @@ class WorkerPool:
         self._close_generation(shared)
 
     # ------------------------------------------------------------------ #
-    # fleet surface (supervisor / autoscaler / generation swaps)
+    # fleet surface (supervisor / generation swaps)
     # ------------------------------------------------------------------ #
     async def _bury(self, replica: Replica, cause: Exception | None = None) -> None:
         """Count one death, reap the replica off-loop, log what was found.
@@ -431,7 +424,7 @@ class WorkerPool:
                 replica,
                 cause if cause is not None else "found dead by the liveness scan",
                 len(self._live()),
-                self.target_workers,
+                self.workers,
             )
 
     def _check_in(self, replica: Replica, level: int) -> None:
@@ -485,7 +478,7 @@ class WorkerPool:
             self._checkout.put_nowait(place)
 
     async def ensure_healthy(self) -> int:
-        """Reap silently dead replicas and respawn up to ``target_workers``.
+        """Reap silently dead replicas and respawn up to ``workers``.
 
         A worker that dies *between* batches never fails an exchange, so
         only this liveness scan can find it.  In-flight replicas are
@@ -507,7 +500,7 @@ class WorkerPool:
                 await self._bury(replica)
             # prune corpses (both silent deaths and batch-path reaps)
             self._forget([r for r in self._replicas if not r.alive])
-            missing = self.target_workers - len(self._live())
+            missing = self.workers - len(self._live())
             if missing <= 0 or self._checkout is None:
                 return 0
             await self._off_loop(self._add_replicas, missing, self._respawn_wait)
@@ -516,28 +509,6 @@ class WorkerPool:
                 "respawned %d replica(s); fleet back at %d", missing, len(self._live())
             )
             return missing
-
-    async def scale_to(self, target: int) -> None:
-        """Grow or shrink the fleet to ``target`` replicas (drain on shrink)."""
-        target = max(1, int(target))
-        if self._checkout is None:
-            self.workers = self.target_workers = target
-            return
-        async with self._fleet_lock:
-            self.target_workers = target
-            live = self._live()
-            if target == len(live):
-                return
-            if target > len(live):
-                await self._off_loop(
-                    self._add_replicas, target - len(live), self._respawn_wait
-                )
-            else:
-                for replica in live[target:]:
-                    replica.retiring = True
-                self._drain_idle_retirees()
-            self.scale_events += 1
-            LOG.info("scaled the fleet from %d to %d replicas", len(live), target)
 
     async def swap_engine(self, engine: InferenceEngine) -> int:
         """Roll the fleet onto ``engine`` (weights **and shapes** may differ).

@@ -267,7 +267,7 @@ def test_stop_without_drain_before_the_collectors_first_step_strands_nobody():
         with pytest.raises(asyncio.CancelledError):
             await batcher.submit(1)  # accepted before either of them has run
         await stopper
-        assert not batcher.running and batcher.queue_depth == 0
+        assert not batcher.running and len(batcher._heap) == 0
 
     asyncio.run(asyncio.wait_for(main(), timeout=10.0))
 
@@ -397,7 +397,7 @@ def test_request_conservation_under_sub_millisecond_flush():
     assert stats.completed == len(answered)
     assert stats.submitted == stats.completed + stats.cancelled
     assert stats.rejected == stats.shed == 0
-    assert not batcher.running and batcher.queue_depth == 0
+    assert not batcher.running and len(batcher._heap) == 0
     assert not batcher._inflight
     # the staggered arrivals really went through the partial-batch wait
     assert stats.batches > n // 8
@@ -452,7 +452,7 @@ def test_backlog_is_dispatched_before_the_finished_batch_resumes_its_callers():
                 asyncio.ensure_future(_caller(batcher, events, p)) for p in ("b0", "b1")
             ]
             await asyncio.sleep(0.01)  # both are pending behind batch a
-            assert batcher.queue_depth == 2
+            assert len(batcher._heap) == 2
             dispatch.gates["a0"].set()
             await asyncio.wait_for(asyncio.gather(*first, *backlog), 5.0)
         return events
@@ -587,7 +587,7 @@ def test_drain_sentinel_taken_at_the_hand_off_still_ends_the_collector():
         dispatch.gates["a0"].set()
         await asyncio.wait_for(stopping, 5.0)
         assert await asyncio.gather(*first, *queued) == ["a0", "a1", *range(backlog)]
-        assert not batcher.running and batcher.queue_depth == 0
+        assert not batcher.running and len(batcher._heap) == 0
         assert batcher.stats.submitted == batcher.stats.completed == 2 + backlog
         return [e[1] for e in events]
 
@@ -625,7 +625,7 @@ async def _settle():
 
 @pytest.mark.parametrize("reject", [True, False], ids=["reject", "await"])
 def test_the_bound_is_on_everything_accepted_and_not_yet_dispatched(reject):
-    """``queue_depth <= max_queue_size`` at every instant, under both policies.
+    """``len(heap) <= max_queue_size`` at every instant, under both policies.
 
     One batch is held inside the dispatch, 39 submissions arrive behind it
     (4 fit), then batches are released one at a time — with a second wave
@@ -648,14 +648,14 @@ def test_the_bound_is_on_everything_accepted_and_not_yet_dispatched(reject):
         async def submit(i):
             task = asyncio.ensure_future(batcher.submit(i))
             await _settle()
-            assert batcher.queue_depth <= bound, f"after submission {i}"
+            assert len(batcher._heap) <= bound, f"after submission {i}"
             return task
 
         tasks = [await submit(0)]
-        assert len(dispatch.held) == 1 and batcher.queue_depth == 0
+        assert len(dispatch.held) == 1 and len(batcher._heap) == 0
         for i in range(1, 40):
             tasks.append(await submit(i))
-        assert batcher.queue_depth == bound
+        assert len(batcher._heap) == bound
         assert batcher.stats.submitted == 1 + bound
         refused = [t for t in tasks if t.done()]
         if reject:
@@ -669,7 +669,7 @@ def test_the_bound_is_on_everything_accepted_and_not_yet_dispatched(reject):
             dispatch.release()
             released += 1
             await _settle()
-            assert batcher.queue_depth <= bound, f"after released batch {released}"
+            assert len(batcher._heap) <= bound, f"after released batch {released}"
             if released == 1:  # a place was freed: newcomers must not pile in
                 for i in range(40, 44):
                     tasks.append(await submit(i))
@@ -706,14 +706,14 @@ def test_a_parked_submitter_that_is_cancelled_gives_up_its_turn_not_a_place():
         tasks[3].cancel()
         await _settle()
         assert tasks[3].cancelled()
-        assert batcher.queue_depth == 2 and batcher.stats.submitted == 3
+        assert len(batcher._heap) == 2 and batcher.stats.submitted == 3
         dispatch.release()
         await _settle()  # the freed place goes to 4: the line moved on
-        assert batcher.queue_depth == 2 and batcher.stats.submitted == 4
+        assert len(batcher._heap) == 2 and batcher.stats.submitted == 4
         while dispatch.held:
             dispatch.release()
             await _settle()
-            assert batcher.queue_depth <= 2
+            assert len(batcher._heap) <= 2
         await asyncio.wait_for(batcher.stop(drain=True), 5.0)
         assert [t.result() for t in tasks if not t.cancelled()] == [0, 1, 2, 4, 5]
         return batcher.stats, dispatch.order
@@ -741,7 +741,7 @@ def test_a_freed_place_cannot_be_overtaken():
         dispatch.release()
         tasks.append(asyncio.ensure_future(batcher.submit("newcomer")))
         await _settle()
-        assert batcher.queue_depth == 1
+        assert len(batcher._heap) == 1
         while dispatch.held:
             dispatch.release()
             await _settle()
@@ -769,7 +769,7 @@ def test_drain_answers_submitters_still_parked_for_room():
             dispatch.release()
             await _settle()
         assert await asyncio.gather(*tasks) == list(range(6))
-        assert not batcher.running and batcher.queue_depth == 0
+        assert not batcher.running and len(batcher._heap) == 0
         return dispatch.order
 
     assert asyncio.run(main()) == list(range(6))

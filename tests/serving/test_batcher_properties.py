@@ -178,7 +178,7 @@ class BatcherMachine(RuleBasedStateMachine):
     def stop(self, drain) -> None:
         self._stop(drain)
         batcher = self.batcher
-        assert not batcher.running and batcher.queue_depth == 0
+        assert not batcher.running and len(batcher._heap) == 0
         assert not batcher._waiting and not batcher._inflight
         assert all(t.done() for t in self.tasks), "a caller was left waiting"
 
@@ -188,7 +188,7 @@ class BatcherMachine(RuleBasedStateMachine):
     @invariant()
     def the_bound_holds(self) -> None:
         config = self.batcher.config
-        assert self.batcher.queue_depth <= config.max_queue_size
+        assert len(self.batcher._heap) <= config.max_queue_size
         assert self.batcher.stats.queue_peak <= config.max_queue_size
         assert all(len(batch) <= config.max_batch_size for batch, _ in self.held)
 

@@ -61,10 +61,6 @@ def test_batcher_config_validates_eagerly(kwargs, match):
             {"fault_plan": FaultPlan([(1, "mid_compute")])},
             "requires worker_backend",
         ),
-        (
-            {"workers": 4, "fleet": FleetConfig(min_workers=8)},
-            "fleet bounds must satisfy",
-        ),
         # a fractional sample count failed every request at slicing
         ({"num_samples": 2.5}, "num_samples must be an int"),
         ({"num_samples": True}, "num_samples must be an int"),
@@ -87,9 +83,6 @@ def test_serving_config_validates_eagerly(kwargs, match):
         ({"health_interval": -0.5}, "health_interval must be positive"),
         ({"health_interval": float("nan")}, "health_interval must be positive"),
         ({"respawn_wait": float("inf")}, "respawn_wait must be positive"),
-        ({"scale_interval": 0.0}, "scale_interval must be positive"),
-        ({"min_workers": 1.5}, "min_workers must be an int"),
-        ({"scale_down_idle_evals": True}, "scale_down_idle_evals must be an int"),
     ],
 )
 def test_fleet_config_validates_eagerly(kwargs, match):
@@ -119,7 +112,7 @@ def test_to_dict_round_trips_through_json():
         workers=2,
         worker_backend="process",
         batcher=BatcherConfig(max_batch_size=4, admission_timeout=2.0),
-        fleet=FleetConfig(min_workers=1, max_workers=3, health_interval=0.1),
+        fleet=FleetConfig(health_interval=0.1, respawn_wait=5.0),
         fault_plan=FaultPlan([(3, "mid_compute"), (5, "post_response")]),
     )
     wire = json.loads(json.dumps(config.to_dict()))
@@ -157,6 +150,13 @@ def test_from_dict_rejects_unknown_fields():
         ServingConfig.from_dict({"wokers": 2})
     with pytest.raises(ValueError, match="unknown BatcherConfig fields"):
         BatcherConfig.from_dict({"batch": 4})
+
+
+def test_from_dict_rejects_a_fleet_that_asks_to_scale():
+    """The fleet stays at ``workers``: a scaling bound is not a field."""
+    match = r"unknown FleetConfig fields: \['min_workers'\]"
+    with pytest.raises(ValueError, match=match):
+        ServingConfig.from_dict({"workers": 2, "fleet": {"min_workers": 1}})
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,11 @@
-"""Fleet layer: fault plans, autoscaler policy, supervision, swaps, scaling.
+"""Fleet layer: fault plans, supervision, swaps.
 
-Unit tests drive the pure pieces (:class:`FaultPlan` consume-once
-semantics, :meth:`Autoscaler.decide` hysteresis) without any processes;
-integration tests run real supervised process fleets — kill workers and
-watch the supervisor restore K, scale the pool up and down with
-drain-before-retire, and roll a live server onto a new model generation
-(weights *and shapes* changed) with zero failed requests.  All tests run
-on any core count: one core merely time-slices the workers.
+Unit tests drive the pure piece (:class:`FaultPlan` consume-once
+semantics) without any processes; integration tests run real supervised
+process fleets — kill workers and watch the supervisor restore K, and
+roll a live server onto a new model generation (weights *and shapes*
+changed) with zero failed requests.  All tests run on any core count: one
+core merely time-slices the workers.
 
 The adversarial kill-schedule runs (a worker dying every ~N batches under
 sustained traffic, with bit-identity asserted against a thread oracle)
@@ -25,12 +24,10 @@ import pytest
 from repro.core import MultiExitBayesNet, MultiExitConfig
 from repro.nn.architectures import lenet5_spec, resnet_spec
 from repro.serving import (
-    Autoscaler,
     BatcherConfig,
     FaultInjection,
     FaultPlan,
     FleetConfig,
-    FleetSignals,
     ServingConfig,
     ServingEngine,
 )
@@ -95,68 +92,6 @@ def test_fault_plan_requires_process_backend():
         ServingEngine(
             _model(), ServingConfig(fault_plan=FaultPlan([(0, "pre_doorbell")]))
         )
-
-
-# --------------------------------------------------------------------------- #
-# FleetConfig / Autoscaler (pure)
-# --------------------------------------------------------------------------- #
-def test_fleet_config_resolves_bounds_from_initial_workers():
-    assert FleetConfig().resolve_bounds(3) == (3, 3)
-    assert FleetConfig(min_workers=1, max_workers=4).resolve_bounds(2) == (1, 4)
-    assert not FleetConfig().autoscaling
-    assert FleetConfig(max_workers=4).autoscaling
-    with pytest.raises(ValueError, match="bounds"):
-        FleetConfig(min_workers=4, max_workers=2).resolve_bounds(3)
-    with pytest.raises(ValueError, match="bounds"):
-        FleetConfig(min_workers=0).resolve_bounds(3)
-
-
-def test_autoscaler_grows_on_backlog_and_clamps_at_max():
-    scaler = Autoscaler(
-        FleetConfig(min_workers=1, max_workers=3, scale_up_backlog=4.0), workers=1
-    )
-    # backlog below threshold: hold
-    assert scaler.decide(FleetSignals(queue_depth=3, current_workers=1)) == 1
-    # backlog over 4 per worker: grow one step at a time
-    assert scaler.decide(FleetSignals(queue_depth=9, current_workers=1)) == 2
-    assert scaler.decide(FleetSignals(queue_depth=9, current_workers=2)) == 3
-    # never past max
-    assert scaler.decide(FleetSignals(queue_depth=99, current_workers=3)) == 3
-
-
-def test_autoscaler_grows_on_shed_regardless_of_backlog():
-    scaler = Autoscaler(FleetConfig(min_workers=1, max_workers=4), workers=1)
-    assert (
-        scaler.decide(FleetSignals(queue_depth=0, current_workers=1, shed_delta=2))
-        == 2
-    )
-    off = Autoscaler(
-        FleetConfig(min_workers=1, max_workers=4, scale_up_on_shed=False), workers=1
-    )
-    assert (
-        off.decide(FleetSignals(queue_depth=0, current_workers=1, shed_delta=2)) == 1
-    )
-
-
-def test_autoscaler_shrinks_only_after_idle_streak():
-    scaler = Autoscaler(
-        FleetConfig(min_workers=1, max_workers=3, scale_down_idle_evals=3), workers=3
-    )
-    idle3 = FleetSignals(queue_depth=0, current_workers=3)
-    assert scaler.decide(idle3) == 3
-    assert scaler.decide(idle3) == 3
-    assert scaler.decide(idle3) == 2  # third consecutive idle eval: shrink one
-    # pressure resets the streak
-    assert scaler.decide(FleetSignals(queue_depth=1, current_workers=2)) == 2
-    idle2 = FleetSignals(queue_depth=0, current_workers=2)
-    assert scaler.decide(idle2) == 2
-    assert scaler.decide(idle2) == 2
-    assert scaler.decide(idle2) == 1
-    # never below min
-    idle1 = FleetSignals(queue_depth=0, current_workers=1)
-    assert scaler.decide(idle1) == 1
-    assert scaler.decide(idle1) == 1
-    assert scaler.decide(idle1) == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -230,71 +165,6 @@ def test_supervised_total_death_recovers_instead_of_failing():
     np.testing.assert_array_equal(s_kill.probs, s_ok.probs)
     assert stats_kill.worker_crashes >= 1
     assert stats_kill.workers_respawned >= 1
-
-
-# --------------------------------------------------------------------------- #
-# manual scaling: grow and drain-shrink (both backends)
-# --------------------------------------------------------------------------- #
-@pytest.mark.timeout(120)
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_scale_to_grows_and_drains_back(backend):
-    model = _model()
-
-    async def main():
-        async with ServingEngine(
-            model, ServingConfig(num_samples=4, workers=1, worker_backend=backend)
-        ) as server:
-            await server.submit(X[0])
-            await server._pool.scale_to(3)
-            assert server.stats().current_workers == 3
-            grown = await server.submit_many(X)
-            await server._pool.scale_to(1)
-            await _wait_until(lambda: server.stats().current_workers == 1)
-            shrunk = await server.submit_many(X)
-            return grown, shrunk, server.stats()
-
-    grown, shrunk, stats = asyncio.run(main())
-    assert len(grown) == len(shrunk) == len(X)
-    assert stats.scale_events == 2
-    assert stats.current_workers == 1
-    assert stats.requests_completed == 2 * len(X) + 1
-
-
-@pytest.mark.timeout(120)
-def test_autoscaler_grows_under_pressure_and_shrinks_when_idle():
-    model = _model()
-    fleet = FleetConfig(
-        min_workers=1,
-        max_workers=3,
-        scale_interval=0.01,
-        scale_up_backlog=0.5,
-        scale_down_idle_evals=2,
-    )
-
-    async def main():
-        async with ServingEngine(
-            model,
-            ServingConfig(
-                num_samples=32,
-                workers=1,
-                fleet=fleet,
-                batcher=BatcherConfig(max_batch_size=1, max_queue_size=256),
-            ),
-        ) as server:
-            assert server.supervisor is not None and server.supervisor.running
-            # sustained backlog: many singleton batches behind one worker
-            flood = [server.submit(X[i % len(X)]) for i in range(96)]
-            results = await asyncio.gather(*flood)
-            grown_stats = server.stats()
-            # traffic stops: the idle streak shrinks the fleet back down
-            await _wait_until(lambda: server.stats().current_workers == 1)
-            return results, grown_stats, server.stats()
-
-    results, grown_stats, final_stats = asyncio.run(main())
-    assert len(results) == 96
-    assert grown_stats.scale_events >= 1  # grew under pressure
-    assert final_stats.current_workers == 1  # drained back down when idle
-    assert final_stats.scale_events >= 2  # ... via at least one shrink event
 
 
 # --------------------------------------------------------------------------- #
@@ -490,14 +360,13 @@ def test_swap_model_to_more_exits_under_early_exit():
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
-    """Retired replicas take no counts with them (swap_model, scale_to).
+    """Retired replicas take no counts with them (``swap_model``, ``stop``).
 
     ``ServingStats`` promises totals over every replica the pool has ever
-    owned; a swap retires the whole cohort and a scale-down retires part
-    of it, so either would make a sum over the *current* roster go
-    backwards.  The same holds while the engine is stopped: ``scale_to``
-    and ``swap_model`` then only record the size and model of the next
-    start, and what the stopped replicas counted stays counted.
+    owned; a swap retires the whole cohort, so a sum over the *current*
+    roster would go backwards.  The same holds while the engine is
+    stopped: ``swap_model`` then only records the model of the next start,
+    and what the stopped replicas counted stays counted.
     """
     counters = ("transport_ring_batches", "cache_misses", "cache_hits")
 
@@ -516,21 +385,13 @@ def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
             await server.swap_model(_model(seed=1))
             snapshots.append(server.stats())  # right after the swap
             await serve_and_snapshot()
-            await server._pool.scale_to(3)
+            await server.swap_model(_model(seed=2))
+            snapshots.append(server.stats())  # right after the second drain
             await serve_and_snapshot()
-            await server._pool.scale_to(1)
-            await _wait_until(lambda: server.stats().current_workers == 1)
-            snapshots.append(server.stats())  # right after the drain
-            await serve_and_snapshot()
-            # the stopped-engine phase: two replicas with traffic each, then
-            # a shrink and a swap that find nothing serving
-            await server._pool.scale_to(2)
-            await serve_and_snapshot()
+            # the stopped-engine phase: a swap that finds nothing serving
             await server.stop()
             snapshots.append(server.stats())
-            await server._pool.scale_to(1)
-            snapshots.append(server.stats())
-            await server.swap_model(_model(seed=2))
+            await server.swap_model(_model(seed=3))
             snapshots.append(server.stats())
             await server.start()
             await serve_and_snapshot()
@@ -542,16 +403,14 @@ def test_pool_counters_are_monotonic_across_swap_and_scale(backend):
             assert getattr(after, name) >= getattr(before, name), name
     first, last = snapshots[0], snapshots[-1]
     # one request per batch, one cache lookup per batch — on whichever
-    # replica (old cohort, new cohort, grown, survivor, restarted) served it
+    # replica (old cohort, new cohort, restarted) served it
     assert first.cache_hits + first.cache_misses == len(X)
-    assert last.cache_hits + last.cache_misses == 6 * len(X)
+    assert last.cache_hits + last.cache_misses == 4 * len(X)
     if backend == "process":
         assert first.transport_ring_batches == len(X)
-        assert last.transport_ring_batches == 6 * len(X)
-    # a stopped pool only records: the new size and model apply at start,
-    # and scale_events counts transitions a serving pool applied
-    stopped, resized, swapped = snapshots[-4:-1]
-    assert resized.scale_events == stopped.scale_events == 3
-    assert (stopped.current_workers, resized.current_workers) == (2, 1)
-    assert swapped.arena_generation == stopped.arena_generation + 1
-    assert last.current_workers == 1
+        assert last.transport_ring_batches == 4 * len(X)
+    # a stopped pool only records: the new model applies at start
+    stopped, swapped = snapshots[-3:-1]
+    assert stopped.current_workers == swapped.current_workers == 2
+    assert swapped.arena_generation == stopped.arena_generation + 1 == 3
+    assert last.current_workers == 2

@@ -106,7 +106,7 @@ def test_the_next_cpu_is_the_least_loaded_and_never_the_loops():
     assert pool._pick_cpu([]) == 9
     assert pool._pick_cpu([Handle(cpu=9, alive=True)]) == 5
     # as many workers as CPUs: nobody is placed
-    pool.target_workers = 4
+    pool.workers = 4
     assert pool._pick_cpu([]) is None
 
 

@@ -389,7 +389,7 @@ def test_worker_crash_during_stop_drain_still_answers_queued_requests():
 
 @pytest.mark.timeout(120)
 def test_fleet_events_leave_one_log_record_each(caplog):
-    """Crash, respawn, scale, generation swap — and no batch.
+    """Crash, respawn, generation swap — and no batch.
 
     ``repro.serving.workers`` logs what the fleet *did*; serving a batch on
     the happy path is not an event and must not produce a record.
@@ -419,18 +419,16 @@ def test_fleet_events_leave_one_log_record_each(caplog):
             victim.process.kill()
             victim.process.join(10.0)
             assert await pool.ensure_healthy() == 1
-            await pool.scale_to(2)
             await server.swap_model(_model(seed=1))
             events = records()
             await server.submit_many(X)
             assert records() == events, "a batch on the happy path was logged"
             return events[len(started) :]
 
-    crash, respawn, scale, swap = asyncio.run(main())
+    crash, respawn, swap = asyncio.run(main())
     assert crash.startswith("WARNING worker 0 (pid ") and "exit code -9" in crash
     assert respawn == "INFO respawned 1 replica(s); fleet back at 1"
-    assert scale == "INFO scaled the fleet from 1 to 2 replicas"
-    assert swap.startswith("INFO generation 0 drained and closed; 2 replica(s)")
+    assert swap.startswith("INFO generation 0 drained and closed; 1 replica(s)")
 
 
 @pytest.mark.timeout(120)

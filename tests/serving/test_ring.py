@@ -283,12 +283,17 @@ async def _until_doorbell(handles, replies: int = 1) -> None:
 
 @contextlib.contextmanager
 def _frozen(handle):
-    """Inside the block the worker cannot answer: replies stay in flight."""
+    """Inside the block the worker cannot answer: replies stay in flight.
+
+    A worker the pool killed inside the block may already be reaped when
+    it ends (the reap joins it off-loop): there is nothing left to resume.
+    """
     os.kill(handle.process.pid, signal.SIGSTOP)
     try:
         yield
     finally:
-        os.kill(handle.process.pid, signal.SIGCONT)
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(handle.process.pid, signal.SIGCONT)
 
 
 async def _run_with_doorbells_out(pool, victim, batches, doorbells: int = 2) -> list:

@@ -381,35 +381,39 @@ def test_a_second_batch_joins_a_busy_replica_only_when_every_replica_is_busy():
 
 def test_a_retiring_replica_is_shut_down_once_by_its_last_check_in():
     async def main():
-        async with serving(2, depth=2) as pool:
-            keeper, retiree = pool._replicas
-            held = [pool.hold(seq) for seq in range(4)]
-            # checkout offers every replica's first place, then the second
-            # ones: batches 0 and 2 are the keeper's, 1 and 3 the retiree's
-            inflight = [asyncio.ensure_future(run(pool, seq)) for seq in range(4)]
+        async with serving(1, depth=2) as pool:
+            (retiree,) = pool._replicas
+            held = [pool.hold(seq) for seq in range(2)]
+            inflight = [asyncio.ensure_future(run(pool, seq)) for seq in range(2)]
             for entered, _ in held:
                 await wait_for_event(entered)
-            assert (keeper.in_flight, retiree.in_flight) == (2, 2)
-            await pool.scale_to(1)
-            assert retiree.retiring and retiree.alive
-            held[1][1].set()
-            await inflight[1]
+            assert retiree.in_flight == 2
+            swap = asyncio.ensure_future(pool.swap_engine("engine-1"))
+            await wait_until(lambda: retiree.retiring)
+            assert retiree.alive
+            (successor,) = pool._live()
+            held[0][1].set()
+            await inflight[0]
+            await run(pool, 2)  # new work goes to the successor meanwhile
             await asyncio.sleep(0.02)
             # one batch is still inside it: nothing may shut it down yet
-            assert retiree.in_flight == 1 and retiree.alive
+            assert retiree.in_flight == 1 and retiree.alive and not swap.done()
             assert ("shutdown", retiree) not in pool.log
-            held[3][1].set()
-            await inflight[3]
-            await wait_until(lambda: not retiree.alive)
+            held[1][1].set()
+            await inflight[1]
+            assert await asyncio.wait_for(swap, WAIT_S) == 1
+            assert not retiree.alive
             assert pool.log.count(("shutdown", retiree)) == 1
-            assert pool.log.index(("batch", 3, retiree)) < pool.log.index(
+            assert pool.log.index(("batch", 1, retiree)) < pool.log.index(
                 ("shutdown", retiree)
             )
-            for seq in (0, 2):
-                held[seq][1].set()
-            await asyncio.gather(inflight[0], inflight[2])
-            assert pool._replicas == [keeper] and pool._checkout.qsize() == 2
-            assert pool.cache_misses == 4
+            assert batches(pool) == [
+                ("batch", 0, retiree),
+                ("batch", 2, successor),
+                ("batch", 1, retiree),
+            ]
+            assert pool._replicas == [successor] and pool._checkout.qsize() == 2
+            assert pool.cache_misses == 3
 
     asyncio.run(main())
 
@@ -417,9 +421,10 @@ def test_a_retiring_replica_is_shut_down_once_by_its_last_check_in():
 def test_a_retiring_place_met_in_checkout_is_dropped_without_a_shutdown():
     """A waiter may be handed a place just before its replica is retired.
 
-    The place is not served and not returned — and while the replica's
-    other batch is in flight it is not shut down either: that batch's
-    check-in does it, once.
+    (``swap_engine`` marks the old cohort between a parked waiter's wake-up
+    and its next step.)  The place is not served and not returned — and
+    while the replica's other batch is in flight it is not shut down
+    either: that batch's check-in does it, once.
     """
 
     async def main():
@@ -448,35 +453,8 @@ def test_a_retiring_place_met_in_checkout_is_dropped_without_a_shutdown():
 
 
 # --------------------------------------------------------------------------- #
-# elasticity and generations
+# generations
 # --------------------------------------------------------------------------- #
-def test_scale_down_drains_the_in_flight_batch_before_shutdown():
-    async def main():
-        async with serving(2) as pool:
-            keeper, retiree = pool._replicas
-            held = [pool.hold(seq) for seq in (0, 1)]
-            inflight = [asyncio.ensure_future(run(pool, seq, size=2)) for seq in (0, 1)]
-            for entered, _ in held:
-                await wait_for_event(entered)
-            await pool.scale_to(1)
-            # marked, not torn down: the batch inside it still owns it
-            assert retiree.retiring and retiree.alive and retiree.in_flight
-            assert pool.current_workers == 1
-            assert not any(entry[0] == "shutdown" for entry in pool.log)
-            for _, release in held:
-                release.set()
-            await asyncio.gather(*inflight)
-            await wait_until(lambda: not retiree.alive)
-            assert pool.log.index(("batch", 1, retiree)) < pool.log.index(
-                ("shutdown", retiree)
-            )
-            assert pool._replicas == [keeper] and pool.scale_events == 1
-            await run(pool, 2)
-            assert pool.cache_misses == 3  # the retiree's batch stays counted
-
-    asyncio.run(main())
-
-
 def test_swap_under_load_drains_old_cohort_and_closes_its_generation_once():
     async def main():
         async with serving(2) as pool:
@@ -513,12 +491,11 @@ def test_a_stopped_pool_only_records_scale_and_swap():
             await run(pool, 0)
             await pool.stop()
             assert pool._replicas == [] and pool.cache_misses == 1
-            await pool.scale_to(3)
             assert await pool.swap_engine("engine-1") == 1
-            assert (pool.current_workers, pool.scale_events) == (3, 0)
+            assert pool.current_workers == 2
             assert pool.log[-1] == ("close", 0)  # nothing opened or made
             await pool.start(pool.threads)
-            assert [r.generation for r in pool._replicas] == [1, 1, 1]
+            assert [r.generation for r in pool._replicas] == [1, 1]
             await run(pool, 1)
             assert pool.cache_misses == 2
 

@@ -631,33 +631,6 @@ def test_loadgen_keep_alive_reuses_connections():
     assert pooled.connections_opened <= len(schedule)
 
 
-def test_loadgen_trace_capture_replay_round_trip(tmp_path):
-    # capture a Poisson run's schedule, replay it from the file: the
-    # replayed run fires the identical offsets (bit-for-bit floats)
-    from repro.serving import load_trace
-
-    async def main():
-        async with ServingServer(
-            ServingEngine(_model(), ServingConfig(num_samples=1))
-        ) as srv:
-            recorded = LoadGenerator(
-                srv.host, srv.port, rate=200.0, duration=0.1, seed=3
-            )
-            report = await recorded.run()
-            trace_file = report.save_trace(tmp_path / "arrivals.json")
-            replayed = LoadGenerator(
-                srv.host, srv.port, process="trace", schedule=load_trace(trace_file)
-            )
-            replay_report = await replayed.run()
-            assert replayed.schedule == recorded.schedule
-            assert replay_report.scheduled == report.scheduled
-            assert replay_report.failed == 0
-            # the replayed report snapshots the same schedule it ran
-            assert replay_report.schedule == report.schedule
-
-    asyncio.run(main())
-
-
 def test_client_and_server_report_one_percentile_statistic():
     """The same latency sample reads the same p50/p95/p99 on both sides.
 

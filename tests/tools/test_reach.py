@@ -324,15 +324,52 @@ def test_census_keeps_each_entry_points_output_out_of_the_table(tmp_path, capfd)
 def test_the_census_grid_commands_parse_under_the_grid_cli(tmp_path):
     from repro.experiments.__main__ import _build_parser
 
-    store = str(tmp_path / "grid.sqlite")
-    commands = [argv for _, argv in reach._smoke_grid(store)]
-    names = ("init", "run", "status", "report")
-    assert [argv[1:4] for argv in commands] == [
-        ["-m", "repro.experiments", name] for name in names
-    ]
+    commands = [argv for _, argv in reach._grids(str(tmp_path))]
+    cli = [argv for argv in commands if argv[1:3] == ["-m", "repro.experiments"]]
+    names = ("init", "run", "status", "report", "init", "init")
+    assert [argv[3] for argv in cli] == list(names)
     parser = _build_parser()
-    for argv in commands:
-        assert parser.parse_args(argv[3:]).store == store
+    stores = [parser.parse_args(argv[3:]).store for argv in cli]
+    assert all(Path(store).parent == tmp_path for store in stores)
+    # the smoke grid's four commands share a store; each bare init has its own
+    assert len(set(stores)) == 3
+
+
+def test_the_census_grid_file_holds_the_smoke_grid(tmp_path, monkeypatch):
+    from repro.experiments.__main__ import main
+    from repro.experiments.grid import smoke_grid
+    from repro.experiments.store import ResultsStore
+
+    grid_file = tmp_path / "grid.json"
+    monkeypatch.setattr(sys, "argv", ["-c", str(grid_file)])
+    exec(reach.DUMP_SMOKE_GRID, {})  # noqa: S102 - the census's own child script
+    store = str(tmp_path / "file.sqlite")
+    assert main(["init", "--store", store, "--grid-file", str(grid_file)]) == 0
+    assert sum(ResultsStore(store).counts().values()) == len(smoke_grid().cells())
+
+
+def test_the_census_runs_the_documents_make_docs_runs():
+    from tests.docs.test_docs import EXECUTABLE_DOCS
+
+    assert [label for label, _ in reach._docs()] == list(EXECUTABLE_DOCS)
+    for doc in EXECUTABLE_DOCS:
+        assert (REPO_ROOT / doc).is_file()
+
+
+def test_a_documents_python_blocks_share_one_namespace_in_order(tmp_path):
+    out = tmp_path / "out.txt"
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```python\nvalue = 6\n```\n"
+        "```bash\nexit 1\n```\n"
+        f"```python\nopen({str(out)!r}, 'w').write(str(value * 7))\n```\n"
+    )
+    subprocess.run([sys.executable, "-c", reach.RUN_DOC, str(doc)], check=True)
+    assert out.read_text() == "42"
+    # a failing block fails the entry point, and with it the census
+    doc.write_text("```python\nraise SystemExit(3)\n```\n")
+    with pytest.raises(subprocess.CalledProcessError):
+        subprocess.run([sys.executable, "-c", reach.RUN_DOC, str(doc)], check=True)
 
 
 class _FakeServer:

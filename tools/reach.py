@@ -5,7 +5,12 @@ Runs each of the product's entry points in a child interpreter:
 * every script in ``examples/``, as ``__main__``;
 * the six paper drivers, ``repro.analysis.paper.run_*``;
 * the smoke grid's ``init`` → ``run`` → ``status`` → ``report`` into a
-  temporary store, with the JSON and CSV outputs CI asks for;
+  temporary store, with the JSON and CSV outputs CI asks for, and ``init``
+  (no cell run) of the paper grid and of the smoke grid read back from a
+  JSON grid file, each into a store of its own;
+* the fenced ``python`` blocks of ``README.md`` and ``docs/architecture.md``,
+  one interpreter and one shared namespace per document, as ``make docs``
+  runs them;
 * the server CLI on the process backend (``--port 0 --backend process``),
   serving one predict from the loadgen CLI and then getting SIGINT;
 * one short ``http_closed`` run of the repo benchmark (``benchmarks/e2e``).
@@ -170,18 +175,58 @@ def _paper_drivers() -> list[tuple[str, list[str]]]:
     ]
 
 
-def _smoke_grid(store: str) -> list[tuple[str, list[str]]]:
-    commands = (
-        ["init", "--store", store, "--grid", "smoke"],
-        ["run", "--store", store, "--reclaim-running", "--json"],
-        ["status", "--store", store, "--expect-done"],
-        ["report", "--store", store, "--markdown", "--summary"]
-        + ["--csv", store + ".csv"],
+#: writes the smoke grid as a ``--grid-file`` JSON document to ``argv[1]``
+DUMP_SMOKE_GRID = """\
+import dataclasses, json, sys
+from repro.experiments.grid import smoke_grid
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    json.dump(dataclasses.asdict(smoke_grid()), out)
+"""
+
+
+def _grids(scratch: str) -> list[tuple[str, list[str]]]:
+    store, paper, from_file, grid_file = (
+        os.path.join(scratch, name)
+        for name in ("grid.sqlite", "paper.sqlite", "file.sqlite", "grid.json")
     )
+    grid = [sys.executable, "-m", "repro.experiments"]
     return [
-        (f"grid {argv[0]}", [sys.executable, "-m", "repro.experiments"] + argv)
-        for argv in commands
+        ("grid init", grid + ["init", "--store", store, "--grid", "smoke"]),
+        ("grid run", grid + ["run", "--store", store, "--reclaim-running", "--json"]),
+        ("grid status", grid + ["status", "--store", store, "--expect-done"]),
+        (
+            "grid report",
+            grid
+            + ["report", "--store", store, "--markdown", "--summary"]
+            + ["--csv", store + ".csv"],
+        ),
+        ("grid init paper", grid + ["init", "--store", paper, "--grid", "paper"]),
+        ("grid file", [sys.executable, "-c", DUMP_SMOKE_GRID, grid_file]),
+        (
+            "grid init from the file",
+            grid + ["init", "--store", from_file, "--grid-file", grid_file],
+        ),
     ]
+
+
+#: documents whose ``python`` blocks the census runs (``tests/docs`` runs them too)
+EXECUTED_DOCS = ("README.md", "docs/architecture.md")
+
+#: runs the fenced ``python`` blocks of the document ``argv[1]`` top to
+#: bottom in one namespace, as ``tests/docs/test_docs.py`` does
+RUN_DOC = """\
+import re, sys
+doc = sys.argv[1]
+text = open(doc, encoding="utf-8").read()
+blocks = re.findall(r"```python\\n(.*?)```", text, re.DOTALL)
+namespace = {"__name__": "docs_exec"}
+for i, block in enumerate(blocks):
+    exec(compile(block, f"{doc}[python block {i}]", "exec"), namespace)
+"""
+
+
+def _docs() -> list[tuple[str, list[str]]]:
+    return [(doc, [sys.executable, "-c", RUN_DOC, doc]) for doc in EXECUTED_DOCS]
 
 
 #: one short ``http_closed`` run of the repo benchmark
@@ -242,8 +287,10 @@ def _server_cli() -> None:
         raise RuntimeError(f"the server CLI exited with {server.returncode}")
 
 
-def _entry_points(store: str) -> list[tuple[str, Callable[[], None]]]:
-    children = _examples() + _paper_drivers() + _smoke_grid(store) + [BENCHMARK_RUN]
+def _entry_points(scratch: str) -> list[tuple[str, Callable[[], None]]]:
+    children = (
+        _examples() + _paper_drivers() + _grids(scratch) + _docs() + [BENCHMARK_RUN]
+    )
     return [(label, functools.partial(_run, argv)) for label, argv in children] + [
         ("server and loadgen CLIs", _server_cli)
     ]
@@ -280,8 +327,7 @@ def table(found: dict, keys: set[tuple[str, int]]) -> list[str]:
 def main() -> int:
     found = functions(SOURCE_ROOT)  # before anything runs
     with tempfile.TemporaryDirectory() as scratch:
-        store = str(Path(scratch) / "grid.sqlite")
-        keys = census(_entry_points(store), Path(scratch))
+        keys = census(_entry_points(scratch), Path(scratch))
     print("\n".join(table(found, keys)))
     return 0
 
