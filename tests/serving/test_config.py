@@ -152,11 +152,22 @@ def test_from_dict_rejects_unknown_fields():
         BatcherConfig.from_dict({"batch": 4})
 
 
-def test_from_dict_rejects_a_fleet_that_asks_to_scale():
-    """The fleet stays at ``workers``: a scaling bound is not a field."""
-    match = r"unknown FleetConfig fields: \['min_workers'\]"
+@pytest.mark.parametrize(
+    ("knob", "value"),
+    [
+        ("min_workers", 1),
+        ("max_workers", 4),
+        ("scale_interval", 0.5),
+        ("scale_up_backlog", 4.0),
+        ("scale_up_on_shed", False),
+        ("scale_down_idle_evals", 3),
+    ],
+)
+def test_from_dict_rejects_a_fleet_that_asks_to_scale(knob, value):
+    """The fleet stays at ``workers``: a stored scaling knob fails loudly."""
+    match = rf"unknown FleetConfig fields: \['{knob}'\]"
     with pytest.raises(ValueError, match=match):
-        ServingConfig.from_dict({"workers": 2, "fleet": {"min_workers": 1}})
+        ServingConfig.from_dict({"workers": 2, "fleet": {knob: value}})
 
 
 # --------------------------------------------------------------------- #

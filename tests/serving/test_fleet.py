@@ -30,6 +30,7 @@ from repro.serving import (
     FleetConfig,
     ServingConfig,
     ServingEngine,
+    WorkerSupervisor,
 )
 
 
@@ -165,6 +166,106 @@ def test_supervised_total_death_recovers_instead_of_failing():
     np.testing.assert_array_equal(s_kill.probs, s_ok.probs)
     assert stats_kill.worker_crashes >= 1
     assert stats_kill.workers_respawned >= 1
+
+
+# --------------------------------------------------------------------------- #
+# supervisor: the health loop alone (a stand-in pool, no workers)
+# --------------------------------------------------------------------------- #
+class _ScanLog:
+    """The two pool members a supervisor touches; ``failures`` scans raise."""
+
+    def __init__(self, failures=0):
+        self.supervised = False
+        self.scans = 0
+        self.failures = failures
+
+    async def ensure_healthy(self):
+        self.scans += 1
+        if self.scans <= self.failures:
+            raise RuntimeError("spawn failed")
+        return 0
+
+
+def test_supervisor_start_and_stop_are_idempotent():
+    async def main():
+        pool = _ScanLog()
+        supervisor = WorkerSupervisor(pool, FleetConfig(health_interval=0.01))
+        await supervisor.start()
+        task = supervisor._health_task
+        await supervisor.start()
+        assert supervisor._health_task is task  # one loop, not two
+        assert pool.supervised
+        await _wait_until(lambda: pool.scans >= 2)
+        await supervisor.stop()
+        await supervisor.stop()
+        assert task.cancelled()
+        assert not pool.supervised
+        scans = pool.scans
+        await asyncio.sleep(0.05)
+        return scans, pool.scans
+
+    stopped_at, later = asyncio.run(main())
+    assert later == stopped_at  # no scan after stop
+
+
+def test_an_unsupervised_fleet_config_starts_no_health_loop():
+    async def main():
+        pool = _ScanLog()
+        supervisor = WorkerSupervisor(pool, FleetConfig(supervise=False))
+        await supervisor.start()
+        await asyncio.sleep(0.02)
+        state = supervisor._health_task, pool.supervised, pool.scans
+        await supervisor.stop()
+        return state
+
+    assert asyncio.run(main()) == (None, False, 0)
+
+
+def test_the_health_loop_outlives_a_failing_scan():
+    """A failed respawn is retried on the next tick, not fatal to the loop."""
+
+    async def main():
+        pool = _ScanLog(failures=2)
+        supervisor = WorkerSupervisor(pool, FleetConfig(health_interval=0.01))
+        await supervisor.start()
+        await _wait_until(lambda: pool.scans >= 4)
+        alive = not supervisor._health_task.done()
+        await supervisor.stop()
+        return alive
+
+    assert asyncio.run(main())
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_supervised_fleet_stays_at_workers_under_a_flood(backend):
+    """Nothing grows or shrinks the fleet: backlog leaves it at ``workers``."""
+
+    async def main():
+        async with ServingEngine(
+            _model(),
+            ServingConfig(
+                num_samples=4,
+                workers=2,
+                worker_backend=backend,
+                fleet=FleetConfig(health_interval=0.01),
+                batcher=BatcherConfig(max_batch_size=1, max_queue_size=256),
+            ),
+        ) as server:
+            seen = set()
+            flood = asyncio.gather(
+                *(server.submit(X[i % len(X)]) for i in range(48))
+            )
+            while not flood.done():
+                seen.add(server.stats().current_workers)
+                await asyncio.sleep(0.005)
+            return await flood, seen, server.stats()
+
+    results, seen, stats = asyncio.run(main())
+    assert len(results) == 48
+    assert seen == {2}
+    assert stats.current_workers == 2
+    assert stats.workers_respawned == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -465,6 +465,24 @@ def test_health_flips_during_supervised_worker_kill():
     asyncio.run(main())
 
 
+def test_health_is_degraded_below_the_configured_workers():
+    """``target_workers`` is the configured fleet size an unsupervised
+    pool is measured against: one dead worker of two reads degraded."""
+    config = ServingConfig(num_samples=2, workers=2, worker_backend="process")
+
+    async def main():
+        engine = ServingEngine(_model(), config)
+        async with ServingServer(engine) as srv:
+            victim = engine._pool._replicas[0]
+            victim.process.kill()
+            victim.process.join(10.0)
+            return await _request(srv, "GET", "/v1/health")
+
+    status, health = asyncio.run(main())
+    assert (status, health["status"]) == (200, "degraded")
+    assert (health["alive_workers"], health["target_workers"]) == (1, 2)
+
+
 def test_graceful_stop_drains_in_flight_requests():
     config = ServingConfig(num_samples=16, batcher=BatcherConfig(max_batch_size=1))
 
